@@ -31,18 +31,17 @@ test:
 
 # The race detector multiplies runtime ~10x; -short skips the longest
 # simulation suites while still exercising every concurrent code path
-# (daemon, agent, telemetry registry, flight recorder, sharded decision
-# core, series sampler) plus the dense/sparse equivalence suites
-# (TestSparse* in internal/core and internal/daemon), which run in full
-# under -short.
+# (daemon, agent, telemetry registry, flight recorder, series sampler)
+# plus the skip-vs-reference equivalence suites (TestSparse* in
+# internal/core and internal/daemon), which run in full under -short.
 race:
 	$(GO) test -race -short ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-smoke proves the sequential, sharded and sparse (dirty-fraction)
-# decision pipelines all complete a cluster-scale round with -benchmem
+# bench-smoke proves the default, reference (refresh=1) and
+# dirty-fraction rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output; it
 # is a compile-and-run check, not a timing run. The smoke JSON goes to an
 # untracked path so it never clobbers the committed timing record.
@@ -78,13 +77,12 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Conn|Device|Readings' ./internal/daemon/ ./internal/faultinject/
 
 # alloc-check is the allocation-regression gate: a warm DecideStats
-# round must not allocate — bare, with a disabled tracer attached, on
-# the sharded fork/join path, on the sparse path (masked and maskless,
-# sequential and sharded), with the full self-monitoring stack
-# (series sampler + watchdog audits) running beside the daemon's
-# decision loop, and on the black-box recorder's warm append path.
+# round must not allocate — bare (masked and maskless), with a disabled
+# tracer attached, with the full self-monitoring stack (series sampler +
+# watchdog audits) running beside the daemon's decision loop, and on the
+# black-box recorder's warm append path.
 alloc-check:
-	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc|TestDecideShardedSteadyStateZeroAlloc|TestDecideSparseSteadyStateZeroAlloc|TestDecideSparseShardedSteadyStateZeroAlloc' -count=1 ./internal/core
+	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc' -count=1 ./internal/daemon
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 

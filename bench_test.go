@@ -12,7 +12,6 @@ package dps_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -286,40 +285,35 @@ func BenchmarkControllerLoop200(b *testing.B)   { benchControllerLoop(b, 200) }
 func BenchmarkControllerLoop2000(b *testing.B)  { benchControllerLoop(b, 2000) }
 func BenchmarkControllerLoop20000(b *testing.B) { benchControllerLoop(b, 20000) }
 
-// BenchmarkDecideScaling compares the sequential decision pipeline
-// against the sharded one at cluster scale. Sub-benchmark names are
-// stable (N=<units>/shards=<p>) so CI can select one size:
+// BenchmarkDecideScaling prices one decision round at cluster scale.
+// Sub-benchmark names are stable so CI can select one size:
 //
 //	go test -bench 'DecideScaling/N=4096' -benchtime 1x .
 //
-// Each row reports allocations (steady state must be 0 on the sequential
-// path — the regression test in internal/core pins it) and a priority_ns
-// metric so the per-PR trajectory of the dominant per-unit stage is
-// visible; scripts/bench_decide.sh turns this output into
-// BENCH_decide.json. On a multi-core host the shards=max rows should
-// show the per-unit stages scaling with core count; on one core the
-// sharded path measures pure coordination overhead.
+// N=<units> is the default controller on a trace where one reading moves
+// per round; N=<units>/refresh=1 is the same trace through the reference
+// configuration that processes every unit every round (the price of never
+// skipping); N=<units>/dirty=<pct> drives ingest-style dirty masks at
+// three dirty fractions. Each row reports allocations (steady state must
+// be 0 — the regression test in internal/core pins it) and the first two
+// a priority_ns/kalman_ns split so the per-PR trajectory of the per-unit
+// stages is visible; scripts/bench_decide.sh turns this output into
+// BENCH_decide.json.
 func BenchmarkDecideScaling(b *testing.B) {
 	for _, units := range []int{1024, 4096, 16384, 65536, 262144} {
 		budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
-		shardCounts := []int{1}
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			shardCounts = append(shardCounts, p)
-		} else {
-			// One core: a parallel row would only measure coordination
-			// overhead against itself, but keep a 4-shard row so the
-			// pool machinery stays on the benched path everywhere.
-			shardCounts = append(shardCounts, 4)
-		}
-		for _, shards := range shardCounts {
-			b.Run(fmt.Sprintf("N=%d/shards=%d", units, shards), func(b *testing.B) {
+		for _, refresh := range []int{0, 1} {
+			name := fmt.Sprintf("N=%d", units)
+			if refresh != 0 {
+				name = fmt.Sprintf("N=%d/refresh=%d", units, refresh)
+			}
+			b.Run(name, func(b *testing.B) {
 				cfg := core.DefaultConfig(units, budget)
-				cfg.Shards = shards
+				cfg.SparseRefreshEvery = refresh
 				d, err := core.NewDPS(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer d.Close()
 				rng := rand.New(rand.NewSource(1))
 				readings := make(power.Vector, units)
 				for i := range readings {
@@ -344,24 +338,21 @@ func BenchmarkDecideScaling(b *testing.B) {
 		}
 	}
 
-	// Sparse rows: the deployed configuration (sparse rounds on, dirty
-	// masks from ingest) at three dirty fractions. dirty=100 is the
-	// worst case — every unit changes every round, so the sparse
-	// machinery runs with nothing to skip; dirty=5 is the overprovisioned
+	// Dirty-fraction rows: the deployed configuration (dirty masks from
+	// ingest) at three dirty fractions. dirty=100 is the worst case —
+	// every unit changes every round, so the skip bookkeeping runs with
+	// nothing to skip; dirty=5 is the overprovisioned
 	// steady state the design targets, where 95% of units report no
 	// change and the round touches only the dirty set, the refresh block
 	// and the global stages.
 	for _, units := range []int{16384, 65536, 262144} {
 		budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
 		for _, pct := range []int{100, 50, 5} {
-			b.Run(fmt.Sprintf("N=%d/shards=1/dirty=%d", units, pct), func(b *testing.B) {
-				cfg := core.DefaultConfig(units, budget)
-				cfg.SparseRounds = true
-				d, err := core.NewDPS(cfg)
+			b.Run(fmt.Sprintf("N=%d/dirty=%d", units, pct), func(b *testing.B) {
+				d, err := core.NewDPS(core.DefaultConfig(units, budget))
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer d.Close()
 				readings := make(power.Vector, units)
 				for u := range readings {
 					readings[u] = power.Watts(40 + u%40)
@@ -636,7 +627,9 @@ func BenchmarkPriorityUpdate(b *testing.B) {
 	caps := power.NewVector(units, 110)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Update(hist, readings, caps, 110)
+		for u := 0; u < units; u++ {
+			m.UpdateUnit(power.UnitID(u), hist.Unit(power.UnitID(u)), readings[u], caps[u], 110)
+		}
 	}
 }
 

@@ -120,7 +120,6 @@ func main() {
 		case "dps":
 			ccfg := core.DefaultConfig(*units, budget)
 			ccfg.Seed = *seed
-			ccfg.SparseRounds = cfg.SparseRounds
 			ccfg.SparseRefreshEvery = cfg.SparseRefreshEvery
 			mgr, err = core.NewDPS(ccfg)
 		case "slurm":

@@ -23,9 +23,10 @@
 //	}
 //
 // New applies functional options over the paper's defaults; NewDPS(Config)
-// is the low-level constructor. At cluster scale, the controller shards
-// its per-unit pipeline stages across a worker pool (see Config.Shards /
-// WithShards) with bitwise-identical decisions at any shard count.
+// is the low-level constructor. A decision round is single-threaded and
+// skips units whose state provably cannot have changed, with decisions
+// bitwise identical to processing every unit (see
+// Config.SparseRefreshEvery).
 //
 // See examples/ for runnable programs: a quickstart simulation, a paired
 // Spark workload study, the paper's Figure 1 motivation scenario, and a

@@ -9,17 +9,16 @@ import (
 
 // TestDecideStatsSteadyStateZeroAlloc is the allocation-regression gate
 // for the decision hot path: once the history rings are warm, a
-// sequential DecideStats round must not allocate at all — every statistic
-// the priority stage reads is incremental ring state, the peak scan runs
-// over ring storage in place, and every module reuses its own buffers.
-// A failure here means a copy or scratch buffer crept back into the
-// per-round path.
+// DecideStats round must not allocate at all, with or without an ingest
+// dirty mask — every statistic the priority stage reads is incremental
+// ring state, the walkers, the settle bookkeeping and the lazy provenance
+// baseline run out of preallocated state, and every module reuses its own
+// buffers. A failure here means a copy or scratch buffer crept back into
+// the per-round path.
 func TestDecideStatsSteadyStateZeroAlloc(t *testing.T) {
 	const units = 512
 	budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
-	cfg := DefaultConfig(units, budget)
-	cfg.Shards = 1 // the sequential path; the sharded path's fork/join is measured separately
-	d, err := NewDPS(cfg)
+	d, err := NewDPS(DefaultConfig(units, budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,73 +27,13 @@ func TestDecideStatsSteadyStateZeroAlloc(t *testing.T) {
 	for i := range readings {
 		readings[i] = power.Watts(40 + rng.Float64()*120)
 	}
-	snap := Snapshot{Power: readings, Interval: 1}
 	// Warm up past every cold-start growth path (history fill, priority
 	// MinSamples) with perturbed readings so all decision branches run.
 	for i := 0; i < 30; i++ {
 		readings[i%units] += power.Watts(rng.NormFloat64() * 2)
-		d.Decide(snap)
+		d.Decide(Snapshot{Power: readings, Interval: 1})
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		readings[0] += 0.01
-		d.DecideStats(snap)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state DecideStats allocated %.1f times per round, want 0", allocs)
-	}
-}
-
-// warmAllocController builds a controller with the given shard and
-// sparse settings and warms it past every cold-start growth path.
-func warmAllocController(t *testing.T, shards int, sparse bool) (*DPS, power.Vector) {
-	t.Helper()
-	const units = 512
-	budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
-	cfg := DefaultConfig(units, budget)
-	cfg.Shards = shards
-	cfg.SparseRounds = sparse
-	d, err := NewDPS(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	readings := make(power.Vector, units)
-	for i := range readings {
-		readings[i] = power.Watts(40 + rng.Float64()*120)
-	}
-	snap := Snapshot{Power: readings, Interval: 1}
-	for i := 0; i < 30; i++ {
-		readings[i%units] += power.Watts(rng.NormFloat64() * 2)
-		d.Decide(snap)
-	}
-	return d, readings
-}
-
-// TestDecideShardedSteadyStateZeroAlloc extends the allocation gate to
-// the parallel path: the fork/join itself must be allocation-free — the
-// task structs are all scalars, the WaitGroup lives in the pool, and the
-// stage closures are prebuilt at construction.
-func TestDecideShardedSteadyStateZeroAlloc(t *testing.T) {
-	d, readings := warmAllocController(t, 4, false)
-	defer d.Close()
-	snap := Snapshot{Power: readings, Interval: 1}
-	allocs := testing.AllocsPerRun(100, func() {
-		readings[0] += 0.01
-		d.DecideStats(snap)
-	})
-	if allocs != 0 {
-		t.Errorf("sharded steady-state DecideStats allocated %.1f times per round, want 0", allocs)
-	}
-}
-
-// TestDecideSparseSteadyStateZeroAlloc covers the sparse path's warm
-// round, with and without an ingest dirty mask: the masked stages, the
-// settle bookkeeping, and the lazy provenance baseline must all run out
-// of preallocated state.
-func TestDecideSparseSteadyStateZeroAlloc(t *testing.T) {
-	d, readings := warmAllocController(t, 1, true)
-	defer d.Close()
-	mask := NewDirtyMask(len(readings))
+	mask := NewDirtyMask(units)
 	snap := Snapshot{Power: readings, Interval: 1, Dirty: mask}
 	allocs := testing.AllocsPerRun(100, func() {
 		mask.Reset()
@@ -103,7 +42,7 @@ func TestDecideSparseSteadyStateZeroAlloc(t *testing.T) {
 		d.DecideStats(snap)
 	})
 	if allocs != 0 {
-		t.Errorf("sparse steady-state DecideStats allocated %.1f times per round, want 0", allocs)
+		t.Errorf("steady-state DecideStats allocated %.1f times per round, want 0", allocs)
 	}
 	snap.Dirty = nil // compare-fallback path
 	allocs = testing.AllocsPerRun(100, func() {
@@ -111,23 +50,6 @@ func TestDecideSparseSteadyStateZeroAlloc(t *testing.T) {
 		d.DecideStats(snap)
 	})
 	if allocs != 0 {
-		t.Errorf("sparse maskless DecideStats allocated %.1f times per round, want 0", allocs)
-	}
-}
-
-// TestDecideSparseShardedSteadyStateZeroAlloc combines both axes.
-func TestDecideSparseShardedSteadyStateZeroAlloc(t *testing.T) {
-	d, readings := warmAllocController(t, 4, true)
-	defer d.Close()
-	mask := NewDirtyMask(len(readings))
-	snap := Snapshot{Power: readings, Interval: 1, Dirty: mask}
-	allocs := testing.AllocsPerRun(100, func() {
-		mask.Reset()
-		readings[0] += 0.01
-		mask.Mark(0)
-		d.DecideStats(snap)
-	})
-	if allocs != 0 {
-		t.Errorf("sparse sharded DecideStats allocated %.1f times per round, want 0", allocs)
+		t.Errorf("maskless steady-state DecideStats allocated %.1f times per round, want 0", allocs)
 	}
 }

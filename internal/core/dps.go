@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"dps/internal/history"
@@ -33,32 +32,16 @@ type Config struct {
 	Readjust readjust.Config
 	// Seed makes the stateless module's random visiting order reproducible.
 	Seed int64
-	// Shards is the number of worker shards the per-unit pipeline stages
-	// (Kalman filtering, history push, priority classification) run
-	// across. 1 forces the sequential path; 0 (the default) picks
-	// min(GOMAXPROCS, Units/256) so small controllers stay sequential and
-	// cluster-scale ones use every core. The inherently global stages —
-	// the MIMD base decision, restore/readjust, and the final clamp — run
-	// sequentially at any shard count, which is why the result is bitwise
-	// identical to Shards: 1 for a fixed seed.
-	Shards int
-
-	// SparseRounds enables the sparse decision path: per-unit stage work
-	// (Kalman step, history push, priority classification) runs only for
-	// units whose state can have changed — dirty readings, unsettled
-	// histories, moved caps — instead of for all N units every round.
-	// The contract is bitwise: for any input sequence the decided caps
-	// and decision outcomes are identical to the dense path; only the
-	// work (and the DirtyUnits/SkippedUnits stats) differ. See DESIGN.md
-	// §13 for the exactness argument. Off by default at this level; the
-	// daemon turns it on unless rolled back with -sparse-rounds=false.
-	SparseRounds bool
-	// SparseRefreshEvery forces every unit through full dense per-unit
-	// processing at least once every this many rounds (a rotating block
-	// per round), bounding how long any unit's state goes unexercised
-	// and re-verifying the settle certificates against the live rings.
-	// 0 means DefaultSparseRefreshEvery; 1 refreshes everything every
-	// round. Only meaningful with SparseRounds.
+	// SparseRefreshEvery forces every unit through full per-unit
+	// processing (Kalman step, history push, classification off the live
+	// ring, a visit by the MIMD decrease pass) at least once every this
+	// many rounds, a rotating block per round. Between refreshes a unit whose state provably cannot have
+	// changed — reading unchanged, filter and ring at their bitwise fixed
+	// point, cap untouched — is skipped; the contract is bitwise, so the
+	// period changes only the work done (and the DirtyUnits/SkippedUnits
+	// stats), never a cap or a decision outcome. See DESIGN.md §13.
+	// 0 means DefaultSparseRefreshEvery; 1 never skips a unit, which is
+	// the reference configuration the equivalence suites compare against.
 	SparseRefreshEvery int
 
 	// Ablation knobs (all false in the paper's system).
@@ -98,9 +81,6 @@ func (c Config) Validate() error {
 	if c.HistoryLen < 2 {
 		return fmt.Errorf("core: HistoryLen %d must be at least 2", c.HistoryLen)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	}
 	if c.SparseRefreshEvery < 0 {
 		return fmt.Errorf("core: negative SparseRefreshEvery %d", c.SparseRefreshEvery)
 	}
@@ -136,15 +116,14 @@ type DPS struct {
 	lastRestored bool
 	steps        uint64
 
-	prevPrio []bool
-
 	// Cap provenance, maintained lazily: reasons[u] is the last module
 	// that moved unit u's cap this round, roundBefore the caps at the
 	// start of the last round that moved anything, and stageCaps the
 	// per-stage diff baseline. Provenance() materializes the CapChange
 	// view into prov on demand. provDirty marks that a round left tags
-	// behind, so the next round must re-baseline; moverless rounds skip
-	// all three O(units) passes — the sparse path's steady state.
+	// behind, so the next round must re-baseline; moverless rounds — the
+	// steady state once readings hold still — skip all three O(units)
+	// passes.
 	prov        []trace.CapChange
 	reasons     []trace.Reason
 	roundBefore power.Vector
@@ -156,29 +135,8 @@ type DPS struct {
 	// nil-safe atomic load, so the disabled path costs one branch.
 	tracer *trace.Recorder
 
-	// Sharding state. pool is nil when shards == 1 (the sequential
-	// path); tallies always holds max(shards, 1) entries so the
-	// sequential sparse path can reuse slot 0.
-	shards  int
-	pool    *shardPool
-	tallies []shardTally
-
-	// Prebuilt shard-stage closures: building them once (capturing only
-	// d) keeps pool.run allocation-free; the per-round inputs they need
-	// travel through the r* fields below.
-	denseKalmanFn    func(int)
-	denseClassifyFn  func(int)
-	sparseKalmanFn   func(int)
-	sparseClassifyFn func(int)
-	// Per-round stage inputs for the prebuilt closures, set by
-	// DecideStats before pool.run and read-only during a stage.
-	rPower                 power.Vector
-	rHealth                []UnitHealth
-	rDT                    power.Seconds
-	rRefreshLo, rRefreshHi int // refresh block unit range, half-open
-
-	// Sparse-round state (allocated only when cfg.SparseRounds).
-	sparse       bool
+	// Skip bookkeeping for the word-mask walkers (sparse.go): one bit per
+	// unit, 64 units per word.
 	refreshEvery int
 	nWords       int
 	tailMask     uint64   // valid bits of the last mask word
@@ -188,7 +146,7 @@ type DPS struct {
 	roundMovedW  []uint64 // units whose caps moved so far this round
 	visitW       []uint64 // scratch: the MIMD decrease pass's visit mask
 	lastVal      power.Vector
-	lastStep     []uint64 // round of each unit's last dense processing
+	lastStep     []uint64 // round of each unit's last full processing
 	frozen       []priority.FrozenStats
 	lastDT       power.Seconds
 	highCount    int // maintained incrementally: count of true prio flags
@@ -243,23 +201,19 @@ type RoundStats struct {
 	// presumed dead (see UnitHealth).
 	StaleUnits int
 	DeadUnits  int
-	// Shards is the number of worker shards the per-unit stages ran
-	// across this round (1 = the sequential path).
-	Shards int
 	// DirtyUnits is the number of units whose reading changed since the
 	// previous round, DirtyFrac the same as a fraction of all units, and
 	// SkippedUnits the number of fresh units whose per-unit stage work
-	// the sparse path elided this round. All three are populated only
-	// when SparseRounds is enabled (the dense path doesn't track them).
+	// was elided this round as a proven bitwise no-op.
 	DirtyUnits   int
 	SkippedUnits int
 	DirtyFrac    float64
 }
 
-// DefaultSparseRefreshEvery is the forced-refresh period the sparse path
-// uses when Config.SparseRefreshEvery is zero, mirroring the agent-side
-// delta plane's RefreshEvery default: every unit gets full dense
-// processing at least once per this many rounds.
+// DefaultSparseRefreshEvery is the forced-refresh period used when
+// Config.SparseRefreshEvery is zero, mirroring the agent-side
+// delta plane's RefreshEvery default: every unit gets full
+// per-unit processing at least once per this many rounds.
 const DefaultSparseRefreshEvery = 64
 
 var _ Manager = (*DPS)(nil)
@@ -289,6 +243,7 @@ func NewDPS(cfg Config) (*DPS, error) {
 	if err != nil {
 		return nil, err
 	}
+	nWords := (cfg.Units + 63) / 64
 	d := &DPS{
 		cfg:         cfg,
 		constantCap: cfg.Budget.ConstantCap(cfg.Units),
@@ -299,12 +254,22 @@ func NewDPS(cfg Config) (*DPS, error) {
 		readjustM:   rm,
 		caps:        power.NewVector(cfg.Units, 0),
 		changed:     make([]bool, cfg.Units),
-		prevPrio:    make([]bool, cfg.Units),
 		prov:        make([]trace.CapChange, cfg.Units),
 		reasons:     make([]trace.Reason, cfg.Units),
 		roundBefore: power.NewVector(cfg.Units, 0),
 		stageCaps:   power.NewVector(cfg.Units, 0),
-		shards:      cfg.shardCount(),
+
+		refreshEvery: cfg.SparseRefreshEvery,
+		nWords:       nWords,
+		tailMask:     ^uint64(0),
+		settledW:     make([]uint64, nWords),
+		dirtyW:       make([]uint64, nWords),
+		capMovedW:    make([]uint64, nWords),
+		roundMovedW:  make([]uint64, nWords),
+		visitW:       make([]uint64, nWords),
+		lastVal:      power.NewVector(cfg.Units, 0),
+		lastStep:     make([]uint64, cfg.Units),
+		frozen:       make([]priority.FrozenStats, cfg.Units),
 	}
 	for i := range d.caps {
 		d.caps[i] = d.constantCap
@@ -315,51 +280,15 @@ func NewDPS(cfg Config) (*DPS, error) {
 	// derivative window, so the priority stage's windowed derivative never
 	// rescans durations (DerivWindow samples span DerivWindow−1 intervals).
 	d.hist.SetTailWindow(cfg.Priority.DerivWindow - 1)
-	d.tallies = make([]shardTally, max(d.shards, 1))
-	if cfg.SparseRounds {
-		d.sparse = true
-		d.refreshEvery = cfg.SparseRefreshEvery
-		if d.refreshEvery == 0 {
-			d.refreshEvery = DefaultSparseRefreshEvery
-		}
-		d.nWords = (cfg.Units + 63) / 64
-		d.tailMask = ^uint64(0)
-		if tail := uint(cfg.Units & 63); tail != 0 {
-			d.tailMask = (uint64(1) << tail) - 1
-		}
-		d.settledW = make([]uint64, d.nWords)
-		d.dirtyW = make([]uint64, d.nWords)
-		d.capMovedW = make([]uint64, d.nWords)
-		d.roundMovedW = make([]uint64, d.nWords)
-		d.visitW = make([]uint64, d.nWords)
-		d.lastVal = power.NewVector(cfg.Units, 0)
-		d.lastStep = make([]uint64, cfg.Units)
-		d.frozen = make([]priority.FrozenStats, cfg.Units)
-		// Round 1 must visit everyone: no unit has a settle certificate
-		// yet and every cap is "new" to the MIMD decrease pass.
-		d.setAllWords(d.capMovedW)
+	if d.refreshEvery == 0 {
+		d.refreshEvery = DefaultSparseRefreshEvery
 	}
-	if d.shards > 1 {
-		d.pool = newShardPool(d.shards - 1)
-		// Belt and braces: an abandoned controller must not leak its
-		// worker goroutines, so the collector closes the pool if the
-		// owner never calls Close.
-		runtime.SetFinalizer(d, func(d *DPS) { d.pool.close() })
+	if tail := uint(cfg.Units & 63); tail != 0 {
+		d.tailMask = (uint64(1) << tail) - 1
 	}
-	// Prebuilt stage closures keep the warm sharded round allocation-free
-	// (a closure built per round escapes to the heap via the pool's task
-	// channel). They capture only d; per-round inputs ride in d's r*
-	// fields.
-	d.denseKalmanFn = func(s int) { d.denseKalmanShard(s) }
-	d.denseClassifyFn = func(s int) { d.denseClassifyShard(s) }
-	d.sparseKalmanFn = func(s int) {
-		lo, hi := shardRange(s, d.shards, d.nWords)
-		d.sparseKalmanWords(lo, hi, &d.tallies[s])
-	}
-	d.sparseClassifyFn = func(s int) {
-		lo, hi := shardRange(s, d.shards, d.nWords)
-		d.sparseClassifyWords(lo, hi, &d.tallies[s])
-	}
+	// Round 1 must visit everyone: no unit has a settle certificate yet
+	// and every cap is "new" to the MIMD decrease pass.
+	d.setAllWords(d.capMovedW)
 	return d, nil
 }
 
@@ -373,21 +302,10 @@ func (d *DPS) setAllWords(w []uint64) {
 	}
 }
 
-// Close stops the shard worker pool. It is optional — a collected
-// controller releases its workers via finalizer — but deterministic
-// cleanup is preferable in servers that build many controllers. Close is
-// idempotent; the controller must not Decide after Close.
-func (d *DPS) Close() error {
-	if d.pool != nil {
-		d.pool.close()
-		runtime.SetFinalizer(d, nil)
-	}
-	return nil
-}
-
-// Shards returns the number of worker shards the per-unit pipeline stages
-// run across (1 = sequential).
-func (d *DPS) Shards() int { return d.shards }
+// Close releases nothing — the controller owns no goroutines or handles —
+// and exists so callers that manage a controller's lifetime have one
+// method to call.
+func (d *DPS) Close() error { return nil }
 
 // Name implements Manager.
 func (d *DPS) Name() string {
@@ -436,9 +354,9 @@ func (d *DPS) SetTracer(tr *trace.Recorder) { d.tracer = tr }
 //
 // The view is materialized on call from the controller's running
 // provenance state (reason tags plus the round-start baseline), so
-// rounds in which no module moved any cap — the sparse path's steady
-// state — pay nothing for provenance upkeep. Allocation-free: the
-// backing slice is preallocated.
+// rounds in which no module moved any cap — the steady state once
+// readings hold still — pay nothing for provenance upkeep.
+// Allocation-free: the backing slice is preallocated.
 func (d *DPS) Provenance() []trace.CapChange {
 	for u, c := range d.caps {
 		d.prov[u] = trace.CapChange{
@@ -461,8 +379,7 @@ func (d *DPS) Decide(snap Snapshot) power.Vector {
 // cap vector together with the round's stats. The vector is owned by the
 // controller (same contract as Decide); the stats are a plain value the
 // caller keeps. Decision rounds are single-threaded: DecideStats must not
-// be called concurrently with itself, Decide, or Reset — but internally
-// the per-unit stages fan out across the configured shards.
+// be called concurrently with itself, Decide, or Reset.
 func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	if len(snap.Power) != d.cfg.Units {
 		panic(fmt.Sprintf("core: %d readings for %d units", len(snap.Power), d.cfg.Units))
@@ -475,7 +392,7 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 		dt = 1
 	}
 	d.steps++
-	stats := RoundStats{Step: d.steps, Shards: d.shards}
+	stats := RoundStats{Step: d.steps}
 	start := time.Now()
 
 	// Provenance re-baseline, skipped when the previous round moved
@@ -518,51 +435,17 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 		}
 	}
 
-	// Per-round inputs for the per-unit stage bodies (the prebuilt shard
-	// closures read them from the controller rather than capturing them,
-	// keeping warm rounds allocation-free).
-	d.rPower, d.rHealth, d.rDT = snap.Power, health, dt
-	if d.sparse {
-		d.beginSparseRound(snap, dt, health, &stats)
-	}
+	rlo, rhi := d.beginSparseRound(snap, dt, health, &stats)
 
 	// Kalman estimation feeds the power history (the controller's state).
-	// Per-unit and therefore shardable: each unit's filter and ring are
-	// touched by exactly one shard. Non-fresh units are skipped: their
-	// reading is a replay of the last accepted report, and pushing it
-	// would fabricate a flat, confident history out of no information.
-	// The sparse path processes only dirty, unsettled, or refresh-due
-	// units — eliding a settled unit's push is a proven bitwise no-op
-	// (see history.Ring.SettledFor).
-	if d.sparse {
-		for i := range d.tallies {
-			d.tallies[i] = shardTally{}
-		}
-		if d.shards > 1 {
-			d.pool.run(d.shards, d.sparseKalmanFn)
-		} else {
-			d.sparseKalmanWords(0, d.nWords, &d.tallies[0])
-		}
-		processed := 0
-		for i := range d.tallies {
-			processed += d.tallies[i].processed
-		}
-		stats.SkippedUnits = d.cfg.Units - processed - stats.StaleUnits - stats.DeadUnits
-		stats.DirtyFrac = float64(stats.DirtyUnits) / float64(d.cfg.Units)
-	} else if d.shards > 1 {
-		d.pool.run(d.shards, d.denseKalmanFn)
-	} else {
-		for u := 0; u < d.cfg.Units; u++ {
-			if health != nil && health[u] != HealthFresh {
-				continue
-			}
-			est := snap.Power[u]
-			if !d.cfg.DisableKalman {
-				est = d.filters.Step(power.UnitID(u), est)
-			}
-			d.hist.Push(power.UnitID(u), est, dt)
-		}
-	}
+	// Only dirty, unsettled, or refresh-due units are processed — eliding a
+	// settled unit's push is a proven bitwise no-op (see
+	// history.Ring.SettledFor). Non-fresh units are skipped: their reading
+	// is a replay of the last accepted report, and pushing it would
+	// fabricate a flat, confident history out of no information.
+	processed := d.sparseKalmanWords(snap.Power, health, dt, rlo, rhi)
+	stats.SkippedUnits = d.cfg.Units - processed - stats.StaleUnits - stats.DeadUnits
+	stats.DirtyFrac = float64(stats.DirtyUnits) / float64(d.cfg.Units)
 	mark := time.Now()
 	stats.Timings.Kalman = mark.Sub(start)
 	if d.tracer.On() {
@@ -571,21 +454,18 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 
 	// Stateless module: temporary cap allocation from current power alone.
 	// Global and sequential — its random visiting order is part of the
-	// deterministic contract. The sparse path masks the decrease pass to
-	// units whose (power, cap) pair can have changed since their last
-	// no-op visit; the increase pass always runs in full (it shares one
-	// budget pool and the seeded visiting order).
-	if d.sparse {
-		for i, w := range d.dirtyW {
-			d.visitW[i] = w | d.capMovedW[i]
-		}
-		decCh, raiseCh := d.statelessM.ApplyMasked(snap.Power, d.caps, d.cfg.Budget, d.changed, d.visitW, d.cachedSum, d.sumValid)
-		if decCh || raiseCh {
-			d.sumValid = false
-			d.noteStatelessChanges()
-		}
-	} else {
-		d.statelessM.Apply(snap.Power, d.caps, d.cfg.Budget, d.changed)
+	// deterministic contract. The decrease pass is masked to units whose
+	// (power, cap) pair can have changed since their last no-op visit, plus
+	// the refresh block — so at SparseRefreshEvery: 1 the pass visits every
+	// unit and owes nothing to the mover bookkeeping. The increase pass
+	// always runs in full (it shares one budget pool and the seeded
+	// visiting order).
+	for i, w := range d.dirtyW {
+		d.visitW[i] = w | d.capMovedW[i] | wordMaskForRange(rlo, rhi, i<<6)
+	}
+	decCh, raiseCh := d.statelessM.ApplyMasked(snap.Power, d.caps, d.cfg.Budget, d.changed, d.visitW, d.cachedSum, d.sumValid)
+	if decCh || raiseCh {
+		d.sumValid = false
 		d.noteStatelessChanges()
 	}
 	now := time.Now()
@@ -598,67 +478,16 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	d.lastRestored = false
 	if !d.cfg.DisablePriority {
 		// Priority module: power dynamics → high/low priority per unit.
-		// Classification is per-unit (shardable); the tallies merge by
-		// integer addition, so the merged stats are order-independent.
-		// prio must not be captured by the shard closure: a variable shared
-		// between this scope and an escaping closure is forced onto the
-		// heap, which would cost the sequential path one allocation per
-		// round. The closure reads the module's flags directly instead.
-		var prio []bool
-		if d.sparse {
-			// Sparse classification: only units whose inputs can have
-			// changed — dirty reading, unsettled history, cap moved last
-			// round or by this round's MIMD pass, or refresh-due — are
-			// reclassified; settled off-mask units provably keep their
-			// flags. High/flip tallies are maintained incrementally from
-			// the observed transitions.
-			if d.shards > 1 {
-				d.pool.run(d.shards, d.sparseClassifyFn)
-			} else {
-				d.sparseClassifyWords(0, d.nWords, &d.tallies[0])
-			}
-			for i := range d.tallies {
-				d.highCount += d.tallies[i].high // high holds the delta
-				stats.PriorityFlips += d.tallies[i].flips
-			}
-			stats.HighPriority = d.highCount
-			prio = d.priorityM.Priorities()
-		} else if d.shards > 1 {
-			d.pool.run(d.shards, d.denseClassifyFn)
-			prio = d.priorityM.Priorities()
-			for s := 0; s < d.shards; s++ {
-				stats.HighPriority += d.tallies[s].high
-				stats.PriorityFlips += d.tallies[s].flips
-			}
-		} else if health != nil {
-			// Degraded sequential round: per-unit updates so non-fresh
-			// units keep their classification frozen alongside their cap.
-			prio = d.priorityM.Priorities()
-			for u := 0; u < d.cfg.Units; u++ {
-				if health[u] == HealthFresh {
-					d.priorityM.UpdateUnit(power.UnitID(u), d.hist.Unit(power.UnitID(u)), snap.Power[u], d.caps[u], d.constantCap)
-				}
-				p := prio[u]
-				if p {
-					stats.HighPriority++
-				}
-				if p != d.prevPrio[u] {
-					stats.PriorityFlips++
-				}
-				d.prevPrio[u] = p
-			}
-		} else {
-			prio = d.priorityM.Update(d.hist, snap.Power, d.caps, d.constantCap)
-			for u, p := range prio {
-				if p {
-					stats.HighPriority++
-				}
-				if p != d.prevPrio[u] {
-					stats.PriorityFlips++
-				}
-				d.prevPrio[u] = p
-			}
-		}
+		// Only units whose inputs can have changed — dirty reading,
+		// unsettled history, cap moved last round or by this round's MIMD
+		// pass, or refresh-due — are reclassified; settled off-mask units
+		// provably keep their flags, and non-fresh units keep theirs frozen
+		// alongside their cap. The high count is maintained incrementally
+		// from the observed transitions.
+		flips, highDelta := d.sparseClassifyWords(snap.Power, health, rlo, rhi)
+		d.highCount += highDelta
+		stats.PriorityFlips = flips
+		stats.HighPriority = d.highCount
 		now = time.Now()
 		stats.Timings.Priority = now.Sub(mark)
 		if d.tracer.On() {
@@ -672,14 +501,9 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 		if d.lastRestored {
 			d.noteCapChanges(trace.ReasonRestore)
 		} else {
-			var outcome readjust.Outcome
-			if d.sparse {
-				// The incrementally maintained high count replaces
-				// Readjust's O(N) priority rescan; same bits.
-				outcome = d.readjustM.ReadjustCounted(d.caps, prio, d.cfg.Budget, d.constantCap, d.changed, d.highCount)
-			} else {
-				outcome = d.readjustM.Readjust(d.caps, prio, d.cfg.Budget, d.constantCap, d.changed)
-			}
+			// The incrementally maintained high count replaces Readjust's
+			// O(N) priority rescan; same bits.
+			outcome := d.readjustM.ReadjustCounted(d.caps, d.priorityM.Priorities(), d.cfg.Budget, d.constantCap, d.changed, d.highCount)
 			stats.BudgetExhausted = outcome == readjust.OutcomeEqualize
 			switch outcome {
 			case readjust.OutcomeGrant:
@@ -721,23 +545,19 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 		}
 	}
 
-	// Final budget clamp, elided in the sparse steady state: when no
-	// module moved any cap this round, the caps are bit-for-bit the
-	// vector the previous round's clamp blessed — bounds still hold and
-	// the cached sum is exactly what caps.Sum() would return.
-	if d.sparse && !d.anyMove && health == nil && d.sumValid && d.cachedSum <= d.cfg.Budget.Total {
-		stats.BudgetClamped = false
-	} else {
+	// Final budget clamp, elided when no module moved any cap this round:
+	// the caps are then bit-for-bit the vector the previous round's clamp
+	// blessed — bounds still hold and the cached sum is exactly what
+	// caps.Sum() would return.
+	if d.anyMove || health != nil || !d.sumValid || d.cachedSum > d.cfg.Budget.Total {
 		var clampMoved bool
 		stats.BudgetClamped, clampMoved = d.enforceBudget(health)
-		if clampMoved || !d.sparse {
+		if clampMoved {
 			d.noteCapChanges(trace.ReasonClamp)
 		}
 	}
-	if d.sparse {
-		// This round's movers become the next round's revisit set.
-		d.capMovedW, d.roundMovedW = d.roundMovedW, d.capMovedW
-	}
+	// This round's movers become the next round's revisit set.
+	d.capMovedW, d.roundMovedW = d.roundMovedW, d.capMovedW
 	stats.Total = time.Since(start)
 	if d.tracer.On() {
 		d.tracer.Record(d.steps, trace.SpanDecide, trace.LaneDecide, -1, start, stats.Total)
@@ -759,9 +579,7 @@ func (d *DPS) noteStatelessChanges() {
 				d.reasons[u] = trace.ReasonMIMDRaise
 			}
 			d.stageCaps[u] = c
-			if d.sparse {
-				d.roundMovedW[u>>6] |= uint64(1) << uint(u&63)
-			}
+			d.roundMovedW[u>>6] |= uint64(1) << uint(u&63)
 			any = true
 		}
 	}
@@ -772,18 +590,16 @@ func (d *DPS) noteStatelessChanges() {
 }
 
 // noteCapChanges tags every unit whose cap moved since the previous
-// stage baseline with reason, and advances the baseline. In sparse mode
-// it also records the movers in the round's moved mask, which drives the
-// next round's revisit set.
+// stage baseline with reason, advances the baseline, and records the
+// movers in the round's moved mask, which drives the next round's revisit
+// set.
 func (d *DPS) noteCapChanges(reason trace.Reason) {
 	any := false
 	for u, c := range d.caps {
 		if c != d.stageCaps[u] {
 			d.reasons[u] = reason
 			d.stageCaps[u] = c
-			if d.sparse {
-				d.roundMovedW[u>>6] |= uint64(1) << uint(u&63)
-			}
+			d.roundMovedW[u>>6] |= uint64(1) << uint(u&63)
 			any = true
 		}
 	}
@@ -817,7 +633,7 @@ const overBudgetEps = power.Watts(1e-6)
 // residual excess after the masked rescale counts as a violation.
 // It also reports whether it moved any cap, and caches the cap sum it
 // computed (valid whenever the clamp left the caps untouched afterward),
-// which the sparse path reuses to skip redundant O(N) summations.
+// which later rounds reuse to skip redundant O(N) summations.
 func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
 	b := d.cfg.Budget
 	free := func(u int) bool { return health == nil || health[u] == HealthFresh }
@@ -887,13 +703,11 @@ func (d *DPS) SetTotalBudget(total power.Watts) error {
 	}
 	d.cfg.Budget = b
 	d.constantCap = b.ConstantCap(d.cfg.Units)
-	if d.sparse {
-		// A new budget changes classification inputs (the idle-revert
-		// floor tracks the constant cap) and the MIMD headroom, so every
-		// unit must be revisited; the settle certificates themselves
-		// stay valid — they describe filter and ring state only.
-		d.setAllWords(d.capMovedW)
-	}
+	// A new budget changes classification inputs (the idle-revert floor
+	// tracks the constant cap) and the MIMD headroom, so every unit must be
+	// revisited; the settle certificates themselves stay valid — they
+	// describe filter and ring state only.
+	d.setAllWords(d.capMovedW)
 	return nil
 }
 
@@ -906,9 +720,6 @@ func (d *DPS) Reset() {
 		d.hist.Unit(power.UnitID(u)).Reset()
 	}
 	d.priorityM.Reset()
-	for u := range d.prevPrio {
-		d.prevPrio[u] = false
-	}
 	d.lastRestored = false
 	clear(d.reasons)
 	for u := range d.roundBefore {
@@ -916,16 +727,25 @@ func (d *DPS) Reset() {
 		d.stageCaps[u] = d.constantCap
 	}
 	d.provDirty = false
-	if d.sparse {
-		clear(d.settledW)
-		clear(d.dirtyW)
-		clear(d.roundMovedW)
-		d.setAllWords(d.capMovedW)
-		clear(d.lastVal)
-		clear(d.lastStep)
-		d.lastDT = 0
-		d.highCount = 0
-		d.sumValid = false
-	}
 	d.steps = 0
+	clear(d.dirtyW)
+	clear(d.roundMovedW)
+	d.resetSkipState()
+	d.highCount = 0
+}
+
+// resetSkipState drops every settle certificate and schedules every unit
+// for a revisit. lastStep pins to the current round — the elided-push
+// accounting subtracts it from the round being decided and must never
+// underflow. Extra visits of settled units are proven bitwise no-ops
+// (DESIGN.md §13), so this is always safe.
+func (d *DPS) resetSkipState() {
+	clear(d.settledW)
+	d.setAllWords(d.capMovedW)
+	clear(d.lastVal)
+	for u := range d.lastStep {
+		d.lastStep[u] = d.steps
+	}
+	d.lastDT = 0
+	d.sumValid = false
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"dps/internal/power"
@@ -204,53 +203,5 @@ func TestHealthRecoveryRejoinsNextRound(t *testing.T) {
 	}
 	if !d.Budget().Respected(caps, 1e-6) {
 		t.Fatalf("post-recovery caps violate budget: %v", caps.Sum())
-	}
-}
-
-// TestHealthShardedMatchesSequential extends the sharding equivalence
-// contract to degraded rounds: the masked pipeline must stay bitwise
-// identical at any shard count.
-func TestHealthShardedMatchesSequential(t *testing.T) {
-	const units = 64
-	seqCfg := healthTestConfig(units)
-	seqCfg.Shards = 1
-	shCfg := healthTestConfig(units)
-	shCfg.Shards = 4
-
-	seq, err := NewDPS(seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewDPS(shCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-
-	health := make([]UnitHealth, units)
-	readings := make(power.Vector, units)
-	for step := 0; step < 120; step++ {
-		for u := range readings {
-			readings[u] = power.Watts(30 + (step*7+u*13)%120)
-		}
-		// A rolling pattern of stale and dead units, including transitions
-		// back to fresh.
-		for u := range health {
-			switch (step / 10 * 31 / (u + 1)) % 5 {
-			case 1:
-				health[u] = HealthStale
-			case 2:
-				health[u] = HealthDead
-			default:
-				health[u] = HealthFresh
-			}
-		}
-		capsSeq := seq.Decide(Snapshot{Power: readings, Interval: 1, Health: health})
-		capsSh := sh.Decide(Snapshot{Power: readings, Interval: 1, Health: health})
-		for u := range capsSeq {
-			if math.Float64bits(float64(capsSeq[u])) != math.Float64bits(float64(capsSh[u])) {
-				t.Fatalf("step %d unit %d: sequential %v != sharded %v", step, u, capsSeq[u], capsSh[u])
-			}
-		}
 	}
 }

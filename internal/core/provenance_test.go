@@ -241,15 +241,13 @@ func TestDecideTracerSpans(t *testing.T) {
 }
 
 // TestDecideTracerOffZeroAlloc is the tentpole's zero-cost guard: with a
-// recorder attached but disabled, the warm sequential decision round must
+// recorder attached but disabled, the warm decision round must
 // stay allocation-free — tracing and provenance may not reintroduce
 // per-round garbage. Wired into make ci alongside the original gate.
 func TestDecideTracerOffZeroAlloc(t *testing.T) {
 	const units = 512
 	budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
-	cfg := DefaultConfig(units, budget)
-	cfg.Shards = 1
-	d, err := NewDPS(cfg)
+	d, err := NewDPS(DefaultConfig(units, budget))
 	if err != nil {
 		t.Fatal(err)
 	}

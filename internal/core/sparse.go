@@ -7,13 +7,13 @@ import (
 	"dps/internal/power"
 )
 
-// This file holds the sparse decision path's per-round machinery: the
-// dirty-set intake, the masked Kalman/history stage, and the masked
-// classification stage, plus the dense sharded stage bodies (which share
-// the prebuilt-closure plumbing). The exactness contract — sparse caps
-// bitwise identical to dense caps for any input sequence — is documented
-// in DESIGN.md §13; the short version is that a unit is skipped only
-// when skipping is provably a bitwise no-op:
+// This file holds the per-unit stages of a decision round: the dirty-set
+// intake, the word-mask Kalman/history walker, and the word-mask
+// classification walker. They are the only per-unit loops in the
+// controller. The exactness contract — caps bitwise identical to
+// processing every unit every round (SparseRefreshEvery: 1), for any
+// input sequence — is documented in DESIGN.md §13; the short version is
+// that a unit is skipped only when skipping is provably a bitwise no-op:
 //
 //   - its reading is unchanged (dirty bit clear, backed by the daemon's
 //     ingest marking or by direct comparison against lastVal),
@@ -26,13 +26,13 @@ import (
 //     priority.FrozenStats for the rounds where only the cap moved.
 //
 // Elided ring pushes are accounted via Ring.AdvancePushes so the
-// periodic recompute fires on the same round as the dense path's.
+// periodic recompute fires on the same round as it would unskipped.
 
 // beginSparseRound loads the round's dirty set, maintains the settle
 // bookkeeping that depends on round inputs (dt changes, non-fresh
-// units), clears the round-mover scratch mask, and computes the forced
-// refresh block.
-func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHealth, stats *RoundStats) {
+// units), clears the round-mover scratch mask, and returns the forced
+// refresh block as a half-open unit range.
+func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHealth, stats *RoundStats) (rlo, rhi int) {
 	units := d.cfg.Units
 	// A settle certificate is specific to the interval it was issued
 	// under (the ring must be uniform at exactly dt); a different
@@ -50,8 +50,8 @@ func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHea
 	} else {
 		// No provenance for the snapshot: derive the changed set by
 		// comparing against the last materialized values. O(N) compares,
-		// but still cheaper than dense processing — and it keeps the
-		// sparse path exact for callers (sim, tests) that never build a
+		// but still cheaper than processing every unit — and it keeps the
+		// skip contract exact for callers (sim, tests) that never build a
 		// mask.
 		dirty := 0
 		for wi := 0; wi < d.nWords; wi++ {
@@ -70,12 +70,12 @@ func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHea
 	}
 	clear(d.roundMovedW)
 	// The refresh block: round r forces block (r−1) mod E through full
-	// dense processing, so every unit is re-verified against its live
-	// ring at least once per E rounds.
+	// processing, so every unit is re-verified against its live ring at
+	// least once per E rounds.
 	k := int((d.steps - 1) % uint64(d.refreshEvery))
-	d.rRefreshLo, d.rRefreshHi = shardRange(k, d.refreshEvery, units)
+	rlo, rhi = blockRange(k, d.refreshEvery, units)
 	if health != nil {
-		// Non-fresh units receive no push in either path, so their
+		// Non-fresh units receive no push skipped or not, so their
 		// elided-push accounting must not cover these rounds: pin
 		// lastStep to now. A dirty non-fresh unit cannot happen through
 		// the daemon (an accepted report makes a unit fresh in the same
@@ -91,6 +91,13 @@ func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHea
 			}
 		}
 	}
+	return rlo, rhi
+}
+
+// blockRange returns the half-open unit range [lo, hi) of block k under a
+// balanced partition of n units into p blocks.
+func blockRange(k, p, n int) (lo, hi int) {
+	return k * n / p, (k + 1) * n / p
 }
 
 // wordMaskForRange returns the bits of word wi (covering units
@@ -119,20 +126,16 @@ func (d *DPS) validWord(wi int) uint64 {
 	return ^uint64(0)
 }
 
-// sparseKalmanWords runs the masked Kalman/history stage over mask words
-// [wlo, whi): every dirty, unsettled, or refresh-due fresh unit gets the
-// full dense treatment (filter step, ring push) plus settle detection;
-// everything else is skipped under the bitwise no-op contract.
-func (d *DPS) sparseKalmanWords(wlo, whi int, t *shardTally) {
-	snapP, health, dt := d.rPower, d.rHealth, d.rDT
-	rlo, rhi := d.rRefreshLo, d.rRefreshHi
-	processed, dirtyCount := 0, 0
-	for wi := wlo; wi < whi; wi++ {
+// sparseKalmanWords runs the Kalman/history stage over the unit masks:
+// every dirty, unsettled, or refresh-due fresh unit gets the full
+// treatment (filter step, ring push) plus settle detection; everything
+// else is skipped under the bitwise no-op contract. It returns the number
+// of units processed.
+func (d *DPS) sparseKalmanWords(snapP power.Vector, health []UnitHealth, dt power.Seconds, rlo, rhi int) (processed int) {
+	for wi := 0; wi < d.nWords; wi++ {
 		valid := d.validWord(wi)
 		base := wi << 6
-		dw := d.dirtyW[wi]
-		dirtyCount += bits.OnesCount64(dw & valid)
-		work := (dw | ^d.settledW[wi] | wordMaskForRange(rlo, rhi, base)) & valid
+		work := (d.dirtyW[wi] | ^d.settledW[wi] | wordMaskForRange(rlo, rhi, base)) & valid
 		for w := work; w != 0; w &= w - 1 {
 			u := base + bits.TrailingZeros64(w)
 			if health != nil && health[u] != HealthFresh {
@@ -170,22 +173,19 @@ func (d *DPS) sparseKalmanWords(wlo, whi int, t *shardTally) {
 			d.lastVal[u] = p
 		}
 	}
-	t.processed, t.dirty = processed, dirtyCount
+	return processed
 }
 
-// sparseClassifyWords runs the masked classification stage over mask
-// words [wlo, whi). A unit is reclassified when any input can have
-// changed: dirty reading, unsettled ring, cap moved last round (by any
-// stage) or this round (by the MIMD pass), or refresh-due. Settled
-// off-refresh units classify from their FrozenStats without touching the
-// ring; refresh-due units take the dense path as a self-audit. The tally
-// records priority flips and the net high-count delta.
-func (d *DPS) sparseClassifyWords(wlo, whi int, t *shardTally) {
-	snapP, health := d.rPower, d.rHealth
-	rlo, rhi := d.rRefreshLo, d.rRefreshHi
+// sparseClassifyWords runs the classification stage over the unit masks.
+// A unit is reclassified when any input can have changed: dirty reading,
+// unsettled ring, cap moved last round (by any stage) or this round (by
+// the MIMD pass), or refresh-due. Settled off-refresh units classify from
+// their FrozenStats without touching the ring; refresh-due units classify
+// off the live ring as a self-audit. It returns the number of priority
+// flips and the net change in the high-priority count.
+func (d *DPS) sparseClassifyWords(snapP power.Vector, health []UnitHealth, rlo, rhi int) (flips, highDelta int) {
 	prio := d.priorityM.Priorities()
-	flips, highDelta := 0, 0
-	for wi := wlo; wi < whi; wi++ {
+	for wi := 0; wi < d.nWords; wi++ {
 		base := wi << 6
 		refresh := wordMaskForRange(rlo, rhi, base)
 		work := (d.dirtyW[wi] | ^d.settledW[wi] | d.capMovedW[wi] | d.roundMovedW[wi] | refresh) & d.validWord(wi)
@@ -211,47 +211,5 @@ func (d *DPS) sparseClassifyWords(wlo, whi int, t *shardTally) {
 			}
 		}
 	}
-	t.flips, t.high = flips, highDelta
-}
-
-// denseKalmanShard is the dense sharded Kalman/history stage body for
-// one shard, reading its per-round inputs from the controller's r*
-// fields (set by DecideStats before pool.run).
-func (d *DPS) denseKalmanShard(s int) {
-	snapP, health, dt := d.rPower, d.rHealth, d.rDT
-	lo, hi := shardRange(s, d.shards, d.cfg.Units)
-	for u := lo; u < hi; u++ {
-		if health != nil && health[u] != HealthFresh {
-			continue
-		}
-		est := snapP[u]
-		if !d.cfg.DisableKalman {
-			est = d.filters.Step(power.UnitID(u), est)
-		}
-		d.hist.Push(power.UnitID(u), est, dt)
-	}
-}
-
-// denseClassifyShard is the dense sharded classification stage body for
-// one shard: reclassify every fresh unit, tallying absolute high counts
-// and flips against prevPrio into the shard's padded tally slot.
-func (d *DPS) denseClassifyShard(s int) {
-	snapP, health := d.rPower, d.rHealth
-	prio := d.priorityM.Priorities()
-	lo, hi := shardRange(s, d.shards, d.cfg.Units)
-	high, flips := 0, 0
-	for u := lo; u < hi; u++ {
-		if health == nil || health[u] == HealthFresh {
-			d.priorityM.UpdateUnit(power.UnitID(u), d.hist.Unit(power.UnitID(u)), snapP[u], d.caps[u], d.constantCap)
-		}
-		p := prio[u]
-		if p {
-			high++
-		}
-		if p != d.prevPrio[u] {
-			flips++
-		}
-		d.prevPrio[u] = p
-	}
-	d.tallies[s].high, d.tallies[s].flips = high, flips
+	return flips, highDelta
 }

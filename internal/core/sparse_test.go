@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dps/internal/power"
@@ -47,6 +48,17 @@ func runDeltaTrace(t *testing.T, d *DPS, demand [][]power.Watts, eps power.Watts
 		}
 		snap := Snapshot{Power: reported, Interval: 1, Dirty: mask}
 		next, st := d.DecideStats(snap)
+		// The incrementally maintained high count is shared by both sides of
+		// every comparison, so hold it to a recount here.
+		high := 0
+		for _, p := range d.priorityM.Priorities() {
+			if p {
+				high++
+			}
+		}
+		if st.HighPriority != high {
+			t.Fatalf("step %d: HighPriority %d, recount %d", step, st.HighPriority, high)
+		}
 		capsOut[step] = next.Clone()
 		statsOut[step] = st
 		copy(caps, next)
@@ -55,83 +67,124 @@ func runDeltaTrace(t *testing.T, d *DPS, demand [][]power.Watts, eps power.Watts
 }
 
 // assertSameDecisions compares two closed-loop runs round by round:
-// bitwise-identical caps and identical decision outcomes. Stage timings
-// and the sparse-only work counters are exempt — they are what is
-// allowed to differ.
+// bitwise-identical caps and identical decision outcomes, want being the
+// reference run. Stage timings and the work counters (DirtyUnits,
+// SkippedUnits) are exempt — they are what is allowed to differ.
 func assertSameDecisions(t *testing.T, name string, wantCaps, gotCaps []power.Vector, wantStats, gotStats []RoundStats) {
 	t.Helper()
 	for step := range wantCaps {
 		for u := range wantCaps[step] {
 			if wantCaps[step][u] != gotCaps[step][u] {
-				t.Fatalf("%s: step %d unit %d: cap %v, dense %v", name, step, u, gotCaps[step][u], wantCaps[step][u])
+				t.Fatalf("%s: step %d unit %d: cap %v, reference %v", name, step, u, gotCaps[step][u], wantCaps[step][u])
 			}
 		}
 		w, g := wantStats[step], gotStats[step]
 		if g.Restored != w.Restored || g.HighPriority != w.HighPriority ||
 			g.PriorityFlips != w.PriorityFlips || g.BudgetExhausted != w.BudgetExhausted ||
 			g.BudgetClamped != w.BudgetClamped || g.StaleUnits != w.StaleUnits || g.DeadUnits != w.DeadUnits {
-			t.Fatalf("%s: step %d stats diverged:\nsparse %+v\ndense  %+v", name, step, g, w)
+			t.Fatalf("%s: step %d stats diverged:\ngot       %+v\nreference %+v", name, step, g, w)
 		}
 	}
 }
 
-// TestSparseDenseEquivalence is the sparse path's exactness gate: over a
-// 600-step closed-loop run behind simulated delta agents, the sparse
-// controller must produce bitwise-identical cap vectors and identical
-// decision outcomes to the dense controller — at epsilon 0 (report any
-// change), the daemon default band, and a large band; with and without
-// the ingest dirty mask; across refresh periods including every-round
-// and longer-than-the-run; and on the sharded path.
+// settleTrace is the settle-round regression trace: four units oscillate
+// with period 2 (setting the sticky high-frequency flag), take one last
+// outlier, then go flat while the rest hold constant. With DisableKalman
+// raw readings feed the ring, so the sample evicted on the round a unit
+// settles differs macroscopically from the fixed value — the ring's
+// statistics change on exactly the round the unit leaves the work mask.
+func settleTrace(steps, units int) [][]power.Watts {
+	demand := make([][]power.Watts, steps)
+	for s := range demand {
+		demand[s] = make([]power.Watts, units)
+		for u := range demand[s] {
+			switch {
+			case u >= 4:
+				demand[s][u] = 50
+			case s < 60 && s%2 == 1:
+				demand[s][u] = 20
+			case s <= 60:
+				demand[s][u] = 150
+			default:
+				demand[s][u] = 80
+			}
+		}
+	}
+	return demand
+}
+
+// neverRefresh is a refresh period longer than any test run: no unit is
+// ever forced through a refresh, so every skip rests on its certificate
+// alone.
+const neverRefresh = 100000
+
+// TestSparseDenseEquivalence is the exactness gate for skipping: over a
+// 600-step closed-loop run behind simulated delta agents, a controller
+// that skips settled units must produce bitwise-identical cap vectors and
+// identical decision outcomes to the reference controller that processes
+// every unit every round (SparseRefreshEvery: 1) — at epsilon 0 (report
+// any change), the daemon default band, and a large band; with and
+// without the ingest dirty mask; at a short refresh period, the default,
+// and one that never fires.
 func TestSparseDenseEquivalence(t *testing.T) {
 	const (
 		units = 96
 		steps = 600
 	)
-	budget := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
-	demand := mixedTrace(steps, units, 42)
+	mixed := mixedTrace(steps, units, 42)
 
-	build := func(sparse bool, refresh, shards int) *DPS {
-		cfg := DefaultConfig(units, budget)
-		cfg.Seed = 7
-		cfg.Shards = shards
-		cfg.SparseRounds = sparse
-		cfg.SparseRefreshEvery = refresh
-		d, err := NewDPS(cfg)
-		if err != nil {
-			t.Fatalf("NewDPS: %v", err)
-		}
-		return d
+	type row struct {
+		name          string
+		demand        [][]power.Watts
+		eps           power.Watts
+		refresh       int
+		mask          bool
+		disableKalman bool
 	}
-
-	cases := []struct {
-		name    string
-		eps     power.Watts
-		refresh int
-		shards  int
-		mask    bool
-	}{
-		{"eps=0/mask", 0, 0, 1, true},
-		{"eps=0/nomask", 0, 0, 1, false},
-		{"eps=default/mask", 2.5, 0, 1, true},
-		{"eps=default/nomask", 2.5, 0, 1, false},
-		{"eps=large/mask", 25, 0, 1, true},
-		{"refresh=1", 2.5, 1, 1, true},
-		{"refresh=3", 2.5, 3, 1, true},
-		{"refresh=longer-than-run", 2.5, 1000, 1, true},
-		{"shards=4", 2.5, 0, 4, true},
+	var cases []row
+	for _, eps := range []power.Watts{0, 2.5, 25} {
+		for _, refresh := range []int{7, DefaultSparseRefreshEvery, neverRefresh} {
+			for _, mask := range []bool{true, false} {
+				cases = append(cases, row{
+					name:   fmt.Sprintf("eps=%v/refresh=%d/mask=%t", eps, refresh, mask),
+					demand: mixed, eps: eps, refresh: refresh, mask: mask,
+				})
+			}
+		}
+		cases = append(cases, row{
+			name:   fmt.Sprintf("settle-round/eps=%v", eps),
+			demand: settleTrace(300, 8), eps: eps, refresh: neverRefresh, mask: true, disableKalman: true,
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dense := build(false, 0, 1)
-			defer dense.Close()
-			wantCaps, wantStats := runDeltaTrace(t, dense, demand, tc.eps, false)
-
-			sparse := build(true, tc.refresh, tc.shards)
-			defer sparse.Close()
-			gotCaps, gotStats := runDeltaTrace(t, sparse, demand, tc.eps, tc.mask)
-
+			n := len(tc.demand[0])
+			build := func(refresh int) *DPS {
+				// A tight envelope (55 W per unit against demands up to
+				// 160 W) forces Algorithm 4's budget-exhausted equalize
+				// branch alongside grants.
+				cfg := DefaultConfig(n, power.Budget{Total: power.Watts(n) * 55, UnitMax: 165, UnitMin: 10})
+				cfg.Seed = 7
+				cfg.SparseRefreshEvery = refresh
+				cfg.DisableKalman = tc.disableKalman
+				d, err := NewDPS(cfg)
+				if err != nil {
+					t.Fatalf("NewDPS: %v", err)
+				}
+				return d
+			}
+			wantCaps, wantStats := runDeltaTrace(t, build(1), tc.demand, tc.eps, false)
+			gotCaps, gotStats := runDeltaTrace(t, build(tc.refresh), tc.demand, tc.eps, tc.mask)
 			assertSameDecisions(t, tc.name, wantCaps, gotCaps, wantStats, gotStats)
 
+			for step, st := range wantStats {
+				if st.SkippedUnits != 0 {
+					t.Fatalf("reference run skipped %d units at step %d", st.SkippedUnits, step)
+				}
+			}
+			if tc.disableKalman {
+				return
+			}
 			// Non-vacuity: the run must exercise both the skip path and
 			// the interesting decision paths, or the proof is empty.
 			skipped, restores, flips := 0, 0, 0
@@ -143,10 +196,10 @@ func TestSparseDenseEquivalence(t *testing.T) {
 				flips += st.PriorityFlips
 			}
 			// At eps=0 the trace's per-step noise makes every unit dirty
-			// every round — the designed degenerate case where sparse IS
-			// dense — so only banded runs must demonstrate real skipping.
-			if tc.eps > 0 && tc.refresh != 1 && skipped == 0 {
-				t.Fatalf("sparse run skipped no unit-rounds; equivalence is vacuous")
+			// every round — the designed degenerate case where nothing can
+			// be skipped — so only banded runs must demonstrate skipping.
+			if tc.eps > 0 && skipped == 0 {
+				t.Fatalf("run skipped no unit-rounds; equivalence is vacuous")
 			}
 			if flips == 0 {
 				t.Fatalf("trace too tame: no priority flips")
@@ -163,12 +216,13 @@ func TestSparseDenseEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseDegradedEquivalence drives dense and sparse controllers
-// through health degradation: a unit dies while clean and settled (its
-// pinned cap must come from materialized state), another flaps stale,
-// and the dead unit revives with a jumped reading — the re-handshake
-// case: a fresh value lands mid-pending-window and must void the unit's
-// settle certificate.
+// TestSparseDegradedEquivalence drives the reference (refresh every
+// round) and skipping controllers, at each refresh period and with and
+// without the dirty mask, through health degradation: a unit dies while
+// clean and settled (its pinned cap must come from materialized state),
+// another flaps stale, and the dead unit revives with a jumped reading —
+// the re-handshake case: a fresh value lands mid-pending-window and must
+// void the unit's settle certificate.
 func TestSparseDegradedEquivalence(t *testing.T) {
 	const (
 		units = 64
@@ -232,10 +286,10 @@ func TestSparseDegradedEquivalence(t *testing.T) {
 		return capsOut, statsOut
 	}
 
-	build := func(sparse bool) *DPS {
+	build := func(refresh int) *DPS {
 		cfg := DefaultConfig(units, budget)
 		cfg.Seed = 3
-		cfg.SparseRounds = sparse
+		cfg.SparseRefreshEvery = refresh
 		d, err := NewDPS(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -243,22 +297,25 @@ func TestSparseDegradedEquivalence(t *testing.T) {
 		return d
 	}
 
-	dense := build(false)
-	wantCaps, wantStats := run(dense, false)
-	sparse := build(true)
-	gotCaps, gotStats := run(sparse, true)
-	assertSameDecisions(t, "degraded", wantCaps, gotCaps, wantStats, gotStats)
+	wantCaps, wantStats := run(build(1), false)
+	for _, refresh := range []int{7, DefaultSparseRefreshEvery, neverRefresh} {
+		for _, useMask := range []bool{true, false} {
+			name := fmt.Sprintf("degraded/refresh=%d/mask=%t", refresh, useMask)
+			gotCaps, gotStats := run(build(refresh), useMask)
+			assertSameDecisions(t, name, wantCaps, gotCaps, wantStats, gotStats)
 
-	// The dead unit's cap must hold bitwise steady across the outage at
-	// its last delivered (materialized) value.
-	pinned := wantCaps[120][9]
-	for step := 121; step < 200; step++ {
-		if gotCaps[step][9] != pinned {
-			t.Fatalf("step %d: dead unit cap %v, want pinned %v", step, gotCaps[step][9], pinned)
+			// The dead unit's cap must hold bitwise steady across the
+			// outage at its last delivered (materialized) value.
+			pinned := wantCaps[120][9]
+			for step := 121; step < 200; step++ {
+				if gotCaps[step][9] != pinned {
+					t.Fatalf("%s: step %d: dead unit cap %v, want pinned %v", name, step, gotCaps[step][9], pinned)
+				}
+			}
 		}
 	}
 	degraded := 0
-	for _, st := range gotStats {
+	for _, st := range wantStats {
 		if st.DeadUnits > 0 || st.StaleUnits > 0 {
 			degraded++
 		}
@@ -272,13 +329,12 @@ func TestSparseDegradedEquivalence(t *testing.T) {
 // settled under constant readings, round r refreshes exactly block
 // (r−1) mod E, the blocks tile [0, units) over E consecutive rounds,
 // and SkippedUnits accounts for precisely the off-block units. E=1 must
-// leave no unit skipped (a full dense round every round).
+// leave no unit skipped (every unit processed every round).
 func TestSparseRefreshBoundary(t *testing.T) {
 	const units = 70 // deliberately not a multiple of 64 or E
 	budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
 	for _, E := range []int{1, 3, 64, units + 5} {
 		cfg := DefaultConfig(units, budget)
-		cfg.SparseRounds = true
 		cfg.SparseRefreshEvery = E
 		d, err := NewDPS(cfg)
 		if err != nil {
@@ -317,59 +373,74 @@ func TestSparseRefreshBoundary(t *testing.T) {
 		if refreshed != units {
 			t.Fatalf("E=%d: %d unit-refreshes over E rounds, want exactly %d", E, refreshed, units)
 		}
-		d.Close()
 	}
 }
 
-// TestSparseStatsPopulation pins which mode populates the sparsity
-// stats: sparse rounds report DirtyUnits/SkippedUnits/DirtyFrac, dense
-// rounds leave them zero (so downstream JSON with omitempty — flight
-// recorder, /status — is byte-stable for dense deployments).
-func TestSparseStatsPopulation(t *testing.T) {
-	const units = 32
-	budget := power.Budget{Total: units * 110, UnitMax: 165, UnitMin: 10}
-	readings := make(power.Vector, units)
-	for u := range readings {
-		readings[u] = 60
-	}
-
-	dense, err := NewDPS(DefaultConfig(units, budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		readings[0] = power.Watts(60 + i)
-		if _, st := dense.DecideStats(Snapshot{Power: readings, Interval: 1}); st.DirtyUnits != 0 || st.SkippedUnits != 0 || st.DirtyFrac != 0 {
-			t.Fatalf("dense round %d populated sparsity stats: %+v", i, st)
-		}
-	}
-
-	cfg := DefaultConfig(units, budget)
-	cfg.SparseRounds = true
-	sparse, err := NewDPS(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawDirty bool
-	for i := 0; i < 5; i++ {
-		readings[0] = power.Watts(60 + i)
-		_, st := sparse.DecideStats(Snapshot{Power: readings, Interval: 1})
-		if st.DirtyUnits > 0 {
-			sawDirty = true
-			if want := float64(st.DirtyUnits) / units; st.DirtyFrac != want {
-				t.Fatalf("DirtyFrac %v, want %v", st.DirtyFrac, want)
+// TestBlockRangeCoversAllUnits checks the refresh schedule's balanced
+// partition is a true partition for awkward unit/block combinations.
+func TestBlockRangeCoversAllUnits(t *testing.T) {
+	for _, n := range []int{1, 7, 96, 1000} {
+		for _, p := range []int{1, 2, 3, 7, 16, 64, 1500} {
+			next := 0
+			for k := 0; k < p; k++ {
+				lo, hi := blockRange(k, p, n)
+				if lo != next {
+					t.Fatalf("n=%d p=%d block %d starts at %d, want %d", n, p, k, lo, next)
+				}
+				if hi < lo {
+					t.Fatalf("n=%d p=%d block %d inverted range [%d,%d)", n, p, k, lo, hi)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d p=%d covers %d units", n, p, next)
 			}
 		}
 	}
-	if !sawDirty {
-		t.Fatal("sparse rounds never reported dirty units")
+}
+
+// TestSparseStatsPopulation pins that every round reports the sparsity
+// stats: DirtyUnits counts the changed readings, DirtyFrac is that count
+// over all units, and SkippedUnits accounts for everything not processed
+// — zero when the refresh block covers every unit.
+func TestSparseStatsPopulation(t *testing.T) {
+	const units = 32
+	budget := power.Budget{Total: units * 110, UnitMax: 165, UnitMin: 10}
+	for _, refresh := range []int{0, 1} {
+		cfg := DefaultConfig(units, budget)
+		cfg.SparseRefreshEvery = refresh
+		d, err := NewDPS(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readings := make(power.Vector, units)
+		for u := range readings {
+			readings[u] = 60
+		}
+		for i := 0; i < 5; i++ {
+			readings[0] = power.Watts(60 + i)
+			_, st := d.DecideStats(Snapshot{Power: readings, Interval: 1})
+			wantDirty := 1
+			if i == 0 {
+				wantDirty = units // every reading is new on round 1
+			}
+			if st.DirtyUnits != wantDirty {
+				t.Fatalf("refresh=%d round %d: DirtyUnits %d, want %d", refresh, i, st.DirtyUnits, wantDirty)
+			}
+			if want := float64(wantDirty) / units; st.DirtyFrac != want {
+				t.Fatalf("refresh=%d round %d: DirtyFrac %v, want %v", refresh, i, st.DirtyFrac, want)
+			}
+			if refresh == 1 && st.SkippedUnits != 0 {
+				t.Fatalf("refresh=1 round %d skipped %d units", i, st.SkippedUnits)
+			}
+		}
 	}
 }
 
-// TestSparseBudgetChange covers SetTotalBudget against the sparse
-// path's cached masks: after a budget change every unit must be
-// revisited (the idle-revert floor moved), and the caps must keep
-// matching the dense controller's bitwise.
+// TestSparseBudgetChange covers SetTotalBudget against the cached masks:
+// after a budget change every unit must be revisited (the idle-revert
+// floor moved), and the caps must keep matching the reference
+// controller's bitwise.
 func TestSparseBudgetChange(t *testing.T) {
 	const (
 		units = 48
@@ -378,10 +449,10 @@ func TestSparseBudgetChange(t *testing.T) {
 	budget := power.Budget{Total: power.Watts(units) * 80, UnitMax: 165, UnitMin: 10}
 	demand := mixedTrace(steps, units, 5)
 
-	run := func(sparse bool) ([]power.Vector, []RoundStats) {
+	run := func(refresh int) ([]power.Vector, []RoundStats) {
 		cfg := DefaultConfig(units, budget)
 		cfg.Seed = 9
-		cfg.SparseRounds = sparse
+		cfg.SparseRefreshEvery = refresh
 		d, err := NewDPS(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -417,8 +488,8 @@ func TestSparseBudgetChange(t *testing.T) {
 		return capsOut, statsOut
 	}
 
-	wantCaps, wantStats := run(false)
-	gotCaps, gotStats := run(true)
+	wantCaps, wantStats := run(1)
+	gotCaps, gotStats := run(0)
 	assertSameDecisions(t, "budget-change", wantCaps, gotCaps, wantStats, gotStats)
 }
 

@@ -26,13 +26,13 @@ import (
 // capMovedW, and the provenance residue (reasons, roundBefore,
 // provDirty) — and nothing that is recomputed from scratch each round.
 //
-// Cross-mode restores (dense snapshot into a sparse controller or vice
-// versa) are supported conservatively: the sparse bookkeeping is reset
-// to "revisit everything" — settle certificates dropped, capMovedW
-// fully set, lastStep pinned to the restored round so the elided-push
-// accounting never underflows. Extra visits of settled units are proven
-// bitwise no-ops (DESIGN.md §13), so the conservative reset trades one
-// expensive round for the same bit-exact cap stream.
+// An image without a sparse section (HasSparse false — written by a
+// controller that predates the skip bookkeeping) restores conservatively:
+// the bookkeeping is reset to "revisit everything" — settle certificates
+// dropped, capMovedW fully set, lastStep pinned to the restored round so
+// the elided-push accounting never underflows. Extra visits of settled
+// units are proven bitwise no-ops (DESIGN.md §13), so the conservative
+// reset trades one expensive round for the same bit-exact cap stream.
 
 // ExportState fills st with the controller's complete post-round state,
 // reusing st's slices when their capacity suffices — a warm export into
@@ -46,7 +46,7 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.BudgetTotal = d.cfg.Budget.Total
 	st.UnitMax = d.cfg.Budget.UnitMax
 	st.UnitMin = d.cfg.Budget.UnitMin
-	st.Sparse = d.sparse
+	st.Sparse = true
 	st.SparseRefreshEvery = d.refreshEvery
 
 	st.HasCore = true
@@ -77,17 +77,15 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.HighFreq = resizeBools(st.HighFreq, n)
 	st.Prio = resizeBools(st.Prio, n)
 	d.priorityM.ExportState(st.HighFreq, st.Prio)
+	// The format carries a previous-round priority vector; between rounds
+	// it equals the current one.
 	st.PrevPrio = resizeBools(st.PrevPrio, n)
-	copy(st.PrevPrio, d.prevPrio)
+	copy(st.PrevPrio, st.Prio)
 	if cap(st.Frozen) < n {
 		st.Frozen = make([]priority.FrozenStats, n)
 	}
 	st.Frozen = st.Frozen[:n]
-	if d.sparse {
-		copy(st.Frozen, d.frozen)
-	} else {
-		clear(st.Frozen)
-	}
+	copy(st.Frozen, d.frozen)
 
 	st.RNGSeed = d.cfg.Seed
 	st.RNGDraws = d.statelessM.RNGDraws()
@@ -101,17 +99,15 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	}
 	st.RoundBefore = appendVec(st.RoundBefore, d.roundBefore)
 
-	st.HasSparse = d.sparse
-	if d.sparse {
-		st.LastDT = d.lastDT
-		st.HighCount = d.highCount
-		st.CachedSum = d.cachedSum
-		st.SumValid = d.sumValid
-		st.SettledW = appendU64s(st.SettledW, d.settledW)
-		st.CapMovedW = appendU64s(st.CapMovedW, d.capMovedW)
-		st.LastVal = appendVec(st.LastVal, d.lastVal)
-		st.LastStep = appendU64s(st.LastStep, d.lastStep)
-	}
+	st.HasSparse = true
+	st.LastDT = d.lastDT
+	st.HighCount = d.highCount
+	st.CachedSum = d.cachedSum
+	st.SumValid = d.sumValid
+	st.SettledW = appendU64s(st.SettledW, d.settledW)
+	st.CapMovedW = appendU64s(st.CapMovedW, d.capMovedW)
+	st.LastVal = appendVec(st.LastVal, d.lastVal)
+	st.LastStep = appendU64s(st.LastStep, d.lastStep)
 }
 
 func appendVec(dst power.Vector, src power.Vector) power.Vector {
@@ -146,10 +142,10 @@ func resizeBools(dst []bool, n int) []bool {
 // mutation). The budget total is live state and is adopted from the
 // snapshot, not checked.
 //
-// After a successful restore of a same-mode snapshot, the controller's
-// future decisions are bitwise identical to the exporting controller's;
-// cross-mode restores are bitwise too, via the conservative
-// revisit-everything reset described in the file comment.
+// After a successful restore the controller's future decisions are
+// bitwise identical to the exporting controller's — for an image without
+// a sparse section too, via the conservative revisit-everything reset
+// described in the file comment.
 func (d *DPS) RestoreState(st *snapshot.State) error {
 	if !st.HasCore {
 		return fmt.Errorf("core: snapshot carries no controller state")
@@ -186,7 +182,7 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 			return fmt.Errorf("core: unit %d: %w", u, err)
 		}
 	}
-	if d.sparse && st.HasSparse {
+	if st.HasSparse {
 		words := (d.cfg.Units + 63) / 64
 		if len(st.SettledW) != words || len(st.CapMovedW) != words ||
 			len(st.LastVal) != d.cfg.Units || len(st.LastStep) != d.cfg.Units ||
@@ -231,55 +227,26 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 		d.held = power.NewVector(d.cfg.Units, 0)
 	}
 
-	if d.sparse {
-		if st.HasSparse {
-			// Same-mode restore: adopt the sparse bookkeeping bitwise,
-			// settle certificates included.
-			d.lastDT = st.LastDT
-			d.highCount = st.HighCount
-			d.cachedSum = st.CachedSum
-			d.sumValid = st.SumValid
-			copy(d.settledW, st.SettledW)
-			copy(d.capMovedW, st.CapMovedW)
-			copy(d.lastVal, st.LastVal)
-			copy(d.lastStep, st.LastStep)
-			copy(d.frozen, st.Frozen)
-			copy(d.prevPrio, st.PrevPrio)
-		} else {
-			// Dense snapshot into a sparse controller: no certificates
-			// travel, so reset to revisit-everything. lastStep pins to
-			// the restored round — the elided-push accounting subtracts
-			// it from the current round and must never underflow.
-			clear(d.settledW)
-			d.setAllWords(d.capMovedW)
-			clear(d.lastVal)
-			for u := range d.lastStep {
-				d.lastStep[u] = st.Steps
-			}
-			clear(d.frozen)
-			d.lastDT = 0
-			d.sumValid = false
-			d.highCount = 0
-			for _, p := range st.Prio {
-				if p {
-					d.highCount++
-				}
-			}
-			copy(d.prevPrio, st.PrevPrio)
-		}
-		clear(d.dirtyW)
-		clear(d.roundMovedW)
-		d.anyMove = false
+	if st.HasSparse {
+		// Adopt the skip bookkeeping bitwise, settle certificates
+		// included.
+		d.lastDT = st.LastDT
+		d.highCount = st.HighCount
+		d.cachedSum = st.CachedSum
+		d.sumValid = st.SumValid
+		copy(d.settledW, st.SettledW)
+		copy(d.capMovedW, st.CapMovedW)
+		copy(d.lastVal, st.LastVal)
+		copy(d.lastStep, st.LastStep)
+		copy(d.frozen, st.Frozen)
 	} else {
-		if st.HasSparse {
-			// Sparse snapshot into a dense controller: the sparse path
-			// never maintains prevPrio, so seed the dense flip counter
-			// from the current priorities instead of the stale vector.
-			copy(d.prevPrio, st.Prio)
-		} else {
-			copy(d.prevPrio, st.PrevPrio)
-		}
+		// No certificates travel, so reset to revisit-everything.
+		d.resetSkipState()
+		d.highCount = ExportedHighCount(st)
 	}
+	clear(d.dirtyW)
+	clear(d.roundMovedW)
+	d.anyMove = false
 	return nil
 }
 

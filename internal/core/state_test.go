@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,9 +99,11 @@ func snapshotThrough(t *testing.T, d, into *DPS) {
 // controller restored from the snapshot taken after round R produces
 // bitwise-identical caps and decision outcomes to the uninterrupted twin
 // from round R+1 onward, over a 600-step closed-loop trace, across
-// dense/sparse, sequential/sharded, masked/derived-dirty configurations
-// — including a budget change before the snapshot point and a second
-// one after the restore.
+// refresh periods and masked/derived-dirty configurations — including a
+// budget change before the snapshot point and a second one after the
+// restore. The uninterrupted twin is the reference controller
+// (SparseRefreshEvery: 1, no mask), so each row also proves the restored
+// skip bookkeeping skips nothing it should not.
 func TestRestoreEquivalence(t *testing.T) {
 	const (
 		units   = 96
@@ -113,40 +116,36 @@ func TestRestoreEquivalence(t *testing.T) {
 	bud := power.Budget{Total: budget1, UnitMax: 165, UnitMin: 10}
 	demand := mixedTrace(steps, units, 42)
 
-	build := func(sparse bool, refresh, shards int) *DPS {
+	build := func(refresh int) *DPS {
 		cfg := DefaultConfig(units, bud)
 		cfg.Seed = 7
-		cfg.Shards = shards
-		cfg.SparseRounds = sparse
 		cfg.SparseRefreshEvery = refresh
 		d, err := NewDPS(cfg)
 		if err != nil {
 			t.Fatalf("NewDPS: %v", err)
 		}
-		t.Cleanup(func() { d.Close() })
 		return d
 	}
 
 	cases := []struct {
 		name    string
-		sparse  bool
 		refresh int
-		shards  int
 		eps     power.Watts
 		useMask bool
 	}{
-		{name: "dense seq", sparse: false, shards: 1, eps: 0.5},
-		{name: "sparse seq default band", sparse: true, refresh: 64, shards: 1, eps: 0.5},
-		{name: "sparse seq masked", sparse: true, refresh: 64, shards: 1, eps: 0.5, useMask: true},
-		{name: "sparse seq refresh every round", sparse: true, refresh: 1, shards: 1, eps: 0},
-		{name: "sparse sharded", sparse: true, refresh: 64, shards: 4, eps: 0.5, useMask: true},
-		{name: "dense sharded", sparse: false, shards: 4, eps: 0.5},
+		{name: "refresh=7", refresh: 7, eps: 0.5},
+		{name: "refresh=7 masked", refresh: 7, eps: 0.5, useMask: true},
+		{name: "refresh=64", refresh: 64, eps: 0.5},
+		{name: "refresh=64 masked", refresh: 64, eps: 0.5, useMask: true},
+		{name: "refresh=never", refresh: neverRefresh, eps: 0.5},
+		{name: "refresh=never masked", refresh: neverRefresh, eps: 0.5, useMask: true},
+		{name: "refresh=1 eps=0", refresh: 1, eps: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Twin A: uninterrupted, with budget changes at 150 and 400.
-			a := build(tc.sparse, tc.refresh, tc.shards)
-			lsA := newLoopState(a, tc.eps, tc.useMask)
+			a := build(1)
+			lsA := newLoopState(a, tc.eps, false)
 			capsA1, statsA1 := drive(t, a, demand, 0, 150, lsA, nil)
 			if err := a.SetTotalBudget(budget2); err != nil {
 				t.Fatal(err)
@@ -162,7 +161,7 @@ func TestRestoreEquivalence(t *testing.T) {
 			// Twin B: identical through round cutAt, then its state moves
 			// through the wire format into a freshly built controller
 			// that finishes the trace.
-			b := build(tc.sparse, tc.refresh, tc.shards)
+			b := build(tc.refresh)
 			lsB := newLoopState(b, tc.eps, tc.useMask)
 			capsB1, statsB1 := drive(t, b, demand, 0, 150, lsB, nil)
 			if err := b.SetTotalBudget(budget2); err != nil {
@@ -170,7 +169,7 @@ func TestRestoreEquivalence(t *testing.T) {
 			}
 			capsB2, statsB2 := drive(t, b, demand, 150, cutAt, lsB, nil)
 
-			c := build(tc.sparse, tc.refresh, tc.shards)
+			c := build(tc.refresh)
 			snapshotThrough(t, b, c)
 			if got, want := c.Steps(), uint64(cutAt); got != want {
 				t.Fatalf("restored steps %d, want %d", got, want)
@@ -206,12 +205,13 @@ func TestRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestoreEquivalenceCrossMode checks the conservative cross-mode
-// restores: a dense snapshot into a sparse controller and a sparse
-// snapshot into a dense controller both continue the exporter's cap
-// stream bitwise (the revisit-everything reset is a proven no-op, not a
+// TestRestoreEquivalenceNoSparseSection checks the conservative restore
+// of an image without a sparse section — what a controller that predates
+// the skip bookkeeping wrote: core sections only, HasSparse false. The
+// restored controller must continue the uninterrupted twin's cap stream
+// bitwise (the revisit-everything reset is a proven no-op, not a
 // behavioral change).
-func TestRestoreEquivalenceCrossMode(t *testing.T) {
+func TestRestoreEquivalenceNoSparseSection(t *testing.T) {
 	const (
 		units = 96
 		steps = 400
@@ -219,10 +219,9 @@ func TestRestoreEquivalenceCrossMode(t *testing.T) {
 	)
 	bud := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
 	demand := mixedTrace(steps, units, 42)
-	build := func(sparse bool) *DPS {
+	build := func() *DPS {
 		cfg := DefaultConfig(units, bud)
 		cfg.Seed = 7
-		cfg.SparseRounds = sparse
 		d, err := NewDPS(cfg)
 		if err != nil {
 			t.Fatalf("NewDPS: %v", err)
@@ -230,39 +229,43 @@ func TestRestoreEquivalenceCrossMode(t *testing.T) {
 		return d
 	}
 
-	for _, tc := range []struct {
-		name               string
-		exporter, restorer bool // sparse flags
-	}{
-		{"dense snapshot into sparse controller", false, true},
-		{"sparse snapshot into dense controller", true, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// The reference twin runs the *restorer's* mode throughout —
-			// sparse and dense are bitwise equivalent, so it is also the
-			// exporter's uninterrupted cap stream.
-			a := build(tc.restorer)
-			lsA := newLoopState(a, 0.5, false)
-			capsA, statsA := drive(t, a, demand, 0, steps, lsA, nil)
+	a := build()
+	lsA := newLoopState(a, 0.5, false)
+	capsA, statsA := drive(t, a, demand, 0, steps, lsA, nil)
 
-			b := build(tc.exporter)
-			lsB := newLoopState(b, 0.5, false)
-			capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, nil)
-			c := build(tc.restorer)
-			snapshotThrough(t, b, c)
-			capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, nil)
+	b := build()
+	lsB := newLoopState(b, 0.5, false)
+	capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, nil)
 
-			capsB := append(capsB1, capsB2...)
-			statsB := append(statsB1, statsB2...)
-			assertSameDecisions(t, tc.name, capsA, capsB, statsA, statsB)
-		})
+	// Hand-build the old image from b's export: keep the core sections,
+	// drop everything the sparse section carried.
+	var st snapshot.State
+	b.ExportState(&st)
+	st.Sparse, st.HasSparse = false, false
+	st.SettledW, st.CapMovedW, st.LastVal, st.LastStep = nil, nil, nil, nil
+	st.LastDT, st.HighCount, st.CachedSum, st.SumValid = 0, 0, 0, false
+	clear(st.Frozen)
+	old, err := snapshot.Decode(snapshot.Encode(nil, &st))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
+	if old.HasSparse {
+		t.Fatal("hand-built image still carries a sparse section")
+	}
+	c := build()
+	if err := c.RestoreState(old); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, nil)
+
+	assertSameDecisions(t, "no sparse section", capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
 }
 
 // TestRestoreEquivalenceDegraded runs the trace with a health schedule
 // straddling the snapshot point: units go stale/dead before the cut and
 // recover after it, so the restored controller inherits health-pinned
-// caps and must keep them pinned bitwise.
+// caps and must keep them pinned bitwise. The uninterrupted twin is the
+// reference controller (SparseRefreshEvery: 1).
 func TestRestoreEquivalenceDegraded(t *testing.T) {
 	const (
 		units = 64
@@ -283,10 +286,10 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 		}
 		return hv
 	}
-	build := func() *DPS {
+	build := func(refresh int) *DPS {
 		cfg := DefaultConfig(units, bud)
 		cfg.Seed = 7
-		cfg.SparseRounds = true
+		cfg.SparseRefreshEvery = refresh
 		d, err := NewDPS(cfg)
 		if err != nil {
 			t.Fatalf("NewDPS: %v", err)
@@ -294,17 +297,19 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 		return d
 	}
 
-	a := build()
+	a := build(1)
 	lsA := newLoopState(a, 0.5, true)
 	capsA, statsA := drive(t, a, demand, 0, steps, lsA, health)
 
-	b := build()
-	lsB := newLoopState(b, 0.5, true)
-	capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, health)
-	c := build()
-	snapshotThrough(t, b, c)
-	capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, health)
-	assertSameDecisions(t, "degraded", capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+	for _, refresh := range []int{7, DefaultSparseRefreshEvery, neverRefresh} {
+		b := build(refresh)
+		lsB := newLoopState(b, 0.5, true)
+		capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, health)
+		c := build(refresh)
+		snapshotThrough(t, b, c)
+		capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, health)
+		assertSameDecisions(t, fmt.Sprintf("degraded/refresh=%d", refresh), capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+	}
 
 	// Non-vacuity: the schedule must actually have pinned units at the
 	// cut (their caps held constant through it).
@@ -321,9 +326,7 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 func TestExportStateWarmNoAlloc(t *testing.T) {
 	const units = 512
 	bud := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
-	cfg := DefaultConfig(units, bud)
-	cfg.SparseRounds = true
-	d, err := NewDPS(cfg)
+	d, err := NewDPS(DefaultConfig(units, bud))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +355,6 @@ func TestRestoreStateRejects(t *testing.T) {
 	newC := func(mut func(*Config)) *DPS {
 		cfg := DefaultConfig(units, bud)
 		cfg.Seed = 7
-		cfg.SparseRounds = true
 		if mut != nil {
 			mut(&cfg)
 		}

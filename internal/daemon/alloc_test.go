@@ -21,9 +21,7 @@ import (
 // this test is that claim's regression gate.
 func TestDecideSamplerSteadyStateZeroAlloc(t *testing.T) {
 	const units = 128
-	cfg := core.DefaultConfig(units, testBudget(units))
-	cfg.Shards = 1 // sequential path, matching the core gate
-	mgr, err := core.NewDPS(cfg)
+	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
 	if err != nil {
 		t.Fatal(err)
 	}

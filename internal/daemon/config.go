@@ -51,8 +51,10 @@ type FileConfig struct {
 	// DPS-specific tuning (ignored by other policies).
 	HistoryLen     int  `json:"history_len,omitempty"`
 	DisableRestore bool `json:"disable_restore,omitempty"`
-	// Shards sets the controller's worker-shard count: 0 auto-sizes from
-	// GOMAXPROCS and the unit count, 1 forces the sequential path.
+	// Shards is accepted and ignored: the decision round is
+	// single-threaded (DESIGN.md §7). The key still parses, and is still
+	// validated non-negative, so config files written for older builds
+	// keep loading.
 	Shards int `json:"shards,omitempty"`
 
 	// Degraded-mode control plane. StaleAfterMS freezes a silent unit's
@@ -72,11 +74,11 @@ type FileConfig struct {
 	DeltaEpsilonW      float64 `json:"delta_epsilon_w,omitempty"`
 	DisableBatchIngest bool    `json:"disable_batch_ingest,omitempty"`
 
-	// Sparse decision rounds (DPS policy only). SparseRounds is a pointer
-	// so "absent" (default on) is distinguishable from an explicit false —
-	// the rollback setting. SparseRefreshEvery forces every unit through a
-	// full decision pass at least once per this many rounds (0 = the core
-	// default).
+	// Sparse decision rounds (DPS policy only). SparseRefreshEvery forces
+	// every unit through a full decision pass at least once per this many
+	// rounds (0 = the core default, 1 = never skip a unit). SparseRounds
+	// is a pointer so "absent" is distinguishable from an explicit false,
+	// which is an alias for "sparse_refresh_every": 1 and wins over it.
 	SparseRounds       *bool `json:"sparse_rounds,omitempty"`
 	SparseRefreshEvery int   `json:"sparse_refresh_every,omitempty"`
 
@@ -209,10 +211,14 @@ func (fc FileConfig) validate() error {
 	return fc.Budget().Validate(fc.Units)
 }
 
-// SparseRoundsEnabled resolves the tri-state sparse_rounds key: absent
-// means on (the default), an explicit false is the rollback.
-func (fc FileConfig) SparseRoundsEnabled() bool {
-	return fc.SparseRounds == nil || *fc.SparseRounds
+// SparseRefresh resolves the controller's refresh period from the two
+// keys that set it: an explicit "sparse_rounds": false means period 1
+// (every unit processed every round), otherwise sparse_refresh_every.
+func (fc FileConfig) SparseRefresh() int {
+	if fc.SparseRounds != nil && !*fc.SparseRounds {
+		return 1
+	}
+	return fc.SparseRefreshEvery
 }
 
 // Budget derives the power envelope.
@@ -253,9 +259,7 @@ func (fc FileConfig) BuildManager() (core.Manager, error) {
 		cfg.Seed = fc.Seed
 		cfg.HistoryLen = fc.HistoryLen
 		cfg.DisableRestore = fc.DisableRestore
-		cfg.Shards = fc.Shards
-		cfg.SparseRounds = fc.SparseRoundsEnabled()
-		cfg.SparseRefreshEvery = fc.SparseRefreshEvery
+		cfg.SparseRefreshEvery = fc.SparseRefresh()
 		return core.NewDPS(cfg)
 	case "slurm":
 		return baseline.NewSLURM(fc.Units, budget, stateless.DefaultConfig(), fc.Seed)

@@ -3,8 +3,12 @@ package daemon
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"dps/internal/core"
+	"dps/internal/snapshot"
 )
 
 func writeConfig(t *testing.T, content string) string {
@@ -87,6 +91,7 @@ func TestLoadFileConfigRejections(t *testing.T) {
 		"unknown policy":  `{"units": 4, "policy": "ml"}`,
 		"invalid budget":  `{"units": 4, "budget_w": 1, "unit_min_w": 10}`,
 		"negative period": `{"units": 4, "interval_ms": -5}`,
+		"negative shards": `{"units": 4, "shards": -1}`,
 	}
 	for name, content := range cases {
 		if name == "missing file" {
@@ -111,5 +116,44 @@ func TestDPSTuningFieldsApplied(t *testing.T) {
 	}
 	if _, err := fc.BuildManager(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetiredKeysStillLoad pins the two compatibility aliases: "shards"
+// parses and changes nothing about the controller built, and
+// "sparse_rounds": false builds one with refresh period 1, winning over
+// any sparse_refresh_every beside it.
+func TestRetiredKeysStillLoad(t *testing.T) {
+	build := func(content string) snapshot.State {
+		t.Helper()
+		fc, err := LoadFileConfig(writeConfig(t, content))
+		if err != nil {
+			t.Fatalf("%s: %v", content, err)
+		}
+		mgr, err := fc.BuildManager()
+		if err != nil {
+			t.Fatalf("%s: BuildManager: %v", content, err)
+		}
+		var st snapshot.State
+		mgr.(*core.DPS).ExportState(&st)
+		return st
+	}
+	plain := build(`{"units": 8}`)
+	if plain.SparseRefreshEvery != core.DefaultSparseRefreshEvery {
+		t.Errorf("default refresh period %d, want %d", plain.SparseRefreshEvery, core.DefaultSparseRefreshEvery)
+	}
+	if sharded := build(`{"units": 8, "shards": 4}`); !reflect.DeepEqual(sharded, plain) {
+		t.Errorf(`"shards": 4 built a different controller:\n%+v\nwant\n%+v`, sharded, plain)
+	}
+	for _, content := range []string{
+		`{"units": 8, "sparse_rounds": false}`,
+		`{"units": 8, "sparse_rounds": false, "sparse_refresh_every": 16}`,
+	} {
+		if got := build(content).SparseRefreshEvery; got != 1 {
+			t.Errorf("%s: refresh period %d, want 1", content, got)
+		}
+	}
+	if got := build(`{"units": 8, "sparse_rounds": true, "sparse_refresh_every": 16}`).SparseRefreshEvery; got != 16 {
+		t.Errorf("sparse_rounds true overrode sparse_refresh_every: period %d, want 16", got)
 	}
 }

@@ -109,26 +109,35 @@ var serverKnobs = []knob{
 		fromFile: func(fc FileConfig, sc *ServerConfig) { sc.DisableBatchIngest = fc.DisableBatchIngest },
 	},
 	{
-		Flag: "sparse-rounds", JSON: "sparse_rounds",
-		register: func(fs *flag.FlagSet) func(*ServerConfig) {
-			v := fs.Bool("sparse-rounds", true, "run DPS decision rounds sparsely over the dirty set (-sparse-rounds=false restores dense rounds)")
-			return func(sc *ServerConfig) { sc.SparseRounds = *v }
-		},
-		fromFile: func(fc FileConfig, sc *ServerConfig) { sc.SparseRounds = fc.SparseRoundsEnabled() },
-	},
-	{
 		Flag: "sparse-refresh-every", JSON: "sparse_refresh_every",
 		register: func(fs *flag.FlagSet) func(*ServerConfig) {
-			v := fs.Int("sparse-refresh-every", 0, "force every unit through a full decision pass at least once per this many sparse rounds (0 = default)")
+			v := fs.Int("sparse-refresh-every", 0, "force every unit through a full decision pass at least once per this many rounds (0 = default, 1 = never skip a unit)")
 			return func(sc *ServerConfig) { sc.SparseRefreshEvery = *v }
 		},
-		fromFile: func(fc FileConfig, sc *ServerConfig) { sc.SparseRefreshEvery = fc.SparseRefreshEvery },
+		// The file path resolves the sparse_rounds alias here, in one place.
+		fromFile: func(fc FileConfig, sc *ServerConfig) { sc.SparseRefreshEvery = fc.SparseRefresh() },
 		check: func(fc FileConfig) error {
 			if fc.SparseRefreshEvery < 0 {
 				return fmt.Errorf("negative sparse_refresh_every %d", fc.SparseRefreshEvery)
 			}
 			return nil
 		},
+	},
+	{
+		// Alias: false means "sparse-refresh-every 1". On the flag surface
+		// it is registered after that knob so an explicit false wins over
+		// any period given; on the file surface that knob's fromFile has
+		// already resolved it (FileConfig.SparseRefresh).
+		Flag: "sparse-rounds", JSON: "sparse_rounds",
+		register: func(fs *flag.FlagSet) func(*ServerConfig) {
+			v := fs.Bool("sparse-rounds", true, "skip settled units in DPS decision rounds (-sparse-rounds=false is an alias for -sparse-refresh-every=1)")
+			return func(sc *ServerConfig) {
+				if !*v {
+					sc.SparseRefreshEvery = 1
+				}
+			}
+		},
+		fromFile: func(FileConfig, *ServerConfig) {},
 	},
 	{
 		Flag: "trace", JSON: "trace",

@@ -46,7 +46,7 @@ var knobParityCases = []struct {
 	},
 	{
 		flag: "sparse-rounds", flagArg: "-sparse-rounds=false", jsonFrag: `"sparse_rounds": false`,
-		want: func(sc ServerConfig) bool { return !sc.SparseRounds },
+		want: func(sc ServerConfig) bool { return sc.SparseRefreshEvery == 1 },
 	},
 	{
 		flag: "sparse-refresh-every", flagArg: "-sparse-refresh-every=16", jsonFrag: `"sparse_refresh_every": 16`,
@@ -103,8 +103,7 @@ var knobParityCases = []struct {
 // property the knob table exists to hold.
 func TestKnobFlagJSONParity(t *testing.T) {
 	// The baseline a single-knob parse is compared against for the no-op
-	// check: flag defaults only. Not the zero ServerConfig — default-true
-	// knobs (sparse-rounds) make the two differ.
+	// check: flag defaults only.
 	defFS := flag.NewFlagSet("dpsd", flag.ContinueOnError)
 	applyDefaults := RegisterServerFlags(defFS)
 	if err := defFS.Parse(nil); err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestConcurrentDecideAndScrapes drives the decision loop — through the
-// sharded controller and the stats-returning DecideStats path — while
+// stats-returning DecideStats path — while
 // /metrics, /status and /debug/rounds are scraped concurrently. Run with
 // -race, this is the proof that a decision round never races an observer:
 // exactly the overlap a deployed daemon sees every interval.
@@ -21,13 +21,10 @@ func TestConcurrentDecideAndScrapes(t *testing.T) {
 		rounds = 60
 	)
 	budget := power.Budget{Total: power.Watts(units) * 80, UnitMax: 165, UnitMin: 10}
-	cfg := core.DefaultConfig(units, budget)
-	cfg.Shards = 4 // force the parallel pipeline under the race detector
-	mgr, err := core.NewDPS(cfg)
+	mgr, err := core.NewDPS(core.DefaultConfig(units, budget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)

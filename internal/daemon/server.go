@@ -83,15 +83,12 @@ type ServerConfig struct {
 	// capability, forcing every agent onto full per-interval report frames.
 	// An escape hatch for debugging the delta plane; off by default.
 	DisableBatchIngest bool
-	// SparseRounds and SparseRefreshEvery are manager-construction inputs:
-	// dpsd reads them when it builds a DPS controller (core.Config
-	// SparseRounds / SparseRefreshEvery), so the -sparse-rounds=false
-	// rollback knob reaches the decision engine on both the flag and the
-	// config-file path. NewServer itself does not consult them — the
-	// Manager it receives already embodies the choice, and the server's
-	// ingest-side dirty mask is maintained either way (a dense manager
-	// ignores it). SparseRounds defaults to true on every config surface.
-	SparseRounds       bool
+	// SparseRefreshEvery is a manager-construction input: dpsd reads it
+	// when it builds a DPS controller (core.Config.SparseRefreshEvery), so
+	// -sparse-refresh-every and its -sparse-rounds=false alias (period 1)
+	// reach the decision engine on both the flag and the config-file
+	// path. NewServer itself does not consult it — the Manager it receives
+	// already embodies the choice.
 	SparseRefreshEvery int
 
 	// TraceEnabled starts the span recorder on. The recorder always
@@ -225,11 +222,11 @@ type Server struct {
 	imu      sync.Mutex
 	readings power.Vector
 	// dirty marks the units whose reading was rewritten since the last
-	// decision snapshot — the ingest half of the sparse decision path's
-	// dirty-set contract (a clear bit guarantees the unit's reading is
-	// byte-identical to the previous snapshot). Maintained unconditionally:
-	// marking is one word-OR per accepted record, and managers that don't
-	// do sparse rounds simply ignore the mask.
+	// decision snapshot — the ingest half of the controller's dirty-set
+	// contract (a clear bit guarantees the unit's reading is byte-identical
+	// to the previous snapshot). Maintained unconditionally: marking is one
+	// word-OR per accepted record, and managers other than DPS simply
+	// ignore the mask.
 	dirty *core.DirtyMask
 	// lastReport is the per-unit staleness clock: the time of the last
 	// accepted (sanitized) reading or covering heartbeat, refreshed on
@@ -262,7 +259,7 @@ type Server struct {
 	lastPrio     []bool
 	lastRestored bool
 	// lastDirtyUnits/lastSkippedUnits/lastDirtyFrac cache the most recent
-	// round's sparse work counters for /status (zero on dense managers).
+	// round's work counters for /status (zero for non-DPS managers).
 	lastDirtyUnits   int
 	lastSkippedUnits int
 	lastDirtyFrac    float64
@@ -374,8 +371,8 @@ type serverMetrics struct {
 	ingestRecords    *telemetry.Counter
 	staleUnits       *telemetry.Gauge
 	deadUnits        *telemetry.Gauge
-	// Sparse-round work gauges: the most recent round's dirty and skipped
-	// unit counts (both stay 0 on dense controllers).
+	// Work gauges: the most recent round's dirty and skipped unit counts
+	// (both stay 0 for non-DPS managers).
 	dirtyUnits   *telemetry.Gauge
 	skippedUnits *telemetry.Gauge
 	// High-availability instrumentation: size and assembly time of the

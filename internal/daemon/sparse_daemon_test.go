@@ -10,13 +10,14 @@ import (
 	"dps/internal/rapl"
 )
 
-// newSparseHarness is newDeltaHarness with the controller's sparse mode
-// and the server's delta band under test control: a batch+delta agent
-// over scripted devices, against a DPS manager built dense or sparse.
-func newSparseHarness(t *testing.T, units int, sparse bool, eps power.Watts) *deltaHarness {
+// newSparseHarness is newDeltaHarness with the controller's refresh
+// period and the server's delta band under test control: a batch+delta
+// agent over scripted devices, against a DPS manager that skips settled
+// units (refresh 0, the default) or never does (refresh 1, the reference).
+func newSparseHarness(t *testing.T, units, refresh int, eps power.Watts) *deltaHarness {
 	t.Helper()
 	ccfg := core.DefaultConfig(units, testBudget(units))
-	ccfg.SparseRounds = sparse
+	ccfg.SparseRefreshEvery = refresh
 	mgr, err := core.NewDPS(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,18 +60,19 @@ func newSparseHarness(t *testing.T, units int, sparse bool, eps power.Watts) *de
 
 // TestSparseRoundsDaemonEquivalence drives the full deployed pipeline —
 // delta agent, batched ingest, dirty-mask snapshot assembly, sparse
-// decision rounds — against an identical pipeline feeding a dense
-// controller. Caps must stay bitwise identical every round, and the
-// sparse side must demonstrably skip settled units (the masks arriving
-// from ingest, not the compare fallback, sized the rounds).
+// decision rounds — against an identical pipeline feeding the reference
+// controller that processes every unit every round. Caps must stay
+// bitwise identical every round, and the sparse side must demonstrably
+// skip settled units (the masks arriving from ingest, not the compare
+// fallback, sized the rounds).
 func TestSparseRoundsDaemonEquivalence(t *testing.T) {
 	const (
 		units = 32
 		steps = 160
 		eps   = power.Watts(0.5)
 	)
-	dense := newSparseHarness(t, units, false, eps)
-	sparse := newSparseHarness(t, units, true, eps)
+	dense := newSparseHarness(t, units, 1, eps)
+	sparse := newSparseHarness(t, units, 0, eps)
 
 	waitFrames := func(h *deltaHarness, n uint64) {
 		deadline := time.Now().Add(5 * time.Second)
@@ -136,7 +138,8 @@ func TestSparseRoundsDaemonEquivalence(t *testing.T) {
 	if st.DirtyUnits == 0 || st.DirtyFrac <= 0 || st.DirtyFrac > 1 {
 		t.Errorf("status sparse counters unpopulated: dirty=%d frac=%v", st.DirtyUnits, st.DirtyFrac)
 	}
-	if stD := dense.srv.Snapshot(); stD.DirtyUnits != 0 || stD.SkippedUnits != 0 || stD.DirtyFrac != 0 {
-		t.Errorf("dense status reports sparse counters: %+v", stD)
+	// The reference side sees the same dirty set and skips nothing.
+	if stD := dense.srv.Snapshot(); stD.DirtyUnits != st.DirtyUnits || stD.SkippedUnits != 0 {
+		t.Errorf("reference status: dirty=%d skipped=%d, want dirty=%d skipped=0", stD.DirtyUnits, stD.SkippedUnits, st.DirtyUnits)
 	}
 }

@@ -37,9 +37,10 @@ type Status struct {
 	Health     []string `json:"health,omitempty"`
 	StaleUnits int      `json:"stale_units,omitempty"`
 	DeadUnits  int      `json:"dead_units,omitempty"`
-	// Sparse-round work counters from the most recent decision round:
-	// units the snapshot marked changed, units the controller skipped as
-	// settled, and the dirty fraction. All omitted on dense controllers.
+	// Work counters from the most recent decision round: units the
+	// snapshot marked changed, units the controller skipped as settled,
+	// and the dirty fraction. Populated every DPS round; omitted when zero
+	// and for other policies.
 	DirtyUnits   int     `json:"dirty_units,omitempty"`
 	SkippedUnits int     `json:"skipped_units,omitempty"`
 	DirtyFrac    float64 `json:"dirty_frac,omitempty"`

@@ -35,10 +35,15 @@ func newTracingServer(t *testing.T, units int) *Server {
 }
 
 // setReadings injects a reading vector directly, standing in for agent
-// report batches in tests that exercise the decision path alone.
+// report batches in tests that exercise the decision path alone. Like the
+// ingest write sites it marks every unit it writes dirty — the controller
+// trusts a clear bit to mean "reading unchanged".
 func setReadings(srv *Server, readings power.Vector) {
 	srv.imu.Lock()
 	copy(srv.readings, readings)
+	for u := range readings {
+		srv.dirty.Mark(u)
+	}
 	srv.imu.Unlock()
 }
 

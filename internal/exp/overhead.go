@@ -51,10 +51,8 @@ func Overhead(unitCounts []int, stepsPerCount int, seed int64) (Result, error) {
 		}
 		var stages core.StageTimings
 		// Mallocs delta across the timed loop ties the steady-state
-		// zero-allocation claim (sequential path; see
-		// internal/core/alloc_test.go) to the measured experiment. The
-		// sharded path forks goroutines, so large counts report the
-		// fork/join cost rather than 0.
+		// zero-allocation claim (see internal/core/alloc_test.go) to the
+		// measured experiment.
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
 		start := time.Now()

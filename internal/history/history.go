@@ -451,12 +451,9 @@ func (r *Ring) Reset() {
 }
 
 // Set holds one ring per unit, the controller-side "estimated power
-// history" global of Figure 3.
-//
-// Concurrency: the set is immutable after construction and each ring
-// holds one unit's samples, so pushing to *distinct* units from different
-// goroutines is race-free — the property the sharded controller relies
-// on. Individual rings are not safe for concurrent use.
+// history" global of Figure 3. Each ring holds one unit's samples and is
+// reached per unit (Unit, Push) by the controller's word-mask walkers;
+// neither the set nor its rings are safe for concurrent use.
 type Set struct {
 	rings []*Ring
 }

@@ -174,11 +174,8 @@ func (f *Filter) ImportState(s State) {
 // memory sequentially instead of chasing a pointer per unit, which at
 // cluster scale (tens of thousands of units per round) is the difference
 // between streaming the bank through cache and missing on every filter.
-//
-// Concurrency: the bank itself is immutable after construction, and each
-// filter owns state for exactly one unit, so stepping *distinct* units
-// from different goroutines is race-free — the property the sharded
-// controller relies on. Stepping the same unit concurrently is not.
+// Each filter owns state for exactly one unit; the controller's word-mask
+// walker steps them one unit at a time from a single goroutine.
 type Bank struct {
 	filters []Filter
 }

@@ -162,28 +162,13 @@ func (m *Module) Priorities() []bool { return m.prio }
 // slice is owned by the module; callers must not mutate it.
 func (m *Module) HighFrequency() []bool { return m.highFreq }
 
-// Update reclassifies every unit and returns the updated priority flags
-// (true = high priority). hist holds the estimated power histories;
-// powerNow and caps are the current measured power and programmed cap per
-// unit (for the at-cap and idle-reversion checks); constantCap is the
-// even-split cap. The returned slice is owned by the module.
-func (m *Module) Update(hist *history.Set, powerNow, caps power.Vector, constantCap power.Watts) []bool {
-	if hist.Len() != len(m.prio) {
-		panic(fmt.Sprintf("priority: history for %d units, module for %d", hist.Len(), len(m.prio)))
-	}
-	if len(powerNow) != len(m.prio) || len(caps) != len(m.prio) {
-		panic(fmt.Sprintf("priority: %d readings / %d caps for %d units", len(powerNow), len(caps), len(m.prio)))
-	}
-	for u := 0; u < hist.Len(); u++ {
-		m.UpdateUnit(power.UnitID(u), hist.Unit(power.UnitID(u)), powerNow[u], caps[u], constantCap)
-	}
-	return m.prio
-}
-
-// UpdateUnit reclassifies one unit: the per-unit half of Update, exposed
-// so a sharded controller can classify disjoint unit ranges concurrently.
-// The cross-unit contract (every unit classified exactly once per round,
-// against the same caps vector) is the caller's responsibility. The call
+// UpdateUnit reclassifies one unit off its live history ring: the entry
+// point the controller's word-mask classify walker calls for every unit
+// on the round's work mask. ring holds the unit's estimated power
+// history; pNow and capNow are its current measured power and programmed
+// cap (for the at-cap and idle-reversion checks); constantCap is the
+// even-split cap. Which units are classified in a round, and against
+// which caps vector, is the caller's responsibility. The call
 // is copy-free and allocation-free: the peak scan runs over the ring's
 // storage segments and stddev/derivative read the ring's O(1) running
 // aggregates.
@@ -352,7 +337,7 @@ func (m *Module) ExportState(highFreq, prio []bool) {
 	copy(prio, m.prio)
 }
 
-// ImportState overwrites the module's sticky flags. Future Update calls
+// ImportState overwrites the module's sticky flags. Future UpdateUnit calls
 // behave exactly as if this module had classified the exporting module's
 // input history.
 func (m *Module) ImportState(highFreq, prio []bool) error {

@@ -40,7 +40,17 @@ func (h *harness) step(p power.Watts) []bool {
 	h.t.Helper()
 	h.hist.Push(0, p, 1)
 	h.pow[0] = p
-	return h.m.Update(h.hist, h.pow, h.caps, constantCap)
+	return h.update()
+}
+
+// update reclassifies every unit off its live ring, as a refresh round
+// does, and returns the module's priority flags.
+func (h *harness) update() []bool {
+	for u := range h.pow {
+		id := power.UnitID(u)
+		h.m.UpdateUnit(id, h.hist.Unit(id), h.pow[u], h.caps[u], constantCap)
+	}
+	return h.m.Priorities()
 }
 
 func TestValidate(t *testing.T) {
@@ -274,7 +284,7 @@ func TestUnitsAreIndependent(t *testing.T) {
 		h.pow[2] = p
 		h.hist.Push(0, 60, 1)
 		h.hist.Push(1, 60, 1)
-		h.m.Update(h.hist, h.pow, h.caps, constantCap)
+		h.update()
 	}
 	prio := h.m.Priorities()
 	if prio[0] || prio[1] || !prio[2] {
@@ -290,77 +300,5 @@ func TestReset(t *testing.T) {
 	h.m.Reset()
 	if h.m.Priorities()[0] || h.m.HighFrequency()[0] {
 		t.Error("flags survived Reset")
-	}
-}
-
-func TestUpdatePanicsOnSizeMismatch(t *testing.T) {
-	m, err := New(DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Update with wrong-sized history did not panic")
-		}
-	}()
-	m.Update(history.NewSet(3, 20), power.NewVector(3, 0), power.NewVector(3, 165), constantCap)
-}
-
-// TestUpdateUnitMatchesUpdate drives two identical modules over the same
-// histories — one through the batch Update, one through per-unit
-// UpdateUnit calls split across two ranges, as two shards would issue
-// them — and requires identical flags. This is the contract the sharded
-// controller's priority stage depends on.
-func TestUpdateUnitMatchesUpdate(t *testing.T) {
-	const units = 12
-	batch, err := New(DefaultConfig(), units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perUnit, err := New(DefaultConfig(), units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := history.NewSet(units, 20)
-	pow := power.NewVector(units, 0)
-	caps := power.NewVector(units, 120)
-
-	// Distinct dynamics per unit: flippers, ramps, idlers, at-cap.
-	for step := 0; step < 60; step++ {
-		for u := 0; u < units; u++ {
-			var p power.Watts
-			switch u % 4 {
-			case 0:
-				if (step/3+u)%2 == 0 {
-					p = 150
-				} else {
-					p = 20
-				}
-			case 1:
-				p = power.Watts(20 + step*2 + u)
-			case 2:
-				p = 8
-			default:
-				p = 119 // pinned at cap
-			}
-			hist.Push(power.UnitID(u), p, 1)
-			pow[u] = p
-		}
-		want := batch.Update(hist, pow, caps, constantCap)
-
-		for u := 0; u < units; u++ {
-			perUnit.UpdateUnit(power.UnitID(u), hist.Unit(power.UnitID(u)), pow[u], caps[u], constantCap)
-		}
-		got := perUnit.Priorities()
-		for u := range want {
-			if got[u] != want[u] {
-				t.Fatalf("step %d unit %d: UpdateUnit %v != Update %v", step, u, got[u], want[u])
-			}
-		}
-		for u, hf := range batch.HighFrequency() {
-			if perUnit.HighFrequency()[u] != hf {
-				t.Fatalf("step %d unit %d: highFreq mismatch", step, u)
-			}
-		}
 	}
 }

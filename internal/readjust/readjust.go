@@ -121,7 +121,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Readjust implements Algorithm 4. prio[u] marks high-priority units.
+// ReadjustCounted implements Algorithm 4. prio[u] marks high-priority
+// units; countHigh must equal the number of true entries in prio (the
+// controller maintains it incrementally from classification transitions,
+// so a quiet round pays no O(N) tally here).
 //
 //   - If unassigned budget remains, it is divided among high-priority units
 //     with weights inversely proportional to their current caps (a unit far
@@ -136,26 +139,6 @@ func (o Outcome) String() string {
 // Low-priority units are never touched. The sum of caps never increases by
 // more than the unassigned budget, so the cluster budget stays respected.
 // The returned Outcome identifies the branch taken.
-func (m *Module) Readjust(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, changed []bool) Outcome {
-	n := len(caps)
-	if len(prio) != n {
-		panic(fmt.Sprintf("readjust: %d priorities for %d caps", len(prio), n))
-	}
-	countHigh := 0
-	for _, p := range prio {
-		if p {
-			countHigh++
-		}
-	}
-	return m.ReadjustCounted(caps, prio, budget, constantCap, changed, countHigh)
-}
-
-// ReadjustCounted is Readjust with the high-priority count supplied by
-// the caller instead of rescanned. The sparse decision path maintains
-// that count incrementally (classification touches only changed units,
-// so the O(N) tally here would otherwise dominate its quiet rounds);
-// countHigh must equal the number of true entries in prio. Bitwise
-// identical to Readjust given a correct count.
 func (m *Module) ReadjustCounted(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, changed []bool, countHigh int) Outcome {
 	n := len(caps)
 	if len(prio) != n {

@@ -22,6 +22,18 @@ func mustNew(t *testing.T, cfg Config) *Module {
 	return m
 }
 
+// Readjust is ReadjustCounted with the high-priority count tallied from
+// prio, for tests that hand-build a priority vector.
+func (m *Module) Readjust(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, changed []bool) Outcome {
+	countHigh := 0
+	for _, p := range prio {
+		if p {
+			countHigh++
+		}
+	}
+	return m.ReadjustCounted(caps, prio, budget, constantCap, changed, countHigh)
+}
+
 func TestValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)

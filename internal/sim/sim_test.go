@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
+	"dps/internal/cluster"
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/tracelog"
 	"dps/internal/workload"
 )
 
@@ -79,6 +82,66 @@ func TestDeterminism(t *testing.T) {
 	for i := range a.A.Runs {
 		if a.A.Runs[i].Duration != b.A.Runs[i].Duration {
 			t.Fatalf("run %d durations differ: %v vs %v", i, a.A.Runs[i].Duration, b.A.Runs[i].Duration)
+		}
+	}
+}
+
+// TestRefreshPeriodInvisibleInTraceLog runs a pair scenario with the
+// default controller and with the reference configuration that never
+// skips a unit, and requires byte-identical trace logs (time, reading,
+// cap, priority per unit per step): skipping settled units must not be
+// able to move a number in EXPERIMENTS.md. The standard machine's RAPL
+// noise keeps every reading moving, so nothing is skipped there; the
+// noise-free variant with cluster B idle for its first 150 s is the one
+// where the default controller demonstrably skips.
+func TestRefreshPeriodInvisibleInTraceLog(t *testing.T) {
+	run := func(quiet bool, refresh int) ([]byte, uint64) {
+		var dpsRef *core.DPS
+		factory := func(units int, budget power.Budget, seed int64) (core.Manager, error) {
+			cfg := core.DefaultConfig(units, budget)
+			cfg.Seed = seed
+			cfg.SparseRefreshEvery = refresh
+			d, err := core.NewDPS(cfg)
+			dpsRef = d
+			return d, err
+		}
+		var buf bytes.Buffer
+		lw := tracelog.NewWriter(&buf)
+		cfg := pairCfg(t, "Sort", "Terasort", 2, 9)
+		if quiet {
+			cfg.Machine = cluster.DefaultConfig()
+			cfg.Machine.Seed = cfg.Seed
+			cfg.Machine.Rapl.NoiseStdDev = 0
+			cfg.StartOffsetB = 150
+		}
+		cfg.StepHook = func(tm power.Seconds, readings, caps power.Vector) {
+			if err := lw.WriteStep(tm, readings, caps, dpsRef.Priorities()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := RunPair(cfg, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res.Stages.SkippedUnits
+	}
+	for _, quiet := range []bool{false, true} {
+		want, refSkipped := run(quiet, 1)
+		got, skipped := run(quiet, 0)
+		if len(want) == 0 {
+			t.Fatalf("quiet=%t: empty trace log", quiet)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("quiet=%t: trace logs differ between refresh=1 (%d bytes) and the default (%d bytes)", quiet, len(want), len(got))
+		}
+		if refSkipped != 0 {
+			t.Errorf("quiet=%t: reference run skipped %d unit-rounds", quiet, refSkipped)
+		}
+		if quiet && skipped == 0 {
+			t.Error("noise-free run skipped no unit-rounds; the comparison is vacuous")
 		}
 	}
 }

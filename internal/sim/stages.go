@@ -25,16 +25,14 @@ type StageBreakdown struct {
 	PriorityFlips   uint64 `json:"priority_flips"`
 	BudgetExhausted uint64 `json:"budget_exhausted"`
 	BudgetClamped   uint64 `json:"budget_clamped"`
-	// Sparse-round work totals: unit-rounds the snapshots marked changed
-	// and unit-rounds the controller skipped as settled. Both stay zero
-	// for dense controllers.
+	// Work totals: unit-rounds the snapshots marked changed and
+	// unit-rounds the controller skipped as settled.
 	DirtyUnits   uint64 `json:"dirty_units"`
 	SkippedUnits uint64 `json:"skipped_units"`
 	// ControllerMallocs counts heap allocations made by the controller's
 	// decision rounds (runtime.MemStats.Mallocs delta around each call).
-	// The sequential steady-state path is allocation-free (see
-	// internal/core/alloc_test.go); a sharded controller reports its
-	// per-round fork/join cost here instead.
+	// The steady-state round is allocation-free (see
+	// internal/core/alloc_test.go).
 	ControllerMallocs uint64 `json:"controller_mallocs"`
 }
 

@@ -234,3 +234,43 @@ func TestRandomOrderCoversAllUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyMaskedMatchesApply is the masked decrease pass's exactness
+// gate: with a visit mask built exactly as the contract allows — a unit
+// is revisited when its reading changed or its cap moved in the previous
+// step — ApplyMasked must leave bitwise the same caps and changed flags
+// as Apply, round after round, with the PRNG streams aligned. The cached
+// sum is supplied on alternate rounds so both avail computations run.
+func TestApplyMaskedMatchesApply(t *testing.T) {
+	const units = 70 // not a multiple of 64: exercises the tail word
+	budget := power.Budget{Total: units * 55, UnitMax: 165, UnitMin: 10}
+	full, masked := mustNew(t, 7), mustNew(t, 7)
+	capsF, capsM := power.NewVector(units, 55), power.NewVector(units, 55)
+	changedF, changedM := make([]bool, units), make([]bool, units)
+	visit := make([]uint64, (units+63)/64)
+	for i := range visit {
+		visit[i] = ^uint64(0) // first step: every unit is new
+	}
+	rng := rand.New(rand.NewSource(99))
+	pw := make(power.Vector, units)
+	for step := 0; step < 400; step++ {
+		for u := range pw {
+			if step == 0 || rng.Intn(4) == 0 {
+				pw[u] = power.Watts(rng.Float64() * 165)
+				visit[u>>6] |= 1 << uint(u&63)
+			}
+		}
+		full.Apply(pw, capsF, budget, changedF)
+		masked.ApplyMasked(pw, capsM, budget, changedM, visit, capsM.Sum(), step%2 == 0)
+		clear(visit)
+		for u := range capsF {
+			if capsF[u] != capsM[u] || changedF[u] != changedM[u] {
+				t.Fatalf("step %d unit %d: masked cap %v changed=%t, full cap %v changed=%t",
+					step, u, capsM[u], changedM[u], capsF[u], changedF[u])
+			}
+			if changedM[u] {
+				visit[u>>6] |= 1 << uint(u&63)
+			}
+		}
+	}
+}

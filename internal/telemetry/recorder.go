@@ -51,9 +51,10 @@ type RoundRecord struct {
 	BudgetClamped   bool         `json:"budget_clamped,omitempty"`
 	StaleUnits      int          `json:"stale_units,omitempty"`
 	DeadUnits       int          `json:"dead_units,omitempty"`
-	// Sparse-round work counters: how many units the round's snapshot
-	// marked changed and how many units the controller skipped under the
-	// settled-unit contract. Zero (omitted) on dense controllers.
+	// Work counters: how many units the round's snapshot marked changed
+	// and how many units the controller skipped under the settled-unit
+	// contract. Populated every DPS round; zero (omitted) for other
+	// policies.
 	DirtyUnits   int `json:"dirty_units,omitempty"`
 	SkippedUnits int `json:"skipped_units,omitempty"`
 	// UptimeRounds/StateAgeRounds split the round counter across process

@@ -10,7 +10,6 @@ import (
 //	mgr, err := dps.New(20, budget,
 //	    dps.WithSeed(7),
 //	    dps.WithHistoryLen(30),
-//	    dps.WithShards(8),
 //	)
 //
 // NewDPS(Config) remains the low-level path for callers that build the
@@ -37,14 +36,6 @@ func WithSeed(seed int64) Option {
 // (the paper's default is 20, i.e. 20 s of state at dT = 1 s).
 func WithHistoryLen(n int) Option {
 	return func(c *Config) { c.HistoryLen = n }
-}
-
-// WithShards sets the worker-shard count of the per-unit pipeline stages:
-// 1 forces the sequential path, 0 (the default) auto-sizes from
-// GOMAXPROCS and the unit count. Results are bitwise identical at any
-// shard count for a fixed seed.
-func WithShards(p int) Option {
-	return func(c *Config) { c.Shards = p }
 }
 
 // WithStateless replaces the Algorithm 1 MIMD stage's tuning.

@@ -61,7 +61,6 @@ func TestOptionsApply(t *testing.T) {
 	mgr, err := dps.New(8, budget,
 		dps.WithSeed(7),
 		dps.WithHistoryLen(30),
-		dps.WithShards(4),
 		dps.WithStateless(dps.DefaultStatelessConfig()),
 		dps.WithKalman(def.Kalman),
 		dps.WithPriority(def.Priority),
@@ -70,17 +69,12 @@ func TestOptionsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
-	if got := mgr.Shards(); got != 4 {
-		t.Errorf("Shards() = %d, want 4", got)
-	}
-	_, st := mgr.DecideStats(dps.Snapshot{Power: dps.NewVector(8, 60), Interval: 1})
-	if st.Shards != 4 {
-		t.Errorf("RoundStats.Shards = %d, want 4", st.Shards)
+	if _, st := mgr.DecideStats(dps.Snapshot{Power: dps.NewVector(8, 60), Interval: 1}); st.Step != 1 {
+		t.Errorf("first round has Step = %d, want 1", st.Step)
 	}
 
-	if _, err := dps.New(8, budget, dps.WithShards(-1)); err == nil {
-		t.Error("WithShards(-1) accepted; want validation error")
+	if _, err := dps.New(8, budget, dps.WithHistoryLen(1)); err == nil {
+		t.Error("WithHistoryLen(1) accepted; want validation error")
 	}
 }
 
@@ -106,7 +100,7 @@ func TestWithAblation(t *testing.T) {
 }
 
 // TestLoadDaemonConfig exercises the daemon entry points re-exported by
-// the facade, including the sharding knob in the JSON file format.
+// the facade; the "shards" key of older config files still loads.
 func TestLoadDaemonConfig(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dpsd.json")
 	blob := []byte(`{"units": 16, "budget_w": 1600, "policy": "dps", "seed": 7, "shards": 2}`)
@@ -128,9 +122,8 @@ func TestLoadDaemonConfig(t *testing.T) {
 	if !ok {
 		t.Fatalf("BuildManager returned %T, want *dps.DPS", mgr)
 	}
-	defer d.Close()
-	if got := d.Shards(); got != 2 {
-		t.Errorf("daemon-built controller Shards() = %d, want 2", got)
+	if got := len(d.Caps()); got != 16 {
+		t.Errorf("daemon-built controller has %d units, want 16", got)
 	}
 
 	var st dps.DaemonStatus

@@ -7,10 +7,11 @@
 #   BENCHTIME  go test -benchtime value (default 20x; use 1x for a smoke run)
 #   OUT        output JSON path (default BENCH_decide.json in the repo root)
 #
-# The embedded baseline block records the pre-sparse-rounds sequential
-# numbers (commit 3a289ac, Intel Xeon @ 2.10GHz: dense per-unit work
-# every round, O(n) increase-pass shuffle) so the JSON alone is enough
-# to compute the speedup without checking out the old tree.
+# The embedded baseline block records the pre-sparse-rounds numbers for
+# the N=<units> rows' trace (commit 3a289ac, Intel Xeon @ 2.10GHz: every
+# unit processed every round, O(n) increase-pass shuffle) so the JSON
+# alone is enough to compute the speedup without checking out the old
+# tree.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,7 +25,9 @@ go test -run xxx -bench 'BenchmarkDecideScaling|BenchmarkDecideTraceOverhead' \
 
 GOVER="$(go version | awk '{print $3}')"
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-if ! git diff --quiet HEAD 2>/dev/null; then
+# A tree whose only modification is the output file itself is still the
+# commit it says it is.
+if git diff --name-only HEAD 2>/dev/null | grep -qvxF "$OUT"; then
 	COMMIT="${COMMIT}-dirty"
 fi
 
@@ -62,15 +65,15 @@ END {
 	printf "  \"baseline\": {\n"
 	printf "    \"commit\": \"3a289ac\",\n"
 	printf "    \"host\": \"Intel Xeon @ 2.10GHz\",\n"
-	printf "    \"note\": \"pre-sparse-rounds round: dense per-unit work every round, O(n) increase-pass shuffle, 4 allocs/op on the sharded path\",\n"
-	printf "    \"ns_per_op\": {\"N=1024/shards=1\": 63863, \"N=4096/shards=1\": 385972, \"N=16384/shards=1\": 1563029}\n"
+	printf "    \"note\": \"pre-sparse-rounds round: every unit processed every round, O(n) increase-pass shuffle\",\n"
+	printf "    \"ns_per_op\": {\"N=1024\": 63863, \"N=4096\": 385972, \"N=16384\": 1563029}\n"
 	printf "  },\n"
 	if (trace_off != "" && trace_on != "") {
 		pct = "null"
 		if (trace_off + 0 > 0) pct = sprintf("%.2f", (trace_on - trace_off) / trace_off * 100)
 		printf "  \"trace_overhead\": {\n"
-		printf "    \"benchmark\": \"BenchmarkDecideTraceOverhead (N=4096, shards=1)\",\n"
-		printf "    \"note\": \"span recording adds sub-microsecond work to a ~300us round; a small or negative pct is host noise, not a speedup\",\n"
+		printf "    \"benchmark\": \"BenchmarkDecideTraceOverhead (N=4096)\",\n"
+		printf "    \"note\": \"span recording adds sub-microsecond work to a ~100us round; a small or negative pct is host noise, not a speedup\",\n"
 		printf "    \"tracer_off_ns_per_op\": %s,\n", trace_off
 		printf "    \"tracer_on_ns_per_op\": %s,\n", trace_on
 		printf "    \"overhead_pct\": %s\n", pct
