@@ -80,19 +80,24 @@ chaos:
 # round must not allocate — bare (masked and maskless), with a disabled
 # tracer attached, with the full self-monitoring stack (series sampler +
 # watchdog audits) running beside the daemon's decision loop, and on the
-# black-box recorder's warm append path.
+# black-box recorder's warm append path — and the bytes a whole warm
+# DecideOnce allocates (round record, metrics, audit, black box) must not
+# grow with the unit count.
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
-	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc' -count=1 ./internal/daemon
+	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits' -count=1 ./internal/daemon
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 
 # fuzz-smoke gives the wire-protocol decoders a short fuzz shake on every
 # CI run (the corpus under internal/proto/testdata grows across runs).
 # `go test` accepts one -fuzz pattern per invocation, hence one command
-# per decoder (anchored: -fuzz must match exactly one target).
+# per decoder (anchored: -fuzz must match exactly one target). The
+# section framing is fuzzed once, in its own package; the snapshot and
+# black-box targets are the payload fuzzers on top of it.
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzReadHello$$' -fuzztime=5s -run xxx ./internal/proto/
 	$(GO) test -fuzz='FuzzReadBatchFrame$$' -fuzztime=5s -run xxx ./internal/proto/
+	$(GO) test -fuzz='FuzzSectionWalk$$' -fuzztime=5s -run xxx ./internal/section/
 	$(GO) test -fuzz='FuzzSnapshotDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
 	$(GO) test -fuzz='FuzzBlackboxDecode$$' -fuzztime=5s -run xxx ./internal/blackbox/
 

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"dps/internal/blackbox"
+	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/trace"
 )
 
@@ -220,10 +222,10 @@ func TestBlackboxDumpAndTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := uint64(1); round <= 4; round++ {
-		r := blackbox.Round{
-			Round: round, UnixNano: int64(round) * 1e9, IntervalS: 1,
-			BudgetW: 220, CapSumW: 220, TotalS: 0.001,
-			Units: []blackbox.UnitRound{{ReadingDW: 1000, CapDW: 1100}},
+		r := telemetry.Round{
+			Round: round, Time: time.Unix(int64(round), 0), Interval: 1,
+			BudgetW: 220, CapSumW: 220, Elapsed: time.Millisecond,
+			Reading: power.Vector{100}, Cap: power.Vector{110}, Reason: make([]trace.Reason, 1),
 		}
 		if _, _, err := w.Append(&r); err != nil {
 			t.Fatal(err)
@@ -268,5 +270,22 @@ func TestBlackboxDumpAndTail(t *testing.T) {
 
 	if err := runBlackboxDump(&bytes.Buffer{}, filepath.Join(dir, "missing"), false); err == nil {
 		t.Error("dump of a missing directory succeeded")
+	}
+}
+
+// TestBlackboxDumpParentSegment decodes a segment the commit before the
+// round record (a88cf7a) wrote and requires `blackbox dump -json` to
+// print exactly what that commit's dpsctl printed for it.
+func TestBlackboxDumpParentSegment(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_blackbox_dump.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := runBlackboxDump(&got, filepath.Join("..", "..", "internal", "blackbox", "testdata", "parent"), true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("dump of the parent's segment drifted:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }

@@ -11,18 +11,15 @@
 //
 // A blackbox is a directory of segment files named bb-%08d.dpsbb with
 // monotonically increasing sequence numbers. Each segment is a fixed
-// header followed by self-framed record sections, reusing the
-// internal/snapshot framing idioms:
+// header followed by one CRC-framed section (internal/section, the
+// framing snapshot images share) per round, id 0x0001:
 //
 //	header:  magic "DPSB" | version u16 | flags u16 (reserved, zero)
-//	record:  id u16 (0x0001) | length u32 | payload [length] | crc32 u32
 //
-// All integers are little-endian; floats are IEEE-754 bit patterns. Each
-// record's CRC covers its id, length, and payload. The writer always
-// starts a fresh segment on Open — it never appends after a tail it did
-// not write — so a restart (or a standby takeover pointed at the same
-// directory) extends the ring with a new segment rather than risking a
-// write after a torn record.
+// The writer always starts a fresh segment on Open — it never appends
+// after a tail it did not write — so a restart (or a standby takeover
+// pointed at the same directory) extends the ring with a new segment
+// rather than risking a write after a torn record.
 //
 // # Crash safety
 //
@@ -44,12 +41,13 @@ package blackbox
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"dps/internal/proto"
+	"dps/internal/section"
+	"dps/internal/telemetry"
 	"dps/internal/trace"
 )
 
@@ -122,10 +120,9 @@ func (u UnitRound) HealthString() string {
 	}
 }
 
-// Round is one decision round's black-box record: the round-level
-// aggregates plus a 5-byte-per-unit tail. The daemon retains one Round
-// (Units included) and re-fills it every round, so the warm write path
-// allocates nothing.
+// Round is one decoded black-box record: the round-level aggregates plus
+// a 5-byte-per-unit tail. It is the on-disk view of a telemetry.Round,
+// which AppendRecord encodes from directly.
 type Round struct {
 	Round    uint64 `json:"round"`
 	UnixNano int64  `json:"unix_nano"`
@@ -158,78 +155,59 @@ type Round struct {
 // Encoding
 // ---------------------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
 // appendHeader appends the segment header to dst.
 func appendHeader(dst []byte) []byte {
 	dst = append(dst, magic[:]...)
-	dst = appendU16(dst, Version)
-	dst = appendU16(dst, 0)
-	return dst
+	dst = section.AppendU16(dst, Version)
+	return section.AppendU16(dst, 0)
 }
 
-// AppendRecord encodes one round record (section framing included) onto
-// dst and returns the extended slice. Reusing dst across calls makes a
-// warm append allocation-free.
-func AppendRecord(dst []byte, r *Round) []byte {
-	start := len(dst)
-	dst = appendU16(dst, RecordID)
-	dst = appendU32(dst, 0) // length backfilled below
-
-	dst = appendU64(dst, r.Round)
-	dst = appendU64(dst, uint64(r.UnixNano))
-	dst = appendF64(dst, r.IntervalS)
-	dst = appendF64(dst, r.BudgetW)
-	dst = appendF64(dst, r.CapSumW)
-	dst = appendF64(dst, r.KalmanS)
-	dst = appendF64(dst, r.StatelessS)
-	dst = appendF64(dst, r.PriorityS)
-	dst = appendF64(dst, r.ReadjustS)
-	dst = appendF64(dst, r.TotalS)
+// AppendRecord encodes one round (section framing included) onto dst and
+// returns the extended slice. Reusing dst across calls makes a warm
+// append allocation-free.
+func AppendRecord(dst []byte, r *telemetry.Round) []byte {
+	dst, start := section.Begin(dst, RecordID)
+	dst = section.AppendU64(dst, r.Round)
+	dst = section.AppendU64(dst, uint64(r.Time.UnixNano()))
+	dst = section.AppendF64(dst, float64(r.Interval))
+	dst = section.AppendF64(dst, r.BudgetW)
+	dst = section.AppendF64(dst, r.CapSumW)
+	st := &r.Stats
+	dst = section.AppendF64(dst, st.Timings.Kalman.Seconds())
+	dst = section.AppendF64(dst, st.Timings.Stateless.Seconds())
+	dst = section.AppendF64(dst, st.Timings.Priority.Seconds())
+	dst = section.AppendF64(dst, st.Timings.Readjust.Seconds())
+	dst = section.AppendF64(dst, r.Elapsed.Seconds())
 	var flags byte
-	if r.Restored {
+	if st.Restored {
 		flags |= flagRestored
 	}
-	if r.BudgetExhausted {
+	if st.BudgetExhausted {
 		flags |= flagBudgetExhausted
 	}
-	if r.BudgetClamped {
+	if st.BudgetClamped {
 		flags |= flagBudgetClamped
 	}
 	dst = append(dst, flags)
-	dst = appendU32(dst, uint32(r.PriorityFlips))
-	dst = appendU32(dst, uint32(r.StaleUnits))
-	dst = appendU32(dst, uint32(r.DeadUnits))
-	dst = appendU32(dst, uint32(r.DirtyUnits))
-	dst = appendU32(dst, uint32(r.SkippedUnits))
-	dst = appendU32(dst, uint32(len(r.Units)))
-	for i := range r.Units {
-		u := &r.Units[i]
-		dst = appendU16(dst, u.ReadingDW)
-		dst = appendU16(dst, u.CapDW)
-		meta := byte(u.Reason) << 3
-		meta |= (u.Health & 0x3) << 1
-		if u.Prio {
+	dst = section.AppendU32(dst, uint32(st.PriorityFlips))
+	dst = section.AppendU32(dst, uint32(r.StaleUnits))
+	dst = section.AppendU32(dst, uint32(r.DeadUnits))
+	dst = section.AppendU32(dst, uint32(st.DirtyUnits))
+	dst = section.AppendU32(dst, uint32(st.SkippedUnits))
+	dst = section.AppendU32(dst, uint32(len(r.Cap)))
+	for u := range r.Cap {
+		dst = section.AppendU16(dst, proto.ToDeciwatts(r.Reading[u]))
+		dst = section.AppendU16(dst, proto.ToDeciwatts(r.Cap[u]))
+		meta := byte(r.Reason[u]) << 3
+		if len(r.Health) != 0 {
+			meta |= (uint8(r.Health[u]) & 0x3) << 1
+		}
+		if len(r.Prio) != 0 && r.Prio[u] {
 			meta |= 1
 		}
 		dst = append(dst, meta)
 	}
-
-	payloadLen := uint32(len(dst) - start - 6)
-	dst[start+2] = byte(payloadLen)
-	dst[start+3] = byte(payloadLen >> 8)
-	dst[start+4] = byte(payloadLen >> 16)
-	dst[start+5] = byte(payloadLen >> 24)
-	crc := crc32.Checksum(dst[start:], crc32.IEEETable)
-	return appendU32(dst, crc)
+	return section.End(dst, start)
 }
 
 // ---------------------------------------------------------------------
@@ -338,7 +316,7 @@ func (w *Writer) openSegment(seq uint64) error {
 // when a rotation dropped the oldest segment). The warm path — no
 // rotation — performs exactly one write(2) and allocates nothing once
 // the scratch buffer has grown to the record size.
-func (w *Writer) Append(r *Round) (wrote, evicted int, err error) {
+func (w *Writer) Append(r *telemetry.Round) (wrote, evicted int, err error) {
 	if w.f == nil {
 		return 0, 0, errors.New("blackbox: writer closed")
 	}
@@ -402,83 +380,32 @@ func (w *Writer) Close() error {
 // point of a black box.
 var ErrCorrupt = errors.New("blackbox: corrupt")
 
-// breader is a bounds-checked cursor over one record payload. Reads past
-// the end set err and return zeros; the decoder checks err once.
-type breader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *breader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.err = errors.New("truncated")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *breader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.err = errors.New("truncated")
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 2
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-func (r *breader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = errors.New("truncated")
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (r *breader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.err = errors.New("truncated")
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func (r *breader) f64() float64 { return math.Float64frombits(r.u64()) }
-
 // decodeRecord parses one record payload. ok=false on any structural
 // defect (the caller stops its walk there).
 func decodeRecord(payload []byte) (Round, bool) {
-	r := breader{b: payload}
+	r := section.NewCursor(payload)
 	var out Round
-	out.Round = r.u64()
-	out.UnixNano = int64(r.u64())
-	out.IntervalS = r.f64()
-	out.BudgetW = r.f64()
-	out.CapSumW = r.f64()
-	out.KalmanS = r.f64()
-	out.StatelessS = r.f64()
-	out.PriorityS = r.f64()
-	out.ReadjustS = r.f64()
-	out.TotalS = r.f64()
-	flags := r.u8()
+	out.Round = r.U64()
+	out.UnixNano = int64(r.U64())
+	out.IntervalS = r.F64()
+	out.BudgetW = r.F64()
+	out.CapSumW = r.F64()
+	out.KalmanS = r.F64()
+	out.StatelessS = r.F64()
+	out.PriorityS = r.F64()
+	out.ReadjustS = r.F64()
+	out.TotalS = r.F64()
+	flags := r.U8()
 	out.Restored = flags&flagRestored != 0
 	out.BudgetExhausted = flags&flagBudgetExhausted != 0
 	out.BudgetClamped = flags&flagBudgetClamped != 0
-	out.PriorityFlips = int(r.u32())
-	out.StaleUnits = int(r.u32())
-	out.DeadUnits = int(r.u32())
-	out.DirtyUnits = int(r.u32())
-	out.SkippedUnits = int(r.u32())
-	units := r.u32()
-	if r.err != nil || units > maxUnits {
+	out.PriorityFlips = int(r.U32())
+	out.StaleUnits = int(r.U32())
+	out.DeadUnits = int(r.U32())
+	out.DirtyUnits = int(r.U32())
+	out.SkippedUnits = int(r.U32())
+	units := r.U32()
+	if r.Short() || units > maxUnits {
 		return Round{}, false
 	}
 	// The payload size is fully determined by the unit count; anything
@@ -489,14 +416,14 @@ func decodeRecord(payload []byte) (Round, bool) {
 	out.Units = make([]UnitRound, units)
 	for i := range out.Units {
 		u := &out.Units[i]
-		u.ReadingDW = r.u16()
-		u.CapDW = r.u16()
-		meta := r.u8()
+		u.ReadingDW = r.U16()
+		u.CapDW = r.U16()
+		meta := r.U8()
 		u.Prio = meta&1 != 0
 		u.Health = (meta >> 1) & 0x3
 		u.Reason = trace.Reason(meta >> 3)
 	}
-	if r.err != nil || r.off != len(payload) {
+	if r.Short() || r.Len() != 0 {
 		return Round{}, false
 	}
 	return out, true
@@ -521,25 +448,14 @@ func AppendSegmentRounds(dst []Round, data []byte) ([]Round, error) {
 	if v := uint16(data[4]) | uint16(data[5])<<8; v > Version {
 		return dst, fmt.Errorf("%w: segment version %d, decoder supports <= %d", ErrCorrupt, v, Version)
 	}
-	rest := data[headerSize:]
-	for len(rest) >= 10 {
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := uint64(6) + uint64(n) + 4
-		if uint64(len(rest)) < total {
-			break // torn tail
-		}
-		crcOff := 6 + int(n)
-		want := uint32(rest[crcOff]) | uint32(rest[crcOff+1])<<8 | uint32(rest[crcOff+2])<<16 | uint32(rest[crcOff+3])<<24
-		if crc32.Checksum(rest[:crcOff], crc32.IEEETable) != want {
-			break // bit flip or tear inside the record
-		}
-		payload := rest[6:crcOff]
-		rest = rest[total:]
-		if id != RecordID {
+	// Keep the valid prefix: the walk ends at a torn tail or a CRC
+	// mismatch, and a record that fails to parse ends it too.
+	w := section.Walk(data[headerSize:])
+	for w.Next() {
+		if w.ID != RecordID {
 			continue // unknown section with a valid CRC: forward compatibility
 		}
-		r, ok := decodeRecord(payload)
+		r, ok := decodeRecord(w.Payload)
 		if !ok {
 			break
 		}

@@ -1,16 +1,24 @@
 package blackbox
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"dps/internal/core"
+	"dps/internal/power"
+	"dps/internal/proto"
+	"dps/internal/telemetry"
 	"dps/internal/trace"
 )
 
-// testRound builds a distinguishable record for round n with u units.
-func testRound(n uint64, u int) *Round {
+// wantRound builds a distinguishable decoded record for round n with u
+// units; testRound is the in-memory round that encodes to it.
+func wantRound(n uint64, u int) *Round {
 	r := &Round{
 		Round:         n,
 		UnixNano:      int64(1_700_000_000_000_000_000 + n*1_000_000),
@@ -41,6 +49,35 @@ func testRound(n uint64, u int) *Round {
 	return r
 }
 
+func testRound(n uint64, u int) *telemetry.Round { return record(wantRound(n, u)) }
+
+// record converts a decoded record back to the in-memory round that
+// encodes to it (exact for deciwatt powers and nanosecond durations).
+func record(r *Round) *telemetry.Round {
+	dur := func(s float64) time.Duration { return time.Duration(math.Round(s * 1e9)) }
+	out := &telemetry.Round{}
+	out.Reset(len(r.Units), true, true)
+	out.Round = r.Round
+	out.Time = time.Unix(0, r.UnixNano)
+	out.Interval = power.Seconds(r.IntervalS)
+	out.Elapsed = dur(r.TotalS)
+	out.BudgetW, out.CapSumW = r.BudgetW, r.CapSumW
+	out.StaleUnits, out.DeadUnits = r.StaleUnits, r.DeadUnits
+	out.Stats = core.RoundStats{
+		Timings: core.StageTimings{
+			Kalman: dur(r.KalmanS), Stateless: dur(r.StatelessS),
+			Priority: dur(r.PriorityS), Readjust: dur(r.ReadjustS),
+		},
+		Restored: r.Restored, BudgetExhausted: r.BudgetExhausted, BudgetClamped: r.BudgetClamped,
+		PriorityFlips: r.PriorityFlips, DirtyUnits: r.DirtyUnits, SkippedUnits: r.SkippedUnits,
+	}
+	for i, u := range r.Units {
+		out.Reading[i], out.Cap[i] = proto.FromDeciwatts(u.ReadingDW), proto.FromDeciwatts(u.CapDW)
+		out.Prio[i], out.Health[i], out.Reason[i] = u.Prio, core.UnitHealth(u.Health), u.Reason
+	}
+	return out
+}
+
 // segPath returns the path of the writer's only expected segment when
 // the directory holds exactly one file.
 func onlySegment(t *testing.T, dir string) string {
@@ -63,11 +100,10 @@ func TestBlackboxRoundTrip(t *testing.T) {
 	}
 	var want []Round
 	for n := uint64(1); n <= 5; n++ {
-		r := testRound(n, 4)
-		if _, _, err := w.Append(r); err != nil {
+		if _, _, err := w.Append(testRound(n, 4)); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, *r)
+		want = append(want, *wantRound(n, 4))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -354,5 +390,28 @@ func TestBlackboxUnitAccessors(t *testing.T) {
 		if got := (UnitRound{Health: uint8(h)}).HealthString(); got != want {
 			t.Fatalf("HealthString(%d) = %q, want %q", h, got, want)
 		}
+	}
+}
+
+// TestParentSegmentBytes is the on-disk compatibility check against a
+// segment written by the commit before the shared section codec and the
+// round record (a88cf7a): it must decode in full, and re-encoding the
+// decoded rounds through AppendRecord must reproduce it byte for byte,
+// so that commit decodes what this one writes.
+func TestParentSegmentBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", "bb-00000001.dpsbb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, err := DecodeSegment(want)
+	if err != nil || len(rounds) != 12 {
+		t.Fatalf("parent segment decoded to %d rounds, err %v; want 12", len(rounds), err)
+	}
+	got := appendHeader(nil)
+	for i := range rounds {
+		got = AppendRecord(got, record(&rounds[i]))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded parent segment differs (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -53,7 +53,7 @@ func FuzzBlackboxDecode(f *testing.F) {
 		// records and decoding again must reproduce them.
 		re := appendHeader(nil)
 		for i := range rounds {
-			re = AppendRecord(re, &rounds[i])
+			re = AppendRecord(re, record(&rounds[i]))
 		}
 		again, err := DecodeSegment(re)
 		if err != nil {

@@ -115,8 +115,8 @@ func (c AgentConfig) validate() error {
 	switch {
 	case len(c.Devices) == 0:
 		return errors.New("daemon: agent needs at least one device")
-	case len(c.Devices) > 0xFF+1:
-		return fmt.Errorf("daemon: %d devices exceed the protocol's per-node space", len(c.Devices))
+	case len(c.Devices) > proto.MaxNodeUnits:
+		return fmt.Errorf("daemon: %d devices exceed the protocol's per-node limit of %d", len(c.Devices), proto.MaxNodeUnits)
 	case c.Interval <= 0:
 		return fmt.Errorf("daemon: non-positive agent interval %v", c.Interval)
 	case c.DeltaEpsilon < 0 || math.IsNaN(float64(c.DeltaEpsilon)) || math.IsInf(float64(c.DeltaEpsilon), 0):

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"dps/internal/baseline"
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/proto"
 	"dps/internal/rapl"
 )
 
@@ -78,6 +80,36 @@ func TestAgentConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := NewAgent(cfg); err == nil {
 			t.Errorf("case %d: NewAgent accepted %+v", i, cfg)
+		}
+	}
+}
+
+// TestNodeUnitLimit pins the per-node unit limit at its boundary: the
+// agent's config check and the handshake validator share one constant
+// (they used to sit one apart, 256 vs 255), so both admit exactly
+// proto.MaxNodeUnits units and reject one more.
+func TestNodeUnitLimit(t *testing.T) {
+	dev, _ := rapl.NewSimDevice(rapl.DefaultSimConfig())
+	for _, tc := range []struct {
+		units int
+		ok    bool
+	}{
+		{1, true},
+		{proto.MaxNodeUnits, true}, // 255
+		{proto.MaxNodeUnits + 1, false},
+	} {
+		devs := make([]rapl.Device, tc.units)
+		for i := range devs {
+			devs[i] = dev
+		}
+		agentErr := AgentConfig{Devices: devs, Interval: time.Second}.validate()
+		helloErr := proto.Hello{Units: tc.units}.Validate()
+		if (agentErr == nil) != tc.ok || (helloErr == nil) != tc.ok {
+			t.Errorf("%d units: agent config err %v, hello err %v; want accepted=%v by both",
+				tc.units, agentErr, helloErr, tc.ok)
+		}
+		if !tc.ok && !strings.Contains(agentErr.Error(), "per-node limit") {
+			t.Errorf("%d units: agent config rejected by %q, want its own per-node limit check", tc.units, agentErr)
 		}
 	}
 }

@@ -1,0 +1,274 @@
+package daemon
+
+import (
+	"fmt"
+	"time"
+
+	"dps/internal/core"
+	"dps/internal/power"
+	"dps/internal/telemetry"
+	"dps/internal/trace"
+)
+
+// healthEnabled reports whether the per-unit health state machine is
+// active (either threshold configured).
+func (s *Server) healthEnabled() bool {
+	return s.cfg.StaleAfter > 0 || s.cfg.DeadAfter > 0
+}
+
+// DecideOnce runs one decision round: snapshot the latest readings, run
+// the manager, and push each connected agent its cap assignments. Units
+// without a live agent still participate in the decision (their last
+// report persists) but receive no message. It returns the caps decided.
+//
+// The round is described once, in the flight recorder's next ring slot
+// (telemetry.Round): filled here after the caps are pushed, published
+// with the round counter, and handed to observeRound, whose consumers
+// and the HTTP inspection surfaces are all views of that one record.
+//
+// DecideOnce must not be called concurrently with itself (the manager is
+// single-threaded); Serve guarantees that by calling it from one loop.
+func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
+	snapTime := s.now() // reading-snapshot stamp, the e2e latency origin
+
+	// Flip the double buffer: copy the ingest plane's front buffer into
+	// the decision loop's private back buffer and classify health from
+	// the report clocks. This is the only time the decision path holds
+	// imu, and it holds nothing else while it does.
+	s.imu.Lock()
+	copy(s.snapBuf, s.readings)
+	// Flip the dirty mask with the readings it describes: the front mask
+	// restarts empty for the next inter-round window, and the back copy
+	// tells the manager exactly which units this snapshot changed.
+	s.dirtyBuf.CopyFrom(s.dirty)
+	s.dirty.Reset()
+	health := s.classifyHealthLocked()
+	s.imu.Unlock()
+
+	dps, _ := s.cfg.Manager.(*core.DPS)
+	rec := s.recorder.Next()
+	rec.Reset(s.cfg.Units, dps != nil, health != nil)
+
+	s.mu.Lock()
+	round := s.rounds.Load() + 1
+	rec.StaleUnits, rec.DeadUnits = s.recordHealthLocked(health)
+	copy(rec.PrevCap, s.lastCaps)
+	targets := make([]*serverConn, 0, len(s.conns))
+	for sc := range s.conns {
+		targets = append(targets, sc)
+	}
+	s.mu.Unlock()
+
+	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
+	rec.Round, rec.Interval, rec.Inherited = round, interval, s.inheritedRounds.Load()
+	rec.Time = s.now()
+	var caps power.Vector
+	if dps != nil {
+		// The stats arrive atomically with the caps, so the record can
+		// never pair one round's caps with another's stats.
+		caps, rec.Stats = dps.DecideStats(snap)
+		rec.HasStats = true
+	} else {
+		caps = s.cfg.Manager.Decide(snap)
+	}
+	rec.Elapsed = s.now().Sub(rec.Time)
+	managerCaps := caps
+	caps = s.degradedDeliver(caps, health)
+
+	traceOn := s.tracer.On()
+	var firstErr error
+	pushed := make([]*serverConn, 0, len(targets))
+	for _, sc := range targets {
+		first, n := int(sc.hello.FirstUnit), sc.hello.Units
+		if sc.hello.ApplyEcho {
+			// Stamp before the push so an echo racing the store can never
+			// pair with a snapshot newer than the caps it acknowledges.
+			sc.lastSnapNano.Store(snapTime.UnixNano())
+			sc.lastPushRound.Store(round)
+		}
+		var pushStart time.Time
+		if traceOn {
+			pushStart = time.Now()
+		}
+		sc.writeMu.Lock()
+		err := sc.sess.WriteCapsRound(round, caps[first:first+n])
+		sc.writeMu.Unlock()
+		if traceOn {
+			s.tracer.Record(round, trace.SpanPush, trace.LanePush,
+				int32(first), pushStart, time.Since(pushStart))
+		}
+		if err != nil {
+			s.metrics.pushErrors.Inc()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("daemon: pushing caps to units [%d,%d): %w", first, first+n, err)
+			}
+			continue
+		}
+		pushed = append(pushed, sc)
+	}
+
+	// The caps are out; describe the round while lastPushed still holds
+	// what the agents enforced going in, then publish.
+	s.fillRound(rec, snap, managerCaps, caps, dps)
+	s.mu.Lock()
+	s.rounds.Store(round)
+	copy(s.lastCaps, caps)
+	for _, sc := range pushed {
+		first, n := int(sc.hello.FirstUnit), sc.hello.Units
+		copy(s.lastPushed[first:first+n], caps[first:first+n])
+	}
+	s.mu.Unlock()
+	s.recorder.Commit()
+	// The round is complete and published: assemble the state snapshot
+	// off the decision path proper and fan it out (file + replicas). A
+	// no-op unless snapshotting is configured or a standby is attached.
+	s.replicateRound(round)
+	s.observeRound(rec)
+	return caps, firstErr
+}
+
+// fillRound writes the round's budget, cap sum, per-unit columns and
+// audit counts into rec in one pass over the units. managerCaps is the
+// vector the manager decided and caps what was delivered — they differ
+// only where degradedDeliver corrected a health-blind policy, which is
+// what earns a unit the degraded_deliver reason. Non-fresh units are
+// audited against s.lastPushed, still the pre-round delivered caps.
+func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps, caps power.Vector, dps *core.DPS) {
+	rec.BudgetW = float64(s.cfg.Manager.Budget().Total)
+	rec.CapSumW = float64(caps.Sum())
+	copy(rec.Reading, snap.Power)
+	copy(rec.Cap, caps)
+	copy(rec.Health, snap.Health)
+	var prov []trace.CapChange
+	if dps != nil {
+		copy(rec.Prio, dps.Priorities())
+		prov = dps.Provenance()
+	}
+	for u := range caps {
+		reason := trace.ReasonNone
+		if prov != nil {
+			reason = prov[u].Reason
+		}
+		if caps[u] != managerCaps[u] {
+			// Delivery-side pin or rescale overrode the manager: the last
+			// mover for this unit was degradedDeliver, whatever the manager
+			// thought it was doing.
+			reason = trace.ReasonDegradedDeliver
+		}
+		rec.Reason[u] = reason
+		if len(rec.Health) != 0 && rec.Health[u] != core.HealthFresh {
+			rec.PinAudited++
+			if caps[u] != s.lastPushed[u] {
+				rec.PinViolations++
+			}
+		}
+		if prov != nil && reason == trace.ReasonNone && caps[u] != rec.PrevCap[u] {
+			rec.ProvViolations++
+		}
+	}
+}
+
+// classifyHealthLocked advances the per-unit health classification from
+// the staleness clocks into the decision loop's private health buffer
+// and returns it (nil while health tracking is disabled). Caller holds
+// s.imu; the buffer is valid until the next decision round.
+func (s *Server) classifyHealthLocked() []core.UnitHealth {
+	if s.healthBuf == nil {
+		return nil
+	}
+	now := s.now()
+	for u := range s.healthBuf {
+		age := now.Sub(s.lastReport[u])
+		h := core.HealthFresh
+		switch {
+		case s.cfg.DeadAfter > 0 && age >= s.cfg.DeadAfter:
+			h = core.HealthDead
+		case s.cfg.StaleAfter > 0 && age >= s.cfg.StaleAfter:
+			h = core.HealthStale
+		}
+		s.healthBuf[u] = h
+	}
+	return s.healthBuf
+}
+
+// recordHealthLocked diffs the round's health classification against the
+// previous round's retained state, publishing transitions, gauges, and
+// logs, and returns the stale and dead unit counts. Caller holds s.mu.
+func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) {
+	if health == nil {
+		return 0, 0
+	}
+	for u, h := range health {
+		if prev := s.health[u]; h != prev {
+			if c := s.metrics.transitions[int(prev)*3+int(h)]; c != nil {
+				c.Inc()
+			}
+			s.health[u] = h
+			s.logf("daemon: unit %d health %s -> %s", u, prev, h)
+		}
+		s.metrics.unitHealth[u].Set(float64(h))
+		switch h {
+		case core.HealthStale:
+			stale++
+		case core.HealthDead:
+			dead++
+		}
+	}
+	s.metrics.staleUnits.Set(float64(stale))
+	s.metrics.deadUnits.Set(float64(dead))
+	return stale, dead
+}
+
+// degradedDeliver is the delivery-side guarantee of the degraded-mode
+// contract: whatever the manager decided, every non-fresh unit's
+// delivered cap equals what its agent is already enforcing (s.lastPushed,
+// which only the decision goroutine writes, so it is read here unlocked),
+// and the fresh units are rescaled toward UnitMin if that pinning pushed
+// the sum over the budget. A health-aware manager (core.DPS) already
+// returns such a vector and passes through untouched; this is the safety
+// net for health-blind policies. The manager owns the caps vector, so a
+// correction works on a clone.
+func (s *Server) degradedDeliver(caps power.Vector, health []core.UnitHealth) power.Vector {
+	if health == nil {
+		return caps
+	}
+	lastPushed := s.lastPushed
+	const eps = 1e-9
+	budget := s.cfg.Manager.Budget()
+	needsPin := false
+	for u, h := range health {
+		if h != core.HealthFresh && caps[u] != lastPushed[u] {
+			needsPin = true
+			break
+		}
+	}
+	if !needsPin && caps.Sum() <= budget.Total+eps {
+		return caps
+	}
+	out := caps.Clone()
+	for u, h := range health {
+		if h != core.HealthFresh {
+			out[u] = lastPushed[u]
+		}
+	}
+	if excess := out.Sum() - budget.Total; excess > eps {
+		var headroom power.Watts
+		for u, h := range health {
+			if h == core.HealthFresh && out[u] > budget.UnitMin {
+				headroom += out[u] - budget.UnitMin
+			}
+		}
+		if headroom > 0 {
+			frac := excess / headroom
+			if frac > 1 {
+				frac = 1
+			}
+			for u, h := range health {
+				if h == core.HealthFresh && out[u] > budget.UnitMin {
+					out[u] -= frac * (out[u] - budget.UnitMin)
+				}
+			}
+		}
+	}
+	return out
+}

@@ -335,8 +335,17 @@ func TestChaosStandbyTakeover(t *testing.T) {
 		if round == 3 {
 			killCaps = power.Vector{caps[2], caps[3]}
 		}
-		// Give the takeover goroutine a moment to observe the severed
-		// link before the next round replicates into nothing.
+		// The primary learns of the severed link when a delta write fails
+		// and it drops the replica. Hold the script there until the standby
+		// has taken over, so "within a round" below is judged against the
+		// round the link died in, not against how fast the primary's next
+		// rounds happen to run.
+		primary.snapMu.Lock()
+		dropped := len(primary.replicas) == 0
+		primary.snapMu.Unlock()
+		if dropped {
+			waitUntil(t, "standby takeover", func() bool { return standby.metrics.failovers.Value() > 0 })
+		}
 		if standby.metrics.failovers.Value() > 0 {
 			break
 		}

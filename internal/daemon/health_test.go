@@ -160,7 +160,7 @@ func TestHealthLifecycle(t *testing.T) {
 	}
 
 	// The flight recorder saw the degraded rounds.
-	recs := srv.FlightRecorder().Last(1)
+	recs := srv.FlightRecorder().Last(1, -1)
 	if len(recs) != 1 || recs[0].DeadUnits != units {
 		t.Fatalf("flight record dead units = %+v", recs)
 	}

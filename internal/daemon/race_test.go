@@ -1,13 +1,18 @@
 package daemon
 
 import (
+	"bytes"
+	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/proto"
 )
 
 // TestConcurrentDecideAndScrapes drives the decision loop — through the
@@ -64,5 +69,94 @@ func TestConcurrentDecideAndScrapes(t *testing.T) {
 
 	if got := srv.Rounds(); got != rounds {
 		t.Fatalf("Rounds() = %d, want %d", got, rounds)
+	}
+}
+
+// TestPushToReleasedSessionIsAnError pins the deterministic half of the
+// push/release fix: DecideOnce pushes to a target list it snapshotted
+// earlier, so it can reach a connection whose Handle goroutine already
+// returned its pooled buffers. That push must fail cleanly and count as a
+// push error — it used to dereference the nil buffers.
+func TestPushToReleasedSessionIsAnError(t *testing.T) {
+	srv := newTestServer(t, 2)
+	var hs bytes.Buffer
+	if err := proto.WriteHello(&hs, proto.Hello{FirstUnit: 0, Units: 2}); err != nil {
+		t.Fatal(err)
+	}
+	conn := &ingestScriptConn{r: bytes.NewReader(hs.Bytes())}
+	sess, err := proto.Accept(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &serverConn{conn: conn, sess: sess, hello: sess.Hello()}
+	if err := srv.register(sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.release() // torn down, but still in the round's target list
+
+	if _, err := srv.DecideOnce(1); err == nil || !strings.Contains(err.Error(), "released") {
+		t.Fatalf("DecideOnce error = %v, want the released-session push error", err)
+	}
+	if got := srv.metrics.pushErrors.Value(); got != 1 {
+		t.Errorf("dps_push_errors_total = %d, want 1", got)
+	}
+}
+
+// TestPushRacesDisconnect is the -race half: agents connect and vanish
+// while the decision loop pushes caps. The session's pooled buffers are
+// released under the connection's write lock, so a push either completes
+// first or sees the release — never writes through buffers the pool may
+// already have handed to the next session.
+func TestPushRacesDisconnect(t *testing.T) {
+	const (
+		agents = 4
+		churn  = 40
+	)
+	srv := newTestServer(t, 2*agents)
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	var sessions atomic.Int64
+	for a := 0; a < agents; a++ {
+		wg.Add(1)
+		go func(first int) {
+			defer wg.Done()
+			for i := 0; i < churn; i++ {
+				client, server := net.Pipe()
+				handled := make(chan struct{})
+				go func() { srv.Handle(server); close(handled) }()
+				// A round landing between register and the ack can put a cap
+				// batch ahead of the ack; such a session just hangs up early.
+				if proto.WriteHello(client, proto.Hello{FirstUnit: power.UnitID(first), Units: 2}) == nil &&
+					rawReadAck(client) == nil {
+					sessions.Add(1)
+					// Drain at most one cap push, then hang up — often with
+					// the next push already on its way.
+					client.SetReadDeadline(time.Now().Add(200 * time.Microsecond))
+					_ = rawReadCaps(client, make([]power.Watts, 2))
+				}
+				client.Close()
+				<-handled
+			}
+		}(2 * a)
+	}
+	stop := make(chan struct{})
+	decided := make(chan struct{})
+	go func() {
+		defer close(decided)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.DecideOnce(1) // push errors are the point, not a failure
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-decided
+	if sessions.Load() < agents*churn/2 {
+		t.Errorf("only %d of %d sessions completed a handshake", sessions.Load(), agents*churn)
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -8,8 +9,8 @@ import (
 	"time"
 
 	"dps/internal/core"
-	"dps/internal/power"
 	"dps/internal/proto"
+	"dps/internal/section"
 	"dps/internal/snapshot"
 )
 
@@ -63,9 +64,9 @@ func (s *Server) exportState(round uint64) {
 	st.Rounds = round
 
 	n := s.cfg.Units
-	st.LastCaps = reuseVec(st.LastCaps, n)
-	st.LastPushed = reuseVec(st.LastPushed, n)
-	st.Health = reuseU8(st.Health, n)
+	st.LastCaps = snapshot.Resize(st.LastCaps, n)
+	st.LastPushed = snapshot.Resize(st.LastPushed, n)
+	st.Health = snapshot.Resize(st.Health, n)
 	s.mu.Lock()
 	copy(st.LastCaps, s.lastCaps)
 	copy(st.LastPushed, s.lastPushed)
@@ -78,8 +79,8 @@ func (s *Server) exportState(round uint64) {
 	}
 	s.mu.Unlock()
 
-	st.Readings = reuseVec(st.Readings, n)
-	st.ReportAgeMS = reuseU64(st.ReportAgeMS, n)
+	st.Readings = snapshot.Resize(st.Readings, n)
+	st.ReportAgeMS = snapshot.Resize(st.ReportAgeMS, n)
 	s.imu.Lock()
 	copy(st.Readings, s.readings)
 	if s.lastReport != nil {
@@ -112,11 +113,18 @@ func (s *Server) replicateRound(round uint64) {
 	start := s.now()
 	s.exportState(round)
 	s.nextEnc = snapshot.Encode(s.nextEnc, &s.snapState)
-	s.curSecs = splitImage(s.curSecs[:0], s.nextEnc)
+	// Split the image into raw section framings. No CRC verification: the
+	// bytes came out of our own encoder a moment ago (a standby re-verifies
+	// everything it was sent when it decodes its overlay at takeover).
+	s.curSecs = s.curSecs[:0]
+	for w := section.WalkTrusted(s.nextEnc[snapshot.HeaderSize:]); w.Next(); {
+		s.curSecs = append(s.curSecs, w.Raw)
+	}
 
 	// Section diff against the previous image. The encoder emits a fixed
-	// section sequence for a fixed configuration, so an index walk with
-	// an id guard is exact; the first image (or any shape change) yields
+	// section sequence for a fixed configuration, so an index walk is
+	// exact (a framing starts with its id, so equal bytes are the same
+	// section); the first image (or any shape change) yields
 	// a full-image "delta" which is never sent — unsynced replicas get
 	// the complete frame instead.
 	s.deltaBuf = s.deltaBuf[:0]
@@ -124,7 +132,7 @@ func (s *Server) replicateRound(round uint64) {
 	proto.PutDeltaRound(s.deltaBuf, round)
 	prevComplete := len(s.prevSecs) == len(s.curSecs)
 	for i, sec := range s.curSecs {
-		if prevComplete && sectionID(s.prevSecs[i]) == sectionID(sec) && bytesEqual(s.prevSecs[i], sec) {
+		if prevComplete && bytes.Equal(s.prevSecs[i], sec) {
 			continue
 		}
 		s.deltaBuf = append(s.deltaBuf, sec...)
@@ -162,41 +170,6 @@ func (s *Server) replicateRound(round uint64) {
 			s.lastFileRound = round
 		}
 	}
-}
-
-// sectionID reads the id of a raw section framing.
-func sectionID(raw []byte) uint16 {
-	return uint16(raw[0]) | uint16(raw[1])<<8
-}
-
-// splitImage splits a snapshot image this server just encoded into raw
-// section framings, appended to dst. No CRC verification: the bytes came
-// out of our own encoder a moment ago (replicated input from elsewhere
-// goes through snapshot.AppendSections, which does verify).
-func splitImage(dst [][]byte, img []byte) [][]byte {
-	rest := img[snapshot.HeaderSize:]
-	for len(rest) >= 6 {
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := 6 + int(n) + 4
-		if len(rest) < total {
-			break
-		}
-		dst = append(dst, rest[:total])
-		rest = rest[total:]
-	}
-	return dst
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file and
@@ -347,27 +320,4 @@ func (s *Server) handleReplica(conn net.Conn, sess *proto.Session) error {
 			return nil // a standby hanging up is normal, not an error
 		}
 	}
-}
-
-// reuseVec, reuseU64 and reuseU8 are capacity-reusing resizes for the
-// export scratch (the snapshot package has its own unexported set).
-func reuseVec(v power.Vector, n int) power.Vector {
-	if cap(v) < n {
-		return make(power.Vector, n)
-	}
-	return v[:n]
-}
-
-func reuseU64(v []uint64, n int) []uint64 {
-	if cap(v) < n {
-		return make([]uint64, n)
-	}
-	return v[:n]
-}
-
-func reuseU8(v []uint8, n int) []uint8 {
-	if cap(v) < n {
-		return make([]uint8, n)
-	}
-	return v[:n]
 }

@@ -121,7 +121,7 @@ func TestSparseRoundsDaemonEquivalence(t *testing.T) {
 	// set was a strict subset of the units (delta suppression reached the
 	// mask) and rounds that skipped settled units.
 	var subsetRounds, skipped int
-	for _, rec := range sparse.srv.FlightRecorder().Last(0) {
+	for _, rec := range sparse.srv.FlightRecorder().Last(0, -1) {
 		if rec.DirtyUnits > 0 && rec.DirtyUnits < units {
 			subsetRounds++
 		}

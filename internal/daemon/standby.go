@@ -9,6 +9,7 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/proto"
+	"dps/internal/section"
 	"dps/internal/snapshot"
 )
 
@@ -93,7 +94,7 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 					break
 				}
 				clear(secs)
-				storeSections(secs, payload)
+				overlaySections(secs, payload[snapshot.HeaderSize:])
 				synced = true
 				lastRound = scratch.Rounds
 				s.metrics.standbyLag.Set(0)
@@ -187,38 +188,17 @@ func (s *Server) takeOver(st *snapshot.State, secs map[uint16][]byte, round uint
 	return s.Serve(l)
 }
 
-// storeSections splits a full snapshot image into its raw section
-// framings and stores a private copy of each by id. The image was
-// DecodeInto-validated just before, so the walk cannot fail.
-func storeSections(secs map[uint16][]byte, img []byte) {
-	rest := img[snapshot.HeaderSize:]
-	for len(rest) >= 6 {
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := 6 + int(n) + 4
-		if len(rest) < total {
-			return
-		}
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		secs[id] = append(secs[id][:0], rest[:total]...)
-		rest = rest[total:]
-	}
-}
-
-// overlaySections replaces stored section framings with the ones a delta
-// frame carries (sections is a bare concatenation of raw framings, no
-// header). Unknown ids are stored too: the standby faithfully relays
-// forward-compatible sections it cannot interpret into its takeover
-// image, where the decoder CRC-checks and skips them.
+// overlaySections stores a private copy of each raw section framing in
+// sections (a bare concatenation, no header: a delta frame's payload, or
+// a full image past its header) under its id, replacing what was there,
+// and stops at a short tail. Unknown ids are stored too: the standby
+// faithfully relays forward-compatible sections it cannot interpret into
+// its takeover image. CRCs are not checked here — a full image was
+// DecodeInto-validated just before, and takeOver re-verifies every
+// section of the assembled overlay.
 func overlaySections(secs map[uint16][]byte, sections []byte) {
-	for len(sections) >= 6 {
-		n := uint32(sections[2]) | uint32(sections[3])<<8 | uint32(sections[4])<<16 | uint32(sections[5])<<24
-		total := 6 + int(n) + 4
-		if len(sections) < total {
-			return
-		}
-		id := uint16(sections[0]) | uint16(sections[1])<<8
-		secs[id] = append(secs[id][:0], sections[:total]...)
-		sections = sections[total:]
+	for w := section.WalkTrusted(sections); w.Next(); {
+		secs[w.ID] = append(secs[w.ID][:0], w.Raw...)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/telemetry"
+	"dps/internal/trace"
 )
 
 // Status is the controller's observable state, served as JSON for
@@ -50,23 +52,25 @@ type Status struct {
 }
 
 // Snapshot assembles the current Status. It reads only the server's own
-// round cache, never the controller: a /status scrape may overlap a
-// decision round, and the controller's accessors are not synchronized.
+// round caches and the newest round record, never the controller: a
+// /status scrape may overlap a decision round, and the controller's
+// accessors are not synchronized.
 func (s *Server) Snapshot() Status {
 	s.imu.Lock()
 	readings := s.readings.Clone()
 	s.imu.Unlock()
 	rounds := s.rounds.Load()
 
+	var prio []bool
+	var last core.RoundStats
+	s.recorder.Each(1, func(rec *telemetry.Round) {
+		prio = append(prio, rec.Prio...)
+		last = rec.Stats
+	})
+
 	s.mu.Lock()
 	agents := len(s.conns)
 	caps := s.lastCaps.Clone()
-	var prio []bool
-	if s.lastPrio != nil {
-		prio = append([]bool(nil), s.lastPrio...)
-	}
-	restored := s.lastRestored
-	dirtyUnits, skippedUnits, dirtyFrac := s.lastDirtyUnits, s.lastSkippedUnits, s.lastDirtyFrac
 	var health []string
 	var stale, dead int
 	if s.health != nil {
@@ -95,13 +99,13 @@ func (s *Server) Snapshot() Status {
 		Caps:           toFloats(caps),
 		CapSumW:        float64(caps.Sum()),
 		Priority:       prio,
-		Restored:       restored,
+		Restored:       last.Restored,
 		Health:         health,
 		StaleUnits:     stale,
 		DeadUnits:      dead,
-		DirtyUnits:     dirtyUnits,
-		SkippedUnits:   skippedUnits,
-		DirtyFrac:      dirtyFrac,
+		DirtyUnits:     last.DirtyUnits,
+		SkippedUnits:   last.SkippedUnits,
+		DirtyFrac:      last.DirtyFrac,
 		AlertsFiring:   s.watcher.FiringCount(),
 	}
 }
@@ -129,17 +133,15 @@ type WhyRecord struct {
 // Why answers "why did unit u's cap change?" from the flight recorder:
 // the newest-first list of recorded rounds in which some module moved the
 // unit's cap (or pinned it against the manager), each with its provenance
-// reason. n <= 0 scans every held round.
+// reason. n <= 0 scans every held round. It reads one column entry per
+// round; no other unit's row is rendered.
 func (s *Server) Why(u, n int) []WhyRecord {
 	out := []WhyRecord{}
-	for _, rec := range s.recorder.Last(n) {
-		if u >= len(rec.Units) {
-			continue
+	s.recorder.Each(n, func(rec *telemetry.Round) {
+		if u >= len(rec.Reason) || rec.Reason[u] == trace.ReasonNone {
+			return
 		}
-		ur := rec.Units[u]
-		if ur.Reason == "" {
-			continue
-		}
+		ur := rec.Unit(u)
 		out = append(out, WhyRecord{
 			Round:     rec.Round,
 			Time:      rec.Time,
@@ -149,7 +151,7 @@ func (s *Server) Why(u, n int) []WhyRecord {
 			ReadingW:  ur.ReadingW,
 			Health:    ur.Health,
 		})
-	}
+	})
 	return out
 }
 

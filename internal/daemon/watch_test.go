@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,4 +247,54 @@ func mustDPS(t *testing.T, units int) *core.DPS {
 		t.Fatal(err)
 	}
 	return mgr
+}
+
+// TestSeriesAdmitsDerivedSeriesOnWideFleet is the regression for series
+// admission on a fleet wider than the store: with more per-unit gauges
+// than MaxSeries, the first scrape used to hand every slot to
+// dps_unit_* gauges (rates and quantiles have no point until the second
+// scrape), so dps_decide_seconds:p99 and every counter rate were refused
+// for good and a watch rule on them read "no samples" forever. Series
+// are admitted when first seen, and scalar families sort ahead of the
+// per-unit ones.
+func TestSeriesAdmitsDerivedSeriesOnWideFleet(t *testing.T) {
+	const fleet = 1100 // > the default MaxSeries of 1024
+	mgr, err := core.NewDPS(core.DefaultConfig(fleet, testBudget(fleet)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Manager: mgr, Units: fleet, Interval: time.Second,
+		WatchEnabled: true,
+		WatchRules: []watch.Rule{{
+			Name: "slow_decide", Kind: watch.KindThreshold,
+			Series: "dps_decide_seconds:p99", Op: ">", Value: 10,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := srv.Series().Config().MaxSeries; fleet <= max {
+		t.Fatalf("fleet of %d units does not exceed MaxSeries %d", fleet, max)
+	}
+	now := time.Unix(1_700_000_000, 0).UTC()
+	srv.now = func() time.Time { return now }
+	for i := 0; i < 3; i++ {
+		if _, err := srv.DecideOnce(1); err != nil {
+			t.Fatal(err)
+		}
+		srv.SampleOnce()
+		now = now.Add(time.Second)
+	}
+	for _, key := range []string{"dps_decide_seconds:p99", "dps_decide_seconds:count", "dps_rounds_total"} {
+		if _, ok := srv.Series().Latest(key); !ok {
+			t.Errorf("series %s has no samples after three scrapes", key)
+		}
+	}
+	if a := watchAlert(t, srv, "slow_decide"); strings.Contains(a.Message, "no samples") {
+		t.Errorf("rule on a histogram-derived series still blind: %q", a.Message)
+	}
+	if srv.Series().Dropped() == 0 {
+		t.Error("no pushes dropped: the fleet did not overflow the store, the test proves nothing")
+	}
 }

@@ -221,13 +221,19 @@ func (h Hello) EncodedSize() int {
 	return HelloSize
 }
 
+// MaxNodeUnits is the most units one node (one hello, one connection) can
+// carry: the handshake's unit count and every frame's record index are a
+// single byte. The one definition of the per-node limit — Hello.Validate,
+// the agent's config check and the batch-frame bound all use it.
+const MaxNodeUnits = 0xFF
+
 // Validate reports whether the handshake is self-consistent.
 func (h Hello) Validate() error {
 	switch {
 	case h.FirstUnit < 0 || h.FirstUnit > 0xFFFF:
 		return fmt.Errorf("proto: first unit %d outside uint16 range", h.FirstUnit)
-	case h.Units < 1 || h.Units > 0xFF:
-		return fmt.Errorf("proto: unit count %d outside [1,255]", h.Units)
+	case h.Units < 1 || h.Units > MaxNodeUnits:
+		return fmt.Errorf("proto: unit count %d outside [1,%d]", h.Units, MaxNodeUnits)
 	case int(h.FirstUnit)+h.Units > 0x10000:
 		return fmt.Errorf("proto: unit range [%d,%d) exceeds addressable space", h.FirstUnit, int(h.FirstUnit)+h.Units)
 	case h.Replicate && (h.ApplyEcho || h.Batch || h.TraceCtx):

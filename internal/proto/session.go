@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -10,9 +11,9 @@ import (
 	"dps/internal/power"
 )
 
-// MaxBatchRecords is the most records one batch frame can carry — the
-// uint8 count, which also bounds a hello's unit range.
-const MaxBatchRecords = 0xFF
+// MaxBatchRecords is the most records one batch frame can carry: one per
+// unit of the node.
+const MaxBatchRecords = MaxNodeUnits
 
 // BatchAckSize is the extended handshake acknowledgement a batch session
 // receives: the 2-byte OK followed by the server's advertised delta
@@ -156,8 +157,9 @@ func (s *Session) DeltaEpsilon() power.Watts { return FromDeciwatts(s.epsDW) }
 func (s *Session) framed() bool { return s.hello.ApplyEcho || s.hello.Batch }
 
 // Release returns the session's scratch buffers to the pool. Call it
-// once, after the connection is torn down; no session method may be
-// called afterwards.
+// once, after the connection is torn down, serialized with the session's
+// writer; afterwards WriteCapsRound fails and no other session method may
+// be called.
 func (s *Session) Release() {
 	if s.bufs != nil {
 		bufPool.Put(s.bufs)
@@ -309,6 +311,9 @@ func (s *Session) WriteCaps(values []power.Watts) error {
 // spans. The session reuses its write buffer, so a warm push allocates
 // nothing.
 func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
+	if s.bufs == nil {
+		return errors.New("proto: cap push on a released session")
+	}
 	if len(values) != s.hello.Units {
 		return fmt.Errorf("proto: cap batch of %d values on a %d-unit session", len(values), s.hello.Units)
 	}

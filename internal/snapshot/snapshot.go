@@ -7,26 +7,24 @@
 //
 // # Wire format
 //
-// A snapshot is a fixed header followed by self-framed sections:
+// A snapshot is a fixed header followed by CRC-framed sections, the
+// framing internal/section defines (and the black box shares):
 //
 //	header:  magic "DPSS" | version u16 | flags u16 (reserved, zero)
-//	section: id u16 | length u32 | payload [length] | crc32 u32
 //
-// All integers are little-endian; floats are IEEE-754 bit patterns (the
-// format round-trips NaNs and signed zeros — restore equivalence is
-// bitwise, not numeric). Each section's CRC covers its id, length, and
-// payload, so a bit flip anywhere inside a section is caught at that
-// section. Decoders skip sections whose id they do not recognize
-// (forward compatibility: a newer writer can add sections without
-// breaking older readers), but only after the CRC validates — corrupt
-// bytes never parse as "unknown, ignore".
+// Floats are IEEE-754 bit patterns (the format round-trips NaNs and
+// signed zeros — restore equivalence is bitwise, not numeric). Decoders
+// skip sections whose id they do not recognize (forward compatibility: a
+// newer writer can add sections without breaking older readers), but
+// only after the CRC validates — corrupt bytes never parse as "unknown,
+// ignore".
 //
 // # Incremental replication
 //
 // Sections are also the unit of delta replication: a primary daemon
 // re-encodes its state every round and streams only the sections whose
 // bytes changed; the standby overlays them onto its last full image
-// (Sections / Assemble). Because each section is independently framed
+// (section.Walker / Assemble). Because each section is independently framed
 // and checksummed, the overlay needs no format knowledge beyond the
 // section ids.
 package snapshot
@@ -34,13 +32,12 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"dps/internal/history"
 	"dps/internal/kalman"
 	"dps/internal/power"
 	"dps/internal/priority"
+	"dps/internal/section"
 )
 
 // Version is the current snapshot format version. Decoders reject
@@ -153,15 +150,6 @@ type State struct {
 // Encoding
 // ---------------------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
 func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -178,12 +166,12 @@ func appendBits(b []byte, bits []bool) []byte {
 			w |= uint64(1) << uint(i&63)
 		}
 		if i&63 == 63 {
-			b = appendU64(b, w)
+			b = section.AppendU64(b, w)
 			w = 0
 		}
 	}
 	if len(bits)&63 != 0 {
-		b = appendU64(b, w)
+		b = section.AppendU64(b, w)
 	}
 	return b
 }
@@ -193,30 +181,9 @@ func appendBits(b []byte, bits []bool) []byte {
 // from replicated sections.
 func AppendHeader(dst []byte) []byte {
 	dst = append(dst, magic[:]...)
-	dst = appendU16(dst, Version)
-	dst = appendU16(dst, 0)
+	dst = section.AppendU16(dst, Version)
+	dst = section.AppendU16(dst, 0)
 	return dst
-}
-
-// beginSection appends a section header with a zero length placeholder
-// and returns the offset of the section start.
-func beginSection(b []byte, id uint16) ([]byte, int) {
-	start := len(b)
-	b = appendU16(b, id)
-	b = appendU32(b, 0)
-	return b, start
-}
-
-// endSection backfills the section length and appends the CRC over
-// id+length+payload.
-func endSection(b []byte, start int) []byte {
-	payloadLen := uint32(len(b) - start - 6)
-	b[start+2] = byte(payloadLen)
-	b[start+3] = byte(payloadLen >> 8)
-	b[start+4] = byte(payloadLen >> 16)
-	b[start+5] = byte(payloadLen >> 24)
-	crc := crc32.Checksum(b[start:], crc32.IEEETable)
-	return appendU32(b, crc)
 }
 
 // Encode serializes st into dst[:0] and returns the extended slice.
@@ -228,124 +195,124 @@ func Encode(dst []byte, st *State) []byte {
 
 	// SecConfig
 	var start int
-	b, start = beginSection(b, SecConfig)
-	b = appendU32(b, uint32(st.Units))
-	b = appendU64(b, uint64(st.Seed))
-	b = appendF64(b, float64(st.BudgetTotal))
-	b = appendF64(b, float64(st.UnitMax))
-	b = appendF64(b, float64(st.UnitMin))
+	b, start = section.Begin(b, SecConfig)
+	b = section.AppendU32(b, uint32(st.Units))
+	b = section.AppendU64(b, uint64(st.Seed))
+	b = section.AppendF64(b, float64(st.BudgetTotal))
+	b = section.AppendF64(b, float64(st.UnitMax))
+	b = section.AppendF64(b, float64(st.UnitMin))
 	b = appendBool(b, st.Sparse)
-	b = appendU32(b, uint32(st.SparseRefreshEvery))
-	b = endSection(b, start)
+	b = section.AppendU32(b, uint32(st.SparseRefreshEvery))
+	b = section.End(b, start)
 
 	if st.HasCore {
-		b, start = beginSection(b, SecCore)
-		b = appendU64(b, st.Steps)
+		b, start = section.Begin(b, SecCore)
+		b = section.AppendU64(b, st.Steps)
 		b = appendBool(b, st.LastRestored)
 		b = appendBool(b, st.ProvDirty)
 		b = appendBool(b, st.HeldAllocated)
-		b = endSection(b, start)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecCaps)
+		b, start = section.Begin(b, SecCaps)
 		for _, c := range st.Caps {
-			b = appendF64(b, float64(c))
+			b = section.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecKalman)
+		b, start = section.Begin(b, SecKalman)
 		for i := range st.Kalman {
 			k := &st.Kalman[i]
-			b = appendF64(b, float64(k.Estimate))
-			b = appendF64(b, k.Variance)
+			b = section.AppendF64(b, float64(k.Estimate))
+			b = section.AppendF64(b, k.Variance)
 			b = appendBool(b, k.Primed)
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecRings)
-		b = appendU32(b, uint32(st.RingCap))
+		b, start = section.Begin(b, SecRings)
+		b = section.AppendU32(b, uint32(st.RingCap))
 		for i := range st.Rings {
 			r := &st.Rings[i]
-			b = appendU32(b, uint32(r.Head))
-			b = appendU32(b, uint32(r.N))
-			b = appendU32(b, uint32(r.Pushes))
-			b = appendF64(b, r.Sum)
-			b = appendF64(b, r.SumSq)
-			b = appendF64(b, r.DurSum)
-			b = appendF64(b, r.TailDur)
+			b = section.AppendU32(b, uint32(r.Head))
+			b = section.AppendU32(b, uint32(r.N))
+			b = section.AppendU32(b, uint32(r.Pushes))
+			b = section.AppendF64(b, r.Sum)
+			b = section.AppendF64(b, r.SumSq)
+			b = section.AppendF64(b, r.DurSum)
+			b = section.AppendF64(b, r.TailDur)
 			for _, p := range r.Powers {
-				b = appendF64(b, float64(p))
+				b = section.AppendF64(b, float64(p))
 			}
 			for _, d := range r.Durations {
-				b = appendF64(b, float64(d))
+				b = section.AppendF64(b, float64(d))
 			}
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecPriority)
+		b, start = section.Begin(b, SecPriority)
 		b = appendBits(b, st.Prio)
 		b = appendBits(b, st.HighFreq)
 		b = appendBits(b, st.PrevPrio)
 		for i := range st.Frozen {
 			f := &st.Frozen[i]
-			b = appendU32(b, uint32(f.N))
-			b = appendF64(b, float64(f.Std))
-			b = appendF64(b, float64(f.Deriv))
+			b = section.AppendU32(b, uint32(f.N))
+			b = section.AppendF64(b, float64(f.Std))
+			b = section.AppendF64(b, float64(f.Deriv))
 			b = appendBool(b, f.HighFreqNow)
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecRNG)
-		b = appendU64(b, uint64(st.RNGSeed))
-		b = appendU64(b, st.RNGDraws)
-		b = endSection(b, start)
+		b, start = section.Begin(b, SecRNG)
+		b = section.AppendU64(b, uint64(st.RNGSeed))
+		b = section.AppendU64(b, st.RNGDraws)
+		b = section.End(b, start)
 
-		b, start = beginSection(b, SecProv)
+		b, start = section.Begin(b, SecProv)
 		b = append(b, st.Reasons...)
 		for _, c := range st.RoundBefore {
-			b = appendF64(b, float64(c))
+			b = section.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 	}
 
 	if st.HasSparse {
-		b, start = beginSection(b, SecSparse)
-		b = appendF64(b, float64(st.LastDT))
-		b = appendU64(b, uint64(int64(st.HighCount)))
-		b = appendF64(b, float64(st.CachedSum))
+		b, start = section.Begin(b, SecSparse)
+		b = section.AppendF64(b, float64(st.LastDT))
+		b = section.AppendU64(b, uint64(int64(st.HighCount)))
+		b = section.AppendF64(b, float64(st.CachedSum))
 		b = appendBool(b, st.SumValid)
 		for _, w := range st.SettledW {
-			b = appendU64(b, w)
+			b = section.AppendU64(b, w)
 		}
 		for _, w := range st.CapMovedW {
-			b = appendU64(b, w)
+			b = section.AppendU64(b, w)
 		}
 		for _, v := range st.LastVal {
-			b = appendF64(b, float64(v))
+			b = section.AppendF64(b, float64(v))
 		}
 		for _, s := range st.LastStep {
-			b = appendU64(b, s)
+			b = section.AppendU64(b, s)
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 	}
 
 	if st.HasDaemon {
-		b, start = beginSection(b, SecDaemon)
-		b = appendU64(b, uint64(st.SavedUnixMS))
-		b = appendU64(b, st.Rounds)
+		b, start = section.Begin(b, SecDaemon)
+		b = section.AppendU64(b, uint64(st.SavedUnixMS))
+		b = section.AppendU64(b, st.Rounds)
 		b = append(b, st.Health...)
 		for _, a := range st.ReportAgeMS {
-			b = appendU64(b, a)
+			b = section.AppendU64(b, a)
 		}
 		for _, c := range st.LastCaps {
-			b = appendF64(b, float64(c))
+			b = section.AppendF64(b, float64(c))
 		}
 		for _, c := range st.LastPushed {
-			b = appendF64(b, float64(c))
+			b = section.AppendF64(b, float64(c))
 		}
 		for _, c := range st.Readings {
-			b = appendF64(b, float64(c))
+			b = section.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = section.End(b, start)
 	}
 
 	return b
@@ -367,88 +334,31 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// reader is a bounds-checked cursor over one section's payload. Reads
-// past the end set err and return zero values — decoders check err once
-// per section instead of after every field, and malformed input can only
-// produce an error, never a panic.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = corruptf("truncated section payload at offset %d", r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) boolean() bool { return r.u8() != 0 }
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func boolean(r *section.Cursor) bool { return r.U8() != 0 }
 
 // bits unpacks words(n) 64-bit words into dst (length n).
-func (r *reader) bits(dst []bool) {
+func bits(r *section.Cursor, dst []bool) {
 	var w uint64
 	for i := range dst {
 		if i&63 == 0 {
-			w = r.u64()
+			w = r.U64()
 		}
 		dst[i] = w&(uint64(1)<<uint(i&63)) != 0
 	}
 }
 
-// done errors unless the payload was consumed exactly: a known section
-// with trailing bytes is a framing bug, not forward compatibility
-// (format evolution adds sections, it does not extend old ones).
-func (r *reader) done(id uint16) error {
-	if r.err != nil {
-		return r.err
+// done errors unless the payload was consumed exactly: a read past the
+// end is a truncated payload, and a known section with trailing bytes is
+// a framing bug, not forward compatibility (format evolution adds
+// sections, it does not extend old ones).
+func done(r *section.Cursor, id uint16) error {
+	if r.Short() {
+		return corruptf("section 0x%04x: truncated payload", id)
 	}
-	if r.off != len(r.b) {
-		return corruptf("section 0x%04x: %d trailing bytes", id, len(r.b)-r.off)
+	if r.Len() != 0 {
+		return corruptf("section 0x%04x: %d trailing bytes", id, r.Len())
 	}
 	return nil
-}
-
-// Section is one framed section of a snapshot image. Raw spans the full
-// framing (id, length, payload, CRC) and aliases the image it was split
-// from; Payload is the inner payload alone.
-type Section struct {
-	ID      uint16
-	Payload []byte
-	Raw     []byte
 }
 
 // header validates the fixed prefix and returns the remainder.
@@ -466,43 +376,8 @@ func header(data []byte) ([]byte, error) {
 	return data[HeaderSize:], nil
 }
 
-// AppendSections validates data's header and splits it into CRC-checked
-// sections appended to dst (reused across calls when its capacity
-// suffices). Every section's CRC is verified — including sections with
-// unknown ids — so a corrupted image fails here regardless of which
-// section the damage landed in.
-func AppendSections(dst []Section, data []byte) ([]Section, error) {
-	rest, err := header(data)
-	if err != nil {
-		return dst, err
-	}
-	for len(rest) > 0 {
-		if len(rest) < 6 {
-			return dst, corruptf("%d-byte trailing fragment", len(rest))
-		}
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := uint64(6) + uint64(n) + 4
-		if uint64(len(rest)) < total {
-			return dst, corruptf("section 0x%04x: length %d exceeds remaining %d bytes", id, n, len(rest))
-		}
-		raw := rest[:total]
-		crcOff := 6 + int(n)
-		want := uint32(raw[crcOff]) | uint32(raw[crcOff+1])<<8 | uint32(raw[crcOff+2])<<16 | uint32(raw[crcOff+3])<<24
-		if got := crc32.Checksum(raw[:crcOff], crc32.IEEETable); got != want {
-			return dst, corruptf("section 0x%04x: CRC 0x%08x, want 0x%08x", id, got, want)
-		}
-		dst = append(dst, Section{ID: id, Payload: raw[6:crcOff], Raw: raw[:total]})
-		rest = rest[total:]
-	}
-	return dst, nil
-}
-
-// Sections is AppendSections into a fresh slice.
-func Sections(data []byte) ([]Section, error) { return AppendSections(nil, data) }
-
 // Assemble builds a full snapshot image from raw section framings (each
-// as produced by Sections' Raw), appending to dst. The standby uses it
+// a section.Walker's Raw), appending to dst. The standby uses it
 // to materialize its overlay of replicated sections into a decodable
 // snapshot.
 func Assemble(dst []byte, raws ...[]byte) []byte {
@@ -513,31 +388,13 @@ func Assemble(dst []byte, raws ...[]byte) []byte {
 	return dst
 }
 
-// resizeF64 returns v with length n, reusing capacity.
-func resizeVec(v power.Vector, n int) power.Vector {
+// Resize returns v with length n, reusing its capacity — how every State
+// slice is sized, by the decoder here and by the exporters that fill a
+// State, so a warm snapshot round allocates nothing. The contents are
+// whatever the old slice held; callers overwrite them.
+func Resize[T any](v []T, n int) []T {
 	if cap(v) < n {
-		return make(power.Vector, n)
-	}
-	return v[:n]
-}
-
-func resizeBool(v []bool, n int) []bool {
-	if cap(v) < n {
-		return make([]bool, n)
-	}
-	return v[:n]
-}
-
-func resizeU64(v []uint64, n int) []uint64 {
-	if cap(v) < n {
-		return make([]uint64, n)
-	}
-	return v[:n]
-}
-
-func resizeU8(v []uint8, n int) []uint8 {
-	if cap(v) < n {
-		return make([]uint8, n)
+		return make([]T, n)
 	}
 	return v[:n]
 }
@@ -562,8 +419,8 @@ func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
 		if len(payload) < 4 {
 			return 4, true
 		}
-		rc := int(uint32(payload[0]) | uint32(payload[1])<<8 | uint32(payload[2])<<16 | uint32(payload[3])<<24)
-		return 4 + units*(3*4+4*8+rc*16), true
+		prefix := section.NewCursor(payload)
+		return 4 + units*(3*4+4*8+int(prefix.U32())*16), true
 	case SecPriority:
 		return 3*words*8 + units*21, true
 	case SecRNG:
@@ -593,24 +450,9 @@ func DecodeInto(st *State, data []byte) error {
 	seenConfig := false
 	var seen [11]bool // duplicate-section guard for known ids
 
-	for len(rest) > 0 {
-		if len(rest) < 6 {
-			return corruptf("%d-byte trailing fragment", len(rest))
-		}
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := uint64(6) + uint64(n) + 4
-		if uint64(len(rest)) < total {
-			return corruptf("section 0x%04x: length %d exceeds remaining %d bytes", id, n, len(rest))
-		}
-		crcOff := 6 + int(n)
-		want := uint32(rest[crcOff]) | uint32(rest[crcOff+1])<<8 | uint32(rest[crcOff+2])<<16 | uint32(rest[crcOff+3])<<24
-		if got := crc32.Checksum(rest[:crcOff], crc32.IEEETable); got != want {
-			return corruptf("section 0x%04x: CRC 0x%08x, want 0x%08x", id, got, want)
-		}
-		payload := rest[6:crcOff]
-		rest = rest[total:]
-
+	w := section.Walk(rest)
+	for w.Next() {
+		id, payload := w.ID, w.Payload
 		if int(id) < len(seen) {
 			if seen[id] {
 				return corruptf("duplicate section 0x%04x", id)
@@ -628,198 +470,159 @@ func DecodeInto(st *State, data []byte) error {
 			return corruptf("section 0x%04x: payload %d bytes, want %d", id, len(payload), want)
 		}
 
-		r := reader{b: payload}
+		r := section.NewCursor(payload)
 		switch id {
 		case SecConfig:
-			units := r.u32()
+			units := r.U32()
 			if units == 0 || units > maxUnits {
 				return corruptf("unit count %d outside [1,%d]", units, maxUnits)
 			}
 			st.Units = int(units)
-			st.Seed = int64(r.u64())
-			st.BudgetTotal = power.Watts(r.f64())
-			st.UnitMax = power.Watts(r.f64())
-			st.UnitMin = power.Watts(r.f64())
-			st.Sparse = r.boolean()
-			st.SparseRefreshEvery = int(r.u32())
-			if err := r.done(id); err != nil {
-				return err
-			}
+			st.Seed = int64(r.U64())
+			st.BudgetTotal = power.Watts(r.F64())
+			st.UnitMax = power.Watts(r.F64())
+			st.UnitMin = power.Watts(r.F64())
+			st.Sparse = boolean(&r)
+			st.SparseRefreshEvery = int(r.U32())
 			seenConfig = true
 
 		case SecCore:
-			st.Steps = r.u64()
-			st.LastRestored = r.boolean()
-			st.ProvDirty = r.boolean()
-			st.HeldAllocated = r.boolean()
-			if err := r.done(id); err != nil {
-				return err
-			}
+			st.Steps = r.U64()
+			st.LastRestored = boolean(&r)
+			st.ProvDirty = boolean(&r)
+			st.HeldAllocated = boolean(&r)
 			st.HasCore = true
 
 		case SecCaps:
-			st.Caps = resizeVec(st.Caps, st.Units)
+			st.Caps = Resize(st.Caps, st.Units)
 			for i := range st.Caps {
-				st.Caps[i] = power.Watts(r.f64())
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.Caps[i] = power.Watts(r.F64())
 			}
 
 		case SecKalman:
-			if cap(st.Kalman) < st.Units {
-				st.Kalman = make([]KalmanState, st.Units)
-			}
-			st.Kalman = st.Kalman[:st.Units]
+			st.Kalman = Resize(st.Kalman, st.Units)
 			for i := range st.Kalman {
-				st.Kalman[i].Estimate = power.Watts(r.f64())
-				st.Kalman[i].Variance = r.f64()
-				st.Kalman[i].Primed = r.boolean()
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.Kalman[i].Estimate = power.Watts(r.F64())
+				st.Kalman[i].Variance = r.F64()
+				st.Kalman[i].Primed = boolean(&r)
 			}
 
 		case SecRings:
-			rc := r.u32()
-			if r.err == nil && (rc == 0 || rc > maxRingCap) {
+			rc := r.U32()
+			if !r.Short() && (rc == 0 || rc > maxRingCap) {
 				return corruptf("ring capacity %d outside [1,%d]", rc, maxRingCap)
 			}
 			st.RingCap = int(rc)
-			if cap(st.Rings) < st.Units {
-				st.Rings = make([]RingState, st.Units)
-			}
-			st.Rings = st.Rings[:st.Units]
+			st.Rings = Resize(st.Rings, st.Units)
 			for i := range st.Rings {
 				g := &st.Rings[i]
-				g.Head = int(r.u32())
-				g.N = int(r.u32())
-				g.Pushes = int(r.u32())
-				g.Sum = r.f64()
-				g.SumSq = r.f64()
-				g.DurSum = r.f64()
-				g.TailDur = r.f64()
-				if r.err != nil {
-					return r.err
+				g.Head = int(r.U32())
+				g.N = int(r.U32())
+				g.Pushes = int(r.U32())
+				g.Sum = r.F64()
+				g.SumSq = r.F64()
+				g.DurSum = r.F64()
+				g.TailDur = r.F64()
+				if r.Short() {
+					return done(&r, id)
 				}
-				if cap(g.Powers) < st.RingCap {
-					g.Powers = make([]power.Watts, st.RingCap)
-				}
-				g.Powers = g.Powers[:st.RingCap]
+				g.Powers = Resize(g.Powers, st.RingCap)
 				for j := range g.Powers {
-					g.Powers[j] = power.Watts(r.f64())
+					g.Powers[j] = power.Watts(r.F64())
 				}
-				if cap(g.Durations) < st.RingCap {
-					g.Durations = make([]power.Seconds, st.RingCap)
-				}
-				g.Durations = g.Durations[:st.RingCap]
+				g.Durations = Resize(g.Durations, st.RingCap)
 				for j := range g.Durations {
-					g.Durations[j] = power.Seconds(r.f64())
+					g.Durations[j] = power.Seconds(r.F64())
 				}
-			}
-			if err := r.done(id); err != nil {
-				return err
 			}
 
 		case SecPriority:
-			st.Prio = resizeBool(st.Prio, st.Units)
-			st.HighFreq = resizeBool(st.HighFreq, st.Units)
-			st.PrevPrio = resizeBool(st.PrevPrio, st.Units)
-			r.bits(st.Prio)
-			r.bits(st.HighFreq)
-			r.bits(st.PrevPrio)
-			if cap(st.Frozen) < st.Units {
-				st.Frozen = make([]priority.FrozenStats, st.Units)
-			}
-			st.Frozen = st.Frozen[:st.Units]
+			st.Prio = Resize(st.Prio, st.Units)
+			st.HighFreq = Resize(st.HighFreq, st.Units)
+			st.PrevPrio = Resize(st.PrevPrio, st.Units)
+			bits(&r, st.Prio)
+			bits(&r, st.HighFreq)
+			bits(&r, st.PrevPrio)
+			st.Frozen = Resize(st.Frozen, st.Units)
 			for i := range st.Frozen {
-				st.Frozen[i].N = int(r.u32())
-				st.Frozen[i].Std = power.Watts(r.f64())
-				st.Frozen[i].Deriv = power.Watts(r.f64())
-				st.Frozen[i].HighFreqNow = r.boolean()
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.Frozen[i].N = int(r.U32())
+				st.Frozen[i].Std = power.Watts(r.F64())
+				st.Frozen[i].Deriv = power.Watts(r.F64())
+				st.Frozen[i].HighFreqNow = boolean(&r)
 			}
 
 		case SecRNG:
-			st.RNGSeed = int64(r.u64())
-			st.RNGDraws = r.u64()
-			if err := r.done(id); err != nil {
-				return err
-			}
+			st.RNGSeed = int64(r.U64())
+			st.RNGDraws = r.U64()
 
 		case SecProv:
-			st.Reasons = resizeU8(st.Reasons, st.Units)
+			st.Reasons = Resize(st.Reasons, st.Units)
 			for i := range st.Reasons {
-				st.Reasons[i] = r.u8()
+				st.Reasons[i] = r.U8()
 			}
-			st.RoundBefore = resizeVec(st.RoundBefore, st.Units)
+			st.RoundBefore = Resize(st.RoundBefore, st.Units)
 			for i := range st.RoundBefore {
-				st.RoundBefore[i] = power.Watts(r.f64())
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.RoundBefore[i] = power.Watts(r.F64())
 			}
 
 		case SecSparse:
-			st.LastDT = power.Seconds(r.f64())
-			st.HighCount = int(int64(r.u64()))
-			st.CachedSum = power.Watts(r.f64())
-			st.SumValid = r.boolean()
+			st.LastDT = power.Seconds(r.F64())
+			st.HighCount = int(int64(r.U64()))
+			st.CachedSum = power.Watts(r.F64())
+			st.SumValid = boolean(&r)
 			words := (st.Units + 63) / 64
-			st.SettledW = resizeU64(st.SettledW, words)
+			st.SettledW = Resize(st.SettledW, words)
 			for i := range st.SettledW {
-				st.SettledW[i] = r.u64()
+				st.SettledW[i] = r.U64()
 			}
-			st.CapMovedW = resizeU64(st.CapMovedW, words)
+			st.CapMovedW = Resize(st.CapMovedW, words)
 			for i := range st.CapMovedW {
-				st.CapMovedW[i] = r.u64()
+				st.CapMovedW[i] = r.U64()
 			}
-			st.LastVal = resizeVec(st.LastVal, st.Units)
+			st.LastVal = Resize(st.LastVal, st.Units)
 			for i := range st.LastVal {
-				st.LastVal[i] = power.Watts(r.f64())
+				st.LastVal[i] = power.Watts(r.F64())
 			}
-			st.LastStep = resizeU64(st.LastStep, st.Units)
+			st.LastStep = Resize(st.LastStep, st.Units)
 			for i := range st.LastStep {
-				st.LastStep[i] = r.u64()
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.LastStep[i] = r.U64()
 			}
 			st.HasSparse = true
 
 		case SecDaemon:
-			st.SavedUnixMS = int64(r.u64())
-			st.Rounds = r.u64()
-			st.Health = resizeU8(st.Health, st.Units)
+			st.SavedUnixMS = int64(r.U64())
+			st.Rounds = r.U64()
+			st.Health = Resize(st.Health, st.Units)
 			for i := range st.Health {
-				st.Health[i] = r.u8()
+				st.Health[i] = r.U8()
 			}
-			st.ReportAgeMS = resizeU64(st.ReportAgeMS, st.Units)
+			st.ReportAgeMS = Resize(st.ReportAgeMS, st.Units)
 			for i := range st.ReportAgeMS {
-				st.ReportAgeMS[i] = r.u64()
+				st.ReportAgeMS[i] = r.U64()
 			}
-			st.LastCaps = resizeVec(st.LastCaps, st.Units)
+			st.LastCaps = Resize(st.LastCaps, st.Units)
 			for i := range st.LastCaps {
-				st.LastCaps[i] = power.Watts(r.f64())
+				st.LastCaps[i] = power.Watts(r.F64())
 			}
-			st.LastPushed = resizeVec(st.LastPushed, st.Units)
+			st.LastPushed = Resize(st.LastPushed, st.Units)
 			for i := range st.LastPushed {
-				st.LastPushed[i] = power.Watts(r.f64())
+				st.LastPushed[i] = power.Watts(r.F64())
 			}
-			st.Readings = resizeVec(st.Readings, st.Units)
+			st.Readings = Resize(st.Readings, st.Units)
 			for i := range st.Readings {
-				st.Readings[i] = power.Watts(r.f64())
-			}
-			if err := r.done(id); err != nil {
-				return err
+				st.Readings[i] = power.Watts(r.F64())
 			}
 			st.HasDaemon = true
 
 		default:
-			// Unknown section: CRC validated above, skip the payload.
+			continue // unknown section: CRC validated by the walker, skip it
 		}
+		if err := done(&r, id); err != nil {
+			return err
+		}
+	}
+	if w.Stop != section.Clean {
+		return corruptf("%v with %d bytes left", w.Stop, len(w.Rest))
 	}
 
 	if !seenConfig {

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dps/internal/power"
 	"dps/internal/priority"
+	"dps/internal/section"
 )
 
 // fillState builds a fully-populated State with value patterns that
@@ -260,9 +264,9 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	// Append a future section (id 0x7777) with a valid CRC; the decoder
 	// must skip it and still return the known state.
 	var extra []byte
-	extra, start := beginSection(img, 0x7777)
+	extra, start := section.Begin(img, 0x7777)
 	extra = append(extra, []byte("future payload")...)
-	extra = endSection(extra, start)
+	extra = section.End(extra, start)
 
 	got, err := Decode(extra)
 	if err != nil {
@@ -326,34 +330,36 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("duplicate section", func(t *testing.T) {
-		secs, err := Sections(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dup := append(append([]byte(nil), img...), secs[0].Raw...)
+		_, raws := splitSections(t, img)
+		dup := append(append([]byte(nil), img...), raws[0]...)
 		if _, err := Decode(dup); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("duplicate config section: %v", err)
 		}
 	})
 }
 
+// splitSections walks a valid image's CRC-checked sections: ids and raw
+// framings in image order.
+func splitSections(t *testing.T, img []byte) (ids []uint16, raws [][]byte) {
+	t.Helper()
+	w := section.Walk(img[HeaderSize:])
+	for w.Next() {
+		ids = append(ids, w.ID)
+		raws = append(raws, w.Raw)
+	}
+	if w.Stop != section.Clean {
+		t.Fatalf("walking a valid image stopped at %v", w.Stop)
+	}
+	return ids, raws
+}
+
 func TestSectionsAndAssemble(t *testing.T) {
 	st := fillState(64, 12, 8)
 	img := Encode(nil, st)
-	secs, err := Sections(img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids, raws := splitSections(t, img)
 	wantIDs := []uint16{SecConfig, SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv, SecSparse, SecDaemon}
-	if len(secs) != len(wantIDs) {
-		t.Fatalf("%d sections, want %d", len(secs), len(wantIDs))
-	}
-	raws := make([][]byte, len(secs))
-	for i, s := range secs {
-		if s.ID != wantIDs[i] {
-			t.Fatalf("section %d id 0x%04x, want 0x%04x", i, s.ID, wantIDs[i])
-		}
-		raws[i] = s.Raw
+	if !reflect.DeepEqual(ids, wantIDs) {
+		t.Fatalf("section ids %#04x, want %#04x", ids, wantIDs)
 	}
 	// Reassembling the split sections must reproduce the image exactly —
 	// the standby's overlay path depends on it.
@@ -365,11 +371,8 @@ func TestSectionsAndAssemble(t *testing.T) {
 	st2 := fillState(64, 12, 8)
 	st2.Rounds += 5
 	img2 := Encode(nil, st2)
-	secs2, err := Sections(img2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws[len(raws)-1] = secs2[len(secs2)-1].Raw // SecDaemon
+	_, raws2 := splitSections(t, img2)
+	raws[len(raws)-1] = raws2[len(raws2)-1] // SecDaemon
 	merged, err := Decode(Assemble(nil, raws...))
 	if err != nil {
 		t.Fatalf("overlay: %v", err)
@@ -403,4 +406,25 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encode of decoded state does not decode: %v", err)
 		}
 	})
+}
+
+// TestParentImageBytes is the on-disk compatibility check against an
+// image written by the commit before the shared section codec (a88cf7a):
+// it must decode, and re-encoding the decoded state must reproduce it
+// byte for byte, so that commit decodes what this one writes.
+func TestParentImageBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "daemon", "testdata", "parent_state.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Decode(want)
+	if err != nil {
+		t.Fatalf("parent image does not decode: %v", err)
+	}
+	if !st.HasCore || !st.HasDaemon || st.Units != 4 || st.Rounds != 12 {
+		t.Fatalf("parent image decoded to units=%d rounds=%d core=%v daemon=%v", st.Units, st.Rounds, st.HasCore, st.HasDaemon)
+	}
+	if got := Encode(nil, st); !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded parent image differs (%d vs %d bytes)", len(got), len(want))
+	}
 }

@@ -7,8 +7,78 @@ import (
 	"sync"
 	"time"
 
+	"dps/internal/core"
+	"dps/internal/power"
 	"dps/internal/trace"
 )
+
+// Round is the in-memory record of one decision round, built once by the
+// daemon's DecideOnce in a flight-recorder ring slot. Every inspection
+// surface is a view of it: /debug/rounds renders RoundRecord JSON from
+// it on read, /debug/why reads one column entry per held round, /status
+// takes its last-round fields from the newest one, the black box encodes
+// its on-disk record straight from it, and the watchdog audits its
+// counts. Per-unit data is held as columns (one slice per field), which
+// a re-filled slot reuses, so a warm round allocates nothing for
+// observation.
+type Round struct {
+	Round    uint64
+	Time     time.Time // start of the manager call
+	Interval power.Seconds
+	Elapsed  time.Duration // wall time of the manager call
+	// Stats is the controller's own account of the round. HasStats marks
+	// a core.DPS manager, the one kind that has stats, priorities and
+	// cap provenance; for any other policy Stats is zero, Prio empty and
+	// the only Reason ever set is degraded_deliver.
+	Stats    core.RoundStats
+	HasStats bool
+	// Inherited is how many of Round's rounds a previous process
+	// generation ran (snapshot restore or standby takeover); 0 if none.
+	Inherited uint64
+	BudgetW   float64
+	CapSumW   float64 // sum of the delivered caps
+
+	StaleUnits, DeadUnits int
+	// Audit counts: PinAudited non-fresh units, PinViolations of them
+	// delivered a cap other than the one their agent enforces,
+	// ProvViolations units whose cap moved with no recorded reason.
+	PinAudited, PinViolations, ProvViolations int
+
+	// Columns, indexed by unit. Cap is the delivered cap and PrevCap the
+	// previous round's; Reason has degraded_deliver already resolved.
+	// Health is empty while health tracking is off.
+	Reading, Cap, PrevCap power.Vector
+	Prio                  []bool
+	Health                []core.UnitHealth
+	Reason                []trace.Reason
+}
+
+// Reset clears the record for a new round, keeping only the columns'
+// capacity: every column gets units entries (Prio and Health none unless
+// asked for) whose contents the caller overwrites.
+func (r *Round) Reset(units int, prio, health bool) {
+	*r = Round{
+		Reading: resize(r.Reading, units),
+		Cap:     resize(r.Cap, units),
+		PrevCap: resize(r.PrevCap, units),
+		Reason:  resize(r.Reason, units),
+		Prio:    r.Prio[:0],
+		Health:  r.Health[:0],
+	}
+	if prio {
+		r.Prio = resize(r.Prio, units)
+	}
+	if health {
+		r.Health = resize(r.Health, units)
+	}
+}
+
+func resize[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
 
 // StageSeconds is the wall time one decision round spent in each pipeline
 // stage of the paper's Figure 3 (zero for managers without that stage).
@@ -37,9 +107,9 @@ type UnitRecord struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// RoundRecord is one entry of the decision flight recorder: everything
-// needed to answer "why did unit U get capped at C in round R" after the
-// fact.
+// RoundRecord is the JSON shape of one flight-recorder entry, rendered
+// from a Round on read: everything needed to answer "why did unit U get
+// capped at C in round R" after the fact.
 type RoundRecord struct {
 	Round           uint64       `json:"round"`
 	Time            time.Time    `json:"time"`
@@ -68,14 +138,80 @@ type RoundRecord struct {
 	Units          []UnitRecord `json:"units"`
 }
 
-// FlightRecorder is a fixed-size ring buffer of decision records. Appends
-// never allocate once the ring is full; the oldest record is evicted. It
-// is safe for concurrent use.
+// Unit renders unit u's row.
+func (r *Round) Unit(u int) UnitRecord {
+	ur := UnitRecord{
+		Unit:      u,
+		ReadingW:  float64(r.Reading[u]),
+		CapW:      float64(r.Cap[u]),
+		CapDeltaW: float64(r.Cap[u] - r.PrevCap[u]),
+	}
+	if len(r.Prio) != 0 {
+		ur.HighPriority = r.Prio[u]
+	}
+	if len(r.Health) != 0 && r.Health[u] != core.HealthFresh {
+		ur.Health = r.Health[u].String()
+	}
+	if r.Reason[u] != trace.ReasonNone {
+		ur.Reason = r.Reason[u].String()
+	}
+	return ur
+}
+
+// Record renders the round's JSON shape: every unit's row when unit < 0,
+// otherwise that unit's row alone (none when it is out of range).
+func (r *Round) Record(unit int) RoundRecord {
+	t := r.Stats.Timings
+	rec := RoundRecord{
+		Round:     r.Round,
+		Time:      r.Time,
+		IntervalS: float64(r.Interval),
+		Stages: StageSeconds{
+			Kalman:    t.Kalman.Seconds(),
+			Stateless: t.Stateless.Seconds(),
+			Priority:  t.Priority.Seconds(),
+			Readjust:  t.Readjust.Seconds(),
+			Total:     r.Elapsed.Seconds(),
+		},
+		Restored:        r.Stats.Restored,
+		PriorityFlips:   r.Stats.PriorityFlips,
+		BudgetExhausted: r.Stats.BudgetExhausted,
+		BudgetClamped:   r.Stats.BudgetClamped,
+		StaleUnits:      r.StaleUnits,
+		DeadUnits:       r.DeadUnits,
+		DirtyUnits:      r.Stats.DirtyUnits,
+		SkippedUnits:    r.Stats.SkippedUnits,
+		BudgetW:         r.BudgetW,
+		CapSumW:         r.CapSumW,
+	}
+	if r.Inherited != 0 {
+		rec.UptimeRounds = r.Round - r.Inherited
+		rec.StateAgeRounds = r.Round
+	}
+	switch {
+	case unit < 0:
+		rec.Units = make([]UnitRecord, len(r.Cap))
+		for u := range rec.Units {
+			rec.Units[u] = r.Unit(u)
+		}
+	case unit < len(r.Cap):
+		rec.Units = []UnitRecord{r.Unit(unit)}
+	}
+	return rec
+}
+
+// FlightRecorder is a fixed-size ring of decision rounds. Its slots are
+// retained and re-filled on wrap, so recording never allocates once the
+// ring has wrapped. One goroutine (the decision loop) writes — fill
+// Next, then Commit — and any number read concurrently.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []RoundRecord
-	next  int    // index the next Append writes
-	total uint64 // lifetime appends
+	mu sync.Mutex
+	// buf has one slot more than the capacity: buf[next] is the slot being
+	// filled, invisible to readers until Commit, so the writer fills it
+	// without the lock and never under a reader.
+	buf   []Round
+	next  int
+	total uint64 // lifetime commits
 }
 
 // DefaultFlightRecorderSize keeps ~4 minutes of history at a one-second
@@ -88,53 +224,63 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightRecorderSize
 	}
-	return &FlightRecorder{buf: make([]RoundRecord, 0, capacity)}
+	return &FlightRecorder{buf: make([]Round, capacity+1)}
 }
 
-// Append records one round, evicting the oldest when full.
-func (r *FlightRecorder) Append(rec RoundRecord) {
+// Next returns the slot the next Commit publishes, for the writer to
+// fill. It still holds the round it recorded a lap ago; Round.Reset
+// clears it while keeping the columns' memory.
+func (r *FlightRecorder) Next() *Round { return &r.buf[r.next] }
+
+// Commit publishes the slot Next returned, evicting the oldest round
+// when full. The slot stays valid for the writer to read until the ring
+// laps it.
+func (r *FlightRecorder) Commit() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next] = rec
-	}
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % len(r.buf)
 	r.total++
+	r.mu.Unlock()
 }
 
-// Len returns the number of records currently held.
+// held returns the number of published rounds. Caller holds mu.
+func (r *FlightRecorder) held() int {
+	return int(min(r.total, uint64(len(r.buf)-1)))
+}
+
+// Len returns the number of rounds currently held.
 func (r *FlightRecorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.held()
 }
 
-// Total returns the lifetime number of appends (>= Len once evicting).
+// Total returns the lifetime number of commits (>= Len once evicting).
 func (r *FlightRecorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// Last returns up to n records, newest first. n <= 0 means all held.
-func (r *FlightRecorder) Last(n int) []RoundRecord {
+// Each calls fn on up to n held rounds, newest first (n <= 0 means all).
+// It holds the recorder lock throughout, which is what keeps the slots
+// stable: fn must copy what it needs and return, not retain the pointer
+// or do slow work.
+func (r *FlightRecorder) Each(n int, fn func(*Round)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	held := len(r.buf)
-	if held == 0 {
-		return nil
-	}
-	if n <= 0 || n > held {
+	if held := r.held(); n <= 0 || n > held {
 		n = held
 	}
-	out := make([]RoundRecord, 0, n)
-	for i := 0; i < n; i++ {
-		// next-1 is the newest; walk backwards through the ring.
-		idx := (r.next - 1 - i + held) % held
-		out = append(out, r.buf[idx])
+	for i := 1; i <= n; i++ {
+		fn(&r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
+}
+
+// Last renders up to n rounds, newest first (n <= 0 means all held),
+// each with every unit's row (unit < 0) or that one unit's.
+func (r *FlightRecorder) Last(n, unit int) []RoundRecord {
+	var out []RoundRecord
+	r.Each(n, func(rd *Round) { out = append(out, rd.Record(unit)) })
 	return out
 }
 
@@ -142,8 +288,9 @@ func (r *FlightRecorder) Last(n int) []RoundRecord {
 // The optional query parameter n (canonical; last is an accepted alias)
 // limits the response to the newest n records (default 16); the optional
 // unit parameter narrows each record's Units to that one unit, so a
-// single unit's history can be pulled without shipping every other
-// unit's rows to the client.
+// single unit's history can be pulled without rendering every other
+// unit's rows. Rounds are rendered under the recorder lock and encoded
+// outside it: the decision loop never waits on JSON.
 func (r *FlightRecorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		n, ok := trace.CountParam(w, req, 16)
@@ -159,18 +306,7 @@ func (r *FlightRecorder) Handler() http.Handler {
 			}
 			unit = v
 		}
-		recs := r.Last(n)
-		if unit >= 0 {
-			// Re-slicing the returned records' Units headers never writes
-			// the ring's backing arrays.
-			for i := range recs {
-				if unit < len(recs[i].Units) {
-					recs[i].Units = recs[i].Units[unit : unit+1]
-				} else {
-					recs[i].Units = nil
-				}
-			}
-		}
+		recs := r.Last(n, unit)
 		if recs == nil {
 			recs = []RoundRecord{}
 		}

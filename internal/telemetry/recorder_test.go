@@ -4,12 +4,24 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+
+	"dps/internal/power"
 )
+
+// commit records one round with the given delivered caps.
+func commit(fr *FlightRecorder, round uint64, caps ...power.Watts) {
+	rd := fr.Next()
+	rd.Reset(len(caps), false, false)
+	rd.Round = round
+	copy(rd.Cap, caps)
+	clear(rd.Reason)
+	fr.Commit()
+}
 
 func TestFlightRecorderEviction(t *testing.T) {
 	fr := NewFlightRecorder(3)
 	for round := uint64(1); round <= 5; round++ {
-		fr.Append(RoundRecord{Round: round})
+		commit(fr, round)
 	}
 	if fr.Len() != 3 {
 		t.Fatalf("len = %d, want 3", fr.Len())
@@ -17,7 +29,7 @@ func TestFlightRecorderEviction(t *testing.T) {
 	if fr.Total() != 5 {
 		t.Fatalf("total = %d, want 5", fr.Total())
 	}
-	recs := fr.Last(0)
+	recs := fr.Last(0, -1)
 	got := make([]uint64, len(recs))
 	for i, r := range recs {
 		got[i] = r.Round
@@ -33,16 +45,16 @@ func TestFlightRecorderEviction(t *testing.T) {
 
 func TestFlightRecorderLastN(t *testing.T) {
 	fr := NewFlightRecorder(4)
-	if recs := fr.Last(2); recs != nil {
+	if recs := fr.Last(2, -1); recs != nil {
 		t.Errorf("empty recorder returned %v", recs)
 	}
-	fr.Append(RoundRecord{Round: 1})
-	fr.Append(RoundRecord{Round: 2})
-	recs := fr.Last(1)
+	commit(fr, 1)
+	commit(fr, 2)
+	recs := fr.Last(1, -1)
 	if len(recs) != 1 || recs[0].Round != 2 {
 		t.Errorf("Last(1) = %+v", recs)
 	}
-	if recs := fr.Last(10); len(recs) != 2 {
+	if recs := fr.Last(10, -1); len(recs) != 2 {
 		t.Errorf("Last(10) returned %d records", len(recs))
 	}
 }
@@ -50,7 +62,7 @@ func TestFlightRecorderLastN(t *testing.T) {
 func TestFlightRecorderHandler(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	for round := uint64(1); round <= 6; round++ {
-		fr.Append(RoundRecord{Round: round, Units: []UnitRecord{{Unit: 0, CapW: 110}}})
+		commit(fr, round, 110)
 	}
 
 	rec := httptest.NewRecorder()

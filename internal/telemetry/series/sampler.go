@@ -46,7 +46,9 @@ type histState struct {
 
 // NewSampler returns a sampler feeding store from reg. The first
 // SampleOnce seeds counter/histogram baselines and stores only gauges;
-// rates appear from the second scrape on.
+// rates appear from the second scrape on. Every series is admitted to
+// the store when it is first seen, not when it first has a point, so
+// admission under MaxSeries follows registry order.
 func NewSampler(reg *telemetry.Registry, store *Store) *Sampler {
 	return &Sampler{
 		reg:          reg,
@@ -70,7 +72,9 @@ func (sm *Sampler) SampleOnce(now time.Time) {
 			sm.store.Push(key, KindGauge, now, s.Value)
 		case telemetry.KindCounter:
 			prev, seen := sm.prevCounters[key]
-			if seen && !first && dt > 0 {
+			if !seen {
+				sm.store.Admit(key, KindRate)
+			} else if !first && dt > 0 {
 				rate := (s.Value - prev) / dt
 				if rate < 0 { // counter reset
 					rate = 0
@@ -86,6 +90,9 @@ func (sm *Sampler) SampleOnce(now time.Time) {
 					deltas:  make([]uint64, len(s.BucketCounts)),
 				}
 				sm.prevHists[key] = st
+				sm.store.Admit(key+":count", KindRate)
+				sm.store.Admit(key+":sum", KindRate)
+				sm.store.Admit(key+":p99", KindP99)
 			} else if !first && dt > 0 && s.Count >= st.count {
 				dCount := s.Count - st.count
 				sm.store.Push(key+":count", KindRate, now, float64(dCount)/dt)

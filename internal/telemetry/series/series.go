@@ -193,18 +193,12 @@ func (s *Store) Len() int {
 	return len(s.series)
 }
 
-// Push appends one sample to the named series, creating it with the given
-// kind on first sight (kind is fixed thereafter). Pushes beyond MaxSeries
-// new series are dropped and counted.
-func (s *Store) Push(key, kind string, t time.Time, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// admit returns the named series, creating it with the given kind on
+// first sight (kind is fixed thereafter) while the store has room; nil
+// once MaxSeries series exist. Caller holds mu.
+func (s *Store) admit(key, kind string) *oneSeries {
 	sr, ok := s.series[key]
-	if !ok {
-		if len(s.series) >= s.cfg.MaxSeries {
-			s.dropped++
-			return
-		}
+	if !ok && len(s.series) < s.cfg.MaxSeries {
 		sr = &oneSeries{
 			key:  key,
 			kind: kind,
@@ -214,6 +208,30 @@ func (s *Store) Push(key, kind string, t time.Time, v float64) {
 		s.series[key] = sr
 		s.names = append(s.names, key)
 		s.sorted = false
+	}
+	return sr
+}
+
+// Admit reserves a slot for a series that has been seen but has no point
+// yet. A rate or quantile needs two scrapes before its first point; were
+// admission to wait for that point, a fleet with more per-unit gauges
+// than MaxSeries would fill the store on the first scrape and lock every
+// derived series out for good.
+func (s *Store) Admit(key, kind string) {
+	s.mu.Lock()
+	s.admit(key, kind)
+	s.mu.Unlock()
+}
+
+// Push appends one sample to the named series, admitting it on first
+// sight. Pushes to series beyond MaxSeries are dropped and counted.
+func (s *Store) Push(key, kind string, t time.Time, v float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sr := s.admit(key, kind)
+	if sr == nil {
+		s.dropped++
+		return
 	}
 	sr.raw.push(t.UnixNano(), v)
 	sr.accSum += v
