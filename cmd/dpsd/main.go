@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -25,13 +24,8 @@ import (
 	"syscall"
 	"time"
 
-	"dps/internal/baseline"
-	"dps/internal/core"
 	"dps/internal/daemon"
-	"dps/internal/power"
-	"dps/internal/stateless"
 	"dps/internal/version"
-	"dps/internal/watch"
 )
 
 // attachPprof mounts net/http/pprof on the daemon's debug mux, so the
@@ -46,136 +40,67 @@ func attachPprof(mux *http.ServeMux) {
 }
 
 func main() {
-	var (
-		listen   = flag.String("listen", ":7891", "TCP address to accept agents on")
-		units    = flag.Int("units", 20, "total power-capping units across all nodes")
-		budgetW  = flag.Float64("budget", 0, "cluster-wide power budget in watts (0 = 110 W per unit)")
-		unitMax  = flag.Float64("unit-max", 165, "hardware maximum cap per unit (TDP)")
-		unitMin  = flag.Float64("unit-min", 10, "hardware minimum cap per unit")
-		interval = flag.Duration("interval", time.Second, "decision loop period")
-		policy   = flag.String("policy", "dps", "power policy: dps|slurm|constant")
-		seed     = flag.Int64("seed", 1, "controller seed (random cap-raise order)")
-		quiet    = flag.Bool("quiet", false, "suppress operational logging")
-		httpAddr = flag.String("http", "", "serve /status, /metrics and /healthz on this address (e.g. :7892)")
-		confPath = flag.String("config", "", "JSON config file (overrides all other flags)")
-
-		showVersion = flag.Bool("version", false, "print version and exit")
-	)
-	// Every per-setting server knob (health thresholds, ingest limits,
-	// delta epsilon, trace/series/watch toggles) registers from the
-	// daemon's knob table, so flag names and JSON keys cannot drift.
-	applyKnobFlags := daemon.RegisterServerFlags(flag.CommandLine)
-	var watchRules []watch.Rule
-	flag.Func("watch-rule", `alert rule as JSON (repeatable), e.g. '{"name":"cap_sum_high","kind":"threshold","series":"dps_cap_sum_watts","value":2100,"for_ms":5000}'`, func(v string) error {
-		var r watch.Rule
-		if err := json.Unmarshal([]byte(v), &r); err != nil {
-			return err
-		}
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		watchRules = append(watchRules, r)
-		return nil
-	})
+	// Every setting is a flag that fills the same daemon.FileConfig a
+	// -config file parses into; only what concerns this process rather
+	// than the controller it runs is declared here.
+	var fc daemon.FileConfig
+	resolveFlags := daemon.RegisterFlags(flag.CommandLine, &fc)
+	quiet := flag.Bool("quiet", false, "suppress operational logging")
+	confPath := flag.String("config", "", "JSON config file (overrides all other flags)")
+	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(version.String("dpsd"))
 		return
 	}
 
-	var mgr core.Manager
+	// One road from here, whichever surface filled fc: defaults and
+	// validation, the manager, the server config, the server.
 	var err error
-	nUnits := *units
-	listenAddr := *listen
-	interval_ := *interval
-	statusAddr := *httpAddr
-
-	var cfg daemon.ServerConfig
 	if *confPath != "" {
-		fc, err := daemon.LoadFileConfig(*confPath)
-		if err != nil {
-			log.Fatalf("dpsd: %v", err)
-		}
-		mgr, err = fc.BuildManager()
-		if err != nil {
-			log.Fatalf("dpsd: %v", err)
-		}
-		nUnits = fc.Units
-		listenAddr = fc.Listen
-		interval_ = fc.Interval()
-		statusAddr = fc.HTTP
-		fc.ApplyKnobs(&cfg)
-		watchRules = fc.WatchRules
+		fc, err = daemon.LoadFileConfig(*confPath)
 	} else {
-		total := power.Watts(*budgetW)
-		if total == 0 {
-			total = power.Watts(*units) * 110
-		}
-		budget := power.Budget{Total: total, UnitMax: power.Watts(*unitMax), UnitMin: power.Watts(*unitMin)}
-		// Knob flags land before the manager is built: some of them
-		// (-sparse-rounds, -sparse-refresh-every) are controller
-		// construction inputs, not server settings.
-		applyKnobFlags(&cfg)
-		switch *policy {
-		case "dps":
-			ccfg := core.DefaultConfig(*units, budget)
-			ccfg.Seed = *seed
-			ccfg.SparseRefreshEvery = cfg.SparseRefreshEvery
-			mgr, err = core.NewDPS(ccfg)
-		case "slurm":
-			mgr, err = baseline.NewSLURM(*units, budget, stateless.DefaultConfig(), *seed)
-		case "constant":
-			mgr, err = baseline.NewConstant(*units, budget)
-		default:
-			err = fmt.Errorf("unknown policy %q (want dps, slurm or constant)", *policy)
-		}
-		if err != nil {
-			log.Fatalf("dpsd: %v", err)
-		}
+		err = resolveFlags()
 	}
-
-	if len(watchRules) > 0 && !cfg.WatchEnabled {
-		log.Fatalf("dpsd: -watch-rule requires -watch")
+	if err != nil {
+		log.Fatalf("dpsd: %v", err)
 	}
-
-	logf := log.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
+	mgr, err := fc.BuildManager()
+	if err != nil {
+		log.Fatalf("dpsd: %v", err)
 	}
+	var cfg daemon.ServerConfig
+	fc.ApplyKnobs(&cfg)
 	cfg.Manager = mgr
-	cfg.Units = nUnits
-	cfg.Interval = interval_
-	cfg.Logf = logf
-	cfg.WatchRules = watchRules
-	if cfg.StandbyOf != "" && cfg.RestoreFrom != "" {
-		log.Fatalf("dpsd: -standby-of and -restore-from are mutually exclusive (a standby inherits state from its primary)")
+	if !*quiet {
+		cfg.Logf = log.Printf
 	}
 	srv, err := daemon.NewServer(cfg)
 	if err != nil {
 		log.Fatalf("dpsd: %v", err)
 	}
-	if cfg.RestoreFrom != "" {
+	if fc.RestoreFrom != "" {
 		// RestoreFromSnapshot logs the restored round/unit counts itself; a
 		// rejection (stale, corrupt, wrong shape) is fatal — the operator
 		// asked for continuity, and silently cold-starting instead would
 		// hand every unit the constant-cap round the restore was meant to
 		// avoid.
-		if err := srv.RestoreFromSnapshot(cfg.RestoreFrom); err != nil {
+		if err := srv.RestoreFromSnapshot(fc.RestoreFrom); err != nil {
 			log.Fatalf("dpsd: %v", err)
 		}
 	}
 
 	var httpSrv *http.Server
-	if statusAddr != "" {
+	if fc.HTTP != "" {
 		mux := srv.StatusHandler()
 		attachPprof(mux)
 		httpSrv = &http.Server{
-			Addr:              statusAddr,
+			Addr:              fc.HTTP,
 			Handler:           mux,
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
-			log.Printf("dpsd: status endpoint on http://%s/status (metrics, alerts, debug/rounds, debug/series, debug/trace, debug/why, debug/pprof)", statusAddr)
+			log.Printf("dpsd: status endpoint on http://%s/status (metrics, alerts, debug/rounds, debug/series, debug/trace, debug/why, debug/pprof)", fc.HTTP)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("dpsd: status endpoint: %v", err)
 			}
@@ -194,12 +119,12 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	if cfg.StandbyOf != "" {
+	if fc.StandbyOf != "" {
 		// Warm standby: follow the primary's replication stream, and open
 		// the agent listener only at takeover — until then agents probing
 		// this address are refused and rotate back to the primary.
 		log.Printf("dpsd: warm standby of %s (%s policy, %d units); agents served on %s after takeover",
-			cfg.StandbyOf, mgr.Name(), nUnits, listenAddr)
+			fc.StandbyOf, mgr.Name(), fc.Units, fc.Listen)
 		var lmu sync.Mutex
 		var takeoverL net.Listener
 		ctx, cancel := context.WithCancel(context.Background())
@@ -216,7 +141,7 @@ func main() {
 			lmu.Unlock()
 		}()
 		err := srv.RunStandby(ctx, func() (net.Listener, error) {
-			l, err := net.Listen("tcp", listenAddr)
+			l, err := net.Listen("tcp", fc.Listen)
 			if err != nil {
 				return nil, err
 			}
@@ -232,12 +157,12 @@ func main() {
 		return
 	}
 
-	l, err := net.Listen("tcp", listenAddr)
+	l, err := net.Listen("tcp", fc.Listen)
 	if err != nil {
 		log.Fatalf("dpsd: %v", err)
 	}
 	log.Printf("dpsd: %s policy over %d units, budget %.0f W, listening on %s",
-		mgr.Name(), nUnits, mgr.Budget().Total, l.Addr())
+		mgr.Name(), fc.Units, mgr.Budget().Total, l.Addr())
 
 	go func() {
 		<-sigc

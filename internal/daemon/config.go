@@ -14,9 +14,12 @@ import (
 	"dps/internal/watch"
 )
 
-// FileConfig is dpsd's JSON configuration: everything the daemon needs to
-// come up without flags, checked into a cluster's configuration management
-// the way production services are deployed.
+// FileConfig is the one description of a dpsd: the JSON configuration file
+// (-config, checked into a cluster's configuration management the way
+// production services are deployed) and the target every command-line
+// flag writes into (RegisterFlags). Whichever surface fills it, the road
+// to a running server is the same: defaults and validation, BuildManager,
+// ApplyKnobs, NewServer. Every key but "units" is optional:
 //
 //	{
 //	  "listen": ":7891",
@@ -35,8 +38,27 @@ import (
 //	  "read_idle_timeout_ms": 5000,
 //	  "max_reading_w": 330,
 //	  "delta_epsilon_w": 0.5,
-//	  "disable_batch_ingest": false
+//	  "disable_batch_ingest": false,
+//	  "sparse_refresh_every": 64,
+//	  "trace": false,
+//	  "trace_spans": 4096,
+//	  "series": true,
+//	  "watch": true,
+//	  "watch_rules": [
+//	    {"name": "cap_sum_high", "kind": "threshold",
+//	     "series": "dps_cap_sum_watts", "op": ">", "value": 2100,
+//	     "for_ms": 5000}
+//	  ],
+//	  "budget_tolerance_w": 0.001,
+//	  "snapshot_path": "/var/lib/dps/state.dps",
+//	  "snapshot_every": 10,
+//	  "restore_from": "/var/lib/dps/state.dps",
+//	  "blackbox_path": "/var/lib/dps/blackbox",
+//	  "blackbox_rounds": 4096
 //	}
+//
+// ("standby_of": "primary:7891" replaces "restore_from" on a warm
+// standby; "sparse_rounds" and "shards" are retired keys that still load.)
 type FileConfig struct {
 	Listen     string  `json:"listen"`
 	HTTP       string  `json:"http,omitempty"`
@@ -93,14 +115,6 @@ type FileConfig struct {
 	// built-in invariant audits plus WatchRules (GET /alerts). Any
 	// configured rule implies the series store. BudgetToleranceW is the
 	// slack on the budget_conservation audit (0 = the watch default).
-	//
-	//	"watch": true,
-	//	"series": true,
-	//	"watch_rules": [
-	//	  {"name": "cap_sum_high", "kind": "threshold",
-	//	   "series": "dps_cap_sum_watts", "op": ">", "value": 2100,
-	//	   "for_ms": 5000}
-	//	]
 	Series           bool         `json:"series,omitempty"`
 	Watch            bool         `json:"watch,omitempty"`
 	WatchRules       []watch.Rule `json:"watch_rules,omitempty"`
@@ -136,11 +150,17 @@ func LoadFileConfig(path string) (FileConfig, error) {
 	if err := dec.Decode(&fc); err != nil {
 		return FileConfig{}, fmt.Errorf("daemon: parsing config %s: %w", path, err)
 	}
-	fc.applyDefaults()
-	if err := fc.validate(); err != nil {
+	if err := fc.resolve(); err != nil {
 		return FileConfig{}, fmt.Errorf("daemon: config %s: %w", path, err)
 	}
 	return fc, nil
+}
+
+// resolve fills the defaults in and validates the result: the one gate
+// every FileConfig passes, whether a file or the flags filled it.
+func (fc *FileConfig) resolve() error {
+	fc.applyDefaults()
+	return fc.validate()
 }
 
 func (fc *FileConfig) applyDefaults() {
@@ -178,24 +198,33 @@ func (fc FileConfig) validate() error {
 		return fmt.Errorf("non-positive interval %d ms", fc.IntervalMS)
 	case fc.Shards < 0:
 		return fmt.Errorf("negative shards %d", fc.Shards)
-	}
-	// Per-knob range checks live in the knob table; only cross-field
-	// constraints remain here.
-	if err := fc.validateKnobs(); err != nil {
-		return err
-	}
-	if fc.StaleAfterMS > 0 && fc.DeadAfterMS > 0 && fc.DeadAfterMS < fc.StaleAfterMS {
+	case fc.StaleAfterMS < 0:
+		return fmt.Errorf("negative stale_after_ms %d", fc.StaleAfterMS)
+	case fc.DeadAfterMS < 0:
+		return fmt.Errorf("negative dead_after_ms %d", fc.DeadAfterMS)
+	case fc.ReadIdleTimeoutMS < 0:
+		return fmt.Errorf("negative read_idle_timeout_ms %d", fc.ReadIdleTimeoutMS)
+	case fc.MaxReadingW < 0:
+		return fmt.Errorf("negative max_reading_w %v", fc.MaxReadingW)
+	case fc.DeltaEpsilonW < 0:
+		return fmt.Errorf("negative delta_epsilon_w %v", fc.DeltaEpsilonW)
+	case fc.SparseRefreshEvery < 0:
+		return fmt.Errorf("negative sparse_refresh_every %d", fc.SparseRefreshEvery)
+	case fc.TraceSpans < 0:
+		return fmt.Errorf("negative trace_spans %d", fc.TraceSpans)
+	case fc.SnapshotEvery < 0:
+		return fmt.Errorf("negative snapshot_every %d", fc.SnapshotEvery)
+	case fc.BlackboxRounds < 0:
+		return fmt.Errorf("negative blackbox_rounds %d", fc.BlackboxRounds)
+	case fc.BudgetToleranceW < 0:
+		return fmt.Errorf("negative budget_tolerance_w %v", fc.BudgetToleranceW)
+	case fc.StaleAfterMS > 0 && fc.DeadAfterMS > 0 && fc.DeadAfterMS < fc.StaleAfterMS:
 		return fmt.Errorf("dead_after_ms %d below stale_after_ms %d", fc.DeadAfterMS, fc.StaleAfterMS)
-	}
-	if fc.StandbyOf != "" && fc.RestoreFrom != "" {
+	case fc.StandbyOf != "" && fc.RestoreFrom != "":
 		return fmt.Errorf("standby_of and restore_from are mutually exclusive (a standby inherits state from its primary)")
-	}
-	switch fc.Policy {
-	case "dps", "slurm", "constant":
-	default:
+	case fc.Policy != "dps" && fc.Policy != "slurm" && fc.Policy != "constant":
 		return fmt.Errorf("unknown policy %q (want dps, slurm or constant)", fc.Policy)
-	}
-	if len(fc.WatchRules) > 0 && !fc.Watch {
+	case len(fc.WatchRules) > 0 && !fc.Watch:
 		return fmt.Errorf("watch_rules set but watch is false")
 	}
 	seen := make(map[string]bool, len(fc.WatchRules))
@@ -235,19 +264,30 @@ func (fc FileConfig) Interval() time.Duration {
 	return time.Duration(fc.IntervalMS) * time.Millisecond
 }
 
-// StaleAfter derives the staleness threshold (zero disables).
-func (fc FileConfig) StaleAfter() time.Duration {
-	return time.Duration(fc.StaleAfterMS) * time.Millisecond
-}
-
-// DeadAfter derives the death threshold (zero disables).
-func (fc FileConfig) DeadAfter() time.Duration {
-	return time.Duration(fc.DeadAfterMS) * time.Millisecond
-}
-
-// ReadIdleTimeout derives the connection-reaping deadline (zero disables).
-func (fc FileConfig) ReadIdleTimeout() time.Duration {
-	return time.Duration(fc.ReadIdleTimeoutMS) * time.Millisecond
+// ApplyKnobs copies every setting the server itself reads into sc. What
+// it leaves to the caller is what a FileConfig cannot hold: the Manager
+// (BuildManager) and the log sink.
+func (fc FileConfig) ApplyKnobs(sc *ServerConfig) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	sc.Units = fc.Units
+	sc.Interval = fc.Interval()
+	sc.StaleAfter = ms(fc.StaleAfterMS)
+	sc.DeadAfter = ms(fc.DeadAfterMS)
+	sc.ReadIdleTimeout = ms(fc.ReadIdleTimeoutMS)
+	sc.MaxReading = power.Watts(fc.MaxReadingW)
+	sc.DeltaEpsilon = power.Watts(fc.DeltaEpsilonW)
+	sc.DisableBatchIngest = fc.DisableBatchIngest
+	sc.TraceEnabled = fc.Trace
+	sc.TraceSpans = fc.TraceSpans
+	sc.SeriesEnabled = fc.Series
+	sc.WatchEnabled = fc.Watch
+	sc.WatchRules = fc.WatchRules
+	sc.BudgetToleranceW = fc.BudgetToleranceW
+	sc.SnapshotPath = fc.SnapshotPath
+	sc.SnapshotEvery = fc.SnapshotEvery
+	sc.StandbyOf = fc.StandbyOf
+	sc.BlackboxPath = fc.BlackboxPath
+	sc.BlackboxRounds = fc.BlackboxRounds
 }
 
 // BuildManager constructs the configured policy.

@@ -45,9 +45,8 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	health := s.classifyHealthLocked()
 	s.imu.Unlock()
 
-	dps, _ := s.cfg.Manager.(*core.DPS)
 	rec := s.recorder.Next()
-	rec.Reset(s.cfg.Units, dps != nil, health != nil)
+	rec.Reset(s.cfg.Units, s.dps != nil, health != nil)
 
 	s.mu.Lock()
 	round := s.rounds.Load() + 1
@@ -63,10 +62,10 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	rec.Round, rec.Interval, rec.Inherited = round, interval, s.inheritedRounds.Load()
 	rec.Time = s.now()
 	var caps power.Vector
-	if dps != nil {
+	if s.dps != nil {
 		// The stats arrive atomically with the caps, so the record can
 		// never pair one round's caps with another's stats.
-		caps, rec.Stats = dps.DecideStats(snap)
+		caps, rec.Stats = s.dps.DecideStats(snap)
 		rec.HasStats = true
 	} else {
 		caps = s.cfg.Manager.Decide(snap)
@@ -109,7 +108,7 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 
 	// The caps are out; describe the round while lastPushed still holds
 	// what the agents enforced going in, then publish.
-	s.fillRound(rec, snap, managerCaps, caps, dps)
+	s.fillRound(rec, snap, managerCaps, caps)
 	s.mu.Lock()
 	s.rounds.Store(round)
 	copy(s.lastCaps, caps)
@@ -133,16 +132,16 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 // only where degradedDeliver corrected a health-blind policy, which is
 // what earns a unit the degraded_deliver reason. Non-fresh units are
 // audited against s.lastPushed, still the pre-round delivered caps.
-func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps, caps power.Vector, dps *core.DPS) {
+func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps, caps power.Vector) {
 	rec.BudgetW = float64(s.cfg.Manager.Budget().Total)
 	rec.CapSumW = float64(caps.Sum())
 	copy(rec.Reading, snap.Power)
 	copy(rec.Cap, caps)
 	copy(rec.Health, snap.Health)
 	var prov []trace.CapChange
-	if dps != nil {
-		copy(rec.Prio, dps.Priorities())
-		prov = dps.Provenance()
+	if s.dps != nil {
+		copy(rec.Prio, s.dps.Priorities())
+		prov = s.dps.Provenance()
 	}
 	for u := range caps {
 		reason := trace.ReasonNone

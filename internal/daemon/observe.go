@@ -89,7 +89,7 @@ func registerBuildInfo(reg *telemetry.Registry) {
 		telemetry.Label{Key: "goversion", Value: runtime.Version()}).Set(1)
 }
 
-func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig) serverMetrics {
+func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) serverMetrics {
 	registerBuildInfo(reg)
 	m := serverMetrics{
 		rounds:      reg.Counter("dps_rounds_total", "Decision rounds completed."),
@@ -146,7 +146,6 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig) serverMetrics {
 			telemetry.Label{Key: "stage", Value: stage})
 	}
 	m.budget.Set(float64(cfg.Manager.Budget().Total))
-	_, isDPS := cfg.Manager.(*core.DPS)
 	initialCaps := cfg.Manager.Caps()
 	for u := 0; u < cfg.Units; u++ {
 		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(u)}

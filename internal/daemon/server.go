@@ -80,13 +80,6 @@ type ServerConfig struct {
 	// capability, forcing every agent onto full per-interval report frames.
 	// An escape hatch for debugging the delta plane; off by default.
 	DisableBatchIngest bool
-	// SparseRefreshEvery is a manager-construction input: dpsd reads it
-	// when it builds a DPS controller (core.Config.SparseRefreshEvery), so
-	// -sparse-refresh-every and its -sparse-rounds=false alias (period 1)
-	// reach the decision engine on both the flag and the config-file
-	// path. NewServer itself does not consult it — the Manager it receives
-	// already embodies the choice.
-	SparseRefreshEvery int
 
 	// TraceEnabled starts the span recorder on. The recorder always
 	// exists (GET /debug/trace always mounts, and it can be enabled at
@@ -124,15 +117,13 @@ type ServerConfig struct {
 	// when set, makes the daemon assemble its full versioned state image
 	// after every decision round, write it to this file every
 	// SnapshotEvery rounds, and write it one final time on Close.
-	// RestoreFrom names a snapshot file for RestoreFromSnapshot (dpsd
-	// calls it at boot when -restore-from is set; NewServer itself does
-	// not, so callers control when the clock source is in place).
 	// StandbyOf marks this daemon a warm standby of the primary at that
 	// address: RunStandby subscribes to the primary's replication stream
-	// and serves agents only after takeover.
+	// and serves agents only after takeover. (Restoring a snapshot file at
+	// boot is a call, RestoreFromSnapshot, not a setting: the caller
+	// decides when the clock source is in place.)
 	SnapshotPath  string
 	SnapshotEvery int
-	RestoreFrom   string
 	StandbyOf     string
 	// SnapshotMaxAge bounds how old (by its own save stamp) a snapshot
 	// file may be and still be restored; older files are rejected as
@@ -191,6 +182,10 @@ func (c ServerConfig) validate() error {
 // Server is the DPS controller daemon.
 type Server struct {
 	cfg ServerConfig
+	// dps is cfg.Manager when that is the DPS controller (stats, tracing,
+	// priorities, provenance and state export exist only there), nil for
+	// any other policy. Asserted once, in NewServer.
+	dps *core.DPS
 
 	tel      *telemetry.Registry
 	recorder *telemetry.FlightRecorder
@@ -324,15 +319,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg := telemetry.NewRegistry()
 	tracer := trace.NewRecorder(cfg.TraceSpans)
 	tracer.SetEnabled(cfg.TraceEnabled)
-	if d, ok := cfg.Manager.(*core.DPS); ok {
-		d.SetTracer(tracer)
+	dps, _ := cfg.Manager.(*core.DPS)
+	if dps != nil {
+		dps.SetTracer(tracer)
 	}
 	s := &Server{
 		cfg:        cfg,
+		dps:        dps,
 		tel:        reg,
 		recorder:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
 		tracer:     tracer,
-		metrics:    newServerMetrics(reg, cfg),
+		metrics:    newServerMetrics(reg, cfg, dps != nil),
 		now:        time.Now,
 		readings:   make(power.Vector, cfg.Units),
 		dirty:      core.NewDirtyMask(cfg.Units),

@@ -48,8 +48,8 @@ func (s *Server) snapshotEvery() uint64 {
 // is quiescent between rounds.
 func (s *Server) exportState(round uint64) {
 	st := &s.snapState
-	if d, ok := s.cfg.Manager.(*core.DPS); ok {
-		d.ExportState(st)
+	if s.dps != nil {
+		s.dps.ExportState(st)
 	} else {
 		b := s.cfg.Manager.Budget()
 		st.Units = s.cfg.Units
@@ -225,11 +225,11 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 			return fmt.Errorf("daemon: snapshot %s is stale: saved %v ago, limit %v", path, age.Round(time.Second), maxAge)
 		}
 	}
-	if d, ok := s.cfg.Manager.(*core.DPS); ok {
+	if s.dps != nil {
 		if !st.HasCore {
 			return fmt.Errorf("daemon: snapshot %s carries no controller state", path)
 		}
-		if err := d.RestoreState(st); err != nil {
+		if err := s.dps.RestoreState(st); err != nil {
 			return fmt.Errorf("daemon: snapshot %s: %w", path, err)
 		}
 	}

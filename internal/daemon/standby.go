@@ -169,11 +169,11 @@ func (s *Server) takeOver(st *snapshot.State, secs map[uint16][]byte, round uint
 	if st.Units != s.cfg.Units {
 		return fmt.Errorf("daemon: standby takeover: primary ran %d units, this server %d", st.Units, s.cfg.Units)
 	}
-	if d, ok := s.cfg.Manager.(*core.DPS); ok {
+	if s.dps != nil {
 		if !st.HasCore {
 			return fmt.Errorf("daemon: standby takeover: replicated state carries no controller state")
 		}
-		if err := d.RestoreState(st); err != nil {
+		if err := s.dps.RestoreState(st); err != nil {
 			return fmt.Errorf("daemon: standby takeover: %w", err)
 		}
 	}

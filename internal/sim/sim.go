@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"dps/internal/cluster"
@@ -298,14 +297,9 @@ func RunPair(cfg PairConfig, factory ManagerFactory) (PairResult, error) {
 		}
 		var caps power.Vector
 		if dpsMgr != nil {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
 			var st core.RoundStats
 			caps, st = dpsMgr.DecideStats(snap)
-			runtime.ReadMemStats(&ms)
 			res.Stages.Add(st)
-			res.Stages.AddMallocs(ms.Mallocs - before)
 		} else {
 			caps = mgr.Decide(snap)
 		}

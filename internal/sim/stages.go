@@ -29,11 +29,6 @@ type StageBreakdown struct {
 	// unit-rounds the controller skipped as settled.
 	DirtyUnits   uint64 `json:"dirty_units"`
 	SkippedUnits uint64 `json:"skipped_units"`
-	// ControllerMallocs counts heap allocations made by the controller's
-	// decision rounds (runtime.MemStats.Mallocs delta around each call).
-	// The steady-state round is allocation-free (see
-	// internal/core/alloc_test.go).
-	ControllerMallocs uint64 `json:"controller_mallocs"`
 }
 
 // Add folds one round's stats into the breakdown.
@@ -57,10 +52,6 @@ func (b *StageBreakdown) Add(st core.RoundStats) {
 	b.DirtyUnits += uint64(st.DirtyUnits)
 	b.SkippedUnits += uint64(st.SkippedUnits)
 }
-
-// AddMallocs folds one round's controller heap-allocation count into the
-// breakdown.
-func (b *StageBreakdown) AddMallocs(n uint64) { b.ControllerMallocs += n }
 
 // MeanMicros returns the mean per-round microseconds of one accumulated
 // stage total.
@@ -87,12 +78,8 @@ func (b *StageBreakdown) Format() string {
 	} {
 		fmt.Fprintf(&sb, "  %-10s %8.2f\n", row.name, b.MeanMicros(row.s))
 	}
-	allocsPerRound := 0.0
-	if b.Rounds > 0 {
-		allocsPerRound = float64(b.ControllerMallocs) / float64(b.Rounds)
-	}
-	fmt.Fprintf(&sb, "  restores=%d priority_flips=%d budget_exhausted=%d budget_clamped=%d allocs_per_round=%.2f",
-		b.Restores, b.PriorityFlips, b.BudgetExhausted, b.BudgetClamped, allocsPerRound)
+	fmt.Fprintf(&sb, "  restores=%d priority_flips=%d budget_exhausted=%d budget_clamped=%d",
+		b.Restores, b.PriorityFlips, b.BudgetExhausted, b.BudgetClamped)
 	if b.DirtyUnits > 0 || b.SkippedUnits > 0 {
 		fmt.Fprintf(&sb, "\n  sparse: dirty_units=%d skipped_units=%d", b.DirtyUnits, b.SkippedUnits)
 	}
