@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X dps/internal/version.Version=$(VERSION)"
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-json bench-ingest bench-restore alloc-check chaos fuzz-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
+.PHONY: all build vet staticcheck test race bench bench-smoke bench-json bench-ingest bench-restore profile-decide alloc-check chaos fuzz-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
 
 all: ci
 
@@ -40,8 +40,8 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-smoke proves the default, reference (refresh=1) and
-# dirty-fraction rows all complete a cluster-scale round with -benchmem
+# bench-smoke proves the default, reference (refresh=1), dirty-fraction
+# and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output; it
 # is a compile-and-run check, not a timing run. The smoke JSON goes to an
 # untracked path so it never clobbers the committed timing record.
@@ -51,6 +51,14 @@ bench-smoke:
 # bench-json refreshes the committed BENCH_decide.json with real timings.
 bench-json:
 	./scripts/bench_decide.sh
+
+# profile-decide takes a CPU profile of the phased 16k round — the round
+# the end-to-end benchmark's dense workloads put on the controller —
+# without touching bench/. It leaves decide.prof and the test binary
+# dps.test in the repository root, both git-ignored; read them with
+# `go tool pprof -top dps.test decide.prof`.
+profile-decide:
+	$(GO) test -run xxx -bench 'DecideScaling/N=16384/phased' -benchtime 1000x -cpuprofile decide.prof .
 
 # bench-ingest refreshes the committed BENCH_ingest.json: server-side
 # ingest throughput at 16k units across per-reading frames, raw node

@@ -11,6 +11,7 @@ package dps_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -294,9 +295,13 @@ func BenchmarkControllerLoop20000(b *testing.B) { benchControllerLoop(b, 20000) 
 // per round; N=<units>/refresh=1 is the same trace through the reference
 // configuration that processes every unit every round (the price of never
 // skipping); N=<units>/dirty=<pct> drives ingest-style dirty masks at
-// three dirty fractions. Each row reports allocations (steady state must
-// be 0 — the regression test in internal/core pins it) and the first two
-// a priority_ns/kalman_ns split so the per-PR trajectory of the per-unit
+// three dirty fractions; N=<units>/phased is the round the end-to-end
+// benchmark's dense workloads put on the controller (phasedTrace) — the
+// only row whose histories carry phase steps, meter noise and cap-shaped
+// power, so the only one in which the frequency detector has work to do.
+// Each row reports allocations (steady state must be 0 — the regression
+// test in internal/core pins it) and all but the dirty rows a
+// priority_ns/kalman_ns split so the per-PR trajectory of the per-unit
 // stages is visible; scripts/bench_decide.sh turns this output into
 // BENCH_decide.json.
 func BenchmarkDecideScaling(b *testing.B) {
@@ -415,6 +420,108 @@ func BenchmarkDecideScaling(b *testing.B) {
 				b.ReportMetric(float64(skipped)/float64(b.N), "skipped_units")
 				b.ReportMetric(float64(dirtyCount)/float64(b.N), "dirty_units")
 			})
+		}
+	}
+	// Phased rows: closed-loop job-phase traffic. Every reading moves
+	// every round, so nothing is skipped, and the rounds price the
+	// per-unit stages on the histories a busy cluster actually produces;
+	// priority_ns here is what bench's core.priority_ms reads on dense16k.
+	for _, units := range []int{16384, 65536} {
+		budget := power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10}
+		b.Run(fmt.Sprintf("N=%d/phased", units), func(b *testing.B) {
+			d, err := core.NewDPS(core.DefaultConfig(units, budget))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := newPhasedTrace(units, 1)
+			readings := make(power.Vector, units)
+			caps := power.NewVector(units, 110)
+			snap := core.Snapshot{Power: readings, Interval: 1}
+			// Past the longest phase, so every history ring has wrapped
+			// and every job has stepped at least once.
+			for i := 0; i < 150; i++ {
+				g.step(readings, caps)
+				caps = d.Decide(snap)
+			}
+			var priorityNS, kalmanNS time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g.step(readings, caps)
+				b.StartTimer()
+				var st core.RoundStats
+				caps, st = d.DecideStats(snap)
+				priorityNS += st.Timings.Priority
+				kalmanNS += st.Timings.Kalman
+			}
+			b.ReportMetric(float64(priorityNS.Nanoseconds())/float64(b.N), "priority_ns")
+			b.ReportMetric(float64(kalmanNS.Nanoseconds())/float64(b.N), "kalman_ns")
+		})
+	}
+}
+
+// phasedTrace is the end-to-end benchmark's demand generator
+// (bench/workload.go, which this package may not import) in miniature:
+// jobs of 64–512 contiguous units alternate 130–160 W and 50–80 W phases
+// of 20–120 rounds, units of a job differ by a fixed ±3 W, and every
+// reading is min(demand, the cap decided last round) plus σ = 2 W meter
+// noise.
+type phasedTrace struct {
+	rng    *rand.Rand
+	jobs   []phasedJob
+	offset []float64
+}
+
+type phasedJob struct {
+	first, n, left int
+	high           bool
+	level          float64
+}
+
+func newPhasedTrace(units int, seed int64) *phasedTrace {
+	g := &phasedTrace{rng: rand.New(rand.NewSource(seed)), offset: make([]float64, units)}
+	for u := range g.offset {
+		g.offset[u] = g.rng.Float64()*6 - 3
+	}
+	for first := 0; first < units; {
+		n := 64 + g.rng.Intn(512-64+1)
+		if first+n > units {
+			n = units - first
+		}
+		j := phasedJob{first: first, n: n, high: g.rng.Intn(2) == 0}
+		g.nextPhase(&j)
+		j.left = 1 + g.rng.Intn(j.left) // desynchronise the first transitions
+		g.jobs = append(g.jobs, j)
+		first += n
+	}
+	return g
+}
+
+func (g *phasedTrace) nextPhase(j *phasedJob) {
+	j.high = !j.high
+	j.level = 50 + g.rng.Float64()*30
+	if j.high {
+		j.level += 80
+	}
+	j.left = 20 + g.rng.Intn(101)
+}
+
+// step advances every job one round and writes the round's readings,
+// clipped at caps.
+func (g *phasedTrace) step(readings, caps power.Vector) {
+	for i := range g.jobs {
+		j := &g.jobs[i]
+		if j.left == 0 {
+			g.nextPhase(j)
+		}
+		j.left--
+		for u := j.first; u < j.first+j.n; u++ {
+			draw := j.level + g.offset[u]
+			if c := float64(caps[u]); draw > c {
+				draw = c
+			}
+			readings[u] = power.Watts(math.Max(0, draw+g.rng.NormFloat64()*2))
 		}
 	}
 }

@@ -368,6 +368,12 @@ func (d *DPS) Provenance() []trace.CapChange {
 	return d.prov
 }
 
+// Reasons returns the Reason column of Provenance — which module last
+// moved each unit's cap in the most recent round — without materializing
+// the before/after view. Same ownership and lifetime contract as
+// Provenance; callers must not mutate it.
+func (d *DPS) Reasons() []trace.Reason { return d.reasons }
+
 // Decide implements Manager: one pass of the Figure 3 pipeline. Callers
 // that also need the round's stats should use DecideStats.
 func (d *DPS) Decide(snap Snapshot) power.Vector {

@@ -70,7 +70,11 @@ func TestProvenanceConservation(t *testing.T) {
 		if len(prov) != units {
 			t.Fatalf("round %d: Provenance len %d, want %d", step, len(prov), units)
 		}
+		reasons := d.Reasons()
 		for u, p := range prov {
+			if reasons[u] != p.Reason {
+				t.Fatalf("round %d unit %d: Reasons() says %v, Provenance() %v", step, u, reasons[u], p.Reason)
+			}
 			if float64(prev[u]) != p.Before {
 				t.Fatalf("round %d unit %d: Before %v != previous cap %v", step, u, p.Before, prev[u])
 			}

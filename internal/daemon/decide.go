@@ -138,15 +138,15 @@ func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps
 	copy(rec.Reading, snap.Power)
 	copy(rec.Cap, caps)
 	copy(rec.Health, snap.Health)
-	var prov []trace.CapChange
+	var reasons []trace.Reason
 	if s.dps != nil {
 		copy(rec.Prio, s.dps.Priorities())
-		prov = s.dps.Provenance()
+		reasons = s.dps.Reasons()
 	}
 	for u := range caps {
 		reason := trace.ReasonNone
-		if prov != nil {
-			reason = prov[u].Reason
+		if reasons != nil {
+			reason = reasons[u]
 		}
 		if caps[u] != managerCaps[u] {
 			// Delivery-side pin or rescale overrode the manager: the last
@@ -161,7 +161,7 @@ func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps
 				rec.PinViolations++
 			}
 		}
-		if prov != nil && reason == trace.ReasonNone && caps[u] != rec.PrevCap[u] {
+		if reasons != nil && reason == trace.ReasonNone && caps[u] != rec.PrevCap[u] {
 			rec.ProvViolations++
 		}
 	}

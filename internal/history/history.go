@@ -481,8 +481,7 @@ func (s *Set) Unit(u power.UnitID) *Ring { return s.rings[u] }
 // Len returns the number of units.
 func (s *Set) Len() int { return len(s.rings) }
 
-// Push records one sample for unit u. Safe to call concurrently for
-// distinct units (see the Set doc comment).
+// Push records one sample for unit u.
 func (s *Set) Push(u power.UnitID, p power.Watts, dt power.Seconds) {
 	s.rings[u].Push(p, dt)
 }

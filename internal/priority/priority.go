@@ -124,9 +124,8 @@ func (c Config) Validate() error {
 // Classification reads each unit's statistics straight off its history
 // ring — peak scan over the ring's storage segments, O(1) incremental
 // stddev and windowed derivative — so a steady-state update copies
-// nothing and allocates nothing. Classification of *distinct* units is
-// safe from concurrent goroutines: the sticky per-unit flags live at
-// distinct slice indices, and the module keeps no shared scratch state.
+// nothing and allocates nothing. Like the controller's decision round
+// that drives it, a Module is not safe for concurrent use.
 type Module struct {
 	cfg      Config
 	highFreq []bool
@@ -164,42 +163,95 @@ func (m *Module) HighFrequency() []bool { return m.highFreq }
 
 // UpdateUnit reclassifies one unit off its live history ring: the entry
 // point the controller's word-mask classify walker calls for every unit
-// on the round's work mask. ring holds the unit's estimated power
-// history; pNow and capNow are its current measured power and programmed
-// cap (for the at-cap and idle-reversion checks); constantCap is the
-// even-split cap. Which units are classified in a round, and against
-// which caps vector, is the caller's responsibility. The call
-// is copy-free and allocation-free: the peak scan runs over the ring's
-// storage segments and stddev/derivative read the ring's O(1) running
-// aggregates.
+// on the round's work mask whose history is not settled. ring holds the
+// unit's estimated power history; pNow and capNow are its current
+// measured power and programmed cap (for the at-cap and idle-reversion
+// checks); constantCap is the even-split cap. Which units are classified
+// in a round, and against which caps vector, is the caller's
+// responsibility. The call is copy-free and allocation-free: Freeze reads
+// the ring's O(1) running aggregates and scans its storage segments in
+// place.
 func (m *Module) UpdateUnit(u power.UnitID, ring *history.Ring, pNow, capNow, constantCap power.Watts) {
-	if ring.Len() < m.cfg.MinSamples {
+	m.UpdateUnitFrozen(u, m.Freeze(ring), pNow, capNow, constantCap)
+}
+
+// FrozenStats holds the ring-derived inputs of one unit's classification.
+// UpdateUnit captures them fresh every call; the controller also keeps a
+// capture for each unit whose history is settled (the ring bitwise-fixed
+// under its per-round push), so those units classify without touching
+// the ring at all — the point at cluster scale, where the ring set is
+// tens of megabytes and the frozen stats stream through cache. Only
+// ring-derived values are held; live inputs (current power, current cap)
+// stay parameters.
+type FrozenStats struct {
+	// N is ring.Len() at capture (the MinSamples gate input).
+	N int
+	// Std is ring.StdDev() at capture.
+	Std power.Watts
+	// Deriv is ring.WindowedDerivative(DerivWindow) at capture.
+	Deriv power.Watts
+	// HighFreqNow is the frequency detector's verdict at capture: more
+	// than PeakCountThreshold prominent peaks in the history.
+	HighFreqNow bool
+}
+
+// Freeze captures a ring's FrozenStats. The frequency verdict is exactly
+// signal.CountProminentPeaks(history) > PeakCountThreshold, but the scan
+// runs only where that can be true: behind the O(1) spread bound
+// (spreadAdmitsPeaks) and the one-pass swing count inside
+// signal.MoreProminentPeaksThan, both necessary conditions.
+func (m *Module) Freeze(ring *history.Ring) FrozenStats {
+	fs := FrozenStats{
+		N:     ring.Len(),
+		Std:   ring.StdDev(),
+		Deriv: ring.WindowedDerivative(m.cfg.DerivWindow),
+	}
+	if !m.DisableFrequency && m.cfg.spreadAdmitsPeaks(fs.N, fs.Std) {
+		pa, pb := ring.Segments()
+		fs.HighFreqNow = signal.MoreProminentPeaksThan(pa, pb, m.cfg.PeakProminence, m.cfg.PeakCountThreshold)
+	}
+	return fs
+}
+
+// spreadAdmitsPeaks reports whether n samples of standard deviation std
+// are spread widely enough to hold more than PeakCountThreshold prominent
+// peaks; false proves they do not.
+//
+// k = PeakCountThreshold+1 counted peaks need k highs and k+1 lows
+// interleaved with them (the key valley between two neighbouring peaks is
+// at least the prominence P below the lower of the two, hence below
+// both): 2k+1 distinct samples with every neighbouring high/low pair at
+// least P apart. Their sum of squares about any centre is smallest when
+// all highs share one level and all lows another P below it (KKT on the
+// zig-zag path, multipliers k, 1, k−1, 2, …, k), so
+// n·σ² ≥ k(k+1)/(2k+1)·P², and σ·√(n(2k+1)/(k(k+1))) < P rules the peaks
+// out — below 5.86 W at the defaults, where every quiet unit and most
+// noisy ones sit. The 1e-6 W slack keeps the documented
+// incremental-stddev drift (DESIGN.md §8) from ever flipping the screen
+// on the boundary.
+func (c Config) spreadAdmitsPeaks(n int, std power.Watts) bool {
+	k := float64(c.PeakCountThreshold + 1)
+	return float64(std)*math.Sqrt(float64(n)*(2*k+1)/(k*(k+1))) >= float64(c.PeakProminence)-1e-6
+}
+
+// UpdateUnitFrozen reclassifies one unit from a FrozenStats capture: the
+// one body of Algorithm 2. pNow and capNow are live — the at-cap and
+// idle-reversion checks must see this round's values even when the
+// history is frozen.
+func (m *Module) UpdateUnitFrozen(u power.UnitID, fs FrozenStats, pNow, capNow, constantCap power.Watts) {
+	if fs.N < m.cfg.MinSamples {
 		return // not enough dynamics yet; keep the current priority
 	}
 
 	if !m.DisableFrequency {
-		// O(1) screen before the O(history) peak scan: any peak's
-		// prominence is bounded by the series range R, and population
-		// variance obeys σ² ≥ R²/(2n) (the two extremes alone contribute
-		// R²/2 to n·σ²), so R ≤ σ√(2n). When σ√(2n) falls below the
-		// prominence threshold the scan provably counts zero peaks — the
-		// common case for every quiet, converged unit in a large cluster.
-		// The 1e-6 W slack keeps the documented incremental-stddev drift
-		// (DESIGN.md §8) from ever flipping the screen on the boundary.
-		n := float64(ring.Len())
-		highFreqNow := false
-		if float64(ring.StdDev())*math.Sqrt(2*n) >= float64(m.cfg.PeakProminence)-1e-6 {
-			pa, pb := ring.Segments()
-			highFreqNow = signal.MoreProminentPeaksThan(pa, pb, m.cfg.PeakProminence, m.cfg.PeakCountThreshold)
-		}
 		if !m.highFreq[u] {
-			if highFreqNow {
+			if fs.HighFreqNow {
 				m.highFreq[u] = true
 				m.prio[u] = true
 				return
 			}
 		} else {
-			if !highFreqNow && ring.StdDev() < m.cfg.StdThreshold {
+			if !fs.HighFreqNow && fs.Std < m.cfg.StdThreshold {
 				m.highFreq[u] = false
 				m.prio[u] = false
 				// Fall through to the derivative check: the unit just
@@ -219,10 +271,8 @@ func (m *Module) UpdateUnit(u power.UnitID, ring *history.Ring, pNow, capNow, co
 		return
 	}
 
-	// Derivative classification for low-frequency, unthrottled units,
-	// fed by the ring's maintained tail-duration aggregate.
-	d := ring.WindowedDerivative(m.cfg.DerivWindow)
-	switch {
+	// Derivative classification for low-frequency, unthrottled units.
+	switch d := fs.Deriv; {
 	case d > m.cfg.DerivIncThreshold:
 		m.prio[u] = true
 	case d < m.cfg.DerivDecThreshold:
@@ -232,94 +282,6 @@ func (m *Module) UpdateUnit(u power.UnitID, ring *history.Ring, pNow, capNow, co
 		// rise the unit stays high priority until its power falls again.
 		// Exception: an unthrottled unit drawing almost nothing is idle,
 		// not anticipating; revert it so noise-induced flags cannot stick.
-		if m.cfg.IdleRevertFraction > 0 && pNow < constantCap*power.Watts(m.cfg.IdleRevertFraction) {
-			m.prio[u] = false
-		}
-	}
-}
-
-// FrozenStats caches the ring-derived inputs of one unit's
-// classification, captured while the unit's history is settled (the ring
-// bitwise-fixed under its per-round push). While that holds, UpdateUnit's
-// ring reads return these exact values every round, so classification
-// can run from the cache without touching the ring at all — the point at
-// cluster scale, where the ring set is tens of megabytes and the frozen
-// stats stream through cache. The cache holds only ring-derived values;
-// live inputs (current power, current cap) stay parameters.
-type FrozenStats struct {
-	// N is ring.Len() at capture (the MinSamples gate input).
-	N int
-	// Std is ring.StdDev() at capture.
-	Std power.Watts
-	// Deriv is ring.WindowedDerivative(DerivWindow) at capture.
-	Deriv power.Watts
-	// HighFreqNow is the frequency detector's verdict at capture: the
-	// stddev screen combined with the prominent-peak scan.
-	HighFreqNow bool
-}
-
-// Freeze captures FrozenStats for a settled ring, evaluating the same
-// screen and peak scan as UpdateUnit so a later UpdateUnitFrozen call
-// reproduces UpdateUnit's decisions bit for bit.
-func (m *Module) Freeze(ring *history.Ring) FrozenStats {
-	fs := FrozenStats{
-		N:     ring.Len(),
-		Std:   ring.StdDev(),
-		Deriv: ring.WindowedDerivative(m.cfg.DerivWindow),
-	}
-	if !m.DisableFrequency {
-		n := float64(ring.Len())
-		if float64(ring.StdDev())*math.Sqrt(2*n) >= float64(m.cfg.PeakProminence)-1e-6 {
-			pa, pb := ring.Segments()
-			fs.HighFreqNow = signal.MoreProminentPeaksThan(pa, pb, m.cfg.PeakProminence, m.cfg.PeakCountThreshold)
-		}
-	}
-	return fs
-}
-
-// UpdateUnitFrozen is UpdateUnit with the ring reads replaced by a
-// FrozenStats capture; branch for branch identical, so for a settled
-// ring it produces exactly the priority/high-frequency transitions the
-// dense path would. pNow and capNow are live — the at-cap and
-// idle-reversion checks must see this round's values even when the
-// history is frozen.
-func (m *Module) UpdateUnitFrozen(u power.UnitID, fs FrozenStats, pNow, capNow, constantCap power.Watts) {
-	if fs.N < m.cfg.MinSamples {
-		return
-	}
-
-	if !m.DisableFrequency {
-		highFreqNow := fs.HighFreqNow
-		if !m.highFreq[u] {
-			if highFreqNow {
-				m.highFreq[u] = true
-				m.prio[u] = true
-				return
-			}
-		} else {
-			if !highFreqNow && fs.Std < m.cfg.StdThreshold {
-				m.highFreq[u] = false
-				m.prio[u] = false
-			} else {
-				m.prio[u] = true
-				return
-			}
-		}
-	}
-
-	atCap := m.cfg.AtCapFraction > 0 && capNow > 0 && pNow >= capNow*power.Watts(m.cfg.AtCapFraction)
-	if atCap {
-		m.prio[u] = true
-		return
-	}
-
-	d := fs.Deriv
-	switch {
-	case d > m.cfg.DerivIncThreshold:
-		m.prio[u] = true
-	case d < m.cfg.DerivDecThreshold:
-		m.prio[u] = false
-	default:
 		if m.cfg.IdleRevertFraction > 0 && pNow < constantCap*power.Watts(m.cfg.IdleRevertFraction) {
 			m.prio[u] = false
 		}

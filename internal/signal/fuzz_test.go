@@ -11,12 +11,17 @@ import (
 // separated by valleys, and remain antitone in the prominence threshold.
 // The fuzzed split byte additionally cross-checks the two-segment scan
 // (the form the priority stage runs over ring storage) and the
-// early-exit threshold variant against the canonical single-slice count.
+// early-exit threshold variant against the canonical single-slice count,
+// and every split checks the bound that variant's screen rests on: never
+// fewer swings than peaks.
 func FuzzCountProminentPeaks(f *testing.F) {
 	f.Add([]byte{10, 200, 10, 200, 10}, uint8(20), uint8(2))
 	f.Add([]byte{}, uint8(1), uint8(0))
 	f.Add([]byte{5, 5, 5, 5}, uint8(0), uint8(3))
 	f.Add([]byte{0, 200, 200, 200, 0, 200, 0}, uint8(10), uint8(3))
+	f.Add([]byte{0, 100, 90, 100, 0}, uint8(19), uint8(2))                           // tied maxima: a swing, no peak
+	f.Add([]byte{70, 70, 70, 70, 70, 70}, uint8(0), uint8(4))                        // flat plateau
+	f.Add([]byte{60, 110, 110, 110, 55, 110, 110, 62, 110, 58}, uint8(39), uint8(7)) // min(demand, cap)
 	f.Fuzz(func(t *testing.T, raw []byte, promRaw, splitRaw uint8) {
 		xs := make([]power.Watts, len(raw))
 		for i, b := range raw {
@@ -36,6 +41,11 @@ func FuzzCountProminentPeaks(f *testing.F) {
 		}
 		if segs := CountProminentPeaksSegs(xs[:split], xs[split:], prom); segs != n {
 			t.Fatalf("segment scan split at %d counted %d peaks, single-slice counted %d", split, segs, n)
+		}
+		for s := 0; s <= len(xs); s++ {
+			if swings := countSwings(xs[:s], xs[s:], prom, -1); swings < n {
+				t.Fatalf("prominence %v split %d: %d swings bound %d peaks", prom, s, swings, n)
+			}
 		}
 		for limit := -1; limit <= n+1; limit++ {
 			clamped := limit

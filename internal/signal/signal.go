@@ -70,11 +70,70 @@ func CountProminentPeaksSegs(a, b []power.Watts, minProminence power.Watts) int 
 // count are threshold comparisons (Algorithm 2 lines 8 and 11), so the
 // early exit changes no decision while skipping the scan's tail on
 // high-frequency histories.
+//
+// The answer is almost always "no" (a controller's units rarely flip
+// faster than it can follow), so the exact scan with its two valley walks
+// per candidate runs only behind countSwings, an upper bound on the peak
+// count that costs one pass: at most limit swings means at most limit
+// peaks, whatever the scan would have found.
 func MoreProminentPeaksThan(a, b []power.Watts, minProminence power.Watts, limit int) bool {
 	if limit < 0 {
 		limit = 0
 	}
+	if minProminence > 0 && countSwings(a, b, minProminence, limit) <= limit {
+		return false
+	}
 	return countPeaks(series{a: a, b: b}, minProminence, limit) > limit
+}
+
+// countSwings counts the p-hysteresis swings of a ++ b in one pass with
+// O(1) state: a swing is a rise of at least p from the running low
+// followed by a fall of at least p from the running high. For p > 0 it
+// is never below the prominent-peak count of the same series, so it
+// screens the exact scan; it is not a replacement for it (0,100,90,100,0
+// has one swing and, both maxima tying, no peak).
+//
+// Why every counted peak owns a distinct swing: let the peak be the
+// plateau xs[i..j] = v, and L < i, R > j its key valleys, so
+// v−xs[L] ≥ p, v−xs[R] ≥ p and every sample strictly between L and R
+// outside the plateau is below v. After sample L the machine is either
+// seeking with v−lo ≥ p (lo ≤ xs[L]) or peaking with hi < v (a high of v
+// or more would have seen xs[L] as a fall of p). Samples below v keep
+// that invariant, so sample i leaves it peaking with hi = v; nothing up
+// to R exceeds v, so the first sample with v−x ≥ p — at R at the latest
+// — counts a swing. A later peak cannot claim the same swing: if it lay
+// before that sample it would be lower than v, and its own left valley
+// would already have been a fall of p from v. Floating-point subtraction
+// is monotone in both operands, so each "≥ p" above carries over to the
+// rounded differences the code compares.
+//
+// A non-negative limit returns early with limit+1; limit < 0 counts
+// exhaustively.
+func countSwings(a, b []power.Watts, p power.Watts, limit int) int {
+	// ext is the running low while seeking, the running high while peaking.
+	ext, peaking, count := power.Watts(math.Inf(1)), false, 0
+	for _, seg := range [2][]power.Watts{a, b} {
+		for _, x := range seg {
+			if peaking {
+				if x > ext {
+					ext = x
+				} else if ext-x >= p {
+					count++
+					if limit >= 0 && count > limit {
+						return count
+					}
+					peaking, ext = false, x
+				}
+			} else {
+				if x < ext {
+					ext = x
+				} else if x-ext >= p {
+					peaking, ext = true, x
+				}
+			}
+		}
+	}
+	return count
 }
 
 // series is a read-only view over the virtual concatenation of two slices,

@@ -156,6 +156,51 @@ func TestMoreProminentPeaksThan(t *testing.T) {
 	}
 }
 
+// TestSwingsBoundPeaks: the swing count that screens the exact scan is
+// an upper bound on the prominent-peak count — so MoreProminentPeaksThan
+// still answers exactly count > limit — and deliberately not equal to
+// it. Series are drawn on coarse grids so ties and plateaus, the cases
+// where the two differ, are the norm.
+func TestSwingsBoundPeaks(t *testing.T) {
+	xs := w(0, 100, 90, 100, 0)
+	if peaks, swings := CountProminentPeaks(xs, 20), countSwings(xs, nil, 20, -1); peaks != 0 || swings != 1 {
+		t.Fatalf("tied maxima: %d peaks, %d swings; want 0 and 1", peaks, swings)
+	}
+	rng := rand.New(rand.NewSource(7))
+	strict := 0
+	for iter := 0; iter < 200000; iter++ {
+		xs := make([]power.Watts, rng.Intn(24))
+		grid := power.Watts(1 + rng.Intn(40))
+		for i := range xs {
+			xs[i] = grid * power.Watts(rng.Intn(8))
+			if rng.Intn(4) == 0 {
+				xs[i] += power.Watts(rng.NormFloat64())
+			}
+		}
+		prom := power.Watts(rng.Float64()*60) + 0.5
+		if rng.Intn(2) == 0 {
+			prom = grid * power.Watts(1+rng.Intn(4)) // rises and falls of exactly the prominence
+		}
+		split := rng.Intn(len(xs) + 1)
+		peaks := CountProminentPeaks(xs, prom)
+		swings := countSwings(xs[:split], xs[split:], prom, -1)
+		if swings < peaks {
+			t.Fatalf("%v prom %v split %d: %d swings < %d peaks", xs, prom, split, swings, peaks)
+		}
+		if swings > peaks {
+			strict++
+		}
+		for limit := 0; limit <= peaks+1; limit++ {
+			if got := MoreProminentPeaksThan(xs[:split], xs[split:], prom, limit); got != (peaks > limit) {
+				t.Fatalf("%v prom %v split %d limit %d: got %v with %d peaks", xs, prom, split, limit, got, peaks)
+			}
+		}
+	}
+	if strict == 0 {
+		t.Error("no series had more swings than peaks: the generator never reached the cases the exact scan exists for")
+	}
+}
+
 func TestWindowedDerivativeExactOnRamp(t *testing.T) {
 	// A 7 W/s ramp sampled at 1 Hz must report exactly 7 for any window.
 	xs := w(0, 7, 14, 21, 28)
