@@ -42,11 +42,15 @@ bench:
 
 # bench-smoke proves the default, reference (refresh=1), dirty-fraction
 # and phased rows all complete a cluster-scale round with -benchmem
-# reporting, and that the BENCH_decide.json emitter parses the output; it
-# is a compile-and-run check, not a timing run. The smoke JSON goes to an
-# untracked path so it never clobbers the committed timing record.
+# reporting, and that the BENCH_decide.json emitter parses the output;
+# it also runs the replication-round and sampler-scrape benchmarks once
+# at bench's ops16k sizes so they cannot rot. It is a compile-and-run
+# check, not a timing run. The smoke JSON goes to an untracked path so it
+# never clobbers the committed timing record.
 bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
+	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
+	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
 
 # bench-json refreshes the committed BENCH_decide.json with real timings.
 bench-json:
@@ -100,13 +104,14 @@ alloc-check:
 # CI run (the corpus under internal/proto/testdata grows across runs).
 # `go test` accepts one -fuzz pattern per invocation, hence one command
 # per decoder (anchored: -fuzz must match exactly one target). The
-# section framing is fuzzed once, in its own package; the snapshot and
-# black-box targets are the payload fuzzers on top of it.
+# section framing is fuzzed once, in its own package; the snapshot,
+# round-input and black-box targets are the payload fuzzers on top of it.
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzReadHello$$' -fuzztime=5s -run xxx ./internal/proto/
 	$(GO) test -fuzz='FuzzReadBatchFrame$$' -fuzztime=5s -run xxx ./internal/proto/
 	$(GO) test -fuzz='FuzzSectionWalk$$' -fuzztime=5s -run xxx ./internal/section/
 	$(GO) test -fuzz='FuzzSnapshotDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
+	$(GO) test -fuzz='FuzzRoundInputDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
 	$(GO) test -fuzz='FuzzBlackboxDecode$$' -fuzztime=5s -run xxx ./internal/blackbox/
 
 # trace-smoke runs a short traced simulation and validates the exported

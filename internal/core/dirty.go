@@ -78,13 +78,20 @@ func (m *DirtyMask) CopyFrom(src *DirtyMask) {
 	m.count = src.count
 }
 
+// SetWords makes m the mask src spells out (same word layout as Words,
+// one word per 64 units, no bit at or beyond Len set) — how a standby
+// adopts the dirty mask its primary decided a round under.
+func (m *DirtyMask) SetWords(src []uint64) {
+	copy(m.words, src)
+	m.count = m.popcount()
+}
+
 // Words exposes the underlying bit words, least-significant bit of
 // words[0] being unit 0. The controller reads these directly; callers
 // must not mutate the slice.
 func (m *DirtyMask) Words() []uint64 { return m.words }
 
-// popcount is Count recomputed from the words; used by tests to check
-// the incremental counter.
+// popcount is Count recomputed from the words.
 func (m *DirtyMask) popcount() int {
 	total := 0
 	for _, w := range m.words {

@@ -2,12 +2,15 @@ package daemon
 
 import (
 	"fmt"
+	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/proto"
 	"dps/internal/snapshot"
 )
 
@@ -156,4 +159,69 @@ func BenchmarkTakeoverFirstRound(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReplicateRound times what a primary pays per round to keep one
+// synced warm standby: building the round's input frame under fully dense
+// traffic with health tracking on (the ops16k shape) and writing it to
+// the replica. `make bench-smoke` runs it once so it cannot rot.
+func BenchmarkReplicateRound(b *testing.B) {
+	const units = 16384
+	b.Run(fmt.Sprintf("N=%d", units), func(b *testing.B) {
+		mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second,
+			StaleAfter: 3 * time.Second, DeadAfter: 10 * time.Second})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		client, server := net.Pipe()
+		defer client.Close()
+		go srv.Handle(server)
+		if err := proto.WriteHello(client, proto.Hello{FirstUnit: 0, Units: 1, Replicate: true}); err != nil {
+			b.Fatal(err)
+		}
+		if err := rawReadAck(client); err != nil {
+			b.Fatal(err)
+		}
+		var frameBytes atomic.Int64
+		go func() {
+			var buf []byte
+			for {
+				_, payload, grown, err := proto.ReadStateFrame(client, buf)
+				if err != nil {
+					return
+				}
+				buf = grown
+				frameBytes.Store(int64(len(payload)))
+			}
+		}()
+		for registered := false; !registered; time.Sleep(time.Millisecond) {
+			srv.snapMu.Lock()
+			registered = len(srv.replicas) == 1
+			srv.snapMu.Unlock()
+		}
+		readings := make(power.Vector, units)
+		for u := range readings {
+			readings[u] = power.Watts(40 + (u*7)%100)
+		}
+		var caps power.Vector
+		for i := 0; i < 3; i++ { // image to the new replica, then input frames
+			setReadings(srv, readings)
+			if caps, err = srv.DecideOnce(1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		round := srv.Rounds()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round++
+			srv.replicateRound(round, 1, caps, nil)
+		}
+		b.ReportMetric(float64(frameBytes.Load())/1024, "frame_kB")
+	})
 }

@@ -29,6 +29,8 @@ func (s *Server) healthEnabled() bool {
 // DecideOnce must not be called concurrently with itself (the manager is
 // single-threaded); Serve guarantees that by calling it from one loop.
 func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
 	snapTime := s.now() // reading-snapshot stamp, the e2e latency origin
 
 	// Flip the double buffer: copy the ingest plane's front buffer into
@@ -61,18 +63,10 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
 	rec.Round, rec.Interval, rec.Inherited = round, interval, s.inheritedRounds.Load()
 	rec.Time = s.now()
-	var caps power.Vector
-	if s.dps != nil {
-		// The stats arrive atomically with the caps, so the record can
-		// never pair one round's caps with another's stats.
-		caps, rec.Stats = s.dps.DecideStats(snap)
-		rec.HasStats = true
-	} else {
-		caps = s.cfg.Manager.Decide(snap)
-	}
+	managerCaps, stats := s.decide(snap)
+	rec.Stats, rec.HasStats = stats, s.dps != nil
 	rec.Elapsed = s.now().Sub(rec.Time)
-	managerCaps := caps
-	caps = s.degradedDeliver(caps, health)
+	caps := s.degradedDeliver(managerCaps, health)
 
 	traceOn := s.tracer.On()
 	var firstErr error
@@ -118,12 +112,22 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	}
 	s.mu.Unlock()
 	s.recorder.Commit()
-	// The round is complete and published: assemble the state snapshot
-	// off the decision path proper and fan it out (file + replicas). A
-	// no-op unless snapshotting is configured or a standby is attached.
-	s.replicateRound(round)
+	// The round is complete and published: fan it out to the standbys and
+	// the snapshot file, off the decision path proper.
+	s.replicateRound(round, interval, caps, pushed)
 	s.observeRound(rec)
 	return caps, firstErr
+}
+
+// decide runs the manager on one snapshot — the one call DecideOnce and
+// a standby's replay share, so the two cannot drift. The stats arrive
+// atomically with the caps (zero for a policy other than core.DPS), so a
+// record can never pair one round's caps with another's stats.
+func (s *Server) decide(snap core.Snapshot) (power.Vector, core.RoundStats) {
+	if s.dps != nil {
+		return s.dps.DecideStats(snap)
+	}
+	return s.cfg.Manager.Decide(snap), core.RoundStats{}
 }
 
 // fillRound writes the round's budget, cap sum, per-unit columns and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/proto"
+	"dps/internal/snapshot"
 )
 
 // testClock is a mutex-guarded manual clock: the HA tests advance it from
@@ -514,19 +516,16 @@ func TestRestoreRejections(t *testing.T) {
 }
 
 // TestReplicateSteadyStateZeroAlloc is the replication plane's allocation
-// gate: with a warm standby attached and the per-round state image
-// assembled, diffed, and streamed as a delta, a steady-state replication
-// round must not allocate — the image double buffer, the section views,
-// and the delta scratch are all retained.
+// gate: with a synced warm standby attached, building the round's input
+// frame and streaming it must not allocate — the input record's scratch
+// slices and the frame buffer are all retained.
 func TestReplicateSteadyStateZeroAlloc(t *testing.T) {
 	const units = 128
 	clk := newTestClock()
-	srv := newHAServer(t, units, clk, func(sc *ServerConfig) {
-		// No file path: os file writes allocate by nature; the gate is the
-		// in-memory assembly and the replica stream.
-		sc.StaleAfter = 0
-		sc.DeadAfter = 0
-	})
+	// No file path: os file writes allocate by nature; the gate is the
+	// in-memory frame and the replica stream. Health stays on, so the
+	// frame carries its health bytes and report ages too.
+	srv := newHAServer(t, units, clk, nil)
 
 	// A raw replica subscriber: handshake with the Replicate capability,
 	// then drain state frames forever.
@@ -538,12 +537,17 @@ func TestReplicateSteadyStateZeroAlloc(t *testing.T) {
 	if err := rawReadAck(client); err != nil {
 		t.Fatal(err)
 	}
+	var deltas atomic.Int64
 	go func() {
 		var buf []byte
 		for {
-			var err error
-			if _, _, buf, err = proto.ReadStateFrame(client, buf); err != nil {
+			frame, _, b, err := proto.ReadStateFrame(client, buf)
+			if err != nil {
 				return
+			}
+			buf = b
+			if frame == proto.FrameDelta {
+				deltas.Add(1)
 			}
 		}
 	}()
@@ -557,26 +561,32 @@ func TestReplicateSteadyStateZeroAlloc(t *testing.T) {
 	for u := range readings {
 		readings[u] = power.Watts(40 + (u*7)%100)
 	}
-	setReadings(srv, readings)
-	round := uint64(0)
-	// Warm: full snapshot to the pending replica, then deltas, growing
-	// every retained buffer to steady state.
+	// Warm: full snapshot to the pending replica, then input frames,
+	// growing every retained buffer to steady state. Fully dirty rounds,
+	// so the frame is as large as it gets.
+	var caps power.Vector
 	for i := 0; i < 5; i++ {
-		round++
 		clk.Advance(time.Second)
-		if _, err := srv.DecideOnce(1); err != nil {
+		setReadings(srv, readings)
+		var err error
+		if caps, err = srv.DecideOnce(1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	round = srv.Rounds()
+	round := srv.Rounds()
+	// One image, then four input frames; the sink counts a frame a moment
+	// after the write that carried it returns.
+	waitUntil(t, "warm-up frames counted", func() bool { return deltas.Load() == 4 })
 
 	allocs := testing.AllocsPerRun(100, func() {
 		round++
-		srv.replicateRound(round)
+		srv.replicateRound(round, 1, caps, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("warm replication round allocated %.1f times, want 0", allocs)
 	}
+	// AllocsPerRun runs the function once to warm up, then 100 times.
+	waitUntil(t, "one input frame per replicated round", func() bool { return deltas.Load() == 4+101 })
 	client.Close()
 	srv.Close()
 }
@@ -590,5 +600,71 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// blockingManager parks the next Decide after arm until released, so a
+// test can hold a decision round open.
+type blockingManager struct {
+	ingestManager
+	arm              atomic.Bool
+	entered, release chan struct{}
+}
+
+func (m *blockingManager) Decide(s core.Snapshot) power.Vector {
+	if m.arm.CompareAndSwap(true, false) {
+		m.entered <- struct{}{}
+		<-m.release
+	}
+	return m.ingestManager.Decide(s)
+}
+
+// TestCloseExportsAfterRoundInFlight: there is no per-round image for
+// Close to fall back on, so it must wait out a round in flight and export
+// then — the final snapshot holds that round, not the one before it.
+func TestCloseExportsAfterRoundInFlight(t *testing.T) {
+	const units = 4
+	path := filepath.Join(t.TempDir(), "state.dps")
+	mgr := &blockingManager{entered: make(chan struct{}), release: make(chan struct{}),
+		ingestManager: ingestManager{caps: power.NewVector(units, 100), budget: testBudget(units)}}
+	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second,
+		SnapshotPath: path, SnapshotEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.DecideOnce(1); err != nil { // round 1 writes the file (first write is always due)
+		t.Fatal(err)
+	}
+	mgr.arm.Store(true)
+	decided := make(chan error, 1)
+	go func() {
+		_, err := srv.DecideOnce(1)
+		decided <- err
+	}()
+	<-mgr.entered // round 2 is inside the manager
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a round was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(mgr.release)
+	if err := <-decided; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds != 2 {
+		t.Fatalf("final snapshot is of round %d, want 2", st.Rounds)
 	}
 }

@@ -76,12 +76,19 @@ func (s *Server) Handle(conn net.Conn) error {
 			hello.FirstUnit, int(hello.FirstUnit)+hello.Units)
 	}
 	sc := &serverConn{conn: conn, sess: sess, hello: hello}
+	// Registration makes the connection a push target; holding its write
+	// lock until the ack is out makes a decision round landing in between
+	// wait with its cap batch instead of writing it ahead of the ack.
+	sc.writeMu.Lock()
 	if err := s.register(sc); err != nil {
+		sc.writeMu.Unlock()
 		sess.Release()
 		conn.Close()
 		return err
 	}
-	if err := sess.Ack(s.cfg.DeltaEpsilon); err != nil {
+	err = sess.Ack(s.cfg.DeltaEpsilon)
+	sc.writeMu.Unlock()
+	if err != nil {
 		s.unregister(sc)
 		sc.release()
 		conn.Close()

@@ -43,11 +43,13 @@ type serverMetrics struct {
 	skippedUnits *telemetry.Gauge
 	// High-availability instrumentation: size and assembly time of the
 	// state snapshot, takeovers performed by this process, and (on a
-	// standby) how many primary rounds the replication stream skipped.
+	// standby) how many primary rounds the replication stream skipped and
+	// how often the replayed state failed its check.
 	snapshotBytes *telemetry.Gauge
 	snapshotDur   *telemetry.Histogram
 	failovers     *telemetry.Counter
 	standbyLag    *telemetry.Gauge
+	divergence    *telemetry.Counter
 	// Black-box flight recorder accounting: bytes appended to the
 	// on-disk ring and rounds it failed to persist.
 	bbBytes   *telemetry.Counter
@@ -122,6 +124,7 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) ser
 		snapshotDur:   reg.Histogram("dps_snapshot_duration_seconds", "Wall time to export and encode one state snapshot.", nil),
 		failovers:     reg.Counter("dps_failover_total", "Standby takeovers performed by this process."),
 		standbyLag:    reg.Gauge("dps_standby_lag_rounds", "Primary rounds the replication stream skipped between consecutive deltas (standby only; should stay 0)."),
+		divergence:    reg.Counter("dps_standby_divergence_total", "Replicated rounds this standby could not reproduce (caps digest mismatch, round-sequence gap or undecodable input); each one forces a full resync (standby only; should stay 0)."),
 		bbBytes:       reg.Counter("dps_blackbox_bytes_total", "Bytes appended to the black-box flight recorder's on-disk ring."),
 		bbDropped:     reg.Counter("dps_blackbox_dropped_rounds_total", "Rounds the black-box recorder failed to persist (append errors; should stay 0)."),
 		stages:        make(map[string]*telemetry.Histogram, 4),

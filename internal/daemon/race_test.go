@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -125,10 +126,13 @@ func TestPushRacesDisconnect(t *testing.T) {
 				client, server := net.Pipe()
 				handled := make(chan struct{})
 				go func() { srv.Handle(server); close(handled) }()
-				// A round landing between register and the ack can put a cap
-				// batch ahead of the ack; such a session just hangs up early.
-				if proto.WriteHello(client, proto.Hello{FirstUnit: power.UnitID(first), Units: 2}) == nil &&
-					rawReadAck(client) == nil {
+				if err := proto.WriteHello(client, proto.Hello{FirstUnit: power.UnitID(first), Units: 2}); err != nil {
+					t.Errorf("hello: %v", err)
+				} else if err := rawReadAck(client); err != nil {
+					// The ack is the first thing a session reads, however a
+					// decision round interleaves with the handshake.
+					t.Errorf("handshake: %v", err)
+				} else {
 					sessions.Add(1)
 					// Drain at most one cap push, then hang up — often with
 					// the next push already on its way.
@@ -156,7 +160,106 @@ func TestPushRacesDisconnect(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-decided
-	if sessions.Load() < agents*churn/2 {
+	if sessions.Load() != agents*churn {
 		t.Errorf("only %d of %d sessions completed a handshake", sessions.Load(), agents*churn)
+	}
+}
+
+// ackGateConn is the server's end of an agent connection that pauses the
+// first write it sees — the handshake ack — until a whole decision round
+// has had its chance to run: it starts one, waits for the manager to have
+// decided (after which nothing but the push stands between the round and
+// this connection), gives the push a moment to arrive, and only then lets
+// the ack out. Everything written lands in out, in wire order. Reads
+// replay the scripted hello and then hold the session open until the
+// round is over.
+type ackGateConn struct {
+	ingestScriptConn
+	srv      *Server
+	decided  chan struct{}
+	round    chan error
+	roundErr error
+
+	mu    sync.Mutex
+	out   bytes.Buffer
+	gated bool
+}
+
+func (c *ackGateConn) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if err == io.EOF {
+		c.roundErr = <-c.round
+	}
+	return n, err
+}
+
+func (c *ackGateConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	first := !c.gated
+	c.gated = true
+	c.mu.Unlock()
+	if first {
+		go func() {
+			_, err := c.srv.DecideOnce(1)
+			c.round <- err
+		}()
+		<-c.decided
+		time.Sleep(20 * time.Millisecond)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(p)
+}
+
+// signalManager closes decided when its first Decide returns.
+type signalManager struct {
+	ingestManager
+	once    sync.Once
+	decided chan struct{}
+}
+
+func (m *signalManager) Decide(s core.Snapshot) power.Vector {
+	defer m.once.Do(func() { close(m.decided) })
+	return m.ingestManager.Decide(s)
+}
+
+// TestCapBatchNeverPrecedesAck pins the handshake ordering: a connection
+// becomes a push target the moment it registers, so a decision round
+// landing between registration and the ack used to write its cap batch
+// first, and the agent read garbage where it expected "OK". The round
+// must wait with its push until the ack is on the wire.
+func TestCapBatchNeverPrecedesAck(t *testing.T) {
+	const units = 2
+	decided := make(chan struct{})
+	mgr := &signalManager{decided: decided, ingestManager: ingestManager{
+		caps: power.Vector{100, 100}, budget: testBudget(units)}}
+	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var hello bytes.Buffer
+	if err := proto.WriteHello(&hello, proto.Hello{FirstUnit: 0, Units: units}); err != nil {
+		t.Fatal(err)
+	}
+	conn := &ackGateConn{srv: srv, decided: decided, round: make(chan error, 1)}
+	conn.r = bytes.NewReader(hello.Bytes())
+	// Handle returns once the scripted hello has run out and the round is
+	// over; by then both the ack and the push were written.
+	_ = srv.Handle(conn)
+	if conn.roundErr != nil {
+		t.Fatalf("the interleaved round: %v", conn.roundErr)
+	}
+
+	wire := bytes.NewReader(conn.out.Bytes())
+	if err := rawReadAck(wire); err != nil {
+		t.Fatalf("first bytes on the wire are not the ack: %v (wire % x)", err, conn.out.Bytes())
+	}
+	if got := srv.metrics.pushErrors.Value(); got != 0 {
+		t.Errorf("dps_push_errors_total = %d, want 0", got)
+	}
+	if wire.Len() != units*proto.RecordSize {
+		t.Errorf("%d bytes follow the ack, want one %d-unit cap batch", wire.Len(), units)
 	}
 }

@@ -114,9 +114,8 @@ type ServerConfig struct {
 	BudgetToleranceW float64
 
 	// High-availability state continuity (DESIGN.md §14). SnapshotPath,
-	// when set, makes the daemon assemble its full versioned state image
-	// after every decision round, write it to this file every
-	// SnapshotEvery rounds, and write it one final time on Close.
+	// when set, makes the daemon write its full versioned state image to
+	// this file every SnapshotEvery rounds and one final time on Close.
 	// StandbyOf marks this daemon a warm standby of the primary at that
 	// address: RunStandby subscribes to the primary's replication stream
 	// and serves agents only after takeover. (Restoring a snapshot file at
@@ -258,19 +257,29 @@ type Server struct {
 	// state_age_rounds = rounds. Zero on a fresh boot.
 	inheritedRounds atomic.Uint64
 
+	// roundMu is held across one whole round — DecideOnce's body on a
+	// serving daemon, one replayed round on a following standby — so that
+	// whoever takes it sees the controller and the round caches between
+	// rounds: Close exports the final image under it. Uncontended but for
+	// that. Lock order: roundMu → snapMu → mu → imu.
+	roundMu sync.Mutex
+	// followStamp is, on a following standby, the primary-clock time of
+	// the state it holds (the save stamp of the last frame applied). The
+	// staleness clocks stay in the primary's time base until takeover
+	// shifts them onto the local clock by now − followStamp. Guarded by
+	// roundMu.
+	followStamp time.Time
+
 	// The snapshot/replication plane (DESIGN.md §14), guarded by snapMu.
-	// Lock order: snapMu → mu → imu; only the decision loop (via
-	// replicateRound) and replica (un)registration take snapMu, so
-	// neither ingest nor cap pushes ever contend on it. All the buffers
-	// are reused round over round — a warm replication round allocates
-	// nothing.
+	// Only the decision loop (via replicateRound), Close and replica
+	// (un)registration take snapMu, so neither ingest nor cap pushes ever
+	// contend on it. All the buffers are reused round over round — a warm
+	// replication round allocates nothing.
 	snapMu    sync.Mutex
-	snapState snapshot.State // reused export target
-	snapEnc   []byte         // latest assembled image (complete rounds only)
-	nextEnc   []byte         // scratch the next image encodes into
-	curSecs   [][]byte       // section framings of snapEnc
-	prevSecs  [][]byte       // section framings of the previous image
-	deltaBuf  []byte         // FrameDelta payload scratch
+	snapState snapshot.State      // reused export target
+	snapEnc   []byte              // image encode buffer
+	roundIn   snapshot.RoundInput // the round's input record (scratch owner)
+	inputBuf  []byte              // FrameDelta payload scratch
 	replicas  map[*replicaConn]struct{}
 	// lastFileRound is the round of the most recent snapshot file write.
 	lastFileRound uint64
@@ -286,8 +295,8 @@ type Server struct {
 }
 
 // replicaConn is one warm-standby subscriber. synced flips once the full
-// snapshot image went out; until then the replica receives no deltas (a
-// delta against state it never saw would be garbage).
+// snapshot image went out; until then the replica receives no round
+// inputs (inputs for a state it never saw would be garbage).
 type replicaConn struct {
 	conn   net.Conn
 	synced bool
@@ -523,10 +532,10 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close marks the server closed, drops all agent and replica
-// connections, and — when SnapshotPath is configured — writes the last
-// assembled state image as the final snapshot, so a graceful shutdown
-// loses at most the round that was in flight. The caller should also
-// close the listener passed to Serve.
+// connections, and — when SnapshotPath is configured — waits out a round
+// in flight, exports the state as it then stands and writes it as the
+// final snapshot, so a graceful shutdown loses no completed round. The
+// caller should also close the listener passed to Serve.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -535,23 +544,27 @@ func (s *Server) Close() error {
 		conns = append(conns, sc)
 	}
 	s.mu.Unlock()
+	// Before roundMu: a round blocked pushing to one of these holds it.
 	for _, sc := range conns {
 		sc.conn.Close()
 	}
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
 	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	for rc := range s.replicas {
 		rc.conn.Close()
 		delete(s.replicas, rc)
 	}
 	var err error
 	if s.cfg.SnapshotPath != "" {
-		if len(s.snapEnc) == 0 {
+		if round := s.rounds.Load(); round == s.inheritedRounds.Load() {
 			s.logf("daemon: no completed round to snapshot on shutdown")
-		} else if err = writeFileAtomic(s.cfg.SnapshotPath, s.snapEnc); err != nil {
+		} else if err = writeFileAtomic(s.cfg.SnapshotPath, s.encodeImage(round)); err != nil {
 			s.logf("daemon: final snapshot: %v", err)
 		} else {
 			s.logf("daemon: final snapshot written to %s (%d bytes, round %d)",
-				s.cfg.SnapshotPath, len(s.snapEnc), s.rounds.Load())
+				s.cfg.SnapshotPath, len(s.snapEnc), round)
 		}
 	}
 	if s.bb != nil && !s.bbClosed {
@@ -563,6 +576,5 @@ func (s *Server) Close() error {
 			}
 		}
 	}
-	s.snapMu.Unlock()
 	return err
 }

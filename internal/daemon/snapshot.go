@@ -1,35 +1,33 @@
 package daemon
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"time"
 
 	"dps/internal/core"
+	"dps/internal/power"
 	"dps/internal/proto"
-	"dps/internal/section"
 	"dps/internal/snapshot"
 )
 
 // This file is the primary's half of the high-availability plane
-// (DESIGN.md §14): after every completed decision round the daemon
-// exports its full state — the controller's internals plus its own round
-// caches — into a versioned snapshot image, diffs it section-by-section
-// against the previous round's image, writes the image to the snapshot
-// file on the configured cadence, and streams the changed sections as a
-// delta frame to every attached warm standby. Everything runs after the
-// caps of the round are already pushed, on the decision goroutine, so it
-// never races the manager and never delays a cap delivery; all buffers
-// are retained, so a warm replication round allocates nothing.
-
-// snapshotActive reports whether this round needs a state image. Caller
-// holds snapMu.
-func (s *Server) snapshotActive() bool {
-	return s.cfg.SnapshotPath != "" || len(s.replicas) > 0
-}
+// (DESIGN.md §14), built on the controller's one absolute invariant: same
+// state + same inputs ⇒ same caps, bitwise. After every completed round
+// the daemon streams each synced warm standby the round's *inputs* — the
+// readings that changed, health, report ages, budget, who took the push —
+// and a digest of the outputs; the standby runs its own controller
+// forward and checks the digest. The full versioned state image is built
+// only when someone needs one: a standby that is not yet synced, the
+// snapshot file on its cadence, the final snapshot in Close. Everything
+// runs after the caps of the round are already pushed, on the decision
+// goroutine, so it never races the manager and never delays a cap
+// delivery; all buffers are retained, so a warm replication round
+// allocates nothing.
 
 // snapshotEvery resolves the file-write cadence.
 func (s *Server) snapshotEvery() uint64 {
@@ -97,64 +95,105 @@ func (s *Server) exportState(round uint64) {
 	s.imu.Unlock()
 }
 
-// replicateRound assembles the round's state image and fans it out: the
-// snapshot file on its cadence, a full FrameSnapshot to replicas that
-// have not yet been synced, and a FrameDelta carrying only the changed
-// sections to everyone else. Called by DecideOnce after the round is
-// published; a no-op unless a snapshot path is configured or a standby
-// is attached.
-func (s *Server) replicateRound(round uint64) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if !s.snapshotActive() {
-		return
-	}
-
+// encodeImage exports the state as of the completed round `round` and
+// encodes it into the retained image buffer, which it returns. Caller
+// holds snapMu and is the decision goroutine, or holds roundMu.
+func (s *Server) encodeImage(round uint64) []byte {
 	start := s.now()
 	s.exportState(round)
-	s.nextEnc = snapshot.Encode(s.nextEnc, &s.snapState)
-	// Split the image into raw section framings. No CRC verification: the
-	// bytes came out of our own encoder a moment ago (a standby re-verifies
-	// everything it was sent when it decodes its overlay at takeover).
-	s.curSecs = s.curSecs[:0]
-	for w := section.WalkTrusted(s.nextEnc[snapshot.HeaderSize:]); w.Next(); {
-		s.curSecs = append(s.curSecs, w.Raw)
-	}
-
-	// Section diff against the previous image. The encoder emits a fixed
-	// section sequence for a fixed configuration, so an index walk is
-	// exact (a framing starts with its id, so equal bytes are the same
-	// section); the first image (or any shape change) yields
-	// a full-image "delta" which is never sent — unsynced replicas get
-	// the complete frame instead.
-	s.deltaBuf = s.deltaBuf[:0]
-	s.deltaBuf = append(s.deltaBuf, 0, 0, 0, 0, 0, 0, 0, 0)
-	proto.PutDeltaRound(s.deltaBuf, round)
-	prevComplete := len(s.prevSecs) == len(s.curSecs)
-	for i, sec := range s.curSecs {
-		if prevComplete && bytes.Equal(s.prevSecs[i], sec) {
-			continue
-		}
-		s.deltaBuf = append(s.deltaBuf, sec...)
-	}
-
-	// Swap the image buffers: the just-encoded image becomes current and
-	// the old current becomes next round's scratch. The section views
-	// swap with the bytes they point into.
-	s.snapEnc, s.nextEnc = s.nextEnc, s.snapEnc
-	s.curSecs, s.prevSecs = s.prevSecs[:0], s.curSecs
-
+	s.snapEnc = snapshot.Encode(s.snapEnc, &s.snapState)
 	s.metrics.snapshotBytes.Set(float64(len(s.snapEnc)))
 	s.metrics.snapshotDur.Observe(s.now().Sub(start).Seconds())
+	return s.snapEnc
+}
+
+// capsDigest folds the delivered caps' float bits and the controller's
+// step count (0 for a policy that has none) into 64 bits: word-wise
+// FNV-1a, each step a bijection of the running hash, so no single-unit
+// difference can cancel.
+func (s *Server) capsDigest(caps power.Vector) uint64 {
+	const prime = 0x100000001b3
+	h := uint64(0xcbf29ce484222325)
+	if s.dps != nil {
+		h ^= s.dps.Steps()
+	}
+	for _, c := range caps {
+		h = (h ^ math.Float64bits(float64(c))) * prime
+	}
+	return h
+}
+
+// encodeRoundInput builds the FrameDelta payload for the round DecideOnce
+// just completed — the 8-byte round prefix plus one input section — from
+// the decision loop's own back buffers (still this round's: the next flip
+// is the next DecideOnce) and the caps it delivered. pushed are the
+// connections that took the push.
+func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps power.Vector, pushed []*serverConn) {
+	in := &s.roundIn
+	now := s.now()
+	in.Interval = interval
+	in.BudgetTotal = s.cfg.Manager.Budget().Total
+	in.SavedUnixMS = now.UnixMilli()
+	in.Digest = s.capsDigest(caps)
+	in.Dirty, in.Readings = s.dirtyBuf.Words(), s.snapBuf
+	in.Pushed = snapshot.Resize(in.Pushed, len(in.Dirty))
+	clear(in.Pushed)
+	for _, sc := range pushed {
+		first := int(sc.hello.FirstUnit)
+		for u := first; u < first+sc.hello.Units; u++ {
+			in.Pushed[u>>6] |= 1 << (u & 63)
+		}
+	}
+	if in.HasHealth = s.healthBuf != nil; in.HasHealth {
+		in.Health = snapshot.Resize(in.Health, len(s.healthBuf))
+		for u, h := range s.healthBuf {
+			in.Health[u] = uint8(h)
+		}
+		in.ReportAgeMS = snapshot.Resize(in.ReportAgeMS, len(s.lastReport))
+		s.imu.Lock()
+		for u, t := range s.lastReport {
+			in.ReportAgeMS[u] = uint32(min(max(now.Sub(t).Milliseconds(), 0), math.MaxUint32))
+		}
+		s.imu.Unlock()
+	}
+	s.inputBuf = append(s.inputBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	proto.PutDeltaRound(s.inputBuf, round)
+	s.inputBuf = snapshot.AppendRoundInput(s.inputBuf, in)
+}
+
+// replicateRound fans the completed round out: the round's inputs as a
+// FrameDelta to every synced replica, the full image as a FrameSnapshot
+// to replicas that are not, and the image to the snapshot file on its
+// cadence. Called by DecideOnce after the round is published; returns at
+// once unless a replica is attached or a file write is due.
+func (s *Server) replicateRound(round uint64, interval power.Seconds, caps power.Vector, pushed []*serverConn) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	fileDue := s.cfg.SnapshotPath != "" && (s.lastFileRound == 0 || round-s.lastFileRound >= s.snapshotEvery())
+	needInput, needImage := false, fileDue
+	for rc := range s.replicas {
+		if rc.synced {
+			needInput = true
+		} else {
+			needImage = true
+		}
+	}
+	if needInput {
+		s.encodeRoundInput(round, interval, caps, pushed)
+	}
+	if needImage {
+		s.encodeImage(round)
+	}
 
 	for rc := range s.replicas {
 		var err error
-		if !rc.synced {
-			if err = rc.writeFrame(proto.FrameSnapshot, s.snapEnc); err == nil {
-				rc.synced = true
-			}
-		} else {
-			err = rc.writeFrame(proto.FrameDelta, s.deltaBuf)
+		if rc.synced {
+			err = rc.writeFrame(proto.FrameDelta, s.inputBuf)
+		} else if err = rc.writeFrame(proto.FrameSnapshot, s.snapEnc); err == nil {
+			// Only a core.DPS exports its state. A standby of any other
+			// policy cannot run it forward from a known point, so it is
+			// never "synced": it gets the daemon's image every round.
+			rc.synced = s.dps != nil
 		}
 		if err != nil {
 			s.logf("daemon: dropping standby %v: %v", rc.conn.RemoteAddr(), err)
@@ -163,7 +202,7 @@ func (s *Server) replicateRound(round uint64) {
 		}
 	}
 
-	if s.cfg.SnapshotPath != "" && (s.lastFileRound == 0 || round-s.lastFileRound >= s.snapshotEvery()) {
+	if fileDue {
 		if err := writeFileAtomic(s.cfg.SnapshotPath, s.snapEnc); err != nil {
 			s.logf("daemon: snapshot write: %v", err)
 		} else {
@@ -213,9 +252,6 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
 	}
-	if st.Units != s.cfg.Units {
-		return fmt.Errorf("daemon: snapshot %s is for %d units, server has %d", path, st.Units, s.cfg.Units)
-	}
 	maxAge := s.cfg.SnapshotMaxAge
 	if maxAge == 0 {
 		maxAge = DefaultSnapshotMaxAge
@@ -225,18 +261,33 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 			return fmt.Errorf("daemon: snapshot %s is stale: saved %v ago, limit %v", path, age.Round(time.Second), maxAge)
 		}
 	}
-	if s.dps != nil {
-		if !st.HasCore {
-			return fmt.Errorf("daemon: snapshot %s carries no controller state", path)
-		}
-		if err := s.dps.RestoreState(st); err != nil {
-			return fmt.Errorf("daemon: snapshot %s: %w", path, err)
-		}
+	if err := s.restoreState(st, s.now()); err != nil {
+		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
 	}
-	s.adoptDaemonState(st)
 	s.logf("daemon: restored state from %s: round %d, %d units, %d high-priority (saved %s)",
 		path, st.Rounds, st.Units, core.ExportedHighCount(st),
 		time.UnixMilli(st.SavedUnixMS).UTC().Format(time.RFC3339))
+	return nil
+}
+
+// restoreState installs a decoded image: the controller's state (required
+// when the manager is a core.DPS; every identity check runs before
+// anything is touched) and then the daemon's section. anchor is the time,
+// on whatever clock the staleness clocks are to run on, at which the
+// image's report ages held.
+func (s *Server) restoreState(st *snapshot.State, anchor time.Time) error {
+	if st.Units != s.cfg.Units {
+		return fmt.Errorf("image is for %d units, server has %d", st.Units, s.cfg.Units)
+	}
+	if s.dps != nil {
+		if !st.HasCore {
+			return errors.New("image carries no controller state")
+		}
+		if err := s.dps.RestoreState(st); err != nil {
+			return err
+		}
+	}
+	s.adoptDaemonState(st, anchor)
 	return nil
 }
 
@@ -249,7 +300,7 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 // clear-bit guarantee ("byte-identical to the previous snapshot") is
 // meaningless across a process boundary, and a full mask is the
 // bitwise-safe superset.
-func (s *Server) adoptDaemonState(st *snapshot.State) {
+func (s *Server) adoptDaemonState(st *snapshot.State, anchor time.Time) {
 	if !st.HasDaemon {
 		return
 	}
@@ -269,12 +320,11 @@ func (s *Server) adoptDaemonState(st *snapshot.State) {
 	}
 	s.mu.Unlock()
 
-	now := s.now()
 	s.imu.Lock()
 	copy(s.readings, st.Readings)
 	if s.lastReport != nil && len(st.ReportAgeMS) == len(s.lastReport) {
 		for u, age := range st.ReportAgeMS {
-			s.lastReport[u] = now.Add(-time.Duration(age) * time.Millisecond)
+			s.lastReport[u] = anchor.Add(-time.Duration(age) * time.Millisecond)
 		}
 	}
 	s.dirty.SetAll()
@@ -283,7 +333,7 @@ func (s *Server) adoptDaemonState(st *snapshot.State) {
 
 // handleReplica serves one warm-standby connection: acknowledge the
 // handshake, hand the connection to the replication plane (the decision
-// loop sends the full image on the next round, deltas after), and block
+// loop sends the full image on the next round, round inputs after), and block
 // until the standby disconnects. The standby sends nothing after its
 // hello, so no read deadline is armed — a replica connection is
 // write-mostly and reaped by write errors instead.

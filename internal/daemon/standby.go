@@ -2,9 +2,10 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"net"
-	"sort"
 	"time"
 
 	"dps/internal/core"
@@ -16,12 +17,15 @@ import (
 // This file is the warm-standby half of the high-availability plane
 // (DESIGN.md §14). A standby dpsd runs the same Server the primary does,
 // but instead of serving agents it dials the primary with a Replicate
-// hello and follows its state: one full snapshot image on connect, then
-// one delta frame per primary round carrying only the sections that
-// round changed. The standby keeps the latest raw section framings by
-// id; when the link to the primary dies after at least one full sync,
-// it assembles the overlay into a snapshot image, restores itself from
-// it, and takes over — opening its agent listener only then, so agents
+// hello and follows it as a replicated state machine: one full snapshot
+// image on connect, restored into the live server at once, then one
+// frame per primary round carrying that round's inputs, which the
+// standby feeds to its own controller. Every frame ends in a digest of
+// the caps the primary delivered; a standby that computes anything else
+// (or misses a round, or cannot parse a frame) stops trusting its state,
+// drops the link and resyncs from a fresh image. When the link to the
+// primary dies while the standby is in sync, there is nothing left to
+// restore: it opens its agent listener and starts deciding, so agents
 // cycling their reconnect address list land on it within one backoff.
 
 // standbyRedialWait bounds the reconnect backoff while a standby cannot
@@ -29,13 +33,17 @@ import (
 const standbyRedialWait = 2 * time.Second
 
 // RunStandby follows the primary named by StandbyOf until the link to it
-// is lost, then takes over: it restores the server from the replicated
-// state and serves agents on the listener that listen opens. The
-// listener is created only at takeover — until then agents probing this
-// address get a refused connection and rotate back to the primary.
+// is lost, then takes over: it serves agents, from the replicated state
+// it already holds, on the listener that listen opens. The listener is
+// created only at takeover — until then agents probing this address get
+// a refused connection and rotate back to the primary. A standby whose
+// state failed a check never takes over; it keeps redialling for a fresh
+// image instead.
 //
-// Returns nil when ctx is cancelled before a takeover. After a takeover
-// it behaves exactly like Serve, and ctx is no longer consulted — the
+// Returns nil when ctx is cancelled before a takeover, and an error when
+// the primary's state does not fit this server (unit count, seed, unit
+// bounds: a deployment mistake no retry fixes). After a takeover it
+// behaves exactly like Serve, and ctx is no longer consulted — the
 // caller stops it with Close plus closing the listener, as for any
 // server.
 func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, error)) error {
@@ -43,11 +51,11 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 		return fmt.Errorf("daemon: RunStandby without StandbyOf")
 	}
 	var (
-		frameBuf  []byte                // ReadStateFrame reuse
-		secs      = map[uint16][]byte{} // latest raw section framing by id
-		scratch   snapshot.State        // decode target, reused
-		synced    bool                  // at least one full image validated
-		lastRound uint64                // primary round of the last frame
+		frameBuf []byte              // ReadStateFrame reuse
+		image    snapshot.State      // FrameSnapshot decode target, reused
+		input    snapshot.RoundInput // FrameDelta decode target, reused
+		synced   bool                // the live state is the primary's, verified
+		misfit   error               // a valid image this server cannot hold
 	)
 	for {
 		if ctx.Err() != nil {
@@ -57,7 +65,7 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 		if err != nil {
 			s.logf("daemon: standby: dialing primary %s: %v", s.cfg.StandbyOf, err)
 			if synced {
-				return s.takeOver(&scratch, secs, lastRound, listen)
+				return s.takeOver(listen)
 			}
 			if !sleepCtx(ctx, standbyRedialWait) {
 				return nil
@@ -77,7 +85,8 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 		}
 		s.logf("daemon: standby: following primary %s", s.cfg.StandbyOf)
 
-		for {
+		diverged := false
+		for !diverged {
 			var frame byte
 			var payload []byte
 			frame, payload, frameBuf, err = proto.ReadStateFrame(conn, frameBuf)
@@ -89,35 +98,36 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 				// Validate the complete image before adopting anything from
 				// it: a snapshot that does not decode is a primary bug or a
 				// torn stream, and following it would poison a takeover.
-				if err = snapshot.DecodeInto(&scratch, payload); err != nil {
+				if err = snapshot.DecodeInto(&image, payload); err == nil && !image.HasDaemon {
+					err = errors.New("no daemon section")
+				}
+				if err != nil {
 					s.logf("daemon: standby: rejecting snapshot from primary: %v", err)
 					break
 				}
-				clear(secs)
-				overlaySections(secs, payload[snapshot.HeaderSize:])
-				synced = true
-				lastRound = scratch.Rounds
-				s.metrics.standbyLag.Set(0)
-				s.logf("daemon: standby: synced full state (round %d, %d units, %d bytes)",
-					scratch.Rounds, scratch.Units, len(payload))
-			case proto.FrameDelta:
-				if !synced {
-					continue // deltas against state we never saw are noise
-				}
-				var round uint64
-				var sections []byte
-				round, sections, err = proto.DeltaRound(payload)
-				if err != nil {
+				saved := time.UnixMilli(image.SavedUnixMS)
+				s.roundMu.Lock()
+				misfit = s.restoreState(&image, saved)
+				s.followStamp = saved
+				s.roundMu.Unlock()
+				if err = misfit; err != nil {
 					break
 				}
-				overlaySections(secs, sections)
-				// Consecutive rounds have lag 0; the gauge surfaces skipped
-				// rounds, which with a per-round delta stream means frames
-				// lost to the transport.
-				if round > lastRound {
-					s.metrics.standbyLag.Set(float64(round - lastRound - 1))
+				synced = true
+				s.metrics.standbyLag.Set(0)
+				s.logf("daemon: standby: synced full state (round %d, %d units, %d bytes)",
+					image.Rounds, image.Units, len(payload))
+			case proto.FrameDelta:
+				if !synced {
+					continue // inputs for a state we never saw are noise
 				}
-				lastRound = round
+				if err = s.followRound(payload, &input); err != nil {
+					// Not the primary dying: our copy is no longer provably
+					// its state. Never take over from it.
+					s.metrics.divergence.Inc()
+					s.logf("daemon: standby: resyncing: %v", err)
+					synced, diverged = false, true
+				}
 			}
 			if err != nil {
 				break
@@ -126,17 +136,107 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 		sess.Release()
 		stop()
 		conn.Close()
-		if ctx.Err() != nil {
+		switch {
+		case ctx.Err() != nil:
 			return nil
-		}
-		if synced {
-			return s.takeOver(&scratch, secs, lastRound, listen)
+		case misfit != nil:
+			return fmt.Errorf("daemon: standby: primary's state does not fit this server: %w", misfit)
+		case synced:
+			return s.takeOver(listen)
+		case diverged:
+			continue // redial at once for a fresh image
 		}
 		s.logf("daemon: standby: link to primary lost before first sync: %v", err)
 		if !sleepCtx(ctx, standbyRedialWait) {
 			return nil
 		}
 	}
+}
+
+// followRound applies one FrameDelta: it decodes the primary's round
+// input and replays the round on this server's own controller and round
+// caches, exactly as DecideOnce would have run it — same snapshot, same
+// manager call, same delivery-side pin — minus everything outward-facing
+// (no pushes, no round record, no metrics but the lag gauge). An error
+// means this server's state can no longer be vouched for: a frame that
+// does not parse, a gap in the round sequence, a budget the controller
+// refuses, or caps that differ from what the primary delivered.
+func (s *Server) followRound(payload []byte, in *snapshot.RoundInput) error {
+	round, sections, err := proto.DeltaRound(payload)
+	if err != nil {
+		return err
+	}
+	w := section.Walk(sections)
+	if !w.Next() || w.ID != snapshot.SecRoundInput || len(w.Rest) != 0 {
+		return fmt.Errorf("round %d: frame is not one round-input section (%v)", round, w.Stop)
+	}
+	if err := snapshot.DecodeRoundInput(in, w.Payload, s.cfg.Units); err != nil {
+		return fmt.Errorf("round %d: %w", round, err)
+	}
+
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
+	// Consecutive rounds have lag 0; the gauge surfaces skipped rounds,
+	// which with one frame per round means frames lost to the transport.
+	last := s.rounds.Load()
+	if round > last {
+		s.metrics.standbyLag.Set(float64(round - last - 1))
+	}
+	if round != last+1 {
+		return fmt.Errorf("round %d follows round %d", round, last)
+	}
+	if in.HasHealth != (s.healthBuf != nil) {
+		return fmt.Errorf("round %d: primary and standby disagree on health tracking", round)
+	}
+	if in.BudgetTotal != s.cfg.Manager.Budget().Total {
+		if s.dps == nil {
+			return fmt.Errorf("round %d: budget moved to %v under a policy that cannot follow it", round, in.BudgetTotal)
+		}
+		if err := s.dps.SetTotalBudget(in.BudgetTotal); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
+		}
+	}
+
+	saved := time.UnixMilli(in.SavedUnixMS)
+	s.imu.Lock()
+	for wi, w := range in.Dirty {
+		for ; w != 0; w &= w - 1 {
+			u := wi<<6 | bits.TrailingZeros64(w)
+			s.readings[u] = in.Readings[u]
+		}
+	}
+	copy(s.snapBuf, s.readings)
+	for u, age := range in.ReportAgeMS[:len(s.lastReport)] {
+		s.lastReport[u] = saved.Add(-time.Duration(age) * time.Millisecond)
+	}
+	s.imu.Unlock()
+	s.followStamp = saved
+	s.dirtyBuf.SetWords(in.Dirty)
+	for u := range s.healthBuf {
+		s.healthBuf[u] = core.UnitHealth(in.Health[u])
+	}
+
+	snap := core.Snapshot{Power: s.snapBuf, Interval: in.Interval, Health: s.healthBuf, Dirty: s.dirtyBuf}
+	caps, _ := s.decide(snap)
+	caps = s.degradedDeliver(caps, snap.Health)
+	if s.capsDigest(caps) != in.Digest {
+		return fmt.Errorf("round %d: replayed caps differ from the primary's", round)
+	}
+
+	s.mu.Lock()
+	copy(s.health, s.healthBuf)
+	copy(s.lastCaps, caps)
+	for wi, w := range in.Pushed {
+		for ; w != 0; w &= w - 1 {
+			u := wi<<6 | bits.TrailingZeros64(w)
+			s.lastPushed[u] = caps[u]
+		}
+	}
+	// Replayed rounds are the primary's, not this process's uptime.
+	s.rounds.Store(round)
+	s.inheritedRounds.Store(round)
+	s.mu.Unlock()
+	return nil
 }
 
 func (s *Server) dialStandby() (net.Conn, error) {
@@ -147,59 +247,26 @@ func (s *Server) dialStandby() (net.Conn, error) {
 	return dial("tcp", s.cfg.StandbyOf)
 }
 
-// takeOver restores the server from the replicated section overlay and
-// serves agents. The overlay is re-assembled into a full image and
-// decoded from scratch — every section CRC is re-verified on the way —
-// so a delta that slipped in corrupt fails the takeover loudly rather
-// than silently running a damaged controller.
-func (s *Server) takeOver(st *snapshot.State, secs map[uint16][]byte, round uint64, listen func() (net.Listener, error)) error {
-	ids := make([]int, 0, len(secs))
-	for id := range secs {
-		ids = append(ids, int(id))
+// takeOver is "stop following, start deciding": the state is already
+// live, so all that is left is to move the staleness clocks from the
+// primary's time base onto this host's — report ages stay what they were
+// when the primary last spoke — and serve agents.
+func (s *Server) takeOver(listen func() (net.Listener, error)) error {
+	s.roundMu.Lock()
+	shift := s.now().Sub(s.followStamp)
+	s.imu.Lock()
+	for u := range s.lastReport {
+		s.lastReport[u] = s.lastReport[u].Add(shift)
 	}
-	sort.Ints(ids)
-	raws := make([][]byte, 0, len(ids))
-	for _, id := range ids {
-		raws = append(raws, secs[uint16(id)])
-	}
-	img := snapshot.Assemble(nil, raws...)
-	if err := snapshot.DecodeInto(st, img); err != nil {
-		return fmt.Errorf("daemon: standby takeover: replicated state: %w", err)
-	}
-	if st.Units != s.cfg.Units {
-		return fmt.Errorf("daemon: standby takeover: primary ran %d units, this server %d", st.Units, s.cfg.Units)
-	}
-	if s.dps != nil {
-		if !st.HasCore {
-			return fmt.Errorf("daemon: standby takeover: replicated state carries no controller state")
-		}
-		if err := s.dps.RestoreState(st); err != nil {
-			return fmt.Errorf("daemon: standby takeover: %w", err)
-		}
-	}
-	s.adoptDaemonState(st)
+	s.imu.Unlock()
+	s.roundMu.Unlock()
 	s.metrics.failovers.Inc()
-	s.logf("daemon: standby: primary gone, taking over at round %d (%d units, %d high-priority)",
-		round, st.Units, core.ExportedHighCount(st))
+	s.logf("daemon: standby: primary gone, taking over at round %d (%d units)", s.rounds.Load(), s.cfg.Units)
 	l, err := listen()
 	if err != nil {
 		return fmt.Errorf("daemon: standby takeover: listener: %w", err)
 	}
 	return s.Serve(l)
-}
-
-// overlaySections stores a private copy of each raw section framing in
-// sections (a bare concatenation, no header: a delta frame's payload, or
-// a full image past its header) under its id, replacing what was there,
-// and stops at a short tail. Unknown ids are stored too: the standby
-// faithfully relays forward-compatible sections it cannot interpret into
-// its takeover image. CRCs are not checked here — a full image was
-// DecodeInto-validated just before, and takeOver re-verifies every
-// section of the assembled overlay.
-func overlaySections(secs map[uint16][]byte, sections []byte) {
-	for w := section.WalkTrusted(sections); w.Next(); {
-		secs[w.ID] = append(secs[w.ID][:0], w.Raw...)
-	}
 }
 
 // sleepCtx sleeps for d or until ctx is done; it reports false when the

@@ -135,8 +135,8 @@ const (
 const (
 	// FrameSnapshot carries a complete snapshot image.
 	FrameSnapshot byte = 'S'
-	// FrameDelta carries the primary's round counter plus the raw
-	// framings of the sections that changed this round.
+	// FrameDelta carries the primary's round counter plus one section
+	// framing: that round's inputs (snapshot.SecRoundInput).
 	FrameDelta byte = 'D'
 )
 

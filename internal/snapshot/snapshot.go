@@ -18,15 +18,6 @@
 // newer writer can add sections without breaking older readers), but
 // only after the CRC validates — corrupt bytes never parse as "unknown,
 // ignore".
-//
-// # Incremental replication
-//
-// Sections are also the unit of delta replication: a primary daemon
-// re-encodes its state every round and streams only the sections whose
-// bytes changed; the standby overlays them onto its last full image
-// (section.Walker / Assemble). Because each section is independently framed
-// and checksummed, the overlay needs no format knowledge beyond the
-// section ids.
 package snapshot
 
 import (
@@ -176,22 +167,14 @@ func appendBits(b []byte, bits []bool) []byte {
 	return b
 }
 
-// AppendHeader appends the snapshot header (magic + current version) to
-// dst. Used by Encode and by the standby when reassembling a full image
-// from replicated sections.
-func AppendHeader(dst []byte) []byte {
-	dst = append(dst, magic[:]...)
-	dst = section.AppendU16(dst, Version)
-	dst = section.AppendU16(dst, 0)
-	return dst
-}
-
 // Encode serializes st into dst[:0] and returns the extended slice.
 // Sections are emitted in id order, config first; reusing dst across
 // calls makes a warm encode allocation-free. The output of
 // encode→decode→encode is byte-identical (property-tested).
 func Encode(dst []byte, st *State) []byte {
-	b := AppendHeader(dst[:0])
+	b := append(dst[:0], magic[:]...)
+	b = section.AppendU16(b, Version)
+	b = section.AppendU16(b, 0) // flags, reserved
 
 	// SecConfig
 	var start int
@@ -374,18 +357,6 @@ func header(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: snapshot version %d, decoder supports <= %d", ErrVersion, v, Version)
 	}
 	return data[HeaderSize:], nil
-}
-
-// Assemble builds a full snapshot image from raw section framings (each
-// a section.Walker's Raw), appending to dst. The standby uses it
-// to materialize its overlay of replicated sections into a decodable
-// snapshot.
-func Assemble(dst []byte, raws ...[]byte) []byte {
-	dst = AppendHeader(dst[:0])
-	for _, r := range raws {
-		dst = append(dst, r...)
-	}
-	return dst
 }
 
 // Resize returns v with length n, reusing its capacity — how every State

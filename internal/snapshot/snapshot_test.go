@@ -330,55 +330,32 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("duplicate section", func(t *testing.T) {
-		_, raws := splitSections(t, img)
-		dup := append(append([]byte(nil), img...), raws[0]...)
+		w := section.Walk(img[HeaderSize:])
+		if !w.Next() {
+			t.Fatalf("valid image has no first section (%v)", w.Stop)
+		}
+		dup := append(append([]byte(nil), img...), w.Raw...)
 		if _, err := Decode(dup); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("duplicate config section: %v", err)
 		}
 	})
 }
 
-// splitSections walks a valid image's CRC-checked sections: ids and raw
-// framings in image order.
-func splitSections(t *testing.T, img []byte) (ids []uint16, raws [][]byte) {
-	t.Helper()
+// TestEncodeSectionOrder pins the image's section sequence: ids ascending,
+// config first, every section CRC-clean.
+func TestEncodeSectionOrder(t *testing.T) {
+	img := Encode(nil, fillState(64, 12, 8))
+	var ids []uint16
 	w := section.Walk(img[HeaderSize:])
 	for w.Next() {
 		ids = append(ids, w.ID)
-		raws = append(raws, w.Raw)
 	}
 	if w.Stop != section.Clean {
 		t.Fatalf("walking a valid image stopped at %v", w.Stop)
 	}
-	return ids, raws
-}
-
-func TestSectionsAndAssemble(t *testing.T) {
-	st := fillState(64, 12, 8)
-	img := Encode(nil, st)
-	ids, raws := splitSections(t, img)
 	wantIDs := []uint16{SecConfig, SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv, SecSparse, SecDaemon}
 	if !reflect.DeepEqual(ids, wantIDs) {
 		t.Fatalf("section ids %#04x, want %#04x", ids, wantIDs)
-	}
-	// Reassembling the split sections must reproduce the image exactly —
-	// the standby's overlay path depends on it.
-	if got := Assemble(nil, raws...); !bytes.Equal(got, img) {
-		t.Fatalf("assemble changed bytes")
-	}
-	// Overlaying an updated section yields a decodable image carrying
-	// the update.
-	st2 := fillState(64, 12, 8)
-	st2.Rounds += 5
-	img2 := Encode(nil, st2)
-	_, raws2 := splitSections(t, img2)
-	raws[len(raws)-1] = raws2[len(raws2)-1] // SecDaemon
-	merged, err := Decode(Assemble(nil, raws...))
-	if err != nil {
-		t.Fatalf("overlay: %v", err)
-	}
-	if merged.Rounds != st2.Rounds {
-		t.Fatalf("overlay lost daemon update: rounds %d want %d", merged.Rounds, st2.Rounds)
 	}
 }
 

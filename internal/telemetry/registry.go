@@ -55,15 +55,22 @@ const (
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	// gen counts the series ever registered. The registry is append-only,
+	// so an unchanged generation means an unchanged series set.
+	gen atomic.Uint64
 }
 
 type family struct {
 	name, help, kind string
 	buckets          []float64 // histogram upper bounds, nil otherwise
 
-	mu     sync.Mutex
-	order  []string // label signatures in registration order
-	series map[string]any
+	mu sync.Mutex
+	// order and handles are parallel and append-only: label signatures and
+	// metric handles in registration order. Elements below a length read
+	// under mu never change, so a copied slice header is a stable view.
+	order   []string
+	handles []any
+	series  map[string]any // signature → handle, the lookup path
 }
 
 // NewRegistry returns an empty registry.
@@ -120,7 +127,7 @@ func (r *Registry) family(name, help, kind string, buckets []float64) *family {
 	return f
 }
 
-func (f *family) series1(sig string, mk func() any) any {
+func (r *Registry) series1(f *family, sig string, mk func() any) any {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.series[sig]; ok {
@@ -129,19 +136,26 @@ func (f *family) series1(sig string, mk func() any) any {
 	s := mk()
 	f.series[sig] = s
 	f.order = append(f.order, sig)
+	f.handles = append(f.handles, s)
+	r.gen.Add(1)
 	return s
 }
+
+// Generation returns the number of series registered so far. Series are
+// never removed, so a reader that cached handles (Families) needs to look
+// again only when this moved.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Counter registers (or looks up) a monotonically increasing counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f := r.family(name, help, kindCounter, nil)
-	return f.series1(labelSignature(labels), func() any { return &Counter{} }).(*Counter)
+	return r.series1(f, labelSignature(labels), func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge registers (or looks up) a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	f := r.family(name, help, kindGauge, nil)
-	return f.series1(labelSignature(labels), func() any { return &Gauge{} }).(*Gauge)
+	return r.series1(f, labelSignature(labels), func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram registers (or looks up) a fixed-bucket histogram. The buckets
@@ -157,7 +171,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		}
 	}
 	f := r.family(name, help, kindHistogram, buckets)
-	return f.series1(labelSignature(labels), func() any { return newHistogram(f.buckets) }).(*Histogram)
+	return r.series1(f, labelSignature(labels), func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // DefSecondsBuckets spans one microsecond to one second, the range of
@@ -231,20 +245,42 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// familySnapshot is one family's state captured for rendering: the
-// metric handles are shared (their values are read atomically), the
-// order slice is a copy.
-type familySnapshot struct {
-	name, help, kind string
-	order            []string
-	series           []any
+// Bounds returns the upper bucket bounds (shared; callers must not
+// mutate).
+func (h *Histogram) Bounds() []float64 { return h.bounds }
+
+// Buckets loads the per-bucket (non-cumulative) observation counts into
+// dst, len(Bounds())+1 with the +Inf bucket last, reusing dst's capacity.
+func (h *Histogram) Buckets(dst []uint64) []uint64 {
+	if cap(dst) < len(h.counts) {
+		dst = make([]uint64, len(h.counts))
+	}
+	dst = dst[:len(h.counts)]
+	for i := range h.counts {
+		dst[i] = h.counts[i].Load()
+	}
+	return dst
 }
 
-// snapshot captures every family under the registry and family locks,
-// holding each only long enough to copy slice headers and map entries —
-// never while formatting. A first registration racing a scrape therefore
-// waits for a few copies, not for the whole exposition to render.
-func (r *Registry) snapshot() []familySnapshot {
+// Family is one metric family as captured by Families: the handles are
+// shared with the registry (their values are read atomically) and the
+// slices are views of append-only storage, stable at the captured length.
+type Family struct {
+	Name, Help, Kind string
+	// Labels are the canonical `{k="v",...}` signatures in registration
+	// order, "" for an unlabeled series.
+	Labels []string
+	// Series are the *Counter, *Gauge or *Histogram handles, parallel to
+	// Labels.
+	Series []any
+}
+
+// Families captures every family, sorted by name, under the registry and
+// family locks, holding each only long enough to copy two slice headers —
+// O(families), never O(series), and never while formatting. A first
+// registration racing a scrape therefore waits for a few copies, not for
+// the whole exposition to render.
+func (r *Registry) Families() []Family {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -257,19 +293,11 @@ func (r *Registry) snapshot() []familySnapshot {
 	}
 	r.mu.Unlock()
 
-	out := make([]familySnapshot, 0, len(fams))
+	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
 		f.mu.Lock()
-		snap := familySnapshot{
-			name: f.name, help: f.help, kind: f.kind,
-			order:  append([]string(nil), f.order...),
-			series: make([]any, len(f.order)),
-		}
-		for i, sig := range f.order {
-			snap.series[i] = f.series[sig]
-		}
+		out = append(out, Family{Name: f.name, Help: f.help, Kind: f.kind, Labels: f.order, Series: f.handles})
 		f.mu.Unlock()
-		out = append(out, snap)
 	}
 	return out
 }
@@ -280,20 +308,20 @@ func (r *Registry) snapshot() []familySnapshot {
 // cannot stall hot-path first-registrations.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for _, f := range r.snapshot() {
-		if len(f.order) == 0 {
+	for _, f := range r.Families() {
+		if len(f.Labels) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for i, sig := range f.order {
-			switch m := f.series[i].(type) {
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, f.Help)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
+		for i, sig := range f.Labels {
+			switch m := f.Series[i].(type) {
 			case *Counter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, sig, m.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.Name, sig, m.Value())
 			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, sig, formatFloat(m.Value()))
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, sig, formatFloat(m.Value()))
 			case *Histogram:
-				writeHistogram(&b, f.name, sig, m)
+				writeHistogram(&b, f.Name, sig, m)
 			}
 		}
 	}
@@ -359,22 +387,16 @@ type Sample struct {
 // Prometheus exposition too).
 func (r *Registry) Each(fn func(Sample)) {
 	var counts []uint64
-	for _, f := range r.snapshot() {
-		for i, sig := range f.order {
-			s := Sample{Name: f.name, Labels: sig, Kind: f.kind}
-			switch m := f.series[i].(type) {
+	for _, f := range r.Families() {
+		for i, sig := range f.Labels {
+			s := Sample{Name: f.Name, Labels: sig, Kind: f.Kind}
+			switch m := f.Series[i].(type) {
 			case *Counter:
 				s.Value = float64(m.Value())
 			case *Gauge:
 				s.Value = m.Value()
 			case *Histogram:
-				if cap(counts) < len(m.counts) {
-					counts = make([]uint64, len(m.counts))
-				}
-				counts = counts[:len(m.counts)]
-				for j := range m.counts {
-					counts[j] = m.counts[j].Load()
-				}
+				counts = m.Buckets(counts)
 				s.Bounds = m.bounds
 				s.BucketCounts = counts
 				s.Count = m.Count()

@@ -25,37 +25,64 @@ import (
 //
 // A Sampler is not safe for concurrent SampleOnce calls with itself (Run
 // serializes them); it is safe against concurrent registry writers.
+//
+// The registry is append-only, so the sampler does not walk it every
+// scrape: it keeps a plan — the metric handle and store slot of every
+// series the store admitted, plus how many it refused — and extends the
+// plan only when the registry's generation moved. A steady-state scrape
+// touches the admitted series alone, under one store lock, builds no
+// keys and allocates nothing.
 type Sampler struct {
 	reg   *telemetry.Registry
 	store *Store
+	prevT time.Time
 
-	// prev holds the previous scrape's counter values and histogram
-	// states, keyed by exposition key.
-	prevT        time.Time
-	prevCounters map[string]float64
-	prevHists    map[string]*histState
+	gen      uint64         // registry generation the plan covers
+	planned  map[string]int // per family: how many of its series are planned
+	gauges   []planGauge
+	counters []planCounter
+	hists    []planHist
+	// Gauges and counters the store had no room for hold no plan entry:
+	// all they do each scrape is count one refused push.
+	refusedGauges, refusedCounters uint64
+	cur                            []uint64 // bucket-count scratch
 }
 
-// histState is the per-histogram carry between scrapes.
-type histState struct {
-	count   uint64
-	sum     float64
-	buckets []uint64 // non-cumulative, +Inf last
-	deltas  []uint64 // scratch for the interval's bucket deltas
+type planGauge struct {
+	g  *telemetry.Gauge
+	sr *oneSeries
+}
+
+type planCounter struct {
+	c    *telemetry.Counter
+	sr   *oneSeries
+	prev float64 // value at the previous scrape
+}
+
+// planHist is one histogram: its three derived series (nil where the
+// store refused one) and the carry between scrapes. Refused or not, the
+// histogram is read every scrape, because how many pushes a scrape would
+// have made — and so how many it drops — depends on the counts.
+type planHist struct {
+	h               *telemetry.Histogram
+	count, sum, p99 *oneSeries
+	prevCount       uint64
+	prevSum         float64
+	buckets         []uint64 // non-cumulative, +Inf last, previous scrape
+	deltas          []uint64 // scratch for the interval's bucket deltas
 }
 
 // NewSampler returns a sampler feeding store from reg. The first
 // SampleOnce seeds counter/histogram baselines and stores only gauges;
 // rates appear from the second scrape on. Every series is admitted to
 // the store when it is first seen, not when it first has a point, so
-// admission under MaxSeries follows registry order.
+// admission under MaxSeries follows registry order: a rate or quantile
+// needs two scrapes before its first point, and were admission to wait
+// for that point, a fleet with more per-unit gauges than MaxSeries would
+// fill the store on the first scrape and lock every derived series out
+// for good.
 func NewSampler(reg *telemetry.Registry, store *Store) *Sampler {
-	return &Sampler{
-		reg:          reg,
-		store:        store,
-		prevCounters: make(map[string]float64),
-		prevHists:    make(map[string]*histState),
-	}
+	return &Sampler{reg: reg, store: store, planned: make(map[string]int)}
 }
 
 // Store returns the store the sampler feeds.
@@ -64,56 +91,108 @@ func (sm *Sampler) Store() *Store { return sm.store }
 // SampleOnce performs one scrape at time now.
 func (sm *Sampler) SampleOnce(now time.Time) {
 	dt := now.Sub(sm.prevT).Seconds()
-	first := sm.prevT.IsZero()
-	sm.reg.Each(func(s telemetry.Sample) {
-		key := s.Name + s.Labels
-		switch s.Kind {
-		case telemetry.KindGauge:
-			sm.store.Push(key, KindGauge, now, s.Value)
-		case telemetry.KindCounter:
-			prev, seen := sm.prevCounters[key]
-			if !seen {
-				sm.store.Admit(key, KindRate)
-			} else if !first && dt > 0 {
-				rate := (s.Value - prev) / dt
-				if rate < 0 { // counter reset
-					rate = 0
-				}
-				sm.store.Push(key, KindRate, now, rate)
+	rates := !sm.prevT.IsZero() && dt > 0 // counters and histograms need a baseline
+	t := now.UnixNano()
+	st := sm.store
+	st.mu.Lock()
+	defer st.mu.Unlock()
+
+	for i := range sm.gauges {
+		p := &sm.gauges[i]
+		st.push(p.sr, t, p.g.Value())
+	}
+	st.dropped += sm.refusedGauges
+	for i := range sm.counters {
+		p := &sm.counters[i]
+		v := float64(p.c.Value())
+		if rates {
+			rate := (v - p.prev) / dt
+			if rate < 0 { // counter reset
+				rate = 0
 			}
-			sm.prevCounters[key] = s.Value
-		case telemetry.KindHistogram:
-			st, seen := sm.prevHists[key]
-			if !seen {
-				st = &histState{
-					buckets: make([]uint64, len(s.BucketCounts)),
-					deltas:  make([]uint64, len(s.BucketCounts)),
-				}
-				sm.prevHists[key] = st
-				sm.store.Admit(key+":count", KindRate)
-				sm.store.Admit(key+":sum", KindRate)
-				sm.store.Admit(key+":p99", KindP99)
-			} else if !first && dt > 0 && s.Count >= st.count {
-				dCount := s.Count - st.count
-				sm.store.Push(key+":count", KindRate, now, float64(dCount)/dt)
-				dSum := s.Value - st.sum
-				if dSum < 0 {
-					dSum = 0
-				}
-				sm.store.Push(key+":sum", KindRate, now, dSum/dt)
-				if dCount > 0 {
-					for i, c := range s.BucketCounts {
-						st.deltas[i] = c - st.buckets[i]
-					}
-					sm.store.Push(key+":p99", KindP99, now, quantile(0.99, s.Bounds, st.deltas, dCount))
-				}
-			}
-			st.count = s.Count
-			st.sum = s.Value
-			copy(st.buckets, s.BucketCounts)
+			st.push(p.sr, t, rate)
 		}
-	})
+		p.prev = v
+	}
+	if rates {
+		st.dropped += sm.refusedCounters
+	}
+	for i := range sm.hists {
+		p := &sm.hists[i]
+		sm.cur = p.h.Buckets(sm.cur)
+		count, sum := p.h.Count(), p.h.Sum()
+		if rates && count >= p.prevCount {
+			dCount := count - p.prevCount
+			st.push(p.count, t, float64(dCount)/dt)
+			dSum := sum - p.prevSum
+			if dSum < 0 {
+				dSum = 0
+			}
+			st.push(p.sum, t, dSum/dt)
+			if dCount > 0 {
+				for j, c := range sm.cur {
+					p.deltas[j] = c - p.buckets[j]
+				}
+				st.push(p.p99, t, quantile(0.99, p.h.Bounds(), p.deltas, dCount))
+			}
+		}
+		p.prevCount, p.prevSum = count, sum
+		copy(p.buckets, sm.cur)
+	}
+
+	// Read the generation before the families: a series registered in
+	// between is planned now and found already planned next time.
+	if gen := sm.reg.Generation(); gen != sm.gen {
+		sm.extendPlan(t)
+		sm.gen = gen
+	}
 	sm.prevT = now
+}
+
+// extendPlan adds the series registered since the last look, in registry
+// order (families by name, series by registration), which is therefore
+// the order they compete for the store's remaining room. A new gauge is
+// pushed at once; a new counter or histogram only takes its baseline.
+// Caller holds the store lock.
+func (sm *Sampler) extendPlan(t int64) {
+	st := sm.store
+	for _, f := range sm.reg.Families() {
+		from := sm.planned[f.Name]
+		if from == len(f.Series) {
+			continue
+		}
+		sm.planned[f.Name] = len(f.Series)
+		for i := from; i < len(f.Series); i++ {
+			key := f.Name + f.Labels[i]
+			switch m := f.Series[i].(type) {
+			case *telemetry.Gauge:
+				sr := st.admit(key, KindGauge)
+				st.push(sr, t, m.Value())
+				if sr == nil {
+					sm.refusedGauges++
+				} else {
+					sm.gauges = append(sm.gauges, planGauge{g: m, sr: sr})
+				}
+			case *telemetry.Counter:
+				if sr := st.admit(key, KindRate); sr == nil {
+					sm.refusedCounters++
+				} else {
+					sm.counters = append(sm.counters, planCounter{c: m, sr: sr, prev: float64(m.Value())})
+				}
+			case *telemetry.Histogram:
+				p := planHist{
+					h:     m,
+					count: st.admit(key+":count", KindRate),
+					sum:   st.admit(key+":sum", KindRate),
+					p99:   st.admit(key+":p99", KindP99),
+				}
+				p.buckets = m.Buckets(nil)
+				p.deltas = make([]uint64, len(p.buckets))
+				p.prevCount, p.prevSum = m.Count(), m.Sum()
+				sm.hists = append(sm.hists, p)
+			}
+		}
+	}
 }
 
 // quantile estimates quantile q from non-cumulative bucket counts (the

@@ -212,32 +212,26 @@ func (s *Store) admit(key, kind string) *oneSeries {
 	return sr
 }
 
-// Admit reserves a slot for a series that has been seen but has no point
-// yet. A rate or quantile needs two scrapes before its first point; were
-// admission to wait for that point, a fleet with more per-unit gauges
-// than MaxSeries would fill the store on the first scrape and lock every
-// derived series out for good.
-func (s *Store) Admit(key, kind string) {
-	s.mu.Lock()
-	s.admit(key, kind)
-	s.mu.Unlock()
-}
-
 // Push appends one sample to the named series, admitting it on first
 // sight. Pushes to series beyond MaxSeries are dropped and counted.
 func (s *Store) Push(key, kind string, t time.Time, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sr := s.admit(key, kind)
+	s.push(s.admit(key, kind), t.UnixNano(), v)
+}
+
+// push appends one sample to sr, or counts a refused push when the store
+// had no room for the series (sr nil). Caller holds mu.
+func (s *Store) push(sr *oneSeries, t int64, v float64) {
 	if sr == nil {
 		s.dropped++
 		return
 	}
-	sr.raw.push(t.UnixNano(), v)
+	sr.raw.push(t, v)
 	sr.accSum += v
 	sr.accN++
 	if sr.accN >= s.cfg.RollupEvery {
-		sr.roll.push(t.UnixNano(), sr.accSum/float64(sr.accN))
+		sr.roll.push(t, sr.accSum/float64(sr.accN))
 		sr.accSum, sr.accN = 0, 0
 	}
 }

@@ -97,17 +97,19 @@ func TestSamplerCountersBecomeRates(t *testing.T) {
 }
 
 func TestSamplerCounterResetYieldsZero(t *testing.T) {
-	// Two registries with the same counter name simulate a scraped
-	// component restarting: the value goes backwards.
-	reg1 := telemetry.NewRegistry()
-	reg1.Counter("reqs_total", "test").Add(100)
+	// A scraped component restarting shows as the value going backwards.
+	// A Counter only adds, so wrap it around: 100 + (2^64 - 97) = 3.
+	reg := telemetry.NewRegistry()
+	c := reg.Counter("reqs_total", "test")
+	c.Add(100)
 	store := NewStore(Config{})
-	sm := NewSampler(reg1, store)
+	sm := NewSampler(reg, store)
 	sm.SampleOnce(at(0))
 
-	reg2 := telemetry.NewRegistry()
-	reg2.Counter("reqs_total", "test").Add(3)
-	sm.reg = reg2
+	c.Add(^uint64(0) - 96)
+	if c.Value() != 3 {
+		t.Fatalf("wrapped counter = %d, want 3", c.Value())
+	}
 	sm.SampleOnce(at(1))
 	if p, ok := store.Latest("reqs_total"); !ok || p.V != 0 {
 		t.Fatalf("post-reset rate = %+v %v, want 0", p, ok)
