@@ -44,12 +44,14 @@ bench:
 # and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output;
 # it also runs the replication-round and sampler-scrape benchmarks once
-# at bench's ops16k sizes so they cannot rot. It is a compile-and-run
+# at bench's ops16k sizes, and the 16k takeover rows (cold, and warm from
+# a young and an aged donor), so they cannot rot. It is a compile-and-run
 # check, not a timing run. The smoke JSON goes to an untracked path so it
 # never clobbers the committed timing record.
 bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
 	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
+	$(GO) test -run xxx -bench 'BenchmarkTakeoverFirstRound/.*/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
 
 # bench-json refreshes the committed BENCH_decide.json with real timings.
@@ -72,7 +74,8 @@ bench-ingest:
 
 # bench-restore refreshes the committed BENCH_restore.json: snapshot
 # encode/decode at 16k and 262k units, and cold-vs-warm takeover
-# time-to-first-caps at 16k and 64k.
+# time-to-first-caps at 16k and 64k, warm from a donor three rounds old
+# and from the same donor 10^7 PRNG draws on.
 bench-restore:
 	./scripts/bench_restore.sh
 
@@ -94,10 +97,12 @@ chaos:
 # watchdog audits) running beside the daemon's decision loop, and on the
 # black-box recorder's warm append path — and the bytes a whole warm
 # DecideOnce allocates (round record, metrics, audit, black box) must not
-# grow with the unit count.
+# grow with the unit count, nor may the allocations of a cold image decode
+# or of a restore followed by the first snapshot-writing round.
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
-	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits' -count=1 ./internal/daemon
+	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
+	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits' -count=1 ./internal/snapshot
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 
 # fuzz-smoke gives the wire-protocol decoders a short fuzz shake on every

@@ -6,6 +6,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/priority"
 	"dps/internal/snapshot"
+	"dps/internal/stateless"
 	"dps/internal/trace"
 )
 
@@ -65,11 +66,9 @@ func (d *DPS) ExportState(st *snapshot.State) {
 		st.Kalman[u] = d.filters.Unit(power.UnitID(u)).ExportState()
 	}
 
-	st.RingCap = d.cfg.HistoryLen
-	if cap(st.Rings) < n {
-		st.Rings = make([]snapshot.RingState, n)
+	if len(st.Rings) != n || st.RingCap != d.cfg.HistoryLen {
+		st.SizeRings(n, d.cfg.HistoryLen)
 	}
-	st.Rings = st.Rings[:n]
 	for u := 0; u < n; u++ {
 		d.hist.Unit(power.UnitID(u)).ExportState(&st.Rings[u])
 	}
@@ -87,8 +86,13 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.Frozen = st.Frozen[:n]
 	copy(st.Frozen, d.frozen)
 
+	// The generator travels whole (register + position), so a restore
+	// costs the same whatever this controller's age; (seed, draws) stay
+	// for readers that predate the register and as its cross-check.
 	st.RNGSeed = d.cfg.Seed
 	st.RNGDraws = d.statelessM.RNGDraws()
+	st.HasRNGReg = true
+	st.RNGTap = d.statelessM.ExportRegister(&st.RNGReg)
 
 	if cap(st.Reasons) < n {
 		st.Reasons = make([]uint8, n)
@@ -174,6 +178,9 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 		len(st.Reasons) != d.cfg.Units || len(st.RoundBefore) != d.cfg.Units {
 		return fmt.Errorf("core: snapshot core sections incomplete for %d units", d.cfg.Units)
 	}
+	if want := stateless.TapAt(st.RNGDraws); st.HasRNGReg && st.RNGTap != want {
+		return fmt.Errorf("core: snapshot PRNG register at tap %d, %d draws put it at %d", st.RNGTap, st.RNGDraws, want)
+	}
 	// Ring geometry is validated for every unit before any ring is
 	// touched, so a malformed snapshot cannot leave the bank
 	// half-restored.
@@ -218,7 +225,12 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	if err := d.priorityM.ImportState(st.HighFreq, st.Prio); err != nil {
 		panic(fmt.Sprintf("core: priority import failed after length checks: %v", err))
 	}
-	d.statelessM.RestoreRNG(st.RNGSeed, st.RNGDraws)
+	if st.HasRNGReg {
+		d.statelessM.RestoreRegister(&st.RNGReg, st.RNGDraws)
+	} else {
+		// An image from before the register travelled: draw up to it.
+		d.statelessM.RestoreRNG(st.RNGSeed, st.RNGDraws)
+	}
 
 	if st.HeldAllocated && d.held == nil {
 		// Preserve the exporting controller's allocation profile: it had

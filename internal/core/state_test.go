@@ -7,6 +7,7 @@ import (
 
 	"dps/internal/power"
 	"dps/internal/snapshot"
+	"dps/internal/stateless"
 )
 
 // loopState is the world-side state of a closed-loop delta-agent trace:
@@ -77,18 +78,44 @@ func drive(t *testing.T, d *DPS, demand [][]power.Watts, lo, hi int, ls *loopSta
 	return capsOut, statsOut
 }
 
+// clone copies the loop state, so two restored controllers can each
+// finish the trace from the same point.
+func (ls *loopState) clone() *loopState {
+	c := &loopState{caps: ls.caps.Clone(), reported: ls.reported.Clone(), eps: ls.eps}
+	if ls.mask != nil {
+		c.mask = NewDirtyMask(len(ls.caps))
+	}
+	return c
+}
+
+// imageKinds are the two images a restore must treat alike: the one this
+// tree writes, PRNG register included, and the same image without the
+// register section — what a writer that predates it wrote, restored by
+// replaying (seed, draws).
+var imageKinds = []struct {
+	name          string
+	stripRegister bool
+}{{"register", false}, {"no register", true}}
+
 // snapshotThrough round-trips d's state through the wire format and
 // restores it into into, failing the test on any step that errors. The
 // byte round trip is deliberate: the equivalence proof must cover the
 // serialized form, not just the in-memory State.
-func snapshotThrough(t *testing.T, d, into *DPS) {
+func snapshotThrough(t *testing.T, d, into *DPS, stripRegister bool) {
 	t.Helper()
 	var st snapshot.State
 	d.ExportState(&st)
+	if !st.HasRNGReg {
+		t.Fatal("export carries no PRNG register")
+	}
+	st.HasRNGReg = !stripRegister
 	img := snapshot.Encode(nil, &st)
 	got, err := snapshot.Decode(img)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
+	}
+	if got.HasRNGReg == stripRegister {
+		t.Fatalf("decoded image has register = %v, stripped = %v", got.HasRNGReg, stripRegister)
 	}
 	if err := into.RestoreState(got); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -169,23 +196,26 @@ func TestRestoreEquivalence(t *testing.T) {
 			}
 			capsB2, statsB2 := drive(t, b, demand, 150, cutAt, lsB, nil)
 
-			c := build(tc.refresh)
-			snapshotThrough(t, b, c)
-			if got, want := c.Steps(), uint64(cutAt); got != want {
-				t.Fatalf("restored steps %d, want %d", got, want)
-			}
-			if got := c.Budget().Total; got != budget2 {
-				t.Fatalf("restored budget %v, want %v", got, budget2)
-			}
-			capsB3, statsB3 := drive(t, c, demand, cutAt, 400, lsB, nil)
-			if err := c.SetTotalBudget(budget3); err != nil {
-				t.Fatal(err)
-			}
-			capsB4, statsB4 := drive(t, c, demand, 400, steps, lsB, nil)
+			for _, kind := range imageKinds {
+				c := build(tc.refresh)
+				snapshotThrough(t, b, c, kind.stripRegister)
+				if got, want := c.Steps(), uint64(cutAt); got != want {
+					t.Fatalf("restored steps %d, want %d", got, want)
+				}
+				if got := c.Budget().Total; got != budget2 {
+					t.Fatalf("restored budget %v, want %v", got, budget2)
+				}
+				lsC := lsB.clone()
+				capsB3, statsB3 := drive(t, c, demand, cutAt, 400, lsC, nil)
+				if err := c.SetTotalBudget(budget3); err != nil {
+					t.Fatal(err)
+				}
+				capsB4, statsB4 := drive(t, c, demand, 400, steps, lsC, nil)
 
-			capsB := append(append(append(capsB1, capsB2...), capsB3...), capsB4...)
-			statsB := append(append(append(statsB1, statsB2...), statsB3...), statsB4...)
-			assertSameDecisions(t, tc.name, capsA, capsB, statsA, statsB)
+				capsB := append(append(append(capsB1, capsB2...), capsB3...), capsB4...)
+				statsB := append(append(append(statsB1, statsB2...), statsB3...), statsB4...)
+				assertSameDecisions(t, tc.name+"/"+kind.name, capsA, capsB, statsA, statsB)
+			}
 
 			// Non-vacuity: the post-restore segment must exercise real
 			// decision work.
@@ -245,20 +275,23 @@ func TestRestoreEquivalenceNoSparseSection(t *testing.T) {
 	st.SettledW, st.CapMovedW, st.LastVal, st.LastStep = nil, nil, nil, nil
 	st.LastDT, st.HighCount, st.CachedSum, st.SumValid = 0, 0, 0, false
 	clear(st.Frozen)
-	old, err := snapshot.Decode(snapshot.Encode(nil, &st))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if old.HasSparse {
-		t.Fatal("hand-built image still carries a sparse section")
-	}
-	c := build()
-	if err := c.RestoreState(old); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, nil)
+	for _, kind := range imageKinds {
+		st.HasRNGReg = !kind.stripRegister
+		old, err := snapshot.Decode(snapshot.Encode(nil, &st))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if old.HasSparse || old.HasRNGReg == kind.stripRegister {
+			t.Fatalf("hand-built image carries sparse section = %v, register = %v", old.HasSparse, old.HasRNGReg)
+		}
+		c := build()
+		if err := c.RestoreState(old); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB.clone(), nil)
 
-	assertSameDecisions(t, "no sparse section", capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+		assertSameDecisions(t, "no sparse section/"+kind.name, capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+	}
 }
 
 // TestRestoreEquivalenceDegraded runs the trace with a health schedule
@@ -305,16 +338,67 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 		b := build(refresh)
 		lsB := newLoopState(b, 0.5, true)
 		capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, health)
-		c := build(refresh)
-		snapshotThrough(t, b, c)
-		capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, health)
-		assertSameDecisions(t, fmt.Sprintf("degraded/refresh=%d", refresh), capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+		for _, kind := range imageKinds {
+			c := build(refresh)
+			snapshotThrough(t, b, c, kind.stripRegister)
+			capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB.clone(), health)
+			assertSameDecisions(t, fmt.Sprintf("degraded/refresh=%d/%s", refresh, kind.name), capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+		}
 	}
 
 	// Non-vacuity: the schedule must actually have pinned units at the
 	// cut (their caps held constant through it).
 	if statsA[cutAt].StaleUnits == 0 || statsA[cutAt].DeadUnits == 0 {
 		t.Fatalf("health schedule not active at the snapshot point")
+	}
+}
+
+// TestRestoreIndependentOfDonorAge restores an image whose draw count is
+// that of a controller decades old (replaying 2^50 draws would not
+// return). The register carries the generator, so the restore is
+// immediate and the restored controller's shuffles are the donor's.
+func TestRestoreIndependentOfDonorAge(t *testing.T) {
+	const (
+		units = 64
+		steps = 200
+		cutAt = 80
+		aged  = stateless.RegisterLen << 41 // whole turns of the register, > 2^50 draws
+	)
+	bud := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
+	demand := mixedTrace(steps, units, 9)
+	build := func() *DPS {
+		d, err := NewDPS(DefaultConfig(units, bud))
+		if err != nil {
+			t.Fatalf("NewDPS: %v", err)
+		}
+		return d
+	}
+	b := build()
+	lsB := newLoopState(b, 0.5, true)
+	drive(t, b, demand, 0, cutAt, lsB, nil)
+
+	var st snapshot.State
+	b.ExportState(&st)
+	young := st.RNGDraws
+	if young == 0 {
+		t.Fatal("the trace drew nothing before the cut; test is vacuous")
+	}
+	st.RNGDraws += aged
+	old, err := snapshot.Decode(snapshot.Encode(nil, &st))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	c := build()
+	if err := c.RestoreState(old); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	lsC := lsB.clone()
+	capsB, statsB := drive(t, b, demand, cutAt, steps, lsB, nil)
+	capsC, statsC := drive(t, c, demand, cutAt, steps, lsC, nil)
+	assertSameDecisions(t, "aged donor", capsB, capsC, statsB, statsC)
+	drewB, drewC := b.statelessM.RNGDraws()-young, c.statelessM.RNGDraws()-young-aged
+	if drewB == 0 || drewB != drewC {
+		t.Fatalf("after the restore the donor drew %d times, the restored controller %d", drewB, drewC)
 	}
 }
 
@@ -386,6 +470,9 @@ func TestRestoreStateRejects(t *testing.T) {
 		{"bad budget", newC(nil), func(s *snapshot.State) { s.BudgetTotal = -1 }, "budget"},
 		{"bad ring geometry", newC(nil), func(s *snapshot.State) { s.Rings[5].Head = 99 }, "unit 5"},
 		{"short section", newC(nil), func(s *snapshot.State) { s.Caps = s.Caps[:units-1] }, "incomplete"},
+		{"register off its position", newC(nil), func(s *snapshot.State) { s.RNGTap = (s.RNGTap + 1) % stateless.RegisterLen }, "tap"},
+		{"register position out of range", newC(nil), func(s *snapshot.State) { s.RNGTap += stateless.RegisterLen }, "tap"},
+		{"draw count off the register", newC(nil), func(s *snapshot.State) { s.RNGDraws++ }, "tap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

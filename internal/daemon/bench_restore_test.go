@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -98,12 +99,47 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	}
 }
 
+// agedImage writes, next to the snapshot at path, the image its donor
+// would have written had its stateless module made draws more PRNG draws
+// by then, and returns the new file's path. Built through public API
+// only: the image is restored without its register, so the controller
+// draws its way there, and exported again; the daemon's part is kept.
+func agedImage(b *testing.B, path string, units int, draws uint64) string {
+	b.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := snapshot.Decode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.HasRNGReg = false
+	st.RNGDraws += draws
+	d, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.RestoreState(st); err != nil {
+		b.Fatal(err)
+	}
+	d.ExportState(st)
+	aged := path + ".aged"
+	if err := os.WriteFile(aged, snapshot.Encode(nil, st), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	return aged
+}
+
 // BenchmarkTakeoverFirstRound times time-to-first-caps for the two boot
 // paths the HA design trades between: cold (a fresh controller's first
 // round — the constant-allocation round every unit pays for) and warm
 // (restore the snapshot, then decide — the takeover path, where the
-// first round continues the donor's trajectory). Feeds
-// scripts/bench_restore.sh.
+// first round continues the donor's trajectory). The warm path runs on
+// two donor ages, three rounds and the same state 10^7 PRNG draws on
+// (about half an hour of bench's dense16k), which must cost the same:
+// the image carries the generator, not a count to replay. Feeds
+// scripts/bench_restore.sh; `make bench-smoke` runs the 16k rows once.
 func BenchmarkTakeoverFirstRound(b *testing.B) {
 	// 65536 is the protocol's addressable ceiling; the codec benchmark
 	// above covers scaling beyond it.
@@ -142,22 +178,27 @@ func BenchmarkTakeoverFirstRound(b *testing.B) {
 				b.StartTimer()
 			}
 		})
-		b.Run(fmt.Sprintf("warm/N=%d", units), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				srv := newBoot(b)
-				b.StartTimer()
-				if err := srv.RestoreFromSnapshot(path); err != nil {
-					b.Fatal(err)
+		for _, donor := range []struct {
+			name, image string
+		}{{"3rounds", path}, {"1e7draws", agedImage(b, path, units, 1e7)}} {
+			b.Run(fmt.Sprintf("warm/N=%d/donor=%s", units, donor.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					srv := newBoot(b)
+					b.StartTimer()
+					if err := srv.RestoreFromSnapshot(donor.image); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := srv.DecideOnce(1); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					srv.Close()
+					b.StartTimer()
 				}
-				if _, err := srv.DecideOnce(1); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				srv.Close()
-				b.StartTimer()
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -248,8 +248,15 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("daemon: reading snapshot: %w", err)
 	}
-	st, err := snapshot.Decode(data)
-	if err != nil {
+	// The image is decoded into the state the export side retains, so the
+	// columns a restore fills are the ones the first image written
+	// afterwards reuses, not a second copy of them.
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	st := &s.snapState
+	if err := snapshot.DecodeInto(st, data); err != nil {
 		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
 	}
 	maxAge := s.cfg.SnapshotMaxAge

@@ -52,7 +52,6 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 	}
 	var (
 		frameBuf []byte              // ReadStateFrame reuse
-		image    snapshot.State      // FrameSnapshot decode target, reused
 		input    snapshot.RoundInput // FrameDelta decode target, reused
 		synced   bool                // the live state is the primary's, verified
 		misfit   error               // a valid image this server cannot hold
@@ -95,28 +94,17 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 			}
 			switch frame {
 			case proto.FrameSnapshot:
-				// Validate the complete image before adopting anything from
-				// it: a snapshot that does not decode is a primary bug or a
-				// torn stream, and following it would poison a takeover.
-				if err = snapshot.DecodeInto(&image, payload); err == nil && !image.HasDaemon {
-					err = errors.New("no daemon section")
-				}
-				if err != nil {
+				if err, misfit = s.adoptImage(payload); err != nil {
 					s.logf("daemon: standby: rejecting snapshot from primary: %v", err)
 					break
 				}
-				saved := time.UnixMilli(image.SavedUnixMS)
-				s.roundMu.Lock()
-				misfit = s.restoreState(&image, saved)
-				s.followStamp = saved
-				s.roundMu.Unlock()
 				if err = misfit; err != nil {
 					break
 				}
 				synced = true
 				s.metrics.standbyLag.Set(0)
 				s.logf("daemon: standby: synced full state (round %d, %d units, %d bytes)",
-					image.Rounds, image.Units, len(payload))
+					s.rounds.Load(), s.cfg.Units, len(payload))
 			case proto.FrameDelta:
 				if !synced {
 					continue // inputs for a state we never saw are noise
@@ -151,6 +139,30 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 			return nil
 		}
 	}
+}
+
+// adoptImage installs a FrameSnapshot payload on a following standby.
+// The image is decoded — into the export side's retained state, as
+// RestoreFromSnapshot does — and validated whole before anything is
+// adopted from it: bad reports an image that does not parse (a primary
+// bug or a torn stream; following it would poison a takeover), misfit a
+// sound one this server cannot hold.
+func (s *Server) adoptImage(payload []byte) (bad, misfit error) {
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	st := &s.snapState
+	if err := snapshot.DecodeInto(st, payload); err != nil {
+		return err, nil
+	}
+	if !st.HasDaemon {
+		return errors.New("no daemon section"), nil
+	}
+	saved := time.UnixMilli(st.SavedUnixMS)
+	misfit = s.restoreState(st, saved)
+	s.followStamp = saved
+	return nil, misfit
 }
 
 // followRound applies one FrameDelta: it decodes the primary's round

@@ -14,6 +14,7 @@
 package section
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 )
@@ -172,3 +173,42 @@ func (c *Cursor) U64() uint64 {
 }
 
 func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
+
+// take returns the next n bytes under one bounds check; when fewer
+// remain it latches Short and reports false.
+func (c *Cursor) take(n int) ([]byte, bool) {
+	if c.short || n > len(c.b)-c.off {
+		c.short = true
+		return nil, false
+	}
+	b := c.b[c.off : c.off+n]
+	c.off += n
+	return b, true
+}
+
+// U64s fills dst with the next len(dst) words: one bounds check for the
+// column instead of one per word. A payload too short for all of them
+// latches Short, consumes nothing and zeroes dst — a read past the end
+// yields zeros, as with the scalar readers.
+func U64s(c *Cursor, dst []uint64) {
+	b, ok := c.take(8 * len(dst))
+	if !ok {
+		clear(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+}
+
+// F64s is U64s for a column of floats (power.Watts, power.Seconds, ...).
+func F64s[T ~float64](c *Cursor, dst []T) {
+	b, ok := c.take(8 * len(dst))
+	if !ok {
+		clear(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+	}
+}

@@ -2,6 +2,7 @@ package section
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -98,6 +99,64 @@ func TestCursor(t *testing.T) {
 	}
 }
 
+// checkBulk reads n words from payload through the column readers and
+// through n scalar reads: the same values when the payload holds them,
+// and when it does not — the short path — Short latched, nothing
+// consumed and the destination zeroed, never a panic or a partial fill.
+func checkBulk(t *testing.T, payload []byte, n int) {
+	t.Helper()
+	scalar, words, floats := NewCursor(payload), NewCursor(payload), NewCursor(payload)
+	gotW, gotF := make([]uint64, n), make([]float64, n)
+	for i := range gotW {
+		gotW[i], gotF[i] = ^uint64(0), -1 // must not survive a short read
+	}
+	U64s(&words, gotW)
+	F64s(&floats, gotF)
+	fits := 8*n <= len(payload)
+	if words.Short() == fits || floats.Short() == fits {
+		t.Fatalf("%d words of %d bytes: Short %v/%v", n, len(payload), words.Short(), floats.Short())
+	}
+	wantLeft := len(payload)
+	if fits {
+		wantLeft -= 8 * n
+	}
+	if words.Len() != wantLeft || floats.Len() != wantLeft {
+		t.Fatalf("%d words of %d bytes: %d/%d bytes left, want %d", n, len(payload), words.Len(), floats.Len(), wantLeft)
+	}
+	for i := 0; i < n; i++ {
+		want := scalar.U64()
+		if !fits {
+			want = 0
+		}
+		if gotW[i] != want || math.Float64bits(gotF[i]) != want {
+			t.Fatalf("word %d of %d: bulk %#x / %#x, scalar %#x", i, n, gotW[i], math.Float64bits(gotF[i]), want)
+		}
+	}
+	if words.U8(); !fits && !words.Short() {
+		t.Fatal("a short bulk read did not stay short")
+	}
+}
+
+func TestBulkReaders(t *testing.T) {
+	var b []byte
+	for _, v := range []uint64{0, 1, 1<<63 | 5, math.Float64bits(math.NaN()), math.Float64bits(-2.5)} {
+		b = AppendU64(b, v)
+	}
+	for cut := 0; cut <= len(b); cut++ {
+		for n := 0; n <= 6; n++ {
+			checkBulk(t, b[:cut], n)
+		}
+	}
+	// A column after scalars starts where they stopped.
+	c := NewCursor(append([]byte{9}, b...))
+	got := make([]uint64, 5)
+	c.U8()
+	U64s(&c, got)
+	if c.Short() || c.Len() != 0 || got[2] != 1<<63|5 {
+		t.Fatalf("column after a scalar: short %v, %d left, %#x", c.Short(), c.Len(), got)
+	}
+}
+
 // FuzzSectionWalk is the one fuzz target for the framing both the
 // snapshot and black-box formats sit on (their own fuzzers cover the
 // payloads). On arbitrary bytes the walker never panics, every section
@@ -127,6 +186,12 @@ func FuzzSectionWalk(f *testing.F) {
 				t.Fatalf("section %d does not re-verify on its own (stop %v)", i, stop)
 			}
 		}
+		// The column readers, on whatever payload the fuzzer framed and a
+		// column length it picked: a short payload must zero and latch.
+		for _, s := range full {
+			checkBulk(t, s.payload, (cut&0xffff)%80)
+		}
+		checkBulk(t, data, (cut&0xffff)%80)
 		if (stop == Clean) != (consumed == len(data)) {
 			t.Fatalf("stop %v with %d of %d bytes consumed", stop, consumed, len(data))
 		}

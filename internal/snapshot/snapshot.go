@@ -1,8 +1,10 @@
 // Package snapshot defines the controller's versioned state-snapshot
 // format: everything a DPS controller and its daemon accumulate across
 // decision rounds — caps, ring histories, Kalman bank, priority and
-// frozen stats, sparse bookkeeping, PRNG position, provenance, health
-// clocks — serialized so a restarted or warm-standby controller resumes
+// frozen stats, sparse bookkeeping, the PRNG (its register and position,
+// beside the (seed, draws) pair older readers restore from and newer
+// ones check the register against), provenance, health clocks —
+// serialized so a restarted or warm-standby controller resumes
 // bit-for-bit where the original stopped (DESIGN.md §14).
 //
 // # Wire format
@@ -15,9 +17,14 @@
 // Floats are IEEE-754 bit patterns (the format round-trips NaNs and
 // signed zeros — restore equivalence is bitwise, not numeric). Decoders
 // skip sections whose id they do not recognize (forward compatibility: a
-// newer writer can add sections without breaking older readers), but
-// only after the CRC validates — corrupt bytes never parse as "unknown,
-// ignore".
+// newer writer can add sections without breaking older readers — how
+// SecRNGReg arrived), but only after the CRC validates — corrupt bytes
+// never parse as "unknown, ignore".
+//
+// Decoding costs what the image's bytes cost: the per-unit float and
+// word columns are read a column at a time (section.F64s/U64s), and the
+// rings' slots share one backing array per column, so a cold decode
+// makes O(sections) allocations whatever the unit count.
 package snapshot
 
 import (
@@ -29,6 +36,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/priority"
 	"dps/internal/section"
+	"dps/internal/stateless"
 )
 
 // Version is the current snapshot format version. Decoders reject
@@ -52,9 +60,11 @@ const (
 	SecRings    uint16 = 0x0005 // power history rings, raw
 	SecPriority uint16 = 0x0006 // priority flags + frozen stats
 	SecSparse   uint16 = 0x0007 // sparse-round masks and caches
-	SecRNG      uint16 = 0x0008 // stateless module PRNG position
+	SecRNG      uint16 = 0x0008 // stateless module PRNG seed + draw count
 	SecProv     uint16 = 0x0009 // provenance reasons + round baseline
 	SecDaemon   uint16 = 0x000A // daemon round caches + health clocks
+	// 0x000B is SecRoundInput (input.go): replication stream only.
+	SecRNGReg uint16 = 0x000C // stateless module PRNG register + tap position
 )
 
 // Sanity bounds for decoded counts, so a corrupted or adversarial length
@@ -110,6 +120,15 @@ type State struct {
 	Reasons       []uint8
 	RoundBefore   power.Vector
 
+	// The stateless module's generator register (SecRNGReg): with it a
+	// restore continues the PRNG stream at once; without it (an image
+	// from a writer that predates the section) the restorer replays
+	// RNGDraws draws from RNGSeed to the same register. RNGTap is the
+	// register's position, stateless.TapAt(RNGDraws) in a sound image.
+	HasRNGReg bool
+	RNGTap    int
+	RNGReg    [stateless.RegisterLen]uint64
+
 	// Sparse-round bookkeeping (SecSparse), present only for sparse
 	// controllers.
 	HasSparse bool
@@ -135,6 +154,27 @@ type State struct {
 	LastCaps    power.Vector
 	LastPushed  power.Vector
 	Readings    power.Vector
+
+	// One backing array per ring column, which SizeRings carves Rings'
+	// slot slices from.
+	ringPowers    []power.Watts
+	ringDurations []power.Seconds
+}
+
+// SizeRings sets st.Rings to units ring states of ringCap slots each,
+// their slot slices carved from one retained backing array per column:
+// two allocations however many units, none once warm. The slot contents
+// are whatever the arrays held; callers overwrite them.
+func (st *State) SizeRings(units, ringCap int) {
+	st.RingCap = ringCap
+	st.ringPowers = Resize(st.ringPowers, units*ringCap)
+	st.ringDurations = Resize(st.ringDurations, units*ringCap)
+	st.Rings = Resize(st.Rings, units)
+	for u := range st.Rings {
+		lo, hi := u*ringCap, (u+1)*ringCap
+		st.Rings[u].Powers = st.ringPowers[lo:hi:hi]
+		st.Rings[u].Durations = st.ringDurations[lo:hi:hi]
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -168,7 +208,8 @@ func appendBits(b []byte, bits []bool) []byte {
 }
 
 // Encode serializes st into dst[:0] and returns the extended slice.
-// Sections are emitted in id order, config first; reusing dst across
+// Sections are emitted in one fixed order, config first (the register
+// section directly after the draw count it belongs to); reusing dst across
 // calls makes a warm encode allocation-free. The output of
 // encode→decode→encode is byte-identical (property-tested).
 func Encode(dst []byte, st *State) []byte {
@@ -248,6 +289,15 @@ func Encode(dst []byte, st *State) []byte {
 		b = section.AppendU64(b, uint64(st.RNGSeed))
 		b = section.AppendU64(b, st.RNGDraws)
 		b = section.End(b, start)
+
+		if st.HasRNGReg {
+			b, start = section.Begin(b, SecRNGReg)
+			b = section.AppendU16(b, uint16(st.RNGTap))
+			for _, w := range st.RNGReg {
+				b = section.AppendU64(b, w)
+			}
+			b = section.End(b, start)
+		}
 
 		b, start = section.Begin(b, SecProv)
 		b = append(b, st.Reasons...)
@@ -402,6 +452,8 @@ func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
 		return 8 + 8 + 8 + 1 + 2*words*8 + units*16, true
 	case SecDaemon:
 		return 16 + units*33, true
+	case SecRNGReg:
+		return 2 + stateless.RegisterLen*8, true
 	}
 	return 0, false
 }
@@ -417,27 +469,28 @@ func DecodeInto(st *State, data []byte) error {
 	if err != nil {
 		return err
 	}
-	st.HasCore, st.HasSparse, st.HasDaemon = false, false, false
-	seenConfig := false
-	var seen [11]bool // duplicate-section guard for known ids
+	st.HasCore, st.HasSparse, st.HasDaemon, st.HasRNGReg = false, false, false, false
+	var seen [SecRNGReg + 1]bool // which known sections the image holds
 
 	w := section.Walk(rest)
 	for w.Next() {
 		id, payload := w.ID, w.Payload
-		if int(id) < len(seen) {
-			if seen[id] {
-				return corruptf("duplicate section 0x%04x", id)
-			}
-			seen[id] = true
-		}
-		if id != SecConfig && int(id) < len(seen) && !seenConfig {
-			return corruptf("section 0x%04x before config section", id)
-		}
 		// Known sections have a payload size fully determined by the unit
 		// count (and, for rings, the embedded ring capacity). Checking it
 		// up front means a tiny crafted payload can never trigger a large
 		// per-unit allocation before failing.
-		if want, known := expectedLen(id, st.Units, payload); known && len(payload) != want {
+		want, known := expectedLen(id, st.Units, payload)
+		if !known {
+			continue // unknown section: CRC validated by the walker, skip it
+		}
+		if seen[id] {
+			return corruptf("duplicate section 0x%04x", id)
+		}
+		seen[id] = true
+		if !seen[SecConfig] {
+			return corruptf("section 0x%04x before config section", id)
+		}
+		if len(payload) != want {
 			return corruptf("section 0x%04x: payload %d bytes, want %d", id, len(payload), want)
 		}
 
@@ -455,7 +508,6 @@ func DecodeInto(st *State, data []byte) error {
 			st.UnitMin = power.Watts(r.F64())
 			st.Sparse = boolean(&r)
 			st.SparseRefreshEvery = int(r.U32())
-			seenConfig = true
 
 		case SecCore:
 			st.Steps = r.U64()
@@ -466,9 +518,7 @@ func DecodeInto(st *State, data []byte) error {
 
 		case SecCaps:
 			st.Caps = Resize(st.Caps, st.Units)
-			for i := range st.Caps {
-				st.Caps[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.Caps)
 
 		case SecKalman:
 			st.Kalman = Resize(st.Kalman, st.Units)
@@ -483,8 +533,7 @@ func DecodeInto(st *State, data []byte) error {
 			if !r.Short() && (rc == 0 || rc > maxRingCap) {
 				return corruptf("ring capacity %d outside [1,%d]", rc, maxRingCap)
 			}
-			st.RingCap = int(rc)
-			st.Rings = Resize(st.Rings, st.Units)
+			st.SizeRings(st.Units, int(rc))
 			for i := range st.Rings {
 				g := &st.Rings[i]
 				g.Head = int(r.U32())
@@ -494,17 +543,8 @@ func DecodeInto(st *State, data []byte) error {
 				g.SumSq = r.F64()
 				g.DurSum = r.F64()
 				g.TailDur = r.F64()
-				if r.Short() {
-					return done(&r, id)
-				}
-				g.Powers = Resize(g.Powers, st.RingCap)
-				for j := range g.Powers {
-					g.Powers[j] = power.Watts(r.F64())
-				}
-				g.Durations = Resize(g.Durations, st.RingCap)
-				for j := range g.Durations {
-					g.Durations[j] = power.Seconds(r.F64())
-				}
+				section.F64s(&r, g.Powers)
+				section.F64s(&r, g.Durations)
 			}
 
 		case SecPriority:
@@ -526,15 +566,18 @@ func DecodeInto(st *State, data []byte) error {
 			st.RNGSeed = int64(r.U64())
 			st.RNGDraws = r.U64()
 
+		case SecRNGReg:
+			st.RNGTap = int(r.U16())
+			section.U64s(&r, st.RNGReg[:])
+			st.HasRNGReg = true
+
 		case SecProv:
 			st.Reasons = Resize(st.Reasons, st.Units)
 			for i := range st.Reasons {
 				st.Reasons[i] = r.U8()
 			}
 			st.RoundBefore = Resize(st.RoundBefore, st.Units)
-			for i := range st.RoundBefore {
-				st.RoundBefore[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.RoundBefore)
 
 		case SecSparse:
 			st.LastDT = power.Seconds(r.F64())
@@ -543,21 +586,13 @@ func DecodeInto(st *State, data []byte) error {
 			st.SumValid = boolean(&r)
 			words := (st.Units + 63) / 64
 			st.SettledW = Resize(st.SettledW, words)
-			for i := range st.SettledW {
-				st.SettledW[i] = r.U64()
-			}
+			section.U64s(&r, st.SettledW)
 			st.CapMovedW = Resize(st.CapMovedW, words)
-			for i := range st.CapMovedW {
-				st.CapMovedW[i] = r.U64()
-			}
+			section.U64s(&r, st.CapMovedW)
 			st.LastVal = Resize(st.LastVal, st.Units)
-			for i := range st.LastVal {
-				st.LastVal[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.LastVal)
 			st.LastStep = Resize(st.LastStep, st.Units)
-			for i := range st.LastStep {
-				st.LastStep[i] = r.U64()
-			}
+			section.U64s(&r, st.LastStep)
 			st.HasSparse = true
 
 		case SecDaemon:
@@ -568,25 +603,14 @@ func DecodeInto(st *State, data []byte) error {
 				st.Health[i] = r.U8()
 			}
 			st.ReportAgeMS = Resize(st.ReportAgeMS, st.Units)
-			for i := range st.ReportAgeMS {
-				st.ReportAgeMS[i] = r.U64()
-			}
+			section.U64s(&r, st.ReportAgeMS)
 			st.LastCaps = Resize(st.LastCaps, st.Units)
-			for i := range st.LastCaps {
-				st.LastCaps[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.LastCaps)
 			st.LastPushed = Resize(st.LastPushed, st.Units)
-			for i := range st.LastPushed {
-				st.LastPushed[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.LastPushed)
 			st.Readings = Resize(st.Readings, st.Units)
-			for i := range st.Readings {
-				st.Readings[i] = power.Watts(r.F64())
-			}
+			section.F64s(&r, st.Readings)
 			st.HasDaemon = true
-
-		default:
-			continue // unknown section: CRC validated by the walker, skip it
 		}
 		if err := done(&r, id); err != nil {
 			return err
@@ -596,17 +620,26 @@ func DecodeInto(st *State, data []byte) error {
 		return corruptf("%v with %d bytes left", w.Stop, len(w.Rest))
 	}
 
-	if !seenConfig {
+	if !seen[SecConfig] {
 		return corruptf("no config section")
 	}
 	if st.HasCore {
 		// HasCore promises the full core section family; a snapshot with
 		// SecCore but a missing companion is structurally incomplete.
-		switch {
-		case len(st.Caps) != st.Units, len(st.Kalman) != st.Units,
-			len(st.Rings) != st.Units, len(st.Prio) != st.Units,
-			len(st.Reasons) != st.Units:
-			return corruptf("core sections incomplete for %d units", st.Units)
+		for _, id := range [...]uint16{SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
+			if !seen[id] {
+				return corruptf("core sections incomplete for %d units: no section 0x%04x", st.Units, id)
+			}
+		}
+	}
+	if st.HasRNGReg {
+		// The register means nothing without the draw count it is the
+		// state after, and the count fixes where its taps stand.
+		if !seen[SecRNG] {
+			return corruptf("section 0x%04x without section 0x%04x", SecRNGReg, SecRNG)
+		}
+		if want := stateless.TapAt(st.RNGDraws); st.RNGTap != want {
+			return corruptf("section 0x%04x: tap position %d, want %d after %d draws", SecRNGReg, st.RNGTap, want, st.RNGDraws)
 		}
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/priority"
 	"dps/internal/section"
+	"dps/internal/stateless"
 )
 
 // fillState builds a fully-populated State with value patterns that
@@ -37,6 +38,8 @@ func fillState(units, ringCap int, seed int64) *State {
 		RingCap:       ringCap,
 		RNGSeed:       seed,
 		RNGDraws:      1 << 40,
+		HasRNGReg:     true,
+		RNGTap:        stateless.TapAt(1 << 40),
 
 		HasSparse: true,
 		LastDT:    1.0,
@@ -47,6 +50,9 @@ func fillState(units, ringCap int, seed int64) *State {
 		HasDaemon:   true,
 		SavedUnixMS: 1_700_000_000_123,
 		Rounds:      987654321,
+	}
+	for i := range st.RNGReg {
+		st.RNGReg[i] = rng.Uint64()
 	}
 	words := (units + 63) / 64
 	for i := 0; i < units; i++ {
@@ -155,6 +161,9 @@ func assertStateEqual(t *testing.T, want, got *State) {
 	}
 	if got.RNGSeed != want.RNGSeed || got.RNGDraws != want.RNGDraws {
 		t.Fatalf("rng: got %d/%d want %d/%d", got.RNGSeed, got.RNGDraws, want.RNGSeed, want.RNGDraws)
+	}
+	if got.HasRNGReg != want.HasRNGReg || want.HasRNGReg && (got.RNGTap != want.RNGTap || got.RNGReg != want.RNGReg) {
+		t.Fatalf("rng register: got %v at tap %d, want %v at tap %d", got.HasRNGReg, got.RNGTap, want.HasRNGReg, want.RNGTap)
 	}
 	if want.HasSparse {
 		if !eqF64(float64(got.LastDT), float64(want.LastDT)) || got.HighCount != want.HighCount ||
@@ -329,6 +338,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("hostile register", func(t *testing.T) {
+		for name, mut := range hostileRegisters(t, img) {
+			if _, err := Decode(mut); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: decoded with %v", name, err)
+			}
+		}
+	})
+
 	t.Run("duplicate section", func(t *testing.T) {
 		w := section.Walk(img[HeaderSize:])
 		if !w.Next() {
@@ -339,6 +356,122 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("duplicate config section: %v", err)
 		}
 	})
+}
+
+// editSections rebuilds img section by section through edit, which
+// returns the payload to frame under the same id (fresh CRC) or
+// keep=false to drop the section: hostile images the CRC cannot catch.
+func editSections(t testing.TB, img []byte, edit func(id uint16, payload []byte) (out []byte, keep bool)) []byte {
+	t.Helper()
+	out := append([]byte(nil), img[:HeaderSize]...)
+	w := section.Walk(img[HeaderSize:])
+	for w.Next() {
+		payload, keep := edit(w.ID, append([]byte(nil), w.Payload...))
+		if !keep {
+			continue
+		}
+		var start int
+		out, start = section.Begin(out, w.ID)
+		out = section.End(append(out, payload...), start)
+	}
+	if w.Stop != section.Clean {
+		t.Fatalf("walking a valid image stopped at %v", w.Stop)
+	}
+	return out
+}
+
+// hostileRegisters are well-framed images whose PRNG register section
+// cannot be trusted: each must be refused, by name, before a restore
+// could act on it.
+func hostileRegisters(t testing.TB, img []byte) map[string][]byte {
+	onReg := func(edit func(p []byte) []byte) []byte {
+		return editSections(t, img, func(id uint16, p []byte) ([]byte, bool) {
+			if id == SecRNGReg {
+				p = edit(p)
+			}
+			return p, true
+		})
+	}
+	return map[string][]byte{
+		"register one word short": onReg(func(p []byte) []byte { return p[:len(p)-8] }),
+		"register one byte long":  onReg(func(p []byte) []byte { return append(p, 0) }),
+		"position out of range":   onReg(func(p []byte) []byte { p[0], p[1] = 0x5f, 0x02; return p }), // 607
+		"position off the draw count": onReg(func(p []byte) []byte {
+			tap := (stateless.TapAt(1<<40) + 1) % stateless.RegisterLen
+			p[0], p[1] = byte(tap), byte(tap>>8)
+			return p
+		}),
+		"register without draw count": editSections(t, img, func(id uint16, p []byte) ([]byte, bool) { return p, id != SecRNG }),
+		"register without draw count or core": editSections(t, img, func(id uint16, p []byte) ([]byte, bool) {
+			return p, id != SecRNG && id != SecCore
+		}),
+	}
+}
+
+// TestImageWithoutRegister: an image with the register section dropped
+// is sound — it is what a writer that predates the section wrote — and
+// re-encodes as such, so such a writer still reads what this one writes.
+func TestImageWithoutRegister(t *testing.T) {
+	img := Encode(nil, fillState(48, 8, 6))
+	bare := editSections(t, img, func(id uint16, p []byte) ([]byte, bool) { return p, id != SecRNGReg })
+	if len(img)-len(bare) != section.Overhead+2+8*stateless.RegisterLen {
+		t.Fatalf("register section takes %d bytes of the image", len(img)-len(bare))
+	}
+	st, err := Decode(bare)
+	if err != nil {
+		t.Fatalf("image without a register section: %v", err)
+	}
+	if st.HasRNGReg || st.RNGDraws != 1<<40 {
+		t.Fatalf("image without a register section decoded to register=%v draws=%d", st.HasRNGReg, st.RNGDraws)
+	}
+	if !bytes.Equal(Encode(nil, st), bare) {
+		t.Fatal("image without a register section does not re-encode to itself")
+	}
+}
+
+// TestDecodeIntoWarmStateForgetsSections decodes into a State that has
+// held a full image before, as the daemon's retained state does: columns
+// left over from the earlier image must not stand in for sections the
+// new image lacks.
+func TestDecodeIntoWarmStateForgetsSections(t *testing.T) {
+	full := Encode(nil, fillState(40, 8, 9))
+	var st State
+	if err := DecodeInto(&st, full); err != nil {
+		t.Fatal(err)
+	}
+	for _, drop := range []uint16{SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
+		img := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id != drop && id != SecRNGReg })
+		if err := DecodeInto(&st, img); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("core image without section 0x%04x decoded into a warm state: %v", drop, err)
+		}
+	}
+	bare := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id != SecRNGReg && id != SecSparse })
+	if err := DecodeInto(&st, bare); err != nil {
+		t.Fatal(err)
+	}
+	if st.HasRNGReg || st.HasSparse {
+		t.Fatalf("warm state kept register=%v sparse=%v from the earlier image", st.HasRNGReg, st.HasSparse)
+	}
+}
+
+// TestDecodeAllocsIndependentOfUnits: a cold DecodeInto allocates per
+// column, not per unit — the rings share one backing array per column —
+// so what a takeover pays the allocator does not grow with the fleet.
+func TestDecodeAllocsIndependentOfUnits(t *testing.T) {
+	cold := func(units int) float64 {
+		img := Encode(nil, fillState(units, 20, 3))
+		return testing.AllocsPerRun(3, func() {
+			var st State
+			if err := DecodeInto(&st, img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := cold(1024), cold(16384)
+	t.Logf("cold DecodeInto: %v allocations at 1024 units, %v at 16384", small, large)
+	if small != large || large > 30 {
+		t.Fatalf("cold DecodeInto allocates %v times at 1024 units, %v at 16384; want equal and O(sections)", small, large)
+	}
 }
 
 // TestEncodeSectionOrder pins the image's section sequence: ids ascending,
@@ -353,7 +486,7 @@ func TestEncodeSectionOrder(t *testing.T) {
 	if w.Stop != section.Clean {
 		t.Fatalf("walking a valid image stopped at %v", w.Stop)
 	}
-	wantIDs := []uint16{SecConfig, SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv, SecSparse, SecDaemon}
+	wantIDs := []uint16{SecConfig, SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecRNGReg, SecProv, SecSparse, SecDaemon}
 	if !reflect.DeepEqual(ids, wantIDs) {
 		t.Fatalf("section ids %#04x, want %#04x", ids, wantIDs)
 	}
@@ -372,6 +505,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flip := append([]byte(nil), img...)
 	flip[len(flip)/3] ^= 0x40
 	f.Add(flip)
+	for _, hostile := range hostileRegisters(f, img) {
+		f.Add(hostile)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {

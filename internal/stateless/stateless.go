@@ -70,34 +70,77 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// countingSource wraps the standard PRNG source and counts every state
-// advance. math/rand's generator state is opaque, but it is a pure
-// function of (seed, number of advances): re-seeding and discarding the
-// same number of draws lands on the identical stream position. The count
-// is therefore the module's entire serializable PRNG state — snapshots
-// store (seed, draws) instead of the 607-word generator internals, and
-// the replayed stream stays bit-for-bit the one an uninterrupted module
-// would have produced. Both Int63 and Uint64 advance the underlying
-// generator exactly once, so a single counter covers every draw path
-// rand.Rand takes.
-type countingSource struct {
-	src   rand.Source64
+// RegisterLen is the length, in 64-bit words, of the generator's feedback
+// register; regTap is the distance between its two taps.
+const (
+	RegisterLen = 607
+	regTap      = 273
+)
+
+// source is math/rand's generator, owned: the additive lagged-Fibonacci
+// register x[n] = x[n-607] + x[n-273] mod 2^64, with the same seeding,
+// so rand.New over it emits the stream rand.New(rand.NewSource(seed))
+// would (TestSourceMatchesMathRand pins that, draw path by draw path).
+// Owning the register makes the PRNG's state something a snapshot can
+// carry whole — 607 words and a position — where the standard source is
+// opaque and can only be brought to a position by drawing up to it.
+// Int63 and Uint64 both advance the register exactly once, so draws
+// counts every path rand.Rand takes.
+type source struct {
+	vec   [RegisterLen]uint64
+	tap   int // index of the tap word last read, stepping down; TapAt(draws)
 	draws uint64
 }
 
-func (s *countingSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
+// TapAt returns the register's tap position after draws advances: the
+// taps step down one slot per draw, so the position is a function of
+// draws mod RegisterLen — which is what lets a snapshot cross-check a
+// stored register against the draw count stored beside it.
+func TapAt(draws uint64) int {
+	return int((RegisterLen - draws%RegisterLen) % RegisterLen)
 }
 
-func (s *countingSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
+// feedAt returns the slot a draw with its tap at tap sums into: the
+// second tap, regTap slots behind the first.
+func feedAt(tap int) int {
+	if tap < regTap {
+		return tap + RegisterLen - regTap
+	}
+	return tap - regTap
 }
 
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.draws = 0
+func (s *source) Uint64() uint64 {
+	s.draws++
+	if s.tap--; s.tap < 0 {
+		s.tap += RegisterLen
+	}
+	feed := feedAt(s.tap)
+	x := s.vec[feed] + s.vec[s.tap]
+	s.vec[feed] = x
+	return x
+}
+
+func (s *source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
+// Seed puts the register in the state math/rand's source has after
+// Seed(seed), without a copy of its seed table: each draw overwrites the
+// slot it fed from, so the standard source's first RegisterLen outputs
+// are its register after RegisterLen draws, and running the recurrence
+// backwards over them (a draw changes one word, by adding another that
+// it leaves alone) recovers the register as seeded.
+func (s *source) Seed(seed int64) {
+	std := rand.NewSource(seed).(rand.Source64)
+	s.tap, s.draws = 0, 0
+	for k := 0; k < RegisterLen; k++ {
+		s.tap = (s.tap + RegisterLen - 1) % RegisterLen
+		s.vec[feedAt(s.tap)] = std.Uint64()
+	}
+	// tap is that of the last draw: undo it, step back, repeat. A whole
+	// turn in each direction leaves tap where a fresh source has it.
+	for k := 0; k < RegisterLen; k++ {
+		s.vec[feedAt(s.tap)] -= s.vec[s.tap]
+		s.tap = (s.tap + 1) % RegisterLen
+	}
 }
 
 // Module is a reusable MIMD controller. It is deterministic given its seed:
@@ -106,7 +149,7 @@ func (s *countingSource) Seed(seed int64) {
 type Module struct {
 	cfg   Config
 	rng   *rand.Rand
-	src   *countingSource
+	src   *source
 	order []int // scratch permutation of eligible units, reused across steps
 }
 
@@ -115,27 +158,38 @@ func New(cfg Config, seed int64) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	src := &source{}
+	src.Seed(seed)
 	return &Module{cfg: cfg, rng: rand.New(src), src: src}, nil
 }
 
-// RNGDraws returns the number of PRNG state advances consumed so far —
-// together with the construction seed, the module's complete
-// serializable randomness state.
+// RNGDraws returns the number of PRNG state advances consumed so far.
 func (m *Module) RNGDraws() uint64 { return m.src.draws }
 
-// RestoreRNG re-seeds the module's PRNG and fast-forwards it by draws
-// state advances, restoring the exact stream position RNGDraws reported.
-// The replay cost is linear in draws; a snapshot of a long-lived module
-// pays it once at restore time, never per round.
+// ExportRegister copies the generator's register into reg and returns
+// its tap position, TapAt(RNGDraws()). Register and draw count are the
+// module's complete randomness state.
+func (m *Module) ExportRegister(reg *[RegisterLen]uint64) (tap int) {
+	*reg = m.src.vec
+	return m.src.tap
+}
+
+// RestoreRegister installs an exported register at the position draws
+// advances imply: the module continues the exporter's stream from there,
+// at a cost that does not depend on draws.
+func (m *Module) RestoreRegister(reg *[RegisterLen]uint64, draws uint64) {
+	m.src.vec = *reg
+	m.src.tap, m.src.draws = TapAt(draws), draws
+}
+
+// RestoreRNG is RestoreRegister for a snapshot that carries only
+// (seed, draws): it re-seeds the generator and advances it draws times,
+// landing on the same register. The replay is linear in draws.
 func (m *Module) RestoreRNG(seed int64, draws uint64) {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	m.src.Seed(seed)
 	for i := uint64(0); i < draws; i++ {
-		src.src.Uint64()
+		m.src.Uint64()
 	}
-	src.draws = draws
-	m.src = src
-	m.rng = rand.New(src)
 }
 
 // Config returns the module's configuration.

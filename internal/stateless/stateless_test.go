@@ -1,6 +1,7 @@
 package stateless
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,100 @@ func TestApplyMaskedMatchesApply(t *testing.T) {
 			}
 			if changedM[u] {
 				visit[u>>6] |= 1 << uint(u&63)
+			}
+		}
+	}
+}
+
+// drawMixed takes one draw from r through a path picked by i, cycling
+// through every way rand.Rand reaches its source: Int63 and Uint64
+// directly, Intn across the 31-bit/63-bit split, Float64, and Shuffle
+// (the only path production code takes — shuffleOrder). It returns a
+// digest of what was drawn.
+func drawMixed(r *rand.Rand, i int, perm []int) uint64 {
+	switch i % 6 {
+	case 0:
+		return uint64(r.Int63())
+	case 1:
+		return r.Uint64()
+	case 2:
+		return uint64(r.Intn(1000 + i%977))
+	case 3:
+		return uint64(r.Intn(1<<40 + i))
+	case 4:
+		return math.Float64bits(r.Float64())
+	}
+	r.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+	var h uint64
+	for _, v := range perm {
+		h = h*31 + uint64(v)
+	}
+	return h
+}
+
+var sourceSeeds = []int64{0, 1, -1, -987654321, 1<<32 + 12345, math.MaxInt64, 20230607}
+
+// TestSourceMatchesMathRand pins the fact snapshots rest on: the owned
+// register is math/rand's generator, draw for draw, whatever path
+// rand.Rand takes to it — so caps decided before this source existed,
+// and images that carry only (seed, draws), keep their meaning.
+func TestSourceMatchesMathRand(t *testing.T) {
+	const draws = 1_200_000
+	for _, seed := range sourceSeeds {
+		src := &source{}
+		src.Seed(seed)
+		got, want := rand.New(src), rand.New(rand.NewSource(seed))
+		gotPerm, wantPerm := make([]int, 37), make([]int, 37)
+		for i := range gotPerm {
+			gotPerm[i], wantPerm[i] = i, i
+		}
+		for i := 0; src.draws < draws; i++ {
+			if g, w := drawMixed(got, i, gotPerm), drawMixed(want, i, wantPerm); g != w {
+				t.Fatalf("seed %d: call %d (path %d, %d advances): got %#x, math/rand %#x", seed, i, i%6, src.draws, g, w)
+			}
+		}
+		if src.tap != TapAt(src.draws) {
+			t.Fatalf("seed %d: tap %d after %d draws, TapAt says %d", seed, src.tap, src.draws, TapAt(src.draws))
+		}
+	}
+}
+
+// TestRegisterRestoreContinuesStream exports the register at the draw
+// counts where an off-by-one in the position would show — 0, 1, one
+// short of a full turn, a full turn, one past it — and mid-stream, and
+// restores it three ways: into a module seeded otherwise (the register
+// alone must carry the stream), at a draw count a whole number of turns
+// later (restore cost and outcome do not depend on the donor's age), and
+// by replay from (seed, draws), the path an image without a register
+// takes. Each must continue the donor's stream bit for bit.
+func TestRegisterRestoreContinuesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, seed := range sourceSeeds {
+		for _, at := range []uint64{0, 1, RegisterLen - 1, RegisterLen, RegisterLen + 1, uint64(2000 + rng.Intn(100_000))} {
+			donor := mustNew(t, seed)
+			for donor.RNGDraws() < at {
+				donor.src.Uint64()
+			}
+			var reg [RegisterLen]uint64
+			if tap := donor.ExportRegister(&reg); tap != TapAt(at) {
+				t.Fatalf("seed %d: exported tap %d at %d draws, TapAt says %d", seed, tap, at, TapAt(at))
+			}
+			aged := at + RegisterLen<<50
+			fromReg, old, replayed := mustNew(t, seed+1), mustNew(t, seed+2), mustNew(t, seed+3)
+			fromReg.RestoreRegister(&reg, at)
+			old.RestoreRegister(&reg, aged)
+			replayed.RestoreRNG(seed, at)
+			if replayed.src.vec != donor.src.vec {
+				t.Fatalf("seed %d: replay to %d draws does not reach the donor's register", seed, at)
+			}
+			for i := 0; i < 3*RegisterLen; i++ {
+				want := donor.rng.Int63n(1 << 50)
+				if a, b, c := fromReg.rng.Int63n(1<<50), old.rng.Int63n(1<<50), replayed.rng.Int63n(1<<50); a != want || b != want || c != want {
+					t.Fatalf("seed %d, restored at %d: draw %d is %d (register) / %d (aged) / %d (replay), donor drew %d", seed, at, i, a, b, c, want)
+				}
+			}
+			if fromReg.RNGDraws() != donor.RNGDraws() || old.RNGDraws()-aged != donor.RNGDraws()-at {
+				t.Fatalf("seed %d: draw counts after restore at %d: %d and %d, donor %d", seed, at, fromReg.RNGDraws(), old.RNGDraws(), donor.RNGDraws())
 			}
 		}
 	}

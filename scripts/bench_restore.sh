@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_restore.sh — run the high-availability benchmarks (snapshot
 # encode/decode at cluster scale, cold-vs-warm takeover time-to-first-
-# caps) with -benchmem and emit the machine-readable BENCH_restore.json
-# tracked per PR.
+# caps, the warm side from a young and from an aged donor) with -benchmem
+# and emit the machine-readable BENCH_restore.json tracked per PR.
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 5x; use 1x for a smoke run)
@@ -45,8 +45,10 @@ awk -v gover="$GOVER" -v commit="$COMMIT" -v benchtime="$BENCHTIME" '
 	if (rows != "") rows = rows ",\n"
 	rows = rows "    {\"name\": \"" name "\", \"iterations\": " iters ", \"metrics\": {" metrics "}}"
 	# Capture the cold/warm takeover pair at each N for the summary.
-	if (name ~ /^TakeoverFirstRound\/cold\//) { n = name; sub(/^.*N=/, "", n); cold[n] = $3 }
-	if (name ~ /^TakeoverFirstRound\/warm\//) { n = name; sub(/^.*N=/, "", n); warm[n] = $3 }
+	n = name; sub(/^.*N=/, "", n); sub(/\/.*$/, "", n)
+	if (name ~ /^TakeoverFirstRound\/cold\//) cold[n] = $3
+	if (name ~ /^TakeoverFirstRound\/warm\/.*donor=3rounds$/) warm[n] = $3
+	if (name ~ /^TakeoverFirstRound\/warm\/.*donor=1e7draws$/) aged[n] = $3
 }
 END {
 	printf "{\n"
@@ -55,14 +57,14 @@ END {
 	printf "  \"go\": \"%s\",\n", gover
 	printf "  \"commit\": \"%s\",\n", commit
 	printf "  \"benchtime\": \"%s\",\n", benchtime
-	printf "  \"note\": \"codec = per-round image assembly (encode) and boot-time parse (decode); takeover = time-to-first-caps, where cold is a fresh controller\x27s constant-allocation round and warm is restore-from-snapshot plus a continuing round. 262144-unit codec rows come from a direct core export (the agent protocol addresses at most 65536 units).\",\n"
+	printf "  \"note\": \"codec = per-round image assembly (encode) and boot-time parse (decode); takeover = time-to-first-caps, where cold is a fresh controller\x27s constant-allocation round and warm is restore-from-snapshot plus a continuing round, from a donor three rounds old and from the same donor 1e7 PRNG draws on (the image carries the generator register, so the two must agree). 262144-unit codec rows come from a direct core export (the agent protocol addresses at most 65536 units).\",\n"
 	printf "  \"takeover_summary\": [\n"
 	first = 1
 	for (n in cold) {
-		if (n in warm) {
+		if (n in warm && n in aged) {
 			if (!first) printf ",\n"
 			first = 0
-			printf "    {\"units\": %s, \"cold_ns_per_op\": %s, \"warm_ns_per_op\": %s}", n, cold[n], warm[n]
+			printf "    {\"units\": %s, \"cold_ns_per_op\": %s, \"warm_ns_per_op\": %s, \"warm_aged_donor_ns_per_op\": %s}", n, cold[n], warm[n], aged[n]
 		}
 	}
 	printf "\n  ],\n"
