@@ -43,16 +43,18 @@ bench:
 # bench-smoke proves the default, reference (refresh=1), dirty-fraction
 # and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output;
-# it also runs the replication-round and sampler-scrape benchmarks once
-# at bench's ops16k sizes, and the 16k takeover rows (cold, and warm from
-# a young and an aged donor), so they cannot rot. It is a compile-and-run
-# check, not a timing run. The smoke JSON goes to an untracked path so it
-# never clobbers the committed timing record.
+# it also runs the replication-round, sampler-scrape and /metrics
+# exposition benchmarks once at bench's ops16k sizes, and the 16k takeover
+# rows (cold, and warm from a young and an aged donor), so they cannot
+# rot. It is a compile-and-run check, not a timing run. The smoke JSON
+# goes to an untracked path so it never clobbers the committed timing
+# record.
 bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
 	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkTakeoverFirstRound/.*/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
+	$(GO) test -run xxx -bench 'BenchmarkWritePrometheus/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/
 
 # bench-json refreshes the committed BENCH_decide.json with real timings.
 bench-json:
@@ -97,13 +99,15 @@ chaos:
 # watchdog audits) running beside the daemon's decision loop, and on the
 # black-box recorder's warm append path — and the bytes a whole warm
 # DecideOnce allocates (round record, metrics, audit, black box) must not
-# grow with the unit count, nor may the allocations of a cold image decode
-# or of a restore followed by the first snapshot-writing round.
+# grow with the unit count, nor may the allocations of a cold image decode,
+# of a restore followed by the first snapshot-writing round, or of a
+# /metrics scrape with the series count.
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
 	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits' -count=1 ./internal/snapshot
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
+	$(GO) test -run 'TestWritePrometheusAllocsIndependentOfSeries' -count=1 ./internal/telemetry
 
 # fuzz-smoke gives the wire-protocol decoders a short fuzz shake on every
 # CI run (the corpus under internal/proto/testdata grows across runs).

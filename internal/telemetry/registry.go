@@ -83,6 +83,13 @@ type Label struct {
 	Key, Value string
 }
 
+// The exposition format's escapes for a label value and for HELP text.
+// Replace returns its argument when nothing needs escaping.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
 // labelSignature renders labels into the canonical `{k="v",...}` form used
 // both as the series key and in the exposition output.
 func labelSignature(labels []Label) string {
@@ -97,19 +104,11 @@ func labelSignature(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
 }
 
 func (r *Registry) family(name, help, kind string, buckets []float64) *family {
@@ -302,51 +301,111 @@ func (r *Registry) Families() []Family {
 	return out
 }
 
-// WritePrometheus renders every family in the text exposition format,
-// families sorted by name, series in registration order. The registry is
-// snapshotted first and rendered lock-free, so a slow or huge scrape
-// cannot stall hot-path first-registrations.
+// expoChunk is the capacity of the one buffer a scrape formats into. It
+// goes to the writer, cut at a line end, when a finished line leaves less
+// than expoSlack free and once more at the end; a line longer than the
+// slack grows it and is still delivered whole.
+const expoChunk, expoSlack = 64 << 10, 1 << 10
+
+// expo is one scrape in progress; err is the failed Write that ended it.
+type expo struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *expo) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// sample starts a sample line: name, suffix, label signature, space.
+func (e *expo) sample(name, suffix, sig string) {
+	e.buf = append(append(append(append(e.buf, name...), suffix...), sig...), ' ')
+}
+
+// endLine ends the line and flushes a full chunk; false: the scrape failed.
+func (e *expo) endLine() bool {
+	e.buf = append(e.buf, '\n')
+	if len(e.buf) > expoChunk-expoSlack {
+		e.flush()
+	}
+	return e.err == nil
+}
+
+func (e *expo) uintLine(v uint64) bool {
+	e.buf = strconv.AppendUint(e.buf, v, 10)
+	return e.endLine()
+}
+
+func (e *expo) floatLine(v float64) bool {
+	e.buf = strconv.AppendFloat(e.buf, v, 'g', -1, 64)
+	return e.endLine()
+}
+
+// histogram writes one histogram series. Each bucket counter is loaded
+// once, and the +Inf bucket and _count are the sum of those loads: buckets
+// never decrease and _count equals +Inf even while Observe runs (it bumps
+// a bucket before the total).
+func (e *expo) histogram(name, sig string, h *Histogram) bool {
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		e.buf = append(append(e.buf, name...), "_bucket{"...)
+		if sig != "" { // "{...}": le is spliced into it
+			e.buf = append(append(e.buf, sig[1:len(sig)-1]...), ',')
+		}
+		e.buf = append(e.buf, `le="`...)
+		if i < len(h.bounds) {
+			e.buf = strconv.AppendFloat(e.buf, h.bounds[i], 'g', -1, 64)
+		} else {
+			e.buf = append(e.buf, "+Inf"...)
+		}
+		e.buf = append(e.buf, `"} `...)
+		e.uintLine(cum)
+	}
+	e.sample(name, "_sum", sig)
+	e.floatLine(h.Sum())
+	e.sample(name, "_count", sig)
+	return e.uintLine(cum)
+}
+
+// WritePrometheus writes every family in the text exposition format,
+// families sorted by name, series in registration order, streamed to w in
+// chunks of whole lines. The registry is snapshotted first and formatted
+// lock-free, so a slow or huge scrape cannot stall hot-path
+// first-registrations; a scrape allocates that snapshot and one chunk,
+// whatever the series count. The first failed Write ends it: its error is
+// returned and w is not written to again, but the chunks before it have
+// been delivered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
+	e := expo{w: w, buf: make([]byte, 0, expoChunk)}
 	for _, f := range r.Families() {
 		if len(f.Labels) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, f.Help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
-		for i, sig := range f.Labels {
-			switch m := f.Series[i].(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.Name, sig, m.Value())
-			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.Name, sig, formatFloat(m.Value()))
-			case *Histogram:
-				writeHistogram(&b, f.Name, sig, m)
+		e.buf = append(append(append(e.buf, "# HELP "...), f.Name...), ' ')
+		e.buf = append(e.buf, helpEscaper.Replace(f.Help)...)
+		e.buf = append(append(append(e.buf, "\n# TYPE "...), f.Name...), ' ')
+		e.buf = append(e.buf, f.Kind...)
+		ok := e.endLine()
+		for i := 0; ok && i < len(f.Labels); i++ {
+			switch f.Kind {
+			case kindCounter:
+				e.sample(f.Name, "", f.Labels[i])
+				ok = e.uintLine(f.Series[i].(*Counter).Value())
+			case kindGauge:
+				e.sample(f.Name, "", f.Labels[i])
+				ok = e.floatLine(f.Series[i].(*Gauge).Value())
+			case kindHistogram:
+				ok = e.histogram(f.Name, f.Labels[i], f.Series[i].(*Histogram))
 			}
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeHistogram(b *strings.Builder, name, sig string, h *Histogram) {
-	// sig is either "" or "{...}"; bucket series splice le into it.
-	inner := ""
-	if sig != "" {
-		inner = sig[1:len(sig)-1] + ","
-	}
-	var cum uint64
-	for i, ub := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=\"%s\"} %d\n", name, inner, formatFloat(ub), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, inner, h.Count())
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, sig, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, sig, h.Count())
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	e.flush()
+	return e.err
 }
 
 // Exported kind names, the values of Sample.Kind.
@@ -408,11 +467,12 @@ func (r *Registry) Each(fn func(Sample)) {
 }
 
 // Handler serves the registry at any path, for mounting as GET /metrics.
+// The exposition is streamed in chunks under the 200 its first Write
+// commits, so a failed Write leaves no status to change and nobody to
+// tell: the handler stops, and the client sees a truncated body.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		_ = r.WritePrometheus(w) // every error is a failed Write on w itself
 	})
 }
