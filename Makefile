@@ -44,15 +44,17 @@ bench:
 # and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output;
 # it also runs the replication-round, sampler-scrape and /metrics
-# exposition benchmarks once at bench's ops16k sizes, and the 16k takeover
-# rows (cold, and warm from a young and an aged donor), so they cannot
-# rot. It is a compile-and-run check, not a timing run. The smoke JSON
-# goes to an untracked path so it never clobbers the committed timing
-# record.
+# exposition benchmarks once at bench's ops16k sizes, the 16k takeover
+# rows (cold, and warm from a young and an aged donor), and a 256-agent
+# lock-step round over loopback TCP that reports its reads per
+# connection-round (3: one per frame), so they cannot rot. It is a
+# compile-and-run check, not a timing run. The smoke JSON goes to an
+# untracked path so it never clobbers the committed timing record.
 bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
 	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkTakeoverFirstRound/.*/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
+	$(GO) test -run xxx -bench 'BenchmarkLoopbackRound/agents=256$$' -benchtime 20x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
 	$(GO) test -run xxx -bench 'BenchmarkWritePrometheus/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/
 
@@ -97,14 +99,16 @@ chaos:
 # round must not allocate — bare (masked and maskless), with a disabled
 # tracer attached, with the full self-monitoring stack (series sampler +
 # watchdog audits) running beside the daemon's decision loop, and on the
-# black-box recorder's warm append path — and the bytes a whole warm
-# DecideOnce allocates (round record, metrics, audit, black box) must not
-# grow with the unit count, nor may the allocations of a cold image decode,
-# of a restore followed by the first snapshot-writing round, or of a
-# /metrics scrape with the series count.
+# black-box recorder's warm append path — nor may a warm session's frames
+# on either end (server ingest; agent report, apply and echo) — and the
+# bytes a whole warm DecideOnce allocates (round record, metrics, audit,
+# black box, cap push) must not grow with the unit or connection count,
+# nor may the allocations of a cold image decode, of a restore followed by
+# the first snapshot-writing round, or of a /metrics scrape with the
+# series count.
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
-	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
+	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestAgentRoundSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
 	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits' -count=1 ./internal/snapshot
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 	$(GO) test -run 'TestWritePrometheusAllocsIndependentOfSeries' -count=1 ./internal/telemetry
@@ -118,6 +122,7 @@ alloc-check:
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzReadHello$$' -fuzztime=5s -run xxx ./internal/proto/
 	$(GO) test -fuzz='FuzzReadBatchFrame$$' -fuzztime=5s -run xxx ./internal/proto/
+	$(GO) test -fuzz='FuzzSessionReadFrame$$' -fuzztime=5s -run xxx ./internal/proto/
 	$(GO) test -fuzz='FuzzSectionWalk$$' -fuzztime=5s -run xxx ./internal/section/
 	$(GO) test -fuzz='FuzzSnapshotDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
 	$(GO) test -fuzz='FuzzRoundInputDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/

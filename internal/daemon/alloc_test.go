@@ -10,6 +10,7 @@ import (
 	"dps/internal/core"
 	"dps/internal/power"
 	"dps/internal/proto"
+	"dps/internal/rapl"
 )
 
 // TestDecideSamplerSteadyStateZeroAlloc extends the core hot-path
@@ -83,6 +84,23 @@ func (c *ingestScriptConn) SetDeadline(time.Time) error      { return nil }
 func (c *ingestScriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *ingestScriptConn) SetWriteDeadline(time.Time) error { return nil }
 
+// scriptedServerConn accepts h's handshake over a scripted connection and
+// returns the server half, unregistered, with the connection whose read
+// script the caller sets.
+func scriptedServerConn(t *testing.T, h proto.Hello) (*serverConn, *ingestScriptConn) {
+	t.Helper()
+	var hs bytes.Buffer
+	if err := proto.WriteHello(&hs, h); err != nil {
+		t.Fatal(err)
+	}
+	conn := &ingestScriptConn{r: bytes.NewReader(hs.Bytes())}
+	sess, err := proto.Accept(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &serverConn{conn: conn, sess: sess, hello: sess.Hello()}, conn
+}
+
 // TestIngestSteadyStateZeroAlloc is the batched-ingest allocation gate:
 // once a batch session is warm, receiving and landing a full batch, a
 // sparse delta, and a heartbeat must not allocate — the read buffers and
@@ -107,17 +125,8 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var hs bytes.Buffer
-	if err := proto.WriteHello(&hs, proto.Hello{FirstUnit: 0, Units: units, Batch: true}); err != nil {
-		t.Fatal(err)
-	}
-	conn := &ingestScriptConn{r: bytes.NewReader(hs.Bytes())}
-	sess, err := proto.Accept(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Release()
-	sc := &serverConn{conn: conn, sess: sess, hello: sess.Hello()}
+	sc, conn := scriptedServerConn(t, proto.Hello{FirstUnit: 0, Units: units, Batch: true})
+	defer sc.sess.Release()
 
 	// The frame script: one full batch, one sparse delta, one heartbeat —
 	// the three shapes a steady-state delta session produces.
@@ -149,5 +158,70 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
 		t.Errorf("warm batch ingest allocated %.1f times per %d-frame script, want 0", allocs, frames)
+	}
+}
+
+// TestAgentRoundSteadyStateZeroAlloc is the agent half of the ingest gate:
+// a warm session's round — ReportOnce through the three shapes a delta
+// session sends (sparse delta, heartbeat, full refresh) and ReceiveCaps
+// with its apply echo — must not allocate. Every frame is encoded in the
+// session's own write buffer; a stack array sliced into the connection's
+// Write escapes, which cost one allocation per heartbeat and per echo.
+func TestAgentRoundSteadyStateZeroAlloc(t *testing.T) {
+	const units = 4
+	devs := newTestAgentDevices(t, units)
+	a, err := NewAgent(AgentConfig{
+		Devices: devs, Interval: time.Second,
+		Batch: true, ApplyEcho: true, TraceCtx: true, DeltaEpsilon: 1, RefreshEvery: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var down bytes.Buffer
+	down.Write([]byte{'O', 'K', 0, 10})
+	ackLen := down.Len()
+	caps := make([]byte, 8+units*proto.RecordSize)
+	for u := 0; u < units; u++ {
+		proto.PutRecord(caps[8+u*proto.RecordSize:], proto.Record{LocalUnit: uint8(u), Value: 1650})
+	}
+	const frames = 3
+	for i := 0; i < frames; i++ {
+		down.Write(caps)
+	}
+	conn := &ingestScriptConn{r: bytes.NewReader(down.Bytes()[:ackLen])}
+	if err := a.Handshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	defer a.sess.Release()
+
+	// With a full refresh every third report the cycle is: refresh (full
+	// batch), unit 0 moves (sparse delta), nothing moves (heartbeat).
+	load := power.Watts(60)
+	cycle := func() {
+		conn.r.Reset(down.Bytes()[ackLen:])
+		for i := 0; i < frames; i++ {
+			if i == 1 {
+				load = 150 - load
+				devs[0].(*rapl.SimDevice).SetLoad(load)
+			}
+			for _, d := range devs {
+				d.(*rapl.SimDevice).Advance(1)
+			}
+			if err := a.ReportOnce(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ReceiveCaps(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // the first report of a session is full whatever moved
+	heartbeats, suppressed := a.am.heartbeats.Value(), a.am.suppressed.Value()
+	cycle()
+	if hb, sup := a.am.heartbeats.Value()-heartbeats, a.am.suppressed.Value()-suppressed; hb != 1 || sup != 2*units-1 {
+		t.Fatalf("a cycle sent %d heartbeats and withheld %d readings, want 1 and %d: not the full/sparse/heartbeat script", hb, sup, 2*units-1)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm agent rounds allocated %.1f times per %d-round cycle, want 0", allocs, frames)
 	}
 }

@@ -54,10 +54,7 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	round := s.rounds.Load() + 1
 	rec.StaleUnits, rec.DeadUnits = s.recordHealthLocked(health)
 	copy(rec.PrevCap, s.lastCaps)
-	targets := make([]*serverConn, 0, len(s.conns))
-	for sc := range s.conns {
-		targets = append(targets, sc)
-	}
+	targets := s.conns
 	s.mu.Unlock()
 
 	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
@@ -70,7 +67,7 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 
 	traceOn := s.tracer.On()
 	var firstErr error
-	pushed := make([]*serverConn, 0, len(targets))
+	pushed := s.pushedBuf[:0]
 	for _, sc := range targets {
 		first, n := int(sc.hello.FirstUnit), sc.hello.Units
 		if sc.hello.ApplyEcho {
@@ -115,6 +112,7 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	// The round is complete and published: fan it out to the standbys and
 	// the snapshot file, off the decision path proper.
 	s.replicateRound(round, interval, caps, pushed)
+	s.pushedBuf = pushed
 	s.observeRound(rec)
 	return caps, firstErr
 }

@@ -263,11 +263,10 @@ func TestBadReadingDetection(t *testing.T) {
 	}
 }
 
-// TestReadDeadlineReapsSilentConnection verifies the server-side idle
-// deadline: a handshaken connection that never reports is closed, counted
-// as reaped, and its units are released for a replacement agent.
-func TestReadDeadlineReapsSilentConnection(t *testing.T) {
-	const units = 2
+// newIdleReapServer builds a server that reaps a connection silent for
+// 50 ms.
+func newIdleReapServer(t *testing.T, units int) *Server {
+	t.Helper()
 	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +280,15 @@ func TestReadDeadlineReapsSilentConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// TestReadDeadlineReapsSilentConnection verifies the server-side idle
+// deadline: a handshaken connection that never reports is closed, counted
+// as reaped, and its units are released for a replacement agent.
+func TestReadDeadlineReapsSilentConnection(t *testing.T) {
+	const units = 2
+	srv := newIdleReapServer(t, units)
 
 	client, server := net.Pipe()
 	defer client.Close()
@@ -326,24 +334,45 @@ func TestReadDeadlineReapsSilentConnection(t *testing.T) {
 	c2.Close()
 }
 
+// TestReadDeadlineStillReaps: bytes parked in a session's read window do
+// not hide an idle peer. An agent that sends a heartbeat and the first
+// half of a batch frame in one write, then goes silent, is reaped on the
+// per-frame deadline exactly like one that sent nothing.
+func TestReadDeadlineStillReaps(t *testing.T) {
+	const units = 2
+	srv := newIdleReapServer(t, units)
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Handle(server) }()
+	if _, err := proto.Connect(client, proto.Hello{FirstUnit: 0, Units: units, Batch: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write([]byte{proto.FrameHeartbeat, proto.FrameBatch, 2, 0, 0x03}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "reaping idle agent") {
+			t.Fatalf("Handle error = %v, want a reap", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection idle inside a frame was never reaped")
+	}
+	if got := srv.metrics.ingestHeartbeats.Value(); got != 1 {
+		t.Errorf("heartbeats ingested = %d, want the 1 that arrived whole", got)
+	}
+	if got := srv.metrics.reaps.Value(); got != 1 {
+		t.Errorf("dps_conn_reaped_total = %d, want 1", got)
+	}
+}
+
 // TestReadDeadlineReapsSilentHandshake verifies the deadline also guards
 // the pre-handshake read: a connection that never says hello cannot hold
 // a server goroutine forever.
 func TestReadDeadlineReapsSilentHandshake(t *testing.T) {
 	const units = 2
-	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		Manager:         mgr,
-		Units:           units,
-		Interval:        time.Second,
-		ReadIdleTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newIdleReapServer(t, units)
 	client, server := net.Pipe()
 	defer client.Close()
 	done := make(chan error, 1)
@@ -359,7 +388,7 @@ func TestReadDeadlineReapsSilentHandshake(t *testing.T) {
 }
 
 // newTestAgentDevices builds n noiseless simulated devices.
-func newTestAgentDevices(t *testing.T, n int) []rapl.Device {
+func newTestAgentDevices(t testing.TB, n int) []rapl.Device {
 	t.Helper()
 	devs := make([]rapl.Device, n)
 	for i := range devs {

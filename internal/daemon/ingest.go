@@ -1,10 +1,12 @@
 package daemon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,7 +151,10 @@ func (s *Server) ingest(sc *serverConn, frame proto.Frame) {
 	}
 	hello := sc.hello
 	first := int(hello.FirstUnit)
-	now := s.now()
+	var now time.Time
+	if s.lastReport != nil {
+		now = s.now()
+	}
 	ceiling := s.maxReading()
 	s.imu.Lock()
 	switch frame.Kind {
@@ -314,10 +319,20 @@ func (s *Server) register(sc *serverConn) error {
 		}
 		s.imu.Unlock()
 	}
-	s.conns[sc] = struct{}{}
+	i, _ := s.connIndex(sc)
+	s.conns = slices.Insert(slices.Clone(s.conns), i, sc)
 	s.metrics.connects.Inc()
 	s.metrics.agents.Set(float64(len(s.conns)))
 	return nil
+}
+
+// connIndex returns sc's place in s.conns by first unit, and whether sc
+// itself is registered there. Caller holds s.mu.
+func (s *Server) connIndex(sc *serverConn) (int, bool) {
+	i, _ := slices.BinarySearchFunc(s.conns, sc.hello.FirstUnit, func(c *serverConn, first power.UnitID) int {
+		return cmp.Compare(c.hello.FirstUnit, first)
+	})
+	return i, i < len(s.conns) && s.conns[i] == sc
 }
 
 func (s *Server) unregister(sc *serverConn) {
@@ -329,8 +344,8 @@ func (s *Server) unregister(sc *serverConn) {
 			s.owner[u] = nil
 		}
 	}
-	if _, ok := s.conns[sc]; ok {
-		delete(s.conns, sc)
+	if i, ok := s.connIndex(sc); ok {
+		s.conns = slices.Delete(slices.Clone(s.conns), i, i+1)
 		s.metrics.disconnects.Inc()
 		s.metrics.agents.Set(float64(len(s.conns)))
 	}

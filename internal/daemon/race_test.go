@@ -80,16 +80,7 @@ func TestConcurrentDecideAndScrapes(t *testing.T) {
 // push error — it used to dereference the nil buffers.
 func TestPushToReleasedSessionIsAnError(t *testing.T) {
 	srv := newTestServer(t, 2)
-	var hs bytes.Buffer
-	if err := proto.WriteHello(&hs, proto.Hello{FirstUnit: 0, Units: 2}); err != nil {
-		t.Fatal(err)
-	}
-	conn := &ingestScriptConn{r: bytes.NewReader(hs.Bytes())}
-	sess, err := proto.Accept(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &serverConn{conn: conn, sess: sess, hello: sess.Hello()}
+	sc, _ := scriptedServerConn(t, proto.Hello{FirstUnit: 0, Units: 2})
 	if err := srv.register(sc); err != nil {
 		t.Fatal(err)
 	}

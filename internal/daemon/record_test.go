@@ -17,6 +17,7 @@ import (
 	"dps/internal/blackbox"
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/proto"
 	"dps/internal/stateless"
 	"dps/internal/telemetry"
 )
@@ -367,8 +368,9 @@ func TestRoundViewsConsistentWhileRingWraps(t *testing.T) {
 
 // allocBytesPerRound returns the heap bytes one warm DecideOnce
 // allocates on a server of the given size, with the flight recorder's
-// ring already lapped.
-func allocBytesPerRound(t *testing.T, units int) float64 {
+// ring already lapped and the units split evenly over conns registered
+// sessions (writes discarded) that every round pushes caps to.
+func allocBytesPerRound(t *testing.T, units, conns int) float64 {
 	t.Helper()
 	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
 	if err != nil {
@@ -382,6 +384,13 @@ func allocBytesPerRound(t *testing.T, units int) float64 {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	for i, n := 0, units/max(conns, 1); i < conns; i++ {
+		sc, _ := scriptedServerConn(t, proto.Hello{FirstUnit: power.UnitID(i * n), Units: n, TraceCtx: true})
+		defer sc.sess.Release()
+		if err := srv.register(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
 	readings := make(power.Vector, units)
 	round := func() {
 		for u := range readings {
@@ -412,12 +421,20 @@ func allocBytesPerRound(t *testing.T, units int) float64 {
 // parent allocated 80 B per unit per round for its UnitRecord rows and
 // cap clones: 1.25 MiB at 16 384 units.)
 func TestDecideOnceAllocIndependentOfUnits(t *testing.T) {
-	small, large := allocBytesPerRound(t, 64), allocBytesPerRound(t, 4096)
+	small, large := allocBytesPerRound(t, 64, 0), allocBytesPerRound(t, 4096, 0)
 	t.Logf("warm DecideOnce allocates %.0f B at 64 units, %.0f B at 4096", small, large)
 	// 64x the units; allow a fixed slack for runtime noise, far below the
 	// 4096 units x 8 B a single per-unit float column would cost.
 	if large > small+4096 {
 		t.Errorf("warm DecideOnce allocates %.0f B/round at 4096 units vs %.0f B at 64: it grows with the unit count", large, small)
+	}
+	// The same for the connections it pushes to: the target list is the
+	// registered slice itself and the pushed list a retained buffer. (A
+	// fresh pair a round was 16 B per connection: 16 kB at 1 024.)
+	few, many := allocBytesPerRound(t, 4096, 64), allocBytesPerRound(t, 4096, 1024)
+	t.Logf("warm DecideOnce allocates %.0f B pushing to 64 connections, %.0f B to 1024", few, many)
+	if many > few+4096 {
+		t.Errorf("warm DecideOnce allocates %.0f B/round with 1024 connections vs %.0f B with 64: it grows with the connection count", many, few)
 	}
 }
 

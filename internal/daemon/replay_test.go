@@ -75,6 +75,10 @@ type replayAgent struct {
 	devs  []*scriptDevice
 	conn  net.Conn
 	first int
+	// capsDone closes when the session's cap-applying goroutine has
+	// exited: kill joins it, so a rejoined agent's SetCap calls are
+	// ordered after the last one of the session before.
+	capsDone chan struct{}
 }
 
 // replayRig is a primary serving real agents and a warm standby following
@@ -202,17 +206,20 @@ func (r *replayRig) connect(a *replayAgent) {
 	if err := agent.Handshake(client); err != nil {
 		r.t.Fatal(err)
 	}
+	capsDone := make(chan struct{})
 	go func() {
+		defer close(capsDone)
 		for agent.ReceiveCaps() == nil {
 		}
 	}()
-	a.agent, a.conn = agent, client
+	a.agent, a.conn, a.capsDone = agent, client, capsDone
 }
 
 func (r *replayRig) kill(a *replayAgent) {
 	r.t.Helper()
 	want := r.primary.Connected() - 1
 	a.conn.Close()
+	<-a.capsDone
 	a.agent = nil
 	waitUntil(r.t, "killed agent unregistered", func() bool { return r.primary.Connected() == want })
 }

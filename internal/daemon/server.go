@@ -228,9 +228,11 @@ type Server struct {
 	// snapBuf, dirtyBuf and healthBuf are the decision loop's private back
 	// buffers (double buffering): DecideOnce is never concurrent with
 	// itself, so they need no lock once the imu-guarded copy completes.
+	// pushedBuf is its list of the connections that took the round's push.
 	snapBuf   power.Vector
 	dirtyBuf  *core.DirtyMask
 	healthBuf []core.UnitHealth
+	pushedBuf []*serverConn
 
 	// mu guards the control plane: connections, ownership, and the
 	// per-round caches. (Everything else /status shows of the last round
@@ -247,7 +249,10 @@ type Server struct {
 	// kept to detect transitions. Nil while health tracking is disabled.
 	health []core.UnitHealth
 	owner  []*serverConn // per-unit owning connection, nil if unclaimed
-	conns  map[*serverConn]struct{}
+	// conns is the live agent connections ordered by FirstUnit, copy on
+	// write: register and unregister install a fresh slice, so a header
+	// taken under mu may be walked after the lock is dropped.
+	conns  []*serverConn
 	closed bool
 	rounds atomic.Uint64 // advanced under mu; loaded lock-free by ingest tracing
 
@@ -347,7 +352,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		lastCaps:   cfg.Manager.Caps().Clone(),
 		lastPushed: cfg.Manager.Caps().Clone(),
 		owner:      make([]*serverConn, cfg.Units),
-		conns:      make(map[*serverConn]struct{}),
 		replicas:   make(map[*replicaConn]struct{}),
 	}
 	if s.healthEnabled() {
@@ -539,10 +543,7 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
-	for sc := range s.conns {
-		conns = append(conns, sc)
-	}
+	conns := s.conns
 	s.mu.Unlock()
 	// Before roundMu: a round blocked pushing to one of these holds it.
 	for _, sc := range conns {

@@ -2,7 +2,15 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"testing"
+	"time"
+
+	"dps/internal/power"
 )
 
 // FuzzReadHello feeds arbitrary bytes to the handshake parser: it must
@@ -97,6 +105,170 @@ func FuzzReadBatchFrame(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), data[:n]) {
 			t.Fatalf("roundtrip mismatch: read %+v from %v, wrote %v", recs, data[:n], out.Bytes())
+		}
+	})
+}
+
+// refReadFrame is the field-by-field ReadFrame the session had before it
+// grew a read window — one io.ReadFull on the bare reader per header,
+// count and body — kept as the reference FuzzSessionReadFrame holds the
+// window to: same frames, same errors, whatever the chunking.
+func refReadFrame(r io.Reader, h Hello) (Frame, error) {
+	report := func() (Frame, error) {
+		buf := make([]byte, h.Units*RecordSize)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return Frame{Kind: KindReport}, fmt.Errorf("proto: reading batch of %d: %w", h.Units, err)
+		}
+		var recs []Record
+		for i := 0; i < h.Units; i++ {
+			rec := GetRecord(buf[i*RecordSize:])
+			if int(rec.LocalUnit) >= h.Units {
+				return Frame{Kind: KindReport}, fmt.Errorf("proto: record for local unit %d in a %d-unit batch", rec.LocalUnit, h.Units)
+			}
+			recs = append(recs, rec)
+		}
+		return Frame{Kind: KindReport, Records: recs}, nil
+	}
+	if !h.ApplyEcho && !h.Batch {
+		return report()
+	}
+	var hdr [1]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
+	}
+	switch {
+	case hdr[0] == FrameReport && !h.Batch:
+		return report()
+	case hdr[0] == FrameApply && h.ApplyEcho:
+		var body [applyEchoBodySize]byte
+		if _, err := io.ReadFull(r, body[:]); err != nil {
+			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
+		}
+		return Frame{Kind: KindApply, ApplyDur: time.Duration(binary.BigEndian.Uint16(body[:])) * time.Microsecond}, nil
+	case hdr[0] == FrameBatch && h.Batch:
+		var count [1]byte
+		if _, err := io.ReadFull(r, count[:]); err != nil {
+			return Frame{Kind: KindBatch}, fmt.Errorf("proto: reading batch frame count: %w", err)
+		}
+		if count[0] < 1 || int(count[0]) > h.Units {
+			return Frame{Kind: KindBatch}, errors.New("proto: bad batch frame count")
+		}
+		body := make([]byte, int(count[0])*RecordSize)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return Frame{Kind: KindBatch}, fmt.Errorf("proto: reading batch frame of %d records: %w", count[0], err)
+		}
+		var recs []Record
+		for i, prev := 0, -1; i < int(count[0]); i++ {
+			rec := GetRecord(body[i*RecordSize:])
+			if int(rec.LocalUnit) <= prev || int(rec.LocalUnit) >= h.Units {
+				return Frame{Kind: KindBatch}, errors.New("proto: non-canonical batch frame")
+			}
+			prev = int(rec.LocalUnit)
+			recs = append(recs, rec)
+		}
+		return Frame{Kind: KindBatch, Records: recs}, nil
+	case hdr[0] == FrameHeartbeat && h.Batch:
+		return Frame{Kind: KindHeartbeat}, nil
+	}
+	return Frame{}, errors.New("proto: frame type not admitted by the session")
+}
+
+// errClass reduces a read error to what a caller can act on: a clean end,
+// a truncated frame, or a rejected one.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, io.EOF):
+		return "EOF"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "unexpected EOF"
+	}
+	return "rejected"
+}
+
+// chunkReader delivers data in pieces sized by sizes (cycled; whole when
+// empty), the last one together with io.EOF when eofWithData is set.
+type chunkReader struct {
+	data, sizes []byte
+	i           int
+	eofWithData bool
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(c.data)
+	if len(c.sizes) > 0 {
+		n = min(n, int(c.sizes[c.i%len(c.sizes)])%64+1)
+		c.i++
+	}
+	n = copy(p, c.data[:n])
+	c.data = c.data[n:]
+	if len(c.data) == 0 && c.eofWithData {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// FuzzSessionReadFrame holds the session's read window to the reference
+// reader: fuzzer bytes, cut into fuzzer-chosen chunks — single bytes, a
+// frame split anywhere, several frames in one read, data arriving with
+// io.EOF — must decode to the frame sequence refReadFrame gets from the
+// same bytes read whole, and stop at the same frame with the same class
+// of error (io.EOF at a frame boundary, io.ErrUnexpectedEOF inside a
+// field, exactly where io.ReadFull reported each).
+func FuzzSessionReadFrame(f *testing.F) {
+	hellos := []Hello{
+		{Units: 2},
+		{Units: 2, ApplyEcho: true},
+		{Units: 8, Batch: true},
+		{Units: MaxNodeUnits, Batch: true, ApplyEcho: true},
+	}
+	for mode, h := range hellos {
+		var stream bytes.Buffer
+		w := newSession(&stream, h)
+		vals := make([]power.Watts, h.Units)
+		for i := range vals {
+			vals[i] = power.Watts(40 + i)
+		}
+		w.WriteReport(vals)
+		if h.Batch {
+			w.WriteDelta([]Record{{LocalUnit: 1, Value: 425}})
+			w.WriteHeartbeat()
+		}
+		if h.ApplyEcho {
+			w.WriteApplyEcho(3 * time.Millisecond)
+		}
+		w.WriteReport(vals)
+		f.Add(stream.Bytes(), []byte{}, uint8(mode))
+		f.Add(stream.Bytes(), []byte{0}, uint8(mode)|4)
+		f.Add(stream.Bytes(), []byte{2, 0, 6, 63}, uint8(mode))
+		f.Add(stream.Bytes()[:stream.Len()-1], []byte{4}, uint8(mode)|4)
+	}
+	f.Add([]byte{FrameBatch}, []byte{}, uint8(2))
+	f.Add([]byte{FrameBatch, 200}, []byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, data, sizes []byte, mode uint8) {
+		h := hellos[mode&3]
+		ref := bytes.NewReader(data)
+		s := newSession(struct {
+			io.Reader
+			io.Writer
+		}{&chunkReader{data: data, sizes: sizes, eofWithData: mode&4 != 0}, io.Discard}, h)
+		defer s.Release()
+		for i := 0; ; i++ {
+			want, wantErr := refReadFrame(ref, h)
+			got, err := s.ReadFrame()
+			if errClass(err) != errClass(wantErr) {
+				t.Fatalf("frame %d: window reader: %v, reference: %v", i, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if got.Kind != want.Kind || got.ApplyDur != want.ApplyDur || !slices.Equal(got.Records, want.Records) {
+				t.Fatalf("frame %d: window reader %+v, reference %+v", i, got, want)
+			}
 		}
 	})
 }

@@ -52,7 +52,10 @@
 // agent never looks dead. The handshake ack on a batch session is
 // extended by two bytes carrying the server's advertised delta epsilon
 // in big-endian deciwatts. The Session type owns this negotiation and
-// the per-connection frame buffers.
+// the per-connection frame buffers. Its read methods take whatever the
+// connection has in one Read, so a session may hold bytes past the frame
+// it last returned: once Accept or Connect has returned, an agent
+// connection is read through its Session only.
 //
 // FlagTraceCtx: each downstream cap batch is prefixed with the
 // controller's decision-round counter as 8 big-endian bytes, so the
@@ -353,18 +356,17 @@ const MaxApplyEcho = time.Duration(0xFFFF) * time.Microsecond
 // followed by the cap-apply duration in big-endian microseconds,
 // saturating at MaxApplyEcho (~65.5 ms). Negative durations clamp to 0.
 func WriteApplyEcho(w io.Writer, applyDur time.Duration) error {
-	us := applyDur.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	if us > 0xFFFF {
-		us = 0xFFFF
-	}
 	var buf [1 + applyEchoBodySize]byte
-	buf[0] = FrameApply
-	binary.BigEndian.PutUint16(buf[1:], uint16(us))
+	putApplyEcho(buf[:], applyDur)
 	_, err := w.Write(buf[:])
 	return err
+}
+
+// putApplyEcho encodes an apply-echo frame into dst's first three bytes.
+func putApplyEcho(dst []byte, applyDur time.Duration) {
+	us := min(max(applyDur.Microseconds(), 0), 0xFFFF)
+	dst[0] = FrameApply
+	binary.BigEndian.PutUint16(dst[1:], uint16(us))
 }
 
 // ReadApplyEcho reads an apply-echo body — the 2 bytes following a
@@ -374,7 +376,12 @@ func ReadApplyEcho(r io.Reader) (time.Duration, error) {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, fmt.Errorf("proto: reading apply echo: %w", err)
 	}
-	return time.Duration(binary.BigEndian.Uint16(buf[:])) * time.Microsecond, nil
+	return applyEchoDur(buf[:]), nil
+}
+
+// applyEchoDur decodes an apply-echo body.
+func applyEchoDur(body []byte) time.Duration {
+	return time.Duration(binary.BigEndian.Uint16(body)) * time.Microsecond
 }
 
 // StateFrameHeader builds the 5-byte framing header of a replication

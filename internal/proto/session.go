@@ -83,6 +83,10 @@ type Session struct {
 	hello Hello
 	epsDW uint16
 	bufs  *sessionBufs
+	// bufs.read[rpos:rend] is the read window: bytes already taken off rw
+	// and not yet consumed. A read takes whatever the socket has, so the
+	// window may hold bytes past the frame last returned.
+	rpos, rend int
 }
 
 func newSession(rw io.ReadWriter, h Hello) *Session {
@@ -137,10 +141,10 @@ func (s *Session) Ack(epsilon power.Watts) error {
 		return err
 	}
 	s.epsDW = ToDeciwatts(epsilon)
-	var buf [BatchAckSize]byte
-	copy(buf[:2], ackOK[:])
+	buf := s.bufs.write[:BatchAckSize]
+	copy(buf, ackOK[:])
 	binary.BigEndian.PutUint16(buf[2:], s.epsDW)
-	_, err := s.rw.Write(buf[:])
+	_, err := s.rw.Write(buf)
 	return err
 }
 
@@ -167,6 +171,30 @@ func (s *Session) Release() {
 	}
 }
 
+// next consumes and returns the stream's next n bytes (n ≤ maxFrameSize),
+// valid until the following call. When the window is short it moves the
+// unread bytes to the front and issues one Read into all the free space,
+// so a frame that arrived whole costs one system call however many fields
+// it is parsed in, and two frames in one segment cost one between them.
+// Errors are io.ReadFull's: io.EOF only when none of the n bytes existed,
+// io.ErrUnexpectedEOF when the stream ended inside them.
+func (s *Session) next(n int) ([]byte, error) {
+	for s.rend-s.rpos < n {
+		s.rend = copy(s.bufs.read[:], s.bufs.read[s.rpos:s.rend])
+		s.rpos = 0
+		m, err := s.rw.Read(s.bufs.read[s.rend:])
+		s.rend += m
+		if err != nil && s.rend < n {
+			if err == io.EOF && s.rend > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	s.rpos += n
+	return s.bufs.read[s.rpos-n : s.rpos], nil
+}
+
 // ReadFrame reads one upstream frame (server side), dispatching on the
 // session's negotiated capabilities: a bare session yields only full
 // reports; FlagApplyEcho admits FrameReport/FrameApply; FlagBatch admits
@@ -178,10 +206,11 @@ func (s *Session) ReadFrame() (Frame, error) {
 		recs, err := s.readReport()
 		return Frame{Kind: KindReport, Records: recs}, err
 	}
-	if _, err := io.ReadFull(s.rw, s.bufs.read[:1]); err != nil {
+	b, err := s.next(1)
+	if err != nil {
 		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
 	}
-	switch hdr := s.bufs.read[0]; hdr {
+	switch hdr := b[0]; hdr {
 	case FrameReport:
 		if s.hello.Batch {
 			return Frame{}, fmt.Errorf("proto: raw report frame on a batch session (reports travel as batch frames)")
@@ -192,13 +221,16 @@ func (s *Session) ReadFrame() (Frame, error) {
 		if !s.hello.ApplyEcho {
 			return Frame{}, fmt.Errorf("proto: apply echo without the apply-echo capability")
 		}
-		d, err := ReadApplyEcho(s.rw)
-		return Frame{Kind: KindApply, ApplyDur: d}, err
+		body, err := s.next(applyEchoBodySize)
+		if err != nil {
+			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
+		}
+		return Frame{Kind: KindApply, ApplyDur: applyEchoDur(body)}, nil
 	case FrameBatch:
 		if !s.hello.Batch {
 			return Frame{}, fmt.Errorf("proto: batch frame without the batch capability")
 		}
-		recs, err := readBatchFrame(s.rw, s.hello.Units, s.bufs.recs[:0], s.bufs.read[:])
+		recs, err := readBatchBody(s.next, s.hello.Units, s.bufs.recs[:0])
 		return Frame{Kind: KindBatch, Records: recs}, err
 	case FrameHeartbeat:
 		if !s.hello.Batch {
@@ -215,8 +247,8 @@ func (s *Session) ReadFrame() (Frame, error) {
 // semantics, without the per-call buffer allocation).
 func (s *Session) readReport() ([]Record, error) {
 	n := s.hello.Units
-	buf := s.bufs.read[:n*RecordSize]
-	if _, err := io.ReadFull(s.rw, buf); err != nil {
+	buf, err := s.next(n * RecordSize)
+	if err != nil {
 		return nil, fmt.Errorf("proto: reading batch of %d: %w", n, err)
 	}
 	recs := s.bufs.recs[:0]
@@ -284,8 +316,8 @@ func (s *Session) WriteHeartbeat() error {
 	if !s.hello.Batch {
 		return fmt.Errorf("proto: heartbeat without the batch capability")
 	}
-	hb := [1]byte{FrameHeartbeat}
-	_, err := s.rw.Write(hb[:])
+	s.bufs.write[0] = FrameHeartbeat
+	_, err := s.rw.Write(s.bufs.write[:1])
 	return err
 }
 
@@ -295,7 +327,10 @@ func (s *Session) WriteApplyEcho(applyDur time.Duration) error {
 	if !s.hello.ApplyEcho {
 		return fmt.Errorf("proto: apply echo without the apply-echo capability")
 	}
-	return WriteApplyEcho(s.rw, applyDur)
+	buf := s.bufs.write[:1+applyEchoBodySize]
+	putApplyEcho(buf, applyDur)
+	_, err := s.rw.Write(buf)
+	return err
 }
 
 // WriteCaps sends one cap assignment per local unit (server side) with
@@ -350,8 +385,8 @@ func (s *Session) ReadCapsRound(dst []power.Watts) (round uint64, err error) {
 	if s.hello.TraceCtx {
 		off = 8
 	}
-	buf := s.bufs.read[:off+n*RecordSize]
-	if _, err := io.ReadFull(s.rw, buf); err != nil {
+	buf, err := s.next(off + n*RecordSize)
+	if err != nil {
 		return 0, fmt.Errorf("proto: reading batch of %d: %w", n, err)
 	}
 	if s.hello.TraceCtx {
@@ -373,26 +408,30 @@ func (s *Session) ReadCapsRound(dst []power.Watts) (round uint64, err error) {
 // increasing by local unit, every unit inside [0, units). Records are
 // appended to dst (pass a reusable slice to avoid allocation).
 func ReadBatchFrame(r io.Reader, units int, dst []Record) ([]Record, error) {
-	var buf [1 + MaxBatchRecords*RecordSize]byte
-	return readBatchFrame(r, units, dst, buf[:])
+	var buf [MaxBatchRecords * RecordSize]byte
+	return readBatchBody(func(n int) ([]byte, error) {
+		_, err := io.ReadFull(r, buf[:n])
+		return buf[:n], err
+	}, units, dst)
 }
 
-// readBatchFrame is ReadBatchFrame over caller-owned scratch: the
-// session read path passes its pooled buffer so a warm batch frame costs
-// no allocation (a local array would escape through the io.Reader call).
-func readBatchFrame(r io.Reader, units int, dst []Record, buf []byte) ([]Record, error) {
-	if _, err := io.ReadFull(r, buf[:1]); err != nil {
+// readBatchBody is the one parser and validator of a batch frame body.
+// next yields the stream's next n bytes: ReadBatchFrame reads them off its
+// reader field by field, ReadFrame takes them from the session's window.
+func readBatchBody(next func(n int) ([]byte, error), units int, dst []Record) ([]Record, error) {
+	b, err := next(1)
+	if err != nil {
 		return nil, fmt.Errorf("proto: reading batch frame count: %w", err)
 	}
-	count := int(buf[0])
+	count := int(b[0])
 	if count < 1 {
 		return nil, fmt.Errorf("proto: empty batch frame (a quiet interval is a heartbeat)")
 	}
 	if count > units {
 		return nil, fmt.Errorf("proto: batch frame of %d records for %d units", count, units)
 	}
-	body := buf[1 : 1+count*RecordSize]
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := next(count * RecordSize)
+	if err != nil {
 		return nil, fmt.Errorf("proto: reading batch frame of %d records: %w", count, err)
 	}
 	prev := -1

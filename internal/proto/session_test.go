@@ -366,3 +366,86 @@ func TestSessionRelease(t *testing.T) {
 	}
 	s.Release() // must not panic
 }
+
+// segReader hands out one scripted segment per Read call, whole — what a
+// socket does with a frame that arrived in one TCP segment — and counts
+// the calls.
+type segReader struct {
+	t     *testing.T
+	segs  [][]byte
+	calls int
+}
+
+func (r *segReader) Read(p []byte) (int, error) {
+	if r.calls == len(r.segs) {
+		return 0, io.EOF
+	}
+	seg := r.segs[r.calls]
+	r.calls++
+	if len(p) < len(seg) {
+		r.t.Errorf("read %d offered %d bytes of room for a %d-byte segment", r.calls, len(p), len(seg))
+	}
+	return copy(p, seg), nil
+}
+
+func (r *segReader) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestReadFrameOneReadPerFrame pins the read window's point: a frame
+// costs the Read calls its bytes arrived in, not one per field. (Before
+// the window a batch frame took three — header, count, body — and an
+// echo two.)
+func TestReadFrameOneReadPerFrame(t *testing.T) {
+	encode := func(h Hello, write func(s *Session)) []byte {
+		var buf bytes.Buffer
+		s := newSession(&buf, h)
+		defer s.Release()
+		write(s)
+		return buf.Bytes()
+	}
+	batch := func(n int) func(s *Session) {
+		return func(s *Session) {
+			recs := make([]Record, n)
+			for i := range recs {
+				recs[i] = Record{LocalUnit: uint8(i), Value: uint16(1000 + i)}
+			}
+			if err := s.WriteDelta(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	echo := func(s *Session) { s.WriteApplyEcho(time.Millisecond) }
+	heartbeat := func(s *Session) { s.WriteHeartbeat() }
+	report := func(s *Session) { s.WriteReport(make([]power.Watts, s.hello.Units)) }
+	node := Hello{Units: MaxNodeUnits, Batch: true, ApplyEcho: true}
+	classic := Hello{Units: 2, ApplyEcho: true}
+	concat := func(bs ...[]byte) []byte { return bytes.Join(bs, nil) }
+	b2 := encode(node, batch(2))
+
+	cases := []struct {
+		name   string
+		h      Hello
+		segs   [][]byte
+		frames int
+	}{
+		{"batch of 1, 2 and 255", node, [][]byte{encode(node, batch(1)), b2, encode(node, batch(255))}, 3},
+		{"heartbeat, echo", node, [][]byte{encode(node, heartbeat), encode(node, echo)}, 2},
+		{"raw report", Hello{Units: 2}, [][]byte{encode(Hello{Units: 2}, report)}, 1},
+		{"framed report", classic, [][]byte{encode(classic, report)}, 1},
+		{"report and echo in one segment", classic, [][]byte{concat(encode(classic, report), encode(classic, echo))}, 2},
+		{"batch and echo in one segment", node, [][]byte{concat(b2, encode(node, echo))}, 2},
+		{"one frame over two segments", node, [][]byte{b2[:3], b2[3:]}, 1},
+	}
+	for _, c := range cases {
+		r := &segReader{t: t, segs: c.segs}
+		s := newSession(r, c.h)
+		for i := 0; i < c.frames; i++ {
+			if _, err := s.ReadFrame(); err != nil {
+				t.Fatalf("%s: frame %d: %v", c.name, i, err)
+			}
+		}
+		if r.calls != len(c.segs) {
+			t.Errorf("%s: %d frames in %d segments took %d Read calls", c.name, c.frames, len(c.segs), r.calls)
+		}
+		s.Release()
+	}
+}
