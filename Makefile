@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X dps/internal/version.Version=$(VERSION)"
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-json bench-ingest bench-restore profile-decide alloc-check chaos fuzz-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
+.PHONY: all build vet staticcheck test race bench bench-smoke bench-json bench-restore profile-decide alloc-check chaos fuzz-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
 
 all: ci
 
@@ -69,12 +69,6 @@ bench-json:
 # `go tool pprof -top dps.test decide.prof`.
 profile-decide:
 	$(GO) test -run xxx -bench 'DecideScaling/N=16384/phased' -benchtime 1000x -cpuprofile decide.prof .
-
-# bench-ingest refreshes the committed BENCH_ingest.json: server-side
-# ingest throughput at 16k units across per-reading frames, raw node
-# frames, v2 batch frames, and sparse deltas.
-bench-ingest:
-	./scripts/bench_ingest.sh
 
 # bench-restore refreshes the committed BENCH_restore.json: snapshot
 # encode/decode at 16k and 262k units, and cold-vs-warm takeover

@@ -710,10 +710,9 @@ func BenchmarkStatelessStep(b *testing.B) {
 	for i := range readings {
 		readings[i] = power.Watts(40 + rng.Float64()*120)
 	}
-	changed := make([]bool, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Apply(readings, caps, budget, changed)
+		m.Apply(readings, caps, budget)
 	}
 }
 

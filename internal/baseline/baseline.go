@@ -59,10 +59,9 @@ func (c *Constant) Decide(snap core.Snapshot) power.Vector {
 // SLURM is the stateless model-free manager: Algorithm 1 alone, decisions
 // from instantaneous power only.
 type SLURM struct {
-	budget  power.Budget
-	module  *stateless.Module
-	caps    power.Vector
-	changed []bool
+	budget power.Budget
+	module *stateless.Module
+	caps   power.Vector
 }
 
 var _ core.Manager = (*SLURM)(nil)
@@ -78,10 +77,9 @@ func NewSLURM(n int, budget power.Budget, cfg stateless.Config, seed int64) (*SL
 		return nil, err
 	}
 	return &SLURM{
-		budget:  budget,
-		module:  m,
-		caps:    power.NewVector(n, budget.ConstantCap(n)),
-		changed: make([]bool, n),
+		budget: budget,
+		module: m,
+		caps:   power.NewVector(n, budget.ConstantCap(n)),
 	}, nil
 }
 
@@ -96,7 +94,7 @@ func (s *SLURM) Caps() power.Vector { return s.caps }
 
 // Decide implements core.Manager: one MIMD step on the raw readings.
 func (s *SLURM) Decide(snap core.Snapshot) power.Vector {
-	s.module.Apply(snap.Power, s.caps, s.budget, s.changed)
+	s.module.Apply(snap.Power, s.caps, s.budget)
 	return s.caps
 }
 

@@ -83,7 +83,7 @@ func TestSLURMIsTheStatelessModule(t *testing.T) {
 			readings[u] = power.Watts(rng.Float64() * 165)
 		}
 		got := s2.Decide(core.Snapshot{Power: readings, Interval: 1})
-		m.Apply(readings, refCaps, budget3, nil)
+		m.Apply(readings, refCaps, budget3)
 		for u := range got {
 			if got[u] != refCaps[u] {
 				t.Fatalf("step %d unit %d: SLURM %v vs stateless %v", i, u, got[u], refCaps[u])

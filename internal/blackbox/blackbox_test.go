@@ -55,8 +55,11 @@ func testRound(n uint64, u int) *telemetry.Round { return record(wantRound(n, u)
 // encodes to it (exact for deciwatt powers and nanosecond durations).
 func record(r *Round) *telemetry.Round {
 	dur := func(s float64) time.Duration { return time.Duration(math.Round(s * 1e9)) }
-	out := &telemetry.Round{}
-	out.Reset(len(r.Units), true, true)
+	n := len(r.Units)
+	out := &telemetry.Round{
+		Reading: make(power.Vector, n), Cap: make(power.Vector, n), PrevCap: make(power.Vector, n),
+		Prio: make([]bool, n), Health: make([]core.UnitHealth, n), Reason: make([]trace.Reason, n),
+	}
 	out.Round = r.Round
 	out.Time = time.Unix(0, r.UnixNano)
 	out.Interval = power.Seconds(r.IntervalS)

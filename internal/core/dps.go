@@ -106,8 +106,7 @@ type DPS struct {
 	priorityM  *priority.Module
 	readjustM  *readjust.Module
 
-	caps    power.Vector
-	changed []bool
+	caps power.Vector
 	// held is scratch for degraded rounds: the caps non-fresh units are
 	// pinned at (their previous delivered caps). Allocated on the first
 	// degraded round; nil until then so healthy operation costs nothing.
@@ -118,13 +117,11 @@ type DPS struct {
 
 	// Cap provenance, maintained lazily: reasons[u] is the last module
 	// that moved unit u's cap this round, roundBefore the caps at the
-	// start of the last round that moved anything, and stageCaps the
-	// per-stage diff baseline. Provenance() materializes the CapChange
-	// view into prov on demand. provDirty marks that a round left tags
-	// behind, so the next round must re-baseline; moverless rounds — the
-	// steady state once readings hold still — skip all three O(units)
-	// passes.
-	prov        []trace.CapChange
+	// start of the last round that moved anything (kept because state
+	// images carry it), and stageCaps the per-stage diff baseline.
+	// provDirty marks that a round left tags behind, so the next round
+	// must re-baseline; moverless rounds — the steady state once readings
+	// hold still — skip all three O(units) passes.
 	reasons     []trace.Reason
 	roundBefore power.Vector
 	stageCaps   power.Vector
@@ -253,8 +250,6 @@ func NewDPS(cfg Config) (*DPS, error) {
 		priorityM:   pm,
 		readjustM:   rm,
 		caps:        power.NewVector(cfg.Units, 0),
-		changed:     make([]bool, cfg.Units),
-		prov:        make([]trace.CapChange, cfg.Units),
 		reasons:     make([]trace.Reason, cfg.Units),
 		roundBefore: power.NewVector(cfg.Units, 0),
 		stageCaps:   power.NewVector(cfg.Units, 0),
@@ -345,33 +340,14 @@ func (d *DPS) Steps() uint64 { return d.steps }
 // with DecideStats.
 func (d *DPS) SetTracer(tr *trace.Recorder) { d.tracer = tr }
 
-// Provenance returns per-unit cap provenance for the most recent decision
-// round: which module last moved each unit's cap, and the round's
-// before/after values. The slice is owned by the controller and
-// overwritten by the next call; it obeys the same single-threaded
-// contract as DecideStats (read it before the next round starts).
-// Entries with Reason trace.ReasonNone had Before == After.
-//
-// The view is materialized on call from the controller's running
-// provenance state (reason tags plus the round-start baseline), so
-// rounds in which no module moved any cap — the steady state once
-// readings hold still — pay nothing for provenance upkeep.
-// Allocation-free: the backing slice is preallocated.
-func (d *DPS) Provenance() []trace.CapChange {
-	for u, c := range d.caps {
-		d.prov[u] = trace.CapChange{
-			Reason: d.reasons[u],
-			Before: float64(d.roundBefore[u]),
-			After:  float64(c),
-		}
-	}
-	return d.prov
-}
-
-// Reasons returns the Reason column of Provenance — which module last
-// moved each unit's cap in the most recent round — without materializing
-// the before/after view. Same ownership and lifetime contract as
-// Provenance; callers must not mutate it.
+// Reasons returns per-unit cap provenance for the most recent decision
+// round: which module last moved each unit's cap. trace.ReasonNone means
+// the cap left the round as it entered (the conservation property
+// provenance_test.go pins); the converse need not hold — a cap can be
+// moved and moved back. The slice is owned by the controller, rewritten
+// by the next round that moves a cap (moverless rounds pay nothing for
+// provenance upkeep) and obeys DecideStats's single-threaded contract:
+// read it before the next round starts, and do not mutate it.
 func (d *DPS) Reasons() []trace.Reason { return d.reasons }
 
 // Decide implements Manager: one pass of the Figure 3 pipeline. Callers
@@ -469,7 +445,7 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	for i, w := range d.dirtyW {
 		d.visitW[i] = w | d.capMovedW[i] | wordMaskForRange(rlo, rhi, i<<6)
 	}
-	decCh, raiseCh := d.statelessM.ApplyMasked(snap.Power, d.caps, d.cfg.Budget, d.changed, d.visitW, d.cachedSum, d.sumValid)
+	decCh, raiseCh := d.statelessM.ApplyMasked(snap.Power, d.caps, d.cfg.Budget, d.visitW, d.cachedSum, d.sumValid)
 	if decCh || raiseCh {
 		d.sumValid = false
 		d.noteStatelessChanges()
@@ -503,13 +479,13 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 
 		// Cap readjusting module: restore, else readjust. Global: grant
 		// order and the budget arithmetic span all units.
-		d.lastRestored = d.readjustM.Restore(snap.Power, d.caps, d.constantCap, d.changed)
+		d.lastRestored = d.readjustM.Restore(snap.Power, d.caps, d.constantCap)
 		if d.lastRestored {
 			d.noteCapChanges(trace.ReasonRestore)
 		} else {
 			// The incrementally maintained high count replaces Readjust's
 			// O(N) priority rescan; same bits.
-			outcome := d.readjustM.ReadjustCounted(d.caps, d.priorityM.Priorities(), d.cfg.Budget, d.constantCap, d.changed, d.highCount)
+			outcome := d.readjustM.ReadjustCounted(d.caps, d.priorityM.Priorities(), d.cfg.Budget, d.constantCap, d.highCount)
 			stats.BudgetExhausted = outcome == readjust.OutcomeEqualize
 			switch outcome {
 			case readjust.OutcomeGrant:

@@ -12,10 +12,9 @@ import (
 // TestProvenanceConservation is the provenance soundness gate: over a
 // 500-round simulated workload exercising every pipeline branch (MIMD
 // cuts and raises, restore, grant, equalize, health pinning), every cap
-// that changed across a round carries exactly one non-none reason, every
-// Before/After pair matches the caps the controller actually held, and
-// units whose caps did not move are never blamed on a module by a
-// changed-then-reverted sequence claiming a phantom net change.
+// that changed across a round — measured against the test's own copy of
+// the caps the controller held going in — carries exactly one non-none
+// reason.
 func TestProvenanceConservation(t *testing.T) {
 	const units = 16
 	const rounds = 500
@@ -66,31 +65,18 @@ func TestProvenanceConservation(t *testing.T) {
 			}
 		}
 		caps, _ := d.DecideStats(Snapshot{Power: readings, Interval: 1, Health: snapHealth})
-		prov := d.Provenance()
-		if len(prov) != units {
-			t.Fatalf("round %d: Provenance len %d, want %d", step, len(prov), units)
-		}
 		reasons := d.Reasons()
-		for u, p := range prov {
-			if reasons[u] != p.Reason {
-				t.Fatalf("round %d unit %d: Reasons() says %v, Provenance() %v", step, u, reasons[u], p.Reason)
+		if len(reasons) != units {
+			t.Fatalf("round %d: Reasons len %d, want %d", step, len(reasons), units)
+		}
+		for u, reason := range reasons {
+			if caps[u] != prev[u] && reason == trace.ReasonNone {
+				t.Fatalf("round %d unit %d: cap moved %v→%v with no reason", step, u, prev[u], caps[u])
 			}
-			if float64(prev[u]) != p.Before {
-				t.Fatalf("round %d unit %d: Before %v != previous cap %v", step, u, p.Before, prev[u])
+			if math.IsNaN(float64(caps[u])) {
+				t.Fatalf("round %d unit %d: NaN cap", step, u)
 			}
-			if float64(caps[u]) != p.After {
-				t.Fatalf("round %d unit %d: After %v != current cap %v", step, u, p.After, caps[u])
-			}
-			if p.After != p.Before && p.Reason == trace.ReasonNone {
-				t.Fatalf("round %d unit %d: cap moved %v→%v with no reason", step, u, p.Before, p.After)
-			}
-			if p.Reason == trace.ReasonNone && p.After != p.Before {
-				t.Fatalf("round %d unit %d: reason none but caps differ", step, u)
-			}
-			if math.IsNaN(p.Before) || math.IsNaN(p.After) {
-				t.Fatalf("round %d unit %d: NaN provenance %+v", step, u, p)
-			}
-			seen[p.Reason]++
+			seen[reason]++
 		}
 		prev = caps.Clone()
 	}
@@ -112,7 +98,7 @@ func TestProvenanceConservation(t *testing.T) {
 // TestProvenanceMIMDRaise pins the raise attribution on a stateless-only
 // controller (priority/readjust ablated), where Algorithm 1 is the final
 // mover: one unit pressing at its cap while the rest idle must be tagged
-// mimd_raise with After > Before.
+// mimd_raise with the cap above the one it entered the round with.
 func TestProvenanceMIMDRaise(t *testing.T) {
 	const units = 4
 	budget := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
@@ -127,14 +113,11 @@ func TestProvenanceMIMDRaise(t *testing.T) {
 			readings[1] = prev[1]
 		}
 		caps, _ := d.DecideStats(Snapshot{Power: readings, Interval: 1})
-		for u, p := range d.Provenance() {
-			if float64(prev[u]) != p.Before || float64(caps[u]) != p.After {
-				t.Fatalf("step %d unit %d: provenance %+v disagrees with caps %v→%v", step, u, p, prev[u], caps[u])
-			}
-			if p.Reason == trace.ReasonMIMDRaise {
+		for u, reason := range d.Reasons() {
+			if reason == trace.ReasonMIMDRaise {
 				sawRaise = true
-				if p.After <= p.Before {
-					t.Errorf("step %d unit %d: mimd_raise lowered the cap %v→%v", step, u, p.Before, p.After)
+				if caps[u] <= prev[u] {
+					t.Errorf("step %d unit %d: mimd_raise lowered the cap %v→%v", step, u, prev[u], caps[u])
 				}
 			}
 		}
@@ -165,11 +148,11 @@ func TestProvenanceGrantReason(t *testing.T) {
 			}
 		}
 		caps, _ := d.DecideStats(Snapshot{Power: readings, Interval: 1})
-		for u, p := range d.Provenance() {
-			if p.Reason == trace.ReasonReadjustGrant {
+		for u, reason := range d.Reasons() {
+			if reason == trace.ReasonReadjustGrant {
 				sawGrant = true
-				if p.After <= p.Before {
-					t.Errorf("step %d unit %d: grant lowered the cap %v→%v", step, u, p.Before, p.After)
+				if caps[u] <= prev[u] {
+					t.Errorf("step %d unit %d: grant lowered the cap %v→%v", step, u, prev[u], caps[u])
 				}
 			}
 		}

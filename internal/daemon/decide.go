@@ -48,20 +48,19 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	s.imu.Unlock()
 
 	rec := s.recorder.Next()
-	rec.Reset(s.cfg.Units, s.dps != nil, health != nil)
+	rec.Reset()
 
 	s.mu.Lock()
 	round := s.rounds.Load() + 1
 	rec.StaleUnits, rec.DeadUnits = s.recordHealthLocked(health)
-	copy(rec.PrevCap, s.lastCaps)
 	targets := s.conns
 	s.mu.Unlock()
 
 	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
-	rec.Round, rec.Interval, rec.Inherited = round, interval, s.inheritedRounds.Load()
+	rec.Round, rec.Inherited = round, s.inheritedRounds.Load()
 	rec.Time = s.now()
 	managerCaps, stats := s.decide(snap)
-	rec.Stats, rec.HasStats = stats, s.dps != nil
+	rec.Stats = stats
 	rec.Elapsed = s.now().Sub(rec.Time)
 	caps := s.degradedDeliver(managerCaps, health)
 
@@ -97,9 +96,21 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 		pushed = append(pushed, sc)
 	}
 
-	// The caps are out; describe the round while lastPushed still holds
+	// The caps are out; describe the round while lastCaps and lastPushed
+	// (which only this goroutine writes) still hold what was delivered and
 	// what the agents enforced going in, then publish.
-	s.fillRound(rec, snap, managerCaps, caps)
+	d := telemetry.Decision{
+		Snap:      snap,
+		Decided:   managerCaps,
+		Delivered: caps,
+		Prev:      s.lastCaps,
+		Enforced:  s.lastPushed,
+		Budget:    s.cfg.Manager.Budget().Total,
+	}
+	if s.dps != nil {
+		d.Prio, d.Reasons = s.dps.Priorities(), s.dps.Reasons()
+	}
+	rec.Fill(d)
 	s.mu.Lock()
 	s.rounds.Store(round)
 	copy(s.lastCaps, caps)
@@ -126,47 +137,6 @@ func (s *Server) decide(snap core.Snapshot) (power.Vector, core.RoundStats) {
 		return s.dps.DecideStats(snap)
 	}
 	return s.cfg.Manager.Decide(snap), core.RoundStats{}
-}
-
-// fillRound writes the round's budget, cap sum, per-unit columns and
-// audit counts into rec in one pass over the units. managerCaps is the
-// vector the manager decided and caps what was delivered — they differ
-// only where degradedDeliver corrected a health-blind policy, which is
-// what earns a unit the degraded_deliver reason. Non-fresh units are
-// audited against s.lastPushed, still the pre-round delivered caps.
-func (s *Server) fillRound(rec *telemetry.Round, snap core.Snapshot, managerCaps, caps power.Vector) {
-	rec.BudgetW = float64(s.cfg.Manager.Budget().Total)
-	rec.CapSumW = float64(caps.Sum())
-	copy(rec.Reading, snap.Power)
-	copy(rec.Cap, caps)
-	copy(rec.Health, snap.Health)
-	var reasons []trace.Reason
-	if s.dps != nil {
-		copy(rec.Prio, s.dps.Priorities())
-		reasons = s.dps.Reasons()
-	}
-	for u := range caps {
-		reason := trace.ReasonNone
-		if reasons != nil {
-			reason = reasons[u]
-		}
-		if caps[u] != managerCaps[u] {
-			// Delivery-side pin or rescale overrode the manager: the last
-			// mover for this unit was degradedDeliver, whatever the manager
-			// thought it was doing.
-			reason = trace.ReasonDegradedDeliver
-		}
-		rec.Reason[u] = reason
-		if len(rec.Health) != 0 && rec.Health[u] != core.HealthFresh {
-			rec.PinAudited++
-			if caps[u] != s.lastPushed[u] {
-				rec.PinViolations++
-			}
-		}
-		if reasons != nil && reason == trace.ReasonNone && caps[u] != rec.PrevCap[u] {
-			rec.ProvViolations++
-		}
-	}
 }
 
 // classifyHealthLocked advances the per-unit health classification from
@@ -225,33 +195,30 @@ func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) 
 // delivered cap equals what its agent is already enforcing (s.lastPushed,
 // which only the decision goroutine writes, so it is read here unlocked),
 // and the fresh units are rescaled toward UnitMin if that pinning pushed
-// the sum over the budget. A health-aware manager (core.DPS) already
-// returns such a vector and passes through untouched; this is the safety
-// net for health-blind policies. The manager owns the caps vector, so a
-// correction works on a clone.
+// the sum over the budget. The rescale absorbs what pinning added and
+// nothing else: a round in which no unit needed a pin — every healthy
+// round, every round of a health-aware manager (core.DPS) — delivers the
+// manager's own slice, whatever its float sum reads. This is the safety
+// net for health-blind policies; a correction works on a clone, because
+// the manager owns the caps vector.
 func (s *Server) degradedDeliver(caps power.Vector, health []core.UnitHealth) power.Vector {
 	if health == nil {
 		return caps
 	}
-	lastPushed := s.lastPushed
-	const eps = 1e-9
-	budget := s.cfg.Manager.Budget()
-	needsPin := false
+	var out power.Vector
 	for u, h := range health {
-		if h != core.HealthFresh && caps[u] != lastPushed[u] {
-			needsPin = true
-			break
+		if h != core.HealthFresh && caps[u] != s.lastPushed[u] {
+			if out == nil {
+				out = caps.Clone()
+			}
+			out[u] = s.lastPushed[u]
 		}
 	}
-	if !needsPin && caps.Sum() <= budget.Total+eps {
+	if out == nil {
 		return caps
 	}
-	out := caps.Clone()
-	for u, h := range health {
-		if h != core.HealthFresh {
-			out[u] = lastPushed[u]
-		}
-	}
+	const eps = 1e-9
+	budget := s.cfg.Manager.Budget()
 	if excess := out.Sum() - budget.Total; excess > eps {
 		var headroom power.Watts
 		for u, h := range health {

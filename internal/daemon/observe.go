@@ -7,7 +7,6 @@ import (
 	"dps/internal/core"
 	"dps/internal/telemetry"
 	"dps/internal/version"
-	"dps/internal/watch"
 )
 
 // serverMetrics holds the registry handles the control loop updates every
@@ -118,8 +117,8 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) ser
 		ingestRecords: reg.Counter("dps_ingest_records_total", "Power records carried by ingested report and batch frames."),
 		staleUnits:    reg.Gauge("dps_stale_units", "Units currently stale (cap frozen, awaiting reports)."),
 		deadUnits:     reg.Gauge("dps_dead_units", "Units currently dead (budget reserved at last delivered cap)."),
-		dirtyUnits:    reg.Gauge("dps_decide_dirty_units", "Units whose reading changed since the previous decision snapshot (sparse rounds only)."),
-		skippedUnits:  reg.Gauge("dps_decide_skipped_units", "Units the controller skipped as settled in the last round (sparse rounds only)."),
+		dirtyUnits:    reg.Gauge("dps_decide_dirty_units", "Units whose reading changed since the previous decision snapshot (0 for policies other than DPS)."),
+		skippedUnits:  reg.Gauge("dps_decide_skipped_units", "Units the controller skipped as settled in the last round (0 for policies other than DPS)."),
 		snapshotBytes: reg.Gauge("dps_snapshot_bytes", "Size of the last assembled state snapshot image (0 until one is assembled)."),
 		snapshotDur:   reg.Histogram("dps_snapshot_duration_seconds", "Wall time to export and encode one state snapshot.", nil),
 		failovers:     reg.Counter("dps_failover_total", "Standby takeovers performed by this process."),
@@ -209,16 +208,7 @@ func (s *Server) observeRound(rec *telemetry.Round) {
 		m.skippedUnits.Set(float64(st.SkippedUnits))
 	}
 
-	s.watcher.ObserveRound(watch.RoundAudit{
-		Round:                rec.Round,
-		Time:                 rec.Time,
-		BudgetW:              rec.BudgetW,
-		CapSumW:              rec.CapSumW,
-		PinAudited:           rec.PinAudited,
-		PinViolations:        rec.PinViolations,
-		ProvenanceAudited:    rec.HasStats,
-		ProvenanceViolations: rec.ProvViolations,
-	})
+	s.watcher.ObserveRound(rec)
 
 	// The black-box append drops a round it cannot persist (counted by
 	// dps_blackbox_dropped_rounds_total) rather than stalling the control

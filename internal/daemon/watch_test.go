@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"dps/internal/core"
 	"dps/internal/faultinject"
 	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/telemetry/series"
+	"dps/internal/trace"
 	"dps/internal/watch"
 )
 
@@ -296,5 +299,76 @@ func TestSeriesAdmitsDerivedSeriesOnWideFleet(t *testing.T) {
 	}
 	if srv.Series().Dropped() == 0 {
 		t.Error("no pushes dropped: the fleet did not overflow the store, the test proves nothing")
+	}
+}
+
+// TestAllFreshFleetIsDeliveredUntouched pins the delivery-side contract on
+// a healthy 16k fleet with health tracking on (nothing ever goes stale):
+// a round in which no unit needed a pin delivers the manager's own vector.
+// The rescale after pinning exists to absorb what pinning added; applied
+// to a vector core had already clamped, it answered the float noise of a
+// 16 384-term sum by rescaling every cap ~1e-9 W, stamping the fleet
+// degraded_deliver — and the next, unrescaled round then differed from
+// PrevCap with reason none, which is the provenance_coverage alarm.
+func TestAllFreshFleetIsDeliveredUntouched(t *testing.T) {
+	const units = 16384
+	rounds := 400
+	if testing.Short() {
+		rounds = 120
+	}
+	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Manager: mgr, Units: units, Interval: time.Second,
+		StaleAfter: time.Hour, WatchEnabled: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Phase traffic, closed loop: jobs of 256 units alternate a high and a
+	// low draw on staggered periods, each reading clipped at the cap
+	// decided the round before, with σ = 2 W meter noise.
+	rng := rand.New(rand.NewSource(1))
+	readings := make(power.Vector, units)
+	caps := mgr.Caps().Clone()
+	rescaled, degraded, unexplained := 0, 0, 0
+	for round := 0; round < rounds; round++ {
+		for u := range readings {
+			job := u / 256
+			draw := 65.0 + float64(u%7)
+			if (round+11*job)/(20+job%40)%2 == 0 {
+				draw += 80
+			}
+			draw = min(draw, float64(caps[u])) + rng.NormFloat64()*2
+			readings[u] = power.Watts(max(draw, 0))
+		}
+		setReadings(srv, readings)
+		delivered, err := srv.DecideOnce(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &delivered[0] != &mgr.Caps()[0] {
+			rescaled++
+		}
+		srv.FlightRecorder().Each(1, func(rec *telemetry.Round) {
+			unexplained += rec.ProvViolations
+			for _, r := range rec.Reason {
+				if r == trace.ReasonDegradedDeliver {
+					degraded++
+				}
+			}
+		})
+		copy(caps, delivered)
+	}
+	if rescaled != 0 || degraded != 0 || unexplained != 0 {
+		t.Errorf("%d/%d all-fresh rounds delivered a clone of the manager's vector, %d degraded_deliver reasons, %d cap moves without a reason; want 0, 0, 0",
+			rescaled, rounds, degraded, unexplained)
+	}
+	for _, a := range srv.Watcher().Alerts() {
+		if a.State != watch.StateInactive || a.FiredCount != 0 {
+			t.Errorf("rule %s = %s (fired %d) on a healthy fleet: %s", a.Rule, a.State, a.FiredCount, a.Message)
+		}
 	}
 }

@@ -69,10 +69,10 @@ func New(cfg Config) (*Module, error) {
 func (m *Module) Config() Config { return m.cfg }
 
 // Restore implements Algorithm 3. If every unit's current power is below
-// RestoreThreshold × constantCap, all caps are reset to constantCap and the
-// corresponding changed flags are set. It returns whether restoration
-// happened; when it does, Readjust must be skipped.
-func (m *Module) Restore(powerNow, caps power.Vector, constantCap power.Watts, changed []bool) bool {
+// RestoreThreshold × constantCap, all caps are reset to constantCap. It
+// returns whether restoration happened; when it does, Readjust must be
+// skipped.
+func (m *Module) Restore(powerNow, caps power.Vector, constantCap power.Watts) bool {
 	if m.cfg.DisableRestore {
 		return false
 	}
@@ -83,12 +83,7 @@ func (m *Module) Restore(powerNow, caps power.Vector, constantCap power.Watts, c
 		}
 	}
 	for u := range caps {
-		if caps[u] != constantCap {
-			caps[u] = constantCap
-			if changed != nil {
-				changed[u] = true
-			}
-		}
+		caps[u] = constantCap
 	}
 	return true
 }
@@ -139,7 +134,7 @@ func (o Outcome) String() string {
 // Low-priority units are never touched. The sum of caps never increases by
 // more than the unassigned budget, so the cluster budget stays respected.
 // The returned Outcome identifies the branch taken.
-func (m *Module) ReadjustCounted(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, changed []bool, countHigh int) Outcome {
+func (m *Module) ReadjustCounted(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, countHigh int) Outcome {
 	n := len(caps)
 	if len(prio) != n {
 		panic(fmt.Sprintf("readjust: %d priorities for %d caps", len(prio), n))
@@ -150,16 +145,16 @@ func (m *Module) ReadjustCounted(caps power.Vector, prio []bool, budget power.Bu
 
 	avail := budget.Total - caps.Sum()
 	if avail > 0 {
-		m.grantLeftover(caps, prio, budget, avail, changed)
+		m.grantLeftover(caps, prio, budget, avail)
 		return OutcomeGrant
 	}
-	m.equalize(caps, prio, budget, constantCap, countHigh, changed)
+	m.equalize(caps, prio, budget, constantCap, countHigh)
 	return OutcomeEqualize
 }
 
 // grantLeftover distributes avail watts to high-priority units, weighting
 // each unit by the inverse of its current cap.
-func (m *Module) grantLeftover(caps power.Vector, prio []bool, budget power.Budget, avail power.Watts, changed []bool) {
+func (m *Module) grantLeftover(caps power.Vector, prio []bool, budget power.Budget, avail power.Watts) {
 	// Weights: w_u = 1/cap_u (with a floor to avoid division blow-up). The
 	// paper's budget_high/cap_u numerator cancels during normalization.
 	const minDivisor = 1.0 // watts
@@ -189,19 +184,14 @@ func (m *Module) grantLeftover(caps power.Vector, prio []bool, budget power.Budg
 		if next > budget.UnitMax {
 			next = budget.UnitMax
 		}
-		if next != caps[u] {
-			caps[u] = next
-			if changed != nil {
-				changed[u] = true
-			}
-		}
+		caps[u] = next
 	}
 }
 
 // equalize sets every high-priority unit's cap to the group mean (clamped
 // to hardware limits), optionally raising the mean to the constant cap by
 // reclaiming surplus from low-priority units.
-func (m *Module) equalize(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, countHigh int, changed []bool) {
+func (m *Module) equalize(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, countHigh int) {
 	var budgetHigh power.Watts
 	for u := range caps {
 		if prio[u] {
@@ -230,9 +220,6 @@ func (m *Module) equalize(caps power.Vector, prio []bool, budget power.Budget, c
 				if !prio[u] && caps[u] > constantCap {
 					delta := (caps[u] - constantCap) * frac
 					caps[u] -= delta
-					if changed != nil {
-						changed[u] = true
-					}
 				}
 			}
 			target += take / power.Watts(countHigh)
@@ -246,11 +233,8 @@ func (m *Module) equalize(caps power.Vector, prio []bool, budget power.Budget, c
 		target = budget.UnitMin
 	}
 	for u := range caps {
-		if prio[u] && caps[u] != target {
+		if prio[u] {
 			caps[u] = target
-			if changed != nil {
-				changed[u] = true
-			}
 		}
 	}
 }

@@ -24,14 +24,14 @@ func mustNew(t *testing.T, cfg Config) *Module {
 
 // Readjust is ReadjustCounted with the high-priority count tallied from
 // prio, for tests that hand-build a priority vector.
-func (m *Module) Readjust(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts, changed []bool) Outcome {
+func (m *Module) Readjust(caps power.Vector, prio []bool, budget power.Budget, constantCap power.Watts) Outcome {
 	countHigh := 0
 	for _, p := range prio {
 		if p {
 			countHigh++
 		}
 	}
-	return m.ReadjustCounted(caps, prio, budget, constantCap, changed, countHigh)
+	return m.ReadjustCounted(caps, prio, budget, constantCap, countHigh)
 }
 
 func TestValidate(t *testing.T) {
@@ -50,9 +50,8 @@ func TestValidate(t *testing.T) {
 func TestRestoreWhenAllQuiet(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 	caps := power.Vector{150, 40, 90, 60}
-	changed := make([]bool, 4)
 	// Everybody under 0.5·110 = 55 W.
-	restored := m.Restore(power.Vector{30, 20, 50, 10}, caps, constCap, changed)
+	restored := m.Restore(power.Vector{30, 20, 50, 10}, caps, constCap)
 	if !restored {
 		t.Fatal("restore did not trigger with all units quiet")
 	}
@@ -61,32 +60,13 @@ func TestRestoreWhenAllQuiet(t *testing.T) {
 			t.Errorf("cap[%d] = %v, want constant cap %v", u, c, constCap)
 		}
 	}
-	// Only caps that actually moved are flagged.
-	if !changed[0] || !changed[1] || !changed[2] || !changed[3] {
-		t.Errorf("changed = %v, want all true (every cap differed from 110)", changed)
-	}
-}
-
-func TestRestoreSkipsFlagsForUnchangedCaps(t *testing.T) {
-	m := mustNew(t, DefaultConfig())
-	caps := power.Vector{constCap, 40}
-	changed := make([]bool, 2)
-	if !m.Restore(power.Vector{10, 10}, caps, constCap, changed) {
-		t.Fatal("restore did not trigger")
-	}
-	if changed[0] {
-		t.Error("unit already at the constant cap flagged as changed")
-	}
-	if !changed[1] {
-		t.Error("restored unit not flagged as changed")
-	}
 }
 
 func TestRestoreBlockedByOneBusyUnit(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 	caps := power.Vector{150, 40}
 	// Unit 0 draws 80 W > 55 W: no restoration.
-	if m.Restore(power.Vector{80, 20}, caps, constCap, nil) {
+	if m.Restore(power.Vector{80, 20}, caps, constCap) {
 		t.Fatal("restore triggered despite a busy unit")
 	}
 	if caps[0] != 150 || caps[1] != 40 {
@@ -99,7 +79,7 @@ func TestRestoreDisabled(t *testing.T) {
 	cfg.DisableRestore = true
 	m := mustNew(t, cfg)
 	caps := power.Vector{150, 40}
-	if m.Restore(power.Vector{10, 10}, caps, constCap, nil) {
+	if m.Restore(power.Vector{10, 10}, caps, constCap) {
 		t.Error("restore ran despite DisableRestore")
 	}
 }
@@ -107,7 +87,7 @@ func TestRestoreDisabled(t *testing.T) {
 func TestReadjustNoHighPriorityIsNoop(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 	caps := power.Vector{150, 40}
-	m.Readjust(caps, []bool{false, false}, budget, constCap, nil)
+	m.Readjust(caps, []bool{false, false}, budget, constCap)
 	if caps[0] != 150 || caps[1] != 40 {
 		t.Errorf("caps changed with no high-priority units: %v", caps)
 	}
@@ -120,7 +100,7 @@ func TestGrantLeftoverFavorsLowCaps(t *testing.T) {
 	// and neither grant reaches the 165 W hardware clamp.
 	caps := power.Vector{60, 120, 100, 100}
 	prio := []bool{true, true, false, false}
-	m.Readjust(caps, prio, budget, constCap, nil)
+	m.Readjust(caps, prio, budget, constCap)
 	grant0 := float64(caps[0] - 60)
 	grant1 := float64(caps[1] - 120)
 	if grant0 <= grant1 {
@@ -141,7 +121,7 @@ func TestGrantLeftoverClampsAtUnitMax(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 	caps := power.Vector{160, 10, 10, 10}
 	prio := []bool{true, false, false, false}
-	m.Readjust(caps, prio, budget, constCap, nil)
+	m.Readjust(caps, prio, budget, constCap)
 	if caps[0] > budget.UnitMax {
 		t.Errorf("cap %v exceeds UnitMax %v", caps[0], budget.UnitMax)
 	}
@@ -153,8 +133,7 @@ func TestEqualizeWhenBudgetExhausted(t *testing.T) {
 	// 1 high priority with skewed caps.
 	caps := power.Vector{165, 55, 110, 110}
 	prio := []bool{true, true, false, false}
-	changed := make([]bool, 4)
-	m.Readjust(caps, prio, budget, constCap, changed)
+	m.Readjust(caps, prio, budget, constCap)
 	if caps[0] != caps[1] {
 		t.Errorf("high-priority caps not equalized: %v vs %v", caps[0], caps[1])
 	}
@@ -163,9 +142,6 @@ func TestEqualizeWhenBudgetExhausted(t *testing.T) {
 	}
 	if caps[2] != 110 || caps[3] != 110 {
 		t.Errorf("low-priority caps touched: %v", caps)
-	}
-	if !changed[0] || !changed[1] {
-		t.Errorf("changed = %v, want the equalized units flagged", changed)
 	}
 }
 
@@ -176,7 +152,7 @@ func TestEqualizeEnforcesConstantCapFloor(t *testing.T) {
 	// reclaim the surplus.
 	caps := power.Vector{80, 80, 140, 140}
 	prio := []bool{true, true, false, false}
-	m.Readjust(caps, prio, budget, constCap, nil)
+	m.Readjust(caps, prio, budget, constCap)
 	if caps[0] < constCap-1e-9 {
 		t.Errorf("high-priority cap %v below the constant-allocation floor %v", caps[0], constCap)
 	}
@@ -196,7 +172,7 @@ func TestEqualizeConservesSum(t *testing.T) {
 	caps := power.Vector{150, 100, 95, 95}
 	prio := []bool{true, true, false, false}
 	before := caps.Sum()
-	m.Readjust(caps, prio, budget, constCap, nil)
+	m.Readjust(caps, prio, budget, constCap)
 	if got := caps.Sum(); math.Abs(float64(got-before)) > 1e-6 {
 		t.Errorf("equalization changed the cap sum: %v → %v", before, got)
 	}
@@ -243,7 +219,7 @@ func TestFloorAlwaysSatisfiableAtFullBudgetProperty(t *testing.T) {
 			}
 		}
 		exhausted := caps.Sum() >= b.Total
-		m.Readjust(caps, prio, b, b.ConstantCap(n), nil)
+		m.Readjust(caps, prio, b, b.ConstantCap(n))
 		if exhausted {
 			for u := range caps {
 				if prio[u] && caps[u] < b.ConstantCap(n)-1e-6 {
@@ -264,7 +240,7 @@ func TestEqualizeFloorDisabled(t *testing.T) {
 	m := mustNew(t, cfg)
 	caps := power.Vector{80, 80, 140, 140}
 	prio := []bool{true, true, false, false}
-	m.Readjust(caps, prio, budget, constCap, nil)
+	m.Readjust(caps, prio, budget, constCap)
 	if caps[0] != 80 {
 		t.Errorf("cap = %v; without the floor the mean of {80,80} is 80", caps[0])
 	}
@@ -280,7 +256,7 @@ func TestReadjustPanicsOnSizeMismatch(t *testing.T) {
 			t.Error("Readjust with mismatched priorities did not panic")
 		}
 	}()
-	m.Readjust(power.Vector{1, 2}, []bool{true}, budget, constCap, nil)
+	m.Readjust(power.Vector{1, 2}, []bool{true}, budget, constCap)
 }
 
 // Readjust never grows the cap sum beyond the budget and never shrinks a
@@ -306,7 +282,7 @@ func TestReadjustBudgetInvariantProperty(t *testing.T) {
 			}
 		}
 		before := caps.Sum()
-		m.Readjust(caps, prio, b, b.ConstantCap(n), nil)
+		m.Readjust(caps, prio, b, b.ConstantCap(n))
 		after := caps.Sum()
 		if after > b.Total+1e-6 {
 			return false
@@ -323,19 +299,19 @@ func TestReadjustOutcome(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 
 	caps := power.Vector{150, 40}
-	if got := m.Readjust(caps, []bool{false, false}, budget, constCap, nil); got != OutcomeNone {
+	if got := m.Readjust(caps, []bool{false, false}, budget, constCap); got != OutcomeNone {
 		t.Errorf("no high-priority units: outcome %v, want %v", got, OutcomeNone)
 	}
 
 	// 440 − 320 = 120 W leftover: the grant branch.
 	caps = power.Vector{60, 60, 100, 100}
-	if got := m.Readjust(caps, []bool{true, false, false, false}, budget, constCap, nil); got != OutcomeGrant {
+	if got := m.Readjust(caps, []bool{true, false, false, false}, budget, constCap); got != OutcomeGrant {
 		t.Errorf("leftover budget: outcome %v, want %v", got, OutcomeGrant)
 	}
 
 	// Sum at the 440 W budget: the equalize branch.
 	caps = power.Vector{140, 100, 100, 100}
-	if got := m.Readjust(caps, []bool{true, true, false, false}, budget, constCap, nil); got != OutcomeEqualize {
+	if got := m.Readjust(caps, []bool{true, true, false, false}, budget, constCap); got != OutcomeEqualize {
 		t.Errorf("exhausted budget: outcome %v, want %v", got, OutcomeEqualize)
 	}
 

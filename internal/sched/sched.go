@@ -14,10 +14,10 @@ import (
 	"sort"
 
 	"dps/internal/cluster"
-	"dps/internal/core"
 	"dps/internal/metrics"
 	"dps/internal/power"
 	"dps/internal/sim"
+	"dps/internal/watch"
 	"dps/internal/workload"
 )
 
@@ -48,6 +48,9 @@ type Config struct {
 	Seed int64
 	// MaxTime aborts a runaway experiment (zero = generous bound).
 	MaxTime power.Seconds
+	// Watcher, if non-nil, audits every step's round record, as the pair
+	// engine's field of the same name does.
+	Watcher *watch.Watcher
 }
 
 func (c Config) withDefaults() Config {
@@ -126,10 +129,11 @@ type Result struct {
 	MeanWait power.Seconds
 	// ThroughputPerHour is completed jobs per simulated hour.
 	ThroughputPerHour float64
-	// Steps and BudgetViolations mirror the pair engine.
+	// Steps, BudgetViolations, TimedOut and Stages mirror the pair engine.
 	Steps            int
 	BudgetViolations int
 	TimedOut         bool
+	Stages           *sim.StageBreakdown
 }
 
 // Run executes the batch under the manager the factory builds.
@@ -138,18 +142,6 @@ func Run(cfg Config, factory sim.ManagerFactory) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	mach, err := cluster.NewMachine(cfg.Machine)
-	if err != nil {
-		return Result{}, err
-	}
-	mgr, err := factory(mach.Units(), cfg.Budget, cfg.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := mach.ApplyCaps(mgr.Caps()); err != nil {
-		return Result{}, err
-	}
-
 	queue := append([]Job(nil), cfg.Jobs...)
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
 
@@ -159,19 +151,13 @@ func Run(cfg Config, factory sim.ManagerFactory) (Result, error) {
 		freeAt    power.Seconds
 		startedAt power.Seconds
 	}
-	slots := make([]slot, mach.NumClusters())
+	slots := make([]slot, cfg.Machine.Clusters)
 	rng := rand.New(rand.NewSource(cfg.Seed*2_000_003 + 17))
 
-	res := Result{Manager: mgr.Name()}
-	var t power.Seconds
-	eps := power.Watts(1e-6)
-
-	for len(res.Jobs) < len(cfg.Jobs) {
-		if t >= cfg.MaxTime {
-			res.TimedOut = true
-			break
-		}
-		// Dispatch arrived jobs onto free clusters (FIFO).
+	var res Result
+	done := func() bool { return len(res.Jobs) >= len(cfg.Jobs) }
+	// Dispatch arrived jobs onto free clusters (FIFO).
+	dispatch := func(mach *cluster.Machine, t power.Seconds) {
 		for ci := range slots {
 			if slots[ci].busy || t < slots[ci].freeAt || len(queue) == 0 {
 				continue
@@ -184,13 +170,9 @@ func Run(cfg Config, factory sim.ManagerFactory) (Result, error) {
 			mach.Cluster(ci).SetRun(workload.NewRun(job.Workload, rng))
 			slots[ci] = slot{job: job, busy: true, startedAt: t}
 		}
-
-		readings, err := mach.Step(cfg.DT)
-		if err != nil {
-			return Result{}, err
-		}
-
-		// Harvest completions.
+	}
+	// Harvest completions.
+	harvest := func(mach *cluster.Machine, t power.Seconds) {
 		for ci := range slots {
 			if !slots[ci].busy {
 				continue
@@ -212,21 +194,20 @@ func Run(cfg Config, factory sim.ManagerFactory) (Result, error) {
 			mach.Cluster(ci).SetRun(nil)
 			slots[ci] = slot{freeAt: end + cfg.Gap}
 		}
-
-		caps := mgr.Decide(core.Snapshot{
-			Power:    readings,
-			Interval: cfg.DT,
-			Demand:   mach.TrueDemands(),
-		})
-		if caps.Sum() > cfg.Budget.Total+eps {
-			res.BudgetViolations++
-		}
-		if err := mach.ApplyCaps(caps); err != nil {
-			return Result{}, err
-		}
-		t += cfg.DT
-		res.Steps++
 	}
+	run, err := sim.Drive(sim.PairConfig{
+		Machine: cfg.Machine,
+		Budget:  cfg.Budget,
+		DT:      cfg.DT,
+		Seed:    cfg.Seed,
+		MaxTime: cfg.MaxTime,
+		Watcher: cfg.Watcher,
+	}, factory, done, dispatch, harvest)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Manager, res.Steps, res.BudgetViolations = run.Manager, run.Steps, run.BudgetViolations
+	res.TimedOut, res.Stages = run.TimedOut, run.Stages
 
 	sort.Slice(res.Jobs, func(i, j int) bool { return res.Jobs[i].ID < res.Jobs[j].ID })
 	var turn, wait []power.Seconds

@@ -1,11 +1,16 @@
 package sched
 
 import (
+	"fmt"
+	"regexp"
 	"testing"
 
 	"dps/internal/cluster"
+	"dps/internal/core"
+	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/sim"
+	"dps/internal/watch"
 	"dps/internal/workload"
 )
 
@@ -162,6 +167,62 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.Makespan != b.Makespan || a.Steps != b.Steps {
 		t.Fatalf("same-seed batches diverged: %v/%d vs %v/%d", a.Makespan, a.Steps, b.Makespan, b.Steps)
+	}
+}
+
+// TestWatchFiresOnBatchBudgetFault is the pair engine's TestWatchSmoke on
+// the batch engine, which runs the same controller step: a budget fault
+// scheduled for a known round window must fire budget_conservation in the
+// first faulted step and resolve it in the first clean one, the engine's
+// own violation count must agree with the watchdog, and a clean DPS batch
+// (provenance audited every step) must leave every audit inactive.
+func TestWatchFiresOnBatchBudgetFault(t *testing.T) {
+	const faultFrom, faultUntil = 10, 15 // 1-based decision rounds
+	atRound := regexp.MustCompile(`rule=budget_conservation state=(\w+) .*msg="round (\d+):`)
+	var transitions []string
+	watcher := watch.New(watch.Config{Logf: func(format string, args ...any) {
+		if m := atRound.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+			transitions = append(transitions, m[1]+"@"+m[2])
+		}
+	}})
+	factory := func(units int, budget power.Budget, seed int64) (core.Manager, error) {
+		inner, err := sim.DPSFactory()(units, budget, seed)
+		if err != nil {
+			return nil, err
+		}
+		return faultinject.WrapManager(inner, faultinject.ManagerConfig{
+			FromRound: faultFrom, UntilRound: faultUntil, Scale: 1.5,
+		}, nil)
+	}
+	cfg := Config{Machine: smallMachine(3), Jobs: lowJobs(t, 6), Seed: 3, Watcher: watcher}
+	res, err := Run(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps < faultUntil {
+		t.Fatalf("batch stopped after %d steps, before the fault window closed", res.Steps)
+	}
+	if res.BudgetViolations != faultUntil-faultFrom {
+		t.Errorf("BudgetViolations = %d, want %d (the engine and the watchdog must agree)",
+			res.BudgetViolations, faultUntil-faultFrom)
+	}
+	want := []string{fmt.Sprintf("firing@%d", faultFrom), fmt.Sprintf("resolved@%d", faultUntil)}
+	if fmt.Sprint(transitions) != fmt.Sprint(want) {
+		t.Errorf("budget_conservation transitions %v, want %v", transitions, want)
+	}
+
+	cfg.Watcher = watch.New(watch.Config{})
+	res, err = Run(cfg, sim.DPSFactory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stages == nil || res.Stages.Rounds != uint64(res.Steps) {
+		t.Errorf("stage breakdown %+v does not cover the batch's %d steps", res.Stages, res.Steps)
+	}
+	for _, a := range cfg.Watcher.Alerts() {
+		if a.State != watch.StateInactive || a.FiredCount != 0 {
+			t.Errorf("rule %s = %s (fired %d) on a clean batch, want inactive", a.Rule, a.State, a.FiredCount)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"dps/internal/faultinject"
 	"dps/internal/metrics"
 	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/trace"
 	"dps/internal/watch"
 	"dps/internal/workload"
@@ -34,12 +35,6 @@ type ManagerFactory func(units int, budget power.Budget, seed int64) (core.Manag
 // PairConfig describes one co-execution experiment: workload A on cluster
 // 0 and workload B on cluster 1.
 type PairConfig struct {
-	// Machine is the simulated platform (default: the paper's 2×5×2
-	// sockets).
-	Machine cluster.Config
-	// Budget is the cluster-wide envelope. The zero value selects the
-	// paper's 66.7 % limit: 110 W per socket.
-	Budget power.Budget
 	// WorkloadA runs on cluster 0, WorkloadB on cluster 1.
 	WorkloadA, WorkloadB *workload.Spec
 	// Repeats is the minimum number of completed runs per cluster before
@@ -49,6 +44,16 @@ type PairConfig struct {
 	Gap power.Seconds
 	// StartOffsetB delays cluster 1's first run to decorrelate phases.
 	StartOffsetB power.Seconds
+
+	// The fields above schedule the pair's runs; the fields below describe
+	// the closed loop itself and are all that Drive reads.
+
+	// Machine is the simulated platform (default: the paper's 2×5×2
+	// sockets).
+	Machine cluster.Config
+	// Budget is the cluster-wide envelope. The zero value selects the
+	// paper's 66.7 % limit: 110 W per socket.
+	Budget power.Budget
 	// DT is the decision interval (default 1 s).
 	DT power.Seconds
 	// Seed drives all experiment randomness (workload jitter, RAPL noise,
@@ -75,10 +80,10 @@ type PairConfig struct {
 	// per decision interval on the sim lane, plus the controller's
 	// per-stage spans when the manager is a core.DPS.
 	Tracer *trace.Recorder
-	// Watcher, if non-nil, receives one RoundAudit per step (budget vs
+	// Watcher, if non-nil, audits every step's round record (budget vs
 	// programmed cap sum, provenance when the manager is a core.DPS) so
-	// chaos experiments can use the watchdog itself as the oracle. Audit
-	// timestamps are virtual time mapped onto the Unix epoch, keeping the
+	// chaos experiments can use the watchdog itself as the oracle. Records
+	// are stamped with virtual time mapped onto the Unix epoch, keeping the
 	// alert lifecycle deterministic for a fixed configuration.
 	Watcher *watch.Watcher
 }
@@ -182,7 +187,6 @@ type clusterState struct {
 	rng       *rand.Rand
 	completed []RunRecord
 	nextStart power.Seconds
-	launched  int
 }
 
 // RunPair executes one pair experiment under the manager the factory
@@ -192,39 +196,10 @@ func RunPair(cfg PairConfig, factory ManagerFactory) (PairResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PairResult{}, err
 	}
-	mach, err := cluster.NewMachine(cfg.Machine)
-	if err != nil {
-		return PairResult{}, err
-	}
-	units := mach.Units()
-	mgr, err := factory(units, cfg.Budget, cfg.Seed)
-	if err != nil {
-		return PairResult{}, err
-	}
-	if err := mach.ApplyCaps(mgr.Caps()); err != nil {
-		return PairResult{}, err
-	}
-
 	states := []*clusterState{
 		{spec: cfg.WorkloadA, rng: rand.New(rand.NewSource(cfg.Seed*1_000_003 + 1))},
 		{spec: cfg.WorkloadB, rng: rand.New(rand.NewSource(cfg.Seed*1_000_003 + 2)), nextStart: cfg.StartOffsetB},
 	}
-
-	res := PairResult{Manager: mgr.Name()}
-	dpsMgr, _ := mgr.(*core.DPS)
-	if dpsMgr != nil {
-		res.Stages = &StageBreakdown{}
-		dpsMgr.SetTracer(cfg.Tracer)
-	}
-	var corrupter *faultinject.Readings
-	var corrupted power.Vector
-	if cfg.ReadingFaults != nil {
-		corrupter = faultinject.NewReadings(*cfg.ReadingFaults, nil)
-		corrupted = make(power.Vector, units)
-	}
-	var t power.Seconds
-	eps := power.Watts(1e-6)
-
 	done := func() bool {
 		for _, s := range states {
 			if len(s.completed) < cfg.Repeats {
@@ -233,43 +208,17 @@ func RunPair(cfg PairConfig, factory ManagerFactory) (PairResult, error) {
 		}
 		return true
 	}
-
-	for !done() {
-		if cfg.MaxSteps > 0 && res.Steps >= cfg.MaxSteps {
-			break
-		}
-		if t >= cfg.MaxTime {
-			res.TimedOut = true
-			break
-		}
-		traceOn := cfg.Tracer.On()
-		var stepStart time.Time
-		if traceOn {
-			stepStart = time.Now()
-		}
-		// Launch runs that are due.
+	// Launch runs that are due.
+	launch := func(mach *cluster.Machine, t power.Seconds) {
 		for ci, s := range states {
 			cl := mach.Cluster(ci)
 			if cl.Run() == nil && t >= s.nextStart && len(s.completed) < cfg.Repeats {
 				cl.SetRun(workload.NewRun(s.spec, s.rng))
-				s.launched++
 			}
 		}
-
-		// Advance the platform one interval under the current caps.
-		readings, err := mach.Step(cfg.DT)
-		if err != nil {
-			return PairResult{}, err
-		}
-		if corrupter != nil {
-			// Corrupt a copy: the machine owns the readings slice and uses
-			// it for its own accounting.
-			copy(corrupted, readings)
-			corrupter.Corrupt(corrupted)
-			readings = corrupted
-		}
-
-		// Harvest completed runs.
+	}
+	// Harvest completed runs.
+	harvest := func(mach *cluster.Machine, t power.Seconds) {
 		for ci, s := range states {
 			cl := mach.Cluster(ci)
 			run := cl.Run()
@@ -286,67 +235,155 @@ func RunPair(cfg PairConfig, factory ManagerFactory) (PairResult, error) {
 				s.nextStart = t + cfg.DT + cfg.Gap
 			}
 		}
-
-		// Controller pass: readings in, caps out, caps programmed. A DPS
-		// manager goes through the stats-returning API so the stage
-		// breakdown is taken from the round it belongs to.
-		snap := core.Snapshot{
-			Power:    readings,
-			Interval: cfg.DT,
-			Demand:   mach.TrueDemands(),
-		}
-		var caps power.Vector
-		if dpsMgr != nil {
-			var st core.RoundStats
-			caps, st = dpsMgr.DecideStats(snap)
-			res.Stages.Add(st)
-		} else {
-			caps = mgr.Decide(snap)
-		}
-		if caps.Sum() > cfg.Budget.Total+eps {
-			res.BudgetViolations++
-		}
-		if err := mach.ApplyCaps(caps); err != nil {
-			return PairResult{}, err
-		}
-		if cfg.Watcher != nil {
-			// Audited before StepHook so a hook can read the alert state the
-			// step produced.
-			audit := watch.RoundAudit{
-				Round:   uint64(res.Steps + 1),
-				Time:    time.Unix(0, 0).Add(time.Duration(float64(t) * float64(time.Second))).UTC(),
-				BudgetW: float64(cfg.Budget.Total),
-				CapSumW: float64(caps.Sum()),
-			}
-			if dpsMgr != nil {
-				audit.ProvenanceAudited = true
-				for _, ch := range dpsMgr.Provenance() {
-					if ch.Reason == trace.ReasonNone && ch.Before != ch.After {
-						audit.ProvenanceViolations++
-					}
-				}
-			}
-			cfg.Watcher.ObserveRound(audit)
-		}
-		if cfg.StepHook != nil {
-			cfg.StepHook(t, readings, caps)
-		}
-
-		t += cfg.DT
-		res.Steps++
-		if traceOn {
-			// Scoped to the same trace id as the controller's stage spans:
-			// DPS advances its round counter once per DecideStats call.
-			cfg.Tracer.Record(uint64(res.Steps), trace.SpanSimStep, trace.LaneSim,
-				-1, stepStart, time.Since(stepStart))
-		}
 	}
-
-	res.SimTime = t
+	res, err := Drive(cfg, factory, done, launch, harvest)
+	if err != nil {
+		return PairResult{}, err
+	}
 	res.A = summarize(states[0])
 	res.B = summarize(states[1])
 	res.Fairness = metrics.Fairness(res.A.MeanSatisfaction, res.B.MeanSatisfaction)
 	return res, nil
+}
+
+// Drive is the closed loop every experiment engine runs: build the machine
+// and its manager, then per decision interval dispatch, advance the
+// platform under the current caps, harvest, and take one controller step,
+// until done reports true or the MaxSteps or MaxTime stop fires. dispatch
+// and harvest are the caller's job scheduling; both see the machine and
+// the virtual time the interval starts at. cfg's loop fields (see
+// PairConfig) are taken as given: defaults and validation are the
+// caller's.
+func Drive(cfg PairConfig, factory ManagerFactory, done func() bool,
+	dispatch, harvest func(mach *cluster.Machine, t power.Seconds)) (PairResult, error) {
+	l, err := newLoop(cfg, factory)
+	if err != nil {
+		return PairResult{}, err
+	}
+	for !done() {
+		if cfg.MaxSteps > 0 && l.res.Steps >= cfg.MaxSteps {
+			break
+		}
+		if l.res.SimTime >= cfg.MaxTime {
+			l.res.TimedOut = true
+			break
+		}
+		stepStart := time.Now()
+		dispatch(l.mach, l.res.SimTime)
+		readings, err := l.mach.Step(cfg.DT)
+		if err != nil {
+			return PairResult{}, err
+		}
+		harvest(l.mach, l.res.SimTime)
+		if err := l.step(readings); err != nil {
+			return PairResult{}, err
+		}
+		if cfg.Tracer.On() {
+			// Scoped to the same trace id as the controller's stage spans:
+			// DPS advances its round counter once per DecideStats call.
+			cfg.Tracer.Record(uint64(l.res.Steps), trace.SpanSimStep, trace.LaneSim,
+				-1, stepStart, time.Since(stepStart))
+		}
+	}
+	return l.res, nil
+}
+
+// loop is what the controller steps of one experiment share.
+type loop struct {
+	cfg  PairConfig
+	mach *cluster.Machine
+	mgr  core.Manager
+	dps  *core.DPS  // mgr, when it is one: the stats-returning API
+	res  PairResult // SimTime is the loop's clock
+	// rec describes each step's round, retained and re-filled; prev is
+	// the caps the previous step programmed.
+	rec       telemetry.Round
+	prev      power.Vector
+	corrupter *faultinject.Readings
+	corrupted power.Vector
+}
+
+func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
+	mach, err := cluster.NewMachine(cfg.Machine)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := factory(mach.Units(), cfg.Budget, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := mach.ApplyCaps(mgr.Caps()); err != nil {
+		return nil, err
+	}
+	l := &loop{
+		cfg:  cfg,
+		mach: mach,
+		mgr:  mgr,
+		prev: mgr.Caps().Clone(),
+		res:  PairResult{Manager: mgr.Name()},
+	}
+	if l.dps, _ = mgr.(*core.DPS); l.dps != nil {
+		l.res.Stages = &StageBreakdown{}
+		l.dps.SetTracer(cfg.Tracer)
+	}
+	if cfg.ReadingFaults != nil {
+		l.corrupter = faultinject.NewReadings(*cfg.ReadingFaults, nil)
+	}
+	return l, nil
+}
+
+// step is the controller pass of one decision interval, the one place a
+// simulated manager decides: the interval's readings in, caps out and
+// programmed, and the round described on the record the daemon fills,
+// which the engine's budget check and the watchdog both read.
+func (l *loop) step(readings power.Vector) error {
+	if l.corrupter != nil {
+		// Corrupt a copy: the machine owns the readings slice and uses
+		// it for its own accounting.
+		l.corrupted = append(l.corrupted[:0], readings...)
+		l.corrupter.Corrupt(l.corrupted)
+		readings = l.corrupted
+	}
+	rec := &l.rec
+	rec.Reset()
+	rec.Round = uint64(l.res.Steps + 1)
+	// Virtual time on the Unix epoch: see PairConfig.Watcher.
+	rec.Time = time.Unix(0, 0).Add(time.Duration(float64(l.res.SimTime) * float64(time.Second))).UTC()
+	d := telemetry.Decision{
+		Snap: core.Snapshot{
+			Power:    readings,
+			Interval: l.cfg.DT,
+			Demand:   l.mach.TrueDemands(),
+		},
+		Prev:   l.prev,
+		Budget: l.cfg.Budget.Total,
+	}
+	var caps power.Vector
+	if l.dps != nil {
+		caps, rec.Stats = l.dps.DecideStats(d.Snap)
+		l.res.Stages.Add(rec.Stats)
+		d.Prio, d.Reasons = l.dps.Priorities(), l.dps.Reasons()
+	} else {
+		caps = l.mgr.Decide(d.Snap)
+	}
+	d.Decided, d.Delivered = caps, caps
+	rec.Fill(d)
+	if rec.CapSumW > rec.BudgetW+1e-6 {
+		l.res.BudgetViolations++
+	}
+	if err := l.mach.ApplyCaps(caps); err != nil {
+		return err
+	}
+	copy(l.prev, caps)
+	// Audited before StepHook so a hook can read the alert state the step
+	// produced.
+	l.cfg.Watcher.ObserveRound(rec)
+	if l.cfg.StepHook != nil {
+		l.cfg.StepHook(l.res.SimTime, readings, caps)
+	}
+	l.res.SimTime += l.cfg.DT
+	l.res.Steps++
+	return nil
 }
 
 func summarize(s *clusterState) ClusterResult {

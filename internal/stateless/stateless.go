@@ -197,29 +197,20 @@ func (m *Module) Config() Config { return m.cfg }
 
 // Apply runs one MIMD step: given each unit's current power it mutates caps
 // in place, never letting the sum of caps exceed budget.Total nor any cap
-// leave [budget.UnitMin, budget.UnitMax]. changed[u] reports whether unit
-// u's cap moved this step.
+// leave [budget.UnitMin, budget.UnitMax].
 //
 // Deviation from the paper's pseudocode (documented in DESIGN.md): the
 // increase loop raises a cap to min(cap·IncFactor, cap+avail, UnitMax) and
 // deducts only the delta from the available budget; the paper's literal
 // text would overwrite the cap with the leftover budget and double-charge
 // it.
-func (m *Module) Apply(powerNow power.Vector, caps power.Vector, budget power.Budget, changed []bool) []bool {
-	n := len(caps)
-	if len(powerNow) != n {
-		panic(fmt.Sprintf("stateless: %d readings for %d caps", len(powerNow), n))
-	}
-	if cap(changed) < n {
-		changed = make([]bool, n)
-	}
-	changed = changed[:n]
-	for i := range changed {
-		changed[i] = false
+func (m *Module) Apply(powerNow power.Vector, caps power.Vector, budget power.Budget) {
+	if len(powerNow) != len(caps) {
+		panic(fmt.Sprintf("stateless: %d readings for %d caps", len(powerNow), len(caps)))
 	}
 
 	// First loop: decrease caps of units drawing well below them.
-	for u := 0; u < n; u++ {
+	for u := range caps {
 		if powerNow[u] < caps[u]*power.Watts(m.cfg.DecThreshold) {
 			next := caps[u] * power.Watts(m.cfg.DecFactor)
 			if powerNow[u] > next {
@@ -228,24 +219,26 @@ func (m *Module) Apply(powerNow power.Vector, caps power.Vector, budget power.Bu
 			if next < budget.UnitMin {
 				next = budget.UnitMin
 			}
-			if next != caps[u] {
-				caps[u] = next
-				changed[u] = true
-			}
+			caps[u] = next
 		}
 	}
 
-	// Second loop: increase caps of capped units, in random order. Only
-	// eligible (near-cap) units are collected and shuffled: a unit's
-	// eligibility is fixed once the decrease pass ends (raises touch only
-	// the raised unit's own cap), so the permutation of the ineligible
-	// majority could never matter — shuffling just the eligible set draws
-	// the same uniform visiting order over the units that act at O(capped)
-	// instead of O(n) PRNG cost. In an overprovisioned steady state the
-	// eligible set is empty and the pass is a predicate scan.
-	avail := budget.Total - caps.Sum()
+	m.raise(powerNow, caps, budget, budget.Total-caps.Sum())
+}
+
+// raise is the second loop, shared by Apply and ApplyMasked: increase the
+// caps of capped units, in random order, out of avail watts of unassigned
+// budget; it reports whether any cap moved. Only eligible (near-cap)
+// units are collected and shuffled: a unit's eligibility is fixed once
+// the decrease pass ends (raises touch only the raised unit's own cap),
+// so the permutation of the ineligible majority could never matter —
+// shuffling just the eligible set draws the same uniform visiting order
+// over the units that act at O(capped) instead of O(n) PRNG cost. In an
+// overprovisioned steady state the eligible set is empty and the pass is
+// a predicate scan. With nothing to hand out the PRNG is not consumed.
+func (m *Module) raise(powerNow, caps power.Vector, budget power.Budget, avail power.Watts) (raised bool) {
 	if avail <= 0 {
-		return changed
+		return false
 	}
 	m.collectEligible(powerNow, caps)
 	m.shuffleOrder()
@@ -263,10 +256,10 @@ func (m *Module) Apply(powerNow power.Vector, caps power.Vector, budget power.Bu
 		if next > caps[u] {
 			avail -= next - caps[u]
 			caps[u] = next
-			changed[u] = true
+			raised = true
 		}
 	}
-	return changed
+	return raised
 }
 
 // ApplyMasked is Apply with the decrease pass restricted to the units
@@ -287,20 +280,15 @@ func (m *Module) Apply(powerNow power.Vector, caps power.Vector, budget power.Bu
 // avail and the set are bitwise identical by construction.
 //
 // decChanged/raiseChanged report whether the decrease or increase pass
-// moved any cap. changed must have length len(caps); it is reset and
-// filled exactly as Apply fills it.
-func (m *Module) ApplyMasked(powerNow power.Vector, caps power.Vector, budget power.Budget, changed []bool, visit []uint64, cachedSum power.Watts, sumValid bool) (decChanged, raiseChanged bool) {
+// moved any cap.
+func (m *Module) ApplyMasked(powerNow power.Vector, caps power.Vector, budget power.Budget, visit []uint64, cachedSum power.Watts, sumValid bool) (decChanged, raiseChanged bool) {
 	n := len(caps)
 	if len(powerNow) != n {
 		panic(fmt.Sprintf("stateless: %d readings for %d caps", len(powerNow), n))
 	}
-	if len(changed) != n {
-		panic(fmt.Sprintf("stateless: %d changed flags for %d caps", len(changed), n))
-	}
 	if len(visit)*64 < n {
 		panic(fmt.Sprintf("stateless: visit mask covers %d units, need %d", len(visit)*64, n))
 	}
-	clear(changed)
 
 	for wi, w := range visit {
 		if w == 0 {
@@ -323,7 +311,6 @@ func (m *Module) ApplyMasked(powerNow power.Vector, caps power.Vector, budget po
 				}
 				if next != caps[u] {
 					caps[u] = next
-					changed[u] = true
 					decChanged = true
 				}
 			}
@@ -334,31 +321,7 @@ func (m *Module) ApplyMasked(powerNow power.Vector, caps power.Vector, budget po
 	if decChanged || !sumValid {
 		sum = caps.Sum()
 	}
-	avail := budget.Total - sum
-	if avail <= 0 {
-		return decChanged, false
-	}
-	m.collectEligible(powerNow, caps)
-	m.shuffleOrder()
-	for _, u := range m.order {
-		if avail <= 0 {
-			break
-		}
-		next := caps[u] * power.Watts(m.cfg.IncFactor)
-		if max := caps[u] + avail; next > max {
-			next = max
-		}
-		if next > budget.UnitMax {
-			next = budget.UnitMax
-		}
-		if next > caps[u] {
-			avail -= next - caps[u]
-			caps[u] = next
-			changed[u] = true
-			raiseChanged = true
-		}
-	}
-	return decChanged, raiseChanged
+	return decChanged, m.raise(powerNow, caps, budget, budget.Total-sum)
 }
 
 // collectEligible fills m.order with the units eligible for a raise, in

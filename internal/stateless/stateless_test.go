@@ -47,7 +47,7 @@ func TestDecreaseIdleUnit(t *testing.T) {
 	m := mustNew(t, 1)
 	caps := power.Vector{110, 110}
 	// Unit 0 draws 40 W, well under 80 % of 110; unit 1 is at cap.
-	m.Apply(power.Vector{40, 110}, caps, testBudget, nil)
+	m.Apply(power.Vector{40, 110}, caps, testBudget)
 	if caps[0] >= 110 {
 		t.Errorf("idle unit's cap %v not decreased", caps[0])
 	}
@@ -67,12 +67,12 @@ func TestDecreaseStopsAtPower(t *testing.T) {
 	budget := power.Budget{Total: 165, UnitMax: 165, UnitMin: 10}
 	// Power 45 sits between the bands: above 0.8·50 = 40 (no decrease) and
 	// below 0.95·50 = 47.5 (no increase).
-	m.Apply(power.Vector{45}, caps, budget, nil)
+	m.Apply(power.Vector{45}, caps, budget)
 	if caps[0] != 50 {
 		t.Errorf("cap moved to %v despite power within the dead band", caps[0])
 	}
 	// Power 30 → cut to max(30, 0.85·50 = 42.5).
-	m.Apply(power.Vector{30}, caps, budget, nil)
+	m.Apply(power.Vector{30}, caps, budget)
 	if caps[0] != 42.5 {
 		t.Errorf("cap = %v, want 42.5", caps[0])
 	}
@@ -81,7 +81,7 @@ func TestDecreaseStopsAtPower(t *testing.T) {
 	// firing. This band is load-bearing — it is the visible headroom that
 	// lets DPS's priority module see a capped unit's demand rise.
 	for i := 0; i < 20; i++ {
-		m.Apply(power.Vector{30}, caps, budget, nil)
+		m.Apply(power.Vector{30}, caps, budget)
 	}
 	if caps[0] < 30 || caps[0] > 30/power.Watts(DefaultConfig().DecThreshold)+1e-9 {
 		t.Errorf("cap converged to %v, want within [30, %v]", caps[0], 30/DefaultConfig().DecThreshold)
@@ -92,7 +92,7 @@ func TestDecreaseRespectsUnitMin(t *testing.T) {
 	m := mustNew(t, 1)
 	caps := power.Vector{12}
 	for i := 0; i < 5; i++ {
-		m.Apply(power.Vector{0}, caps, testBudget, nil)
+		m.Apply(power.Vector{0}, caps, testBudget)
 		if caps[0] < testBudget.UnitMin {
 			t.Fatalf("cap %v fell below UnitMin %v", caps[0], testBudget.UnitMin)
 		}
@@ -106,7 +106,7 @@ func TestIncreaseAtCapUnit(t *testing.T) {
 	m := mustNew(t, 1)
 	caps := power.Vector{110, 110}
 	// Unit 0 pinned at its cap; budget has headroom (440−220).
-	m.Apply(power.Vector{110, 90}, caps, testBudget, nil)
+	m.Apply(power.Vector{110, 90}, caps, testBudget)
 	want := power.Watts(110 * DefaultConfig().IncFactor)
 	if caps[0] != want {
 		t.Errorf("capped unit raised to %v, want %v", caps[0], want)
@@ -121,7 +121,7 @@ func TestIncreaseLimitedByBudget(t *testing.T) {
 	budget := power.Budget{Total: 222, UnitMax: 165, UnitMin: 10}
 	caps := power.Vector{110, 110}
 	// Both at cap; only 2 W of headroom exist in total.
-	m.Apply(power.Vector{110, 110}, caps, budget, nil)
+	m.Apply(power.Vector{110, 110}, caps, budget)
 	if got := caps.Sum(); got > budget.Total+1e-9 {
 		t.Errorf("caps sum %v exceeds budget %v", got, budget.Total)
 	}
@@ -131,20 +131,9 @@ func TestIncreaseRespectsUnitMax(t *testing.T) {
 	m := mustNew(t, 1)
 	budget := power.Budget{Total: 400, UnitMax: 165, UnitMin: 10}
 	caps := power.Vector{160}
-	m.Apply(power.Vector{160}, caps, budget, nil)
+	m.Apply(power.Vector{160}, caps, budget)
 	if caps[0] != 165 {
 		t.Errorf("cap = %v, want clamped to UnitMax 165", caps[0])
-	}
-}
-
-func TestChangedFlags(t *testing.T) {
-	m := mustNew(t, 1)
-	caps := power.Vector{110, 110, 110}
-	changed := make([]bool, 3)
-	// Unit 0 idle (decrease), unit 1 at cap (increase), unit 2 in band.
-	got := m.Apply(power.Vector{40, 110, 95}, caps, testBudget, changed)
-	if !got[0] || !got[1] || got[2] {
-		t.Errorf("changed = %v, want [true true false]", got)
 	}
 }
 
@@ -162,7 +151,7 @@ func TestDeterministicForSeed(t *testing.T) {
 			for u := range pw {
 				pw[u] = power.Watts(rng.Float64() * 165)
 			}
-			m.Apply(pw, caps, budget, nil)
+			m.Apply(pw, caps, budget)
 		}
 		return caps
 	}
@@ -190,7 +179,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 			for u := range pw {
 				pw[u] = power.Watts(rng.Float64() * 165)
 			}
-			m.Apply(pw, caps, budget, nil)
+			m.Apply(pw, caps, budget)
 			if !budget.Respected(caps, 1e-6) {
 				return false
 			}
@@ -209,7 +198,7 @@ func TestApplyPanicsOnSizeMismatch(t *testing.T) {
 			t.Error("Apply with mismatched sizes did not panic")
 		}
 	}()
-	m.Apply(power.Vector{1}, power.Vector{1, 2}, testBudget, nil)
+	m.Apply(power.Vector{1}, power.Vector{1, 2}, testBudget)
 }
 
 func TestRandomOrderCoversAllUnits(t *testing.T) {
@@ -222,7 +211,7 @@ func TestRandomOrderCoversAllUnits(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		caps := power.Vector{100, 100, 100, 100}
 		before := caps.Clone()
-		m.Apply(power.Vector{100, 100, 100, 100}, caps, budget, nil)
+		m.Apply(power.Vector{100, 100, 100, 100}, caps, budget)
 		for u := range caps {
 			if caps[u] > before[u] {
 				raised[u]++
@@ -239,15 +228,15 @@ func TestRandomOrderCoversAllUnits(t *testing.T) {
 // TestApplyMaskedMatchesApply is the masked decrease pass's exactness
 // gate: with a visit mask built exactly as the contract allows — a unit
 // is revisited when its reading changed or its cap moved in the previous
-// step — ApplyMasked must leave bitwise the same caps and changed flags
-// as Apply, round after round, with the PRNG streams aligned. The cached
-// sum is supplied on alternate rounds so both avail computations run.
+// step — ApplyMasked must leave bitwise the same caps as Apply, round
+// after round, with the PRNG streams aligned. The cached sum is supplied
+// on alternate rounds so both avail computations run.
 func TestApplyMaskedMatchesApply(t *testing.T) {
 	const units = 70 // not a multiple of 64: exercises the tail word
 	budget := power.Budget{Total: units * 55, UnitMax: 165, UnitMin: 10}
 	full, masked := mustNew(t, 7), mustNew(t, 7)
 	capsF, capsM := power.NewVector(units, 55), power.NewVector(units, 55)
-	changedF, changedM := make([]bool, units), make([]bool, units)
+	before := make(power.Vector, units)
 	visit := make([]uint64, (units+63)/64)
 	for i := range visit {
 		visit[i] = ^uint64(0) // first step: every unit is new
@@ -261,15 +250,15 @@ func TestApplyMaskedMatchesApply(t *testing.T) {
 				visit[u>>6] |= 1 << uint(u&63)
 			}
 		}
-		full.Apply(pw, capsF, budget, changedF)
-		masked.ApplyMasked(pw, capsM, budget, changedM, visit, capsM.Sum(), step%2 == 0)
+		copy(before, capsM)
+		full.Apply(pw, capsF, budget)
+		masked.ApplyMasked(pw, capsM, budget, visit, capsM.Sum(), step%2 == 0)
 		clear(visit)
 		for u := range capsF {
-			if capsF[u] != capsM[u] || changedF[u] != changedM[u] {
-				t.Fatalf("step %d unit %d: masked cap %v changed=%t, full cap %v changed=%t",
-					step, u, capsM[u], changedM[u], capsF[u], changedF[u])
+			if capsF[u] != capsM[u] {
+				t.Fatalf("step %d unit %d: masked cap %v, full cap %v", step, u, capsM[u], capsF[u])
 			}
-			if changedM[u] {
+			if capsM[u] != before[u] {
 				visit[u>>6] |= 1 << uint(u&63)
 			}
 		}

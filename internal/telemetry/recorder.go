@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -12,15 +13,16 @@ import (
 	"dps/internal/trace"
 )
 
-// Round is the in-memory record of one decision round, built once by the
-// daemon's DecideOnce in a flight-recorder ring slot. Every inspection
-// surface is a view of it: /debug/rounds renders RoundRecord JSON from
-// it on read, /debug/why reads one column entry per held round, /status
-// takes its last-round fields from the newest one, the black box encodes
-// its on-disk record straight from it, and the watchdog audits its
-// counts. Per-unit data is held as columns (one slice per field), which
-// a re-filled slot reuses, so a warm round allocates nothing for
-// observation.
+// Round is the in-memory record of one decision round, described once by
+// Fill: the daemon's DecideOnce fills a flight-recorder ring slot, the
+// simulator's step (pair and batch experiments alike) a record it
+// retains. Every inspection surface is a view of it: /debug/rounds
+// renders RoundRecord JSON from it on read, /debug/why reads one column
+// entry per held round, /status takes its last-round fields from the
+// newest one, the black box encodes its on-disk record straight from it,
+// and the watchdog audits its counts. Per-unit data is held as columns
+// (one slice per field), which a re-filled record reuses, so a warm
+// round allocates nothing for observation.
 type Round struct {
 	Round    uint64
 	Time     time.Time // start of the manager call
@@ -54,30 +56,76 @@ type Round struct {
 }
 
 // Reset clears the record for a new round, keeping only the columns'
-// capacity: every column gets units entries (Prio and Health none unless
-// asked for) whose contents the caller overwrites.
-func (r *Round) Reset(units int, prio, health bool) {
+// memory, which Fill re-fills.
+func (r *Round) Reset() {
 	*r = Round{
-		Reading: resize(r.Reading, units),
-		Cap:     resize(r.Cap, units),
-		PrevCap: resize(r.PrevCap, units),
-		Reason:  resize(r.Reason, units),
+		Reading: r.Reading[:0],
+		Cap:     r.Cap[:0],
+		PrevCap: r.PrevCap[:0],
 		Prio:    r.Prio[:0],
 		Health:  r.Health[:0],
-	}
-	if prio {
-		r.Prio = resize(r.Prio, units)
-	}
-	if health {
-		r.Health = resize(r.Health, units)
+		Reason:  r.Reason[:0],
 	}
 }
 
-func resize[T any](v []T, n int) []T {
-	if cap(v) < n {
-		return make([]T, n)
+// Decision is what the caller of a round knows once its caps are out,
+// the input Fill describes the round from.
+type Decision struct {
+	// Snap is the snapshot the manager decided on.
+	Snap core.Snapshot
+	// Decided is the manager's vector and Delivered what went out. They
+	// differ only where delivery overrode a health-blind policy, which is
+	// what earns a unit the degraded_deliver reason.
+	Decided, Delivered power.Vector
+	// Prev is the previous round's delivered vector; Enforced is what
+	// each unit's agent was enforcing going in, which non-fresh units are
+	// audited against (it may be nil when Snap.Health is).
+	Prev, Enforced power.Vector
+	// Prio and Reasons are a core.DPS's Priorities() and Reasons(), nil
+	// for any other policy: only a round with reasons is audited for caps
+	// that moved without one.
+	Prio    []bool
+	Reasons []trace.Reason
+	Budget  power.Watts
+}
+
+// Fill writes the round's interval, budget, cap sum, per-unit columns
+// (Prio and Health stay empty for a nil input), HasStats and audit counts
+// into a record Reset for the round, in one pass over the units. The
+// caller sets the rest: Round, Time, Elapsed, Stats, Inherited and the
+// health tallies.
+func (r *Round) Fill(d Decision) {
+	r.Interval, r.HasStats = d.Snap.Interval, d.Reasons != nil
+	r.BudgetW = float64(d.Budget)
+	r.CapSumW = float64(d.Delivered.Sum())
+	r.Reading = append(r.Reading, d.Snap.Power...)
+	r.Cap = append(r.Cap, d.Delivered...)
+	r.PrevCap = append(r.PrevCap, d.Prev...)
+	r.Prio = append(r.Prio, d.Prio...)
+	r.Health = append(r.Health, d.Snap.Health...)
+	r.Reason = slices.Grow(r.Reason, len(d.Delivered))[:len(d.Delivered)]
+	for u, c := range d.Delivered {
+		reason := trace.ReasonNone
+		if d.Reasons != nil {
+			reason = d.Reasons[u]
+		}
+		if c != d.Decided[u] {
+			// Delivery-side pin or rescale overrode the manager: the last
+			// mover for this unit was delivery, whatever the manager
+			// thought it was doing.
+			reason = trace.ReasonDegradedDeliver
+		}
+		r.Reason[u] = reason
+		if len(r.Health) != 0 && r.Health[u] != core.HealthFresh {
+			r.PinAudited++
+			if c != d.Enforced[u] {
+				r.PinViolations++
+			}
+		}
+		if d.Reasons != nil && reason == trace.ReasonNone && c != d.Prev[u] {
+			r.ProvViolations++
+		}
 	}
-	return v[:n]
 }
 
 // StageSeconds is the wall time one decision round spent in each pipeline

@@ -5,16 +5,16 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"dps/internal/core"
 	"dps/internal/power"
 )
 
 // commit records one round with the given delivered caps.
 func commit(fr *FlightRecorder, round uint64, caps ...power.Watts) {
 	rd := fr.Next()
-	rd.Reset(len(caps), false, false)
+	rd.Reset()
 	rd.Round = round
-	copy(rd.Cap, caps)
-	clear(rd.Reason)
+	rd.Fill(Decision{Snap: core.Snapshot{Power: caps}, Decided: caps, Delivered: caps, Prev: caps})
 	fr.Commit()
 }
 

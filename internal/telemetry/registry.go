@@ -3,11 +3,12 @@
 // fixed-bucket histograms with Prometheus text exposition) and a decision
 // flight recorder (a ring buffer of per-round records served as JSON).
 //
-// The controller daemon, the node agent, and the simulator all publish
-// through the same registry so one scrape format covers every deployment
-// form. Nothing here imports outside the standard library: the paper's
-// 3-byte protocol argues for a controller with no heavyweight
-// dependencies, and the metrics path follows suit.
+// The controller daemon and the node agent publish through the same
+// registry so one scrape format covers both deployed processes; the
+// simulator has no registry, it fills the same round record the daemon
+// does (Round.Fill). Nothing here imports outside the standard library:
+// the paper's 3-byte protocol argues for a controller with no
+// heavyweight dependencies, and the metrics path follows suit.
 //
 // # Histogram bucket choice
 //

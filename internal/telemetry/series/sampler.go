@@ -120,7 +120,7 @@ func (sm *Sampler) SampleOnce(now time.Time) {
 	for i := range sm.hists {
 		p := &sm.hists[i]
 		sm.cur = p.h.Buckets(sm.cur)
-		count, sum := p.h.Count(), p.h.Sum()
+		count, sum := total(sm.cur), p.h.Sum()
 		if rates && count >= p.prevCount {
 			dCount := count - p.prevCount
 			st.push(p.count, t, float64(dCount)/dt)
@@ -188,11 +188,23 @@ func (sm *Sampler) extendPlan(t int64) {
 				}
 				p.buckets = m.Buckets(nil)
 				p.deltas = make([]uint64, len(p.buckets))
-				p.prevCount, p.prevSum = m.Count(), m.Sum()
+				p.prevCount, p.prevSum = total(p.buckets), m.Sum()
 				sm.hists = append(sm.hists, p)
 			}
 		}
 	}
+}
+
+// total is a histogram's observation count taken as the sum of one load
+// of its buckets, as the /metrics renderer takes _count: a separate read
+// of the histogram's own total races Observe, and the scrape's bucket
+// deltas would not sum to its count delta.
+func total(buckets []uint64) uint64 {
+	var n uint64
+	for _, c := range buckets {
+		n += c
+	}
+	return n
 }
 
 // quantile estimates quantile q from non-cumulative bucket counts (the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -250,5 +251,60 @@ func TestSamplerScrapeRace(t *testing.T) {
 		}
 		close(stop)
 	}()
+	wg.Wait()
+}
+
+// TestSamplerHistogramReadIsNotTorn is the sampler's twin of the
+// exposition's TestHistogramConsistentWhileObserving: scraping beside
+// hammering Observes, the bucket deltas a :p99 is computed from must sum
+// to the count delta pushed as :count on every sample — the count is the
+// sum of the buckets the scrape loaded, not a second read of a total that
+// has moved on.
+func TestSamplerHistogramReadIsNotTorn(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := reg.Histogram("busy_seconds", "busy", nil)
+	sm := NewSampler(reg, NewStore(Config{}))
+	sm.SampleOnce(at(0)) // plans the histogram and takes its baseline
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				h.Observe(float64(i%7) * 1e-6)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for h.Count() == 0 { // the hammer is running
+		runtime.Gosched()
+	}
+	samples := 300
+	if testing.Short() {
+		samples = 100
+	}
+	p := &sm.hists[0]
+	for i := 1; i <= samples; i++ {
+		before := p.prevCount
+		sm.SampleOnce(at(i))
+		var deltas, buckets uint64
+		for j := range p.deltas {
+			deltas += p.deltas[j]
+			buckets += p.buckets[j]
+		}
+		if dCount := p.prevCount - before; dCount > 0 && deltas != dCount {
+			t.Fatalf("sample %d: bucket deltas sum to %d, count moved by %d", i, deltas, dCount)
+		}
+		if buckets != p.prevCount {
+			t.Fatalf("sample %d: carried buckets sum to %d, carried count is %d", i, buckets, p.prevCount)
+		}
+	}
+	close(stop)
 	wg.Wait()
 }

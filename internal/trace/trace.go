@@ -83,17 +83,6 @@ func (r Reason) String() string {
 	return reasonNames[r]
 }
 
-// CapChange is one unit's cap provenance for one decision round: the cap
-// it entered the round with, the cap it left with, and the last module
-// that moved it. Reason == ReasonNone implies Before == After (the
-// conservation property pinned by internal/core's provenance test); the
-// converse need not hold — a cap can be moved and moved back, leaving a
-// reason with a zero net delta.
-type CapChange struct {
-	Reason        Reason
-	Before, After float64 // watts
-}
-
 // Display lanes. Spans are laid out one lane ("thread" in the Chrome
 // trace model) per subsystem so a round reads left to right in Perfetto:
 // the agent's meter read, the server's ingest, the four decision stages,

@@ -10,12 +10,12 @@
 // against the embedded metric history (internal/telemetry/series) in one
 // of three forms: a threshold over a series' latest sample, absence
 // (ingest staleness) of a series, and a windowed mean ("burn") over the
-// raw ring. Built-in audits evaluate against a RoundAudit the daemon
-// submits after each decision round, checking the budget-conservation
-// invariant, that health-pinned units were actually held at their last
-// delivered cap, and that every cap change carried exactly one provenance
-// reason. Built-ins have no `for` grace: a violated invariant fires
-// within the round that violated it.
+// raw ring. Built-in audits read the telemetry.Round record of each
+// decision round, checking the budget-conservation invariant, that
+// health-pinned units were actually held at their last delivered cap,
+// and that every cap change carried exactly one provenance reason.
+// Built-ins have no `for` grace: a violated invariant fires within the
+// round that violated it.
 //
 // Alert state surfaces four ways: GET /alerts JSON (Handler), the
 // dps_alerts_firing{rule} gauge and dps_alert_transitions_total{rule,to}
@@ -132,28 +132,6 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// RoundAudit is one decision round's invariant evidence, submitted by the
-// daemon after delivery. Violation counts of zero with Audited true mean
-// the invariant held; Audited false means the round carried no evidence
-// for that invariant (e.g. a manager without provenance), which never
-// fires an alert.
-type RoundAudit struct {
-	Round   uint64
-	Time    time.Time
-	BudgetW float64
-	CapSumW float64 // sum of delivered caps
-
-	// PinAudited counts non-fresh units checked against their last
-	// delivered cap; PinViolations counts those that moved anyway.
-	PinAudited    int
-	PinViolations int
-
-	// ProvenanceAudited reports whether the round carried provenance;
-	// ProvenanceViolations counts units whose cap moved with no reason.
-	ProvenanceAudited    bool
-	ProvenanceViolations int
-}
-
 // Alert is one rule's externally visible state.
 type Alert struct {
 	Rule  string `json:"rule"`
@@ -226,8 +204,6 @@ type Watcher struct {
 	mu    sync.Mutex
 	rules []*ruleState
 	index map[string]*ruleState
-	// lastRound remembers the newest audited round for /alerts context.
-	lastRound uint64
 }
 
 // New builds a watcher. Rules must already be validated; New panics on a
@@ -342,34 +318,35 @@ func (w *Watcher) step(rs *ruleState, cond bool, now time.Time) {
 	}
 }
 
-// ObserveRound submits one decision round's invariant evidence. Built-in
-// audits evaluate immediately; a violated invariant fires within this
-// call. Nil-safe.
-func (w *Watcher) ObserveRound(a RoundAudit) {
+// ObserveRound audits one filled round record (it is only read, and not
+// retained). Built-in audits evaluate immediately; a violated invariant
+// fires within this call. A record without evidence for an invariant —
+// no non-fresh units, or a manager without provenance (HasStats false) —
+// never fires its alert. Nil-safe.
+func (w *Watcher) ObserveRound(rec *telemetry.Round) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.lastRound = a.Round
 	if rs, ok := w.index[RuleBudgetConservation]; ok {
-		over := a.CapSumW - a.BudgetW
+		over := rec.CapSumW - rec.BudgetW
 		rs.value = over
 		rs.message = fmt.Sprintf("round %d: cap sum %.3f W vs budget %.3f W (tolerance %g W)",
-			a.Round, a.CapSumW, a.BudgetW, w.tolW)
-		w.step(rs, over > w.tolW, a.Time)
+			rec.Round, rec.CapSumW, rec.BudgetW, w.tolW)
+		w.step(rs, over > w.tolW, rec.Time)
 	}
 	if rs, ok := w.index[RuleHealthPinIntegrity]; ok {
-		rs.value = float64(a.PinViolations)
+		rs.value = float64(rec.PinViolations)
 		rs.message = fmt.Sprintf("round %d: %d of %d non-fresh units moved off their delivered cap",
-			a.Round, a.PinViolations, a.PinAudited)
-		w.step(rs, a.PinViolations > 0, a.Time)
+			rec.Round, rec.PinViolations, rec.PinAudited)
+		w.step(rs, rec.PinViolations > 0, rec.Time)
 	}
 	if rs, ok := w.index[RuleProvenanceCoverage]; ok {
-		rs.value = float64(a.ProvenanceViolations)
+		rs.value = float64(rec.ProvViolations)
 		rs.message = fmt.Sprintf("round %d: %d cap changes without a recorded reason",
-			a.Round, a.ProvenanceViolations)
-		w.step(rs, a.ProvenanceAudited && a.ProvenanceViolations > 0, a.Time)
+			rec.Round, rec.ProvViolations)
+		w.step(rs, rec.HasStats && rec.ProvViolations > 0, rec.Time)
 	}
 }
 

@@ -163,7 +163,7 @@ func TestBuiltinAudits(t *testing.T) {
 	})
 
 	// A clean round keeps everything inactive.
-	w.ObserveRound(RoundAudit{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100.2, ProvenanceAudited: true})
+	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100.2, HasStats: true})
 	for _, name := range []string{RuleBudgetConservation, RuleHealthPinIntegrity, RuleProvenanceCoverage} {
 		if got := alertState(t, w, name); got.State != StateInactive {
 			t.Fatalf("clean round: %s = %q", name, got.State)
@@ -172,10 +172,10 @@ func TestBuiltinAudits(t *testing.T) {
 
 	// Violate all three invariants in round 2: each fires within the round
 	// (builtins carry no `for` grace).
-	w.ObserveRound(RoundAudit{
+	w.ObserveRound(&telemetry.Round{
 		Round: 2, Time: at(1), BudgetW: 100, CapSumW: 103,
 		PinAudited: 2, PinViolations: 1,
-		ProvenanceAudited: true, ProvenanceViolations: 3,
+		HasStats: true, ProvViolations: 3,
 	})
 	for _, name := range []string{RuleBudgetConservation, RuleHealthPinIntegrity, RuleProvenanceCoverage} {
 		if got := alertState(t, w, name); got.State != StateFiring {
@@ -187,7 +187,7 @@ func TestBuiltinAudits(t *testing.T) {
 	}
 
 	// Recovery resolves within one round.
-	w.ObserveRound(RoundAudit{Round: 3, Time: at(2), BudgetW: 100, CapSumW: 99, ProvenanceAudited: true})
+	w.ObserveRound(&telemetry.Round{Round: 3, Time: at(2), BudgetW: 100, CapSumW: 99, HasStats: true})
 	for _, name := range []string{RuleBudgetConservation, RuleHealthPinIntegrity, RuleProvenanceCoverage} {
 		if got := alertState(t, w, name); got.State != StateResolved {
 			t.Fatalf("recovered round: %s = %q, want resolved", name, got.State)
@@ -196,7 +196,7 @@ func TestBuiltinAudits(t *testing.T) {
 
 	// A provenance-blind round (no evidence) never fires the coverage
 	// audit, whatever the cap deltas were.
-	w.ObserveRound(RoundAudit{Round: 4, Time: at(3), BudgetW: 100, CapSumW: 99, ProvenanceViolations: 5})
+	w.ObserveRound(&telemetry.Round{Round: 4, Time: at(3), BudgetW: 100, CapSumW: 99, ProvViolations: 5})
 	if got := alertState(t, w, RuleProvenanceCoverage); got.State != StateResolved {
 		t.Fatalf("unaudited round moved provenance_coverage to %q", got.State)
 	}
@@ -222,7 +222,7 @@ func TestBuiltinAudits(t *testing.T) {
 
 func TestBudgetToleranceAbsorbsDrift(t *testing.T) {
 	w := New(Config{}) // default tolerance 1e-3 W
-	w.ObserveRound(RoundAudit{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100 + 1e-9})
+	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100 + 1e-9})
 	if got := alertState(t, w, RuleBudgetConservation); got.State != StateInactive {
 		t.Fatalf("float drift fired budget_conservation (%q)", got.State)
 	}
@@ -234,13 +234,13 @@ func TestRuleValidate(t *testing.T) {
 		t.Fatalf("valid rule rejected: %v", err)
 	}
 	bad := []Rule{
-		{Kind: KindThreshold, Series: "m"},                              // no name
-		{Name: "r", Kind: KindThreshold},                                // no series
-		{Name: "r", Kind: "nope", Series: "m"},                          // bad kind
-		{Name: "r", Kind: KindThreshold, Series: "m", Op: ">="},         // bad op
-		{Name: "r", Kind: KindThreshold, Series: "m", ForMS: -1},        // negative for
-		{Name: "r", Kind: KindAbsence, Series: "m"},                     // absence without max_age
-		{Name: "r", Kind: KindBurn, Series: "m"},                        // burn without window
+		{Kind: KindThreshold, Series: "m"},                               // no name
+		{Name: "r", Kind: KindThreshold},                                 // no series
+		{Name: "r", Kind: "nope", Series: "m"},                           // bad kind
+		{Name: "r", Kind: KindThreshold, Series: "m", Op: ">="},          // bad op
+		{Name: "r", Kind: KindThreshold, Series: "m", ForMS: -1},         // negative for
+		{Name: "r", Kind: KindAbsence, Series: "m"},                      // absence without max_age
+		{Name: "r", Kind: KindBurn, Series: "m"},                         // burn without window
 		{Name: RuleBudgetConservation, Kind: KindThreshold, Series: "m"}, // builtin collision
 	}
 	for i, r := range bad {
@@ -252,7 +252,7 @@ func TestRuleValidate(t *testing.T) {
 
 func TestNilWatcherIsSafe(t *testing.T) {
 	var w *Watcher
-	w.ObserveRound(RoundAudit{Round: 1})
+	w.ObserveRound(&telemetry.Round{Round: 1})
 	w.Evaluate(at(0))
 	if w.Alerts() != nil || w.FiringCount() != 0 {
 		t.Fatal("nil watcher returned state")
@@ -266,7 +266,7 @@ func TestNilWatcherIsSafe(t *testing.T) {
 
 func TestHandlerJSON(t *testing.T) {
 	w := New(Config{})
-	w.ObserveRound(RoundAudit{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 150})
+	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 150})
 	rec := httptest.NewRecorder()
 	w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/alerts", nil))
 	if rec.Code != 200 {
