@@ -87,7 +87,7 @@ bench-restore:
 # also runs inside `make ci` (race is -short); the wall-clock half only
 # runs here.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Conn|Device|Readings' ./internal/daemon/ ./internal/faultinject/
+	$(GO) test -race -run 'Chaos|Fault|Conn|Device' ./internal/daemon/ ./internal/faultinject/
 
 # alloc-check is the allocation-regression gate: a warm DecideStats
 # round must not allocate — bare (masked and maskless), with a disabled

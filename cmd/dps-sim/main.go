@@ -19,10 +19,10 @@ import (
 	"os"
 	"strings"
 
-	"dps/internal/core"
 	"dps/internal/exp"
 	"dps/internal/power"
 	"dps/internal/sim"
+	"dps/internal/telemetry"
 	"dps/internal/tracelog"
 	"dps/internal/workload"
 )
@@ -222,7 +222,6 @@ func runCustomPair(pairSpec, managerName string, opts exp.Options, logPath strin
 
 	var logFile *os.File
 	var lw *tracelog.Writer
-	var dpsRef *core.DPS
 	if logPath != "" {
 		logFile, err = os.Create(logPath)
 		if err != nil {
@@ -230,21 +229,8 @@ func runCustomPair(pairSpec, managerName string, opts exp.Options, logPath strin
 		}
 		defer logFile.Close()
 		lw = tracelog.NewWriter(logFile)
-		if managerName == "DPS" {
-			factory = func(units int, budget power.Budget, seed int64) (core.Manager, error) {
-				c := core.DefaultConfig(units, budget)
-				c.Seed = seed
-				d, err := core.NewDPS(c)
-				dpsRef = d
-				return d, err
-			}
-		}
-		cfg.StepHook = func(t power.Seconds, readings, caps power.Vector) {
-			var prio []bool
-			if dpsRef != nil {
-				prio = dpsRef.Priorities()
-			}
-			if err := lw.WriteStep(t, readings, caps, prio); err != nil {
+		cfg.StepHook = func(t power.Seconds, rec *telemetry.Round) {
+			if err := lw.WriteStep(t, rec.Reading, rec.Cap, rec.Prio); err != nil {
 				fmt.Fprintln(os.Stderr, "dps-sim: trace log:", err)
 			}
 		}

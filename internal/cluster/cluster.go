@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/rapl"
 	"dps/internal/workload"
@@ -39,16 +38,6 @@ type Config struct {
 	DemandJitterSD power.Watts
 	// Seed drives all randomness owned by the machine.
 	Seed int64
-	// DeviceFaults, if non-nil, wraps every socket's RAPL device with this
-	// fault-injection schedule (per-socket seeds derived from Seed) so the
-	// machine's meters — and any agent built over FaultDevice — see
-	// transient errors, counter spikes, and crash-restarts.
-	DeviceFaults *faultinject.DeviceConfig
-	// MeterErrorTolerance is how many consecutive failed reads each
-	// machine meter rides through on its last good sample. Zero selects a
-	// small default when DeviceFaults is set and strict metering
-	// otherwise.
-	MeterErrorTolerance int
 }
 
 // DefaultConfig reproduces the paper's platform: 2 clusters × 5 nodes × 2
@@ -91,7 +80,6 @@ func (c Config) Units() int { return c.Clusters * c.NodesPerCluster * c.SocketsP
 type Machine struct {
 	cfg      Config
 	devices  []*rapl.SimDevice
-	faulted  []rapl.Device // measurement view: devices[i], possibly fault-wrapped
 	meters   []*rapl.Meter
 	clusters []*Cluster
 	rng      *rand.Rand
@@ -111,15 +99,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:      cfg,
 		devices:  make([]*rapl.SimDevice, n),
-		faulted:  make([]rapl.Device, n),
 		meters:   make([]*rapl.Meter, n),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		demands:  make(power.Vector, n),
 		readings: make(power.Vector, n),
-	}
-	tolerance := cfg.MeterErrorTolerance
-	if tolerance == 0 && cfg.DeviceFaults != nil {
-		tolerance = 3
 	}
 	for i := range m.devices {
 		rcfg := cfg.Rapl
@@ -129,13 +112,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.devices[i] = dev
-		m.faulted[i] = dev
-		if cfg.DeviceFaults != nil {
-			fcfg := *cfg.DeviceFaults
-			fcfg.Seed = cfg.Seed*1_000_003 + int64(i)
-			m.faulted[i] = faultinject.WrapDevice(dev, fcfg, nil)
-		}
-		m.meters[i] = rapl.NewTolerantMeter(m.faulted[i], tolerance)
+		m.meters[i] = rapl.NewMeter(dev)
 		if _, err := m.meters[i].Read(1); err != nil {
 			return nil, err
 		}
@@ -157,9 +134,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Units returns the total unit count.
 func (m *Machine) Units() int { return len(m.devices) }
 
@@ -168,15 +142,6 @@ func (m *Machine) NumClusters() int { return len(m.clusters) }
 
 // Cluster returns cluster i.
 func (m *Machine) Cluster(i int) *Cluster { return m.clusters[i] }
-
-// Device returns unit u's RAPL device (tests and the daemon path use it).
-func (m *Machine) Device(u power.UnitID) *rapl.SimDevice { return m.devices[u] }
-
-// FaultDevice returns unit u's measurement-side device: the fault-wrapped
-// view when DeviceFaults is configured, the bare simulated device
-// otherwise. Agents built over the machine should meter this view so
-// injected device faults reach their RAPL path.
-func (m *Machine) FaultDevice(u power.UnitID) rapl.Device { return m.faulted[u] }
 
 // Elapsed returns simulated time since construction.
 func (m *Machine) Elapsed() power.Seconds { return m.elapsed }
@@ -263,10 +228,6 @@ func (m *Machine) Step(dt power.Seconds) (power.Vector, error) {
 	m.elapsed += dt
 	return m.readings, nil
 }
-
-// Readings returns the last step's measured per-unit power (noisy, what a
-// manager sees). Owned by the machine.
-func (m *Machine) Readings() power.Vector { return m.readings }
 
 // TrueDemands returns the last step's per-unit uncapped demand (ground
 // truth; only the Oracle baseline may consume it). Owned by the machine.

@@ -234,12 +234,11 @@ func NewDPS(cfg Config) (*DPS, error) {
 		return nil, err
 	}
 	pm.DisableFrequency = cfg.DisableFrequency
-	rcfg := cfg.Readjust
-	rcfg.DisableRestore = rcfg.DisableRestore || cfg.DisableRestore
-	rm, err := readjust.New(rcfg)
+	rm, err := readjust.New(cfg.Readjust)
 	if err != nil {
 		return nil, err
 	}
+	rm.DisableRestore = cfg.DisableRestore
 	nWords := (cfg.Units + 63) / 64
 	d := &DPS{
 		cfg:         cfg,

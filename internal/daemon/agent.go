@@ -513,26 +513,24 @@ func (a *Agent) jitteredBackoff(backoff time.Duration) time.Duration {
 	return half + time.Duration(j()*float64(half))
 }
 
-// RunWithReconnect keeps the agent connected until ctx is done: it dials,
-// handshakes, runs, and on any failure retries with jittered exponential
-// backoff (baseBackoff doubling up to maxBackoff; each sleep is drawn
-// from [backoff/2, backoff) so a cluster of agents de-synchronizes after
-// a controller restart). A node whose controller restarts rejoins by
-// itself — during the outage its sockets coast on their last caps, which
-// is the safe direction (caps can only be stale, never absent). Counters
-// (Reports/Applied) accumulate across reconnections.
-func (a *Agent) RunWithReconnect(ctx context.Context, network, addr string, baseBackoff, maxBackoff time.Duration) error {
-	return a.RunWithReconnectAddrs(ctx, network, []string{addr}, baseBackoff, maxBackoff)
-}
-
-// RunWithReconnectAddrs is RunWithReconnect over an ordered controller
-// address list — typically [primary, standby]. Each reconnect attempt
-// targets the next address in rotation, so when the primary dies and its
-// warm standby takes over (DESIGN.md §14), agents land on the standby
-// within a backoff or two with no reconfiguration. Dial and handshake
-// are bounded by a deadline: a standby that has not taken over yet
-// refuses connections instantly, but a half-dead primary that accepts
-// and then hangs must not pin the agent to it forever.
+// RunWithReconnectAddrs keeps the agent connected until ctx is done: it
+// dials, handshakes, runs, and on any failure retries with jittered
+// exponential backoff (baseBackoff doubling up to maxBackoff; each sleep
+// is drawn from [backoff/2, backoff) so a cluster of agents
+// de-synchronizes after a controller restart). A node whose controller
+// restarts rejoins by itself — during the outage its sockets coast on
+// their last caps, which is the safe direction (caps can only be stale,
+// never absent). Counters (Reports/Applied) accumulate across
+// reconnections.
+//
+// addrs is an ordered controller address list — typically [primary,
+// standby]. Each reconnect attempt targets the next address in rotation,
+// so when the primary dies and its warm standby takes over (DESIGN.md
+// §14), agents land on the standby within a backoff or two with no
+// reconfiguration. Dial and handshake are bounded by a deadline: a
+// standby that has not taken over yet refuses connections instantly, but
+// a half-dead primary that accepts and then hangs must not pin the agent
+// to it forever.
 func (a *Agent) RunWithReconnectAddrs(ctx context.Context, network string, addrs []string, baseBackoff, maxBackoff time.Duration) error {
 	if len(addrs) == 0 {
 		return errors.New("daemon: no controller addresses")

@@ -25,9 +25,9 @@ var _ rapl.Device = brokenDevice{}
 
 // TestHandshakePrimeFailureCleansUp pins the reconnect-safety contract: a
 // meter-priming failure during Handshake must close the socket and leave
-// the agent disconnected, so RunWithReconnect's next attempt starts from
-// a clean dial instead of reusing a half-open session the server still
-// has registered.
+// the agent disconnected, so RunWithReconnectAddrs's next attempt starts
+// from a clean dial instead of reusing a half-open session the server
+// still has registered.
 func TestHandshakePrimeFailureCleansUp(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		FirstUnit: 0,

@@ -70,6 +70,36 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestUnitMaxBeyondWireRefused: a cap travels as uint16 deciwatts, so a
+// budget whose per-unit maximum exceeds 6553.5 W would have its larger
+// caps clamped on delivery while /status reports the undelivered value.
+// The ceiling itself is accepted; one deciwatt above is refused by name.
+func TestUnitMaxBeyondWireRefused(t *testing.T) {
+	ceiling := proto.FromDeciwatts(proto.MaxDeciwatts)
+	for _, tc := range []struct {
+		unitMax power.Watts
+		ok      bool
+	}{
+		{ceiling, true},
+		{ceiling + 0.1, false},
+		{7000, false},
+	} {
+		mgr, err := baseline.NewConstant(2, power.Budget{Total: 220, UnitMax: tc.unitMax, UnitMin: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewServer(ServerConfig{Manager: mgr, Units: 2, Interval: time.Second})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("unit max %v: NewServer refused: %v", tc.unitMax, err)
+		case !tc.ok && err == nil:
+			t.Errorf("unit max %v: NewServer accepted a cap the wire clamps", tc.unitMax)
+		case !tc.ok && !strings.Contains(err.Error(), "6553.5"):
+			t.Errorf("unit max %v: refusal %q does not name the 6553.5 W ceiling", tc.unitMax, err)
+		}
+	}
+}
+
 func TestAgentConfigValidation(t *testing.T) {
 	dev, _ := rapl.NewSimDevice(rapl.DefaultSimConfig())
 	bad := []AgentConfig{

@@ -10,6 +10,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/rapl"
 	"dps/internal/sim"
+	"dps/internal/telemetry"
 	"dps/internal/workload"
 )
 
@@ -121,8 +122,8 @@ func TestBatchDeltaEquivalence(t *testing.T) {
 		Repeats:   1 << 20, // never the stop condition; MaxSteps is
 		MaxSteps:  steps,
 		Seed:      7,
-		StepHook: func(_ power.Seconds, readings, _ power.Vector) {
-			rows = append(rows, append(power.Vector(nil), readings...))
+		StepHook: func(_ power.Seconds, rec *telemetry.Round) {
+			rows = append(rows, append(power.Vector(nil), rec.Reading...))
 		},
 	}
 	if _, err := sim.RunPair(cfg, sim.DPSFactory()); err != nil {

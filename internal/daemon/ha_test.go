@@ -510,7 +510,7 @@ func TestRestoreRejections(t *testing.T) {
 		clk.Advance(25 * time.Hour)
 		defer clk.Advance(-25 * time.Hour)
 		if err := srv.RestoreFromSnapshot(path); err == nil {
-			t.Fatal("restore of a snapshot past SnapshotMaxAge succeeded")
+			t.Fatal("restore of a snapshot past DefaultSnapshotMaxAge succeeded")
 		}
 	})
 }

@@ -10,9 +10,10 @@ import (
 	"dps/internal/rapl"
 )
 
-// TestRunWithReconnect kills the controller mid-session and verifies the
-// agent rejoins a replacement on its own, continuing to apply caps.
-func TestRunWithReconnect(t *testing.T) {
+// TestRunWithReconnectOneAddress kills the controller mid-session and
+// verifies the agent, given that one address, rejoins a replacement on
+// its own, continuing to apply caps.
+func TestRunWithReconnectOneAddress(t *testing.T) {
 	units := 2
 	startServer := func() (*Server, net.Listener) {
 		mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
@@ -54,7 +55,7 @@ func TestRunWithReconnect(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- agent.RunWithReconnect(ctx, "tcp", addr, 20*time.Millisecond, 200*time.Millisecond)
+		done <- agent.RunWithReconnectAddrs(ctx, "tcp", []string{addr}, 20*time.Millisecond, 200*time.Millisecond)
 	}()
 
 	// Drive the devices so meters have energy to report.
@@ -110,6 +111,6 @@ func TestRunWithReconnect(t *testing.T) {
 
 	cancel()
 	if err := <-done; err != nil {
-		t.Errorf("RunWithReconnect: %v", err)
+		t.Errorf("RunWithReconnectAddrs: %v", err)
 	}
 }

@@ -95,10 +95,6 @@ type ServerConfig struct {
 	// registry into a fixed-memory series store served at
 	// GET /debug/series. Off, no store exists and nothing is scraped.
 	SeriesEnabled bool
-	// SeriesConfig sizes the series store. The zero value selects the
-	// defaults, except RawInterval, which defaults to Interval (scrape
-	// once per decision round).
-	SeriesConfig series.Config
 	// WatchEnabled turns on the watchdog: built-in invariant audits fed
 	// from every decision round plus the WatchRules evaluated after every
 	// sampler scrape. Off, the watcher is nil and ObserveRound calls on it
@@ -124,13 +120,6 @@ type ServerConfig struct {
 	SnapshotPath  string
 	SnapshotEvery int
 	StandbyOf     string
-	// SnapshotMaxAge bounds how old (by its own save stamp) a snapshot
-	// file may be and still be restored; older files are rejected as
-	// stale. Zero selects DefaultSnapshotMaxAge. Deliberately not a CLI
-	// knob: an operator who wants an ancient snapshot back can touch up
-	// the config, but the default must protect the boot path from caps
-	// and health clocks from another epoch.
-	SnapshotMaxAge time.Duration
 
 	// BlackboxPath, when set, enables the persistent black-box flight
 	// recorder (DESIGN.md §15): every completed decision round is
@@ -147,14 +136,20 @@ type ServerConfig struct {
 // snapshot file writes when SnapshotPath is set.
 const DefaultSnapshotEvery = 10
 
-// DefaultSnapshotMaxAge is the default rejection threshold for restoring
-// stale snapshot files.
+// DefaultSnapshotMaxAge bounds how old (by its own save stamp) a snapshot
+// file may be and still be restored; older files are rejected as stale.
+// Deliberately not a setting: the boot path must be protected from caps
+// and health clocks from another epoch.
 const DefaultSnapshotMaxAge = 24 * time.Hour
 
 func (c ServerConfig) validate() error {
 	switch {
 	case c.Manager == nil:
 		return errors.New("daemon: ServerConfig.Manager is nil")
+	case c.Manager.Budget().UnitMax > proto.FromDeciwatts(proto.MaxDeciwatts):
+		// A larger cap would be clamped on the wire without notice.
+		return fmt.Errorf("daemon: unit max %v W exceeds the wire's %v W cap ceiling",
+			c.Manager.Budget().UnitMax, proto.FromDeciwatts(proto.MaxDeciwatts))
 	case c.Units <= 0:
 		return fmt.Errorf("daemon: non-positive unit count %d", c.Units)
 	case c.Units > 0x10000:
@@ -165,8 +160,6 @@ func (c ServerConfig) validate() error {
 		return fmt.Errorf("daemon: invalid delta epsilon %v", c.DeltaEpsilon)
 	case c.SnapshotEvery < 0:
 		return fmt.Errorf("daemon: negative snapshot-every %d", c.SnapshotEvery)
-	case c.SnapshotMaxAge < 0:
-		return fmt.Errorf("daemon: negative snapshot max age %v", c.SnapshotMaxAge)
 	case c.BlackboxRounds < 0:
 		return fmt.Errorf("daemon: negative blackbox-rounds %d", c.BlackboxRounds)
 	}
@@ -369,11 +362,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	// Configured watch rules read the series store, so they imply one even
 	// when the operator didn't ask for /debug/series explicitly.
 	if cfg.SeriesEnabled || (cfg.WatchEnabled && len(cfg.WatchRules) > 0) {
-		scfg := cfg.SeriesConfig
-		if scfg.RawInterval <= 0 {
-			scfg.RawInterval = cfg.Interval
-		}
-		s.store = series.NewStore(scfg)
+		// One raw sample per decision round.
+		s.store = series.NewStore(series.Config{RawInterval: cfg.Interval})
 		s.sampler = series.NewSampler(reg, s.store)
 	}
 	if cfg.WatchEnabled {

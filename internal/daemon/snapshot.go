@@ -240,9 +240,10 @@ func writeFileAtomic(path string, data []byte) error {
 // controller's state (required when the manager is a core.DPS) and the
 // daemon's round caches, health clocks, and reading buffer. It must be
 // called after NewServer and before any decision round — dpsd calls it
-// at boot when -restore-from is set. Stale (older than SnapshotMaxAge
-// by its own save stamp), corrupt, or mismatched files are rejected
-// with an error and the server is left in its fresh-boot state.
+// at boot when -restore-from is set. Stale (older than
+// DefaultSnapshotMaxAge by its own save stamp), corrupt, or mismatched
+// files are rejected with an error and the server is left in its
+// fresh-boot state.
 func (s *Server) RestoreFromSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -259,13 +260,9 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 	if err := snapshot.DecodeInto(st, data); err != nil {
 		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
 	}
-	maxAge := s.cfg.SnapshotMaxAge
-	if maxAge == 0 {
-		maxAge = DefaultSnapshotMaxAge
-	}
 	if st.HasDaemon {
-		if age := s.now().Sub(time.UnixMilli(st.SavedUnixMS)); age > maxAge {
-			return fmt.Errorf("daemon: snapshot %s is stale: saved %v ago, limit %v", path, age.Round(time.Second), maxAge)
+		if age := s.now().Sub(time.UnixMilli(st.SavedUnixMS)); age > DefaultSnapshotMaxAge {
+			return fmt.Errorf("daemon: snapshot %s is stale: saved %v ago, limit %v", path, age.Round(time.Second), DefaultSnapshotMaxAge)
 		}
 	}
 	if err := s.restoreState(st, s.now()); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/metrics"
+	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/workload"
 )
@@ -72,7 +73,7 @@ func Ablations(opts Options) (Result, error) {
 	}
 	sums := map[string][]float64{}
 	for _, p := range pairs {
-		out, err := runPairAll(opts, p[0], p[1], variants)
+		out, err := runPairAll(opts, p[0], p[1], power.Budget{}, 0, variants)
 		if err != nil {
 			return Result{}, err
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"dps/internal/metrics"
+	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/workload"
 )
@@ -41,7 +42,7 @@ func Baselines(opts Options) (Result, error) {
 	}
 	sums := map[string][]float64{}
 	for _, w := range workload.MidHighSpark() {
-		out, err := runPairAll(opts, w, gmm, factories)
+		out, err := runPairAll(opts, w, gmm, power.Budget{}, 0, factories)
 		if err != nil {
 			return Result{}, err
 		}

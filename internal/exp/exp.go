@@ -9,19 +9,11 @@ import (
 	"sort"
 	"strings"
 
-	"dps/internal/cluster"
 	"dps/internal/metrics"
 	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/workload"
 )
-
-// defaultMachine returns the paper's platform seeded for one experiment.
-func defaultMachine(seed int64) cluster.Config {
-	cfg := cluster.DefaultConfig()
-	cfg.Seed = seed
-	return cfg
-}
 
 // Options scales every experiment. The paper repeats each workload at
 // least 10 times over 1,000+ machine-hours; the simulator replays the same
@@ -34,9 +26,6 @@ type Options struct {
 	// Progress, if non-nil, receives one line per finished pair.
 	Progress func(format string, args ...any)
 }
-
-// DefaultOptions runs 4 repeats per pair with a fixed seed.
-func DefaultOptions() Options { return Options{Repeats: 4, Seed: 42} }
 
 func (o Options) withDefaults() Options {
 	if o.Repeats == 0 {
@@ -112,14 +101,17 @@ type pairOutcome struct {
 	results map[string]sim.PairResult
 }
 
-// runPairAll executes one pair under each factory with a shared
-// deterministic seed derived from the pair identity.
-func runPairAll(opts Options, a, b *workload.Spec, factories map[string]sim.ManagerFactory) (pairOutcome, error) {
+// runPairAll executes one pair under each factory within budget (the
+// zero value selects the simulator's 110 W per socket) with a shared
+// deterministic seed derived from the pair identity plus seedOffset.
+func runPairAll(opts Options, a, b *workload.Spec, budget power.Budget, seedOffset int64,
+	factories map[string]sim.ManagerFactory) (pairOutcome, error) {
 	out := pairOutcome{a: a, b: b, results: make(map[string]sim.PairResult, len(factories))}
 	seed := opts.Seed
 	for _, c := range a.Name + "|" + b.Name {
 		seed = seed*131 + int64(c)
 	}
+	seed += seedOffset
 	names := make([]string, 0, len(factories))
 	for name := range factories {
 		names = append(names, name)
@@ -130,6 +122,7 @@ func runPairAll(opts Options, a, b *workload.Spec, factories map[string]sim.Mana
 			WorkloadA: a,
 			WorkloadB: b,
 			Repeats:   opts.Repeats,
+			Budget:    budget,
 			Seed:      seed,
 		}
 		res, err := sim.RunPair(cfg, factories[name])

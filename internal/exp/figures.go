@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dps/internal/metrics"
+	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/workload"
 )
@@ -29,7 +30,7 @@ func Figure4(opts Options) (Result, error) {
 	for _, mid := range mids {
 		gains := map[string][]float64{}
 		for _, low := range lows {
-			out, err := runPairAll(opts, mid, low, factories)
+			out, err := runPairAll(opts, mid, low, power.Budget{}, 0, factories)
 			if err != nil {
 				return Result{}, err
 			}
@@ -84,7 +85,7 @@ func Figure5(opts Options) (Result, Result, error) {
 	}
 	perMgrB := map[string][]float64{}
 	for _, w := range workload.MidHighSpark() {
-		out, err := runPairAll(opts, w, gmm, factories)
+		out, err := runPairAll(opts, w, gmm, power.Budget{}, 0, factories)
 		if err != nil {
 			return Result{}, Result{}, err
 		}
@@ -136,7 +137,7 @@ func Figure6(opts Options) (Result, Result, error) {
 			if byNPB[nb.Name] == nil {
 				byNPB[nb.Name] = map[string][]float64{}
 			}
-			out, err := runPairAll(opts, sp, nb, factories)
+			out, err := runPairAll(opts, sp, nb, power.Budget{}, 0, factories)
 			if err != nil {
 				return Result{}, Result{}, err
 			}
@@ -186,7 +187,7 @@ func Figure7(opts Options) (Result, error) {
 	gather := func(pairs [][2]*workload.Spec) (map[string][]float64, error) {
 		fair := map[string][]float64{}
 		for _, p := range pairs {
-			out, err := runPairAll(opts, p[0], p[1], factories)
+			out, err := runPairAll(opts, p[0], p[1], power.Budget{}, 0, factories)
 			if err != nil {
 				return nil, err
 			}

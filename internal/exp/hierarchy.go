@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dps/internal/metrics"
+	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/workload"
 )
@@ -49,7 +50,7 @@ func Hierarchy(opts Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		out, err := runPairAll(opts, a, b, factories)
+		out, err := runPairAll(opts, a, b, power.Budget{}, 0, factories)
 		if err != nil {
 			return Result{}, err
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"dps/internal/cluster"
 	"dps/internal/metrics"
 	"dps/internal/power"
 	"dps/internal/sim"
@@ -37,8 +38,14 @@ func Sweep(opts Options, fractions []float64) (Result, error) {
 		Columns: []string{"SLURM", "DPS", "dps_over_slurm"},
 	}
 	factories := sim.StandardFactories(false)
+	machine := cluster.DefaultConfig()
 
 	for _, frac := range fractions {
+		budget := power.Budget{
+			Total:   power.Watts(float64(machine.Units()) * float64(machine.Rapl.TDP) * frac),
+			UnitMax: machine.Rapl.TDP,
+			UnitMin: machine.Rapl.MinCap,
+		}
 		var slurmGains, dpsGains []float64
 		for _, p := range pairs {
 			a, err := workload.ByName(p[0])
@@ -49,7 +56,7 @@ func Sweep(opts Options, fractions []float64) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			out, err := runPairBudget(opts, a, b, frac, factories)
+			out, err := runPairAll(opts, a, b, budget, int64(frac*1000), factories)
 			if err != nil {
 				return Result{}, err
 			}
@@ -79,44 +86,4 @@ func Sweep(opts Options, fractions []float64) (Result, error) {
 		"constant allocation at the same limit is each column's baseline (gain 1.0)",
 		"paper's operating point is 66.7% of TDP (110 W per 165 W socket)")
 	return res, nil
-}
-
-// runPairBudget is runPairAll with an explicit cluster power limit.
-func runPairBudget(opts Options, a, b *workload.Spec, tdpFraction float64, factories map[string]sim.ManagerFactory) (pairOutcome, error) {
-	out := pairOutcome{a: a, b: b, results: make(map[string]sim.PairResult, len(factories))}
-	seed := opts.Seed
-	for _, c := range a.Name + "|" + b.Name {
-		seed = seed*131 + int64(c)
-	}
-	seed += int64(tdpFraction * 1000)
-
-	machine := defaultMachine(seed)
-	units := machine.Units()
-	budget := power.Budget{
-		Total:   power.Watts(float64(units) * float64(machine.Rapl.TDP) * tdpFraction),
-		UnitMax: machine.Rapl.TDP,
-		UnitMin: machine.Rapl.MinCap,
-	}
-	for name, factory := range factories {
-		cfg := sim.PairConfig{
-			Machine:   machine,
-			Budget:    budget,
-			WorkloadA: a,
-			WorkloadB: b,
-			Repeats:   opts.Repeats,
-			Seed:      seed,
-		}
-		res, err := sim.RunPair(cfg, factory)
-		if err != nil {
-			return out, fmt.Errorf("exp: sweep pair %s+%s at %.0f%% under %s: %w",
-				a.Name, b.Name, tdpFraction*100, name, err)
-		}
-		if res.BudgetViolations > 0 {
-			return out, fmt.Errorf("exp: sweep pair %s+%s at %.0f%% under %s violated the budget",
-				a.Name, b.Name, tdpFraction*100, name)
-		}
-		out.results[name] = res
-	}
-	opts.progress("sweep pair %s + %s at %.1f%% done", a.Name, b.Name, tdpFraction*100)
-	return out, nil
 }

@@ -23,7 +23,7 @@ func tableFor(opts Options, specs []*workload.Spec, id, title string) (Result, e
 	}
 	constant := map[string]sim.ManagerFactory{"Constant": sim.ConstantFactory()}
 	for _, spec := range specs {
-		out, err := runPairAll(opts, spec, spec, constant)
+		out, err := runPairAll(opts, spec, spec, power.Budget{}, 0, constant)
 		if err != nil {
 			return Result{}, err
 		}
@@ -107,7 +107,7 @@ func Summary(opts Options) (Result, error) {
 	for _, g := range groups {
 		var diffs []float64
 		for _, p := range g.pairs {
-			out, err := runPairAll(opts, p[0], p[1], factories)
+			out, err := runPairAll(opts, p[0], p[1], power.Budget{}, 0, factories)
 			if err != nil {
 				return Result{}, err
 			}

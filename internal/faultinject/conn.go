@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // ConnConfig schedules faults on a wrapped connection. Probabilities are
@@ -23,11 +22,6 @@ type ConnConfig struct {
 	// operations have completed (0 = never).
 	DropAfterOps int
 
-	// DelayProb stalls an operation for Delay before performing it,
-	// modelling network jitter and scheduling hiccups.
-	DelayProb float64
-	Delay     time.Duration
-
 	// TruncateProb makes a Write send only a prefix of its buffer and
 	// fail with ErrTruncated, leaving the peer mid-frame.
 	TruncateProb float64
@@ -38,8 +32,6 @@ type ConnConfig struct {
 	// a hung link, exactly the failure a server-side read deadline must
 	// reap. A partition does not heal; recovery is a new connection.
 	PartitionAfterOps int
-	// PartitionProb blackholes the connection probabilistically instead.
-	PartitionProb float64
 }
 
 // Conn wraps a net.Conn with the configured fault schedule. It is safe
@@ -77,7 +69,6 @@ type connAction int
 const (
 	actNone connAction = iota
 	actDrop
-	actDelay
 	actPartition
 )
 
@@ -101,17 +92,9 @@ func (c *Conn) decide(write bool) (connAction, bool) {
 	if c.cfg.DropProb > 0 && c.rng.Float64() < c.cfg.DropProb {
 		return actDrop, false
 	}
-	if c.cfg.PartitionProb > 0 && c.rng.Float64() < c.cfg.PartitionProb {
-		c.partitioned = true
-		c.counters.incConnPartition()
-		return actPartition, false
-	}
 	truncate := false
 	if write && c.cfg.TruncateProb > 0 && c.rng.Float64() < c.cfg.TruncateProb {
 		truncate = true
-	}
-	if c.cfg.DelayProb > 0 && c.cfg.Delay > 0 && c.rng.Float64() < c.cfg.DelayProb {
-		return actDelay, truncate
 	}
 	return actNone, truncate
 }
@@ -129,9 +112,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 		// someone closes the connection.
 		<-c.closed
 		return 0, ErrDropped
-	case actDelay:
-		c.counters.incConnDelay()
-		c.sleep()
 	}
 	return c.Conn.Read(p)
 }
@@ -148,9 +128,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// A partitioned write is silently swallowed — the sender cannot
 		// tell; only the receiver's staleness clock can.
 		return len(p), nil
-	case actDelay:
-		c.counters.incConnDelay()
-		c.sleep()
 	}
 	if truncate && len(p) > 1 {
 		c.counters.incConnTruncate()
@@ -163,28 +140,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// sleep waits for the configured delay, cut short by Close.
-func (c *Conn) sleep() {
-	t := time.NewTimer(c.cfg.Delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-c.closed:
-	}
-}
-
-// Close implements net.Conn, releasing any partitioned or delayed
-// operations.
+// Close implements net.Conn, releasing any partitioned operations.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return c.Conn.Close()
-}
-
-// Ops returns the number of operations attempted so far.
-func (c *Conn) Ops() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops
 }
 
 // Partitioned reports whether the connection is blackholed.

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 
@@ -33,9 +32,6 @@ type DeviceConfig struct {
 	// node reboot does to RAPL — and the programmed cap resets to the
 	// hardware maximum, like firmware coming back up uncapped.
 	CrashEvery int
-
-	// SetCapErrProb fails SetCap with ErrTransient.
-	SetCapErrProb float64
 }
 
 // Device wraps a rapl.Device with the configured fault schedule. It is
@@ -119,19 +115,8 @@ func (d *Device) EnergyMicroJoules() (uint64, error) {
 	return (v + d.spike) % rapl.CounterWrap, nil
 }
 
-// SetCap implements rapl.Device with injected transient errors.
-func (d *Device) SetCap(w power.Watts) error {
-	if d.cfg.SetCapErrProb > 0 {
-		d.mu.Lock()
-		fail := d.rng.Float64() < d.cfg.SetCapErrProb
-		d.mu.Unlock()
-		if fail {
-			d.counters.incDevErr()
-			return ErrTransient
-		}
-	}
-	return d.inner.SetCap(w)
-}
+// SetCap implements rapl.Device.
+func (d *Device) SetCap(w power.Watts) error { return d.inner.SetCap(w) }
 
 // Cap implements rapl.Device.
 func (d *Device) Cap() (power.Watts, error) { return d.inner.Cap() }
@@ -147,62 +132,4 @@ func (d *Device) Crashes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.crashes
-}
-
-// ReadingConfig schedules corruption of a readings vector: the garbage a
-// buggy agent or broken sensor stack could feed a controller, which the
-// server boundary must reject. The zero value corrupts nothing.
-type ReadingConfig struct {
-	// Seed drives the corruption schedule.
-	Seed int64
-	// NaNProb, InfProb, and NegativeProb each replace a reading.
-	NaNProb      float64
-	InfProb      float64
-	NegativeProb float64
-	// SpikeProb replaces a reading with SpikeW (default 10 kW, far above
-	// any socket TDP).
-	SpikeProb float64
-	SpikeW    power.Watts
-}
-
-// Readings corrupts power vectors in place with a seeded schedule.
-type Readings struct {
-	cfg      ReadingConfig
-	counters *Counters
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewReadings builds a corrupter. counters may be nil.
-func NewReadings(cfg ReadingConfig, counters *Counters) *Readings {
-	if cfg.SpikeW == 0 {
-		cfg.SpikeW = 10_000
-	}
-	return &Readings{cfg: cfg, counters: counters, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// Corrupt mutates v in place per the schedule and returns the number of
-// entries corrupted.
-func (r *Readings) Corrupt(v power.Vector) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for i := range v {
-		switch {
-		case r.cfg.NaNProb > 0 && r.rng.Float64() < r.cfg.NaNProb:
-			v[i] = power.Watts(math.NaN())
-		case r.cfg.InfProb > 0 && r.rng.Float64() < r.cfg.InfProb:
-			v[i] = power.Watts(math.Inf(1))
-		case r.cfg.NegativeProb > 0 && r.rng.Float64() < r.cfg.NegativeProb:
-			v[i] = -v[i] - 1
-		case r.cfg.SpikeProb > 0 && r.rng.Float64() < r.cfg.SpikeProb:
-			v[i] = r.cfg.SpikeW
-		default:
-			continue
-		}
-		n++
-		r.counters.incReading()
-	}
-	return n
 }

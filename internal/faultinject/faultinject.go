@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic, seedable fault wrappers for
 // exercising the degraded-mode control plane: a net.Conn that drops,
-// delays, truncates, and partitions; a rapl.Device that returns transient
-// errors, spiked readings, and crash-restarts; and a readings corrupter
-// that poisons power vectors with NaN/Inf/negative/spike values.
+// truncates, and partitions; a rapl.Device that returns transient errors,
+// spiked readings, and crash-restarts; and a core.Manager whose caps
+// overshoot the budget for a scheduled round window.
 //
 // Every wrapper owns a rand.Rand seeded from its config, so a fixed seed
 // replays the same fault schedule — chaos tests are reproducible, not
@@ -39,13 +39,11 @@ var (
 // A nil *Counters is valid everywhere and counts nothing.
 type Counters struct {
 	connDrop      *telemetry.Counter
-	connDelay     *telemetry.Counter
 	connTruncate  *telemetry.Counter
 	connPartition *telemetry.Counter
 	devErr        *telemetry.Counter
 	devSpike      *telemetry.Counter
 	devCrash      *telemetry.Counter
-	reading       *telemetry.Counter
 	budget        *telemetry.Counter
 }
 
@@ -58,13 +56,11 @@ func NewCounters(reg *telemetry.Registry) *Counters {
 	}
 	return &Counters{
 		connDrop:      kind("conn_drop"),
-		connDelay:     kind("conn_delay"),
 		connTruncate:  kind("conn_truncate"),
 		connPartition: kind("conn_partition"),
 		devErr:        kind("device_error"),
 		devSpike:      kind("device_spike"),
 		devCrash:      kind("device_crash"),
-		reading:       kind("reading_corrupt"),
 		budget:        kind("budget"),
 	}
 }
@@ -74,12 +70,6 @@ func NewCounters(reg *telemetry.Registry) *Counters {
 func (c *Counters) incConnDrop() {
 	if c != nil {
 		c.connDrop.Inc()
-	}
-}
-
-func (c *Counters) incConnDelay() {
-	if c != nil {
-		c.connDelay.Inc()
 	}
 }
 
@@ -110,12 +100,6 @@ func (c *Counters) incDevSpike() {
 func (c *Counters) incDevCrash() {
 	if c != nil {
 		c.devCrash.Inc()
-	}
-}
-
-func (c *Counters) incReading() {
-	if c != nil {
-		c.reading.Inc()
 	}
 }
 

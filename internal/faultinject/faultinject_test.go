@@ -2,12 +2,10 @@ package faultinject
 
 import (
 	"errors"
-	"math"
 	"net"
 	"testing"
 	"time"
 
-	"dps/internal/power"
 	"dps/internal/rapl"
 	"dps/internal/telemetry"
 )
@@ -235,41 +233,5 @@ func TestDeviceSpike(t *testing.T) {
 	}
 	if before < 500_000_000 {
 		t.Fatalf("spiked counter = %d, want ≥ 500 MµJ", before)
-	}
-}
-
-// TestReadingsCorrupt verifies the corrupter produces each garbage class
-// and counts what it did.
-func TestReadingsCorrupt(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	counters := NewCounters(reg)
-	r := NewReadings(ReadingConfig{Seed: 3, NaNProb: 0.25, InfProb: 0.25, NegativeProb: 0.25, SpikeProb: 0.25}, counters)
-	v := make(power.Vector, 400)
-	for i := range v {
-		v[i] = 100
-	}
-	n := r.Corrupt(v)
-	if n == 0 {
-		t.Fatal("corrupter touched nothing at combined probability 1-(0.75)^4-ish")
-	}
-	var nan, inf, neg, spike int
-	for _, w := range v {
-		f := float64(w)
-		switch {
-		case math.IsNaN(f):
-			nan++
-		case math.IsInf(f, 0):
-			inf++
-		case f < 0:
-			neg++
-		case f == 10_000:
-			spike++
-		}
-	}
-	if nan == 0 || inf == 0 || neg == 0 || spike == 0 {
-		t.Fatalf("corruption classes missing: nan=%d inf=%d neg=%d spike=%d", nan, inf, neg, spike)
-	}
-	if got := int(counters.reading.Value()); got != n {
-		t.Errorf("reading counter = %d, Corrupt returned %d", got, n)
 	}
 }

@@ -209,6 +209,3 @@ func (m *Manager) Decide(snap core.Snapshot) power.Vector {
 	}
 	return m.caps
 }
-
-// Steps returns the number of Decide calls so far.
-func (m *Manager) Steps() uint64 { return m.steps }

@@ -89,7 +89,6 @@ type Manager struct {
 	rng     *rand.Rand
 	budgets power.Vector
 	order   []int
-	steps   uint64
 }
 
 var _ core.Manager = (*Manager)(nil)
@@ -120,9 +119,6 @@ func (m *Manager) Budget() power.Budget { return m.cfg.Budget }
 // Caps implements core.Manager: each unit's cap is its owned budget.
 func (m *Manager) Caps() power.Vector { return m.budgets }
 
-// Steps returns the number of Decide calls so far.
-func (m *Manager) Steps() uint64 { return m.steps }
-
 // Decide implements core.Manager: Rounds gossip rounds of disjoint random
 // pairwise exchanges.
 func (m *Manager) Decide(snap core.Snapshot) power.Vector {
@@ -138,7 +134,6 @@ func (m *Manager) Decide(snap core.Snapshot) power.Vector {
 			m.exchange(m.order[k], m.order[k+1], snap.Power)
 		}
 	}
-	m.steps++
 	return m.budgets
 }
 

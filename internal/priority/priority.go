@@ -150,9 +150,6 @@ func New(cfg Config, n int) (*Module, error) {
 	}, nil
 }
 
-// Config returns the module's configuration.
-func (m *Module) Config() Config { return m.cfg }
-
 // Priorities returns the current priority flags (true = high priority).
 // The returned slice is owned by the module; callers must not mutate it.
 func (m *Module) Priorities() []bool { return m.prio }

@@ -34,8 +34,6 @@ type Config struct {
 	// constant-allocation lower bound hold by construction even under
 	// adversarial stateless-module states. Disable for ablation.
 	EnforceFloor bool
-	// DisableRestore skips Algorithm 3 entirely (ablation knob).
-	DisableRestore bool
 }
 
 // DefaultConfig treats a unit as quiet below 50 % of the constant cap and
@@ -55,6 +53,8 @@ func (c Config) Validate() error {
 // Module applies restore and readjust to a cap vector.
 type Module struct {
 	cfg Config
+	// DisableRestore skips Algorithm 3 entirely (an ablation knob).
+	DisableRestore bool
 }
 
 // New returns a module with the given configuration.
@@ -65,15 +65,12 @@ func New(cfg Config) (*Module, error) {
 	return &Module{cfg: cfg}, nil
 }
 
-// Config returns the module's configuration.
-func (m *Module) Config() Config { return m.cfg }
-
 // Restore implements Algorithm 3. If every unit's current power is below
 // RestoreThreshold × constantCap, all caps are reset to constantCap. It
 // returns whether restoration happened; when it does, Readjust must be
 // skipped.
 func (m *Module) Restore(powerNow, caps power.Vector, constantCap power.Watts) bool {
-	if m.cfg.DisableRestore {
+	if m.DisableRestore {
 		return false
 	}
 	limit := constantCap * power.Watts(m.cfg.RestoreThreshold)

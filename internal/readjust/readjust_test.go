@@ -75,9 +75,8 @@ func TestRestoreBlockedByOneBusyUnit(t *testing.T) {
 }
 
 func TestRestoreDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisableRestore = true
-	m := mustNew(t, cfg)
+	m := mustNew(t, DefaultConfig())
+	m.DisableRestore = true
 	caps := power.Vector{150, 40}
 	if m.Restore(power.Vector{10, 10}, caps, constCap) {
 		t.Error("restore ran despite DisableRestore")

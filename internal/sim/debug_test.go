@@ -3,8 +3,8 @@ package sim
 import (
 	"testing"
 
-	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/workload"
 )
 
@@ -20,15 +20,6 @@ func TestDebugCapSpread(t *testing.T) {
 	lda, _ := workload.ByName("LDA")
 	gmm, _ := workload.ByName("GMM")
 
-	var dpsRef *core.DPS
-	factory := func(units int, budget power.Budget, seed int64) (core.Manager, error) {
-		cfg := core.DefaultConfig(units, budget)
-		cfg.Seed = seed
-		d, err := core.NewDPS(cfg)
-		dpsRef = d
-		return d, err
-	}
-
 	type spreadInfo struct {
 		t          power.Seconds
 		minC, maxC power.Watts
@@ -39,13 +30,13 @@ func TestDebugCapSpread(t *testing.T) {
 	bigSpreadSteps := 0
 
 	cfg := PairConfig{WorkloadA: lda, WorkloadB: gmm, Repeats: 2, Seed: 7}
-	cfg.StepHook = func(tm power.Seconds, readings, caps power.Vector) {
+	cfg.StepHook = func(tm power.Seconds, rec *telemetry.Round) {
 		samples++
 		// Cluster A = units 0..9.
-		a := caps[:10]
+		a := rec.Cap[:10]
 		min, max := a.Min(), a.Max()
 		prio := 0
-		for _, p := range dpsRef.Priorities()[:10] {
+		for _, p := range rec.Prio[:10] {
 			if p {
 				prio++
 			}
@@ -57,7 +48,7 @@ func TestDebugCapSpread(t *testing.T) {
 			bigSpreadSteps++
 		}
 	}
-	res, err := RunPair(cfg, factory)
+	res, err := RunPair(cfg, DPSFactory())
 	if err != nil {
 		t.Fatal(err)
 	}

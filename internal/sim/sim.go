@@ -18,7 +18,6 @@ import (
 
 	"dps/internal/cluster"
 	"dps/internal/core"
-	"dps/internal/faultinject"
 	"dps/internal/metrics"
 	"dps/internal/power"
 	"dps/internal/telemetry"
@@ -68,14 +67,10 @@ type PairConfig struct {
 	// safety stop.
 	MaxSteps int
 	// StepHook, if non-nil, observes every step after caps are applied:
-	// virtual time, measured readings, and programmed caps. Slices are
+	// virtual time and the step's round record (readings, programmed
+	// caps, priorities when the manager is a core.DPS). The record is
 	// owned by the engine and only valid during the call.
-	StepHook func(t power.Seconds, readings, caps power.Vector)
-	// ReadingFaults, if non-nil, corrupts the measured readings with this
-	// seeded schedule before the manager sees them — the garbage a broken
-	// sensor stack would report, for robustness experiments. The machine's
-	// ground truth (demands, energy accounting) is untouched.
-	ReadingFaults *faultinject.ReadingConfig
+	StepHook func(t power.Seconds, rec *telemetry.Round)
 	// Tracer, if non-nil, receives round-scoped spans: one sim_step span
 	// per decision interval on the sim lane, plus the controller's
 	// per-stage spans when the manager is a core.DPS.
@@ -297,10 +292,8 @@ type loop struct {
 	res  PairResult // SimTime is the loop's clock
 	// rec describes each step's round, retained and re-filled; prev is
 	// the caps the previous step programmed.
-	rec       telemetry.Round
-	prev      power.Vector
-	corrupter *faultinject.Readings
-	corrupted power.Vector
+	rec  telemetry.Round
+	prev power.Vector
 }
 
 func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
@@ -326,9 +319,6 @@ func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
 		l.res.Stages = &StageBreakdown{}
 		l.dps.SetTracer(cfg.Tracer)
 	}
-	if cfg.ReadingFaults != nil {
-		l.corrupter = faultinject.NewReadings(*cfg.ReadingFaults, nil)
-	}
 	return l, nil
 }
 
@@ -337,13 +327,6 @@ func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
 // programmed, and the round described on the record the daemon fills,
 // which the engine's budget check and the watchdog both read.
 func (l *loop) step(readings power.Vector) error {
-	if l.corrupter != nil {
-		// Corrupt a copy: the machine owns the readings slice and uses
-		// it for its own accounting.
-		l.corrupted = append(l.corrupted[:0], readings...)
-		l.corrupter.Corrupt(l.corrupted)
-		readings = l.corrupted
-	}
 	rec := &l.rec
 	rec.Reset()
 	rec.Round = uint64(l.res.Steps + 1)
@@ -379,7 +362,7 @@ func (l *loop) step(readings power.Vector) error {
 	// produced.
 	l.cfg.Watcher.ObserveRound(rec)
 	if l.cfg.StepHook != nil {
-		l.cfg.StepHook(l.res.SimTime, readings, caps)
+		l.cfg.StepHook(l.res.SimTime, rec)
 	}
 	l.res.SimTime += l.cfg.DT
 	l.res.Steps++

@@ -7,6 +7,7 @@ import (
 	"dps/internal/cluster"
 	"dps/internal/core"
 	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/tracelog"
 	"dps/internal/workload"
 )
@@ -96,15 +97,7 @@ func TestDeterminism(t *testing.T) {
 // where the default controller demonstrably skips.
 func TestRefreshPeriodInvisibleInTraceLog(t *testing.T) {
 	run := func(quiet bool, refresh int) ([]byte, uint64) {
-		var dpsRef *core.DPS
-		factory := func(units int, budget power.Budget, seed int64) (core.Manager, error) {
-			cfg := core.DefaultConfig(units, budget)
-			cfg.Seed = seed
-			cfg.SparseRefreshEvery = refresh
-			d, err := core.NewDPS(cfg)
-			dpsRef = d
-			return d, err
-		}
+		factory := DPSFactoryWith(func(c *core.Config) { c.SparseRefreshEvery = refresh })
 		var buf bytes.Buffer
 		lw := tracelog.NewWriter(&buf)
 		cfg := pairCfg(t, "Sort", "Terasort", 2, 9)
@@ -114,8 +107,8 @@ func TestRefreshPeriodInvisibleInTraceLog(t *testing.T) {
 			cfg.Machine.Rapl.NoiseStdDev = 0
 			cfg.StartOffsetB = 150
 		}
-		cfg.StepHook = func(tm power.Seconds, readings, caps power.Vector) {
-			if err := lw.WriteStep(tm, readings, caps, dpsRef.Priorities()); err != nil {
+		cfg.StepHook = func(tm power.Seconds, rec *telemetry.Round) {
+			if err := lw.WriteStep(tm, rec.Reading, rec.Cap, rec.Prio); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -164,12 +157,12 @@ func TestStepHookObservesEveryStep(t *testing.T) {
 	cfg := pairCfg(t, "Sort", "Wordcount", 1, 3)
 	var calls int
 	var lastCaps power.Vector
-	cfg.StepHook = func(tm power.Seconds, readings, caps power.Vector) {
+	cfg.StepHook = func(tm power.Seconds, rec *telemetry.Round) {
 		calls++
-		if len(readings) != 20 || len(caps) != 20 {
-			t.Fatalf("hook saw %d readings / %d caps", len(readings), len(caps))
+		if len(rec.Reading) != 20 || len(rec.Cap) != 20 {
+			t.Fatalf("hook saw %d readings / %d caps", len(rec.Reading), len(rec.Cap))
 		}
-		lastCaps = caps.Clone()
+		lastCaps = rec.Cap.Clone()
 	}
 	res, err := RunPair(cfg, ConstantFactory())
 	if err != nil {

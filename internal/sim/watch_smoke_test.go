@@ -6,6 +6,7 @@ import (
 	"dps/internal/core"
 	"dps/internal/faultinject"
 	"dps/internal/power"
+	"dps/internal/telemetry"
 	"dps/internal/watch"
 	"dps/internal/workload"
 )
@@ -53,7 +54,7 @@ func TestWatchSmoke(t *testing.T) {
 	// The StepHook runs right after the engine audited the step, so the
 	// per-round alert state is exactly the watchdog's view of that round.
 	states := []string{}
-	cfg.StepHook = func(tm power.Seconds, readings, caps power.Vector) {
+	cfg.StepHook = func(power.Seconds, *telemetry.Round) {
 		for _, a := range watcher.Alerts() {
 			if a.Rule == watch.RuleBudgetConservation {
 				states = append(states, a.State)

@@ -192,9 +192,6 @@ func (m *Module) RestoreRNG(seed int64, draws uint64) {
 	}
 }
 
-// Config returns the module's configuration.
-func (m *Module) Config() Config { return m.cfg }
-
 // Apply runs one MIMD step: given each unit's current power it mutates caps
 // in place, never letting the sum of caps exceed budget.Total nor any cap
 // leave [budget.UnitMin, budget.UnitMax].

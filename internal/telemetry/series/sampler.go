@@ -1,7 +1,6 @@
 package series
 
 import (
-	"context"
 	"time"
 
 	"dps/internal/telemetry"
@@ -23,8 +22,8 @@ import (
 // registrants to bracket their path's full range — see the bucket-choice
 // rule in the telemetry package comment).
 //
-// A Sampler is not safe for concurrent SampleOnce calls with itself (Run
-// serializes them); it is safe against concurrent registry writers.
+// A Sampler is not safe for concurrent SampleOnce calls with itself; it
+// is safe against concurrent registry writers.
 //
 // The registry is append-only, so the sampler does not walk it every
 // scrape: it keeps a plan — the metric handle and store slot of every
@@ -238,25 +237,4 @@ func quantile(q float64, bounds []float64, counts []uint64, total uint64) float6
 		return lo + frac*(hi-lo)
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Run scrapes every interval until ctx is done. now supplies the clock
-// (nil selects time.Now).
-func (sm *Sampler) Run(ctx context.Context, interval time.Duration, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	if interval <= 0 {
-		interval = sm.store.Config().RawInterval
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			sm.SampleOnce(now())
-		}
-	}
 }

@@ -95,7 +95,6 @@ func (m PerfModel) Speed(alloc, demand power.Watts) float64 {
 // Run is one execution instance of a workload: a concrete phase list (with
 // per-run jitter already applied) plus a progress cursor.
 type Run struct {
-	spec    *Spec
 	phases  []Phase
 	idx     int
 	done    power.Seconds // work completed in the current phase
@@ -104,11 +103,8 @@ type Run struct {
 
 // NewRun instantiates a run of spec with per-run jitter drawn from rng.
 func NewRun(spec *Spec, rng *rand.Rand) *Run {
-	return &Run{spec: spec, phases: spec.Generate(rng)}
+	return &Run{phases: spec.Generate(rng)}
 }
-
-// Spec returns the workload this run instantiates.
-func (r *Run) Spec() *Spec { return r.spec }
 
 // Phases returns the run's concrete phase list (owned by the run).
 func (r *Run) Phases() []Phase { return r.phases }
