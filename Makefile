@@ -107,10 +107,12 @@ alloc-check:
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 	$(GO) test -run 'TestWritePrometheusAllocsIndependentOfSeries' -count=1 ./internal/telemetry
 
-# fuzz-smoke gives the wire-protocol decoders a short fuzz shake on every
-# CI run (the corpus under internal/proto/testdata grows across runs).
+# fuzz-smoke gives every fuzz target a short shake on every CI run: the
+# wire-protocol decoders (the corpus under internal/proto/testdata grows
+# across runs), the signal detectors, and the round engine's per-round
+# invariants under scripted readings, health flaps and budget moves.
 # `go test` accepts one -fuzz pattern per invocation, hence one command
-# per decoder (anchored: -fuzz must match exactly one target). The
+# per target (anchored: -fuzz must match exactly one target). The
 # section framing is fuzzed once, in its own package; the snapshot,
 # round-input and black-box targets are the payload fuzzers on top of it.
 fuzz-smoke:
@@ -121,6 +123,9 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzSnapshotDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
 	$(GO) test -fuzz='FuzzRoundInputDecode$$' -fuzztime=5s -run xxx ./internal/snapshot/
 	$(GO) test -fuzz='FuzzBlackboxDecode$$' -fuzztime=5s -run xxx ./internal/blackbox/
+	$(GO) test -fuzz='FuzzCountProminentPeaks$$' -fuzztime=5s -run xxx ./internal/signal/
+	$(GO) test -fuzz='FuzzWindowedDerivative$$' -fuzztime=5s -run xxx ./internal/signal/
+	$(GO) test -fuzz='FuzzRoundEngine$$' -fuzztime=5s -run xxx ./internal/engine/
 
 # trace-smoke runs a short traced simulation and validates the exported
 # Chrome trace_event JSON covers every pipeline stage in every round.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dps/internal/history"
@@ -442,7 +443,7 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	// always runs in full (it shares one budget pool and the seeded
 	// visiting order).
 	for i, w := range d.dirtyW {
-		d.visitW[i] = w | d.capMovedW[i] | wordMaskForRange(rlo, rhi, i<<6)
+		d.visitW[i] = w | d.capMovedW[i] | WordMaskForRange(rlo, rhi, i<<6)
 	}
 	decCh, raiseCh := d.statelessM.ApplyMasked(snap.Power, d.caps, d.cfg.Budget, d.visitW, d.cachedSum, d.sumValid)
 	if decCh || raiseCh {
@@ -590,9 +591,12 @@ func (d *DPS) noteCapChanges(reason trace.Reason) {
 	}
 }
 
-// overBudgetEps separates floating-point drift from a genuine pipeline
-// bug when the final clamp finds the cap sum above the budget.
-const overBudgetEps = power.Watts(1e-6)
+// SumDrift bounds the rounding in a sum of `units` caps near the budget
+// `total`: units × ulp(total), at least 1e-6 W. A larger excess is real.
+func SumDrift(units int, total power.Watts) power.Watts {
+	t := float64(total)
+	return power.Watts(max(1e-6, float64(units)*(math.Nextafter(t, math.Inf(1))-t)))
+}
 
 // enforceBudget is the final safety clamp: caps inside hardware limits and
 // their sum inside the cluster budget. The pipeline maintains these
@@ -635,7 +639,8 @@ func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
 		d.cachedSum, d.sumValid = total, true
 		return false, moved
 	}
-	violated = total > b.Total+overBudgetEps
+	drift := SumDrift(len(d.caps), b.Total)
+	violated = total > b.Total+drift
 	// Scale down the free units' headroom above UnitMin proportionally.
 	excess := total - b.Total
 	var above power.Watts
@@ -664,7 +669,7 @@ func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
 		// could not restore the invariant.
 		final := d.caps.Sum()
 		d.cachedSum, d.sumValid = final, true
-		return final > b.Total+overBudgetEps, moved
+		return final > b.Total+drift, moved
 	}
 	return violated, moved
 }

@@ -100,9 +100,9 @@ func blockRange(k, p, n int) (lo, hi int) {
 	return k * n / p, (k + 1) * n / p
 }
 
-// wordMaskForRange returns the bits of word wi (covering units
-// [wi*64, wi*64+64)) that fall inside the half-open unit range [lo, hi).
-func wordMaskForRange(lo, hi, base int) uint64 {
+// WordMaskForRange returns the bits of the mask word covering units
+// [base, base+64) that fall inside the half-open unit range [lo, hi).
+func WordMaskForRange(lo, hi, base int) uint64 {
 	if hi <= base || lo >= base+64 {
 		return 0
 	}
@@ -135,7 +135,7 @@ func (d *DPS) sparseKalmanWords(snapP power.Vector, health []UnitHealth, dt powe
 	for wi := 0; wi < d.nWords; wi++ {
 		valid := d.validWord(wi)
 		base := wi << 6
-		work := (d.dirtyW[wi] | ^d.settledW[wi] | wordMaskForRange(rlo, rhi, base)) & valid
+		work := (d.dirtyW[wi] | ^d.settledW[wi] | WordMaskForRange(rlo, rhi, base)) & valid
 		for w := work; w != 0; w &= w - 1 {
 			u := base + bits.TrailingZeros64(w)
 			if health != nil && health[u] != HealthFresh {
@@ -187,7 +187,7 @@ func (d *DPS) sparseClassifyWords(snapP power.Vector, health []UnitHealth, rlo, 
 	prio := d.priorityM.Priorities()
 	for wi := 0; wi < d.nWords; wi++ {
 		base := wi << 6
-		refresh := wordMaskForRange(rlo, rhi, base)
+		refresh := WordMaskForRange(rlo, rhi, base)
 		work := (d.dirtyW[wi] | ^d.settledW[wi] | d.capMovedW[wi] | d.roundMovedW[wi] | refresh) & d.validWord(wi)
 		for w := work; w != 0; w &= w - 1 {
 			u := base + bits.TrailingZeros64(w)

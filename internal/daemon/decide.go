@@ -6,20 +6,14 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/power"
-	"dps/internal/telemetry"
 	"dps/internal/trace"
 )
 
-// healthEnabled reports whether the per-unit health state machine is
-// active (either threshold configured).
-func (s *Server) healthEnabled() bool {
-	return s.cfg.StaleAfter > 0 || s.cfg.DeadAfter > 0
-}
-
-// DecideOnce runs one decision round: snapshot the latest readings, run
-// the manager, and push each connected agent its cap assignments. Units
-// without a live agent still participate in the decision (their last
-// report persists) but receive no message. It returns the caps decided.
+// DecideOnce runs one decision round: snapshot the latest readings, decide
+// and deliver through the engine, push each connected agent its cap
+// assignments, and commit what the agents took. Units without a live
+// agent still participate in the decision (their last report persists)
+// but receive no message. It returns the caps delivered.
 //
 // The round is described once, in the flight recorder's next ring slot
 // (telemetry.Round): filled here after the caps are pushed, published
@@ -56,17 +50,14 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	targets := s.conns
 	s.mu.Unlock()
 
-	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
+	d, stats := s.eng.Decide(core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf})
 	rec.Round, rec.Inherited = round, s.inheritedRounds.Load()
-	rec.Time = s.now()
-	managerCaps, stats := s.decide(snap)
-	rec.Stats = stats
-	rec.Elapsed = s.now().Sub(rec.Time)
-	caps := s.degradedDeliver(managerCaps, health)
+	rec.Time, rec.Elapsed, rec.Stats = s.eng.Start, s.eng.Elapsed, stats
+	caps := d.Delivered
 
 	traceOn := s.tracer.On()
 	var firstErr error
-	pushed := s.pushedBuf[:0]
+	clear(s.pushedW)
 	for _, sc := range targets {
 		first, n := int(sc.hello.FirstUnit), sc.hello.Units
 		if sc.hello.ApplyEcho {
@@ -93,50 +84,24 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 			}
 			continue
 		}
-		pushed = append(pushed, sc)
+		for wi := first >> 6; wi<<6 < first+n; wi++ {
+			s.pushedW[wi] |= core.WordMaskForRange(first, first+n, wi<<6)
+		}
 	}
 
-	// The caps are out; describe the round while lastCaps and lastPushed
-	// (which only this goroutine writes) still hold what was delivered and
-	// what the agents enforced going in, then publish.
-	d := telemetry.Decision{
-		Snap:      snap,
-		Decided:   managerCaps,
-		Delivered: caps,
-		Prev:      s.lastCaps,
-		Enforced:  s.lastPushed,
-		Budget:    s.cfg.Manager.Budget().Total,
-	}
-	if s.dps != nil {
-		d.Prio, d.Reasons = s.dps.Priorities(), s.dps.Reasons()
-	}
+	// The caps are out; describe the round while the engine still holds
+	// what agents enforced going in, then commit and publish.
 	rec.Fill(d)
 	s.mu.Lock()
 	s.rounds.Store(round)
-	copy(s.lastCaps, caps)
-	for _, sc := range pushed {
-		first, n := int(sc.hello.FirstUnit), sc.hello.Units
-		copy(s.lastPushed[first:first+n], caps[first:first+n])
-	}
+	s.eng.Commit(caps, s.pushedW)
 	s.mu.Unlock()
 	s.recorder.Commit()
 	// The round is complete and published: fan it out to the standbys and
 	// the snapshot file, off the decision path proper.
-	s.replicateRound(round, interval, caps, pushed)
-	s.pushedBuf = pushed
+	s.replicateRound(round, interval, caps, s.pushedW)
 	s.observeRound(rec)
 	return caps, firstErr
-}
-
-// decide runs the manager on one snapshot — the one call DecideOnce and
-// a standby's replay share, so the two cannot drift. The stats arrive
-// atomically with the caps (zero for a policy other than core.DPS), so a
-// record can never pair one round's caps with another's stats.
-func (s *Server) decide(snap core.Snapshot) (power.Vector, core.RoundStats) {
-	if s.dps != nil {
-		return s.dps.DecideStats(snap)
-	}
-	return s.cfg.Manager.Decide(snap), core.RoundStats{}
 }
 
 // classifyHealthLocked advances the per-unit health classification from
@@ -188,55 +153,4 @@ func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) 
 	s.metrics.staleUnits.Set(float64(stale))
 	s.metrics.deadUnits.Set(float64(dead))
 	return stale, dead
-}
-
-// degradedDeliver is the delivery-side guarantee of the degraded-mode
-// contract: whatever the manager decided, every non-fresh unit's
-// delivered cap equals what its agent is already enforcing (s.lastPushed,
-// which only the decision goroutine writes, so it is read here unlocked),
-// and the fresh units are rescaled toward UnitMin if that pinning pushed
-// the sum over the budget. The rescale absorbs what pinning added and
-// nothing else: a round in which no unit needed a pin — every healthy
-// round, every round of a health-aware manager (core.DPS) — delivers the
-// manager's own slice, whatever its float sum reads. This is the safety
-// net for health-blind policies; a correction works on a clone, because
-// the manager owns the caps vector.
-func (s *Server) degradedDeliver(caps power.Vector, health []core.UnitHealth) power.Vector {
-	if health == nil {
-		return caps
-	}
-	var out power.Vector
-	for u, h := range health {
-		if h != core.HealthFresh && caps[u] != s.lastPushed[u] {
-			if out == nil {
-				out = caps.Clone()
-			}
-			out[u] = s.lastPushed[u]
-		}
-	}
-	if out == nil {
-		return caps
-	}
-	const eps = 1e-9
-	budget := s.cfg.Manager.Budget()
-	if excess := out.Sum() - budget.Total; excess > eps {
-		var headroom power.Watts
-		for u, h := range health {
-			if h == core.HealthFresh && out[u] > budget.UnitMin {
-				headroom += out[u] - budget.UnitMin
-			}
-		}
-		if headroom > 0 {
-			frac := excess / headroom
-			if frac > 1 {
-				frac = 1
-			}
-			for u, h := range health {
-				if h == core.HealthFresh && out[u] > budget.UnitMin {
-					out[u] -= frac * (out[u] - budget.UnitMin)
-				}
-			}
-		}
-	}
-	return out
 }

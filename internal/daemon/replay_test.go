@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -417,6 +418,42 @@ func standbyReplayMatchesPrimary(t *testing.T, oldImages bool) {
 	if st := r.standby.Snapshot(); st.UptimeRounds != 0 || st.StateAgeRounds != rounds {
 		t.Errorf("standby uptime/state-age = %d/%d, want 0/%d", st.UptimeRounds, st.StateAgeRounds, rounds)
 	}
+
+	// The comparison above leans on the shared clock; what the standby
+	// replayed does not. With the clock moved between the two exports,
+	// every controller section must still match byte for byte, and the
+	// daemon section in all but its save stamp and report ages.
+	want := image(r.primary)
+	r.clk.Advance(1500 * time.Millisecond)
+	got := image(r.standby)
+	if !bytes.Equal(controllerSections(t, got), controllerSections(t, want)) {
+		t.Error("standby's controller sections differ from the primary's")
+	}
+	var a, b snapshot.State
+	if err := errors.Join(snapshot.DecodeInto(&a, got), snapshot.DecodeInto(&b, want)); err != nil {
+		t.Fatal(err)
+	}
+	if a.Rounds != b.Rounds || !slices.Equal(a.Readings, b.Readings) || !slices.Equal(a.LastCaps, b.LastCaps) ||
+		!slices.Equal(a.LastPushed, b.LastPushed) || !slices.Equal(a.Health, b.Health) {
+		t.Errorf("standby's daemon section differs from the primary's\nstandby: rounds %d health %v\n         caps %v pushed %v readings %v\nprimary: rounds %d health %v\n         caps %v pushed %v readings %v",
+			a.Rounds, a.Health, a.LastCaps, a.LastPushed, a.Readings, b.Rounds, b.Health, b.LastCaps, b.LastPushed, b.Readings)
+	}
+}
+
+// controllerSections returns an image's sections but the daemon's: the
+// controller state, which no clock enters.
+func controllerSections(t *testing.T, img []byte) []byte {
+	var out []byte
+	w := section.Walk(img[snapshot.HeaderSize:])
+	for w.Next() {
+		if w.ID != snapshot.SecDaemon {
+			out = append(out, w.Raw...)
+		}
+	}
+	if w.Stop != section.Clean {
+		t.Errorf("image walk ended with %v", w.Stop)
+	}
+	return out
 }
 
 // TestStandbyReplayNeedsEveryInput is the mutation check on the test

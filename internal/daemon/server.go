@@ -22,6 +22,7 @@ import (
 
 	"dps/internal/blackbox"
 	"dps/internal/core"
+	"dps/internal/engine"
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/snapshot"
@@ -174,9 +175,9 @@ func (c ServerConfig) validate() error {
 // Server is the DPS controller daemon.
 type Server struct {
 	cfg ServerConfig
-	// dps is cfg.Manager when that is the DPS controller (stats, tracing,
-	// priorities, provenance and state export exist only there), nil for
-	// any other policy. Asserted once, in NewServer.
+	// dps is cfg.Manager when that is the DPS controller (tracing, state
+	// export and budget moves exist only there), nil for any other policy.
+	// Asserted once, in NewServer; the engine asserts its own.
 	dps *core.DPS
 
 	tel      *telemetry.Registry
@@ -221,23 +222,20 @@ type Server struct {
 	// snapBuf, dirtyBuf and healthBuf are the decision loop's private back
 	// buffers (double buffering): DecideOnce is never concurrent with
 	// itself, so they need no lock once the imu-guarded copy completes.
-	// pushedBuf is its list of the connections that took the round's push.
+	// pushedW is its mask of the units whose agent took the round's push.
 	snapBuf   power.Vector
 	dirtyBuf  *core.DirtyMask
 	healthBuf []core.UnitHealth
-	pushedBuf []*serverConn
+	pushedW   []uint64
+
+	// eng runs every round, served or replayed. The decision goroutine
+	// writes its Prev and Enforced caches under mu and reads them without.
+	eng *engine.Engine
 
 	// mu guards the control plane: connections, ownership, and the
 	// per-round caches. (Everything else /status shows of the last round
 	// it reads from the flight recorder's newest record.)
-	mu       sync.Mutex
-	lastCaps power.Vector // caps from the most recent decision round
-	// lastPushed tracks, per unit, the cap most recently delivered to an
-	// agent — what the node is actually enforcing. Degraded rounds pin
-	// non-fresh units here, and the budget-reservation argument is stated
-	// against this vector. Written by the decision goroutine only (under
-	// mu), which therefore reads it without the lock.
-	lastPushed power.Vector
+	mu sync.Mutex
 	// health is the per-unit state machine output of the previous round,
 	// kept to detect transitions. Nil while health tracking is disabled.
 	health []core.UnitHealth
@@ -257,8 +255,8 @@ type Server struct {
 
 	// roundMu is held across one whole round — DecideOnce's body on a
 	// serving daemon, one replayed round on a following standby — so that
-	// whoever takes it sees the controller and the round caches between
-	// rounds: Close exports the final image under it. Uncontended but for
+	// whoever takes it sees the controller and the engine between rounds:
+	// Close exports the final image under it. Uncontended but for
 	// that. Lock order: roundMu → snapMu → mu → imu.
 	roundMu sync.Mutex
 	// followStamp is, on a following standby, the primary-clock time of
@@ -331,23 +329,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		dps.SetTracer(tracer)
 	}
 	s := &Server{
-		cfg:        cfg,
-		dps:        dps,
-		tel:        reg,
-		recorder:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
-		tracer:     tracer,
-		metrics:    newServerMetrics(reg, cfg, dps != nil),
-		now:        time.Now,
-		readings:   make(power.Vector, cfg.Units),
-		dirty:      core.NewDirtyMask(cfg.Units),
-		snapBuf:    make(power.Vector, cfg.Units),
-		dirtyBuf:   core.NewDirtyMask(cfg.Units),
-		lastCaps:   cfg.Manager.Caps().Clone(),
-		lastPushed: cfg.Manager.Caps().Clone(),
-		owner:      make([]*serverConn, cfg.Units),
-		replicas:   make(map[*replicaConn]struct{}),
+		cfg:      cfg,
+		dps:      dps,
+		tel:      reg,
+		recorder: telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
+		tracer:   tracer,
+		metrics:  newServerMetrics(reg, cfg, dps != nil),
+		now:      time.Now,
+		readings: make(power.Vector, cfg.Units),
+		dirty:    core.NewDirtyMask(cfg.Units),
+		snapBuf:  make(power.Vector, cfg.Units),
+		dirtyBuf: core.NewDirtyMask(cfg.Units),
+		pushedW:  make([]uint64, (cfg.Units+63)/64),
+		eng:      engine.New(cfg.Manager),
+		owner:    make([]*serverConn, cfg.Units),
+		replicas: make(map[*replicaConn]struct{}),
 	}
-	if s.healthEnabled() {
+	s.eng.Clock = func() time.Time { return s.now() }
+	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // health tracking on
 		s.health = make([]core.UnitHealth, cfg.Units)
 		s.healthBuf = make([]core.UnitHealth, cfg.Units)
 		s.lastReport = make([]time.Time, cfg.Units)
@@ -475,36 +474,28 @@ func (s *Server) Serve(l net.Listener) error {
 	// Close unblocks Accept by closing the listener.
 	done := make(chan struct{})
 	defer close(done)
-	go func() {
-		ticker := time.NewTicker(s.cfg.Interval)
+	every := func(d time.Duration, fn func()) {
+		ticker := time.NewTicker(d)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
-				if _, err := s.DecideOnce(power.Seconds(s.cfg.Interval.Seconds())); err != nil {
-					s.logf("daemon: decision round: %v", err)
-				}
+				fn()
 			}
 		}
-	}()
+	}
+	go every(s.cfg.Interval, func() {
+		if _, err := s.DecideOnce(power.Seconds(s.cfg.Interval.Seconds())); err != nil {
+			s.logf("daemon: decision round: %v", err)
+		}
+	})
 	if s.sampler != nil {
 		// The sampler gets its own goroutine and ticker: scraping the
 		// registry and evaluating watch rules never shares the decision
 		// loop's schedule, so self-monitoring cannot delay a round.
-		go func() {
-			ticker := time.NewTicker(s.store.Config().RawInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-ticker.C:
-					s.SampleOnce()
-				}
-			}
-		}()
+		go every(s.store.Config().RawInterval, s.SampleOnce)
 	}
 
 	for {

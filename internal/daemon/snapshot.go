@@ -66,8 +66,8 @@ func (s *Server) exportState(round uint64) {
 	st.LastPushed = snapshot.Resize(st.LastPushed, n)
 	st.Health = snapshot.Resize(st.Health, n)
 	s.mu.Lock()
-	copy(st.LastCaps, s.lastCaps)
-	copy(st.LastPushed, s.lastPushed)
+	copy(st.LastCaps, s.eng.Prev)
+	copy(st.LastPushed, s.eng.Enforced)
 	if s.health != nil {
 		for u, h := range s.health {
 			st.Health[u] = uint8(h)
@@ -107,43 +107,21 @@ func (s *Server) encodeImage(round uint64) []byte {
 	return s.snapEnc
 }
 
-// capsDigest folds the delivered caps' float bits and the controller's
-// step count (0 for a policy that has none) into 64 bits: word-wise
-// FNV-1a, each step a bijection of the running hash, so no single-unit
-// difference can cancel.
-func (s *Server) capsDigest(caps power.Vector) uint64 {
-	const prime = 0x100000001b3
-	h := uint64(0xcbf29ce484222325)
-	if s.dps != nil {
-		h ^= s.dps.Steps()
-	}
-	for _, c := range caps {
-		h = (h ^ math.Float64bits(float64(c))) * prime
-	}
-	return h
-}
-
 // encodeRoundInput builds the FrameDelta payload for the round DecideOnce
 // just completed — the 8-byte round prefix plus one input section — from
 // the decision loop's own back buffers (still this round's: the next flip
-// is the next DecideOnce) and the caps it delivered. pushed are the
-// connections that took the push.
-func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps power.Vector, pushed []*serverConn) {
+// is the next DecideOnce) and the caps it delivered. pushed masks the
+// units whose agent took the push (nil: none).
+func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps power.Vector, pushed []uint64) {
 	in := &s.roundIn
 	now := s.now()
 	in.Interval = interval
 	in.BudgetTotal = s.cfg.Manager.Budget().Total
 	in.SavedUnixMS = now.UnixMilli()
-	in.Digest = s.capsDigest(caps)
+	in.Digest = s.eng.Digest(caps)
 	in.Dirty, in.Readings = s.dirtyBuf.Words(), s.snapBuf
 	in.Pushed = snapshot.Resize(in.Pushed, len(in.Dirty))
-	clear(in.Pushed)
-	for _, sc := range pushed {
-		first := int(sc.hello.FirstUnit)
-		for u := first; u < first+sc.hello.Units; u++ {
-			in.Pushed[u>>6] |= 1 << (u & 63)
-		}
-	}
+	clear(in.Pushed[copy(in.Pushed, pushed):])
 	if in.HasHealth = s.healthBuf != nil; in.HasHealth {
 		in.Health = snapshot.Resize(in.Health, len(s.healthBuf))
 		for u, h := range s.healthBuf {
@@ -166,7 +144,7 @@ func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps pow
 // to replicas that are not, and the image to the snapshot file on its
 // cadence. Called by DecideOnce after the round is published; returns at
 // once unless a replica is attached or a file write is due.
-func (s *Server) replicateRound(round uint64, interval power.Seconds, caps power.Vector, pushed []*serverConn) {
+func (s *Server) replicateRound(round uint64, interval power.Seconds, caps power.Vector, pushed []uint64) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	fileDue := s.cfg.SnapshotPath != "" && (s.lastFileRound == 0 || round-s.lastFileRound >= s.snapshotEvery())
@@ -312,8 +290,8 @@ func (s *Server) adoptDaemonState(st *snapshot.State, anchor time.Time) {
 	s.rounds.Store(st.Rounds)
 
 	s.mu.Lock()
-	copy(s.lastCaps, st.LastCaps)
-	copy(s.lastPushed, st.LastPushed)
+	copy(s.eng.Prev, st.LastCaps)
+	copy(s.eng.Enforced, st.LastPushed)
 	if s.health != nil && len(st.Health) == len(s.health) {
 		for u, h := range st.Health {
 			if h > uint8(core.HealthDead) {
@@ -368,10 +346,7 @@ func (s *Server) handleReplica(conn net.Conn, sess *proto.Session) error {
 	buf := make([]byte, 1)
 	for {
 		if _, err := conn.Read(buf); err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return nil // a standby hanging up is normal, not an error
+			return nil // a standby hanging up, or Close, is normal, not an error
 		}
 	}
 }

@@ -166,10 +166,10 @@ func (s *Server) adoptImage(payload []byte) (bad, misfit error) {
 }
 
 // followRound applies one FrameDelta: it decodes the primary's round
-// input and replays the round on this server's own controller and round
-// caches, exactly as DecideOnce would have run it — same snapshot, same
-// manager call, same delivery-side pin — minus everything outward-facing
-// (no pushes, no round record, no metrics but the lag gauge). An error
+// input and replays the round through this server's own engine, exactly
+// as DecideOnce ran it — same snapshot, same decide and deliver, same
+// commit of what the agents took — minus everything outward-facing (no
+// pushes, no round record, no metrics but the lag gauge). An error
 // means this server's state can no longer be vouched for: a frame that
 // does not parse, a gap in the round sequence, a budget the controller
 // refuses, or caps that differ from what the primary delivered.
@@ -228,22 +228,14 @@ func (s *Server) followRound(payload []byte, in *snapshot.RoundInput) error {
 		s.healthBuf[u] = core.UnitHealth(in.Health[u])
 	}
 
-	snap := core.Snapshot{Power: s.snapBuf, Interval: in.Interval, Health: s.healthBuf, Dirty: s.dirtyBuf}
-	caps, _ := s.decide(snap)
-	caps = s.degradedDeliver(caps, snap.Health)
-	if s.capsDigest(caps) != in.Digest {
+	d, _ := s.eng.Decide(core.Snapshot{Power: s.snapBuf, Interval: in.Interval, Health: s.healthBuf, Dirty: s.dirtyBuf})
+	if s.eng.Digest(d.Delivered) != in.Digest {
 		return fmt.Errorf("round %d: replayed caps differ from the primary's", round)
 	}
 
 	s.mu.Lock()
 	copy(s.health, s.healthBuf)
-	copy(s.lastCaps, caps)
-	for wi, w := range in.Pushed {
-		for ; w != 0; w &= w - 1 {
-			u := wi<<6 | bits.TrailingZeros64(w)
-			s.lastPushed[u] = caps[u]
-		}
-	}
+	s.eng.Commit(d.Delivered, in.Pushed)
 	// Replayed rounds are the primary's, not this process's uptime.
 	s.rounds.Store(round)
 	s.inheritedRounds.Store(round)

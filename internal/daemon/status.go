@@ -70,7 +70,7 @@ func (s *Server) Snapshot() Status {
 
 	s.mu.Lock()
 	agents := len(s.conns)
-	caps := s.lastCaps.Clone()
+	caps := s.eng.Prev.Clone()
 	var health []string
 	var stale, dead int
 	if s.health != nil {

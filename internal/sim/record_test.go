@@ -16,14 +16,16 @@ import (
 	"dps/internal/trace"
 )
 
-// TestStepFillsTheRecordDecideOnceFills is the record's differential: the
-// same scripted readings — mixed demand, saturation (Algorithm 4
-// equalizes), an all-quiet spell (Algorithm 3 restores) and a tail that
-// holds still (no module moves a cap) — go through daemon.DecideOnce,
-// over a real version-1 agent connection, and through the simulator's
-// controller step, one core.DPS of the same configuration each. Both
-// describe the round with telemetry.Round.Fill, so every column and audit
-// count must agree to the bit.
+// TestStepFillsTheRecordDecideOnceFills is the differential of what feeds
+// the round engine: the same scripted readings — mixed demand, saturation
+// (Algorithm 4 equalizes), an all-quiet spell (Algorithm 3 restores) and a
+// tail that holds still (no module moves a cap) — go through
+// daemon.DecideOnce, over a real version-1 agent connection, and through
+// the simulator's controller step, one core.DPS of the same configuration
+// each. Both run engine.Engine and fill the record from its Decision, so
+// the test guards ingest→engine (the wire, the double buffer, the dirty
+// mask) against sim→engine: every column and audit count must agree to
+// the bit.
 func TestStepFillsTheRecordDecideOnceFills(t *testing.T) {
 	machine := cluster.DefaultConfig()
 	machine.Clusters, machine.NodesPerCluster, machine.SocketsPerNode = 2, 2, 2
@@ -94,7 +96,7 @@ func TestStepFillsTheRecordDecideOnceFills(t *testing.T) {
 				demand = 15
 			}
 			// Closed loop on the wire's grid: a unit draws at most its cap.
-			readings[u] = proto.FromDeciwatts(proto.ToDeciwatts(min(demand, l.prev[u])))
+			readings[u] = proto.FromDeciwatts(proto.ToDeciwatts(min(demand, l.eng.Prev[u])))
 		}
 		report(readings)
 		if _, err := srv.DecideOnce(1); err != nil {

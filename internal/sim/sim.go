@@ -6,7 +6,9 @@
 // The loop per decision interval (dT, default 1 s) mirrors the deployed
 // system: sockets draw power under the currently programmed caps, the
 // controller receives the measured (noisy) per-unit average power, decides
-// new caps, and programs them. Workload runs launch back-to-back on each
+// new caps, and programs them. The controller step is the round engine
+// dpsd runs (internal/engine), so every experiment passes through the
+// daemon's own delivery step. Workload runs launch back-to-back on each
 // cluster with a short idle gap, exactly like the paper's experiment
 // scripts repeating each workload in a pair.
 package sim
@@ -18,6 +20,7 @@ import (
 
 	"dps/internal/cluster"
 	"dps/internal/core"
+	"dps/internal/engine"
 	"dps/internal/metrics"
 	"dps/internal/power"
 	"dps/internal/telemetry"
@@ -287,13 +290,9 @@ func Drive(cfg PairConfig, factory ManagerFactory, done func() bool,
 type loop struct {
 	cfg  PairConfig
 	mach *cluster.Machine
-	mgr  core.Manager
-	dps  *core.DPS  // mgr, when it is one: the stats-returning API
-	res  PairResult // SimTime is the loop's clock
-	// rec describes each step's round, retained and re-filled; prev is
-	// the caps the previous step programmed.
-	rec  telemetry.Round
-	prev power.Vector
+	eng  *engine.Engine
+	res  PairResult      // SimTime is the loop's clock
+	rec  telemetry.Round // each step's round, retained and re-filled
 }
 
 func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
@@ -311,53 +310,39 @@ func newLoop(cfg PairConfig, factory ManagerFactory) (*loop, error) {
 	l := &loop{
 		cfg:  cfg,
 		mach: mach,
-		mgr:  mgr,
-		prev: mgr.Caps().Clone(),
+		eng:  engine.New(mgr),
 		res:  PairResult{Manager: mgr.Name()},
 	}
-	if l.dps, _ = mgr.(*core.DPS); l.dps != nil {
+	if dps, ok := mgr.(*core.DPS); ok {
 		l.res.Stages = &StageBreakdown{}
-		l.dps.SetTracer(cfg.Tracer)
+		dps.SetTracer(cfg.Tracer)
 	}
 	return l, nil
 }
 
-// step is the controller pass of one decision interval, the one place a
-// simulated manager decides: the interval's readings in, caps out and
-// programmed, and the round described on the record the daemon fills,
-// which the engine's budget check and the watchdog both read.
+// step is the controller pass of one decision interval: the interval's
+// readings in, one round of the engine dpsd decides and delivers with,
+// caps programmed, and the round described on the record the daemon
+// fills, which the budget check and the watchdog both read.
 func (l *loop) step(readings power.Vector) error {
 	rec := &l.rec
 	rec.Reset()
 	rec.Round = uint64(l.res.Steps + 1)
 	// Virtual time on the Unix epoch: see PairConfig.Watcher.
 	rec.Time = time.Unix(0, 0).Add(time.Duration(float64(l.res.SimTime) * float64(time.Second))).UTC()
-	d := telemetry.Decision{
-		Snap: core.Snapshot{
-			Power:    readings,
-			Interval: l.cfg.DT,
-			Demand:   l.mach.TrueDemands(),
-		},
-		Prev:   l.prev,
-		Budget: l.cfg.Budget.Total,
+	d, stats := l.eng.Decide(core.Snapshot{Power: readings, Interval: l.cfg.DT, Demand: l.mach.TrueDemands()})
+	rec.Stats = stats
+	if l.res.Stages != nil {
+		l.res.Stages.Add(stats)
 	}
-	var caps power.Vector
-	if l.dps != nil {
-		caps, rec.Stats = l.dps.DecideStats(d.Snap)
-		l.res.Stages.Add(rec.Stats)
-		d.Prio, d.Reasons = l.dps.Priorities(), l.dps.Reasons()
-	} else {
-		caps = l.mgr.Decide(d.Snap)
-	}
-	d.Decided, d.Delivered = caps, caps
 	rec.Fill(d)
 	if rec.CapSumW > rec.BudgetW+1e-6 {
 		l.res.BudgetViolations++
 	}
-	if err := l.mach.ApplyCaps(caps); err != nil {
+	if err := l.mach.ApplyCaps(d.Delivered); err != nil {
 		return err
 	}
-	copy(l.prev, caps)
+	l.eng.Commit(d.Delivered, nil)
 	// Audited before StepHook so a hook can read the alert state the step
 	// produced.
 	l.cfg.Watcher.ObserveRound(rec)

@@ -68,8 +68,8 @@ func (r *Round) Reset() {
 	}
 }
 
-// Decision is what the caller of a round knows once its caps are out,
-// the input Fill describes the round from.
+// Decision is one round as the round engine's Decide returns it
+// (internal/engine), the input Fill describes the round from.
 type Decision struct {
 	// Snap is the snapshot the manager decided on.
 	Snap core.Snapshot
