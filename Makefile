@@ -103,7 +103,7 @@ chaos:
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
 	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestAgentRoundSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
-	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits' -count=1 ./internal/snapshot
+	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits|TestEncodeColdAllocs|TestEncodeReuseNoAlloc' -count=1 ./internal/snapshot
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 	$(GO) test -run 'TestWritePrometheusAllocsIndependentOfSeries' -count=1 ./internal/telemetry
 

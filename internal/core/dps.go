@@ -117,16 +117,13 @@ type DPS struct {
 	steps        uint64
 
 	// Cap provenance, maintained lazily: reasons[u] is the last module
-	// that moved unit u's cap this round, roundBefore the caps at the
-	// start of the last round that moved anything (kept because state
-	// images carry it), and stageCaps the per-stage diff baseline.
-	// provDirty marks that a round left tags behind, so the next round
-	// must re-baseline; moverless rounds — the steady state once readings
-	// hold still — skip all three O(units) passes.
-	reasons     []trace.Reason
-	roundBefore power.Vector
-	stageCaps   power.Vector
-	provDirty   bool
+	// that moved unit u's cap this round and stageCaps the per-stage diff
+	// baseline. provDirty marks that a round left tags behind, so the next
+	// round must re-baseline; moverless rounds — the steady state once
+	// readings hold still — skip both O(units) passes.
+	reasons   []trace.Reason
+	stageCaps power.Vector
+	provDirty bool
 
 	// tracer, when set and enabled, receives one span per pipeline stage
 	// per round. Nil by default; every site is guarded by tracer.On(), a
@@ -251,7 +248,6 @@ func NewDPS(cfg Config) (*DPS, error) {
 		readjustM:   rm,
 		caps:        power.NewVector(cfg.Units, 0),
 		reasons:     make([]trace.Reason, cfg.Units),
-		roundBefore: power.NewVector(cfg.Units, 0),
 		stageCaps:   power.NewVector(cfg.Units, 0),
 
 		refreshEvery: cfg.SparseRefreshEvery,
@@ -269,7 +265,6 @@ func NewDPS(cfg Config) (*DPS, error) {
 	for i := range d.caps {
 		d.caps[i] = d.constantCap
 	}
-	copy(d.roundBefore, d.caps)
 	copy(d.stageCaps, d.caps)
 	// The rings maintain an O(1) tail-duration aggregate sized to the
 	// derivative window, so the priority stage's windowed derivative never
@@ -382,7 +377,6 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	// already equal the live caps bit for bit.
 	if d.provDirty {
 		clear(d.reasons)
-		copy(d.roundBefore, d.caps)
 		copy(d.stageCaps, d.caps)
 		d.provDirty = false
 	}
@@ -708,8 +702,7 @@ func (d *DPS) Reset() {
 	d.priorityM.Reset()
 	d.lastRestored = false
 	clear(d.reasons)
-	for u := range d.roundBefore {
-		d.roundBefore[u] = d.constantCap
+	for u := range d.stageCaps {
 		d.stageCaps[u] = d.constantCap
 	}
 	d.provDirty = false

@@ -24,8 +24,8 @@ import (
 // roundMovedW) are dead values the next round overwrites, and capMovedW
 // already holds the next round's revisit set (DecideStats swaps it with
 // roundMovedW on the way out). So the snapshot stores caps, the swapped
-// capMovedW, and the provenance residue (reasons, roundBefore,
-// provDirty) — and nothing that is recomputed from scratch each round.
+// capMovedW, and the provenance residue (reasons, provDirty) — and
+// nothing that is recomputed from scratch each round.
 //
 // An image without a sparse section (HasSparse false — written by a
 // controller that predates the skip bookkeeping) restores conservatively:
@@ -76,10 +76,6 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.HighFreq = resizeBools(st.HighFreq, n)
 	st.Prio = resizeBools(st.Prio, n)
 	d.priorityM.ExportState(st.HighFreq, st.Prio)
-	// The format carries a previous-round priority vector; between rounds
-	// it equals the current one.
-	st.PrevPrio = resizeBools(st.PrevPrio, n)
-	copy(st.PrevPrio, st.Prio)
 	if cap(st.Frozen) < n {
 		st.Frozen = make([]priority.FrozenStats, n)
 	}
@@ -101,7 +97,6 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	for u := 0; u < n; u++ {
 		st.Reasons[u] = uint8(d.reasons[u])
 	}
-	st.RoundBefore = appendVec(st.RoundBefore, d.roundBefore)
 
 	st.HasSparse = true
 	st.LastDT = d.lastDT
@@ -174,8 +169,7 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	}
 	if len(st.Caps) != d.cfg.Units || len(st.Kalman) != d.cfg.Units ||
 		len(st.Rings) != d.cfg.Units || len(st.Prio) != d.cfg.Units ||
-		len(st.HighFreq) != d.cfg.Units || len(st.PrevPrio) != d.cfg.Units ||
-		len(st.Reasons) != d.cfg.Units || len(st.RoundBefore) != d.cfg.Units {
+		len(st.HighFreq) != d.cfg.Units || len(st.Reasons) != d.cfg.Units {
 		return fmt.Errorf("core: snapshot core sections incomplete for %d units", d.cfg.Units)
 	}
 	if want := stateless.TapAt(st.RNGDraws); st.HasRNGReg && st.RNGTap != want {
@@ -214,7 +208,6 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	// baseline, so stageCaps == caps is an invariant of the quiescent
 	// point the export was taken at.
 	copy(d.stageCaps, d.caps)
-	copy(d.roundBefore, st.RoundBefore)
 	for u := range d.reasons {
 		d.reasons[u] = trace.Reason(st.Reasons[u])
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +13,15 @@ import (
 )
 
 // loopState is the world-side state of a closed-loop delta-agent trace:
-// the caps currently applied and the last values each agent reported.
-// It survives a controller swap, exactly as real agents survive a
-// failover — they keep reporting to whoever holds the caps.
+// the caps currently applied, the last values each agent reported and the
+// round interval. It survives a controller swap, exactly as real agents
+// survive a failover — they keep reporting to whoever holds the caps.
 type loopState struct {
 	caps     power.Vector
 	reported power.Vector
 	mask     *DirtyMask
 	eps      power.Watts
+	interval power.Seconds
 }
 
 func newLoopState(d *DPS, eps power.Watts, useMask bool) *loopState {
@@ -26,6 +29,7 @@ func newLoopState(d *DPS, eps power.Watts, useMask bool) *loopState {
 		caps:     d.Caps().Clone(),
 		reported: make(power.Vector, len(d.Caps())),
 		eps:      eps,
+		interval: 1,
 	}
 	if useMask {
 		ls.mask = NewDirtyMask(len(d.Caps()))
@@ -70,7 +74,7 @@ func drive(t *testing.T, d *DPS, demand [][]power.Watts, lo, hi int, ls *loopSta
 				}
 			}
 		}
-		next, st := d.DecideStats(Snapshot{Power: ls.reported, Interval: 1, Dirty: ls.mask, Health: hv})
+		next, st := d.DecideStats(Snapshot{Power: ls.reported, Interval: ls.interval, Dirty: ls.mask, Health: hv})
 		capsOut = append(capsOut, next.Clone())
 		statsOut = append(statsOut, st)
 		copy(ls.caps, next)
@@ -81,7 +85,7 @@ func drive(t *testing.T, d *DPS, demand [][]power.Watts, lo, hi int, ls *loopSta
 // clone copies the loop state, so two restored controllers can each
 // finish the trace from the same point.
 func (ls *loopState) clone() *loopState {
-	c := &loopState{caps: ls.caps.Clone(), reported: ls.reported.Clone(), eps: ls.eps}
+	c := &loopState{caps: ls.caps.Clone(), reported: ls.reported.Clone(), eps: ls.eps, interval: ls.interval}
 	if ls.mask != nil {
 		c.mask = NewDirtyMask(len(ls.caps))
 	}
@@ -350,6 +354,78 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 	// cut (their caps held constant through it).
 	if statsA[cutAt].StaleUnits == 0 || statsA[cutAt].DeadUnits == 0 {
 		t.Fatalf("health schedule not active at the snapshot point")
+	}
+}
+
+// TestRestoreEquivalenceNonUniformRings halves the round interval for a
+// few rounds shortly before the snapshot point, so at export every ring
+// holds a run of short slots mid-ring between slots of the usual length,
+// and the image stores its durations one by one rather than once per
+// ring. The restored controller must still match the uninterrupted twin
+// bitwise for the next 50 rounds.
+func TestRestoreEquivalenceNonUniformRings(t *testing.T) {
+	const (
+		units      = 64
+		shortFrom  = 105 // rounds [shortFrom, shortUntil) run at half the interval
+		shortUntil = 109
+		cutAt      = 112
+		steps      = cutAt + 50
+	)
+	bud := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
+	demand := mixedTrace(steps, units, 23)
+	build := func(refresh int) *DPS {
+		cfg := DefaultConfig(units, bud)
+		cfg.Seed = 7
+		cfg.SparseRefreshEvery = refresh
+		d, err := NewDPS(cfg)
+		if err != nil {
+			t.Fatalf("NewDPS: %v", err)
+		}
+		return d
+	}
+	run := func(d *DPS, ls *loopState, lo, hi int) (caps []power.Vector, stats []RoundStats) {
+		for step := lo; step < hi; step++ {
+			switch step {
+			case shortFrom:
+				ls.interval = 0.5
+			case shortUntil:
+				ls.interval = 1
+			}
+			c, s := drive(t, d, demand, step, step+1, ls, nil)
+			caps, stats = append(caps, c...), append(stats, s...)
+		}
+		return caps, stats
+	}
+
+	a := build(1)
+	capsA, statsA := run(a, newLoopState(a, 0.5, false), 0, steps)
+
+	b := build(DefaultSparseRefreshEvery)
+	lsB := newLoopState(b, 0.5, true)
+	capsB1, statsB1 := run(b, lsB, 0, cutAt)
+
+	var st snapshot.State
+	b.ExportState(&st)
+	for u := range st.Rings {
+		if d := st.Rings[u].Durations; slices.Min(d) == slices.Max(d) {
+			t.Fatalf("unit %d's ring holds one duration at the cut; test is vacuous", u)
+		}
+	}
+	for _, kind := range imageKinds {
+		c := build(DefaultSparseRefreshEvery)
+		snapshotThrough(t, b, c, kind.stripRegister)
+		capsB2, statsB2 := run(c, lsB.clone(), cutAt, steps)
+		assertSameDecisions(t, "non-uniform rings/"+kind.name, capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+		// A duration slot reaches the caps only through the ring
+		// aggregates, so a restored slot read wrong can leave 50 rounds of
+		// caps intact; once every restored slot has been evicted the
+		// aggregates show it.
+		var gotSt, wantSt snapshot.State
+		a.ExportState(&wantSt)
+		c.ExportState(&gotSt)
+		if !reflect.DeepEqual(gotSt.Rings, wantSt.Rings) {
+			t.Fatalf("non-uniform rings/%s: ring state after %d rounds differs from the uninterrupted twin's", kind.name, steps-cutAt)
+		}
 	}
 }
 

@@ -15,7 +15,19 @@
 //	header:  magic "DPSS" | version u16 | flags u16 (reserved, zero)
 //
 // Floats are IEEE-754 bit patterns (the format round-trips NaNs and
-// signed zeros — restore equivalence is bitwise, not numeric). Decoders
+// signed zeros — restore equivalence is bitwise, not numeric).
+//
+// In version 2 each ring of SecRings is its scalars, its RingCap power
+// slots, then a tag byte: 1 and one f64 when every duration slot holds
+// that value bit for bit (the rule once a ring has filled at a steady
+// interval), 0 and RingCap explicit f64s otherwise; any other tag is
+// corrupt. A ring section's size is therefore a range, checked before
+// anything is sized from it. Version 2 also drops two v1 columns nothing
+// read: the previous-round priority words of SecPriority and the
+// round-baseline caps of SecProv. Decoders read v1 images too, discarding
+// those columns; Encode writes v2 only.
+//
+// Decoders
 // skip sections whose id they do not recognize (forward compatibility: a
 // newer writer can add sections without breaking older readers — how
 // SecRNGReg arrived), but only after the CRC validates — corrupt bytes
@@ -30,6 +42,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dps/internal/history"
 	"dps/internal/kalman"
@@ -39,11 +52,15 @@ import (
 	"dps/internal/stateless"
 )
 
-// Version is the current snapshot format version. Decoders reject
-// snapshots with a newer version: a version bump signals an incompatible
-// reinterpretation of existing sections (new sections alone do not need
-// one — unknown ids are skipped).
-const Version = 1
+// Version is the snapshot format version Encode writes. A version bump
+// signals an incompatible reinterpretation of existing sections (new
+// sections alone do not need one — unknown ids are skipped). Decoders
+// read oldestVersion through Version and reject the rest with
+// ErrVersion.
+const (
+	Version       = 2
+	oldestVersion = 1
+)
 
 // magic identifies a DPS snapshot stream.
 var magic = [4]byte{'D', 'P', 'S', 'S'}
@@ -57,11 +74,11 @@ const (
 	SecCore     uint16 = 0x0002 // controller scalars (steps, flags)
 	SecCaps     uint16 = 0x0003 // current cap vector
 	SecKalman   uint16 = 0x0004 // filter bank state
-	SecRings    uint16 = 0x0005 // power history rings, raw
+	SecRings    uint16 = 0x0005 // power history rings, durations stored once when uniform
 	SecPriority uint16 = 0x0006 // priority flags + frozen stats
 	SecSparse   uint16 = 0x0007 // sparse-round masks and caches
 	SecRNG      uint16 = 0x0008 // stateless module PRNG seed + draw count
-	SecProv     uint16 = 0x0009 // provenance reasons + round baseline
+	SecProv     uint16 = 0x0009 // provenance reasons
 	SecDaemon   uint16 = 0x000A // daemon round caches + health clocks
 	// 0x000B is SecRoundInput (input.go): replication stream only.
 	SecRNGReg uint16 = 0x000C // stateless module PRNG register + tap position
@@ -113,12 +130,10 @@ type State struct {
 	Rings         []RingState
 	Prio          []bool
 	HighFreq      []bool
-	PrevPrio      []bool
 	Frozen        []priority.FrozenStats
 	RNGSeed       int64
 	RNGDraws      uint64
 	Reasons       []uint8
-	RoundBefore   power.Vector
 
 	// The stateless module's generator register (SecRNGReg): with it a
 	// restore continues the PRNG stream at once; without it (an image
@@ -207,12 +222,71 @@ func appendBits(b []byte, bits []bool) []byte {
 	return b
 }
 
+// Ring duration tags (SecRings, v2): how a ring's RingCap duration slots
+// follow its power slots.
+const (
+	ringExplicit byte = 0 // RingCap f64s
+	ringUniform  byte = 1 // one f64 every slot equals bitwise
+)
+
+// uniformDuration reports whether every duration slot of r holds one bit
+// pattern — NaN payloads, −0 and unfilled zero slots included — and
+// returns it.
+func uniformDuration(r *RingState) (bits uint64, ok bool) {
+	if len(r.Durations) == 0 {
+		return 0, false
+	}
+	bits = math.Float64bits(float64(r.Durations[0]))
+	for _, d := range r.Durations[1:] {
+		if math.Float64bits(float64(d)) != bits {
+			return 0, false
+		}
+	}
+	return bits, true
+}
+
+// encodedLen is the length of st's image, from the size table DecodeInto
+// checks sections against.
+func encodedLen(st *State) int {
+	uniform := 0
+	for i := range st.Rings {
+		if _, ok := uniformDuration(&st.Rings[i]); ok {
+			uniform++
+		}
+	}
+	framed := func(id uint16) int {
+		n, _ := payloadLen(id, Version, st.Units, st.RingCap, uniform)
+		return section.Overhead + n
+	}
+	n := HeaderSize + framed(SecConfig)
+	if st.HasCore {
+		for _, id := range [...]uint16{SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
+			n += framed(id)
+		}
+		if st.HasRNGReg {
+			n += framed(SecRNGReg)
+		}
+	}
+	if st.HasSparse {
+		n += framed(SecSparse)
+	}
+	if st.HasDaemon {
+		n += framed(SecDaemon)
+	}
+	return n
+}
+
 // Encode serializes st into dst[:0] and returns the extended slice.
 // Sections are emitted in one fixed order, config first (the register
-// section directly after the draw count it belongs to); reusing dst across
-// calls makes a warm encode allocation-free. The output of
-// encode→decode→encode is byte-identical (property-tested).
+// section directly after the draw count it belongs to). The image's
+// length is known before the first byte is written, so dst grows at most
+// once: a cold encode makes one allocation, a warm one into a retained
+// dst none. The output of encode→decode→encode is byte-identical
+// (property-tested).
 func Encode(dst []byte, st *State) []byte {
+	if n := encodedLen(st); cap(dst) < n {
+		dst = make([]byte, 0, n)
+	}
 	b := append(dst[:0], magic[:]...)
 	b = section.AppendU16(b, Version)
 	b = section.AppendU16(b, 0) // flags, reserved
@@ -266,6 +340,11 @@ func Encode(dst []byte, st *State) []byte {
 			for _, p := range r.Powers {
 				b = section.AppendF64(b, float64(p))
 			}
+			if d, ok := uniformDuration(r); ok {
+				b = section.AppendU64(append(b, ringUniform), d)
+				continue
+			}
+			b = append(b, ringExplicit)
 			for _, d := range r.Durations {
 				b = section.AppendF64(b, float64(d))
 			}
@@ -275,7 +354,6 @@ func Encode(dst []byte, st *State) []byte {
 		b, start = section.Begin(b, SecPriority)
 		b = appendBits(b, st.Prio)
 		b = appendBits(b, st.HighFreq)
-		b = appendBits(b, st.PrevPrio)
 		for i := range st.Frozen {
 			f := &st.Frozen[i]
 			b = section.AppendU32(b, uint32(f.N))
@@ -301,9 +379,6 @@ func Encode(dst []byte, st *State) []byte {
 
 		b, start = section.Begin(b, SecProv)
 		b = append(b, st.Reasons...)
-		for _, c := range st.RoundBefore {
-			b = section.AppendF64(b, float64(c))
-		}
 		b = section.End(b, start)
 	}
 
@@ -394,19 +469,20 @@ func done(r *section.Cursor, id uint16) error {
 	return nil
 }
 
-// header validates the fixed prefix and returns the remainder.
-func header(data []byte) ([]byte, error) {
+// header validates the fixed prefix and returns the format version and
+// the remainder.
+func header(data []byte) (uint16, []byte, error) {
 	if len(data) < HeaderSize {
-		return nil, corruptf("%d bytes, want at least the %d-byte header", len(data), HeaderSize)
+		return 0, nil, corruptf("%d bytes, want at least the %d-byte header", len(data), HeaderSize)
 	}
 	if data[0] != magic[0] || data[1] != magic[1] || data[2] != magic[2] || data[3] != magic[3] {
-		return nil, corruptf("bad magic %q", data[:4])
+		return 0, nil, corruptf("bad magic %q", data[:4])
 	}
 	v := uint16(data[4]) | uint16(data[5])<<8
-	if v > Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, decoder supports <= %d", ErrVersion, v, Version)
+	if v < oldestVersion || v > Version {
+		return 0, nil, fmt.Errorf("%w: snapshot version %d, decoder reads %d through %d", ErrVersion, v, oldestVersion, Version)
 	}
-	return data[HeaderSize:], nil
+	return v, data[HeaderSize:], nil
 }
 
 // Resize returns v with length n, reusing its capacity — how every State
@@ -420,12 +496,16 @@ func Resize[T any](v []T, n int) []T {
 	return v[:n]
 }
 
-// expectedLen returns the exact payload size a known section must have
-// for a snapshot of `units` units (known=false for unknown ids). For
-// SecRings the size depends on the ring capacity embedded in the payload
-// prefix; an undersized prefix reports the prefix size itself, which
-// cannot match a real payload.
-func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
+// ringHeader is the bytes of one ring's scalars: head, n and pushes as
+// u32, then sum, sumSq, durSum and tailDur as f64.
+const ringHeader = 3*4 + 4*8
+
+// payloadLen is the one table of section payload sizes: Encode sizes its
+// image from it and DecodeInto checks every known section against it
+// (known=false for unknown ids). v is the format version the payload is
+// laid out in. A SecRings payload also depends on the ring capacity and,
+// in v2, on how many of the units' rings store their durations once.
+func payloadLen(id, v uint16, units, ringCap, uniform int) (n int, known bool) {
 	words := (units + 63) / 64
 	switch id {
 	case SecConfig:
@@ -437,17 +517,22 @@ func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
 	case SecKalman:
 		return units * 17, true
 	case SecRings:
-		if len(payload) < 4 {
-			return 4, true
+		if v == 1 {
+			return 4 + units*(ringHeader+16*ringCap), true
 		}
-		prefix := section.NewCursor(payload)
-		return 4 + units*(3*4+4*8+int(prefix.U32())*16), true
+		return 4 + units*(ringHeader+8*ringCap+1) + uniform*8 + (units-uniform)*8*ringCap, true
 	case SecPriority:
-		return 3*words*8 + units*21, true
+		if v == 1 {
+			return 3*words*8 + units*21, true // with the previous-priority words
+		}
+		return 2*words*8 + units*21, true
 	case SecRNG:
 		return 16, true
 	case SecProv:
-		return units * 9, true
+		if v == 1 {
+			return units * 9, true // with the round-baseline column
+		}
+		return units, true
 	case SecSparse:
 		return 8 + 8 + 8 + 1 + 2*words*8 + units*16, true
 	case SecDaemon:
@@ -458,6 +543,26 @@ func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
 	return 0, false
 }
 
+// payloadBounds returns the payload sizes a known section of a v-format
+// image for `units` units may have. All but SecRings have one size; a
+// SecRings payload's range runs from every ring uniform to none, at the
+// ring capacity its prefix declares. An undersized prefix reports the
+// prefix size itself, which cannot match a real payload.
+func payloadBounds(id, v uint16, units int, payload []byte) (lo, hi int, known bool) {
+	if id != SecRings {
+		n, known := payloadLen(id, v, units, 0, 0)
+		return n, n, known
+	}
+	if len(payload) < 4 {
+		return 4, 4, true
+	}
+	prefix := section.NewCursor(payload)
+	rc := int(prefix.U32())
+	lo, _ = payloadLen(id, v, units, rc, units)
+	hi, _ = payloadLen(id, v, units, rc, 0)
+	return lo, hi, true
+}
+
 // DecodeInto parses a snapshot image into st, reusing st's slices. It
 // never panics on malformed input: every structural defect returns an
 // error wrapping ErrCorrupt (or ErrVersion), and unknown section ids are
@@ -465,7 +570,7 @@ func expectedLen(id uint16, units int, payload []byte) (want int, known bool) {
 // unspecified; on success the Has* flags report which parts were
 // present.
 func DecodeInto(st *State, data []byte) error {
-	rest, err := header(data)
+	v, rest, err := header(data)
 	if err != nil {
 		return err
 	}
@@ -476,10 +581,10 @@ func DecodeInto(st *State, data []byte) error {
 	for w.Next() {
 		id, payload := w.ID, w.Payload
 		// Known sections have a payload size fully determined by the unit
-		// count (and, for rings, the embedded ring capacity). Checking it
-		// up front means a tiny crafted payload can never trigger a large
-		// per-unit allocation before failing.
-		want, known := expectedLen(id, st.Units, payload)
+		// count (for rings, bounded by it and the embedded ring capacity).
+		// Checking it up front means a tiny crafted payload can never
+		// trigger a large per-unit allocation before failing.
+		lo, hi, known := payloadBounds(id, v, st.Units, payload)
 		if !known {
 			continue // unknown section: CRC validated by the walker, skip it
 		}
@@ -490,8 +595,11 @@ func DecodeInto(st *State, data []byte) error {
 		if !seen[SecConfig] {
 			return corruptf("section 0x%04x before config section", id)
 		}
-		if len(payload) != want {
-			return corruptf("section 0x%04x: payload %d bytes, want %d", id, len(payload), want)
+		if len(payload) < lo || len(payload) > hi {
+			if lo == hi {
+				return corruptf("section 0x%04x: payload %d bytes, want %d", id, len(payload), lo)
+			}
+			return corruptf("section 0x%04x: payload %d bytes, want %d to %d", id, len(payload), lo, hi)
 		}
 
 		r := section.NewCursor(payload)
@@ -544,16 +652,31 @@ func DecodeInto(st *State, data []byte) error {
 				g.DurSum = r.F64()
 				g.TailDur = r.F64()
 				section.F64s(&r, g.Powers)
-				section.F64s(&r, g.Durations)
+				tag := ringExplicit
+				if v > 1 {
+					tag = r.U8()
+				}
+				switch tag {
+				case ringExplicit:
+					section.F64s(&r, g.Durations)
+				case ringUniform:
+					d := power.Seconds(r.F64())
+					for j := range g.Durations {
+						g.Durations[j] = d
+					}
+				default:
+					return corruptf("ring %d: duration tag %d", i, tag)
+				}
 			}
 
 		case SecPriority:
 			st.Prio = Resize(st.Prio, st.Units)
 			st.HighFreq = Resize(st.HighFreq, st.Units)
-			st.PrevPrio = Resize(st.PrevPrio, st.Units)
 			bits(&r, st.Prio)
 			bits(&r, st.HighFreq)
-			bits(&r, st.PrevPrio)
+			if v == 1 {
+				r.Skip((st.Units + 63) / 64 * 8) // previous-round priorities
+			}
 			st.Frozen = Resize(st.Frozen, st.Units)
 			for i := range st.Frozen {
 				st.Frozen[i].N = int(r.U32())
@@ -576,8 +699,9 @@ func DecodeInto(st *State, data []byte) error {
 			for i := range st.Reasons {
 				st.Reasons[i] = r.U8()
 			}
-			st.RoundBefore = Resize(st.RoundBefore, st.Units)
-			section.F64s(&r, st.RoundBefore)
+			if v == 1 {
+				r.Skip(st.Units * 8) // round-baseline caps
+			}
 
 		case SecSparse:
 			st.LastDT = power.Seconds(r.F64())

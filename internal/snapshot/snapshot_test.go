@@ -16,10 +16,53 @@ import (
 	"dps/internal/stateless"
 )
 
+// nanPayload is a NaN with a non-canonical payload: the codec must carry
+// its bits, not just its NaN-ness.
+var nanPayload = math.Float64frombits(0x7ff8_0000_dead_beef)
+
+// ringDurations fills a ring's duration slots in one of the patterns the
+// ring section must round-trip: one value throughout (dT, a NaN payload,
+// −0, or an unfilled zero ring), or explicit slots (random, a partly
+// filled ring: dT up to n, zero after, or dT but for one slot mid-ring).
+func ringDurations(rng *rand.Rand, kind, ringCap, n int) []power.Seconds {
+	d := make([]power.Seconds, ringCap)
+	for j := range d {
+		switch kind {
+		case 0:
+			d[j] = 1
+		case 1:
+			d[j] = power.Seconds(nanPayload)
+		case 2:
+			d[j] = power.Seconds(math.Copysign(0, -1))
+		case 3: // never filled: zero
+		case 4:
+			d[j] = power.Seconds(rng.Float64())
+		case 5:
+			if j < n {
+				d[j] = 1
+			}
+		case 6:
+			d[j] = 1
+			if j == ringCap/2 {
+				d[j] = 0.5
+			}
+		}
+	}
+	return d
+}
+
+const ringKinds = 7
+
 // fillState builds a fully-populated State with value patterns that
 // exercise the bitwise contract: NaNs, signed zeros, denormals, extreme
-// integers.
+// integers, and rings of every duration pattern in turn.
 func fillState(units, ringCap int, seed int64) *State {
+	return fillStateRings(units, ringCap, seed, func(u int) int { return u % ringKinds })
+}
+
+// fillStateRings is fillState with unit u's ring durations in pattern
+// kind(u) (see ringDurations).
+func fillStateRings(units, ringCap int, seed int64, kind func(u int) int) *State {
 	rng := rand.New(rand.NewSource(seed))
 	st := &State{
 		Units:              units,
@@ -73,12 +116,11 @@ func fillState(units, ringCap int, seed int64) *State {
 		}
 		for j := 0; j < ringCap; j++ {
 			rs.Powers = append(rs.Powers, power.Watts(rng.NormFloat64()))
-			rs.Durations = append(rs.Durations, power.Seconds(rng.Float64()))
 		}
+		rs.Durations = ringDurations(rng, kind(i), ringCap, rs.N)
 		st.Rings = append(st.Rings, rs)
 		st.Prio = append(st.Prio, rng.Intn(3) == 0)
 		st.HighFreq = append(st.HighFreq, rng.Intn(4) == 0)
-		st.PrevPrio = append(st.PrevPrio, rng.Intn(2) == 0)
 		st.Frozen = append(st.Frozen, priority.FrozenStats{
 			N:           rng.Intn(ringCap + 1),
 			Std:         power.Watts(rng.Float64()),
@@ -86,7 +128,6 @@ func fillState(units, ringCap int, seed int64) *State {
 			HighFreqNow: rng.Intn(2) == 0,
 		})
 		st.Reasons = append(st.Reasons, uint8(rng.Intn(6)))
-		st.RoundBefore = append(st.RoundBefore, power.Watts(rng.Float64()*55))
 		st.LastVal = append(st.LastVal, power.Watts(rng.Float64()*60))
 		st.LastStep = append(st.LastStep, rng.Uint64())
 		st.Health = append(st.Health, uint8(rng.Intn(3)))
@@ -149,13 +190,13 @@ func assertStateEqual(t *testing.T, want, got *State) {
 				t.Fatalf("ring[%d] slot %d mismatch", u, j)
 			}
 		}
-		if got.Prio[u] != want.Prio[u] || got.HighFreq[u] != want.HighFreq[u] || got.PrevPrio[u] != want.PrevPrio[u] {
+		if got.Prio[u] != want.Prio[u] || got.HighFreq[u] != want.HighFreq[u] {
 			t.Fatalf("priority flags[%d] mismatch", u)
 		}
 		if got.Frozen[u] != want.Frozen[u] {
 			t.Fatalf("frozen[%d]: got %+v want %+v", u, got.Frozen[u], want.Frozen[u])
 		}
-		if got.Reasons[u] != want.Reasons[u] || !eqF64(float64(got.RoundBefore[u]), float64(want.RoundBefore[u])) {
+		if got.Reasons[u] != want.Reasons[u] {
 			t.Fatalf("provenance[%d] mismatch", u)
 		}
 	}
@@ -221,6 +262,111 @@ func TestEncodeByteIdentity(t *testing.T) {
 	img2 := Encode(nil, got)
 	if !bytes.Equal(img1, img2) {
 		t.Fatalf("encode→decode→encode changed bytes: %d vs %d", len(img1), len(img2))
+	}
+}
+
+// sameBits reports whether a and b are deeply equal with floats compared
+// by bit pattern (NaN payloads and signed zeros count): reflect.DeepEqual
+// under the codec's bitwise contract. Unexported fields are the rings'
+// backing storage, which the exported slot slices alias, and are skipped.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if a.Type().Field(i).IsExported() && !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
+}
+
+// TestRoundTripMixedRings is the ring section's property test: over
+// random mixes of uniform rings (dT, NaN payload, −0, never filled) and
+// explicit ones (random, partly filled), encode→decode→encode is
+// byte-identical and the decoded state equals the original bit for bit.
+func TestRoundTripMixedRings(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 60; trial++ {
+		units := 1 + rng.Intn(150)
+		ringCap := 1 + rng.Intn(24)
+		mix := rng.Intn(ringKinds + 1) // ringKinds: every ring its own pattern
+		st := fillStateRings(units, ringCap, int64(trial), func(int) int {
+			if mix == ringKinds {
+				return rng.Intn(ringKinds)
+			}
+			return mix
+		})
+		img := Encode(nil, st)
+		got, err := Decode(img)
+		if err != nil {
+			t.Fatalf("trial %d (%d units, ring %d, mix %d): decode: %v", trial, units, ringCap, mix, err)
+		}
+		if !sameBits(reflect.ValueOf(*st), reflect.ValueOf(*got)) {
+			t.Fatalf("trial %d (%d units, ring %d, mix %d): decoded state differs", trial, units, ringCap, mix)
+		}
+		if again := Encode(nil, got); !bytes.Equal(again, img) {
+			t.Fatalf("trial %d (%d units, ring %d, mix %d): encode→decode→encode changed bytes", trial, units, ringCap, mix)
+		}
+	}
+}
+
+// TestRingDurationsStoredOnce pins the v2 ring layout's size: a ring
+// whose slots share one duration costs one tag and one value, any other
+// ring a tag and every slot.
+func TestRingDurationsStoredOnce(t *testing.T) {
+	const units, ringCap = 64, 20
+	ringsLen := func(kind int) int {
+		img := Encode(nil, fillStateRings(units, ringCap, 1, func(int) int { return kind }))
+		w := section.Walk(img[HeaderSize:])
+		for w.Next() {
+			if w.ID == SecRings {
+				return len(w.Payload)
+			}
+		}
+		t.Fatal("image without a ring section")
+		return 0
+	}
+	uniform := 4 + units*(ringHeader+8*ringCap+1+8)
+	explicit := 4 + units*(ringHeader+16*ringCap+1)
+	for kind, want := range []int{uniform, uniform, uniform, uniform, explicit} {
+		if got := ringsLen(kind); got != want {
+			t.Errorf("ring pattern %d: ring section %d bytes, want %d", kind, got, want)
+		}
+	}
+}
+
+// TestEncodeColdAllocs: Encode sizes its image before writing it, so a
+// cold encode makes exactly one allocation, the image itself, at any
+// fleet size.
+func TestEncodeColdAllocs(t *testing.T) {
+	for _, units := range []int{1024, 16384} {
+		st := fillState(units, 20, 3)
+		var img []byte
+		allocs := testing.AllocsPerRun(3, func() {
+			img = Encode(nil, st)
+		})
+		if allocs != 1 {
+			t.Errorf("cold Encode at %d units allocates %v times, want 1", units, allocs)
+		}
+		if len(img) != cap(img) {
+			t.Errorf("cold Encode at %d units: image %d bytes in a %d-byte buffer", units, len(img), cap(img))
+		}
 	}
 }
 
@@ -336,6 +482,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
 			t.Fatalf("future version: %v", err)
 		}
+		mut[4] = 0
+		if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version 0: %v", err)
+		}
+	})
+
+	t.Run("hostile rings", func(t *testing.T) {
+		for name, mut := range hostileRings(t) {
+			if _, err := Decode(mut); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: decoded with %v", name, err)
+			}
+		}
+	})
+
+	t.Run("v2 image read as v1", func(t *testing.T) {
+		mut := append([]byte(nil), img...)
+		mut[4] = 1
+		if _, err := Decode(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v2 image under a v1 header: %v", err)
+		}
 	})
 
 	t.Run("hostile register", func(t *testing.T) {
@@ -405,6 +571,30 @@ func hostileRegisters(t testing.TB, img []byte) map[string][]byte {
 		"register without draw count or core": editSections(t, img, func(id uint16, p []byte) ([]byte, bool) {
 			return p, id != SecRNG && id != SecCore
 		}),
+	}
+}
+
+// hostileRings are well-framed v2 images whose ring section cannot be
+// trusted, built on a two-unit state whose first ring stores its
+// durations slot by slot and whose second stores one value: each must be
+// refused as corrupt.
+func hostileRings(t testing.TB) map[string][]byte {
+	const ringCap = 4
+	img := Encode(nil, fillStateRings(2, ringCap, 5, func(u int) int { return []int{4, 0}[u] }))
+	onRings := func(edit func(p []byte) []byte) []byte {
+		return editSections(t, img, func(id uint16, p []byte) ([]byte, bool) {
+			if id == SecRings {
+				p = edit(p)
+			}
+			return p, true
+		})
+	}
+	firstTag := 4 + ringHeader + 8*ringCap
+	return map[string][]byte{
+		"ring tag 2":                    onRings(func(p []byte) []byte { p[firstTag] = 2; return p }),
+		"uniform duration truncated":    onRings(func(p []byte) []byte { return p[:len(p)-3] }),
+		"explicit tag on uniform bytes": onRings(func(p []byte) []byte { p[len(p)-9] = ringExplicit; return p }),
+		"uniform tag on explicit bytes": onRings(func(p []byte) []byte { p[firstTag] = ringUniform; return p }),
 	}
 }
 
@@ -508,6 +698,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, hostile := range hostileRegisters(f, img) {
 		f.Add(hostile)
 	}
+	for _, hostile := range hostileRings(f) {
+		f.Add(hostile)
+	}
+	if parent, err := os.ReadFile(parentImage); err == nil {
+		f.Add(parent) // v1
+	}
+	f.Add(Encode(nil, fillStateRings(8, 4, 2, func(int) int { return 0 }))) // every ring uniform
+	v3 := append([]byte(nil), img...)
+	v3[4] = 3
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {
@@ -521,23 +721,67 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// TestParentImageBytes is the on-disk compatibility check against an
-// image written by the commit before the shared section codec (a88cf7a):
-// it must decode, and re-encoding the decoded state must reproduce it
-// byte for byte, so that commit decodes what this one writes.
+// parentImage is a v1 image, written by the commit before the shared
+// section codec (a88cf7a).
+var parentImage = filepath.Join("..", "daemon", "testdata", "parent_state.snap")
+
+// TestParentImageBytes is the on-disk compatibility check against the v1
+// parent image: it must decode, and re-encoding the decoded state must
+// give a v2 image that decodes to the same state and differs from the
+// parent only by the v1 columns v2 dropped — the rings' explicit
+// durations, the previous-round priority words and the round-baseline
+// caps. Every other section is the parent's byte for byte.
 func TestParentImageBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "daemon", "testdata", "parent_state.snap"))
+	parent, err := os.ReadFile(parentImage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Decode(want)
+	if v := uint16(parent[4]) | uint16(parent[5])<<8; v != 1 {
+		t.Fatalf("parent image is version %d, want 1", v)
+	}
+	st, err := Decode(parent)
 	if err != nil {
 		t.Fatalf("parent image does not decode: %v", err)
 	}
 	if !st.HasCore || !st.HasDaemon || st.Units != 4 || st.Rounds != 12 {
 		t.Fatalf("parent image decoded to units=%d rounds=%d core=%v daemon=%v", st.Units, st.Rounds, st.HasCore, st.HasDaemon)
 	}
-	if got := Encode(nil, st); !bytes.Equal(got, want) {
-		t.Fatalf("re-encoded parent image differs (%d vs %d bytes)", len(got), len(want))
+	img := Encode(nil, st)
+	if v := uint16(img[4]) | uint16(img[5])<<8; v != Version {
+		t.Fatalf("re-encoded parent image is version %d, want %d", v, Version)
+	}
+	again, err := Decode(img)
+	if err != nil {
+		t.Fatalf("re-encoded parent image does not decode: %v", err)
+	}
+	if !sameBits(reflect.ValueOf(*st), reflect.ValueOf(*again)) {
+		t.Fatal("re-encoded parent image decodes to a different state")
+	}
+
+	payloads := func(b []byte) map[uint16][]byte {
+		m := map[uint16][]byte{}
+		w := section.Walk(b[HeaderSize:])
+		for w.Next() {
+			m[w.ID] = w.Payload
+		}
+		return m
+	}
+	v1, v2 := payloads(parent), payloads(img)
+	if len(v1) != len(v2) {
+		t.Fatalf("parent image has %d sections, re-encoded %d", len(v1), len(v2))
+	}
+	words := (st.Units + 63) / 64
+	for id, p := range v1 {
+		switch id {
+		case SecRings:
+			continue // compared decoded, above
+		case SecPriority:
+			p = append(append([]byte(nil), p[:2*words*8]...), p[3*words*8:]...)
+		case SecProv:
+			p = p[:st.Units]
+		}
+		if !bytes.Equal(v2[id], p) {
+			t.Errorf("section 0x%04x differs from the parent's beyond the dropped columns", id)
+		}
 	}
 }
