@@ -73,7 +73,8 @@ profile-decide:
 # bench-restore refreshes the committed BENCH_restore.json: snapshot
 # encode/decode at 16k and 262k units, and cold-vs-warm takeover
 # time-to-first-caps at 16k and 64k, warm from a donor three rounds old
-# and from the same donor 10^7 PRNG draws on.
+# and from the same image 16 475 whole PRNG register turns (≈ 10^7 draws)
+# on, register kept.
 bench-restore:
 	./scripts/bench_restore.sh
 

@@ -26,14 +26,6 @@ import (
 // roundMovedW on the way out). So the snapshot stores caps, the swapped
 // capMovedW, and the provenance residue (reasons, provDirty) — and
 // nothing that is recomputed from scratch each round.
-//
-// An image without a sparse section (HasSparse false — written by a
-// controller that predates the skip bookkeeping) restores conservatively:
-// the bookkeeping is reset to "revisit everything" — settle certificates
-// dropped, capMovedW fully set, lastStep pinned to the restored round so
-// the elided-push accounting never underflows. Extra visits of settled
-// units are proven bitwise no-ops (DESIGN.md §13), so the conservative
-// reset trades one expensive round for the same bit-exact cap stream.
 
 // ExportState fills st with the controller's complete post-round state,
 // reusing st's slices when their capacity suffices — a warm export into
@@ -83,11 +75,10 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	copy(st.Frozen, d.frozen)
 
 	// The generator travels whole (register + position), so a restore
-	// costs the same whatever this controller's age; (seed, draws) stay
-	// for readers that predate the register and as its cross-check.
+	// costs the same whatever this controller's age; the draw count is
+	// the position's cross-check.
 	st.RNGSeed = d.cfg.Seed
 	st.RNGDraws = d.statelessM.RNGDraws()
-	st.HasRNGReg = true
 	st.RNGTap = d.statelessM.ExportRegister(&st.RNGReg)
 
 	if cap(st.Reasons) < n {
@@ -98,7 +89,6 @@ func (d *DPS) ExportState(st *snapshot.State) {
 		st.Reasons[u] = uint8(d.reasons[u])
 	}
 
-	st.HasSparse = true
 	st.LastDT = d.lastDT
 	st.HighCount = d.highCount
 	st.CachedSum = d.cachedSum
@@ -142,9 +132,7 @@ func resizeBools(dst []bool, n int) []bool {
 // snapshot, not checked.
 //
 // After a successful restore the controller's future decisions are
-// bitwise identical to the exporting controller's — for an image without
-// a sparse section too, via the conservative revisit-everything reset
-// described in the file comment.
+// bitwise identical to the exporting controller's.
 func (d *DPS) RestoreState(st *snapshot.State) error {
 	if !st.HasCore {
 		return fmt.Errorf("core: snapshot carries no controller state")
@@ -167,12 +155,15 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	if err := b.Validate(d.cfg.Units); err != nil {
 		return fmt.Errorf("core: snapshot budget: %w", err)
 	}
+	words := (d.cfg.Units + 63) / 64
 	if len(st.Caps) != d.cfg.Units || len(st.Kalman) != d.cfg.Units ||
 		len(st.Rings) != d.cfg.Units || len(st.Prio) != d.cfg.Units ||
-		len(st.HighFreq) != d.cfg.Units || len(st.Reasons) != d.cfg.Units {
+		len(st.HighFreq) != d.cfg.Units || len(st.Reasons) != d.cfg.Units ||
+		len(st.Frozen) != d.cfg.Units || len(st.SettledW) != words || len(st.CapMovedW) != words ||
+		len(st.LastVal) != d.cfg.Units || len(st.LastStep) != d.cfg.Units {
 		return fmt.Errorf("core: snapshot core sections incomplete for %d units", d.cfg.Units)
 	}
-	if want := stateless.TapAt(st.RNGDraws); st.HasRNGReg && st.RNGTap != want {
+	if want := stateless.TapAt(st.RNGDraws); st.RNGTap != want {
 		return fmt.Errorf("core: snapshot PRNG register at tap %d, %d draws put it at %d", st.RNGTap, st.RNGDraws, want)
 	}
 	// Ring geometry is validated for every unit before any ring is
@@ -181,14 +172,6 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	for u := 0; u < d.cfg.Units; u++ {
 		if err := d.hist.Unit(power.UnitID(u)).CheckState(&st.Rings[u]); err != nil {
 			return fmt.Errorf("core: unit %d: %w", u, err)
-		}
-	}
-	if st.HasSparse {
-		words := (d.cfg.Units + 63) / 64
-		if len(st.SettledW) != words || len(st.CapMovedW) != words ||
-			len(st.LastVal) != d.cfg.Units || len(st.LastStep) != d.cfg.Units ||
-			len(st.Frozen) != d.cfg.Units {
-			return fmt.Errorf("core: snapshot sparse section incomplete for %d units", d.cfg.Units)
 		}
 	}
 	for u := 0; u < d.cfg.Units; u++ {
@@ -218,12 +201,7 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	if err := d.priorityM.ImportState(st.HighFreq, st.Prio); err != nil {
 		panic(fmt.Sprintf("core: priority import failed after length checks: %v", err))
 	}
-	if st.HasRNGReg {
-		d.statelessM.RestoreRegister(&st.RNGReg, st.RNGDraws)
-	} else {
-		// An image from before the register travelled: draw up to it.
-		d.statelessM.RestoreRNG(st.RNGSeed, st.RNGDraws)
-	}
+	d.statelessM.RestoreRegister(&st.RNGReg, st.RNGDraws)
 
 	if st.HeldAllocated && d.held == nil {
 		// Preserve the exporting controller's allocation profile: it had
@@ -232,23 +210,16 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 		d.held = power.NewVector(d.cfg.Units, 0)
 	}
 
-	if st.HasSparse {
-		// Adopt the skip bookkeeping bitwise, settle certificates
-		// included.
-		d.lastDT = st.LastDT
-		d.highCount = st.HighCount
-		d.cachedSum = st.CachedSum
-		d.sumValid = st.SumValid
-		copy(d.settledW, st.SettledW)
-		copy(d.capMovedW, st.CapMovedW)
-		copy(d.lastVal, st.LastVal)
-		copy(d.lastStep, st.LastStep)
-		copy(d.frozen, st.Frozen)
-	} else {
-		// No certificates travel, so reset to revisit-everything.
-		d.resetSkipState()
-		d.highCount = ExportedHighCount(st)
-	}
+	// Adopt the skip bookkeeping bitwise, settle certificates included.
+	d.lastDT = st.LastDT
+	d.highCount = st.HighCount
+	d.cachedSum = st.CachedSum
+	d.sumValid = st.SumValid
+	copy(d.settledW, st.SettledW)
+	copy(d.capMovedW, st.CapMovedW)
+	copy(d.lastVal, st.LastVal)
+	copy(d.lastStep, st.LastStep)
+	copy(d.frozen, st.Frozen)
 	clear(d.dirtyW)
 	clear(d.roundMovedW)
 	d.anyMove = false

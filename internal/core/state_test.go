@@ -92,34 +92,18 @@ func (ls *loopState) clone() *loopState {
 	return c
 }
 
-// imageKinds are the two images a restore must treat alike: the one this
-// tree writes, PRNG register included, and the same image without the
-// register section — what a writer that predates it wrote, restored by
-// replaying (seed, draws).
-var imageKinds = []struct {
-	name          string
-	stripRegister bool
-}{{"register", false}, {"no register", true}}
-
 // snapshotThrough round-trips d's state through the wire format and
 // restores it into into, failing the test on any step that errors. The
 // byte round trip is deliberate: the equivalence proof must cover the
 // serialized form, not just the in-memory State.
-func snapshotThrough(t *testing.T, d, into *DPS, stripRegister bool) {
+func snapshotThrough(t *testing.T, d, into *DPS) {
 	t.Helper()
 	var st snapshot.State
 	d.ExportState(&st)
-	if !st.HasRNGReg {
-		t.Fatal("export carries no PRNG register")
-	}
-	st.HasRNGReg = !stripRegister
 	img := snapshot.Encode(nil, &st)
 	got, err := snapshot.Decode(img)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
-	}
-	if got.HasRNGReg == stripRegister {
-		t.Fatalf("decoded image has register = %v, stripped = %v", got.HasRNGReg, stripRegister)
 	}
 	if err := into.RestoreState(got); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -200,26 +184,23 @@ func TestRestoreEquivalence(t *testing.T) {
 			}
 			capsB2, statsB2 := drive(t, b, demand, 150, cutAt, lsB, nil)
 
-			for _, kind := range imageKinds {
-				c := build(tc.refresh)
-				snapshotThrough(t, b, c, kind.stripRegister)
-				if got, want := c.Steps(), uint64(cutAt); got != want {
-					t.Fatalf("restored steps %d, want %d", got, want)
-				}
-				if got := c.Budget().Total; got != budget2 {
-					t.Fatalf("restored budget %v, want %v", got, budget2)
-				}
-				lsC := lsB.clone()
-				capsB3, statsB3 := drive(t, c, demand, cutAt, 400, lsC, nil)
-				if err := c.SetTotalBudget(budget3); err != nil {
-					t.Fatal(err)
-				}
-				capsB4, statsB4 := drive(t, c, demand, 400, steps, lsC, nil)
-
-				capsB := append(append(append(capsB1, capsB2...), capsB3...), capsB4...)
-				statsB := append(append(append(statsB1, statsB2...), statsB3...), statsB4...)
-				assertSameDecisions(t, tc.name+"/"+kind.name, capsA, capsB, statsA, statsB)
+			c := build(tc.refresh)
+			snapshotThrough(t, b, c)
+			if got, want := c.Steps(), uint64(cutAt); got != want {
+				t.Fatalf("restored steps %d, want %d", got, want)
 			}
+			if got := c.Budget().Total; got != budget2 {
+				t.Fatalf("restored budget %v, want %v", got, budget2)
+			}
+			capsB3, statsB3 := drive(t, c, demand, cutAt, 400, lsB, nil)
+			if err := c.SetTotalBudget(budget3); err != nil {
+				t.Fatal(err)
+			}
+			capsB4, statsB4 := drive(t, c, demand, 400, steps, lsB, nil)
+
+			capsB := append(append(append(capsB1, capsB2...), capsB3...), capsB4...)
+			statsB := append(append(append(statsB1, statsB2...), statsB3...), statsB4...)
+			assertSameDecisions(t, tc.name, capsA, capsB, statsA, statsB)
 
 			// Non-vacuity: the post-restore segment must exercise real
 			// decision work.
@@ -236,65 +217,6 @@ func TestRestoreEquivalence(t *testing.T) {
 				t.Fatalf("%s: no cap moved after the restore point; test is vacuous", tc.name)
 			}
 		})
-	}
-}
-
-// TestRestoreEquivalenceNoSparseSection checks the conservative restore
-// of an image without a sparse section — what a controller that predates
-// the skip bookkeeping wrote: core sections only, HasSparse false. The
-// restored controller must continue the uninterrupted twin's cap stream
-// bitwise (the revisit-everything reset is a proven no-op, not a
-// behavioral change).
-func TestRestoreEquivalenceNoSparseSection(t *testing.T) {
-	const (
-		units = 96
-		steps = 400
-		cutAt = 150
-	)
-	bud := power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}
-	demand := mixedTrace(steps, units, 42)
-	build := func() *DPS {
-		cfg := DefaultConfig(units, bud)
-		cfg.Seed = 7
-		d, err := NewDPS(cfg)
-		if err != nil {
-			t.Fatalf("NewDPS: %v", err)
-		}
-		return d
-	}
-
-	a := build()
-	lsA := newLoopState(a, 0.5, false)
-	capsA, statsA := drive(t, a, demand, 0, steps, lsA, nil)
-
-	b := build()
-	lsB := newLoopState(b, 0.5, false)
-	capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, nil)
-
-	// Hand-build the old image from b's export: keep the core sections,
-	// drop everything the sparse section carried.
-	var st snapshot.State
-	b.ExportState(&st)
-	st.Sparse, st.HasSparse = false, false
-	st.SettledW, st.CapMovedW, st.LastVal, st.LastStep = nil, nil, nil, nil
-	st.LastDT, st.HighCount, st.CachedSum, st.SumValid = 0, 0, 0, false
-	clear(st.Frozen)
-	for _, kind := range imageKinds {
-		st.HasRNGReg = !kind.stripRegister
-		old, err := snapshot.Decode(snapshot.Encode(nil, &st))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if old.HasSparse || old.HasRNGReg == kind.stripRegister {
-			t.Fatalf("hand-built image carries sparse section = %v, register = %v", old.HasSparse, old.HasRNGReg)
-		}
-		c := build()
-		if err := c.RestoreState(old); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB.clone(), nil)
-
-		assertSameDecisions(t, "no sparse section/"+kind.name, capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
 	}
 }
 
@@ -342,12 +264,10 @@ func TestRestoreEquivalenceDegraded(t *testing.T) {
 		b := build(refresh)
 		lsB := newLoopState(b, 0.5, true)
 		capsB1, statsB1 := drive(t, b, demand, 0, cutAt, lsB, health)
-		for _, kind := range imageKinds {
-			c := build(refresh)
-			snapshotThrough(t, b, c, kind.stripRegister)
-			capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB.clone(), health)
-			assertSameDecisions(t, fmt.Sprintf("degraded/refresh=%d/%s", refresh, kind.name), capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
-		}
+		c := build(refresh)
+		snapshotThrough(t, b, c)
+		capsB2, statsB2 := drive(t, c, demand, cutAt, steps, lsB, health)
+		assertSameDecisions(t, fmt.Sprintf("degraded/refresh=%d", refresh), capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
 	}
 
 	// Non-vacuity: the schedule must actually have pinned units at the
@@ -411,21 +331,18 @@ func TestRestoreEquivalenceNonUniformRings(t *testing.T) {
 			t.Fatalf("unit %d's ring holds one duration at the cut; test is vacuous", u)
 		}
 	}
-	for _, kind := range imageKinds {
-		c := build(DefaultSparseRefreshEvery)
-		snapshotThrough(t, b, c, kind.stripRegister)
-		capsB2, statsB2 := run(c, lsB.clone(), cutAt, steps)
-		assertSameDecisions(t, "non-uniform rings/"+kind.name, capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
-		// A duration slot reaches the caps only through the ring
-		// aggregates, so a restored slot read wrong can leave 50 rounds of
-		// caps intact; once every restored slot has been evicted the
-		// aggregates show it.
-		var gotSt, wantSt snapshot.State
-		a.ExportState(&wantSt)
-		c.ExportState(&gotSt)
-		if !reflect.DeepEqual(gotSt.Rings, wantSt.Rings) {
-			t.Fatalf("non-uniform rings/%s: ring state after %d rounds differs from the uninterrupted twin's", kind.name, steps-cutAt)
-		}
+	c := build(DefaultSparseRefreshEvery)
+	snapshotThrough(t, b, c)
+	capsB2, statsB2 := run(c, lsB, cutAt, steps)
+	assertSameDecisions(t, "non-uniform rings", capsA, append(capsB1, capsB2...), statsA, append(statsB1, statsB2...))
+	// A duration slot reaches the caps only through the ring aggregates,
+	// so a restored slot read wrong can leave 50 rounds of caps intact;
+	// once every restored slot has been evicted the aggregates show it.
+	var gotSt, wantSt snapshot.State
+	a.ExportState(&wantSt)
+	c.ExportState(&gotSt)
+	if !reflect.DeepEqual(gotSt.Rings, wantSt.Rings) {
+		t.Fatalf("non-uniform rings: ring state after %d rounds differs from the uninterrupted twin's", steps-cutAt)
 	}
 }
 
@@ -546,6 +463,7 @@ func TestRestoreStateRejects(t *testing.T) {
 		{"bad budget", newC(nil), func(s *snapshot.State) { s.BudgetTotal = -1 }, "budget"},
 		{"bad ring geometry", newC(nil), func(s *snapshot.State) { s.Rings[5].Head = 99 }, "unit 5"},
 		{"short section", newC(nil), func(s *snapshot.State) { s.Caps = s.Caps[:units-1] }, "incomplete"},
+		{"short sparse column", newC(nil), func(s *snapshot.State) { s.LastStep = s.LastStep[:units-1] }, "incomplete"},
 		{"register off its position", newC(nil), func(s *snapshot.State) { s.RNGTap = (s.RNGTap + 1) % stateless.RegisterLen }, "tap"},
 		{"register position out of range", newC(nil), func(s *snapshot.State) { s.RNGTap += stateless.RegisterLen }, "tap"},
 		{"draw count off the register", newC(nil), func(s *snapshot.State) { s.RNGDraws++ }, "tap"},

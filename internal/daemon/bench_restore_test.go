@@ -13,6 +13,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/snapshot"
+	"dps/internal/stateless"
 )
 
 // benchRestoreServer builds a DPS server at cluster scale with health
@@ -99,12 +100,12 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	}
 }
 
-// agedImage writes, next to the snapshot at path, the image its donor
-// would have written had its stateless module made draws more PRNG draws
-// by then, and returns the new file's path. Built through public API
-// only: the image is restored without its register, so the controller
-// draws its way there, and exported again; the daemon's part is kept.
-func agedImage(b *testing.B, path string, units int, draws uint64) string {
+// agedImage writes, next to the snapshot at path, the same image with the
+// draw count of a donor turns whole turns of the PRNG register older, and
+// returns the new file's path. A whole turn leaves the register's tap
+// position where it stands, so the register is kept and the image stays
+// sound, as in core's TestRestoreIndependentOfDonorAge.
+func agedImage(b *testing.B, path string, turns uint64) string {
 	b.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -114,16 +115,7 @@ func agedImage(b *testing.B, path string, units int, draws uint64) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st.HasRNGReg = false
-	st.RNGDraws += draws
-	d, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := d.RestoreState(st); err != nil {
-		b.Fatal(err)
-	}
-	d.ExportState(st)
+	st.RNGDraws += turns * stateless.RegisterLen
 	aged := path + ".aged"
 	if err := os.WriteFile(aged, snapshot.Encode(nil, st), 0o644); err != nil {
 		b.Fatal(err)
@@ -136,9 +128,9 @@ func agedImage(b *testing.B, path string, units int, draws uint64) string {
 // round — the constant-allocation round every unit pays for) and warm
 // (restore the snapshot, then decide — the takeover path, where the
 // first round continues the donor's trajectory). The warm path runs on
-// two donor ages, three rounds and the same state 10^7 PRNG draws on
-// (about half an hour of bench's dense16k), which must cost the same:
-// the image carries the generator, not a count to replay. Feeds
+// two donor ages, three rounds and the same state 16 475 register turns
+// (≈ 10^7 PRNG draws, about half an hour of bench's dense16k) on, which
+// must cost the same: the image carries the generator. Feeds
 // scripts/bench_restore.sh; `make bench-smoke` runs the 16k rows once.
 func BenchmarkTakeoverFirstRound(b *testing.B) {
 	// 65536 is the protocol's addressable ceiling; the codec benchmark
@@ -180,7 +172,7 @@ func BenchmarkTakeoverFirstRound(b *testing.B) {
 		})
 		for _, donor := range []struct {
 			name, image string
-		}{{"3rounds", path}, {"1e7draws", agedImage(b, path, units, 1e7)}} {
+		}{{"3rounds", path}, {"1e7draws", agedImage(b, path, 16475)}} {
 			b.Run(fmt.Sprintf("warm/N=%d/donor=%s", units, donor.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -3,12 +3,14 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +34,9 @@ import (
 // The script hits a restore round, stale and dead units, a flight-recorder
 // ring that wraps, a health-blind policy corrected by degraded_deliver,
 // and a process generation restored from the parent's snapshot image.
+// That image, parent_state.snap, was re-captured at c8328f5, the last
+// commit to read v1 images; a88cf7a's v1 image is v1_state.snap, and a
+// restore from either shows the views record_views.golden holds.
 //
 // Stage wall times are the only nondeterministic values; they are masked
 // to 0 in the JSON and zeroed in the black-box records.
@@ -218,6 +223,8 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 	goldenImage := filepath.Join("testdata", "parent_state.snap")
 	if os.Getenv("CAPTURE_PARENT") != "" {
 		// Run at the parent commit only: this is how the testdata was made.
+		// The black-box segment carries raw stage wall times, so a capture
+		// rewrites it with new ones even when every other byte is the same.
 		if err := os.WriteFile(goldenImage, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -236,25 +243,13 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 	}
 
 	// The snapshot file holds no wall-clock value, so the image this
-	// commit writes must be the parent's v1 image re-encoded in the
-	// current format byte for byte, but for the one section the parent
-	// does not know and skips: the PRNG register, 607 words behind a
-	// two-byte position.
-	parentImage, err := os.ReadFile(goldenImage)
+	// commit writes must be the parent's byte for byte.
+	wantImage, err := os.ReadFile(goldenImage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := snapshot.Decode(parentImage)
-	if err != nil {
-		t.Fatalf("parent image %s does not decode: %v", goldenImage, err)
-	}
-	wantImage := snapshot.Encode(nil, parent)
-	bare, register := splitRegister(t, image)
-	if !bytes.Equal(bare, wantImage) {
-		t.Errorf("snapshot image without its register section differs from the parent's %s re-encoded (%d vs %d bytes)", goldenImage, len(bare), len(wantImage))
-	}
-	if want := 2 + 8*stateless.RegisterLen; len(register) != want {
-		t.Errorf("register section holds %d bytes, want %d", len(register), want)
+	if !bytes.Equal(image, wantImage) {
+		t.Errorf("snapshot image differs from the parent's %s (%d vs %d bytes)", goldenImage, len(image), len(wantImage))
 	}
 	// The restored generation boots from the parent-written image.
 	got = append(got, restoredViews(t, goldenImage)...)
@@ -264,6 +259,57 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("views of the round record differ from the parent's %s:\ngot:\n%s\nwant:\n%s", goldenViews, got, want)
+	}
+}
+
+// TestV1ImageRefused: v1_state.snap is the version-1 image a88cf7a wrote
+// for the scenario above. A decoder reads only the version Encode writes,
+// so the image is ErrVersion, and a server asked to restore from it
+// refuses and keeps its fresh-boot state: no inherited rounds, every unit
+// at the constant cap, and a first round bit for bit a fresh server's.
+func TestV1ImageRefused(t *testing.T) {
+	v1 := filepath.Join("testdata", "v1_state.snap")
+	data, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := uint16(data[4]) | uint16(data[5])<<8; v != 1 {
+		t.Fatalf("%s is version %d, want 1", v1, v)
+	}
+	if _, err := snapshot.Decode(data); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("v1 image decoded with %v, want ErrVersion", err)
+	}
+
+	boot := func() *scriptedServer {
+		const units = 4
+		mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newScriptedServer(t, ServerConfig{
+			Manager: mgr, Units: units, Interval: 2 * time.Second,
+			StaleAfter: 3 * time.Second, DeadAfter: 10 * time.Second,
+		}, time.Unix(1_700_000_030, 0).UTC())
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	c, fresh := boot(), boot()
+	if err := c.RestoreFromSnapshot(v1); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("restore from the v1 image: %v, want ErrVersion", err)
+	}
+	if c.Rounds() != 0 {
+		t.Fatalf("refused restore left the server at round %d", c.Rounds())
+	}
+	for u, cp := range c.dps.Caps() {
+		if cp != c.dps.ConstantCap() {
+			t.Fatalf("after the refused restore unit %d is capped at %v, not the constant %v", u, cp, c.dps.ConstantCap())
+		}
+	}
+	for _, s := range []*scriptedServer{c, fresh} {
+		s.round(t, power.Vector{150, 40, 60, 5}, 0, 1, 2, 3)
+	}
+	if got, want := c.dps.Caps(), fresh.dps.Caps(); !slices.Equal(got, want) {
+		t.Fatalf("first round after the refused restore decided %v, a fresh server %v", got, want)
 	}
 }
 

@@ -93,28 +93,6 @@ type replayRig struct {
 
 	mu      sync.Mutex
 	rewrite func(frame byte, payload []byte) []byte // nil: pass through
-	// oldImages strips the PRNG register section from every image in
-	// flight: the standby then syncs the way it would from a primary
-	// that predates the section, by replaying (seed, draws).
-	oldImages bool
-}
-
-// splitRegister returns img without its PRNG register section, and that
-// section's payload.
-func splitRegister(t testing.TB, img []byte) (bare, register []byte) {
-	bare = append(bare, img[:snapshot.HeaderSize]...)
-	w := section.Walk(img[snapshot.HeaderSize:])
-	for w.Next() {
-		if w.ID == snapshot.SecRNGReg {
-			register = w.Payload
-		} else {
-			bare = append(bare, w.Raw...)
-		}
-	}
-	if w.Stop != section.Clean || register == nil {
-		t.Errorf("image walk ended with %v, register section found: %v", w.Stop, register != nil)
-	}
-	return bare, register
 }
 
 const (
@@ -132,9 +110,6 @@ func newReplayRig(t *testing.T) *replayRig {
 		go r.primary.Handle(&frameTap{Conn: server, rewrite: func(frame byte, payload []byte) []byte {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			if r.oldImages && frame == proto.FrameSnapshot {
-				payload, _ = splitRegister(t, payload)
-			}
 			if r.rewrite == nil {
 				return payload
 			}
@@ -326,15 +301,13 @@ func (r *replayRig) follow() bool {
 // killed and rejoined (fresh → stale → dead → fresh), two budget changes,
 // an agent that only ever heartbeats, Algorithm 3's quiet window, and a
 // frame destroyed in flight halfway through, after which the standby must
-// resync from a full image and match again. It runs twice: on images as
-// this tree writes them, and on images without the PRNG register
-// section, which the standby must bring to the identical state.
+// resync from a full image and match again. It runs on images as this
+// tree writes them, PRNG register section included.
 func TestStandbyReplayMatchesPrimary(t *testing.T) {
-	t.Run("register", func(t *testing.T) { standbyReplayMatchesPrimary(t, false) })
-	t.Run("no register", func(t *testing.T) { standbyReplayMatchesPrimary(t, true) })
+	t.Run("register", standbyReplayMatchesPrimary)
 }
 
-func standbyReplayMatchesPrimary(t *testing.T, oldImages bool) {
+func standbyReplayMatchesPrimary(t *testing.T) {
 	const (
 		rounds      = 320
 		killAt      = 40
@@ -346,9 +319,6 @@ func standbyReplayMatchesPrimary(t *testing.T, oldImages bool) {
 		wantResyncs = 1
 	)
 	r := newReplayRig(t)
-	r.mu.Lock()
-	r.oldImages = oldImages
-	r.mu.Unlock()
 	rng := rand.New(rand.NewSource(3))
 	caps := r.primary.cfg.Manager.Caps().Clone()
 	budget := r.primary.dps.Budget().Total

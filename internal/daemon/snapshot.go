@@ -54,7 +54,7 @@ func (s *Server) exportState(round uint64) {
 		st.Seed = 0
 		st.BudgetTotal, st.UnitMax, st.UnitMin = b.Total, b.UnitMax, b.UnitMin
 		st.Sparse, st.SparseRefreshEvery = false, 0
-		st.HasCore, st.HasSparse = false, false
+		st.HasCore = false
 	}
 	st.HasDaemon = true
 	now := s.now()

@@ -174,10 +174,6 @@ func (c *Cursor) U64() uint64 {
 
 func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
 
-// Skip advances past the next n bytes; when fewer remain it latches
-// Short.
-func (c *Cursor) Skip(n int) { c.take(n) }
-
 // take returns the next n bytes under one bounds check; when fewer
 // remain it latches Short and reports false.
 func (c *Cursor) take(n int) ([]byte, bool) {

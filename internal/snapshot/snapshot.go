@@ -1,9 +1,9 @@
 // Package snapshot defines the controller's versioned state-snapshot
 // format: everything a DPS controller and its daemon accumulate across
 // decision rounds — caps, ring histories, Kalman bank, priority and
-// frozen stats, sparse bookkeeping, the PRNG (its register and position,
-// beside the (seed, draws) pair older readers restore from and newer
-// ones check the register against), provenance, health clocks —
+// frozen stats, sparse bookkeeping, the PRNG (its register and tap
+// position, beside the draw count the position is checked against),
+// provenance, health clocks —
 // serialized so a restarted or warm-standby controller resumes
 // bit-for-bit where the original stopped (DESIGN.md §14).
 //
@@ -17,21 +17,18 @@
 // Floats are IEEE-754 bit patterns (the format round-trips NaNs and
 // signed zeros — restore equivalence is bitwise, not numeric).
 //
-// In version 2 each ring of SecRings is its scalars, its RingCap power
-// slots, then a tag byte: 1 and one f64 when every duration slot holds
-// that value bit for bit (the rule once a ring has filled at a steady
-// interval), 0 and RingCap explicit f64s otherwise; any other tag is
-// corrupt. A ring section's size is therefore a range, checked before
-// anything is sized from it. Version 2 also drops two v1 columns nothing
-// read: the previous-round priority words of SecPriority and the
-// round-baseline caps of SecProv. Decoders read v1 images too, discarding
-// those columns; Encode writes v2 only.
+// Each ring of SecRings is its scalars, its RingCap power slots, then a
+// tag byte: 1 and one f64 when every duration slot holds that value bit
+// for bit (the rule once a ring has filled at a steady interval), 0 and
+// RingCap explicit f64s otherwise; any other tag is corrupt. A ring
+// section's size is therefore a range, checked before anything is sized
+// from it.
 //
-// Decoders
-// skip sections whose id they do not recognize (forward compatibility: a
-// newer writer can add sections without breaking older readers — how
-// SecRNGReg arrived), but only after the CRC validates — corrupt bytes
-// never parse as "unknown, ignore".
+// The controller's sections form one family (coreFamily): an image holds
+// all of them or none. Decoders skip sections whose id they do not
+// recognize (forward compatibility: a newer writer can add sections
+// without breaking older readers), but only after the CRC validates —
+// corrupt bytes never parse as "unknown, ignore".
 //
 // Decoding costs what the image's bytes cost: the per-unit float and
 // word columns are read a column at a time (section.F64s/U64s), and the
@@ -52,15 +49,12 @@ import (
 	"dps/internal/stateless"
 )
 
-// Version is the snapshot format version Encode writes. A version bump
-// signals an incompatible reinterpretation of existing sections (new
-// sections alone do not need one — unknown ids are skipped). Decoders
-// read oldestVersion through Version and reject the rest with
-// ErrVersion.
-const (
-	Version       = 2
-	oldestVersion = 1
-)
+// Version is the snapshot format version Encode writes and the only one
+// DecodeInto reads: any other, older ones included, is ErrVersion. A
+// version bump signals an incompatible reinterpretation of existing
+// sections (new sections alone do not need one — unknown ids are
+// skipped).
+const Version = 2
 
 // magic identifies a DPS snapshot stream.
 var magic = [4]byte{'D', 'P', 'S', 'S'}
@@ -83,6 +77,12 @@ const (
 	// 0x000B is SecRoundInput (input.go): replication stream only.
 	SecRNGReg uint16 = 0x000C // stateless module PRNG register + tap position
 )
+
+// coreFamily is the controller's section family, in the order Encode
+// writes it (the register directly after the draw count it belongs to).
+// HasCore stands for the whole family; an image holding part of it is
+// corrupt.
+var coreFamily = [...]uint16{SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecRNGReg, SecProv, SecSparse}
 
 // Sanity bounds for decoded counts, so a corrupted or adversarial length
 // field cannot demand absurd allocations before the CRC check would
@@ -117,8 +117,7 @@ type State struct {
 	Sparse             bool
 	SparseRefreshEvery int
 
-	// Core controller state (SecCore, SecCaps, SecKalman, SecRings,
-	// SecPriority, SecRNG, SecProv).
+	// Core controller state, the sections of coreFamily.
 	HasCore       bool
 	Steps         uint64
 	LastRestored  bool
@@ -135,18 +134,14 @@ type State struct {
 	RNGDraws      uint64
 	Reasons       []uint8
 
-	// The stateless module's generator register (SecRNGReg): with it a
-	// restore continues the PRNG stream at once; without it (an image
-	// from a writer that predates the section) the restorer replays
-	// RNGDraws draws from RNGSeed to the same register. RNGTap is the
-	// register's position, stateless.TapAt(RNGDraws) in a sound image.
-	HasRNGReg bool
-	RNGTap    int
-	RNGReg    [stateless.RegisterLen]uint64
+	// The stateless module's generator register (SecRNGReg), with which
+	// a restore continues the PRNG stream at once. RNGTap is the
+	// register's position; RNGDraws is its cross-check, for the position
+	// must be stateless.TapAt(RNGDraws).
+	RNGTap int
+	RNGReg [stateless.RegisterLen]uint64
 
-	// Sparse-round bookkeeping (SecSparse), present only for sparse
-	// controllers.
-	HasSparse bool
+	// Sparse-round bookkeeping (SecSparse).
 	LastDT    power.Seconds
 	HighCount int
 	CachedSum power.Watts
@@ -255,20 +250,14 @@ func encodedLen(st *State) int {
 		}
 	}
 	framed := func(id uint16) int {
-		n, _ := payloadLen(id, Version, st.Units, st.RingCap, uniform)
+		n, _ := payloadLen(id, st.Units, st.RingCap, uniform)
 		return section.Overhead + n
 	}
 	n := HeaderSize + framed(SecConfig)
 	if st.HasCore {
-		for _, id := range [...]uint16{SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
+		for _, id := range coreFamily {
 			n += framed(id)
 		}
-		if st.HasRNGReg {
-			n += framed(SecRNGReg)
-		}
-	}
-	if st.HasSparse {
-		n += framed(SecSparse)
 	}
 	if st.HasDaemon {
 		n += framed(SecDaemon)
@@ -277,11 +266,10 @@ func encodedLen(st *State) int {
 }
 
 // Encode serializes st into dst[:0] and returns the extended slice.
-// Sections are emitted in one fixed order, config first (the register
-// section directly after the draw count it belongs to). The image's
-// length is known before the first byte is written, so dst grows at most
-// once: a cold encode makes one allocation, a warm one into a retained
-// dst none. The output of encode→decode→encode is byte-identical
+// Sections are emitted in one fixed order: config, coreFamily, daemon.
+// The image's length is known before the first byte is written, so dst
+// grows at most once: a cold encode makes one allocation, a warm one into
+// a retained dst none. The output of encode→decode→encode is byte-identical
 // (property-tested).
 func Encode(dst []byte, st *State) []byte {
 	if n := encodedLen(st); cap(dst) < n {
@@ -368,21 +356,17 @@ func Encode(dst []byte, st *State) []byte {
 		b = section.AppendU64(b, st.RNGDraws)
 		b = section.End(b, start)
 
-		if st.HasRNGReg {
-			b, start = section.Begin(b, SecRNGReg)
-			b = section.AppendU16(b, uint16(st.RNGTap))
-			for _, w := range st.RNGReg {
-				b = section.AppendU64(b, w)
-			}
-			b = section.End(b, start)
+		b, start = section.Begin(b, SecRNGReg)
+		b = section.AppendU16(b, uint16(st.RNGTap))
+		for _, w := range st.RNGReg {
+			b = section.AppendU64(b, w)
 		}
+		b = section.End(b, start)
 
 		b, start = section.Begin(b, SecProv)
 		b = append(b, st.Reasons...)
 		b = section.End(b, start)
-	}
 
-	if st.HasSparse {
 		b, start = section.Begin(b, SecSparse)
 		b = section.AppendF64(b, float64(st.LastDT))
 		b = section.AppendU64(b, uint64(int64(st.HighCount)))
@@ -469,20 +453,18 @@ func done(r *section.Cursor, id uint16) error {
 	return nil
 }
 
-// header validates the fixed prefix and returns the format version and
-// the remainder.
-func header(data []byte) (uint16, []byte, error) {
+// header validates the fixed prefix and returns the remainder.
+func header(data []byte) ([]byte, error) {
 	if len(data) < HeaderSize {
-		return 0, nil, corruptf("%d bytes, want at least the %d-byte header", len(data), HeaderSize)
+		return nil, corruptf("%d bytes, want at least the %d-byte header", len(data), HeaderSize)
 	}
 	if data[0] != magic[0] || data[1] != magic[1] || data[2] != magic[2] || data[3] != magic[3] {
-		return 0, nil, corruptf("bad magic %q", data[:4])
+		return nil, corruptf("bad magic %q", data[:4])
 	}
-	v := uint16(data[4]) | uint16(data[5])<<8
-	if v < oldestVersion || v > Version {
-		return 0, nil, fmt.Errorf("%w: snapshot version %d, decoder reads %d through %d", ErrVersion, v, oldestVersion, Version)
+	if v := uint16(data[4]) | uint16(data[5])<<8; v != Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, decoder reads %d", ErrVersion, v, Version)
 	}
-	return v, data[HeaderSize:], nil
+	return data[HeaderSize:], nil
 }
 
 // Resize returns v with length n, reusing its capacity — how every State
@@ -502,10 +484,10 @@ const ringHeader = 3*4 + 4*8
 
 // payloadLen is the one table of section payload sizes: Encode sizes its
 // image from it and DecodeInto checks every known section against it
-// (known=false for unknown ids). v is the format version the payload is
-// laid out in. A SecRings payload also depends on the ring capacity and,
-// in v2, on how many of the units' rings store their durations once.
-func payloadLen(id, v uint16, units, ringCap, uniform int) (n int, known bool) {
+// (known=false for unknown ids). A SecRings payload also depends on the
+// ring capacity and on how many of the units' rings store their
+// durations once.
+func payloadLen(id uint16, units, ringCap, uniform int) (n int, known bool) {
 	words := (units + 63) / 64
 	switch id {
 	case SecConfig:
@@ -517,21 +499,12 @@ func payloadLen(id, v uint16, units, ringCap, uniform int) (n int, known bool) {
 	case SecKalman:
 		return units * 17, true
 	case SecRings:
-		if v == 1 {
-			return 4 + units*(ringHeader+16*ringCap), true
-		}
 		return 4 + units*(ringHeader+8*ringCap+1) + uniform*8 + (units-uniform)*8*ringCap, true
 	case SecPriority:
-		if v == 1 {
-			return 3*words*8 + units*21, true // with the previous-priority words
-		}
 		return 2*words*8 + units*21, true
 	case SecRNG:
 		return 16, true
 	case SecProv:
-		if v == 1 {
-			return units * 9, true // with the round-baseline column
-		}
 		return units, true
 	case SecSparse:
 		return 8 + 8 + 8 + 1 + 2*words*8 + units*16, true
@@ -543,14 +516,14 @@ func payloadLen(id, v uint16, units, ringCap, uniform int) (n int, known bool) {
 	return 0, false
 }
 
-// payloadBounds returns the payload sizes a known section of a v-format
-// image for `units` units may have. All but SecRings have one size; a
+// payloadBounds returns the payload sizes a known section of an image
+// for `units` units may have. All but SecRings have one size; a
 // SecRings payload's range runs from every ring uniform to none, at the
 // ring capacity its prefix declares. An undersized prefix reports the
 // prefix size itself, which cannot match a real payload.
-func payloadBounds(id, v uint16, units int, payload []byte) (lo, hi int, known bool) {
+func payloadBounds(id uint16, units int, payload []byte) (lo, hi int, known bool) {
 	if id != SecRings {
-		n, known := payloadLen(id, v, units, 0, 0)
+		n, known := payloadLen(id, units, 0, 0)
 		return n, n, known
 	}
 	if len(payload) < 4 {
@@ -558,8 +531,8 @@ func payloadBounds(id, v uint16, units int, payload []byte) (lo, hi int, known b
 	}
 	prefix := section.NewCursor(payload)
 	rc := int(prefix.U32())
-	lo, _ = payloadLen(id, v, units, rc, units)
-	hi, _ = payloadLen(id, v, units, rc, 0)
+	lo, _ = payloadLen(id, units, rc, units)
+	hi, _ = payloadLen(id, units, rc, 0)
 	return lo, hi, true
 }
 
@@ -570,11 +543,11 @@ func payloadBounds(id, v uint16, units int, payload []byte) (lo, hi int, known b
 // unspecified; on success the Has* flags report which parts were
 // present.
 func DecodeInto(st *State, data []byte) error {
-	v, rest, err := header(data)
+	rest, err := header(data)
 	if err != nil {
 		return err
 	}
-	st.HasCore, st.HasSparse, st.HasDaemon, st.HasRNGReg = false, false, false, false
+	st.HasCore, st.HasDaemon = false, false
 	var seen [SecRNGReg + 1]bool // which known sections the image holds
 
 	w := section.Walk(rest)
@@ -584,7 +557,7 @@ func DecodeInto(st *State, data []byte) error {
 		// count (for rings, bounded by it and the embedded ring capacity).
 		// Checking it up front means a tiny crafted payload can never
 		// trigger a large per-unit allocation before failing.
-		lo, hi, known := payloadBounds(id, v, st.Units, payload)
+		lo, hi, known := payloadBounds(id, st.Units, payload)
 		if !known {
 			continue // unknown section: CRC validated by the walker, skip it
 		}
@@ -622,7 +595,6 @@ func DecodeInto(st *State, data []byte) error {
 			st.LastRestored = boolean(&r)
 			st.ProvDirty = boolean(&r)
 			st.HeldAllocated = boolean(&r)
-			st.HasCore = true
 
 		case SecCaps:
 			st.Caps = Resize(st.Caps, st.Units)
@@ -652,11 +624,7 @@ func DecodeInto(st *State, data []byte) error {
 				g.DurSum = r.F64()
 				g.TailDur = r.F64()
 				section.F64s(&r, g.Powers)
-				tag := ringExplicit
-				if v > 1 {
-					tag = r.U8()
-				}
-				switch tag {
+				switch tag := r.U8(); tag {
 				case ringExplicit:
 					section.F64s(&r, g.Durations)
 				case ringUniform:
@@ -674,9 +642,6 @@ func DecodeInto(st *State, data []byte) error {
 			st.HighFreq = Resize(st.HighFreq, st.Units)
 			bits(&r, st.Prio)
 			bits(&r, st.HighFreq)
-			if v == 1 {
-				r.Skip((st.Units + 63) / 64 * 8) // previous-round priorities
-			}
 			st.Frozen = Resize(st.Frozen, st.Units)
 			for i := range st.Frozen {
 				st.Frozen[i].N = int(r.U32())
@@ -692,15 +657,11 @@ func DecodeInto(st *State, data []byte) error {
 		case SecRNGReg:
 			st.RNGTap = int(r.U16())
 			section.U64s(&r, st.RNGReg[:])
-			st.HasRNGReg = true
 
 		case SecProv:
 			st.Reasons = Resize(st.Reasons, st.Units)
 			for i := range st.Reasons {
 				st.Reasons[i] = r.U8()
-			}
-			if v == 1 {
-				r.Skip(st.Units * 8) // round-baseline caps
 			}
 
 		case SecSparse:
@@ -717,7 +678,6 @@ func DecodeInto(st *State, data []byte) error {
 			section.F64s(&r, st.LastVal)
 			st.LastStep = Resize(st.LastStep, st.Units)
 			section.U64s(&r, st.LastStep)
-			st.HasSparse = true
 
 		case SecDaemon:
 			st.SavedUnixMS = int64(r.U64())
@@ -747,21 +707,17 @@ func DecodeInto(st *State, data []byte) error {
 	if !seen[SecConfig] {
 		return corruptf("no config section")
 	}
-	if st.HasCore {
-		// HasCore promises the full core section family; a snapshot with
-		// SecCore but a missing companion is structurally incomplete.
-		for _, id := range [...]uint16{SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
-			if !seen[id] {
-				return corruptf("core sections incomplete for %d units: no section 0x%04x", st.Units, id)
-			}
+	have := 0
+	for _, id := range coreFamily {
+		if seen[id] {
+			have++
 		}
 	}
-	if st.HasRNGReg {
-		// The register means nothing without the draw count it is the
-		// state after, and the count fixes where its taps stand.
-		if !seen[SecRNG] {
-			return corruptf("section 0x%04x without section 0x%04x", SecRNGReg, SecRNG)
-		}
+	if have != 0 && have != len(coreFamily) {
+		return corruptf("core sections incomplete for %d units: %d of the %d present", st.Units, have, len(coreFamily))
+	}
+	if st.HasCore = have != 0; st.HasCore {
+		// The draw count fixes where the register's taps stand.
 		if want := stateless.TapAt(st.RNGDraws); st.RNGTap != want {
 			return corruptf("section 0x%04x: tap position %d, want %d after %d draws", SecRNGReg, st.RNGTap, want, st.RNGDraws)
 		}

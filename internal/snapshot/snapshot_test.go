@@ -81,14 +81,11 @@ func fillStateRings(units, ringCap int, seed int64, kind func(u int) int) *State
 		RingCap:       ringCap,
 		RNGSeed:       seed,
 		RNGDraws:      1 << 40,
-		HasRNGReg:     true,
 		RNGTap:        stateless.TapAt(1 << 40),
-
-		HasSparse: true,
-		LastDT:    1.0,
-		HighCount: units / 3,
-		CachedSum: power.Watts(math.NaN()),
-		SumValid:  true,
+		LastDT:        1.0,
+		HighCount:     units / 3,
+		CachedSum:     power.Watts(math.NaN()),
+		SumValid:      true,
 
 		HasDaemon:   true,
 		SavedUnixMS: 1_700_000_000_123,
@@ -161,9 +158,8 @@ func assertStateEqual(t *testing.T, want, got *State) {
 		got.Sparse != want.Sparse || got.SparseRefreshEvery != want.SparseRefreshEvery {
 		t.Fatalf("config mismatch: got %+v", got)
 	}
-	if got.HasCore != want.HasCore || got.HasSparse != want.HasSparse || got.HasDaemon != want.HasDaemon {
-		t.Fatalf("presence flags: got %v/%v/%v want %v/%v/%v",
-			got.HasCore, got.HasSparse, got.HasDaemon, want.HasCore, want.HasSparse, want.HasDaemon)
+	if got.HasCore != want.HasCore || got.HasDaemon != want.HasDaemon {
+		t.Fatalf("presence flags: got %v/%v want %v/%v", got.HasCore, got.HasDaemon, want.HasCore, want.HasDaemon)
 	}
 	if got.Steps != want.Steps || got.LastRestored != want.LastRestored ||
 		got.ProvDirty != want.ProvDirty || got.HeldAllocated != want.HeldAllocated {
@@ -203,10 +199,10 @@ func assertStateEqual(t *testing.T, want, got *State) {
 	if got.RNGSeed != want.RNGSeed || got.RNGDraws != want.RNGDraws {
 		t.Fatalf("rng: got %d/%d want %d/%d", got.RNGSeed, got.RNGDraws, want.RNGSeed, want.RNGDraws)
 	}
-	if got.HasRNGReg != want.HasRNGReg || want.HasRNGReg && (got.RNGTap != want.RNGTap || got.RNGReg != want.RNGReg) {
-		t.Fatalf("rng register: got %v at tap %d, want %v at tap %d", got.HasRNGReg, got.RNGTap, want.HasRNGReg, want.RNGTap)
-	}
-	if want.HasSparse {
+	if want.HasCore {
+		if got.RNGTap != want.RNGTap || got.RNGReg != want.RNGReg {
+			t.Fatalf("rng register: got tap %d, want tap %d", got.RNGTap, want.RNGTap)
+		}
 		if !eqF64(float64(got.LastDT), float64(want.LastDT)) || got.HighCount != want.HighCount ||
 			!eqF64(float64(got.CachedSum), float64(want.CachedSum)) || got.SumValid != want.SumValid {
 			t.Fatalf("sparse scalars mismatch")
@@ -388,12 +384,12 @@ func TestPartialStates(t *testing.T) {
 
 	configOnly := &State{}
 	*configOnly = *full
-	configOnly.HasCore, configOnly.HasSparse, configOnly.HasDaemon = false, false, false
+	configOnly.HasCore, configOnly.HasDaemon = false, false
 	got, err := Decode(Encode(nil, configOnly))
 	if err != nil {
 		t.Fatalf("config-only: %v", err)
 	}
-	if got.HasCore || got.HasSparse || got.HasDaemon {
+	if got.HasCore || got.HasDaemon {
 		t.Fatalf("config-only decode reported sections: %+v", got)
 	}
 	if got.Units != full.Units || got.Seed != full.Seed {
@@ -405,10 +401,10 @@ func TestPartialStates(t *testing.T) {
 	noDaemon.HasDaemon = false
 	got, err = Decode(Encode(nil, noDaemon))
 	if err != nil {
-		t.Fatalf("core+sparse: %v", err)
+		t.Fatalf("core only: %v", err)
 	}
-	if !got.HasCore || !got.HasSparse || got.HasDaemon {
-		t.Fatalf("core+sparse flags wrong: %+v", got)
+	if !got.HasCore || got.HasDaemon {
+		t.Fatalf("core-only flags wrong: %+v", got)
 	}
 }
 
@@ -499,7 +495,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	t.Run("v2 image read as v1", func(t *testing.T) {
 		mut := append([]byte(nil), img...)
 		mut[4] = 1
-		if _, err := Decode(mut); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
 			t.Fatalf("v2 image under a v1 header: %v", err)
 		}
 	})
@@ -598,24 +594,32 @@ func hostileRings(t testing.TB) map[string][]byte {
 	}
 }
 
-// TestImageWithoutRegister: an image with the register section dropped
-// is sound — it is what a writer that predates the section wrote — and
-// re-encodes as such, so such a writer still reads what this one writes.
+// withoutSection is img with section drop removed and every other
+// section intact: a well-framed image the CRC cannot catch.
+func withoutSection(t testing.TB, img []byte, drop uint16) []byte {
+	return editSections(t, img, func(id uint16, p []byte) ([]byte, bool) { return p, id != drop })
+}
+
+// TestImageWithoutRegister: an image whose PRNG register section is
+// dropped holds part of the core family and is refused as corrupt; no
+// restore replays the draw count instead.
 func TestImageWithoutRegister(t *testing.T) {
 	img := Encode(nil, fillState(48, 8, 6))
-	bare := editSections(t, img, func(id uint16, p []byte) ([]byte, bool) { return p, id != SecRNGReg })
+	bare := withoutSection(t, img, SecRNGReg)
 	if len(img)-len(bare) != section.Overhead+2+8*stateless.RegisterLen {
 		t.Fatalf("register section takes %d bytes of the image", len(img)-len(bare))
 	}
-	st, err := Decode(bare)
-	if err != nil {
-		t.Fatalf("image without a register section: %v", err)
+	if _, err := Decode(bare); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("image without a register section: %v, want ErrCorrupt", err)
 	}
-	if st.HasRNGReg || st.RNGDraws != 1<<40 {
-		t.Fatalf("image without a register section decoded to register=%v draws=%d", st.HasRNGReg, st.RNGDraws)
-	}
-	if !bytes.Equal(Encode(nil, st), bare) {
-		t.Fatal("image without a register section does not re-encode to itself")
+}
+
+// TestImageWithoutSparseSection: an image whose sparse section is
+// dropped is refused as corrupt; no restore resets the settle
+// certificates instead.
+func TestImageWithoutSparseSection(t *testing.T) {
+	if _, err := Decode(withoutSection(t, Encode(nil, fillState(48, 8, 6)), SecSparse)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("image without a sparse section: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -629,18 +633,17 @@ func TestDecodeIntoWarmStateForgetsSections(t *testing.T) {
 	if err := DecodeInto(&st, full); err != nil {
 		t.Fatal(err)
 	}
-	for _, drop := range []uint16{SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecProv} {
-		img := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id != drop && id != SecRNGReg })
-		if err := DecodeInto(&st, img); !errors.Is(err, ErrCorrupt) {
+	for _, drop := range coreFamily {
+		if err := DecodeInto(&st, withoutSection(t, full, drop)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("core image without section 0x%04x decoded into a warm state: %v", drop, err)
 		}
 	}
-	bare := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id != SecRNGReg && id != SecSparse })
-	if err := DecodeInto(&st, bare); err != nil {
+	noCore := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id == SecConfig || id == SecDaemon })
+	if err := DecodeInto(&st, noCore); err != nil {
 		t.Fatal(err)
 	}
-	if st.HasRNGReg || st.HasSparse {
-		t.Fatalf("warm state kept register=%v sparse=%v from the earlier image", st.HasRNGReg, st.HasSparse)
+	if st.HasCore || !st.HasDaemon {
+		t.Fatalf("image without the core family decoded to core=%v daemon=%v", st.HasCore, st.HasDaemon)
 	}
 }
 
@@ -701,9 +704,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, hostile := range hostileRings(f) {
 		f.Add(hostile)
 	}
-	if parent, err := os.ReadFile(parentImage); err == nil {
-		f.Add(parent) // v1
+	if v1, err := os.ReadFile(v1Image); err == nil {
+		f.Add(v1)
 	}
+	f.Add(withoutSection(f, img, SecSparse))
+	f.Add(withoutSection(f, img, SecRNGReg))
 	f.Add(Encode(nil, fillStateRings(8, 4, 2, func(int) int { return 0 }))) // every ring uniform
 	v3 := append([]byte(nil), img...)
 	v3[4] = 3
@@ -721,67 +726,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// parentImage is a v1 image, written by the commit before the shared
-// section codec (a88cf7a).
-var parentImage = filepath.Join("..", "daemon", "testdata", "parent_state.snap")
-
-// TestParentImageBytes is the on-disk compatibility check against the v1
-// parent image: it must decode, and re-encoding the decoded state must
-// give a v2 image that decodes to the same state and differs from the
-// parent only by the v1 columns v2 dropped — the rings' explicit
-// durations, the previous-round priority words and the round-baseline
-// caps. Every other section is the parent's byte for byte.
-func TestParentImageBytes(t *testing.T) {
-	parent, err := os.ReadFile(parentImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := uint16(parent[4]) | uint16(parent[5])<<8; v != 1 {
-		t.Fatalf("parent image is version %d, want 1", v)
-	}
-	st, err := Decode(parent)
-	if err != nil {
-		t.Fatalf("parent image does not decode: %v", err)
-	}
-	if !st.HasCore || !st.HasDaemon || st.Units != 4 || st.Rounds != 12 {
-		t.Fatalf("parent image decoded to units=%d rounds=%d core=%v daemon=%v", st.Units, st.Rounds, st.HasCore, st.HasDaemon)
-	}
-	img := Encode(nil, st)
-	if v := uint16(img[4]) | uint16(img[5])<<8; v != Version {
-		t.Fatalf("re-encoded parent image is version %d, want %d", v, Version)
-	}
-	again, err := Decode(img)
-	if err != nil {
-		t.Fatalf("re-encoded parent image does not decode: %v", err)
-	}
-	if !sameBits(reflect.ValueOf(*st), reflect.ValueOf(*again)) {
-		t.Fatal("re-encoded parent image decodes to a different state")
-	}
-
-	payloads := func(b []byte) map[uint16][]byte {
-		m := map[uint16][]byte{}
-		w := section.Walk(b[HeaderSize:])
-		for w.Next() {
-			m[w.ID] = w.Payload
-		}
-		return m
-	}
-	v1, v2 := payloads(parent), payloads(img)
-	if len(v1) != len(v2) {
-		t.Fatalf("parent image has %d sections, re-encoded %d", len(v1), len(v2))
-	}
-	words := (st.Units + 63) / 64
-	for id, p := range v1 {
-		switch id {
-		case SecRings:
-			continue // compared decoded, above
-		case SecPriority:
-			p = append(append([]byte(nil), p[:2*words*8]...), p[3*words*8:]...)
-		case SecProv:
-			p = p[:st.Units]
-		}
-		if !bytes.Equal(v2[id], p) {
-			t.Errorf("section 0x%04x differs from the parent's beyond the dropped columns", id)
-		}
-	}
-}
+// v1Image is a version-1 image, written by the commit before the shared
+// section codec (a88cf7a). Decoders refuse it (TestV1ImageRefused).
+var v1Image = filepath.Join("..", "daemon", "testdata", "v1_state.snap")

@@ -182,16 +182,6 @@ func (m *Module) RestoreRegister(reg *[RegisterLen]uint64, draws uint64) {
 	m.src.tap, m.src.draws = TapAt(draws), draws
 }
 
-// RestoreRNG is RestoreRegister for a snapshot that carries only
-// (seed, draws): it re-seeds the generator and advances it draws times,
-// landing on the same register. The replay is linear in draws.
-func (m *Module) RestoreRNG(seed int64, draws uint64) {
-	m.src.Seed(seed)
-	for i := uint64(0); i < draws; i++ {
-		m.src.Uint64()
-	}
-}
-
 // Apply runs one MIMD step: given each unit's current power it mutates caps
 // in place, never letting the sum of caps exceed budget.Total nor any cap
 // leave [budget.UnitMin, budget.UnitMax].
