@@ -110,8 +110,10 @@ alloc-check:
 
 # fuzz-smoke gives every fuzz target a short shake on every CI run: the
 # wire-protocol decoders (the corpus under internal/proto/testdata grows
-# across runs), the signal detectors, and the round engine's per-round
-# invariants under scripted readings, health flaps and budget moves.
+# across runs), the signal detectors, the round engine's per-round
+# invariants under scripted readings, health flaps and budget moves, and
+# the restore gate (a refused image touches nothing, an accepted one is
+# restored whole).
 # `go test` accepts one -fuzz pattern per invocation, hence one command
 # per target (anchored: -fuzz must match exactly one target). The
 # section framing is fuzzed once, in its own package; the snapshot,
@@ -127,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzCountProminentPeaks$$' -fuzztime=5s -run xxx ./internal/signal/
 	$(GO) test -fuzz='FuzzWindowedDerivative$$' -fuzztime=5s -run xxx ./internal/signal/
 	$(GO) test -fuzz='FuzzRoundEngine$$' -fuzztime=5s -run xxx ./internal/engine/
+	$(GO) test -fuzz='FuzzRestoreImage$$' -fuzztime=5s -run xxx ./internal/daemon/
 
 # trace-smoke runs a short traced simulation and validates the exported
 # Chrome trace_event JSON covers every pipeline stage in every round.

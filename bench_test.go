@@ -390,7 +390,9 @@ func BenchmarkDecideScaling(b *testing.B) {
 				}
 				// First round: everything is new (the handshake burst)...
 				first := core.NewDirtyMask(units)
-				first.SetAll()
+				for u := range readings {
+					first.Mark(u)
+				}
 				d.Decide(core.Snapshot{Power: readings, Interval: 1, Dirty: first})
 				// ...then quiet rounds until the clean majority settles
 				// (rings uniform, Kalman filters at their fixed points).

@@ -1,6 +1,12 @@
 package core
 
-import "math/bits"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+
+	"dps/internal/power"
+)
 
 // DirtyMask marks which units' readings changed since the previous
 // snapshot. The daemon's ingest path marks a unit whenever an accepted
@@ -57,19 +63,6 @@ func (m *DirtyMask) Reset() {
 	m.count = 0
 }
 
-// SetAll marks every unit. The daemon uses this for snapshots whose
-// provenance it cannot vouch for (e.g. immediately after a restart),
-// turning the sparse path conservative rather than wrong.
-func (m *DirtyMask) SetAll() {
-	for i := range m.words {
-		m.words[i] = ^uint64(0)
-	}
-	if tail := uint(m.n & 63); tail != 0 && len(m.words) > 0 {
-		m.words[len(m.words)-1] = (uint64(1) << tail) - 1
-	}
-	m.count = m.n
-}
-
 // CopyFrom makes m a copy of src. The masks must cover the same unit
 // count; the daemon uses this to double-buffer the live mask into the
 // snapshot the controller reads while ingest keeps marking the original.
@@ -98,4 +91,34 @@ func (m *DirtyMask) popcount() int {
 		total += bits.OnesCount64(w)
 	}
 	return total
+}
+
+// changedWord returns the mask word of units [base, base+64): bit u−base
+// set where readings[u] differs from last[u] bit for bit — a repeated
+// NaN is unchanged, a zero that flips sign is not — which is the
+// guarantee a clear ingest bit gives.
+func changedWord(readings, last power.Vector, base int) uint64 {
+	r := readings[base:min(base+64, len(readings))]
+	l := last[base : base+len(r)]
+	var w uint64
+	for i, v := range r {
+		if math.Float64bits(float64(v)) != math.Float64bits(float64(l[i])) {
+			w |= uint64(1) << uint(i)
+		}
+	}
+	return w
+}
+
+// MarkChanged marks in m every unit whose reading differs, bit for bit,
+// from the one the controller last consumed: the exact dirty set for
+// readings no ingest mask vouches for — the first round after a restore
+// or a standby's takeover — by the compare a mask-less round makes.
+func (d *DPS) MarkChanged(m *DirtyMask, readings power.Vector) {
+	if m.Len() != d.cfg.Units || len(readings) != d.cfg.Units {
+		panic(fmt.Sprintf("core: marking %d readings into a %d-unit mask, controller has %d", len(readings), m.Len(), d.cfg.Units))
+	}
+	for wi := range m.words {
+		m.words[wi] |= changedWord(readings, d.lastVal, wi<<6)
+	}
+	m.count = m.popcount()
 }

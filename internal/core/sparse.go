@@ -54,17 +54,9 @@ func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHea
 		// skip contract exact for callers (sim, tests) that never build a
 		// mask.
 		dirty := 0
-		for wi := 0; wi < d.nWords; wi++ {
-			base := wi << 6
-			end := min(base+64, units)
-			var w uint64
-			for u := base; u < end; u++ {
-				if snap.Power[u] != d.lastVal[u] {
-					w |= uint64(1) << uint(u-base)
-				}
-			}
-			d.dirtyW[wi] = w
-			dirty += bits.OnesCount64(w)
+		for wi := range d.dirtyW {
+			d.dirtyW[wi] = changedWord(snap.Power, d.lastVal, wi<<6)
+			dirty += bits.OnesCount64(d.dirtyW[wi])
 		}
 		stats.DirtyUnits = dirty
 	}

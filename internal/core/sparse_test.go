@@ -494,8 +494,7 @@ func TestSparseBudgetChange(t *testing.T) {
 }
 
 // TestDirtyMask covers the mask's bookkeeping: idempotent marking, the
-// incremental count against a direct popcount, copy/reset, and the
-// tail-word handling of SetAll.
+// incremental count against a direct popcount, and copy/reset.
 func TestDirtyMask(t *testing.T) {
 	m := NewDirtyMask(70)
 	if m.Len() != 70 || m.Count() != 0 {
@@ -523,9 +522,5 @@ func TestDirtyMask(t *testing.T) {
 	}
 	if cp.Count() != 4 || !cp.Get(69) {
 		t.Fatal("copy lost bits")
-	}
-	cp.SetAll()
-	if cp.Count() != 70 || cp.popcount() != 70 {
-		t.Fatalf("SetAll: count=%d popcount=%d", cp.Count(), cp.popcount())
 	}
 }

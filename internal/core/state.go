@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"dps/internal/history"
 	"dps/internal/power"
-	"dps/internal/priority"
 	"dps/internal/snapshot"
 	"dps/internal/stateless"
 	"dps/internal/trace"
@@ -27,11 +27,28 @@ import (
 // capMovedW, and the provenance residue (reasons, provDirty) — and
 // nothing that is recomputed from scratch each round.
 
+// BindState makes st a view of the controller: the columns an image lays
+// out as the controller does — caps, the frozen classification stats,
+// the sparse bookkeeping's lastVal, lastStep, settledW and capMovedW, and
+// every ring's power and duration slots — become the controller's own
+// storage. Encode then reads them in place, snapshot.DecodeVerified
+// writes them in place, and ExportState and RestoreState move only the
+// columns laid out differently. Bind again before each use, between
+// rounds: capMovedW changes identity every round.
+func (d *DPS) BindState(st *snapshot.State) {
+	st.Caps, st.Frozen = d.caps, d.frozen
+	st.LastVal, st.LastStep = d.lastVal, d.lastStep
+	st.SettledW, st.CapMovedW = d.settledW, d.capMovedW
+	powers, durations := d.hist.Slots()
+	st.BindRings(powers, durations, d.cfg.HistoryLen)
+}
+
 // ExportState fills st with the controller's complete post-round state,
 // reusing st's slices when their capacity suffices — a warm export into
-// a retained State allocates nothing. It must be called between Decide
-// rounds (the controller's only externally observable points), never
-// concurrently with one.
+// a retained State allocates nothing, and one bound to this controller
+// (BindState) copies no column it shares. It must be called between
+// Decide rounds (the controller's only externally observable points),
+// never concurrently with one.
 func (d *DPS) ExportState(st *snapshot.State) {
 	n := d.cfg.Units
 	st.Units = n
@@ -48,12 +65,9 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.ProvDirty = d.provDirty
 	st.HeldAllocated = d.held != nil
 
-	st.Caps = appendVec(st.Caps, d.caps)
+	st.Caps = snapshot.Assign(st.Caps, d.caps)
 
-	if cap(st.Kalman) < n {
-		st.Kalman = make([]snapshot.KalmanState, n)
-	}
-	st.Kalman = st.Kalman[:n]
+	st.Kalman = snapshot.Resize(st.Kalman, n)
 	for u := 0; u < n; u++ {
 		st.Kalman[u] = d.filters.Unit(power.UnitID(u)).ExportState()
 	}
@@ -65,14 +79,10 @@ func (d *DPS) ExportState(st *snapshot.State) {
 		d.hist.Unit(power.UnitID(u)).ExportState(&st.Rings[u])
 	}
 
-	st.HighFreq = resizeBools(st.HighFreq, n)
-	st.Prio = resizeBools(st.Prio, n)
+	st.HighFreq = snapshot.Resize(st.HighFreq, n)
+	st.Prio = snapshot.Resize(st.Prio, n)
 	d.priorityM.ExportState(st.HighFreq, st.Prio)
-	if cap(st.Frozen) < n {
-		st.Frozen = make([]priority.FrozenStats, n)
-	}
-	st.Frozen = st.Frozen[:n]
-	copy(st.Frozen, d.frozen)
+	st.Frozen = snapshot.Assign(st.Frozen, d.frozen)
 
 	// The generator travels whole (register + position), so a restore
 	// costs the same whatever this controller's age; the draw count is
@@ -81,10 +91,7 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.RNGDraws = d.statelessM.RNGDraws()
 	st.RNGTap = d.statelessM.ExportRegister(&st.RNGReg)
 
-	if cap(st.Reasons) < n {
-		st.Reasons = make([]uint8, n)
-	}
-	st.Reasons = st.Reasons[:n]
+	st.Reasons = snapshot.Resize(st.Reasons, n)
 	for u := 0; u < n; u++ {
 		st.Reasons[u] = uint8(d.reasons[u])
 	}
@@ -93,67 +100,55 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.HighCount = d.highCount
 	st.CachedSum = d.cachedSum
 	st.SumValid = d.sumValid
-	st.SettledW = appendU64s(st.SettledW, d.settledW)
-	st.CapMovedW = appendU64s(st.CapMovedW, d.capMovedW)
-	st.LastVal = appendVec(st.LastVal, d.lastVal)
-	st.LastStep = appendU64s(st.LastStep, d.lastStep)
+	st.SettledW = snapshot.Assign(st.SettledW, d.settledW)
+	st.CapMovedW = snapshot.Assign(st.CapMovedW, d.capMovedW)
+	st.LastVal = snapshot.Assign(st.LastVal, d.lastVal)
+	st.LastStep = snapshot.Assign(st.LastStep, d.lastStep)
 }
 
-func appendVec(dst power.Vector, src power.Vector) power.Vector {
-	if cap(dst) < len(src) {
-		dst = make(power.Vector, len(src))
+// CheckFingerprint reports whether an image with fingerprint fp can be
+// restored into this controller: it must carry controller state from a
+// controller of the same identity — unit count, seed, per-unit cap
+// bounds and history length — and a budget valid for it. It reads fp
+// alone, so a restore runs it before a byte of the image is written.
+func (d *DPS) CheckFingerprint(fp snapshot.Fingerprint) error {
+	if !fp.HasCore {
+		return fmt.Errorf("core: snapshot carries no controller state")
 	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-func appendU64s(dst, src []uint64) []uint64 {
-	if cap(dst) < len(src) {
-		dst = make([]uint64, len(src))
+	if fp.Units != d.cfg.Units {
+		return fmt.Errorf("core: snapshot for %d units, controller has %d", fp.Units, d.cfg.Units)
 	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
-func resizeBools(dst []bool, n int) []bool {
-	if cap(dst) < n {
-		return make([]bool, n)
+	if fp.Seed != d.cfg.Seed {
+		return fmt.Errorf("core: snapshot seed %d, controller seeded %d", fp.Seed, d.cfg.Seed)
 	}
-	return dst[:n]
+	if fp.RingCap != d.cfg.HistoryLen {
+		return fmt.Errorf("core: snapshot history length %d, controller has %d", fp.RingCap, d.cfg.HistoryLen)
+	}
+	if fp.UnitMax != d.cfg.Budget.UnitMax || fp.UnitMin != d.cfg.Budget.UnitMin {
+		return fmt.Errorf("core: snapshot unit bounds [%v,%v], controller has [%v,%v]",
+			fp.UnitMin, fp.UnitMax, d.cfg.Budget.UnitMin, d.cfg.Budget.UnitMax)
+	}
+	b := d.cfg.Budget
+	b.Total = fp.BudgetTotal
+	if err := b.Validate(d.cfg.Units); err != nil {
+		return fmt.Errorf("core: snapshot budget: %w", err)
+	}
+	return nil
 }
 
 // RestoreState overwrites the controller's state from st. The snapshot
-// must come from a controller with the same identity — unit count, seed,
-// per-unit cap bounds, and history length — or an error is returned and
-// the controller is left unchanged (identity checks run before any
-// mutation). The budget total is live state and is adopted from the
-// snapshot, not checked.
+// must pass CheckFingerprint, and its columns must be complete and its
+// rings and register sound, or an error is returned and the controller
+// is left unchanged (every check runs before any mutation). The budget
+// total is live state and is adopted from the snapshot, not checked.
+// A State bound to this controller has had its shared columns written
+// by the decode already; its caller checks the fingerprint before that.
 //
 // After a successful restore the controller's future decisions are
 // bitwise identical to the exporting controller's.
 func (d *DPS) RestoreState(st *snapshot.State) error {
-	if !st.HasCore {
-		return fmt.Errorf("core: snapshot carries no controller state")
-	}
-	if st.Units != d.cfg.Units {
-		return fmt.Errorf("core: snapshot for %d units, controller has %d", st.Units, d.cfg.Units)
-	}
-	if st.Seed != d.cfg.Seed {
-		return fmt.Errorf("core: snapshot seed %d, controller seeded %d", st.Seed, d.cfg.Seed)
-	}
-	if st.RingCap != d.cfg.HistoryLen {
-		return fmt.Errorf("core: snapshot history length %d, controller has %d", st.RingCap, d.cfg.HistoryLen)
-	}
-	if st.UnitMax != d.cfg.Budget.UnitMax || st.UnitMin != d.cfg.Budget.UnitMin {
-		return fmt.Errorf("core: snapshot unit bounds [%v,%v], controller has [%v,%v]",
-			st.UnitMin, st.UnitMax, d.cfg.Budget.UnitMin, d.cfg.Budget.UnitMax)
-	}
-	b := d.cfg.Budget
-	b.Total = st.BudgetTotal
-	if err := b.Validate(d.cfg.Units); err != nil {
-		return fmt.Errorf("core: snapshot budget: %w", err)
+	if err := d.CheckFingerprint(st.Fingerprint); err != nil {
+		return err
 	}
 	words := (d.cfg.Units + 63) / 64
 	if len(st.Caps) != d.cfg.Units || len(st.Kalman) != d.cfg.Units ||
@@ -169,8 +164,8 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	// Ring geometry is validated for every unit before any ring is
 	// touched, so a malformed snapshot cannot leave the bank
 	// half-restored.
-	for u := 0; u < d.cfg.Units; u++ {
-		if err := d.hist.Unit(power.UnitID(u)).CheckState(&st.Rings[u]); err != nil {
+	for u := range st.Rings {
+		if err := history.CheckState(&st.Rings[u], d.cfg.HistoryLen); err != nil {
 			return fmt.Errorf("core: unit %d: %w", u, err)
 		}
 	}
@@ -180,13 +175,13 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 		}
 	}
 
-	d.cfg.Budget = b
-	d.constantCap = b.ConstantCap(d.cfg.Units)
+	d.cfg.Budget.Total = st.BudgetTotal
+	d.constantCap = d.cfg.Budget.ConstantCap(d.cfg.Units)
 	d.steps = st.Steps
 	d.lastRestored = st.LastRestored
 	d.provDirty = st.ProvDirty
 
-	copy(d.caps, st.Caps)
+	d.caps = snapshot.Assign(d.caps, st.Caps)
 	// Between rounds every cap-moving stage has re-synced the diff
 	// baseline, so stageCaps == caps is an invariant of the quiescent
 	// point the export was taken at.
@@ -215,11 +210,11 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	d.highCount = st.HighCount
 	d.cachedSum = st.CachedSum
 	d.sumValid = st.SumValid
-	copy(d.settledW, st.SettledW)
-	copy(d.capMovedW, st.CapMovedW)
-	copy(d.lastVal, st.LastVal)
-	copy(d.lastStep, st.LastStep)
-	copy(d.frozen, st.Frozen)
+	d.settledW = snapshot.Assign(d.settledW, st.SettledW)
+	d.capMovedW = snapshot.Assign(d.capMovedW, st.CapMovedW)
+	d.lastVal = snapshot.Assign(d.lastVal, st.LastVal)
+	d.lastStep = snapshot.Assign(d.lastStep, st.LastStep)
+	d.frozen = snapshot.Assign(d.frozen, st.Frozen)
 	clear(d.dirtyW)
 	clear(d.roundMovedW)
 	d.anyMove = false

@@ -1,7 +1,11 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -14,6 +18,7 @@ import (
 	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/proto"
+	"dps/internal/section"
 	"dps/internal/snapshot"
 )
 
@@ -41,7 +46,7 @@ func (c *testClock) Advance(d time.Duration) {
 }
 
 // newHAServer builds a health-tracking server on the given manual clock.
-func newHAServer(t *testing.T, units int, clk *testClock, mutate func(*ServerConfig)) *Server {
+func newHAServer(t testing.TB, units int, clk *testClock, mutate func(*ServerConfig)) *Server {
 	t.Helper()
 	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
 	if err != nil {
@@ -448,8 +453,169 @@ func TestChaosStandbyTakeover(t *testing.T) {
 	}
 }
 
+// TestTakeoverFirstRoundIsSparse: a successor's first round keeps the
+// settle certificates it inherited. Its dirty set is exactly the units
+// whose adopted reading differs, bit for bit, from the reading the
+// controller last consumed — none, from a settled steady donor — so it
+// skips the settled units, and its caps, that round and the next 50, are
+// the uninterrupted donor's bit for bit. Both ways a successor gets its
+// state run: RestoreFromSnapshot, and a standby's takeover after
+// following the donor.
+func TestTakeoverFirstRoundIsSparse(t *testing.T) {
+	const (
+		units  = 256
+		noisy  = 16 // units [0, noisy) move every round, the rest hold still
+		warmup = 120
+		after  = 50
+	)
+	// feed writes a round's readings into srv's ingest buffer, marking the
+	// units whose reading moved, as delta agents would.
+	feed := func(srv *Server, round int) {
+		srv.imu.Lock()
+		defer srv.imu.Unlock()
+		for u := range srv.readings {
+			v := power.Watts(60 + u%40)
+			if u < noisy { // bursts of ten rounds, idle in between
+				v = power.Watts(8 + (round*37+u*11)%5)
+				if (round/10+u)%2 == 0 {
+					v += 140
+				}
+			}
+			if v != srv.readings[u] {
+				srv.readings[u] = v
+				srv.dirty.Mark(u)
+			}
+		}
+	}
+	for _, mode := range []string{"restore", "takeover"} {
+		t.Run(mode, func(t *testing.T) {
+			clk := newTestClock() // never advanced: every unit stays fresh
+			donor := newHAServer(t, units, clk, nil)
+			defer donor.Close()
+
+			// successor returns the server that carries on after the warm-up:
+			// a fresh one restored from the donor's image, or a standby that
+			// followed the donor and takes over when the link drops.
+			successor := func() *Server {
+				path := filepath.Join(t.TempDir(), "state.dps")
+				if err := os.WriteFile(path, image(donor), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				srv := newHAServer(t, units, clk, nil)
+				t.Cleanup(func() { srv.Close() })
+				if err := srv.RestoreFromSnapshot(path); err != nil {
+					t.Fatal(err)
+				}
+				return srv
+			}
+			if mode == "takeover" {
+				standby := newHAServer(t, units, clk, func(sc *ServerConfig) {
+					sc.StandbyOf = "donor-in-process"
+					sc.Interval = time.Hour // Serve's ticker never races the rounds below
+				})
+				var link net.Conn
+				standby.dial = func(string, string) (net.Conn, error) {
+					client, server := net.Pipe()
+					link = server
+					go donor.Handle(server)
+					return client, nil
+				}
+				listening := make(chan net.Listener, 1)
+				standbyDone := make(chan error, 1)
+				go func() {
+					standbyDone <- standby.RunStandby(context.Background(), func() (net.Listener, error) {
+						l, err := net.Listen("tcp", "127.0.0.1:0")
+						if err == nil {
+							listening <- l
+						}
+						return l, err
+					})
+				}()
+				waitUntil(t, "standby attached", func() bool {
+					donor.snapMu.Lock()
+					defer donor.snapMu.Unlock()
+					return len(donor.replicas) == 1
+				})
+				successor = func() *Server {
+					waitUntil(t, "standby caught up", func() bool { return standby.Rounds() == warmup })
+					link.Close()
+					select {
+					case l := <-listening:
+						t.Cleanup(func() {
+							standby.Close()
+							l.Close()
+							if err := <-standbyDone; err != nil {
+								t.Errorf("RunStandby: %v", err)
+							}
+						})
+					case <-time.After(5 * time.Second):
+						t.Fatal("standby never took over")
+					}
+					return standby
+				}
+			}
+			for r := 1; r <= warmup; r++ {
+				feed(donor, r)
+				if _, err := donor.DecideOnce(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			succ := successor()
+
+			st, err := snapshot.Decode(image(succ))
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := 0
+			for u, v := range st.Readings {
+				if math.Float64bits(float64(v)) != math.Float64bits(float64(st.LastVal[u])) {
+					changed++
+				}
+			}
+			moved := false
+			for r := 0; r <= after; r++ {
+				if r > 0 { // the first round decides on the adopted readings alone
+					feed(donor, warmup+r)
+					feed(succ, warmup+r)
+				}
+				want, err := donor.DecideOnce(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := succ.DecideOnce(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := range want {
+					if math.Float64bits(float64(got[u])) != math.Float64bits(float64(want[u])) {
+						t.Fatalf("round %d after the handover: unit %d capped at %v, the donor %v", r, u, got[u], want[u])
+					}
+					moved = moved || want[u] != st.Caps[u]
+				}
+				if r == 0 {
+					s := succ.Snapshot()
+					if s.DirtyUnits != changed || changed != 0 {
+						t.Errorf("first round: %d dirty units; the image holds %d changed readings, want 0", s.DirtyUnits, changed)
+					}
+					if s.SkippedUnits == 0 {
+						t.Error("first round skipped no unit")
+					}
+				}
+			}
+			if !moved {
+				t.Fatal("no cap moved after the handover; test is vacuous")
+			}
+		})
+	}
+}
+
 // TestRestoreRejections exercises the boot-time guard rails: a restored
-// file must be recent, structurally sound, and shaped for this server.
+// file must be recent, structurally sound, and shaped for this server. A
+// restore writes the image straight into the live controller and daemon,
+// so every refusal — including the ones only found at the image's last
+// ring or last section — must come before the first write: the refused
+// server's exported image is byte for byte its fresh one, at round 0. The
+// standby's gate, adoptImage, is held to the same.
 func TestRestoreRejections(t *testing.T) {
 	const units = 4
 	dir := t.TempDir()
@@ -470,6 +636,28 @@ func TestRestoreRejections(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(name string, edit func(img []byte) []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, edit(append([]byte(nil), data...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	withManager := func(mut func(*core.Config)) func(*ServerConfig) {
+		return func(sc *ServerConfig) {
+			cfg := core.DefaultConfig(units, testBudget(units))
+			mut(&cfg)
+			mgr, err := core.NewDPS(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Manager = mgr
+		}
+	}
 
 	t.Run("clean restore", func(t *testing.T) {
 		srv := newHAServer(t, units, clk, nil)
@@ -477,42 +665,164 @@ func TestRestoreRejections(t *testing.T) {
 			t.Fatalf("restore of a fresh snapshot failed: %v", err)
 		}
 	})
-	t.Run("missing file", func(t *testing.T) {
-		srv := newHAServer(t, units, clk, nil)
-		if err := srv.RestoreFromSnapshot(filepath.Join(dir, "absent.dps")); err == nil {
-			t.Fatal("restore of a missing file succeeded")
+	for _, tc := range []struct {
+		name  string
+		units int
+		mut   func(*ServerConfig)
+		path  string
+		age   time.Duration
+	}{
+		{name: "missing file", path: filepath.Join(dir, "absent.dps")},
+		{name: "corrupt file", path: variant("corrupt.dps", func(img []byte) []byte { img[len(img)/2] ^= 0xFF; return img })},
+		{name: "CRC flip in the last section", path: variant("crc.dps", func(img []byte) []byte { img[len(img)-1] ^= 0x01; return img })},
+		{name: "bad duration tag in the last ring", path: variant("tag.dps", lastRingTag(t, 2))},
+		{name: "unit mismatch", units: units + 2, path: path},
+		{name: "wrong seed", mut: withManager(func(c *core.Config) { c.Seed = 2 }), path: path},
+		{name: "wrong unit bounds", mut: withManager(func(c *core.Config) { c.Budget.UnitMax = 150 }), path: path},
+		{name: "stale snapshot", path: path, age: 25 * time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newHAServer(t, max(tc.units, units), clk, tc.mut)
+			clk.Advance(tc.age)
+			defer clk.Advance(-tc.age)
+			fresh := image(srv)
+			if err := srv.RestoreFromSnapshot(tc.path); err == nil {
+				t.Fatal("restore succeeded")
+			}
+			assertUntouched(t, srv, fresh)
+		})
+	}
+	t.Run("standby misfit", func(t *testing.T) {
+		srv := newHAServer(t, units, clk, withManager(func(c *core.Config) { c.Seed = 2 }))
+		fresh := image(srv)
+		if bad, misfit := srv.adoptImage(data); bad != nil || misfit == nil {
+			t.Fatalf("adoptImage of another controller's image: bad %v, misfit %v", bad, misfit)
 		}
+		assertUntouched(t, srv, fresh)
 	})
-	t.Run("corrupt file", func(t *testing.T) {
-		data, err := os.ReadFile(path)
+}
+
+// FuzzRestoreImage drives the restore gate with mutated images of a
+// 64-unit server. Every section's CRC is recomputed first (reseal), so a
+// mutation reaches the section parser and the identity checks rather than
+// stopping at the checksum. A refused image must leave the server exactly
+// as it booted; an accepted one must restore to an export equal to
+// Encode(Decode(img)), except for what a restore does not take from the
+// image: the clock fields (save stamp, report ages and the health states
+// classified from them), the writer's sparse settings, and — for an image
+// without a daemon section — the daemon's own caches.
+func FuzzRestoreImage(f *testing.F) {
+	const units = 64
+	clk := newTestClock()
+	donor := newHAServer(f, units, clk, nil)
+	readings := make(power.Vector, units)
+	for round := 0; round < 6; round++ {
+		for u := range readings {
+			readings[u] = power.Watts(30 + (round*11+u*7)%120)
+		}
+		setReadings(donor, readings)
+		clk.Advance(400 * time.Millisecond) // the unreported units go stale, then dead
+		if _, err := donor.DecideOnce(1); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed := image(donor)
+	donor.Close()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(lastRingTag(f, 2)(append([]byte(nil), seed...)))
+	for _, off := range []int{snapshot.HeaderSize + 10, len(seed) / 3, len(seed) - 20} {
+		flip := append([]byte(nil), seed...)
+		flip[off] ^= 0x40
+		f.Add(flip)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = reseal(data)
+		srv := newHAServer(t, units, clk, nil)
+		defer srv.Close()
+		fresh := image(srv)
+		if err := srv.restoreImage("fuzz input", data); err != nil {
+			assertUntouched(t, srv, fresh)
+			return
+		}
+		want, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatalf("restore accepted an image Decode refuses: %v", err)
+		}
+		got, err := snapshot.Decode(image(srv))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := append([]byte(nil), data...)
-		bad[len(bad)/2] ^= 0xFF
-		badPath := filepath.Join(dir, "corrupt.dps")
-		if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-			t.Fatal(err)
+		if !want.HasDaemon {
+			want.HasDaemon, want.Rounds = true, got.Rounds
+			want.LastCaps, want.LastPushed, want.Readings = got.LastCaps, got.LastPushed, got.Readings
 		}
-		srv := newHAServer(t, units, clk, nil)
-		if err := srv.RestoreFromSnapshot(badPath); err == nil {
-			t.Fatal("restore of a corrupted snapshot succeeded")
-		}
-	})
-	t.Run("unit mismatch", func(t *testing.T) {
-		srv := newHAServer(t, units+2, clk, nil)
-		if err := srv.RestoreFromSnapshot(path); err == nil {
-			t.Fatal("restore into a differently sized server succeeded")
+		want.SavedUnixMS, want.ReportAgeMS, want.Health = got.SavedUnixMS, got.ReportAgeMS, got.Health
+		want.Sparse, want.SparseRefreshEvery = got.Sparse, got.SparseRefreshEvery
+		if !bytes.Equal(snapshot.Encode(nil, got), snapshot.Encode(nil, want)) {
+			t.Fatal("restored server exports a state other than the image's")
 		}
 	})
-	t.Run("stale snapshot", func(t *testing.T) {
-		srv := newHAServer(t, units, clk, nil)
-		clk.Advance(25 * time.Hour)
-		defer clk.Advance(-25 * time.Hour)
-		if err := srv.RestoreFromSnapshot(path); err == nil {
-			t.Fatal("restore of a snapshot past DefaultSnapshotMaxAge succeeded")
+}
+
+// reseal recomputes the CRC of every whole section after img's header,
+// leaving any torn tail as it is.
+func reseal(img []byte) []byte {
+	if len(img) < snapshot.HeaderSize {
+		return img
+	}
+	out := append([]byte(nil), img[:snapshot.HeaderSize]...)
+	w := section.WalkTrusted(img[snapshot.HeaderSize:])
+	for w.Next() {
+		var start int
+		out, start = section.Begin(out, w.ID)
+		out = section.End(append(out, w.Payload...), start)
+	}
+	return append(out, w.Rest...)
+}
+
+// assertUntouched fails unless srv's exported image is still fresh and
+// it has decided no round.
+func assertUntouched(t testing.TB, srv *Server, fresh []byte) {
+	t.Helper()
+	if !bytes.Equal(image(srv), fresh) {
+		t.Error("refused image changed the server's state")
+	}
+	if n := srv.Rounds(); n != 0 {
+		t.Errorf("refused image left the server at round %d", n)
+	}
+}
+
+// lastRingTag returns an edit that sets the duration tag of an image's
+// last ring to tag and re-seals the ring section's CRC, so only the
+// decoder's ring walk can refuse it.
+func lastRingTag(t testing.TB, tag byte) func(img []byte) []byte {
+	return func(img []byte) []byte {
+		w := section.Walk(img[snapshot.HeaderSize:])
+		for w.Next() {
+			if w.ID != snapshot.SecRings {
+				continue
+			}
+			p := w.Payload
+			rc := int(binary.LittleEndian.Uint32(p))
+			last := -1
+			for off := 4; off < len(p); {
+				off += 44 + 8*rc // head, n, pushes, four aggregates, power slots
+				last = off
+				if p[off] == 1 {
+					off += 1 + 8
+				} else {
+					off += 1 + 8*rc
+				}
+			}
+			p[last] = tag
+			raw := w.Raw
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+			return img
 		}
-	})
+		t.Fatal("image holds no ring section")
+		return nil
+	}
 }
 
 // TestReplicateSteadyStateZeroAlloc is the replication plane's allocation

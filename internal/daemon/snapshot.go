@@ -37,15 +37,33 @@ func (s *Server) snapshotEvery() uint64 {
 	return DefaultSnapshotEvery
 }
 
-// exportState fills s.snapState with the complete post-round state: the
+// bindState makes s.snapState a view of the live state (core.BindState):
+// the controller's columns, and the daemon's delivered and enforced caps
+// and ingest front buffer, are the State's columns. What is laid out
+// differently — health, report ages, and the controller's rest — stays
+// materialised in the State, reused from one export or restore to the
+// next. Caller holds roundMu and snapMu.
+func (s *Server) bindState() *snapshot.State {
+	st := &s.snapState
+	if s.dps != nil {
+		s.dps.BindState(st)
+	}
+	st.LastCaps, st.LastPushed, st.Readings = s.eng.Prev, s.eng.Enforced, s.readings
+	return st
+}
+
+// encodeImage encodes the complete state as of the completed round
+// `round` into the retained image buffer, which it returns: the
 // manager's controller state when it is a core.DPS (HasCore), and the
 // daemon's own round caches either way (HasDaemon) — caps delivered,
 // caps enforced, health, report ages, and the ingest front buffer, so a
 // restored daemon's first round decides on the primary's readings
-// rather than zeros. Runs on the decision goroutine only: the manager
-// is quiescent between rounds.
-func (s *Server) exportState(round uint64) {
-	st := &s.snapState
+// rather than zeros. Encode reads the bound columns in place, so the
+// controller and the engine must be between rounds: caller holds roundMu
+// and snapMu. Ingest waits out the encode, which reads its front buffer.
+func (s *Server) encodeImage(round uint64) []byte {
+	start := s.now()
+	st := s.bindState()
 	if s.dps != nil {
 		s.dps.ExportState(st)
 	} else {
@@ -62,12 +80,8 @@ func (s *Server) exportState(round uint64) {
 	st.Rounds = round
 
 	n := s.cfg.Units
-	st.LastCaps = snapshot.Resize(st.LastCaps, n)
-	st.LastPushed = snapshot.Resize(st.LastPushed, n)
 	st.Health = snapshot.Resize(st.Health, n)
 	s.mu.Lock()
-	copy(st.LastCaps, s.eng.Prev)
-	copy(st.LastPushed, s.eng.Enforced)
 	if s.health != nil {
 		for u, h := range s.health {
 			st.Health[u] = uint8(h)
@@ -77,10 +91,8 @@ func (s *Server) exportState(round uint64) {
 	}
 	s.mu.Unlock()
 
-	st.Readings = snapshot.Resize(st.Readings, n)
 	st.ReportAgeMS = snapshot.Resize(st.ReportAgeMS, n)
 	s.imu.Lock()
-	copy(st.Readings, s.readings)
 	if s.lastReport != nil {
 		for u := range st.ReportAgeMS {
 			age := now.Sub(s.lastReport[u])
@@ -92,16 +104,8 @@ func (s *Server) exportState(round uint64) {
 	} else {
 		clear(st.ReportAgeMS)
 	}
+	s.snapEnc = snapshot.Encode(s.snapEnc, st)
 	s.imu.Unlock()
-}
-
-// encodeImage exports the state as of the completed round `round` and
-// encodes it into the retained image buffer, which it returns. Caller
-// holds snapMu and is the decision goroutine, or holds roundMu.
-func (s *Server) encodeImage(round uint64) []byte {
-	start := s.now()
-	s.exportState(round)
-	s.snapEnc = snapshot.Encode(s.snapEnc, &s.snapState)
 	s.metrics.snapshotBytes.Set(float64(len(s.snapEnc)))
 	s.metrics.snapshotDur.Observe(s.now().Sub(start).Seconds())
 	return s.snapEnc
@@ -227,71 +231,93 @@ func (s *Server) RestoreFromSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("daemon: reading snapshot: %w", err)
 	}
-	// The image is decoded into the state the export side retains, so the
-	// columns a restore fills are the ones the first image written
-	// afterwards reuses, not a second copy of them.
+	if err := s.restoreImage(path, data); err != nil {
+		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
+	}
+	return nil
+}
+
+// restoreImage is RestoreFromSnapshot of an image already in memory, read
+// from `from`: verify it whole, check that it is fresh and fits this
+// server, and only then install it. A refused image touches nothing.
+func (s *Server) restoreImage(from string, data []byte) error {
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	st := &s.snapState
-	if err := snapshot.DecodeInto(st, data); err != nil {
-		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
+	fp, err := snapshot.Verify(data)
+	if err != nil {
+		return err
 	}
-	if st.HasDaemon {
-		if age := s.now().Sub(time.UnixMilli(st.SavedUnixMS)); age > DefaultSnapshotMaxAge {
-			return fmt.Errorf("daemon: snapshot %s is stale: saved %v ago, limit %v", path, age.Round(time.Second), DefaultSnapshotMaxAge)
+	if fp.HasDaemon {
+		if age := s.now().Sub(time.UnixMilli(fp.SavedUnixMS)); age > DefaultSnapshotMaxAge {
+			return fmt.Errorf("stale: saved %v ago, limit %v", age.Round(time.Second), DefaultSnapshotMaxAge)
 		}
 	}
-	if err := s.restoreState(st, s.now()); err != nil {
-		return fmt.Errorf("daemon: snapshot %s: %w", path, err)
+	if err := s.fits(fp); err != nil {
+		return err
 	}
+	st := s.install(data, s.now())
 	s.logf("daemon: restored state from %s: round %d, %d units, %d high-priority (saved %s)",
-		path, st.Rounds, st.Units, core.ExportedHighCount(st),
+		from, st.Rounds, st.Units, core.ExportedHighCount(st),
 		time.UnixMilli(st.SavedUnixMS).UTC().Format(time.RFC3339))
 	return nil
 }
 
-// restoreState installs a decoded image: the controller's state (required
-// when the manager is a core.DPS; every identity check runs before
-// anything is touched) and then the daemon's section. anchor is the time,
-// on whatever clock the staleness clocks are to run on, at which the
-// image's report ages held.
-func (s *Server) restoreState(st *snapshot.State, anchor time.Time) error {
-	if st.Units != s.cfg.Units {
-		return fmt.Errorf("image is for %d units, server has %d", st.Units, s.cfg.Units)
+// fits reports whether a verified image with fingerprint fp can become
+// this server's state: its unit count, and when the manager is a
+// core.DPS, the controller state it must carry and that controller's
+// identity (core.CheckFingerprint).
+func (s *Server) fits(fp snapshot.Fingerprint) error {
+	if fp.Units != s.cfg.Units {
+		return fmt.Errorf("image is for %d units, server has %d", fp.Units, s.cfg.Units)
 	}
-	if s.dps != nil {
-		if !st.HasCore {
-			return errors.New("image carries no controller state")
-		}
-		if err := s.dps.RestoreState(st); err != nil {
-			return err
-		}
+	if s.dps == nil {
+		return nil
 	}
-	s.adoptDaemonState(st, anchor)
-	return nil
+	if !fp.HasCore {
+		return errors.New("image carries no controller state")
+	}
+	return s.dps.CheckFingerprint(fp)
 }
 
-// adoptDaemonState installs a snapshot's daemon section: the round
-// counter (continued, with the inherited count recorded for the
-// uptime_rounds/state_age_rounds split), the delivered- and enforced-cap
-// caches the degraded-mode pins reference, health states, staleness
-// clocks rebuilt from relative report ages, and the ingest front
-// buffer. The ingest dirty mask is fully set afterwards: the mask's
-// clear-bit guarantee ("byte-identical to the previous snapshot") is
-// meaningless across a process boundary, and a full mask is the
-// bitwise-safe superset.
-func (s *Server) adoptDaemonState(st *snapshot.State, anchor time.Time) {
+// install makes data, an image Verify accepted and fits approved, the
+// server's state: the decode's second pass writes it straight into the
+// live columns (bindState), the controller imports the rest, and the
+// daemon adopts its section. It returns the State the image went
+// through. anchor is the time, on whatever clock the staleness clocks
+// are to run on, at which the image's report ages held. Caller holds
+// roundMu and snapMu.
+func (s *Server) install(data []byte, anchor time.Time) *snapshot.State {
+	st := s.bindState()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	snapshot.DecodeVerified(st, data)
+	if s.dps != nil {
+		if err := s.dps.RestoreState(st); err != nil {
+			panic(fmt.Sprintf("daemon: restoring an image that passed every check: %v", err))
+		}
+	}
+	s.adoptDaemonLocked(st, anchor)
+	s.markChangedLocked()
+	return st
+}
+
+// adoptDaemonLocked installs the rest of a snapshot's daemon section —
+// the delivered and enforced caps and the ingest front buffer are
+// already in place, decoded into the engine's and ingest's own memory:
+// the round counter (continued, with the inherited count recorded for
+// the uptime_rounds/state_age_rounds split), health states, and
+// staleness clocks rebuilt from relative report ages. Caller holds mu
+// and imu.
+func (s *Server) adoptDaemonLocked(st *snapshot.State, anchor time.Time) {
 	if !st.HasDaemon {
 		return
 	}
 	s.inheritedRounds.Store(st.Rounds)
 	s.rounds.Store(st.Rounds)
-
-	s.mu.Lock()
-	copy(s.eng.Prev, st.LastCaps)
-	copy(s.eng.Enforced, st.LastPushed)
 	if s.health != nil && len(st.Health) == len(s.health) {
 		for u, h := range st.Health {
 			if h > uint8(core.HealthDead) {
@@ -300,17 +326,25 @@ func (s *Server) adoptDaemonState(st *snapshot.State, anchor time.Time) {
 			s.health[u] = core.UnitHealth(h)
 		}
 	}
-	s.mu.Unlock()
-
-	s.imu.Lock()
-	copy(s.readings, st.Readings)
 	if s.lastReport != nil && len(st.ReportAgeMS) == len(s.lastReport) {
 		for u, age := range st.ReportAgeMS {
 			s.lastReport[u] = anchor.Add(-time.Duration(age) * time.Millisecond)
 		}
 	}
-	s.dirty.SetAll()
-	s.imu.Unlock()
+}
+
+// markChangedLocked makes the ingest dirty mask exactly the units whose
+// reading differs, bit for bit, from the one the controller last
+// consumed — for readings whose arrival no ingest mark recorded: adopted
+// with an image, or replayed by a following standby. A clear bit then
+// means what it means between rounds of one process (DESIGN.md §13), so
+// the next round is as sparse as the state allows. Managers other than
+// core.DPS ignore the mask. Caller holds roundMu and imu.
+func (s *Server) markChangedLocked() {
+	s.dirty.Reset()
+	if s.dps != nil {
+		s.dps.MarkChanged(s.dirty, s.readings)
+	}
 }
 
 // handleReplica serves one warm-standby connection: acknowledge the

@@ -141,28 +141,31 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 	}
 }
 
-// adoptImage installs a FrameSnapshot payload on a following standby.
-// The image is decoded — into the export side's retained state, as
-// RestoreFromSnapshot does — and validated whole before anything is
-// adopted from it: bad reports an image that does not parse (a primary
-// bug or a torn stream; following it would poison a takeover), misfit a
-// sound one this server cannot hold.
+// adoptImage installs a FrameSnapshot payload on a following standby
+// through RestoreFromSnapshot's gate: the image is verified whole and
+// checked against this server before any of it is written, straight
+// into the live state. bad reports an image that does not parse (a
+// primary bug or a torn stream; following it would poison a takeover),
+// misfit a sound one this server cannot hold; either touches nothing.
 func (s *Server) adoptImage(payload []byte) (bad, misfit error) {
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	st := &s.snapState
-	if err := snapshot.DecodeInto(st, payload); err != nil {
+	fp, err := snapshot.Verify(payload)
+	if err != nil {
 		return err, nil
 	}
-	if !st.HasDaemon {
+	if !fp.HasDaemon {
 		return errors.New("no daemon section"), nil
 	}
-	saved := time.UnixMilli(st.SavedUnixMS)
-	misfit = s.restoreState(st, saved)
+	if err := s.fits(fp); err != nil {
+		return nil, err
+	}
+	saved := time.UnixMilli(fp.SavedUnixMS)
+	s.install(payload, saved)
 	s.followStamp = saved
-	return nil, misfit
+	return nil, nil
 }
 
 // followRound applies one FrameDelta: it decodes the primary's round
@@ -254,7 +257,8 @@ func (s *Server) dialStandby() (net.Conn, error) {
 // takeOver is "stop following, start deciding": the state is already
 // live, so all that is left is to move the staleness clocks from the
 // primary's time base onto this host's — report ages stay what they were
-// when the primary last spoke — and serve agents.
+// when the primary last spoke — mark the readings the replayed rounds
+// left changed against what the controller consumed, and serve agents.
 func (s *Server) takeOver(listen func() (net.Listener, error)) error {
 	s.roundMu.Lock()
 	shift := s.now().Sub(s.followStamp)
@@ -262,6 +266,7 @@ func (s *Server) takeOver(listen func() (net.Listener, error)) error {
 	for u := range s.lastReport {
 		s.lastReport[u] = s.lastReport[u].Add(shift)
 	}
+	s.markChangedLocked()
 	s.imu.Unlock()
 	s.roundMu.Unlock()
 	s.metrics.failovers.Inc()

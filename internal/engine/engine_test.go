@@ -135,7 +135,9 @@ func runScript(t *testing.T, data []byte) {
 
 	readings := make(power.Vector, units)
 	dirty := core.NewDirtyMask(units)
-	dirty.SetAll()
+	for u := range readings {
+		dirty.Mark(u)
+	}
 	health := make([]core.UnitHealth, units)
 	pushed := make([]uint64, (units+63)/64)
 	report := func(u int, value byte) {

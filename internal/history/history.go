@@ -388,19 +388,27 @@ type State struct {
 	Pushes                      int
 }
 
+// assign returns dst sized to src and holding its values, reusing dst's
+// capacity. A dst that already is src — a State whose slots are the
+// ring's own (Set.Slots) — comes back untouched: there is nothing to copy.
+func assign[T any](dst, src []T) []T {
+	if len(dst) == len(src) && (len(src) == 0 || &dst[0] == &src[0]) {
+		return dst
+	}
+	if cap(dst) < len(src) {
+		dst = make([]T, len(src))
+	}
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
 // ExportState copies the ring's state into st, reusing st's slices when
-// they have capacity (allocation-free once warm).
+// they have capacity (allocation-free once warm). Slots st shares with
+// the ring are not copied.
 func (r *Ring) ExportState(st *State) {
-	if cap(st.Powers) < len(r.powers) {
-		st.Powers = make([]power.Watts, len(r.powers))
-	}
-	st.Powers = st.Powers[:len(r.powers)]
-	copy(st.Powers, r.powers)
-	if cap(st.Durations) < len(r.durations) {
-		st.Durations = make([]power.Seconds, len(r.durations))
-	}
-	st.Durations = st.Durations[:len(r.durations)]
-	copy(st.Durations, r.durations)
+	st.Powers = assign(st.Powers, r.powers)
+	st.Durations = assign(st.Durations, r.durations)
 	st.Head, st.N = r.head, r.n
 	st.Sum, st.SumSq, st.DurSum, st.TailDur = r.sum, r.sumSq, r.durSum, r.tailDur
 	st.Pushes = r.pushes
@@ -411,32 +419,41 @@ func (r *Ring) ExportState(st *State) {
 // and the stored TailDur is adopted as-is, NOT rebuilt via SetTailWindow:
 // a recomputed tail sum could differ in the last bit from the exporting
 // ring's incremental one and break restore equivalence. Errors (without
-// mutating) if CheckState rejects st.
+// mutating) if CheckState rejects st. Slots st shares with the ring are
+// already in place.
 func (r *Ring) ImportState(st *State) error {
-	if err := r.CheckState(st); err != nil {
+	if err := CheckState(st, len(r.powers)); err != nil {
 		return err
 	}
-	copy(r.powers, st.Powers)
-	copy(r.durations, st.Durations)
+	r.powers = assign(r.powers, st.Powers)
+	r.durations = assign(r.durations, st.Durations)
 	r.head, r.n = st.Head, st.N
 	r.sum, r.sumSq, r.durSum, r.tailDur = st.Sum, st.SumSq, st.DurSum, st.TailDur
 	r.pushes = st.Pushes
 	return nil
 }
 
-// CheckState reports whether st can be imported into this ring without
-// checking anything bitwise: capacity match, head/count bounds, pushes
-// inside the recompute period. Callers restoring many rings atomically
-// validate them all with CheckState before the first ImportState.
-func (r *Ring) CheckState(st *State) error {
-	if len(st.Powers) != len(r.powers) || len(st.Durations) != len(r.durations) {
-		return fmt.Errorf("history: state capacity %d/%d, ring capacity %d", len(st.Powers), len(st.Durations), len(r.powers))
+// CheckState reports whether st can be imported into a ring of the given
+// capacity without checking anything bitwise: capacity match, head/count
+// bounds, pushes inside the recompute period. Callers restoring many
+// rings atomically validate them all with CheckState before the first
+// ImportState.
+func CheckState(st *State, capacity int) error {
+	if len(st.Powers) != capacity || len(st.Durations) != capacity {
+		return fmt.Errorf("history: state capacity %d/%d, ring capacity %d", len(st.Powers), len(st.Durations), capacity)
 	}
-	if st.N < 0 || st.N > len(r.powers) || st.Head < 0 || st.Head >= len(r.powers) {
-		return fmt.Errorf("history: state head=%d n=%d invalid for capacity %d", st.Head, st.N, len(r.powers))
+	return CheckBounds(capacity, st.Head, st.N, st.Pushes)
+}
+
+// CheckBounds is CheckState's check on a ring's scalars alone: head and
+// count inside the capacity, pushes inside the recompute period. A
+// snapshot decoder runs it on every ring before it writes any.
+func CheckBounds(capacity, head, n, pushes int) error {
+	if n < 0 || n > capacity || head < 0 || head >= capacity {
+		return fmt.Errorf("history: state head=%d n=%d invalid for capacity %d", head, n, capacity)
 	}
-	if st.Pushes < 0 || st.Pushes >= recomputeEvery {
-		return fmt.Errorf("history: state pushes=%d outside [0,%d)", st.Pushes, recomputeEvery)
+	if pushes < 0 || pushes >= recomputeEvery {
+		return fmt.Errorf("history: state pushes=%d outside [0,%d)", pushes, recomputeEvery)
 	}
 	return nil
 }
@@ -453,19 +470,35 @@ func (r *Ring) Reset() {
 // Set holds one ring per unit, the controller-side "estimated power
 // history" global of Figure 3. Each ring holds one unit's samples and is
 // reached per unit (Unit, Push) by the controller's word-mask walkers;
-// neither the set nor its rings are safe for concurrent use.
+// neither the set nor its rings are safe for concurrent use. The rings'
+// slots share one backing array per column (Slots).
 type Set struct {
-	rings []*Ring
+	rings     []*Ring
+	powers    []power.Watts
+	durations []power.Seconds
 }
 
 // NewSet creates n rings of the given capacity.
 func NewSet(n, capacity int) *Set {
-	s := &Set{rings: make([]*Ring, n)}
+	if capacity <= 0 {
+		panic(fmt.Sprintf("history: non-positive ring capacity %d", capacity))
+	}
+	s := &Set{
+		rings:     make([]*Ring, n),
+		powers:    make([]power.Watts, n*capacity),
+		durations: make([]power.Seconds, n*capacity),
+	}
 	for i := range s.rings {
-		s.rings[i] = NewRing(capacity)
+		lo, hi := i*capacity, (i+1)*capacity
+		s.rings[i] = &Ring{powers: s.powers[lo:hi:hi], durations: s.durations[lo:hi:hi]}
 	}
 	return s
 }
+
+// Slots returns the arrays every ring's slots are carved from: ring u's
+// Cap() power and duration slots, in physical order, at [u·Cap(),
+// (u+1)·Cap()). A snapshot reads and writes them in place through these.
+func (s *Set) Slots() ([]power.Watts, []power.Seconds) { return s.powers, s.durations }
 
 // SetTailWindow configures every ring's maintained tail-duration window
 // (see Ring.SetTailWindow).

@@ -166,10 +166,11 @@ func (c *Cursor) U64() uint64 {
 		c.short = true
 		return 0
 	}
-	b := c.b[c.off:]
+	// Small enough to inline (the byte-by-byte form is not), so the
+	// decoders' per-unit float reads stay in their loops.
+	v := binary.LittleEndian.Uint64(c.b[c.off:])
 	c.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return v
 }
 
 func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
@@ -185,6 +186,9 @@ func (c *Cursor) take(n int) ([]byte, bool) {
 	c.off += n
 	return b, true
 }
+
+// Skip steps over the next n bytes, latching Short when fewer remain.
+func (c *Cursor) Skip(n int) { c.take(n) }
 
 // U64s fills dst with the next len(dst) words: one bounds check for the
 // column instead of one per word. A payload too short for all of them

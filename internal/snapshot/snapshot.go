@@ -30,10 +30,19 @@
 // without breaking older readers), but only after the CRC validates —
 // corrupt bytes never parse as "unknown, ignore".
 //
-// Decoding costs what the image's bytes cost: the per-unit float and
-// word columns are read a column at a time (section.F64s/U64s), and the
-// rings' slots share one backing array per column, so a cold decode
-// makes O(sections) allocations whatever the unit count.
+// Decoding is two passes over one walk. Verify checks the whole image —
+// header, every CRC, framing, sizes, ring tags and bounds, the core
+// family, the register's tap — writes nothing, and returns the image's
+// Fingerprint; DecodeVerified then re-walks the accepted bytes without
+// their CRCs and cannot fail. In between, a restore checks the
+// fingerprint against the process it would overwrite, so the second pass
+// may write straight into a controller's own memory: a State's per-unit
+// columns can be bound to their owner's storage (BindRings, and the
+// owners' BindState), and a column that already is its destination is
+// never copied (Assign). Columns are read a column at a time
+// (section.F64s/U64s), and the rings' slots share one backing array per
+// column, so a cold decode makes O(sections) allocations whatever the
+// unit count.
 package snapshot
 
 import (
@@ -100,14 +109,11 @@ type KalmanState = kalman.State
 // in physical order plus the running aggregates, bit for bit.
 type RingState = history.State
 
-// State is the in-memory form of a snapshot: the union of everything the
-// format can carry. Producers fill the parts they own and set the
-// corresponding Has* flags; Encode serializes only flagged parts, and
-// Decode sets the flags for the sections it found. All slices are reused
-// across Export/Encode cycles when their capacity suffices, so a warm
-// snapshot round allocates nothing.
-type State struct {
-	// Config fingerprint (SecConfig). Units/Seed/UnitMax/UnitMin identify
+// Fingerprint is what an image says about where it belongs: everything a
+// restore checks before it writes a byte of the image anywhere. Verify
+// returns it; a State carries it embedded.
+type Fingerprint struct {
+	// The config section (SecConfig). Units/Seed/UnitMax/UnitMin identify
 	// the controller a snapshot belongs to; BudgetTotal is live state (it
 	// changes under SetTotalBudget) and is restored, not checked.
 	Units              int
@@ -117,15 +123,36 @@ type State struct {
 	Sparse             bool
 	SparseRefreshEvery int
 
+	// HasCore reports the controller's sections (coreFamily), RingCap their
+	// ring capacity; HasDaemon the daemon section, SavedUnixMS its save
+	// stamp.
+	HasCore     bool
+	RingCap     int
+	HasDaemon   bool
+	SavedUnixMS int64
+}
+
+// State is the in-memory form of a snapshot: the union of everything the
+// format can carry. Producers fill the parts they own and set the
+// corresponding Has* flags; Encode serializes only flagged parts, and
+// Decode sets the flags for the sections it found. All slices are reused
+// across Export/Encode cycles when their capacity suffices, so a warm
+// snapshot round allocates nothing.
+//
+// A column may alias its owner's storage (a bound State: BindRings and
+// the owners' BindState). Encode then reads the live column and a decode
+// overwrites it, so a bound State is only used between rounds, and only
+// decoded into once its Fingerprint has been checked.
+type State struct {
+	Fingerprint
+
 	// Core controller state, the sections of coreFamily.
-	HasCore       bool
 	Steps         uint64
 	LastRestored  bool
 	ProvDirty     bool
 	HeldAllocated bool
 	Caps          power.Vector
 	Kalman        []KalmanState
-	RingCap       int
 	Rings         []RingState
 	Prio          []bool
 	HighFreq      []bool
@@ -156,8 +183,6 @@ type State struct {
 	// Readings is the ingest front buffer at export time: a restored
 	// daemon that decides before any agent reports must feed the
 	// controller the same readings the primary would have, not zeros.
-	HasDaemon   bool
-	SavedUnixMS int64
 	Rounds      uint64
 	Health      []uint8
 	ReportAgeMS []uint64
@@ -185,6 +210,14 @@ func (st *State) SizeRings(units, ringCap int) {
 		st.Rings[u].Powers = st.ringPowers[lo:hi:hi]
 		st.Rings[u].Durations = st.ringDurations[lo:hi:hi]
 	}
+}
+
+// BindRings makes powers and durations the arrays st's ring slots are
+// carved from, ringCap slots per unit — a history.Set's own (Set.Slots),
+// so that Encode reads the rings' slots and a decode writes them in place.
+func (st *State) BindRings(powers []power.Watts, durations []power.Seconds, ringCap int) {
+	st.ringPowers, st.ringDurations = powers, durations
+	st.SizeRings(len(powers)/ringCap, ringCap)
 }
 
 // ---------------------------------------------------------------------
@@ -478,6 +511,19 @@ func Resize[T any](v []T, n int) []T {
 	return v[:n]
 }
 
+// Assign returns dst resized to src's length (Resize) and holding src's
+// values — how a column moves between a State and its owner, in either
+// direction. A dst that already is src, a column of a bound State, comes
+// back untouched: there is nothing to copy.
+func Assign[T any](dst, src []T) []T {
+	if len(dst) == len(src) && (len(src) == 0 || &dst[0] == &src[0]) {
+		return dst
+	}
+	dst = Resize(dst, len(src))
+	copy(dst, src)
+	return dst
+}
+
 // ringHeader is the bytes of one ring's scalars: head, n and pushes as
 // u32, then sum, sumSq, durSum and tailDur as f64.
 const ringHeader = 3*4 + 4*8
@@ -536,13 +582,67 @@ func payloadBounds(id uint16, units int, payload []byte) (lo, hi int, known bool
 	return lo, hi, true
 }
 
-// DecodeInto parses a snapshot image into st, reusing st's slices. It
-// never panics on malformed input: every structural defect returns an
-// error wrapping ErrCorrupt (or ErrVersion), and unknown section ids are
-// skipped after their CRC validates. On error st's contents are
-// unspecified; on success the Has* flags report which parts were
+// DecodeInto parses a snapshot image into st, reusing st's slices: Verify,
+// then DecodeVerified. It never panics on malformed input: every
+// structural defect returns an error wrapping ErrCorrupt (or ErrVersion),
+// and unknown section ids are skipped after their CRC validates. On error
+// st is untouched; on success the Has* flags report which parts were
 // present.
 func DecodeInto(st *State, data []byte) error {
+	if _, err := Verify(data); err != nil {
+		return err
+	}
+	DecodeVerified(st, data)
+	return nil
+}
+
+// Verify is a decode's first pass: it checks data whole — header, every
+// section's CRC, framing and duplicates, config first, payload sizes and
+// ring capacity, every ring's duration tag and head/count/pushes bounds,
+// the core family's all-or-none, the PRNG seed and tap cross-checks — and
+// returns the image's Fingerprint, having written nothing.
+func Verify(data []byte) (Fingerprint, error) {
+	var st State // scalars only: this pass reads no column
+	err := decode(&st, data, false)
+	return st.Fingerprint, err
+}
+
+// DecodeVerified is a decode's second pass: it writes data, an image
+// Verify accepted, into st — into its owner's own memory where st is
+// bound. It re-walks the bytes without their CRCs and cannot fail; bytes
+// that did not pass Verify are a caller's bug, and panic.
+func DecodeVerified(st *State, data []byte) {
+	if err := decode(st, data, true); err != nil {
+		panic(fmt.Sprintf("snapshot: second pass over an unverified image: %v", err))
+	}
+}
+
+// f64col reads the next n floats into *col, resized to n — or, on the
+// verify pass (write false), which reads no column, steps over them.
+func f64col[S ~[]T, T ~float64](r *section.Cursor, col *S, n int, write bool) {
+	if !write {
+		r.Skip(8 * n)
+		return
+	}
+	*col = Resize(*col, n)
+	section.F64s(r, *col)
+}
+
+// u64col is f64col for a column of words.
+func u64col(r *section.Cursor, col *[]uint64, n int, write bool) {
+	if !write {
+		r.Skip(8 * n)
+		return
+	}
+	*col = Resize(*col, n)
+	section.U64s(r, *col)
+}
+
+// decode is the one walk over an image's sections, run by both passes
+// with the same checks. The verify pass (write false) checks the CRCs,
+// reads the scalars into st and steps over the per-unit columns; the
+// write pass trusts the CRCs and reads the columns too.
+func decode(st *State, data []byte, write bool) error {
 	rest, err := header(data)
 	if err != nil {
 		return err
@@ -551,6 +651,9 @@ func DecodeInto(st *State, data []byte) error {
 	var seen [SecRNGReg + 1]bool // which known sections the image holds
 
 	w := section.Walk(rest)
+	if write {
+		w = section.WalkTrusted(rest)
+	}
 	for w.Next() {
 		id, payload := w.ID, w.Payload
 		// Known sections have a payload size fully determined by the unit
@@ -597,10 +700,13 @@ func DecodeInto(st *State, data []byte) error {
 			st.HeldAllocated = boolean(&r)
 
 		case SecCaps:
-			st.Caps = Resize(st.Caps, st.Units)
-			section.F64s(&r, st.Caps)
+			f64col(&r, &st.Caps, st.Units, write)
 
 		case SecKalman:
+			if !write {
+				r.Skip(r.Len())
+				break
+			}
 			st.Kalman = Resize(st.Kalman, st.Units)
 			for i := range st.Kalman {
 				st.Kalman[i].Estimate = power.Watts(r.F64())
@@ -613,24 +719,43 @@ func DecodeInto(st *State, data []byte) error {
 			if !r.Short() && (rc == 0 || rc > maxRingCap) {
 				return corruptf("ring capacity %d outside [1,%d]", rc, maxRingCap)
 			}
-			st.SizeRings(st.Units, int(rc))
-			for i := range st.Rings {
-				g := &st.Rings[i]
+			// Rings already sized for this image — a bound State's, or a
+			// warm one's — keep their slots where they are.
+			if write && (len(st.Rings) != st.Units || st.RingCap != int(rc)) {
+				st.SizeRings(st.Units, int(rc))
+			}
+			st.RingCap = int(rc)
+			var scratch RingState // the verify pass's ring: it writes none
+			for i := 0; i < st.Units; i++ {
+				g := &scratch
+				if write {
+					g = &st.Rings[i]
+				}
 				g.Head = int(r.U32())
 				g.N = int(r.U32())
 				g.Pushes = int(r.U32())
-				g.Sum = r.F64()
-				g.SumSq = r.F64()
-				g.DurSum = r.F64()
-				g.TailDur = r.F64()
-				section.F64s(&r, g.Powers)
+				if err := history.CheckBounds(st.RingCap, g.Head, g.N, g.Pushes); err != nil {
+					return corruptf("ring %d: %v", i, err)
+				}
+				if write {
+					g.Sum = r.F64()
+					g.SumSq = r.F64()
+					g.DurSum = r.F64()
+					g.TailDur = r.F64()
+				} else {
+					r.Skip(4 * 8) // the aggregates: nothing to check
+				}
+				f64col(&r, &g.Powers, st.RingCap, write)
 				switch tag := r.U8(); tag {
 				case ringExplicit:
-					section.F64s(&r, g.Durations)
+					f64col(&r, &g.Durations, st.RingCap, write)
 				case ringUniform:
 					d := power.Seconds(r.F64())
-					for j := range g.Durations {
-						g.Durations[j] = d
+					if write {
+						g.Durations = Resize(g.Durations, st.RingCap)
+						for j := range g.Durations {
+							g.Durations[j] = d
+						}
 					}
 				default:
 					return corruptf("ring %d: duration tag %d", i, tag)
@@ -638,6 +763,10 @@ func DecodeInto(st *State, data []byte) error {
 			}
 
 		case SecPriority:
+			if !write {
+				r.Skip(r.Len())
+				break
+			}
 			st.Prio = Resize(st.Prio, st.Units)
 			st.HighFreq = Resize(st.HighFreq, st.Units)
 			bits(&r, st.Prio)
@@ -653,12 +782,19 @@ func DecodeInto(st *State, data []byte) error {
 		case SecRNG:
 			st.RNGSeed = int64(r.U64())
 			st.RNGDraws = r.U64()
+			if st.RNGSeed != st.Seed {
+				return corruptf("section 0x%04x: PRNG seed %d, config seed %d", id, st.RNGSeed, st.Seed)
+			}
 
 		case SecRNGReg:
 			st.RNGTap = int(r.U16())
 			section.U64s(&r, st.RNGReg[:])
 
 		case SecProv:
+			if !write {
+				r.Skip(r.Len())
+				break
+			}
 			st.Reasons = Resize(st.Reasons, st.Units)
 			for i := range st.Reasons {
 				st.Reasons[i] = r.U8()
@@ -670,31 +806,27 @@ func DecodeInto(st *State, data []byte) error {
 			st.CachedSum = power.Watts(r.F64())
 			st.SumValid = boolean(&r)
 			words := (st.Units + 63) / 64
-			st.SettledW = Resize(st.SettledW, words)
-			section.U64s(&r, st.SettledW)
-			st.CapMovedW = Resize(st.CapMovedW, words)
-			section.U64s(&r, st.CapMovedW)
-			st.LastVal = Resize(st.LastVal, st.Units)
-			section.F64s(&r, st.LastVal)
-			st.LastStep = Resize(st.LastStep, st.Units)
-			section.U64s(&r, st.LastStep)
+			u64col(&r, &st.SettledW, words, write)
+			u64col(&r, &st.CapMovedW, words, write)
+			f64col(&r, &st.LastVal, st.Units, write)
+			u64col(&r, &st.LastStep, st.Units, write)
 
 		case SecDaemon:
 			st.SavedUnixMS = int64(r.U64())
 			st.Rounds = r.U64()
+			st.HasDaemon = true
+			if !write {
+				r.Skip(r.Len())
+				break
+			}
 			st.Health = Resize(st.Health, st.Units)
 			for i := range st.Health {
 				st.Health[i] = r.U8()
 			}
-			st.ReportAgeMS = Resize(st.ReportAgeMS, st.Units)
-			section.U64s(&r, st.ReportAgeMS)
-			st.LastCaps = Resize(st.LastCaps, st.Units)
-			section.F64s(&r, st.LastCaps)
-			st.LastPushed = Resize(st.LastPushed, st.Units)
-			section.F64s(&r, st.LastPushed)
-			st.Readings = Resize(st.Readings, st.Units)
-			section.F64s(&r, st.Readings)
-			st.HasDaemon = true
+			u64col(&r, &st.ReportAgeMS, st.Units, write)
+			f64col(&r, &st.LastCaps, st.Units, write)
+			f64col(&r, &st.LastPushed, st.Units, write)
+			f64col(&r, &st.Readings, st.Units, write)
 		}
 		if err := done(&r, id); err != nil {
 			return err

@@ -65,20 +65,23 @@ func fillState(units, ringCap int, seed int64) *State {
 func fillStateRings(units, ringCap int, seed int64, kind func(u int) int) *State {
 	rng := rand.New(rand.NewSource(seed))
 	st := &State{
-		Units:              units,
-		Seed:               seed,
-		BudgetTotal:        power.Watts(55 * units),
-		UnitMax:            120,
-		UnitMin:            power.Watts(math.Copysign(0, -1)), // -0.0 must round-trip
-		Sparse:             true,
-		SparseRefreshEvery: 64,
-
-		HasCore:       true,
+		Fingerprint: Fingerprint{
+			Units:              units,
+			Seed:               seed,
+			BudgetTotal:        power.Watts(55 * units),
+			UnitMax:            120,
+			UnitMin:            power.Watts(math.Copysign(0, -1)), // -0.0 must round-trip
+			Sparse:             true,
+			SparseRefreshEvery: 64,
+			HasCore:            true,
+			RingCap:            ringCap,
+			HasDaemon:          true,
+			SavedUnixMS:        1_700_000_000_123,
+		},
 		Steps:         ^uint64(0) - 7,
 		LastRestored:  true,
 		ProvDirty:     true,
 		HeldAllocated: true,
-		RingCap:       ringCap,
 		RNGSeed:       seed,
 		RNGDraws:      1 << 40,
 		RNGTap:        stateless.TapAt(1 << 40),
@@ -86,10 +89,7 @@ func fillStateRings(units, ringCap int, seed int64, kind func(u int) int) *State
 		HighCount:     units / 3,
 		CachedSum:     power.Watts(math.NaN()),
 		SumValid:      true,
-
-		HasDaemon:   true,
-		SavedUnixMS: 1_700_000_000_123,
-		Rounds:      987654321,
+		Rounds:        987654321,
 	}
 	for i := range st.RNGReg {
 		st.RNGReg[i] = rng.Uint64()
