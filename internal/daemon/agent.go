@@ -42,14 +42,12 @@ type AgentConfig struct {
 	// ApplyEcho advertises the cap-apply acknowledgement capability in the
 	// handshake: after programming each cap batch the agent reports how
 	// long the apply took, letting the server build a true reading→
-	// enforced-cap latency histogram on its own clock. Off by default for
-	// wire compatibility with version-1 servers.
+	// enforced-cap latency histogram on its own clock.
 	ApplyEcho bool
-	// Batch advertises the batch/delta capability: reports travel as
-	// sparse batch frames carrying only the units whose reading moved by
-	// more than the delta epsilon since last sent, and a fully quiet
-	// interval becomes a one-byte heartbeat. Off by default for wire
-	// compatibility with version-1 servers.
+	// Batch turns on delta suppression: a report carries only the units
+	// whose reading moved by more than the delta epsilon since last sent,
+	// and a fully quiet interval becomes a one-byte heartbeat. Off, every
+	// report carries every unit.
 	Batch bool
 	// DeltaEpsilon is the local delta-suppression band in watts: a unit's
 	// reading is withheld while it stays within ±epsilon of the last value
@@ -58,8 +56,8 @@ type AgentConfig struct {
 	// epsilon the server advertises in its handshake ack; a positive value
 	// overrides it. Ignored unless Batch is on.
 	DeltaEpsilon power.Watts
-	// RefreshEvery forces an unsuppressed full report every N reports on a
-	// batch session, healing any divergence without waiting for readings
+	// RefreshEvery forces an unsuppressed full report every N reports with
+	// Batch on, healing any divergence without waiting for readings
 	// to move. Zero selects the default (DefaultRefreshEvery); negative
 	// disables periodic refresh (pure delta — heartbeats alone keep the
 	// session fresh). Ignored unless Batch is on.
@@ -68,7 +66,7 @@ type AgentConfig struct {
 	// prefixes each cap batch with its round counter, so the agent's own
 	// trace spans carry the round that caused them and a fleet-wide merge
 	// (dpsctl trace --merge) can nest them under the right controller
-	// round. Off by default for wire compatibility with version-1 servers.
+	// round.
 	TraceCtx bool
 	// Trace enables the agent's span recorder: meter read, report
 	// decision, and cap apply each become a span in a local ring served
@@ -252,15 +250,14 @@ func (a *Agent) logf(format string, args ...any) {
 }
 
 // Handshake introduces the agent on conn and waits for the server's
-// acknowledgement. The connection is retained for subsequent rounds. On a
-// batch session the delta epsilon resolves here: the local configured
-// value when positive, else whatever the server's ack advertised.
+// acknowledgement. The connection is retained for subsequent rounds. With
+// Batch on the delta epsilon resolves here: the local configured value
+// when positive, else whatever the server's ack advertised.
 func (a *Agent) Handshake(conn net.Conn) error {
 	h := proto.Hello{
 		FirstUnit: a.cfg.FirstUnit,
 		Units:     len(a.cfg.Devices),
 		ApplyEcho: a.cfg.ApplyEcho,
-		Batch:     a.cfg.Batch,
 		TraceCtx:  a.cfg.TraceCtx,
 	}
 	sess, err := proto.Connect(conn, h)
@@ -346,18 +343,15 @@ func (a *Agent) ReportOnce(elapsed power.Seconds) error {
 	return nil
 }
 
-// writeReportLocked sends one report. On a non-batch session that is the
-// classic full batch (framed iff apply-echo negotiated). On a batch
-// session it is a delta: only units whose reading moved past epsilon
-// since their last sent value go on the wire — an omitted unit tells the
-// server "unchanged within epsilon, my reading stands" — and a fully
-// suppressed interval collapses to a one-byte heartbeat so liveness
-// never depends on readings moving. Caller holds writeMu.
+// writeReportLocked sends one report as a batch frame. Without Batch it
+// carries every unit. With Batch it is a delta: only units whose reading
+// moved past epsilon since their last sent value go on the wire — an
+// omitted unit tells the server "unchanged within epsilon, my reading
+// stands" — and a fully suppressed interval collapses to a one-byte
+// heartbeat so liveness never depends on readings moving. Caller holds
+// writeMu.
 func (a *Agent) writeReportLocked() error {
-	if !a.cfg.Batch {
-		return a.sess.WriteReport(a.reportBuf)
-	}
-	full := a.lastSent[0] < 0
+	full := !a.cfg.Batch || a.lastSent[0] < 0
 	if n := a.cfg.refreshEvery(); n > 0 && a.sinceFull+1 >= n {
 		full = true
 	}

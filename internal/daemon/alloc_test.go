@@ -102,7 +102,7 @@ func scriptedServerConn(t *testing.T, h proto.Hello) (*serverConn, *ingestScript
 }
 
 // TestIngestSteadyStateZeroAlloc is the batched-ingest allocation gate:
-// once a batch session is warm, receiving and landing a full batch, a
+// once a session is warm, receiving and landing a full batch, a
 // sparse delta, and a heartbeat must not allocate — the read buffers and
 // record scratch are session-owned and pooled, and the staleness-clock
 // walk is in-place. Health tracking is on so the gate covers the
@@ -125,7 +125,7 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	defer srv.Close()
 
-	sc, conn := scriptedServerConn(t, proto.Hello{FirstUnit: 0, Units: units, Batch: true})
+	sc, conn := scriptedServerConn(t, proto.Hello{FirstUnit: 0, Units: units})
 	defer sc.sess.Release()
 
 	// The frame script: one full batch, one sparse delta, one heartbeat —
@@ -135,13 +135,8 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	for u := range full {
 		full[u] = proto.Record{LocalUnit: uint8(u), Value: uint16(900 + u)}
 	}
-	if err := proto.WriteBatchFrame(&fb, full); err != nil {
-		t.Fatal(err)
-	}
-	sparse := []proto.Record{{LocalUnit: 3, Value: 850}, {LocalUnit: 77, Value: 1410}}
-	if err := proto.WriteBatchFrame(&fb, sparse); err != nil {
-		t.Fatal(err)
-	}
+	fb.Write(rawBatchFrame(full))
+	fb.Write(rawBatchFrame([]proto.Record{{LocalUnit: 3, Value: 850}, {LocalUnit: 77, Value: 1410}}))
 	fb.WriteByte(proto.FrameHeartbeat)
 	script := fb.Bytes()
 	const frames = 3

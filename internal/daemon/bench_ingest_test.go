@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -93,44 +92,12 @@ func benchIngest(b *testing.B, conns, unitsPerConn int, handshake func(c net.Con
 	b.ReportMetric(float64(ingestBenchUnits)*float64(b.N)/b.Elapsed().Seconds(), "readings/s")
 }
 
-// rawHandshake performs a legacy (v1, capability-free) handshake and
-// returns one pre-encoded raw report frame: unitsPerConn bare 3-byte
-// records, no header — the wire format every pre-batch agent speaks.
-func rawHandshake(c net.Conn, first power.UnitID, n int) ([]byte, error) {
-	if err := proto.WriteHello(c, proto.Hello{FirstUnit: first, Units: n}); err != nil {
-		return nil, err
-	}
-	if err := rawReadAck(c); err != nil {
-		return nil, err
-	}
-	frame := make([]byte, n*proto.RecordSize)
-	for i := 0; i < n; i++ {
-		proto.PutRecord(frame[i*proto.RecordSize:], proto.Record{
-			LocalUnit: uint8(i), Value: proto.ToDeciwatts(100.5),
-		})
-	}
-	return frame, nil
-}
-
-// BenchmarkIngestPerReading is the per-reading-frame baseline the batch
-// plane is measured against: one connection per unit, so every 3-byte
-// reading costs its own socket write, frame read, and ingest lock.
-func BenchmarkIngestPerReading(b *testing.B) {
-	benchIngest(b, ingestBenchUnits, 1, rawHandshake)
-}
-
-// BenchmarkIngestNodeFrame is the pre-batch deployed shape: one
-// connection per 128-unit node, readings amortized into one raw frame.
-func BenchmarkIngestNodeFrame(b *testing.B) {
-	benchIngest(b, ingestBenchUnits/128, 128, rawHandshake)
-}
-
-// batchHandshake negotiates a v2 batch session and returns one
-// pre-encoded full-refresh batch frame (header, count, unitsPerConn
-// records). The client session is released immediately: the benchmark
-// loop writes raw pre-encoded bytes, it never reads caps.
+// batchHandshake negotiates a session and returns one pre-encoded full
+// report: a batch frame carrying all n records. The client session is
+// released immediately: the benchmark loop writes raw pre-encoded bytes,
+// it never reads caps.
 func batchHandshake(c net.Conn, first power.UnitID, n int) ([]byte, error) {
-	sess, err := proto.Connect(c, proto.Hello{FirstUnit: first, Units: n, Batch: true})
+	sess, err := proto.Connect(c, proto.Hello{FirstUnit: first, Units: n})
 	if err != nil {
 		return nil, err
 	}
@@ -139,19 +106,23 @@ func batchHandshake(c net.Conn, first power.UnitID, n int) ([]byte, error) {
 	for i := range recs {
 		recs[i] = proto.Record{LocalUnit: uint8(i), Value: proto.ToDeciwatts(100.5)}
 	}
-	var buf bytes.Buffer
-	if err := proto.WriteBatchFrame(&buf, recs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return rawBatchFrame(recs), nil
 }
 
-// deltaHandshake negotiates a batch session and returns one sparse
-// delta frame: 8 of the connection's units carried, the rest asserted
+// BenchmarkIngestPerReading is the per-reading baseline the node-sized
+// planes are measured against: one connection per unit, so every reading
+// — a one-record batch frame — costs its own socket write, frame read,
+// and ingest lock.
+func BenchmarkIngestPerReading(b *testing.B) {
+	benchIngest(b, ingestBenchUnits, 1, batchHandshake)
+}
+
+// deltaHandshake negotiates a session and returns one sparse delta
+// frame: 8 of the connection's units carried, the rest asserted
 // unchanged by omission. One iteration still refreshes every unit (an
 // omitted unit is live information), so readings/s stays comparable.
 func deltaHandshake(c net.Conn, first power.UnitID, n int) ([]byte, error) {
-	sess, err := proto.Connect(c, proto.Hello{FirstUnit: first, Units: n, Batch: true})
+	sess, err := proto.Connect(c, proto.Hello{FirstUnit: first, Units: n})
 	if err != nil {
 		return nil, err
 	}
@@ -160,21 +131,17 @@ func deltaHandshake(c net.Conn, first power.UnitID, n int) ([]byte, error) {
 	for i := 0; i < n && len(recs) < cap(recs); i += n / 8 {
 		recs = append(recs, proto.Record{LocalUnit: uint8(i), Value: proto.ToDeciwatts(100.5)})
 	}
-	var buf bytes.Buffer
-	if err := proto.WriteBatchFrame(&buf, recs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return rawBatchFrame(recs), nil
 }
 
-// BenchmarkIngestBatchNode is the batched data plane at the deployed
-// shape: one v2 connection per 128-unit node, each refresh one framed
-// batch carrying all 128 records.
+// BenchmarkIngestBatchNode is the data plane at the deployed shape: one
+// connection per 128-unit node, each report one batch frame carrying all
+// 128 records.
 func BenchmarkIngestBatchNode(b *testing.B) {
 	benchIngest(b, ingestBenchUnits/128, 128, batchHandshake)
 }
 
-// BenchmarkIngestBatchDelta is the event-driven steady state: one v2
+// BenchmarkIngestBatchDelta is the event-driven steady state: one
 // connection per 128-unit node, each interval a sparse 8-record delta
 // (quiet units suppressed at the agent).
 func BenchmarkIngestBatchDelta(b *testing.B) {

@@ -38,7 +38,6 @@ import (
 //	  "read_idle_timeout_ms": 5000,
 //	  "max_reading_w": 330,
 //	  "delta_epsilon_w": 0.5,
-//	  "disable_batch_ingest": false,
 //	  "sparse_refresh_every": 64,
 //	  "trace": false,
 //	  "trace_spans": 4096,
@@ -90,11 +89,8 @@ type FileConfig struct {
 	MaxReadingW       float64 `json:"max_reading_w,omitempty"`
 
 	// Batched ingest. DeltaEpsilonW is the delta-suppression band
-	// advertised to batch-capable agents in the handshake ack;
-	// DisableBatchIngest rejects the batch capability outright, forcing
-	// full per-interval report frames.
-	DeltaEpsilonW      float64 `json:"delta_epsilon_w,omitempty"`
-	DisableBatchIngest bool    `json:"disable_batch_ingest,omitempty"`
+	// advertised to agents in the handshake ack.
+	DeltaEpsilonW float64 `json:"delta_epsilon_w,omitempty"`
 
 	// Sparse decision rounds (DPS policy only). SparseRefreshEvery forces
 	// every unit through a full decision pass at least once per this many
@@ -276,7 +272,6 @@ func (fc FileConfig) ApplyKnobs(sc *ServerConfig) {
 	sc.ReadIdleTimeout = ms(fc.ReadIdleTimeoutMS)
 	sc.MaxReading = power.Watts(fc.MaxReadingW)
 	sc.DeltaEpsilon = power.Watts(fc.DeltaEpsilonW)
-	sc.DisableBatchIngest = fc.DisableBatchIngest
 	sc.TraceEnabled = fc.Trace
 	sc.TraceSpans = fc.TraceSpans
 	sc.SeriesEnabled = fc.Series

@@ -43,9 +43,7 @@ type deltaHarness struct {
 
 // frames returns how many upstream frames the server has ingested.
 func (h *deltaHarness) frames() uint64 {
-	return h.srv.metrics.ingestReports.Value() +
-		h.srv.metrics.ingestBatches.Value() +
-		h.srv.metrics.ingestHeartbeats.Value()
+	return h.srv.metrics.ingestBatches.Value() + h.srv.metrics.ingestHeartbeats.Value()
 }
 
 func newDeltaHarness(t *testing.T, units int, batch bool) *deltaHarness {

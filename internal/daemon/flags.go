@@ -27,7 +27,6 @@ func RegisterFlags(fs *flag.FlagSet, fc *FileConfig) (resolve func() error) {
 	fs.Int64Var(&fc.Seed, "seed", 1, "controller seed (random cap-raise order)")
 	fs.Float64Var(&fc.MaxReadingW, "max-reading", 0, "reject inbound power reports above this many watts (0 = twice unit-max)")
 	fs.Float64Var(&fc.DeltaEpsilonW, "delta-epsilon", 0, "advertise this delta-suppression band in watts to batch-capable agents (0 = suppress only unchanged readings)")
-	fs.BoolVar(&fc.DisableBatchIngest, "disable-batch-ingest", false, "reject handshakes advertising the batch capability (force full per-interval reports)")
 	fs.IntVar(&fc.SparseRefreshEvery, "sparse-refresh-every", 0, "force every unit through a full decision pass at least once per this many rounds (0 = default, 1 = never skip a unit)")
 	fs.BoolVar(&fc.Trace, "trace", false, "record round-scoped spans for /debug/trace (toggleable at runtime)")
 	fs.IntVar(&fc.TraceSpans, "trace-spans", 0, "span ring capacity (0 = default)")

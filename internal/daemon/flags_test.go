@@ -49,7 +49,6 @@ var parityCases = []struct {
 	{"read-idle-timeout", []string{"-read-idle-timeout=5s"}, `"read_idle_timeout_ms": 5000`},
 	{"max-reading", []string{"-max-reading=330"}, `"max_reading_w": 330`},
 	{"delta-epsilon", []string{"-delta-epsilon=0.5"}, `"delta_epsilon_w": 0.5`},
-	{"disable-batch-ingest", []string{"-disable-batch-ingest"}, `"disable_batch_ingest": true`},
 	{"sparse-rounds", []string{"-sparse-rounds=false"}, `"sparse_rounds": false`},
 	{"sparse-refresh-every", []string{"-sparse-refresh-every=16"}, `"sparse_refresh_every": 16`},
 	{"trace", []string{"-trace"}, `"trace": true`},
@@ -209,7 +208,6 @@ func TestKnobValidation(t *testing.T) {
 	}
 	good := base
 	good.DeltaEpsilonW = 0.5
-	good.DisableBatchIngest = true
 	if err := good.resolve(); err != nil {
 		t.Errorf("validate rejected %+v: %v", good, err)
 	}

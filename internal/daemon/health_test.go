@@ -345,7 +345,7 @@ func TestReadDeadlineStillReaps(t *testing.T) {
 	defer client.Close()
 	done := make(chan error, 1)
 	go func() { done <- srv.Handle(server) }()
-	if _, err := proto.Connect(client, proto.Hello{FirstUnit: 0, Units: units, Batch: true}); err != nil {
+	if _, err := proto.Connect(client, proto.Hello{FirstUnit: 0, Units: units}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Write([]byte{proto.FrameHeartbeat, proto.FrameBatch, 2, 0, 0x03}); err != nil {

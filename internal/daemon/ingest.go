@@ -71,12 +71,6 @@ func (s *Server) Handle(conn net.Conn) error {
 		// stream. It claims no units and sends no frames.
 		return s.handleReplica(conn, sess)
 	}
-	if hello.Batch && s.cfg.DisableBatchIngest {
-		sess.Release()
-		conn.Close()
-		return fmt.Errorf("daemon: batch ingest disabled, rejecting batch agent for units [%d,%d)",
-			hello.FirstUnit, int(hello.FirstUnit)+hello.Units)
-	}
 	sc := &serverConn{conn: conn, sess: sess, hello: hello}
 	// Registration makes the connection a push target; holding its write
 	// lock until the ack is out makes a decision round landing in between
@@ -135,14 +129,14 @@ func (s *Server) serveFrame(sc *serverConn) error {
 	return nil
 }
 
-// ingest lands one report or batch frame in the front reading buffer.
+// ingest lands one batch frame in the front reading buffer.
 //
 // Staleness-clock rule: a frame refreshes the clock of every unit it
-// carries an *accepted* record for, and — on delta batches — of every
-// unit it omits: omission under delta reporting is the agent asserting
-// "unchanged within epsilon", which is live information. A unit whose
-// record is rejected by the sanitizer gets no refresh from its own
-// garbage (self-quarantine), exactly as on the full-report path.
+// carries an *accepted* record for, and of every unit it omits: omission
+// is the agent asserting "unchanged within epsilon", which is live
+// information. A unit whose record is rejected by the sanitizer gets no
+// refresh from its own garbage: a garbage-reporting agent quarantines
+// itself into the stale state.
 func (s *Server) ingest(sc *serverConn, frame proto.Frame) {
 	traceOn := s.tracer.On()
 	var ingestStart time.Time
@@ -157,60 +151,36 @@ func (s *Server) ingest(sc *serverConn, frame proto.Frame) {
 	}
 	ceiling := s.maxReading()
 	s.imu.Lock()
-	switch frame.Kind {
-	case proto.KindReport:
-		for _, rec := range frame.Records {
-			v := proto.FromDeciwatts(rec.Value)
-			u := first + int(rec.LocalUnit)
-			if badReading(v, ceiling) {
-				// Rejected readings never reach the filter and never refresh
-				// the staleness clock: a garbage-reporting agent quarantines
-				// itself into the stale state.
-				s.metrics.badReadings.Inc()
-				continue
-			}
-			s.readings[u] = v
-			s.dirty.Mark(u)
-			if s.lastReport != nil {
-				s.lastReport[u] = now
-			}
-		}
-	case proto.KindBatch:
-		// Records arrive strictly increasing (the canonical encoding), so
-		// one walk covers both the carried units and the suppressed gaps
-		// between them.
-		next := 0
-		for _, rec := range frame.Records {
-			lu := int(rec.LocalUnit)
-			if s.lastReport != nil {
-				for ; next < lu; next++ {
-					s.lastReport[first+next] = now
-				}
-			}
-			next = lu + 1
-			v := proto.FromDeciwatts(rec.Value)
-			if badReading(v, ceiling) {
-				s.metrics.badReadings.Inc()
-				continue
-			}
-			s.readings[first+lu] = v
-			s.dirty.Mark(first + lu)
-			if s.lastReport != nil {
-				s.lastReport[first+lu] = now
-			}
-		}
+	// Records arrive strictly increasing (the canonical encoding), so one
+	// walk covers both the carried units and the suppressed gaps between
+	// them.
+	next := 0
+	for _, rec := range frame.Records {
+		lu := int(rec.LocalUnit)
 		if s.lastReport != nil {
-			for ; next < hello.Units; next++ {
+			for ; next < lu; next++ {
 				s.lastReport[first+next] = now
 			}
 		}
+		next = lu + 1
+		v := proto.FromDeciwatts(rec.Value)
+		if badReading(v, ceiling) {
+			s.metrics.badReadings.Inc()
+			continue
+		}
+		s.readings[first+lu] = v
+		s.dirty.Mark(first + lu)
+		if s.lastReport != nil {
+			s.lastReport[first+lu] = now
+		}
+	}
+	if s.lastReport != nil {
+		for ; next < hello.Units; next++ {
+			s.lastReport[first+next] = now
+		}
 	}
 	s.imu.Unlock()
-	if frame.Kind == proto.KindBatch {
-		s.metrics.ingestBatches.Inc()
-	} else {
-		s.metrics.ingestReports.Inc()
-	}
+	s.metrics.ingestBatches.Inc()
 	s.metrics.ingestRecords.Add(uint64(len(frame.Records)))
 	if traceOn {
 		// the decision round this frame will feed

@@ -30,7 +30,6 @@ type serverMetrics struct {
 	reaps       *telemetry.Counter
 	// Ingest-plane counters: one frame counter per upstream frame kind
 	// plus the total record count they carried.
-	ingestReports    *telemetry.Counter
 	ingestBatches    *telemetry.Counter
 	ingestHeartbeats *telemetry.Counter
 	ingestRecords    *telemetry.Counter
@@ -108,8 +107,6 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) ser
 		disconnects: reg.Counter("dps_agent_disconnects_total", "Agent connections lost."),
 		badReadings: reg.Counter("dps_server_bad_readings_total", "Inbound readings rejected at the server boundary (NaN/Inf/negative/over-ceiling)."),
 		reaps:       reg.Counter("dps_conn_reaped_total", "Connections closed by the server-side idle read deadline."),
-		ingestReports: reg.Counter("dps_ingest_frames_total", "Upstream frames ingested, by frame kind.",
-			telemetry.Label{Key: "kind", Value: "report"}),
 		ingestBatches: reg.Counter("dps_ingest_frames_total", "Upstream frames ingested, by frame kind.",
 			telemetry.Label{Key: "kind", Value: "batch"}),
 		ingestHeartbeats: reg.Counter("dps_ingest_frames_total", "Upstream frames ingested, by frame kind.",

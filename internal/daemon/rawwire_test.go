@@ -8,44 +8,56 @@ import (
 	"dps/internal/proto"
 )
 
-// Raw version-1 wire helpers for tests that deliberately speak the
-// legacy capability-free protocol byte-for-byte — a raw client against a
-// modern server, or a fake server half against a real agent. Production
-// code negotiates through proto.Session; these exist so the tests stay
-// pinned to the wire bytes rather than to whatever the session layer
-// currently does.
+// Raw wire helpers for tests that speak the protocol byte for byte — a
+// raw client against a server, or a fake server half against a real
+// agent. Production code negotiates through proto.Session; these exist
+// so the tests stay pinned to the wire bytes rather than to whatever the
+// session layer currently does.
 
-// rawWriteAck sends the classic 2-byte handshake acknowledgement.
+// rawWriteAck sends the handshake acknowledgement: OK and a zero delta
+// epsilon.
 func rawWriteAck(w io.Writer) error {
-	_, err := w.Write([]byte("OK"))
+	_, err := w.Write([]byte{'O', 'K', 0, 0})
 	return err
 }
 
-// rawReadAck consumes and validates the classic 2-byte acknowledgement.
+// rawReadAck consumes and validates the handshake acknowledgement: OK and
+// the advertised delta epsilon.
 func rawReadAck(r io.Reader) error {
-	var buf [2]byte
+	var buf [4]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return fmt.Errorf("reading ack: %w", err)
 	}
-	if buf != [2]byte{'O', 'K'} {
-		return fmt.Errorf("bad ack %q", buf[:])
+	if [2]byte(buf[:2]) != [2]byte{'O', 'K'} {
+		return fmt.Errorf("bad ack %q", buf[:2])
 	}
 	return nil
 }
 
-// rawWriteReport writes a bare version-1 report batch: one 3-byte record
-// per entry of vals, local unit i carrying vals[i], no framing.
-func rawWriteReport(w io.Writer, vals []power.Watts) error {
-	buf := make([]byte, len(vals)*proto.RecordSize)
-	for i, v := range vals {
-		proto.PutRecord(buf[i*proto.RecordSize:], proto.Record{LocalUnit: uint8(i), Value: proto.ToDeciwatts(v)})
+// rawBatchFrame encodes one batch frame: the frame type, the record
+// count, then the records as given.
+func rawBatchFrame(recs []proto.Record) []byte {
+	buf := make([]byte, 2+len(recs)*proto.RecordSize)
+	buf[0], buf[1] = proto.FrameBatch, byte(len(recs))
+	for i, rec := range recs {
+		proto.PutRecord(buf[2+i*proto.RecordSize:], rec)
 	}
-	_, err := w.Write(buf)
+	return buf
+}
+
+// rawWriteReport writes a full report: one batch frame in which local
+// unit i carries vals[i].
+func rawWriteReport(w io.Writer, vals []power.Watts) error {
+	recs := make([]proto.Record, len(vals))
+	for i, v := range vals {
+		recs[i] = proto.Record{LocalUnit: uint8(i), Value: proto.ToDeciwatts(v)}
+	}
+	_, err := w.Write(rawBatchFrame(recs))
 	return err
 }
 
 // rawReadCaps reads one downstream cap batch of len(dst) records into
-// dst by local unit (the version-1 downstream wire format).
+// dst by local unit.
 func rawReadCaps(r io.Reader, dst []power.Watts) error {
 	n := len(dst)
 	buf := make([]byte, n*proto.RecordSize)

@@ -70,17 +70,13 @@ type ServerConfig struct {
 	// reach the filter and do not refresh the unit's staleness clock.
 	// Zero selects twice the budget's per-unit maximum.
 	MaxReading power.Watts
-	// DeltaEpsilon is the report-suppression band advertised to
-	// batch-capable agents in the handshake ack: an agent may suppress a
+	// DeltaEpsilon is the report-suppression band advertised to agents in
+	// the handshake ack: an agent doing delta suppression may withhold a
 	// unit's report while the reading stays within this many watts of the
 	// last value it sent (quantized to deciwatts on the wire). Zero means
 	// "report exact changes only" — an agent still suppresses byte-identical
 	// readings but any movement is reported.
 	DeltaEpsilon power.Watts
-	// DisableBatchIngest rejects handshakes advertising the batch
-	// capability, forcing every agent onto full per-interval report frames.
-	// An escape hatch for debugging the delta plane; off by default.
-	DisableBatchIngest bool
 
 	// TraceEnabled starts the span recorder on. The recorder always
 	// exists (GET /debug/trace always mounts, and it can be enabled at

@@ -9,35 +9,35 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"dps/internal/power"
 )
 
 // FuzzReadHello feeds arbitrary bytes to the handshake parser: it must
 // never panic and must only accept frames it could itself have produced.
+// A version-1 hello and a hello carrying the retired batch bit are seeds
+// it must refuse.
 func FuzzReadHello(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteHello(&seed, Hello{FirstUnit: 18, Units: 2}); err != nil {
-		f.Fatal(err)
+	for _, h := range []Hello{
+		{FirstUnit: 18, Units: 2},
+		{FirstUnit: 18, Units: 2, ApplyEcho: true},
+		{FirstUnit: 18, Units: 2, ApplyEcho: true, TraceCtx: true},
+		{FirstUnit: 18, Units: 2, TraceCtx: true},
+	} {
+		var seed bytes.Buffer
+		if err := WriteHello(&seed, h); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
 	}
-	f.Add(seed.Bytes())
-	var seedV2 bytes.Buffer
-	if err := WriteHello(&seedV2, Hello{FirstUnit: 18, Units: 2, ApplyEcho: true}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedV2.Bytes())
-	var seedBatch bytes.Buffer
-	if err := WriteHello(&seedBatch, Hello{FirstUnit: 18, Units: 2, ApplyEcho: true, Batch: true}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedBatch.Bytes())
-	var seedTrace bytes.Buffer
-	if err := WriteHello(&seedTrace, Hello{FirstUnit: 18, Units: 2, TraceCtx: true}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedTrace.Bytes())
 	f.Add([]byte("DPS1garbage"))
-	f.Add([]byte{'D', 'P', 'S', '1', 2, 0, 18, 2, 0}) // v2, empty flags: must reject
+	for _, raw := range [][]byte{
+		{'D', 'P', 'S', '1', 1, 0, 18, 2},         // version 1
+		{'D', 'P', 'S', '1', 2, 0, 18, 2, 1 << 1}, // the retired batch bit
+	} {
+		if h, err := ReadHello(bytes.NewReader(raw)); err == nil {
+			f.Fatalf("ReadHello accepted %v as %+v", raw, h)
+		}
+		f.Add(raw)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHello(bytes.NewReader(data))
@@ -45,28 +45,26 @@ func FuzzReadHello(f *testing.F) {
 			return
 		}
 		// Anything accepted must re-encode to the same bytes it was read
-		// from — the parser accepts only canonical frames, at either
-		// version's length.
+		// from — the parser accepts only canonical frames.
 		var out bytes.Buffer
 		if err := WriteHello(&out, h); err != nil {
 			t.Fatalf("accepted hello %+v cannot be re-encoded: %v", h, err)
 		}
-		n := h.EncodedSize()
-		if len(data) < n {
-			t.Fatalf("accepted hello %+v from %d bytes, shorter than its own encoding (%d)", h, len(data), n)
+		if len(data) < HelloSize {
+			t.Fatalf("accepted hello %+v from %d bytes, shorter than a hello (%d)", h, len(data), HelloSize)
 		}
-		if !bytes.Equal(out.Bytes(), data[:n]) {
-			t.Fatalf("roundtrip mismatch: read %+v from %v, wrote %v", h, data[:n], out.Bytes())
+		if !bytes.Equal(out.Bytes(), data[:HelloSize]) {
+			t.Fatalf("roundtrip mismatch: read %+v from %v, wrote %v", h, data[:HelloSize], out.Bytes())
 		}
 	})
 }
 
-// FuzzReadBatchFrame feeds arbitrary bytes to the delta-batch frame
-// parser: it must never panic and must only accept the canonical
-// encoding — which means every accepted frame re-encodes byte-identical
-// via WriteBatchFrame.
+// FuzzReadBatchFrame feeds arbitrary bytes to Session.ReadFrame on an
+// 8-unit session: it must never panic and must only accept the canonical
+// batch encoding — every batch frame it accepts re-encodes byte-identical
+// through WriteDelta.
 func FuzzReadBatchFrame(f *testing.F) {
-	const units = 8
+	h := Hello{Units: 8}
 	for _, recs := range [][]Record{
 		{{LocalUnit: 0, Value: 1105}},
 		{{LocalUnit: 1, Value: 425}, {LocalUnit: 3, Value: 0}, {LocalUnit: 7, Value: 0xFFFF}},
@@ -75,9 +73,11 @@ func FuzzReadBatchFrame(f *testing.F) {
 			{LocalUnit: 6, Value: 7}, {LocalUnit: 7, Value: 8}},
 	} {
 		var seed bytes.Buffer
-		if err := WriteBatchFrame(&seed, recs); err != nil {
+		s := newSession(&seed, h)
+		if err := s.WriteDelta(recs); err != nil {
 			f.Fatal(err)
 		}
+		s.Release()
 		f.Add(seed.Bytes())
 	}
 	f.Add([]byte{FrameBatch, 0})                   // empty delta: must reject (that's a heartbeat)
@@ -85,26 +85,30 @@ func FuzzReadBatchFrame(f *testing.F) {
 	f.Add([]byte{FrameBatch, 1, 9, 0, 1})          // unit outside the session range
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 || data[0] != FrameBatch {
-			return
-		}
-		recs, err := ReadBatchFrame(bytes.NewReader(data[1:]), units, nil)
-		if err != nil {
+		s := newSession(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard}, h)
+		defer s.Release()
+		frame, err := s.ReadFrame()
+		if err != nil || frame.Kind != KindBatch {
 			return
 		}
 		// Anything accepted must re-encode to the same bytes it was read
 		// from: count in [1, units], strictly increasing local units, all
 		// inside the range.
 		var out bytes.Buffer
-		if err := WriteBatchFrame(&out, recs); err != nil {
-			t.Fatalf("accepted batch frame %+v cannot be re-encoded: %v", recs, err)
+		w := newSession(&out, h)
+		defer w.Release()
+		if err := w.WriteDelta(frame.Records); err != nil {
+			t.Fatalf("accepted batch frame %+v cannot be re-encoded: %v", frame.Records, err)
 		}
 		n := out.Len()
 		if len(data) < n {
-			t.Fatalf("accepted %d records from %d bytes, shorter than their own encoding (%d)", len(recs), len(data), n)
+			t.Fatalf("accepted %d records from %d bytes, shorter than their own encoding (%d)", len(frame.Records), len(data), n)
 		}
 		if !bytes.Equal(out.Bytes(), data[:n]) {
-			t.Fatalf("roundtrip mismatch: read %+v from %v, wrote %v", recs, data[:n], out.Bytes())
+			t.Fatalf("roundtrip mismatch: read %+v from %v, wrote %v", frame.Records, data[:n], out.Bytes())
 		}
 	})
 }
@@ -114,38 +118,18 @@ func FuzzReadBatchFrame(f *testing.F) {
 // count and body — kept as the reference FuzzSessionReadFrame holds the
 // window to: same frames, same errors, whatever the chunking.
 func refReadFrame(r io.Reader, h Hello) (Frame, error) {
-	report := func() (Frame, error) {
-		buf := make([]byte, h.Units*RecordSize)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return Frame{Kind: KindReport}, fmt.Errorf("proto: reading batch of %d: %w", h.Units, err)
-		}
-		var recs []Record
-		for i := 0; i < h.Units; i++ {
-			rec := GetRecord(buf[i*RecordSize:])
-			if int(rec.LocalUnit) >= h.Units {
-				return Frame{Kind: KindReport}, fmt.Errorf("proto: record for local unit %d in a %d-unit batch", rec.LocalUnit, h.Units)
-			}
-			recs = append(recs, rec)
-		}
-		return Frame{Kind: KindReport, Records: recs}, nil
-	}
-	if !h.ApplyEcho && !h.Batch {
-		return report()
-	}
 	var hdr [1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
 	}
 	switch {
-	case hdr[0] == FrameReport && !h.Batch:
-		return report()
 	case hdr[0] == FrameApply && h.ApplyEcho:
 		var body [applyEchoBodySize]byte
 		if _, err := io.ReadFull(r, body[:]); err != nil {
 			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
 		}
 		return Frame{Kind: KindApply, ApplyDur: time.Duration(binary.BigEndian.Uint16(body[:])) * time.Microsecond}, nil
-	case hdr[0] == FrameBatch && h.Batch:
+	case hdr[0] == FrameBatch:
 		var count [1]byte
 		if _, err := io.ReadFull(r, count[:]); err != nil {
 			return Frame{Kind: KindBatch}, fmt.Errorf("proto: reading batch frame count: %w", err)
@@ -167,7 +151,7 @@ func refReadFrame(r io.Reader, h Hello) (Frame, error) {
 			recs = append(recs, rec)
 		}
 		return Frame{Kind: KindBatch, Records: recs}, nil
-	case hdr[0] == FrameHeartbeat && h.Batch:
+	case hdr[0] == FrameHeartbeat:
 		return Frame{Kind: KindHeartbeat}, nil
 	}
 	return Frame{}, errors.New("proto: frame type not admitted by the session")
@@ -223,25 +207,24 @@ func FuzzSessionReadFrame(f *testing.F) {
 	hellos := []Hello{
 		{Units: 2},
 		{Units: 2, ApplyEcho: true},
-		{Units: 8, Batch: true},
-		{Units: MaxNodeUnits, Batch: true, ApplyEcho: true},
+		{Units: 8},
+		{Units: MaxNodeUnits, ApplyEcho: true},
 	}
 	for mode, h := range hellos {
 		var stream bytes.Buffer
 		w := newSession(&stream, h)
-		vals := make([]power.Watts, h.Units)
-		for i := range vals {
-			vals[i] = power.Watts(40 + i)
+		full := make([]Record, h.Units)
+		for i := range full {
+			full[i] = Record{LocalUnit: uint8(i), Value: uint16(400 + 10*i)}
 		}
-		w.WriteReport(vals)
-		if h.Batch {
-			w.WriteDelta([]Record{{LocalUnit: 1, Value: 425}})
-			w.WriteHeartbeat()
-		}
+		w.WriteDelta(full)
+		w.WriteDelta([]Record{{LocalUnit: 1, Value: 425}})
+		w.WriteHeartbeat()
 		if h.ApplyEcho {
 			w.WriteApplyEcho(3 * time.Millisecond)
 		}
-		w.WriteReport(vals)
+		w.WriteDelta(full)
+		w.Release()
 		f.Add(stream.Bytes(), []byte{}, uint8(mode))
 		f.Add(stream.Bytes(), []byte{0}, uint8(mode)|4)
 		f.Add(stream.Bytes(), []byte{2, 0, 6, 63}, uint8(mode))

@@ -9,60 +9,55 @@
 //
 //	[ local unit index : uint8 ][ value : uint16 big-endian, deciwatts ]
 //
-// A node batches one record per local power-capping unit per decision
-// interval, so a 2-socket node costs 6 bytes up and 6 bytes down per
-// second. Deciwatt quantization bounds the wire-induced power error at
-// 0.05 W, far below RAPL's own noise, and the uint16 range tops out at
-// 6553.5 W per unit — forty times a socket TDP.
+// Deciwatt quantization bounds the wire-induced power error at 0.05 W,
+// far below RAPL's own noise, and the uint16 range tops out at 6553.5 W
+// per unit — forty times a socket TDP.
 //
 // Handshake (agent → server, once per connection):
 //
-//	[ magic "DPS1" : 4 bytes ][ protocol version : uint8 ]
-//	[ first global unit id : uint16 ][ unit count : uint8 ]
+//	[ magic "DPS1" : 4 bytes ][ protocol version 2 : uint8 ]
+//	[ first global unit id : uint16 ][ unit count : uint8 ][ flags : uint8 ]
 //
-// The server validates that the advertised unit range is in bounds and
-// not claimed by another live agent, then acknowledges with a 2-byte
-// status frame [ 'O' 'K' ] (or closes the connection).
+// Flags 0 is a plain agent; the capability bits are described below. Any
+// other version, and any unknown flag bit, is refused. The server
+// validates that the advertised unit range is in bounds and not claimed
+// by another live agent, then acknowledges with 4 bytes — [ 'O' 'K' ] and
+// its advertised delta epsilon in big-endian deciwatts — or closes the
+// connection.
 //
-// Version 2 appends one capability-flags byte to the handshake. It is
-// opt-in and strictly additive: an agent advertising no capabilities
-// sends the byte-identical version-1 frame, and a version-1 server never
-// sees version-2 bytes unless the operator enabled a capability. A
-// negotiated upstream capability (FlagApplyEcho or FlagBatch) switches
-// the upstream direction to framed messages — a one-byte frame type
-// before each body — so the kinds stay distinguishable on a shared
-// socket.
-//
-// FlagApplyEcho: the agent sends a 3-byte apply-echo frame
-// [ 'A' ][ apply duration : uint16 big-endian, µs ] after programming
-// each received cap batch, and prefixes each full report batch with
-// [ 'R' ]. The duration saturates at ~65.5 ms; an echo's arrival time is
-// what gives the server its true reading→enforced-cap latency.
-//
-// FlagBatch: the agent reports by delta instead of by full refresh. Its
-// reports travel as batch frames —
+// Upstream (agent → server), every message is a one-byte frame type and
+// its body. An agent reports in one dialect, the batch frame —
 //
 //	[ 'B' ][ record count : uint8 ][ count × 3-byte records ]
 //
-// carrying only the units whose power moved more than the delta epsilon
-// since their last sent value, in strictly increasing local-unit order
-// (the canonical encoding; anything else is rejected). A quiet interval
+// with records strictly increasing by local unit (the canonical
+// encoding; anything else is refused). A full report is a batch frame
+// carrying every unit: 2 + 3·n bytes for an n-unit node, so the framing
+// costs 2 bytes per node per interval on top of the paper's 3 B per unit.
+// An agent doing delta suppression sends only the units whose power moved
+// more than the epsilon since their last sent value, and a quiet interval
 // is a 1-byte heartbeat [ 'H' ]: it refreshes the server's health clock
 // for the session's units without touching readings, so a suppressed
-// agent never looks dead. The handshake ack on a batch session is
-// extended by two bytes carrying the server's advertised delta epsilon
-// in big-endian deciwatts. The Session type owns this negotiation and
-// the per-connection frame buffers. Its read methods take whatever the
+// agent never looks dead. The Session type owns the negotiation and the
+// per-connection frame buffers. Its read methods take whatever the
 // connection has in one Read, so a session may hold bytes past the frame
 // it last returned: once Accept or Connect has returned, an agent
 // connection is read through its Session only.
+//
+// Downstream (server → agent), a cap batch is one record per local unit,
+// record i for local unit i, with no frame type.
+//
+// FlagApplyEcho: the agent sends a 3-byte apply-echo frame
+// [ 'A' ][ apply duration : uint16 big-endian, µs ] after programming
+// each received cap batch. The duration saturates at ~65.5 ms; an echo's
+// arrival time is what gives the server its true reading→enforced-cap
+// latency.
 //
 // FlagTraceCtx: each downstream cap batch is prefixed with the
 // controller's decision-round counter as 8 big-endian bytes, so the
 // agent can tag its own trace spans (meter read, report decision, cap
 // apply) with the round that caused them and a fleet-wide trace merge
-// can correlate spans across processes. Downstream-only: it does not
-// switch the upstream direction to framed messages.
+// can correlate spans across processes.
 //
 // FlagReplicate: the connection is not an agent at all but a warm
 // standby controller subscribing to the primary's state stream. After
@@ -89,23 +84,16 @@ import (
 	"dps/internal/power"
 )
 
-// Version is the base protocol version carried in the handshake.
-const Version = 1
+// Version is the protocol version carried in the handshake. Version 1 —
+// raw report records and no flags byte — is refused.
+const Version = 2
 
-// Version2 is the capability-carrying handshake version.
-const Version2 = 2
-
-// Capability flags carried by a version-2 hello. A version-2 hello with
-// no flags set is rejected: the canonical encoding of "no capabilities"
-// is a version-1 frame.
+// Capability flags carried by the hello. Bit 1 is retired and refused
+// like any other unknown bit.
 const (
-	// FlagApplyEcho: the agent will prefix report batches with FrameReport
-	// and send a FrameApply echo after applying each cap batch.
+	// FlagApplyEcho: the agent sends a FrameApply echo after applying each
+	// cap batch.
 	FlagApplyEcho = 1 << 0
-	// FlagBatch: the agent reports by delta — FrameBatch frames carrying
-	// only changed units, FrameHeartbeat when nothing changed — and the
-	// handshake ack is extended with the server's delta epsilon.
-	FlagBatch = 1 << 1
 	// FlagReplicate: the connection is a warm-standby controller; after
 	// the ack the server streams snapshot/delta state frames downstream.
 	// Exclusive with the agent capabilities.
@@ -115,22 +103,17 @@ const (
 	// with the controller round that produced them.
 	FlagTraceCtx = 1 << 3
 
-	knownFlags = FlagApplyEcho | FlagBatch | FlagReplicate | FlagTraceCtx
+	knownFlags = FlagApplyEcho | FlagReplicate | FlagTraceCtx
 )
 
-// Upstream frame types (agent → server) once any capability is
-// negotiated. Without capabilities the upstream carries raw report
-// batches, exactly as version 1.
+// Upstream frame types (agent → server).
 const (
-	// FrameReport precedes one full report batch (apply-echo sessions).
-	FrameReport byte = 'R'
-	// FrameApply precedes one 2-byte apply-echo body.
-	FrameApply byte = 'A'
-	// FrameBatch precedes one delta batch: a count byte and that many
-	// records (batch sessions).
+	// FrameBatch precedes one report: a count byte and that many records.
 	FrameBatch byte = 'B'
-	// FrameHeartbeat is a complete 1-byte liveness frame (batch sessions).
+	// FrameHeartbeat is a complete 1-byte liveness frame.
 	FrameHeartbeat byte = 'H'
+	// FrameApply precedes one 2-byte apply-echo body (apply-echo sessions).
+	FrameApply byte = 'A'
 )
 
 // Downstream state-frame types (server → standby) on a replicate
@@ -160,12 +143,8 @@ const RecordSize = 3
 // magic identifies a DPS connection.
 var magic = [4]byte{'D', 'P', 'S', '1'}
 
-// HelloSize is the version-1 handshake frame size, and the fixed prefix
-// of every later version.
-const HelloSize = 4 + 1 + 2 + 1
-
-// HelloV2Size is the version-2 handshake frame size (prefix + flags).
-const HelloV2Size = HelloSize + 1
+// HelloSize is the handshake frame size.
+const HelloSize = 4 + 1 + 2 + 1 + 1
 
 // ackOK is the server's handshake acknowledgement.
 var ackOK = [2]byte{'O', 'K'}
@@ -180,14 +159,8 @@ type Hello struct {
 	FirstUnit power.UnitID
 	// Units is the number of power-capping units on the node.
 	Units int
-	// ApplyEcho advertises the apply-echo capability. Advertising any
-	// capability makes the hello a version-2 frame; with none set the
-	// encoding is the byte-identical version-1 frame of older agents.
+	// ApplyEcho advertises the apply-echo capability.
 	ApplyEcho bool
-	// Batch advertises the delta-reporting capability: reports travel as
-	// batch frames and heartbeats, and the handshake ack carries the
-	// server's delta epsilon.
-	Batch bool
 	// Replicate marks the connection as a warm-standby state subscriber
 	// instead of an agent. Exclusive with the agent capabilities; the
 	// unit range is ignored (send FirstUnit 0, Units 1).
@@ -197,15 +170,11 @@ type Hello struct {
 	TraceCtx bool
 }
 
-// flags returns the capability byte of a version-2 hello (zero when the
-// canonical encoding is version 1).
+// flags returns the hello's capability byte.
 func (h Hello) flags() byte {
 	var f byte
 	if h.ApplyEcho {
 		f |= FlagApplyEcho
-	}
-	if h.Batch {
-		f |= FlagBatch
 	}
 	if h.Replicate {
 		f |= FlagReplicate
@@ -214,14 +183,6 @@ func (h Hello) flags() byte {
 		f |= FlagTraceCtx
 	}
 	return f
-}
-
-// EncodedSize returns the on-wire size of this hello (version-dependent).
-func (h Hello) EncodedSize() int {
-	if h.flags() != 0 {
-		return HelloV2Size
-	}
-	return HelloSize
 }
 
 // MaxNodeUnits is the most units one node (one hello, one connection) can
@@ -239,66 +200,56 @@ func (h Hello) Validate() error {
 		return fmt.Errorf("proto: unit count %d outside [1,%d]", h.Units, MaxNodeUnits)
 	case int(h.FirstUnit)+h.Units > 0x10000:
 		return fmt.Errorf("proto: unit range [%d,%d) exceeds addressable space", h.FirstUnit, int(h.FirstUnit)+h.Units)
-	case h.Replicate && (h.ApplyEcho || h.Batch || h.TraceCtx):
+	case h.Replicate && (h.ApplyEcho || h.TraceCtx):
 		return fmt.Errorf("proto: replicate hello cannot also advertise agent capabilities")
 	}
 	return nil
 }
 
-// WriteHello sends the handshake: a version-1 frame, or a version-2
-// frame when a capability is advertised.
+// WriteHello sends the handshake.
 func WriteHello(w io.Writer, h Hello) error {
 	if err := h.Validate(); err != nil {
 		return err
 	}
-	var buf [HelloV2Size]byte
+	var buf [HelloSize]byte
 	copy(buf[:4], magic[:])
 	buf[4] = Version
 	binary.BigEndian.PutUint16(buf[5:7], uint16(h.FirstUnit))
 	buf[7] = byte(h.Units)
-	if f := h.flags(); f != 0 {
-		buf[4] = Version2
-		buf[8] = f
-	}
-	_, err := w.Write(buf[:h.EncodedSize()])
+	buf[8] = h.flags()
+	_, err := w.Write(buf[:])
 	return err
 }
 
-// ReadHello reads and validates a handshake, accepting version 1 and
-// version 2. Unknown versions, unknown capability bits, and a version-2
-// frame advertising nothing (whose canonical encoding is version 1) are
-// all rejected, so the parser only accepts frames WriteHello produces.
+// ReadHello reads and validates a handshake. The version is checked
+// before the flags byte is read, so a version-1 agent, whose hello is a
+// byte shorter, is refused at once instead of waiting for an ack. Unknown
+// capability bits are refused too, so the parser only accepts frames
+// WriteHello produces.
 func ReadHello(r io.Reader) (Hello, error) {
 	var buf [HelloSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	if _, err := io.ReadFull(r, buf[:HelloSize-1]); err != nil {
 		return Hello{}, fmt.Errorf("proto: reading handshake: %w", err)
 	}
 	if [4]byte(buf[:4]) != magic {
 		return Hello{}, fmt.Errorf("proto: bad magic %q", buf[:4])
 	}
+	if buf[4] != Version {
+		return Hello{}, fmt.Errorf("proto: unsupported version %d (want %d)", buf[4], Version)
+	}
+	if _, err := io.ReadFull(r, buf[HelloSize-1:]); err != nil {
+		return Hello{}, fmt.Errorf("proto: reading handshake flags: %w", err)
+	}
+	flags := buf[HelloSize-1]
+	if flags&^knownFlags != 0 {
+		return Hello{}, fmt.Errorf("proto: unknown capability flags %#02x", flags&^knownFlags)
+	}
 	h := Hello{
 		FirstUnit: power.UnitID(binary.BigEndian.Uint16(buf[5:7])),
 		Units:     int(buf[7]),
-	}
-	switch buf[4] {
-	case Version:
-	case Version2:
-		var flags [1]byte
-		if _, err := io.ReadFull(r, flags[:]); err != nil {
-			return Hello{}, fmt.Errorf("proto: reading handshake flags: %w", err)
-		}
-		if flags[0]&^knownFlags != 0 {
-			return Hello{}, fmt.Errorf("proto: unknown capability flags %#02x", flags[0]&^byte(knownFlags))
-		}
-		if flags[0] == 0 {
-			return Hello{}, fmt.Errorf("proto: version 2 hello with no capabilities (use version 1)")
-		}
-		h.ApplyEcho = flags[0]&FlagApplyEcho != 0
-		h.Batch = flags[0]&FlagBatch != 0
-		h.Replicate = flags[0]&FlagReplicate != 0
-		h.TraceCtx = flags[0]&FlagTraceCtx != 0
-	default:
-		return Hello{}, fmt.Errorf("proto: unsupported version %d (want %d or %d)", buf[4], Version, Version2)
+		ApplyEcho: flags&FlagApplyEcho != 0,
+		Replicate: flags&FlagReplicate != 0,
+		TraceCtx:  flags&FlagTraceCtx != 0,
 	}
 	if err := h.Validate(); err != nil {
 		return Hello{}, err
@@ -352,38 +303,6 @@ const applyEchoBodySize = 2
 // longer applies saturate to it.
 const MaxApplyEcho = time.Duration(0xFFFF) * time.Microsecond
 
-// WriteApplyEcho sends a complete apply-echo frame: the FrameApply byte
-// followed by the cap-apply duration in big-endian microseconds,
-// saturating at MaxApplyEcho (~65.5 ms). Negative durations clamp to 0.
-func WriteApplyEcho(w io.Writer, applyDur time.Duration) error {
-	var buf [1 + applyEchoBodySize]byte
-	putApplyEcho(buf[:], applyDur)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// putApplyEcho encodes an apply-echo frame into dst's first three bytes.
-func putApplyEcho(dst []byte, applyDur time.Duration) {
-	us := min(max(applyDur.Microseconds(), 0), 0xFFFF)
-	dst[0] = FrameApply
-	binary.BigEndian.PutUint16(dst[1:], uint16(us))
-}
-
-// ReadApplyEcho reads an apply-echo body — the 2 bytes following a
-// FrameApply header the caller already consumed via ReadFrameHeader.
-func ReadApplyEcho(r io.Reader) (time.Duration, error) {
-	var buf [applyEchoBodySize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("proto: reading apply echo: %w", err)
-	}
-	return applyEchoDur(buf[:]), nil
-}
-
-// applyEchoDur decodes an apply-echo body.
-func applyEchoDur(body []byte) time.Duration {
-	return time.Duration(binary.BigEndian.Uint16(body)) * time.Microsecond
-}
-
 // StateFrameHeader builds the 5-byte framing header of a replication
 // state frame: the frame type and a big-endian payload length. It
 // returns the header by value so zero-allocation senders can park it in
@@ -401,23 +320,6 @@ func StateFrameHeader(frame byte, n int) ([StateFrameHeaderSize]byte, error) {
 	hdr[0] = frame
 	binary.BigEndian.PutUint32(hdr[1:], uint32(n))
 	return hdr, nil
-}
-
-// WriteStateFrame sends one replication state frame: the frame type, a
-// 4-byte big-endian payload length, and the payload. Only FrameSnapshot
-// and FrameDelta are valid types. Convenience form; it allocates the
-// header, so per-round senders use StateFrameHeader with retained
-// storage instead.
-func WriteStateFrame(w io.Writer, frame byte, payload []byte) error {
-	hdr, err := StateFrameHeader(frame, len(payload))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
 }
 
 // ReadStateFrame reads one replication state frame into buf (grown when

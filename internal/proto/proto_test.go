@@ -100,13 +100,14 @@ func TestHelloValidation(t *testing.T) {
 
 func TestReadHelloRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
-		"short":          {1, 2, 3},
-		"bad magic":      {'N', 'O', 'P', 'E', Version, 0, 0, 1},
-		"bad version":    {'D', 'P', 'S', '1', 99, 0, 0, 1},
-		"bad units":      {'D', 'P', 'S', '1', Version, 0, 0, 0},
-		"v2 no flags":    {'D', 'P', 'S', '1', Version2, 0, 0, 1, 0},
-		"v2 bad flags":   {'D', 'P', 'S', '1', Version2, 0, 0, 1, 0x80},
-		"v2 short flags": {'D', 'P', 'S', '1', Version2, 0, 0, 1},
+		"short":       {1, 2, 3},
+		"bad magic":   {'N', 'O', 'P', 'E', Version, 0, 0, 1, 0},
+		"bad version": {'D', 'P', 'S', '1', 99, 0, 0, 1, 0},
+		"version 1":   {'D', 'P', 'S', '1', 1, 0, 0, 1},
+		"bad units":   {'D', 'P', 'S', '1', Version, 0, 0, 0, 0},
+		"batch bit":   {'D', 'P', 'S', '1', Version, 0, 0, 1, 1 << 1},
+		"bad flags":   {'D', 'P', 'S', '1', Version, 0, 0, 1, 0x80},
+		"short flags": {'D', 'P', 'S', '1', Version, 0, 0, 1},
 	}
 	for name, raw := range cases {
 		if _, err := ReadHello(bytes.NewReader(raw)); err == nil {
@@ -115,20 +116,16 @@ func TestReadHelloRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHelloV2RoundTrip: the capability handshake roundtrips, and — the
-// backward-compatibility property — a hello advertising nothing encodes
-// to the byte-identical version-1 frame.
+// TestHelloV2RoundTrip: the capability handshake roundtrips, and a hello
+// advertising nothing is the same 9-byte frame with a zero flags byte.
 func TestHelloV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	h := Hello{FirstUnit: 18, Units: 2, ApplyEcho: true}
 	if err := WriteHello(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != HelloV2Size {
-		t.Errorf("v2 handshake is %d bytes, want %d", buf.Len(), HelloV2Size)
-	}
-	if buf.Bytes()[4] != Version2 {
-		t.Errorf("version byte = %d, want %d", buf.Bytes()[4], Version2)
+	if want := []byte{'D', 'P', 'S', '1', 2, 0, 18, 2, FlagApplyEcho}; !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("apply-echo hello = %v, want %v", buf.Bytes(), want)
 	}
 	got, err := ReadHello(&buf)
 	if err != nil {
@@ -138,13 +135,12 @@ func TestHelloV2RoundTrip(t *testing.T) {
 		t.Errorf("roundtrip = %+v, want %+v", got, h)
 	}
 
-	var v1, plain bytes.Buffer
-	if err := WriteHello(&v1, Hello{FirstUnit: 18, Units: 2}); err != nil {
+	buf.Reset()
+	if err := WriteHello(&buf, Hello{FirstUnit: 18, Units: 2}); err != nil {
 		t.Fatal(err)
 	}
-	plain.Write([]byte{'D', 'P', 'S', '1', Version, 0, 18, 2})
-	if !bytes.Equal(v1.Bytes(), plain.Bytes()) {
-		t.Errorf("no-capability hello %v is not the version-1 frame %v", v1.Bytes(), plain.Bytes())
+	if want := []byte{'D', 'P', 'S', '1', 2, 0, 18, 2, 0}; !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("plain hello = %v, want %v", buf.Bytes(), want)
 	}
 }
 
@@ -152,15 +148,15 @@ func TestHelloV2RoundTrip(t *testing.T) {
 // like any other agent capability and is exclusive with replicate.
 func TestHelloTraceCtxRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	h := Hello{FirstUnit: 18, Units: 2, ApplyEcho: true, Batch: true, TraceCtx: true}
+	h := Hello{FirstUnit: 18, Units: 2, ApplyEcho: true, TraceCtx: true}
 	if err := WriteHello(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != HelloV2Size {
-		t.Errorf("trace-ctx handshake is %d bytes, want %d", buf.Len(), HelloV2Size)
+	if buf.Len() != HelloSize {
+		t.Errorf("trace-ctx handshake is %d bytes, want %d", buf.Len(), HelloSize)
 	}
-	if flags := buf.Bytes()[8]; flags != FlagApplyEcho|FlagBatch|FlagTraceCtx {
-		t.Errorf("capability byte = %#02x, want %#02x", flags, FlagApplyEcho|FlagBatch|FlagTraceCtx)
+	if flags := buf.Bytes()[8]; flags != FlagApplyEcho|FlagTraceCtx {
+		t.Errorf("capability byte = %#02x, want %#02x", flags, FlagApplyEcho|FlagTraceCtx)
 	}
 	got, err := ReadHello(&buf)
 	if err != nil {
@@ -175,7 +171,11 @@ func TestHelloTraceCtxRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyEchoRoundTrip: an echo is 3 bytes — the FrameApply byte and
+// the duration in µs, clamped at 0 and saturating — and reads back as
+// KindApply.
 func TestApplyEchoRoundTrip(t *testing.T) {
+	h := Hello{FirstUnit: 0, Units: 1, ApplyEcho: true}
 	cases := []struct {
 		in   time.Duration
 		want time.Duration
@@ -189,24 +189,27 @@ func TestApplyEchoRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		if err := WriteApplyEcho(&buf, c.in); err != nil {
+		s := newSession(&buf, h)
+		if err := s.WriteApplyEcho(c.in); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() != 3 {
 			t.Errorf("apply echo frame is %d bytes, want 3 (the record size)", buf.Len())
 		}
-		if frame, _ := buf.ReadByte(); frame != FrameApply {
+		if frame := buf.Bytes()[0]; frame != FrameApply {
 			t.Errorf("echo frame type %q, want %q", frame, FrameApply)
 		}
-		got, err := ReadApplyEcho(&buf)
+		frame, err := s.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != c.want {
-			t.Errorf("echo of %v roundtrips to %v, want %v", c.in, got, c.want)
+		if frame.Kind != KindApply || frame.ApplyDur != c.want {
+			t.Errorf("echo of %v reads back as %+v, want %v", c.in, frame, c.want)
 		}
+		s.Release()
 	}
-	if _, err := ReadApplyEcho(bytes.NewReader([]byte{1})); err == nil {
-		t.Error("ReadApplyEcho accepted truncated input")
+	truncated := newSession(bytes.NewBuffer([]byte{FrameApply, 1}), h)
+	if _, err := truncated.ReadFrame(); err == nil {
+		t.Error("ReadFrame accepted a truncated apply echo")
 	}
 }

@@ -15,11 +15,9 @@ import (
 // unit of the node.
 const MaxBatchRecords = MaxNodeUnits
 
-// BatchAckSize is the extended handshake acknowledgement a batch session
-// receives: the 2-byte OK followed by the server's advertised delta
-// epsilon in big-endian deciwatts. Non-batch sessions get the classic
-// 2-byte ack.
-const BatchAckSize = 4
+// ackSize is the handshake acknowledgement: the 2-byte OK followed by the
+// server's advertised delta epsilon in big-endian deciwatts.
+const ackSize = 4
 
 // maxFrameSize bounds every frame either side of a session ever reads or
 // writes: a trace-context cap batch's 8-byte round prefix, then a batch
@@ -30,12 +28,9 @@ const maxFrameSize = 8 + 2 + MaxBatchRecords*RecordSize
 type FrameKind uint8
 
 const (
-	// KindReport is a full report: one record per local unit, the classic
-	// per-interval refresh (raw version-1 framing or a FrameReport).
-	KindReport FrameKind = iota
-	// KindBatch is a delta batch: a sparse, strictly-increasing subset of
-	// the session's local units (FrameBatch).
-	KindBatch
+	// KindBatch is a report: a strictly-increasing subset of the session's
+	// local units, all of them on a full report (FrameBatch).
+	KindBatch FrameKind = iota
 	// KindHeartbeat is a liveness-only frame: the agent had nothing worth
 	// reporting this interval but is alive and its readings stand
 	// (FrameHeartbeat).
@@ -50,7 +45,7 @@ const (
 // must be copied to retain.
 type Frame struct {
 	Kind FrameKind
-	// Records holds the frame's power records (KindReport and KindBatch).
+	// Records holds the frame's power records (KindBatch only).
 	Records []Record
 	// ApplyDur is the cap-apply duration (KindApply only).
 	ApplyDur time.Duration
@@ -68,13 +63,13 @@ type sessionBufs struct {
 
 var bufPool = sync.Pool{New: func() any { return new(sessionBufs) }}
 
-// Session owns one negotiated connection: the handshake outcome (version
-// + capability flags + the server's advertised delta epsilon) and the
-// per-connection frame buffers, so capability dispatch and buffer reuse
+// Session owns one negotiated connection: the handshake outcome
+// (capability flags + the server's advertised delta epsilon) and the
+// per-connection frame buffers, so capability checks and buffer reuse
 // live in one place instead of being re-decided at every call site.
 //
 // A session supports one concurrent reader and one concurrent writer:
-// the read methods (ReadFrame, ReadCaps) must come from a single
+// the read methods (ReadFrame, ReadCapsRound) must come from a single
 // goroutine, the write methods from one goroutine at a time (callers
 // with multiple writers — e.g. report loop plus apply echo — serialize
 // them, as daemon.Agent and daemon.Server do).
@@ -105,43 +100,30 @@ func Accept(rw io.ReadWriter) (*Session, error) {
 }
 
 // Connect writes the handshake for h to rw and consumes the server's
-// acknowledgement, returning the agent half of the session. On a batch
-// session the ack carries the server's advertised delta epsilon
-// (DeltaEpsilon); otherwise it is the classic 2-byte OK.
+// acknowledgement, which carries the advertised delta epsilon
+// (DeltaEpsilon), returning the agent half of the session.
 func Connect(rw io.ReadWriter, h Hello) (*Session, error) {
 	if err := WriteHello(rw, h); err != nil {
 		return nil, err
 	}
-	var buf [BatchAckSize]byte
-	ack := buf[:2]
-	if h.Batch {
-		ack = buf[:BatchAckSize]
-	}
-	if _, err := io.ReadFull(rw, ack); err != nil {
+	var ack [ackSize]byte
+	if _, err := io.ReadFull(rw, ack[:]); err != nil {
 		return nil, fmt.Errorf("proto: reading ack: %w", err)
 	}
 	if [2]byte(ack[:2]) != ackOK {
 		return nil, fmt.Errorf("proto: bad ack %q", ack[:2])
 	}
 	s := newSession(rw, h)
-	if h.Batch {
-		s.epsDW = binary.BigEndian.Uint16(ack[2:])
-	}
+	s.epsDW = binary.BigEndian.Uint16(ack[2:])
 	return s, nil
 }
 
-// Ack completes the server side of the handshake. For a batch session it
-// writes the extended acknowledgement advertising epsilon — the delta
-// band agents should suppress within (quantized to deciwatts; agents may
-// override locally). Non-batch sessions get the classic 2-byte ack and
-// epsilon is ignored.
+// Ack completes the server side of the handshake, advertising epsilon —
+// the delta band agents should suppress within (quantized to deciwatts;
+// agents may override locally). A standby ignores it.
 func (s *Session) Ack(epsilon power.Watts) error {
-	if !s.hello.Batch {
-		_, err := s.rw.Write(ackOK[:])
-		return err
-	}
 	s.epsDW = ToDeciwatts(epsilon)
-	buf := s.bufs.write[:BatchAckSize]
+	buf := s.bufs.write[:ackSize]
 	copy(buf, ackOK[:])
 	binary.BigEndian.PutUint16(buf[2:], s.epsDW)
 	_, err := s.rw.Write(buf)
@@ -152,13 +134,8 @@ func (s *Session) Ack(epsilon power.Watts) error {
 func (s *Session) Hello() Hello { return s.hello }
 
 // DeltaEpsilon returns the delta-suppression epsilon carried by the
-// handshake ack (zero on non-batch sessions and before Ack).
+// handshake ack (zero before Ack).
 func (s *Session) DeltaEpsilon() power.Watts { return FromDeciwatts(s.epsDW) }
-
-// framed reports whether upstream messages carry a frame-type byte. Any
-// negotiated capability implies framing; a bare version-1 session speaks
-// raw report batches.
-func (s *Session) framed() bool { return s.hello.ApplyEcho || s.hello.Batch }
 
 // Release returns the session's scratch buffers to the pool. Call it
 // once, after the connection is torn down, serialized with the session's
@@ -195,28 +172,21 @@ func (s *Session) next(n int) ([]byte, error) {
 	return s.bufs.read[s.rpos-n : s.rpos], nil
 }
 
-// ReadFrame reads one upstream frame (server side), dispatching on the
-// session's negotiated capabilities: a bare session yields only full
-// reports; FlagApplyEcho admits FrameReport/FrameApply; FlagBatch admits
-// FrameBatch/FrameHeartbeat (full refreshes travel as batch frames
-// carrying every unit). The returned Frame's Records alias the session
-// buffer and are valid until the next ReadFrame.
+// ReadFrame reads one upstream frame (server side): a FrameBatch, a
+// FrameHeartbeat, or — on apply-echo sessions — a FrameApply. The
+// returned Frame's Records alias the session buffer and are valid until
+// the next ReadFrame.
 func (s *Session) ReadFrame() (Frame, error) {
-	if !s.framed() {
-		recs, err := s.readReport()
-		return Frame{Kind: KindReport, Records: recs}, err
-	}
 	b, err := s.next(1)
 	if err != nil {
 		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
 	}
 	switch hdr := b[0]; hdr {
-	case FrameReport:
-		if s.hello.Batch {
-			return Frame{}, fmt.Errorf("proto: raw report frame on a batch session (reports travel as batch frames)")
-		}
-		recs, err := s.readReport()
-		return Frame{Kind: KindReport, Records: recs}, err
+	case FrameBatch:
+		recs, err := s.readBatchBody()
+		return Frame{Kind: KindBatch, Records: recs}, err
+	case FrameHeartbeat:
+		return Frame{Kind: KindHeartbeat}, nil
 	case FrameApply:
 		if !s.hello.ApplyEcho {
 			return Frame{}, fmt.Errorf("proto: apply echo without the apply-echo capability")
@@ -225,126 +195,104 @@ func (s *Session) ReadFrame() (Frame, error) {
 		if err != nil {
 			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
 		}
-		return Frame{Kind: KindApply, ApplyDur: applyEchoDur(body)}, nil
-	case FrameBatch:
-		if !s.hello.Batch {
-			return Frame{}, fmt.Errorf("proto: batch frame without the batch capability")
-		}
-		recs, err := readBatchBody(s.next, s.hello.Units, s.bufs.recs[:0])
-		return Frame{Kind: KindBatch, Records: recs}, err
-	case FrameHeartbeat:
-		if !s.hello.Batch {
-			return Frame{}, fmt.Errorf("proto: heartbeat without the batch capability")
-		}
-		return Frame{Kind: KindHeartbeat}, nil
+		return Frame{Kind: KindApply, ApplyDur: time.Duration(binary.BigEndian.Uint16(body)) * time.Microsecond}, nil
 	default:
 		return Frame{}, fmt.Errorf("proto: unknown frame type %#02x", hdr)
 	}
 }
 
-// readReport reads one full report: exactly Units records, each
-// addressing a local unit inside the range (classic ReadBatch wire
-// semantics, without the per-call buffer allocation).
-func (s *Session) readReport() ([]Record, error) {
-	n := s.hello.Units
-	buf, err := s.next(n * RecordSize)
+// readBatchBody is the one parser and validator of a batch frame body —
+// the count byte and records after a FrameBatch header. It accepts only
+// the canonical encoding: a non-empty record list, strictly increasing by
+// local unit, every unit inside the session's range.
+func (s *Session) readBatchBody() ([]Record, error) {
+	units := s.hello.Units
+	b, err := s.next(1)
 	if err != nil {
-		return nil, fmt.Errorf("proto: reading batch of %d: %w", n, err)
+		return nil, fmt.Errorf("proto: reading batch frame count: %w", err)
+	}
+	count := int(b[0])
+	if count < 1 {
+		return nil, fmt.Errorf("proto: empty batch frame (a quiet interval is a heartbeat)")
+	}
+	if count > units {
+		return nil, fmt.Errorf("proto: batch frame of %d records for %d units", count, units)
+	}
+	body, err := s.next(count * RecordSize)
+	if err != nil {
+		return nil, fmt.Errorf("proto: reading batch frame of %d records: %w", count, err)
 	}
 	recs := s.bufs.recs[:0]
-	for i := 0; i < n; i++ {
-		rec := GetRecord(buf[i*RecordSize:])
-		if int(rec.LocalUnit) >= n {
-			return nil, fmt.Errorf("proto: record for local unit %d in a %d-unit batch", rec.LocalUnit, n)
+	prev := -1
+	for i := 0; i < count; i++ {
+		rec := GetRecord(body[i*RecordSize:])
+		if int(rec.LocalUnit) <= prev {
+			return nil, fmt.Errorf("proto: batch frame records not strictly increasing (unit %d after %d)", rec.LocalUnit, prev)
 		}
+		if int(rec.LocalUnit) >= units {
+			return nil, fmt.Errorf("proto: record for local unit %d in a %d-unit session", rec.LocalUnit, units)
+		}
+		prev = int(rec.LocalUnit)
 		recs = append(recs, rec)
 	}
 	return recs, nil
 }
 
-// WriteReport sends one full per-interval refresh for every local unit:
-// values[i] is local unit i. On a batch session it goes out as a batch
-// frame carrying all units; with apply-echo framing it is a FrameReport;
-// bare sessions write the classic raw record batch.
-func (s *Session) WriteReport(values []power.Watts) error {
-	if len(values) != s.hello.Units {
-		return fmt.Errorf("proto: report of %d values on a %d-unit session", len(values), s.hello.Units)
-	}
-	if s.hello.Batch {
-		recs := s.bufs.recs[:0]
-		for i, v := range values {
-			recs = append(recs, Record{LocalUnit: uint8(i), Value: ToDeciwatts(v)})
-		}
-		return s.WriteDelta(recs)
-	}
-	buf := s.bufs.write[:0]
-	if s.hello.ApplyEcho {
-		buf = append(buf, FrameReport)
-	}
-	for i, v := range values {
-		var rec [RecordSize]byte
-		PutRecord(rec[:], Record{LocalUnit: uint8(i), Value: ToDeciwatts(v)})
-		buf = append(buf, rec[:]...)
-	}
-	_, err := s.rw.Write(buf)
-	return err
-}
-
 // WriteDelta sends one batch frame: the given records, which must be
 // non-empty, strictly increasing by local unit, and inside the session's
-// unit range (the canonical encoding ReadBatchFrame accepts). A quiet
-// interval is a heartbeat, not an empty delta.
+// unit range (the canonical encoding ReadFrame accepts). A full report
+// carries every unit; a quiet interval is a heartbeat, not an empty
+// delta.
 func (s *Session) WriteDelta(recs []Record) error {
-	if !s.hello.Batch {
-		return fmt.Errorf("proto: batch frame without the batch capability")
+	if len(recs) < 1 {
+		return fmt.Errorf("proto: empty batch frame (a quiet interval is a heartbeat)")
 	}
-	if len(recs) > 0 && int(recs[len(recs)-1].LocalUnit) >= s.hello.Units {
+	if int(recs[len(recs)-1].LocalUnit) >= s.hello.Units {
 		return fmt.Errorf("proto: record for local unit %d on a %d-unit session",
 			recs[len(recs)-1].LocalUnit, s.hello.Units)
 	}
-	n, err := encodeBatchFrame(s.bufs.write[:], recs)
-	if err != nil {
-		return err
+	buf := s.bufs.write[:2+len(recs)*RecordSize]
+	buf[0] = FrameBatch
+	buf[1] = byte(len(recs))
+	prev := -1
+	for i, rec := range recs {
+		if int(rec.LocalUnit) <= prev {
+			return fmt.Errorf("proto: batch frame records not strictly increasing (unit %d after %d)", rec.LocalUnit, prev)
+		}
+		prev = int(rec.LocalUnit)
+		PutRecord(buf[2+i*RecordSize:], rec)
 	}
-	_, err = s.rw.Write(s.bufs.write[:n])
+	_, err := s.rw.Write(buf)
 	return err
 }
 
 // WriteHeartbeat sends a liveness-only frame: "nothing changed beyond
 // epsilon, readings stand, don't mark me stale".
 func (s *Session) WriteHeartbeat() error {
-	if !s.hello.Batch {
-		return fmt.Errorf("proto: heartbeat without the batch capability")
-	}
 	s.bufs.write[0] = FrameHeartbeat
 	_, err := s.rw.Write(s.bufs.write[:1])
 	return err
 }
 
 // WriteApplyEcho sends a cap-apply echo (agent side, apply-echo sessions
-// only).
+// only): the FrameApply byte and the apply duration in big-endian
+// microseconds, saturating at MaxApplyEcho. Negative durations clamp to 0.
 func (s *Session) WriteApplyEcho(applyDur time.Duration) error {
 	if !s.hello.ApplyEcho {
 		return fmt.Errorf("proto: apply echo without the apply-echo capability")
 	}
 	buf := s.bufs.write[:1+applyEchoBodySize]
-	putApplyEcho(buf, applyDur)
+	buf[0] = FrameApply
+	binary.BigEndian.PutUint16(buf[1:], uint16(min(max(applyDur.Microseconds(), 0), 0xFFFF)))
 	_, err := s.rw.Write(buf)
 	return err
 }
 
-// WriteCaps sends one cap assignment per local unit (server side) with
-// no round context (round 0 on trace-context sessions).
-func (s *Session) WriteCaps(values []power.Watts) error {
-	return s.WriteCapsRound(0, values)
-}
-
-// WriteCapsRound sends one cap assignment per local unit (server side).
-// The downstream wire is the same raw record batch at every protocol
-// version; a trace-context session prefixes it with the controller's
-// round counter as 8 big-endian bytes so the agent can tag its apply
-// spans. The session reuses its write buffer, so a warm push allocates
-// nothing.
+// WriteCapsRound sends one cap assignment per local unit (server side),
+// record i for local unit i. A trace-context session prefixes the batch
+// with the controller's round counter as 8 big-endian bytes so the agent
+// can tag its apply spans. The session reuses its write buffer, so a warm
+// push allocates nothing.
 func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
 	if s.bufs == nil {
 		return errors.New("proto: cap push on a released session")
@@ -365,17 +313,13 @@ func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
 	return err
 }
 
-// ReadCaps reads one cap batch into dst, which must have the session's
-// unit count (agent side), discarding any round context.
-func (s *Session) ReadCaps(dst []power.Watts) error {
-	_, err := s.ReadCapsRound(dst)
-	return err
-}
-
 // ReadCapsRound reads one cap batch into dst, which must have the
 // session's unit count (agent side), and returns the controller round
 // that produced it (zero on sessions without the trace-context
-// capability).
+// capability). Record i must address local unit i, the one order
+// WriteCapsRound writes: a batch that names a unit twice and skips
+// another is refused with dst untouched, so the agent never programs a
+// cap the controller did not send this round.
 func (s *Session) ReadCapsRound(dst []power.Watts) (round uint64, err error) {
 	if len(dst) != s.hello.Units {
 		return 0, fmt.Errorf("proto: cap buffer of %d values on a %d-unit session", len(dst), s.hello.Units)
@@ -392,94 +336,14 @@ func (s *Session) ReadCapsRound(dst []power.Watts) (round uint64, err error) {
 	if s.hello.TraceCtx {
 		round = binary.BigEndian.Uint64(buf[:8])
 	}
+	recs := buf[off:]
 	for i := 0; i < n; i++ {
-		rec := GetRecord(buf[off+i*RecordSize:])
-		if int(rec.LocalUnit) >= n {
-			return round, fmt.Errorf("proto: record for local unit %d in a %d-unit batch", rec.LocalUnit, n)
+		if u := recs[i*RecordSize]; int(u) != i {
+			return round, fmt.Errorf("proto: cap record %d addresses local unit %d", i, u)
 		}
-		dst[rec.LocalUnit] = FromDeciwatts(rec.Value)
+	}
+	for i := range dst {
+		dst[i] = FromDeciwatts(GetRecord(recs[i*RecordSize:]).Value)
 	}
 	return round, nil
-}
-
-// ReadBatchFrame reads a batch frame body — the count byte and records
-// following a FrameBatch header the caller already consumed. It accepts
-// only the canonical encoding: a non-empty record list, strictly
-// increasing by local unit, every unit inside [0, units). Records are
-// appended to dst (pass a reusable slice to avoid allocation).
-func ReadBatchFrame(r io.Reader, units int, dst []Record) ([]Record, error) {
-	var buf [MaxBatchRecords * RecordSize]byte
-	return readBatchBody(func(n int) ([]byte, error) {
-		_, err := io.ReadFull(r, buf[:n])
-		return buf[:n], err
-	}, units, dst)
-}
-
-// readBatchBody is the one parser and validator of a batch frame body.
-// next yields the stream's next n bytes: ReadBatchFrame reads them off its
-// reader field by field, ReadFrame takes them from the session's window.
-func readBatchBody(next func(n int) ([]byte, error), units int, dst []Record) ([]Record, error) {
-	b, err := next(1)
-	if err != nil {
-		return nil, fmt.Errorf("proto: reading batch frame count: %w", err)
-	}
-	count := int(b[0])
-	if count < 1 {
-		return nil, fmt.Errorf("proto: empty batch frame (a quiet interval is a heartbeat)")
-	}
-	if count > units {
-		return nil, fmt.Errorf("proto: batch frame of %d records for %d units", count, units)
-	}
-	body, err := next(count * RecordSize)
-	if err != nil {
-		return nil, fmt.Errorf("proto: reading batch frame of %d records: %w", count, err)
-	}
-	prev := -1
-	for i := 0; i < count; i++ {
-		rec := GetRecord(body[i*RecordSize:])
-		if int(rec.LocalUnit) <= prev {
-			return nil, fmt.Errorf("proto: batch frame records not strictly increasing (unit %d after %d)", rec.LocalUnit, prev)
-		}
-		if int(rec.LocalUnit) >= units {
-			return nil, fmt.Errorf("proto: record for local unit %d in a %d-unit session", rec.LocalUnit, units)
-		}
-		prev = int(rec.LocalUnit)
-		dst = append(dst, rec)
-	}
-	return dst, nil
-}
-
-// WriteBatchFrame writes one complete batch frame: the FrameBatch
-// header, the record count, and the records, which must be canonical
-// (non-empty, strictly increasing by local unit).
-func WriteBatchFrame(w io.Writer, recs []Record) error {
-	var buf [maxFrameSize]byte
-	n, err := encodeBatchFrame(buf[:], recs)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf[:n])
-	return err
-}
-
-// encodeBatchFrame encodes header + count + records into buf, enforcing
-// the canonical form, and returns the encoded length.
-func encodeBatchFrame(buf []byte, recs []Record) (int, error) {
-	if len(recs) < 1 {
-		return 0, fmt.Errorf("proto: empty batch frame (a quiet interval is a heartbeat)")
-	}
-	if len(recs) > MaxBatchRecords {
-		return 0, fmt.Errorf("proto: batch frame of %d records exceeds %d", len(recs), MaxBatchRecords)
-	}
-	buf[0] = FrameBatch
-	buf[1] = byte(len(recs))
-	prev := -1
-	for i, rec := range recs {
-		if int(rec.LocalUnit) <= prev {
-			return 0, fmt.Errorf("proto: batch frame records not strictly increasing (unit %d after %d)", rec.LocalUnit, prev)
-		}
-		prev = int(rec.LocalUnit)
-		PutRecord(buf[2+i*RecordSize:], rec)
-	}
-	return 2 + len(recs)*RecordSize, nil
 }

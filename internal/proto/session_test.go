@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,16 +40,15 @@ func pipePair(t *testing.T, h Hello, epsilon power.Watts) (agent, server *Sessio
 }
 
 // TestSessionNegotiation: the handshake roundtrips through
-// Connect/Accept for every capability combination, and only batch
-// sessions see the advertised epsilon.
+// Connect/Accept for every capability combination, and every session
+// sees the advertised epsilon.
 func TestSessionNegotiation(t *testing.T) {
 	cases := []Hello{
 		{FirstUnit: 4, Units: 2},
 		{FirstUnit: 4, Units: 2, ApplyEcho: true},
-		{FirstUnit: 4, Units: 2, Batch: true},
-		{FirstUnit: 4, Units: 2, ApplyEcho: true, Batch: true},
 		{FirstUnit: 4, Units: 2, TraceCtx: true},
-		{FirstUnit: 4, Units: 2, ApplyEcho: true, Batch: true, TraceCtx: true},
+		{FirstUnit: 4, Units: 2, ApplyEcho: true, TraceCtx: true},
+		{FirstUnit: 0, Units: 1, Replicate: true},
 	}
 	for _, h := range cases {
 		agent, server := pipePair(t, h, 1.5)
@@ -58,54 +58,47 @@ func TestSessionNegotiation(t *testing.T) {
 		if got := agent.Hello(); got != h {
 			t.Errorf("agent negotiated %+v, want %+v", got, h)
 		}
-		wantEps := power.Watts(0)
-		if h.Batch {
-			wantEps = 1.5
-		}
-		if got := agent.DeltaEpsilon(); got != wantEps {
-			t.Errorf("%+v: agent epsilon = %v, want %v", h, got, wantEps)
+		if got := agent.DeltaEpsilon(); got != 1.5 {
+			t.Errorf("%+v: agent epsilon = %v, want 1.5", h, got)
 		}
 		agent.Release()
 		server.Release()
 	}
 }
 
-// TestSessionReportRoundTrip: a full report arrives as KindReport with
-// one record per local unit, for the raw and the apply-echo framings.
+// TestSessionReportRoundTrip: a full report is one batch frame carrying
+// every unit — 2 + 3·n bytes — and arrives as KindBatch with one record
+// per local unit, with and without apply-echo.
 func TestSessionReportRoundTrip(t *testing.T) {
+	in := []Record{{LocalUnit: 0, Value: 1105}, {LocalUnit: 1, Value: 0}, {LocalUnit: 2, Value: 873}}
 	for _, h := range []Hello{
 		{FirstUnit: 0, Units: 3},
 		{FirstUnit: 0, Units: 3, ApplyEcho: true},
 	} {
-		agent, server := pipePair(t, h, 0)
-		in := []power.Watts{110.5, 0, 87.3}
-		go func() { agent.WriteReport(in) }()
-		frame, err := server.ReadFrame()
+		var wire bytes.Buffer
+		s := newSession(&wire, h)
+		if err := s.WriteDelta(in); err != nil {
+			t.Fatal(err)
+		}
+		if wire.Len() != 2+RecordSize*h.Units {
+			t.Errorf("%+v: full report is %d bytes, want %d", h, wire.Len(), 2+RecordSize*h.Units)
+		}
+		frame, err := s.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if frame.Kind != KindReport {
-			t.Fatalf("%+v: frame kind = %v, want KindReport", h, frame.Kind)
+		if frame.Kind != KindBatch || !slices.Equal(frame.Records, in) {
+			t.Errorf("%+v: full report reads back as %+v, want a batch of %+v", h, frame, in)
 		}
-		if len(frame.Records) != h.Units {
-			t.Fatalf("%+v: %d records, want %d", h, len(frame.Records), h.Units)
-		}
-		for i, rec := range frame.Records {
-			if int(rec.LocalUnit) != i {
-				t.Errorf("record %d addresses unit %d", i, rec.LocalUnit)
-			}
-			if got := FromDeciwatts(rec.Value); math.Abs(float64(got-in[i])) > 0.05 {
-				t.Errorf("unit %d = %v, want ~%v", i, got, in[i])
-			}
-		}
+		s.Release()
 	}
 }
 
 // TestSessionBatchDeltaRoundTrip: a sparse delta arrives as KindBatch
-// carrying exactly the sent records; a full refresh over a batch session
-// arrives as a batch frame covering every unit.
+// carrying exactly the sent records, and a full report as a batch frame
+// covering every unit.
 func TestSessionBatchDeltaRoundTrip(t *testing.T) {
-	h := Hello{FirstUnit: 16, Units: 4, Batch: true}
+	h := Hello{FirstUnit: 16, Units: 4}
 	agent, server := pipePair(t, h, 0)
 
 	recs := []Record{{LocalUnit: 1, Value: 425}, {LocalUnit: 3, Value: 1650}}
@@ -117,29 +110,25 @@ func TestSessionBatchDeltaRoundTrip(t *testing.T) {
 	if frame.Kind != KindBatch {
 		t.Fatalf("frame kind = %v, want KindBatch", frame.Kind)
 	}
-	if len(frame.Records) != len(recs) {
-		t.Fatalf("%d records, want %d", len(frame.Records), len(recs))
-	}
-	for i := range recs {
-		if frame.Records[i] != recs[i] {
-			t.Errorf("record %d = %+v, want %+v", i, frame.Records[i], recs[i])
-		}
+	if !slices.Equal(frame.Records, recs) {
+		t.Fatalf("records = %+v, want %+v", frame.Records, recs)
 	}
 
-	go func() { agent.WriteReport([]power.Watts{1, 2, 3, 4}) }()
+	full := []Record{{LocalUnit: 0, Value: 10}, {LocalUnit: 1, Value: 20}, {LocalUnit: 2, Value: 30}, {LocalUnit: 3, Value: 40}}
+	go func() { agent.WriteDelta(full) }()
 	frame, err = server.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frame.Kind != KindBatch || len(frame.Records) != h.Units {
-		t.Fatalf("full refresh = kind %v with %d records, want KindBatch with %d", frame.Kind, len(frame.Records), h.Units)
+		t.Fatalf("full report = kind %v with %d records, want KindBatch with %d", frame.Kind, len(frame.Records), h.Units)
 	}
 }
 
 // TestSessionHeartbeat: a heartbeat is one byte on the wire and arrives
 // as KindHeartbeat with no records.
 func TestSessionHeartbeat(t *testing.T) {
-	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2, Batch: true}, 0)
+	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2}, 0)
 	go func() { agent.WriteHeartbeat() }()
 	frame, err := server.ReadFrame()
 	if err != nil {
@@ -153,7 +142,7 @@ func TestSessionHeartbeat(t *testing.T) {
 // TestSessionApplyEcho: the echo rides the shared socket beside batch
 // frames and carries the duration.
 func TestSessionApplyEcho(t *testing.T) {
-	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true, Batch: true}, 0)
+	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true}, 0)
 	go func() { agent.WriteApplyEcho(3 * time.Millisecond) }()
 	frame, err := server.ReadFrame()
 	if err != nil {
@@ -164,14 +153,14 @@ func TestSessionApplyEcho(t *testing.T) {
 	}
 }
 
-// TestSessionCapsRoundTrip: the downstream cap push is the classic raw
-// record batch regardless of capabilities.
+// TestSessionCapsRoundTrip: the downstream cap push is a raw record
+// batch, record i for local unit i.
 func TestSessionCapsRoundTrip(t *testing.T) {
-	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3, Batch: true}, 0)
+	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3}, 0)
 	in := []power.Watts{110, 42.5, 165}
-	go func() { server.WriteCaps(in) }()
+	go func() { server.WriteCapsRound(0, in) }()
 	out := make([]power.Watts, 3)
-	if err := agent.ReadCaps(out); err != nil {
+	if _, err := agent.ReadCapsRound(out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range in {
@@ -187,37 +176,59 @@ func TestSessionCapsRoundTrip(t *testing.T) {
 func TestSessionCapsRoundTripTraceCtx(t *testing.T) {
 	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3, TraceCtx: true}, 0)
 	in := []power.Watts{110, 42.5, 165}
-	go func() { server.WriteCapsRound(7, in) }()
 	out := make([]power.Watts, 3)
-	round, err := agent.ReadCapsRound(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round != 7 {
-		t.Fatalf("round = %d, want 7", round)
-	}
-	for i := range in {
-		if math.Abs(float64(out[i]-in[i])) > 0.05 {
-			t.Errorf("cap[%d] = %v, want ~%v", i, out[i], in[i])
+	for _, want := range []uint64{7, 8} {
+		go func() { server.WriteCapsRound(want, in) }()
+		round, err := agent.ReadCapsRound(out)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// ReadCaps (round-discarding form) still works on a trace-context
-	// session.
-	go func() { server.WriteCapsRound(8, in) }()
-	if err := agent.ReadCaps(out); err != nil {
-		t.Fatal(err)
+		if round != want {
+			t.Fatalf("round = %d, want %d", round, want)
+		}
+		for i := range in {
+			if math.Abs(float64(out[i]-in[i])) > 0.05 {
+				t.Errorf("cap[%d] = %v, want ~%v", i, out[i], in[i])
+			}
+		}
 	}
 
 	// A plain session ignores the round argument entirely.
 	agent2, server2 := pipePair(t, Hello{FirstUnit: 0, Units: 3}, 0)
 	go func() { server2.WriteCapsRound(99, in) }()
-	round, err = agent2.ReadCapsRound(out)
+	round, err := agent2.ReadCapsRound(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if round != 0 {
 		t.Fatalf("plain session round = %d, want 0", round)
+	}
+}
+
+// TestReadCapsRoundRefusesMisaddressedBatch: record i of a cap batch must
+// address local unit i. A batch that names unit 0 twice and skips unit 1
+// is refused and leaves every cap as it was, instead of programming unit
+// 0 twice and leaving unit 1 on last round's cap.
+func TestReadCapsRoundRefusesMisaddressedBatch(t *testing.T) {
+	for _, h := range []Hello{{Units: 3}, {Units: 3, TraceCtx: true}} {
+		var wire []byte
+		if h.TraceCtx {
+			wire = make([]byte, 8)
+		}
+		for _, rec := range []Record{{LocalUnit: 0, Value: 1000}, {LocalUnit: 0, Value: 2000}, {LocalUnit: 2, Value: 3000}} {
+			var b [RecordSize]byte
+			PutRecord(b[:], rec)
+			wire = append(wire, b[:]...)
+		}
+		s := newSession(bytes.NewBuffer(wire), h)
+		dst := []power.Watts{1, 2, 3}
+		if _, err := s.ReadCapsRound(dst); err == nil {
+			t.Errorf("%+v: ReadCapsRound accepted a batch naming unit 0 twice", h)
+		}
+		if !slices.Equal(dst, []power.Watts{1, 2, 3}) {
+			t.Errorf("%+v: the refused batch changed the caps to %v", h, dst)
+		}
+		s.Release()
 	}
 }
 
@@ -239,36 +250,31 @@ func TestTraceCtxCapsWireFormat(t *testing.T) {
 	}
 }
 
-// TestSessionCapabilityEnforcement: frame kinds a session did not
-// negotiate are rejected on both the write and the read side.
+// TestSessionCapabilityEnforcement: an apply echo is refused on both
+// sides of a session that did not negotiate it, and the retired report
+// dialects — a 'R' frame and raw records — are unknown frame types on
+// every session.
 func TestSessionCapabilityEnforcement(t *testing.T) {
-	bare := newSession(&bytes.Buffer{}, Hello{FirstUnit: 0, Units: 2})
-	if err := bare.WriteDelta([]Record{{LocalUnit: 0, Value: 1}}); err == nil {
-		t.Error("WriteDelta accepted on a capability-free session")
+	plain := Hello{FirstUnit: 0, Units: 2}
+	echo := Hello{FirstUnit: 0, Units: 2, ApplyEcho: true}
+	if err := newSession(&bytes.Buffer{}, plain).WriteApplyEcho(time.Millisecond); err == nil {
+		t.Error("WriteApplyEcho accepted on a session without apply-echo")
 	}
-	if err := bare.WriteHeartbeat(); err == nil {
-		t.Error("WriteHeartbeat accepted on a capability-free session")
-	}
-	if err := bare.WriteApplyEcho(time.Millisecond); err == nil {
-		t.Error("WriteApplyEcho accepted on a capability-free session")
-	}
-
-	// An echo-only session must reject batch wire bytes, and a batch
-	// session must reject raw report frames.
-	echoRW := bytes.NewBuffer([]byte{FrameBatch, 1, 0, 0, 1})
-	echo := newSession(echoRW, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true})
-	if _, err := echo.ReadFrame(); err == nil {
-		t.Error("echo-only session accepted a batch frame")
-	}
-	hbRW := bytes.NewBuffer([]byte{FrameHeartbeat})
-	echo2 := newSession(hbRW, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true})
-	if _, err := echo2.ReadFrame(); err == nil {
-		t.Error("echo-only session accepted a heartbeat")
-	}
-	batchRW := bytes.NewBuffer([]byte{FrameReport, 0, 0, 1, 1, 0, 1})
-	batch := newSession(batchRW, Hello{FirstUnit: 0, Units: 2, Batch: true})
-	if _, err := batch.ReadFrame(); err == nil {
-		t.Error("batch session accepted a raw report frame")
+	for _, c := range []struct {
+		name string
+		h    Hello
+		raw  []byte
+	}{
+		{"apply echo without the capability", plain, []byte{FrameApply, 0, 1}},
+		{"'R' report frame", plain, []byte{'R', 0, 0, 1, 1, 0, 1}},
+		{"'R' report frame on an echo session", echo, []byte{'R', 0, 0, 1, 1, 0, 1}},
+		{"raw records", plain, []byte{0, 0, 1, 1, 0, 1}},
+	} {
+		s := newSession(bytes.NewBuffer(c.raw), c.h)
+		if _, err := s.ReadFrame(); err == nil {
+			t.Errorf("%s: ReadFrame accepted %v", c.name, c.raw)
+		}
+		s.Release()
 	}
 }
 
@@ -276,7 +282,7 @@ func TestSessionCapabilityEnforcement(t *testing.T) {
 // before any bytes hit the wire.
 func TestSessionWriteDeltaValidation(t *testing.T) {
 	var out bytes.Buffer
-	s := newSession(&out, Hello{FirstUnit: 0, Units: 4, Batch: true})
+	s := newSession(&out, Hello{FirstUnit: 0, Units: 4})
 	cases := map[string][]Record{
 		"empty":        {},
 		"decreasing":   {{LocalUnit: 2, Value: 1}, {LocalUnit: 1, Value: 1}},
@@ -293,8 +299,8 @@ func TestSessionWriteDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestReadBatchFrameRejectsGarbage pins the non-canonical encodings the
-// parser must refuse.
+// TestReadBatchFrameRejectsGarbage pins the non-canonical batch frame
+// bodies ReadFrame must refuse.
 func TestReadBatchFrameRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty count":    {0},
@@ -306,50 +312,49 @@ func TestReadBatchFrameRejectsGarbage(t *testing.T) {
 		"eof":            {},
 	}
 	for name, raw := range cases {
-		if _, err := ReadBatchFrame(bytes.NewReader(raw), 4, nil); err == nil {
-			t.Errorf("%s: ReadBatchFrame accepted %v", name, raw)
+		s := newSession(bytes.NewBuffer(append([]byte{FrameBatch}, raw...)), Hello{FirstUnit: 0, Units: 4})
+		if _, err := s.ReadFrame(); err == nil {
+			t.Errorf("%s: ReadFrame accepted a batch frame with body %v", name, raw)
 		}
+		s.Release()
 	}
 }
 
-// TestBatchAckWireFormat pins the extended ack: OK plus the epsilon in
-// big-endian deciwatts, and the classic 2-byte ack for non-batch
-// sessions.
+// TestBatchAckWireFormat pins the ack: OK plus the epsilon in big-endian
+// deciwatts, the same 4 bytes on every session.
 func TestBatchAckWireFormat(t *testing.T) {
-	var out bytes.Buffer
-	s := newSession(&out, Hello{FirstUnit: 0, Units: 2, Batch: true})
-	if err := s.Ack(1.5); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{'O', 'K', 0, 15}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("batch ack = %v, want %v", out.Bytes(), want)
-	}
-
-	out.Reset()
-	plain := newSession(&out, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true})
-	if err := plain.Ack(1.5); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), []byte{'O', 'K'}) {
-		t.Errorf("plain ack = %v, want OK", out.Bytes())
+	for _, h := range []Hello{
+		{FirstUnit: 0, Units: 2},
+		{FirstUnit: 0, Units: 2, ApplyEcho: true},
+		{FirstUnit: 0, Units: 1, Replicate: true},
+	} {
+		var out bytes.Buffer
+		s := newSession(&out, h)
+		if err := s.Ack(1.5); err != nil {
+			t.Fatal(err)
+		}
+		if want := []byte{'O', 'K', 0, 15}; !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%+v: ack = %v, want %v", h, out.Bytes(), want)
+		}
+		s.Release()
 	}
 }
 
-// TestConnectRejectsBadAck: a batch Connect must fail cleanly on a
-// truncated or corrupt extended ack.
+// TestConnectRejectsBadAck: Connect must fail cleanly on a truncated or
+// corrupt ack.
 func TestConnectRejectsBadAck(t *testing.T) {
 	for name, ack := range map[string][]byte{
-		"truncated": {'O', 'K', 0},
-		"corrupt":   {'N', 'O', 0, 0},
+		"version-1 ack": {'O', 'K'},
+		"truncated":     {'O', 'K', 0},
+		"corrupt":       {'N', 'O', 0, 0},
 	} {
 		ac, sc := net.Pipe()
 		go func() {
-			io.ReadFull(sc, make([]byte, HelloV2Size))
+			io.ReadFull(sc, make([]byte, HelloSize))
 			sc.Write(ack)
 			sc.Close()
 		}()
-		if _, err := Connect(ac, Hello{FirstUnit: 0, Units: 2, Batch: true}); err == nil {
+		if _, err := Connect(ac, Hello{FirstUnit: 0, Units: 2}); err == nil {
 			t.Errorf("%s: Connect accepted ack %v", name, ack)
 		}
 		ac.Close()
@@ -415,9 +420,8 @@ func TestReadFrameOneReadPerFrame(t *testing.T) {
 	}
 	echo := func(s *Session) { s.WriteApplyEcho(time.Millisecond) }
 	heartbeat := func(s *Session) { s.WriteHeartbeat() }
-	report := func(s *Session) { s.WriteReport(make([]power.Watts, s.hello.Units)) }
-	node := Hello{Units: MaxNodeUnits, Batch: true, ApplyEcho: true}
-	classic := Hello{Units: 2, ApplyEcho: true}
+	node := Hello{Units: MaxNodeUnits, ApplyEcho: true}
+	dual := Hello{Units: 2, ApplyEcho: true}
 	concat := func(bs ...[]byte) []byte { return bytes.Join(bs, nil) }
 	b2 := encode(node, batch(2))
 
@@ -429,9 +433,8 @@ func TestReadFrameOneReadPerFrame(t *testing.T) {
 	}{
 		{"batch of 1, 2 and 255", node, [][]byte{encode(node, batch(1)), b2, encode(node, batch(255))}, 3},
 		{"heartbeat, echo", node, [][]byte{encode(node, heartbeat), encode(node, echo)}, 2},
-		{"raw report", Hello{Units: 2}, [][]byte{encode(Hello{Units: 2}, report)}, 1},
-		{"framed report", classic, [][]byte{encode(classic, report)}, 1},
-		{"report and echo in one segment", classic, [][]byte{concat(encode(classic, report), encode(classic, echo))}, 2},
+		{"full report of a 2-unit node", dual, [][]byte{encode(dual, batch(2))}, 1},
+		{"report and echo in one segment", dual, [][]byte{concat(encode(dual, batch(2)), encode(dual, echo))}, 2},
 		{"batch and echo in one segment", node, [][]byte{concat(b2, encode(node, echo))}, 2},
 		{"one frame over two segments", node, [][]byte{b2[:3], b2[3:]}, 1},
 	}

@@ -20,7 +20,7 @@ import (
 // the round engine: the same scripted readings — mixed demand, saturation
 // (Algorithm 4 equalizes), an all-quiet spell (Algorithm 3 restores) and a
 // tail that holds still (no module moves a cap) — go through
-// daemon.DecideOnce, over a real version-1 agent connection, and through
+// daemon.DecideOnce, over a real agent connection, and through
 // the simulator's controller step, one core.DPS of the same configuration
 // each. Both run engine.Engine and fill the record from its Decision, so
 // the test guards ingest→engine (the wire, the double buffer, the dirty
@@ -55,8 +55,8 @@ func TestStepFillsTheRecordDecideOnceFills(t *testing.T) {
 	if err := proto.WriteHello(agent, proto.Hello{Units: units}); err != nil {
 		t.Fatal(err)
 	}
-	var ack [2]byte
-	if _, err := io.ReadFull(agent, ack[:]); err != nil || string(ack[:]) != "OK" {
+	var ack [4]byte // OK and the advertised delta epsilon
+	if _, err := io.ReadFull(agent, ack[:]); err != nil || string(ack[:2]) != "OK" {
 		t.Fatalf("handshake: ack %q, %v", ack, err)
 	}
 	go io.Copy(io.Discard, agent) // cap pushes: a pipe write needs a reader
@@ -64,9 +64,10 @@ func TestStepFillsTheRecordDecideOnceFills(t *testing.T) {
 	report := func(readings power.Vector) {
 		t.Helper()
 		want := ingested.Value() + uint64(units)
-		buf := make([]byte, units*proto.RecordSize)
+		buf := make([]byte, 2+units*proto.RecordSize) // one batch frame carrying every unit
+		buf[0], buf[1] = proto.FrameBatch, byte(units)
 		for u, v := range readings {
-			proto.PutRecord(buf[u*proto.RecordSize:], proto.Record{LocalUnit: uint8(u), Value: proto.ToDeciwatts(v)})
+			proto.PutRecord(buf[2+u*proto.RecordSize:], proto.Record{LocalUnit: uint8(u), Value: proto.ToDeciwatts(v)})
 		}
 		if _, err := agent.Write(buf); err != nil {
 			t.Fatal(err)
