@@ -45,7 +45,8 @@ bench:
 # and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output;
 # it also runs the replication-round, sampler-scrape and /metrics
-# exposition benchmarks once at bench's ops16k sizes, and a 256-agent
+# exposition benchmarks once at bench's ops16k sizes, one agentless
+# steady 16k DecideOnce (the daemon's per-round bookkeeping), and a 256-agent
 # lock-step round over loopback TCP that reports its reads per
 # connection-round (3: one per frame), so they cannot rot. It is a
 # compile-and-run check, not a timing run. The smoke JSON goes to an
@@ -54,6 +55,7 @@ bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
 	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkLoopbackRound/agents=256$$' -benchtime 20x -benchmem ./internal/daemon/
+	$(GO) test -run xxx -bench 'BenchmarkDecideOnce/units=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
 	$(GO) test -run xxx -bench 'BenchmarkWritePrometheus/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/
 
@@ -91,10 +93,10 @@ chaos:
 # black box, cap push) must not grow with the unit or connection count,
 # nor may the allocations of a cold image decode, of a restore followed by
 # the first snapshot-writing round, or of a /metrics scrape with the
-# series count.
+# series count (in the registry) or the unit count (a dpsd scrape).
 alloc-check:
 	$(GO) test -run 'TestDecideStatsSteadyStateZeroAlloc|TestDecideTracerOffZeroAlloc' -count=1 ./internal/core
-	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestAgentRoundSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits' -count=1 ./internal/daemon
+	$(GO) test -run 'TestDecideSamplerSteadyStateZeroAlloc|TestIngestSteadyStateZeroAlloc|TestAgentRoundSteadyStateZeroAlloc|TestReplicateSteadyStateZeroAlloc|TestDecideOnceAllocIndependentOfUnits|TestRestoreThenSnapshotAllocsIndependentOfUnits|TestMetricsScrapeAllocsIndependentOfUnits' -count=1 ./internal/daemon
 	$(GO) test -run 'TestDecodeAllocsIndependentOfUnits|TestEncodeColdAllocs|TestEncodeReuseNoAlloc' -count=1 ./internal/snapshot
 	$(GO) test -run 'TestBlackboxWriterSteadyStateZeroAlloc' -count=1 ./internal/blackbox
 	$(GO) test -run 'TestWritePrometheusAllocsIndependentOfSeries' -count=1 ./internal/telemetry

@@ -674,8 +674,13 @@ func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
 // deployment uses this: a top-level coordinator reassigns group budgets
 // and each group's local DPS adopts its new total between decisions.
 // Existing caps above the new budget are pulled back proportionally on
-// the next Decide by the final budget clamp.
+// the next Decide by the final budget clamp. Setting the current total
+// is a no-op: it changes no state, so a controller told its own budget
+// and one never told stay bitwise identical.
 func (d *DPS) SetTotalBudget(total power.Watts) error {
+	if total == d.cfg.Budget.Total {
+		return nil
+	}
 	b := d.cfg.Budget
 	b.Total = total
 	if err := b.Validate(d.cfg.Units); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -344,6 +345,31 @@ func TestRestoreIndependentOfDonorAge(t *testing.T) {
 	drewB, drewC := b.statelessM.RNGDraws()-young, c.statelessM.RNGDraws()-young-aged
 	if drewB == 0 || drewB != drewC {
 		t.Fatalf("after the restore the donor drew %d times, the restored controller %d", drewB, drewC)
+	}
+}
+
+// TestSetTotalBudgetToItselfChangesNothing: telling a settled controller
+// the budget it already holds leaves its state image byte for byte as it
+// was, so a primary told its own budget and a standby never told it stay
+// in step, state and caps alike.
+func TestSetTotalBudgetToItselfChangesNothing(t *testing.T) {
+	const units = 64
+	d, err := NewDPS(DefaultConfig(units, power.Budget{Total: power.Watts(units) * 55, UnitMax: 165, UnitMin: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, d, mixedTrace(40, units, 3), 0, 40, newLoopState(d, 0.5, true))
+	export := func() []byte {
+		var st snapshot.State
+		d.ExportState(&st)
+		return snapshot.Encode(nil, &st)
+	}
+	before := export()
+	if err := d.SetTotalBudget(d.Budget().Total); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(export(), before) {
+		t.Error("SetTotalBudget with the current total changed the controller's state")
 	}
 }
 

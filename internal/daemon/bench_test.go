@@ -12,6 +12,7 @@ import (
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/rapl"
+	"dps/internal/telemetry"
 )
 
 // benchRound measures one full decision round over real loopback TCP with
@@ -114,6 +115,47 @@ func benchRound(b *testing.B, agents int) {
 
 func BenchmarkDaemonRound10Nodes(b *testing.B)  { benchRound(b, 10) }
 func BenchmarkDaemonRound100Nodes(b *testing.B) { benchRound(b, 100) }
+
+// BenchmarkDecideOnce is one warm DecideOnce on a server with no agent
+// connected and readings that never move. Every unit settles, core's
+// sparse round skips it, and no push goes out, so what is left is the
+// daemon's own per-round O(N) bookkeeping: the double-buffer flip, the
+// round record's fill, the metrics and the audits — steady16k's
+// controller round without its wire.
+func BenchmarkDecideOnce(b *testing.B) {
+	for _, units := range []int{16384} {
+		b.Run(fmt.Sprintf("units=%d", units), func(b *testing.B) {
+			mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			readings := make(power.Vector, units)
+			for u := range readings {
+				readings[u] = power.Watts(40 + (u*7)%60)
+			}
+			setReadings(srv, readings)
+			// Settle every unit, and lap the flight recorder so its slots
+			// hold their columns.
+			for i := 0; i < telemetry.DefaultFlightRecorderSize+40; i++ {
+				if _, err := srv.DecideOnce(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.DecideOnce(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkProtoBatchPerNode isolates one node's wire encoding per round.
 func BenchmarkProtoBatchPerNode(b *testing.B) {

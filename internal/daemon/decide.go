@@ -51,6 +51,7 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	s.mu.Unlock()
 
 	d, stats := s.eng.Decide(core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf})
+	s.noteBudget()
 	rec.Round, rec.Inherited = round, s.inheritedRounds.Load()
 	rec.Time, rec.Elapsed, rec.Stats = s.eng.Start, s.eng.Elapsed, stats
 	caps := d.Delivered
@@ -128,8 +129,9 @@ func (s *Server) classifyHealthLocked() []core.UnitHealth {
 }
 
 // recordHealthLocked diffs the round's health classification against the
-// previous round's retained state, publishing transitions, gauges, and
-// logs, and returns the stale and dead unit counts. Caller holds s.mu.
+// previous round's retained state, publishing transitions, the stale and
+// dead gauges and logs, and returns the stale and dead unit counts.
+// Caller holds s.mu.
 func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) {
 	if health == nil {
 		return 0, 0
@@ -142,7 +144,6 @@ func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) 
 			s.health[u] = h
 			s.logf("daemon: unit %d health %s -> %s", u, prev, h)
 		}
-		s.metrics.unitHealth[u].Set(float64(h))
 		switch h {
 		case core.HealthStale:
 			stale++

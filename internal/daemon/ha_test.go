@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -702,6 +705,69 @@ func TestRestoreRejections(t *testing.T) {
 	})
 }
 
+// TestRestoreKeepsConfiguredBudget: an image carries the budget its
+// donor ran under, and a restore takes the controller's state from it but
+// not that budget. A server configured at 704 W restored from a donor at
+// 880 W says so in its log, reports 704 W on /status before its first
+// round, and from that round on delivers within 704 W and exports
+// dps_budget_watts 704.
+func TestRestoreKeepsConfiguredBudget(t *testing.T) {
+	const units = 8 // 880 W at testBudget's 110 W a unit
+	path := filepath.Join(t.TempDir(), "donor.snap")
+	clk := newTestClock()
+	donor := newHAServer(t, units, clk, func(sc *ServerConfig) { sc.SnapshotPath = path })
+	readings := make(power.Vector, units)
+	for u := range readings {
+		readings[u] = power.Watts(150 + u)
+	}
+	for i := 0; i < 3; i++ {
+		setReadings(donor, readings)
+		if _, err := donor.DecideOnce(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := donor.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const configured = 704
+	var logs []string
+	srv := newHAServer(t, units, clk, func(sc *ServerConfig) {
+		b := testBudget(units)
+		b.Total = configured
+		mgr, err := core.NewDPS(core.DefaultConfig(units, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Manager = mgr
+		sc.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	})
+	defer srv.Close()
+	if err := srv.RestoreFromSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "880 W") && strings.Contains(l, "704 W") }) {
+		t.Errorf("no log line names the image's 880 W and the configured 704 W:\n%s", strings.Join(logs, "\n"))
+	}
+	if got := srv.Snapshot().BudgetW; got != configured {
+		t.Errorf("/status budget_w after the restore = %v, want %v", got, configured)
+	}
+	setReadings(srv, readings)
+	caps, err := srv.DecideOnce(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Rounds() != 4 {
+		t.Fatalf("first round after the restore is round %d, want 4: the image was not restored", srv.Rounds())
+	}
+	if sum := caps.Sum(); sum > configured {
+		t.Errorf("first round after the restore delivers Σcaps = %v W over the configured %v W", sum, configured)
+	}
+	if got := srv.metrics.budget.Value(); got != configured {
+		t.Errorf("dps_budget_watts = %v, want %v", got, configured)
+	}
+}
+
 // FuzzRestoreImage drives the restore gate with mutated images of a
 // 64-unit server. Every section's CRC is recomputed first (reseal), so a
 // mutation reaches the section parser and the identity checks rather than
@@ -709,8 +775,9 @@ func TestRestoreRejections(t *testing.T) {
 // as it booted; an accepted one must restore to an export equal to
 // Encode(Decode(img)), except for what a restore does not take from the
 // image: the clock fields (save stamp, report ages and the health states
-// classified from them), the writer's sparse settings, and — for an image
-// without a daemon section — the daemon's own caches.
+// classified from them), the writer's sparse settings, the budget total
+// (the configured one is kept), and — for an image without a daemon
+// section — the daemon's own caches.
 func FuzzRestoreImage(f *testing.F) {
 	const units = 64
 	clk := newTestClock()
@@ -727,6 +794,14 @@ func FuzzRestoreImage(f *testing.F) {
 		}
 	}
 	seed := image(donor)
+	// The donor a round after a budget cut: restored, then moved back.
+	if err := donor.dps.SetTotalBudget(testBudget(units).Total * 0.8); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := donor.DecideOnce(1); err != nil {
+		f.Fatal(err)
+	}
+	otherBudget := image(donor)
 	donor.Close()
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -736,6 +811,7 @@ func FuzzRestoreImage(f *testing.F) {
 		flip[off] ^= 0x40
 		f.Add(flip)
 	}
+	f.Add(otherBudget)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = reseal(data)
 		srv := newHAServer(t, units, clk, nil)
@@ -759,6 +835,15 @@ func FuzzRestoreImage(f *testing.F) {
 		}
 		want.SavedUnixMS, want.ReportAgeMS, want.Health = got.SavedUnixMS, got.ReportAgeMS, got.Health
 		want.Sparse, want.SparseRefreshEvery = got.Sparse, got.SparseRefreshEvery
+		// Nor its budget: an image saved under another total is moved back
+		// to the configured one, which marks every unit's cap moved (64
+		// units fill the one word).
+		if configured := testBudget(units).Total; want.BudgetTotal != configured {
+			want.BudgetTotal = configured
+			for i := range want.CapMovedW {
+				want.CapMovedW[i] = ^uint64(0)
+			}
+		}
 		if !bytes.Equal(snapshot.Encode(nil, got), snapshot.Encode(nil, want)) {
 			t.Fatal("restored server exports a state other than the image's")
 		}

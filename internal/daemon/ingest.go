@@ -48,7 +48,7 @@ func (s *Server) maxReading() power.Watts {
 	if s.cfg.MaxReading > 0 {
 		return s.cfg.MaxReading
 	}
-	return 2 * s.cfg.Manager.Budget().UnitMax
+	return 2 * s.unitMax
 }
 
 // Handle serves one agent connection: handshake, then a frame-reading

@@ -2,9 +2,9 @@ package daemon
 
 import (
 	"runtime"
-	"strconv"
 
 	"dps/internal/core"
+	"dps/internal/power"
 	"dps/internal/telemetry"
 	"dps/internal/version"
 )
@@ -55,10 +55,6 @@ type serverMetrics struct {
 	// transitions indexes dps_health_transitions_total{from,to} by
 	// from*3+to for the six possible state changes (nil where from == to).
 	transitions [9]*telemetry.Counter
-	unitPower   []*telemetry.Gauge
-	unitCap     []*telemetry.Gauge
-	unitPrio    []*telemetry.Gauge // nil unless the manager is a core.DPS
-	unitHealth  []*telemetry.Gauge // nil unless health tracking is enabled
 }
 
 // pipeline stage names, the label values of dps_stage_seconds.
@@ -89,7 +85,7 @@ func registerBuildInfo(reg *telemetry.Registry) {
 		telemetry.Label{Key: "goversion", Value: runtime.Version()}).Set(1)
 }
 
-func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) serverMetrics {
+func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cfg ServerConfig, isDPS bool) serverMetrics {
 	registerBuildInfo(reg)
 	m := serverMetrics{
 		rounds:      reg.Counter("dps_rounds_total", "Decision rounds completed."),
@@ -145,27 +141,72 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig, isDPS bool) ser
 			telemetry.Label{Key: "stage", Value: stage})
 	}
 	m.budget.Set(float64(cfg.Manager.Budget().Total))
-	initialCaps := cfg.Manager.Caps()
-	for u := 0; u < cfg.Units; u++ {
-		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(u)}
-		m.unitPower = append(m.unitPower, reg.Gauge("dps_unit_power_watts", "Last reported power per unit.", lbl))
-		m.unitCap = append(m.unitCap, reg.Gauge("dps_unit_cap_watts", "Assigned cap per unit.", lbl))
-		m.unitCap[u].Set(float64(initialCaps[u]))
-		if isDPS {
-			m.unitPrio = append(m.unitPrio, reg.Gauge("dps_unit_high_priority", "DPS priority flag per unit.", lbl))
-		}
-		if healthEnabled {
-			m.unitHealth = append(m.unitHealth, reg.Gauge("dps_unit_health", "Unit health state (0 fresh, 1 stale, 2 dead).", lbl))
-		}
-	}
+	registerUnitColumns(reg, rec, cfg.Manager.Caps().Clone(), isDPS, healthEnabled)
 	return m
 }
 
+// registerUnitColumns publishes the per-unit families as views of the
+// newest round record: a scrape copies one column of the slot
+// FlightRecorder.Each(1, …) yields, under the recorder lock, and formats
+// the copy outside it. The decision loop writes nothing for them, and one
+// scrape of a family is one round's cut. Before the first published round
+// they read what the manager started with: initialCaps, and 0 for the
+// rest.
+func registerUnitColumns(reg *telemetry.Registry, rec *telemetry.FlightRecorder, initialCaps power.Vector, isDPS, healthEnabled bool) {
+	units := len(initialCaps)
+	reg.GaugeColumn("dps_unit_power_watts", "Last reported power per unit.", units, func(dst []float64) {
+		if !newestRound(rec, func(r *telemetry.Round) { floats(dst, r.Reading) }) {
+			clear(dst)
+		}
+	})
+	reg.GaugeColumn("dps_unit_cap_watts", "Assigned cap per unit.", units, func(dst []float64) {
+		if !newestRound(rec, func(r *telemetry.Round) { floats(dst, r.Cap) }) {
+			floats(dst, initialCaps)
+		}
+	})
+	if isDPS {
+		reg.GaugeColumn("dps_unit_high_priority", "DPS priority flag per unit.", units, func(dst []float64) {
+			if !newestRound(rec, func(r *telemetry.Round) {
+				for u := range dst {
+					dst[u] = 0
+					if r.Prio[u] {
+						dst[u] = 1
+					}
+				}
+			}) {
+				clear(dst)
+			}
+		})
+	}
+	if healthEnabled {
+		reg.GaugeColumn("dps_unit_health", "Unit health state (0 fresh, 1 stale, 2 dead).", units, func(dst []float64) {
+			if !newestRound(rec, func(r *telemetry.Round) { floats(dst, r.Health) }) {
+				clear(dst)
+			}
+		})
+	}
+}
+
+// newestRound calls fn on the recorder's newest held round, under its
+// lock, and reports whether there was one. A plain function, so the
+// closures handed to it stay on the scraping goroutine's stack.
+func newestRound(rec *telemetry.FlightRecorder, fn func(*telemetry.Round)) (held bool) {
+	rec.Each(1, func(r *telemetry.Round) { fn(r); held = true })
+	return held
+}
+
+// floats copies the first len(dst) entries of a numeric column.
+func floats[T ~float64 | ~uint8](dst []float64, col []T) {
+	for u := range dst {
+		dst[u] = float64(col[u])
+	}
+}
+
 // observeRound hands one completed, published round to its consumers in
-// a fixed order: the metrics registry, the watchdog's invariant audits,
-// and the black box. Called from the decision loop only; rec is the
-// flight-recorder slot DecideOnce just committed, stable until the ring
-// laps it.
+// a fixed order: the metrics registry's per-round counters, gauges and
+// histograms, the watchdog's invariant audits, and the black box. Called
+// from the decision loop only; rec is the flight-recorder slot
+// DecideOnce just committed, stable until the ring laps it.
 func (s *Server) observeRound(rec *telemetry.Round) {
 	m := &s.metrics
 	m.rounds.Inc()
@@ -174,17 +215,6 @@ func (s *Server) observeRound(rec *telemetry.Round) {
 	// Budget can change at runtime (hierarchical deployments re-assign
 	// group budgets); refresh the gauge every round.
 	m.budget.Set(rec.BudgetW)
-	for u := range rec.Cap {
-		m.unitPower[u].Set(float64(rec.Reading[u]))
-		m.unitCap[u].Set(float64(rec.Cap[u]))
-	}
-	for u, hp := range rec.Prio {
-		v := 0.0
-		if hp {
-			v = 1
-		}
-		m.unitPrio[u].Set(v)
-	}
 	if rec.HasStats {
 		st := &rec.Stats
 		m.stages[stageKalman].Observe(st.Timings.Kalman.Seconds())

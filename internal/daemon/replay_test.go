@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -412,6 +413,53 @@ func standbyReplayMatchesPrimary(t *testing.T) {
 		!slices.Equal(a.LastPushed, b.LastPushed) || !slices.Equal(a.Health, b.Health) {
 		t.Errorf("standby's daemon section differs from the primary's\nstandby: rounds %d health %v\n         caps %v pushed %v readings %v\nprimary: rounds %d health %v\n         caps %v pushed %v readings %v",
 			a.Rounds, a.Health, a.LastCaps, a.LastPushed, a.Readings, b.Rounds, b.Health, b.LastCaps, b.LastPushed, b.Readings)
+	}
+}
+
+// TestStandbyStatusFollowsBudget: /status on a following standby reports
+// the budget the replay moves its controller to, without reading the
+// controller. A poller calls Snapshot throughout while the primary moves
+// its budget every fifth round (under -race, a read of the controller's
+// budget would race Follow's SetTotalBudget), and after every followed
+// round budget_w is the primary's.
+func TestStandbyStatusFollowsBudget(t *testing.T) {
+	r := newReplayRig(t)
+	rng := rand.New(rand.NewSource(5))
+	caps := r.primary.cfg.Manager.Caps().Clone()
+	budget := r.primary.dps.Budget().Total
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			r.standby.Snapshot()
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for n := 1; n <= 30; n++ {
+		if n%5 == 0 {
+			if err := r.primary.dps.SetTotalBudget(budget * power.Watts(0.7+0.05*float64(n%4))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		caps = r.round(rng, n, caps)
+		if !r.follow() {
+			t.Fatalf("round %d: standby diverged", n)
+		}
+		if got, want := r.standby.Snapshot().BudgetW, float64(r.primary.dps.Budget().Total); got != want {
+			t.Fatalf("round %d: standby /status budget_w = %v, primary runs at %v", n, got, want)
+		}
 	}
 }
 

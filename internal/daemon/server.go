@@ -243,6 +243,15 @@ type Server struct {
 	closed bool
 	rounds atomic.Uint64 // advanced under mu; loaded lock-free by ingest tracing
 
+	// budgetW is the float64 bits of the budget total the controller
+	// holds, republished under roundMu wherever it may move (a round, a
+	// restore, a followed round) so /status never reads the controller.
+	budgetW atomic.Uint64
+	// configuredBudget is the manager's budget total at NewServer, which a
+	// restored image does not override, and unitMax its per-unit ceiling,
+	// which connection handlers sanitize readings against.
+	configuredBudget, unitMax power.Watts
+
 	// inheritedRounds is how many of the round counter's rounds were run
 	// by a previous process (restored from a snapshot or inherited at
 	// standby takeover): uptime_rounds = rounds - inheritedRounds, while
@@ -324,13 +333,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if dps != nil {
 		dps.SetTracer(tracer)
 	}
+	recorder := telemetry.NewFlightRecorder(cfg.FlightRecorderSize)
 	s := &Server{
 		cfg:      cfg,
 		dps:      dps,
 		tel:      reg,
-		recorder: telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
+		recorder: recorder,
 		tracer:   tracer,
-		metrics:  newServerMetrics(reg, cfg, dps != nil),
+		metrics:  newServerMetrics(reg, recorder, cfg, dps != nil),
 		now:      time.Now,
 		readings: make(power.Vector, cfg.Units),
 		dirty:    core.NewDirtyMask(cfg.Units),
@@ -342,6 +352,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		replicas: make(map[*replicaConn]struct{}),
 	}
 	s.eng.Clock = func() time.Time { return s.now() }
+	b := cfg.Manager.Budget()
+	s.configuredBudget, s.unitMax = b.Total, b.UnitMax
+	s.noteBudget()
 	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // health tracking on
 		s.health = make([]core.UnitHealth, cfg.Units)
 		s.healthBuf = make([]core.UnitHealth, cfg.Units)
@@ -378,6 +391,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.bb = bb
 	}
 	return s, nil
+}
+
+// noteBudget republishes the controller's budget total for /status.
+// Caller holds roundMu, or is NewServer.
+func (s *Server) noteBudget() {
+	s.budgetW.Store(math.Float64bits(float64(s.cfg.Manager.Budget().Total)))
 }
 
 // ResetHealthClocks restamps every unit's staleness clock with the

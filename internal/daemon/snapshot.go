@@ -216,9 +216,12 @@ func writeFileAtomic(path string, data []byte) error {
 
 // RestoreFromSnapshot loads a snapshot file into the server: the
 // controller's state (required when the manager is a core.DPS) and the
-// daemon's round caches, health clocks, and reading buffer. It must be
-// called after NewServer and before any decision round — dpsd calls it
-// at boot when -restore-from is set. Stale (older than
+// daemon's round caches, health clocks, and reading buffer. The budget
+// total stays the configured one: an image saved under another is
+// restored, then moved back to it (logged), and caps over it are pulled
+// back by the first round's budget clamp. It must be called after
+// NewServer and before any decision round — dpsd calls it at boot when
+// -restore-from is set. Stale (older than
 // DefaultSnapshotMaxAge by its own save stamp), corrupt, or mismatched
 // files are rejected with an error and the server is left in its
 // fresh-boot state.
@@ -257,6 +260,16 @@ func (s *Server) restoreImage(from string, data []byte) error {
 	s.logf("daemon: restored state from %s: round %d, %d units, %d high-priority (saved %s)",
 		from, st.Rounds, st.Units, core.ExportedHighCount(st),
 		time.UnixMilli(st.SavedUnixMS).UTC().Format(time.RFC3339))
+	// The image carries the budget it was saved under; the operator's
+	// configuration, not the donor's, says what this server may spend.
+	if s.dps != nil && st.BudgetTotal != s.configuredBudget {
+		if err := s.dps.SetTotalBudget(s.configuredBudget); err != nil {
+			panic(fmt.Sprintf("daemon: re-applying the configured budget: %v", err))
+		}
+		s.logf("daemon: snapshot %s was saved under a %v W budget; keeping the configured %v W",
+			from, st.BudgetTotal, s.configuredBudget)
+	}
+	s.noteBudget()
 	return nil
 }
 

@@ -164,6 +164,7 @@ func (s *Server) adoptImage(payload []byte) (bad, misfit error) {
 	}
 	saved := time.UnixMilli(fp.SavedUnixMS)
 	s.install(payload, saved)
+	s.noteBudget()
 	s.followStamp = saved
 	return nil, nil
 }
@@ -224,6 +225,7 @@ func (s *Server) followRound(payload []byte, in *snapshot.RoundInput) error {
 
 	snap := core.Snapshot{Power: s.snapBuf, Interval: in.Interval, Health: s.healthBuf, Dirty: s.dirtyBuf}
 	d, _, err := s.eng.Follow(snap, in.BudgetTotal, in.Digest)
+	s.noteBudget()
 	if err != nil {
 		return fmt.Errorf("round %d: %w", round, err)
 	}

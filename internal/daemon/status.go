@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -52,9 +53,10 @@ type Status struct {
 }
 
 // Snapshot assembles the current Status. It reads only the server's own
-// round caches and the newest round record, never the controller: a
-// /status scrape may overlap a decision round, and the controller's
-// accessors are not synchronized.
+// round caches, the budget it republishes, and the newest round record,
+// never the controller: a /status scrape may overlap a decision round or
+// a standby's followed budget move, and the controller's accessors are
+// not synchronized.
 func (s *Server) Snapshot() Status {
 	s.imu.Lock()
 	readings := s.readings.Clone()
@@ -94,7 +96,7 @@ func (s *Server) Snapshot() Status {
 		Rounds:         rounds,
 		UptimeRounds:   rounds - s.inheritedRounds.Load(),
 		StateAgeRounds: rounds,
-		BudgetW:        float64(s.cfg.Manager.Budget().Total),
+		BudgetW:        math.Float64frombits(s.budgetW.Load()),
 		Readings:       toFloats(readings),
 		Caps:           toFloats(caps),
 		CapSumW:        float64(caps.Sum()),

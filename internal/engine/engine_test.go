@@ -520,7 +520,7 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 				}
 			}
 			allFresh := !slices.ContainsFunc(health, func(h core.UnitHealth) bool { return h != core.HealthFresh })
-			if total := power.Watts(units) * (10 + 200*power.Watts(value)/255); op&opBudget != 0 && k == 0 && allFresh && total != budget.Total {
+			if total := power.Watts(units) * (10 + 200*power.Watts(value)/255); op&opBudget != 0 && k == 0 && allFresh {
 				budget.Total = total
 				for _, l := range dpsLanes {
 					if !l.replayed { // it learns the budget from the round input

@@ -59,6 +59,10 @@ type Registry struct {
 	// gen counts the series ever registered. The registry is append-only,
 	// so an unchanged generation means an unchanged series set.
 	gen atomic.Uint64
+	// unitSigs are the label signatures {unit="0"}, {unit="1"}, … that
+	// every gauge column shares, grown to the longest column. Append-only
+	// like the families, so a column's prefix of it never changes.
+	unitSigs []string
 }
 
 type family struct {
@@ -72,6 +76,8 @@ type family struct {
 	order   []string
 	handles []any
 	series  map[string]any // signature → handle, the lookup path
+	// col is a gauge column's reader; a column family has no handles.
+	col *Column
 }
 
 // NewRegistry returns an empty registry.
@@ -121,7 +127,7 @@ func (r *Registry) family(name, help, kind string, buckets []float64) *family {
 		r.families[name] = f
 		return f
 	}
-	if f.kind != kind {
+	if f.kind != kind || f.col != nil {
 		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s, was %s", name, kind, f.kind))
 	}
 	return f
@@ -173,6 +179,47 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	f := r.family(name, help, kindHistogram, buckets)
 	return r.series1(f, labelSignature(labels), func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
+
+// GaugeColumn registers a gauge family of n series labelled
+// {unit="0"} … {unit="n-1"} whose values the registry does not hold:
+// read fills dst[i] with series i's current value, for every i <
+// len(dst) ≤ n, whenever WritePrometheus, Each or a sampler asks. Its
+// exposition is byte for byte that of n gauges registered in unit order
+// and Set to those values, but the family keeps no handle, map entry or
+// label string per series (the signatures come from one table every
+// column of the registry shares), and nothing is written between
+// scrapes. read runs on the scraping goroutine, possibly concurrently
+// with itself. A column is registered once, whole, under a name no other
+// family has.
+func (r *Registry) GaugeColumn(name, help string, n int, read func(dst []float64)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.families[name]; ok {
+		panic(fmt.Sprintf("telemetry: gauge column %q registered over an existing family", name))
+	}
+	for u := len(r.unitSigs); u < n; u++ {
+		r.unitSigs = append(r.unitSigs, `{unit="`+strconv.Itoa(u)+`"}`)
+	}
+	r.families[name] = &family{name: name, help: help, kind: kindGauge,
+		order: r.unitSigs[:n:n], col: &Column{read: read, n: n}}
+	r.gen.Add(uint64(n))
+}
+
+// Column is a gauge column's reader, as Families hands it out.
+type Column struct {
+	read func(dst []float64)
+	n    int
+	// spare is the values buffer the last scrape handed back, for the
+	// next to take; a scrape that finds none (the first, or one racing
+	// another) makes its own.
+	spare atomic.Pointer[[]float64]
+}
+
+// Len returns the column's series count.
+func (c *Column) Len() int { return c.n }
+
+// Read fills dst[i] with series i's current value, i < len(dst) ≤ Len().
+func (c *Column) Read(dst []float64) { c.read(dst) }
 
 // DefSecondsBuckets spans one microsecond to one second, the range of
 // interest for a control loop with a one-second decision interval.
@@ -271,8 +318,10 @@ type Family struct {
 	// order, "" for an unlabeled series.
 	Labels []string
 	// Series are the *Counter, *Gauge or *Histogram handles, parallel to
-	// Labels.
+	// Labels; nil for a gauge column.
 	Series []any
+	// Column reads a gauge column's values, nil for any other family.
+	Column *Column
 }
 
 // Families captures every family, sorted by name, under the registry and
@@ -296,7 +345,7 @@ func (r *Registry) Families() []Family {
 	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
 		f.mu.Lock()
-		out = append(out, Family{Name: f.name, Help: f.help, Kind: f.kind, Labels: f.order, Series: f.handles})
+		out = append(out, Family{Name: f.name, Help: f.help, Kind: f.kind, Labels: f.order, Series: f.handles, Column: f.col})
 		f.mu.Unlock()
 	}
 	return out
@@ -373,14 +422,32 @@ func (e *expo) histogram(name, sig string, h *Histogram) bool {
 	return e.uintLine(cum)
 }
 
+// column writes a gauge column's series from one read of its values into
+// the column's spare buffer, handed back for the next scrape.
+func (e *expo) column(name string, sigs []string, c *Column) {
+	buf := c.spare.Swap(nil)
+	if buf == nil {
+		vals := make([]float64, c.n)
+		buf = &vals
+	}
+	defer c.spare.Store(buf)
+	vals := *buf
+	c.read(vals)
+	for i := 0; i < len(sigs) && e.err == nil; i++ {
+		e.sample(name, "", sigs[i])
+		e.floatLine(vals[i])
+	}
+}
+
 // WritePrometheus writes every family in the text exposition format,
 // families sorted by name, series in registration order, streamed to w in
 // chunks of whole lines. The registry is snapshotted first and formatted
 // lock-free, so a slow or huge scrape cannot stall hot-path
 // first-registrations; a scrape allocates that snapshot and one chunk,
-// whatever the series count. The first failed Write ends it: its error is
-// returned and w is not written to again, but the chunks before it have
-// been delivered.
+// whatever the series count. A gauge column is read once, into a buffer
+// the next scrape reuses, and formatted from that copy. The first failed
+// Write ends it: its error is returned and w is not written to again, but
+// the chunks before it have been delivered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	e := expo{w: w, buf: make([]byte, 0, expoChunk)}
 	for _, f := range r.Families() {
@@ -392,6 +459,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		e.buf = append(append(append(e.buf, "\n# TYPE "...), f.Name...), ' ')
 		e.buf = append(e.buf, f.Kind...)
 		ok := e.endLine()
+		if f.Column != nil {
+			e.column(f.Name, f.Labels, f.Column)
+			continue
+		}
 		for i := 0; ok && i < len(f.Labels); i++ {
 			switch f.Kind {
 			case kindCounter:
@@ -444,10 +515,19 @@ type Sample struct {
 // WritePrometheus it walks a snapshot, so a concurrent first registration
 // never blocks on the visit; values are read atomically per series (a
 // scrape is not a cross-series atomic cut, which is true of any
-// Prometheus exposition too).
+// Prometheus exposition too), and a gauge column's all at once, as its
+// reader yields them.
 func (r *Registry) Each(fn func(Sample)) {
 	var counts []uint64
 	for _, f := range r.Families() {
+		if f.Column != nil {
+			vals := make([]float64, f.Column.Len())
+			f.Column.Read(vals)
+			for i, sig := range f.Labels {
+				fn(Sample{Name: f.Name, Labels: sig, Kind: f.Kind, Value: vals[i]})
+			}
+			continue
+		}
 		for i, sig := range f.Labels {
 			s := Sample{Name: f.Name, Labels: sig, Kind: f.Kind}
 			switch m := f.Series[i].(type) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -276,6 +277,15 @@ func referenceExposition(r *Registry) string {
 		help := strings.ReplaceAll(strings.ReplaceAll(f.Help, `\`, `\\`), "\n", `\n`)
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
+		if f.Column != nil {
+			vals := make([]float64, f.Column.Len())
+			f.Column.Read(vals)
+			for i, v := range vals {
+				sig := referenceSignature([]Label{{"unit", strconv.Itoa(i)}})
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, sig, referenceFloat(v))
+			}
+			continue
+		}
 		for i, sig := range f.Labels {
 			switch m := f.Series[i].(type) {
 			case *Counter:
@@ -334,7 +344,8 @@ var (
 // randomRegistry fills a registry from rng: a few families of every kind,
 // unlabelled, single- and multi-label series with hostile label values,
 // families registered with no series, histograms with default and custom
-// bounds, and values drawn half from the edge tables above.
+// bounds, gauge columns (empty ones too), and values drawn half from the
+// edge tables above.
 func randomRegistry(t *testing.T, rng *rand.Rand) *Registry {
 	pick := func(n int) int { return rng.Intn(n) }
 	float := func() float64 {
@@ -367,7 +378,7 @@ func randomRegistry(t *testing.T, rng *rand.Rand) *Registry {
 	for f, families := 0, 1+pick(6); f < families; f++ {
 		help := edgeHelps[pick(len(edgeHelps))]
 		nSeries := pick(5)
-		switch pick(3) {
+		switch pick(4) {
 		case 0:
 			name := fmt.Sprintf("m%d_total", f)
 			r.family(name, help, kindCounter, nil) // registered, perhaps never populated
@@ -408,6 +419,12 @@ func randomRegistry(t *testing.T, rng *rand.Rand) *Registry {
 					}
 				}
 			}
+		case 3:
+			vals := make([]float64, 3*nSeries)
+			for i := range vals {
+				vals[i] = float()
+			}
+			r.GaugeColumn(fmt.Sprintf("m%d_units", f), help, len(vals), func(dst []float64) { copy(dst, vals) })
 		}
 	}
 	return r
@@ -477,7 +494,7 @@ func (p *pieceWriter) Write(b []byte) (int, error) {
 // exceed the fixed capacity and never end mid-line — a consumer reading a
 // live stream never sees a torn sample from a successful scrape.
 func TestExpositionChunks(t *testing.T) {
-	r := opsRegistry(2048) // ≈ 270 kB
+	r := opsRegistry(2048, false) // ≈ 270 kB
 	r.Gauge("long_line", "One line longer than the chunk's slack.", Label{"v", strings.Repeat("x", 3*expoSlack)}).Set(1)
 	want := referenceExposition(r)
 	if len(want) < 3*expoChunk {
@@ -530,7 +547,7 @@ func (f *failingResponse) Write(b []byte) (int, error) {
 // handler, which must not append an error page and a second status to a
 // 200 exposition already under way.
 func TestWriteErrorStopsTheScrape(t *testing.T) {
-	r := opsRegistry(2048)
+	r := opsRegistry(2048, false)
 	whole := referenceExposition(r)
 	for _, failAt := range []int{1, 3} {
 		w := &failingResponse{header: http.Header{}, failAt: failAt}
@@ -656,19 +673,37 @@ func checkHistograms(t *testing.T, text string) {
 }
 
 // opsRegistry builds bench's ops16k registry shape at the given unit
-// count: four per-unit gauge families (power on the 0.1 W grid, caps with
+// count: four per-unit families (power on the 0.1 W grid, caps with
 // full mantissas, two 0/1 flags), nine daemon counters and one histogram
 // family of nine labelled stages — 4·units + 207 sample lines, 65 743 at
-// 16 384 units (bench: telemetry.series_count).
-func opsRegistry(units int) *Registry {
+// 16 384 units (bench: telemetry.series_count). The per-unit families are
+// gauge columns, as dpsd registers them, or with gauges set one
+// registered gauge per unit holding the same values.
+func opsRegistry(units int, gauges bool) *Registry {
 	r := NewRegistry()
 	rng := rand.New(rand.NewSource(1))
+	perUnit := []struct {
+		name, help string
+		vals       []float64
+	}{
+		{"dps_unit_power_watts", "Last reported power per unit.", nil},
+		{"dps_unit_cap_watts", "Current power cap per unit.", nil},
+		{"dps_unit_high_priority", "1 when the unit is high priority.", nil},
+		{"dps_unit_stale", "1 when the unit's reading is stale.", nil},
+	}
 	for u := 0; u < units; u++ {
-		l := Label{"unit", strconv.Itoa(u)}
-		r.Gauge("dps_unit_power_watts", "Last reported power per unit.", l).Set(float64(400+rng.Intn(1400)) / 10)
-		r.Gauge("dps_unit_cap_watts", "Current power cap per unit.", l).Set(55 + 110*rng.Float64())
-		r.Gauge("dps_unit_high_priority", "1 when the unit is high priority.", l).Set(float64(rng.Intn(2)))
-		r.Gauge("dps_unit_stale", "1 when the unit's reading is stale.", l).Set(float64(rng.Intn(2)))
+		for k, v := range []float64{float64(400+rng.Intn(1400)) / 10, 55 + 110*rng.Float64(), float64(rng.Intn(2)), float64(rng.Intn(2))} {
+			perUnit[k].vals = append(perUnit[k].vals, v)
+		}
+	}
+	for _, f := range perUnit {
+		if !gauges {
+			r.GaugeColumn(f.name, f.help, units, func(dst []float64) { copy(dst, f.vals) })
+			continue
+		}
+		for u, v := range f.vals {
+			r.Gauge(f.name, f.help, Label{"unit", strconv.Itoa(u)}).Set(v)
+		}
 	}
 	for i := 0; i < 9; i++ {
 		r.Counter(fmt.Sprintf("dps_event%d_total", i), "A daemon counter.").Add(uint64(rng.Int63n(1 << 30)))
@@ -684,31 +719,73 @@ func opsRegistry(units int) *Registry {
 
 // TestWritePrometheusAllocsIndependentOfSeries: a scrape allocates the
 // family snapshot and one chunk, whether it walks a thousand series or
-// sixty-five thousand.
+// sixty-five thousand, held as gauges or read from gauge columns into
+// scratch the previous scrape left; and both shapes expose the same
+// bytes.
 func TestWritePrometheusAllocsIndependentOfSeries(t *testing.T) {
-	allocs := func(units int) float64 {
-		r := opsRegistry(units)
-		var b bytes.Buffer
-		if err := r.WritePrometheus(&b); err != nil { // warm: grows b to the exposition's size
-			t.Fatal(err)
+	for _, gauges := range []bool{true, false} {
+		allocs := func(units int) float64 {
+			r := opsRegistry(units, gauges)
+			var b bytes.Buffer
+			if err := r.WritePrometheus(&b); err != nil { // warm: grows b to the exposition's size
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(5, func() {
+				b.Reset()
+				_ = r.WritePrometheus(&b)
+			})
 		}
-		return testing.AllocsPerRun(5, func() {
-			b.Reset()
-			_ = r.WritePrometheus(&b)
-		})
+		small, large := allocs(1024/4), allocs(65536/4)
+		if small != large || large > 8 {
+			t.Errorf("gauges=%v: allocations per scrape: %v at 1 024 series, %v at 65 536, want equal and ≤ 8", gauges, small, large)
+		}
 	}
-	small, large := allocs(1024/4), allocs(65536/4)
-	if small != large || large > 8 {
-		t.Errorf("allocations per scrape: %v at 1 024 series, %v at 65 536, want equal and ≤ 8", small, large)
+	var g, c bytes.Buffer
+	if err := errors.Join(opsRegistry(300, true).WritePrometheus(&g), opsRegistry(300, false).WritePrometheus(&c)); err != nil {
+		t.Fatal(err)
+	}
+	if g.String() != c.String() {
+		t.Error("gauge columns expose other bytes than the gauges they stand for")
 	}
 }
 
+// TestGaugeColumnIsItsGauges: Each visits a gauge column's series as it
+// would n gauges, the registry's generation counts them, and a column
+// shares its name with no other family, in either order.
+func TestGaugeColumnIsItsGauges(t *testing.T) {
+	samples := func(r *Registry) []Sample {
+		var out []Sample
+		r.Each(func(s Sample) { out = append(out, s) })
+		return out
+	}
+	gauges, columns := opsRegistry(40, true), opsRegistry(40, false)
+	if g, c := samples(gauges), samples(columns); !reflect.DeepEqual(g, c) {
+		t.Errorf("Each over gauge columns:\n%v\nover gauges:\n%v", c, g)
+	}
+	if g, c := gauges.Generation(), columns.Generation(); g != c {
+		t.Errorf("generation %d with gauge columns, %d with gauges", c, g)
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("a gauge under a column's name", func() { columns.Gauge("dps_unit_cap_watts", "", Label{"unit", "0"}) })
+	mustPanic("a column under a gauge's name", func() { gauges.GaugeColumn("dps_unit_cap_watts", "", 1, func([]float64) {}) })
+	mustPanic("a column registered twice", func() { columns.GaugeColumn("dps_unit_cap_watts", "", 40, func([]float64) {}) })
+}
+
 // BenchmarkWritePrometheus is a warm /metrics scrape of the ops16k
-// registry shape into a retained buffer, as bench's scrape_ms times it.
+// registry shape, per-unit families as gauge columns, into a retained
+// buffer, as bench's scrape_ms times it.
 func BenchmarkWritePrometheus(b *testing.B) {
 	const units, series = 16384, 4*16384 + 207
 	b.Run(fmt.Sprintf("series=%d", series), func(b *testing.B) {
-		r := opsRegistry(units)
+		r := opsRegistry(units, false)
 		var buf bytes.Buffer
 		if err := r.WritePrometheus(&buf); err != nil {
 			b.Fatal(err)

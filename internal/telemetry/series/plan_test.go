@@ -184,54 +184,138 @@ func TestSamplerPlanMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestColumnPlansLikeGauges: a gauge column is sampled as the gauges it
+// stands for would be — same store keys, admitted in the same order when
+// MaxSeries cuts through the family, same points and refusal count —
+// whether it is there from the first scrape or registered after the plan
+// was made. The naive reference, which walks Each, agrees too.
+func TestColumnPlansLikeGauges(t *testing.T) {
+	cfg := Config{MaxSeries: 8, RawSamples: 8, RollupEvery: 3, RollupSamples: 4}
+	type side struct {
+		reg   *telemetry.Registry
+		plan  *Sampler
+		naive *naiveSampler
+	}
+	newSide := func() *side {
+		reg := telemetry.NewRegistry()
+		return &side{reg: reg, plan: NewSampler(reg, NewStore(cfg)),
+			naive: &naiveSampler{reg: reg, store: NewStore(cfg), prevCounters: map[string]float64{}, prevHists: map[string]*naiveHist{}}}
+	}
+	gauges, columns := newSide(), newSide()
+	vals := map[string][]float64{"m_level": make([]float64, 6), "c_level": make([]float64, 3)}
+	var handles []*telemetry.Gauge // gauges' per-unit series, m_level then c_level
+	perUnit := func(name string) {
+		for u := range vals[name] {
+			handles = append(handles, gauges.reg.Gauge(name, "test", telemetry.Label{Key: "unit", Value: strconv.Itoa(u)}))
+		}
+		columns.reg.GaugeColumn(name, "test", len(vals[name]), func(dst []float64) { copy(dst, vals[name]) })
+	}
+	var counters []*telemetry.Counter
+	for _, sd := range []*side{gauges, columns} {
+		counters = append(counters, sd.reg.Counter("a_total", "test"))
+	}
+	perUnit("m_level")
+	for scrape := 0; scrape < 8; scrape++ {
+		if scrape == 2 { // 7 of 8 slots taken: c_level{unit="0"} gets the last
+			perUnit("c_level")
+			for _, sd := range []*side{gauges, columns} {
+				sd.reg.Gauge("z_level", "test").Set(1)
+			}
+		}
+		i := 0
+		for _, name := range []string{"m_level", "c_level"} {
+			for u := range vals[name] {
+				vals[name][u] = float64(scrape*10+u) / 4
+				if i < len(handles) {
+					handles[i].Set(vals[name][u])
+				}
+				i++
+			}
+		}
+		for _, c := range counters {
+			c.Add(uint64(scrape))
+		}
+		for _, sd := range []*side{gauges, columns} {
+			sd.plan.SampleOnce(at(scrape))
+			sd.naive.SampleOnce(at(scrape))
+		}
+		want := storeImage(gauges.plan.store)
+		for name, got := range map[string]map[string]any{
+			"column plan": storeImage(columns.plan.store), "column reference": storeImage(columns.naive.store),
+			"gauge reference": storeImage(gauges.naive.store),
+		} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("scrape %d: %s store differs from the gauges' planned store:\n got %v\nwant %v", scrape, name, got, want)
+			}
+		}
+	}
+	if _, ok := columns.plan.store.Latest(`c_level{unit="0"}`); !ok || columns.plan.store.Len() != cfg.MaxSeries {
+		t.Fatalf("script never cut through the late column: %d series", columns.plan.store.Len())
+	}
+}
+
 // wideRegistry registers a fleet-shaped registry: per-unit gauges far past
-// the store's MaxSeries, plus a few counters and a histogram that sort
-// ahead of them and so are admitted.
-func wideRegistry(series int) (*telemetry.Registry, *telemetry.Counter, *telemetry.Histogram) {
+// the store's MaxSeries — registered one by one, or one gauge column —
+// plus a few counters and a histogram that sort ahead of them and so are
+// admitted.
+func wideRegistry(series int, column bool) (*telemetry.Registry, *telemetry.Counter, *telemetry.Histogram) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("a_rounds_total", "test")
 	h := reg.Histogram("a_seconds", "test", nil)
-	for i := 0; reg.Generation() < uint64(series); i++ {
+	n := series - int(reg.Generation())
+	if column {
+		reg.GaugeColumn("dps_unit_level", "test", n, func(dst []float64) {
+			for i := range dst {
+				dst[i] = float64(i)
+			}
+		})
+		return reg, c, h
+	}
+	for i := 0; i < n; i++ {
 		reg.Gauge("dps_unit_level", "test", telemetry.Label{Key: "unit", Value: strconv.Itoa(i)}).Set(float64(i))
 	}
 	return reg, c, h
 }
 
 // TestSampleOnceSteadyStateZeroAlloc: once the plan covers the registry,
-// a scrape of 65 k series into a 1 024-series store allocates nothing.
+// a scrape of 65 k series into a 1 024-series store allocates nothing,
+// per-unit gauges registered one by one or as a gauge column.
 func TestSampleOnceSteadyStateZeroAlloc(t *testing.T) {
-	reg, c, h := wideRegistry(65536)
-	store := NewStore(Config{RawSamples: 16, RollupSamples: 4})
-	sm := NewSampler(reg, store)
-	sm.SampleOnce(at(0))
-	sm.SampleOnce(at(1))
-	if store.Len() != 1024 {
-		t.Fatalf("store holds %d series, want 1024", store.Len())
-	}
-	tick := 1
-	allocs := testing.AllocsPerRun(50, func() {
-		tick++
-		c.Inc()
-		h.Observe(1e-3)
-		sm.SampleOnce(at(tick))
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state scrape allocated %.1f times, want 0", allocs)
-	}
-	// The counter and the histogram's three derived series sort ahead of
-	// the gauges and take 4 slots; 1020 gauges take the rest, and every
-	// other gauge is refused once per scrape.
-	if want := uint64(65536-2-1020) * uint64(tick+1); store.Dropped() != want {
-		t.Errorf("dropped = %d, want %d", store.Dropped(), want)
+	for _, column := range []bool{false, true} {
+		reg, c, h := wideRegistry(65536, column)
+		store := NewStore(Config{RawSamples: 16, RollupSamples: 4})
+		sm := NewSampler(reg, store)
+		sm.SampleOnce(at(0))
+		sm.SampleOnce(at(1))
+		if store.Len() != 1024 {
+			t.Fatalf("column=%v: store holds %d series, want 1024", column, store.Len())
+		}
+		tick := 1
+		allocs := testing.AllocsPerRun(50, func() {
+			tick++
+			c.Inc()
+			h.Observe(1e-3)
+			sm.SampleOnce(at(tick))
+		})
+		if allocs != 0 {
+			t.Errorf("column=%v: steady-state scrape allocated %.1f times, want 0", column, allocs)
+		}
+		// The counter and the histogram's three derived series sort ahead
+		// of the gauges and take 4 slots; 1020 gauges take the rest, and
+		// every other gauge is refused once per scrape.
+		if want := uint64(65536-2-1020) * uint64(tick+1); store.Dropped() != want {
+			t.Errorf("column=%v: dropped = %d, want %d", column, store.Dropped(), want)
+		}
 	}
 }
 
 // BenchmarkSampleOnce is the steady-state scrape at the ops16k fleet's
-// registry size (bench: telemetry.series_count).
+// registry size (bench: telemetry.series_count), the per-unit series one
+// gauge column as dpsd registers them.
 func BenchmarkSampleOnce(b *testing.B) {
 	const series = 65743
 	b.Run(fmt.Sprintf("series=%d", series), func(b *testing.B) {
-		reg, c, h := wideRegistry(series)
+		reg, c, h := wideRegistry(series, true)
 		sm := NewSampler(reg, NewStore(Config{}))
 		sm.SampleOnce(at(0))
 		b.ReportAllocs()

@@ -1,6 +1,7 @@
 package series
 
 import (
+	"slices"
 	"time"
 
 	"dps/internal/telemetry"
@@ -39,10 +40,12 @@ type Sampler struct {
 	gen      uint64         // registry generation the plan covers
 	planned  map[string]int // per family: how many of its series are planned
 	gauges   []planGauge
+	columns  []planColumn
 	counters []planCounter
 	hists    []planHist
-	// Gauges and counters the store had no room for hold no plan entry:
-	// all they do each scrape is count one refused push.
+	// Gauges (column elements too) and counters the store had no room for
+	// hold no plan entry: all they do each scrape is count one refused
+	// push.
 	refusedGauges, refusedCounters uint64
 	cur                            []uint64 // bucket-count scratch
 }
@@ -50,6 +53,15 @@ type Sampler struct {
 type planGauge struct {
 	g  *telemetry.Gauge
 	sr *oneSeries
+}
+
+// planColumn is a gauge column's elements up to the last one the store
+// admitted, each pushed like a gauge (nil where the store refused it),
+// and the scratch one read of them fills.
+type planColumn struct {
+	c    *telemetry.Column
+	srs  []*oneSeries
+	vals []float64
 }
 
 type planCounter struct {
@@ -92,6 +104,10 @@ func (sm *Sampler) SampleOnce(now time.Time) {
 	dt := now.Sub(sm.prevT).Seconds()
 	rates := !sm.prevT.IsZero() && dt > 0 // counters and histograms need a baseline
 	t := now.UnixNano()
+	for i := range sm.columns {
+		p := &sm.columns[i]
+		p.c.Read(p.vals)
+	}
 	st := sm.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -99,6 +115,13 @@ func (sm *Sampler) SampleOnce(now time.Time) {
 	for i := range sm.gauges {
 		p := &sm.gauges[i]
 		st.push(p.sr, t, p.g.Value())
+	}
+	for _, p := range sm.columns {
+		for i, sr := range p.srs {
+			if sr != nil {
+				st.push(sr, t, p.vals[i])
+			}
+		}
 	}
 	st.dropped += sm.refusedGauges
 	for i := range sm.counters {
@@ -157,10 +180,14 @@ func (sm *Sampler) extendPlan(t int64) {
 	st := sm.store
 	for _, f := range sm.reg.Families() {
 		from := sm.planned[f.Name]
-		if from == len(f.Series) {
+		if from == len(f.Labels) {
 			continue
 		}
-		sm.planned[f.Name] = len(f.Series)
+		sm.planned[f.Name] = len(f.Labels)
+		if f.Column != nil {
+			sm.planColumn(f, t)
+			continue
+		}
 		for i := from; i < len(f.Series); i++ {
 			key := f.Name + f.Labels[i]
 			switch m := f.Series[i].(type) {
@@ -191,6 +218,29 @@ func (sm *Sampler) extendPlan(t int64) {
 				sm.hists = append(sm.hists, p)
 			}
 		}
+	}
+}
+
+// planColumn adds a gauge column, registered whole, element by element
+// as extendPlan adds gauges. Elements past the last one admitted are not
+// read again. Caller holds the store lock.
+func (sm *Sampler) planColumn(f telemetry.Family, t int64) {
+	st := sm.store
+	vals := make([]float64, f.Column.Len())
+	f.Column.Read(vals)
+	srs := make([]*oneSeries, len(vals))
+	n := 0
+	for i, sig := range f.Labels {
+		sr := st.admit(f.Name+sig, KindGauge)
+		st.push(sr, t, vals[i])
+		if sr == nil {
+			sm.refusedGauges++
+		} else {
+			srs[i], n = sr, i+1
+		}
+	}
+	if n > 0 {
+		sm.columns = append(sm.columns, planColumn{c: f.Column, srs: slices.Clone(srs[:n]), vals: slices.Clone(vals[:n])})
 	}
 }
 
