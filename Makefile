@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X dps/internal/version.Version=$(VERSION)"
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-json profile-decide alloc-check chaos fuzz-smoke mutation-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
+.PHONY: all build vet staticcheck fma-check test race bench bench-smoke bench-json profile-decide alloc-check chaos fuzz-smoke mutation-smoke trace-smoke watch-smoke failover-smoke blackbox-smoke ci
 
 all: ci
 
@@ -25,6 +25,15 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# fma-check cross-compiles the eight decision packages for the five
+# architectures whose compilers fuse x*y + z (arm64, ppc64le, s390x,
+# riscv64, loong64) and fails on any floating-point fused multiply-add:
+# every product on the decision path is rounded before it is added, so
+# caps are bitwise the same on every CPU. A cold cache builds the standard
+# library for each architecture once; warm, it takes about a second.
+fma-check:
+	./scripts/fma_check.sh
 
 test:
 	$(GO) test ./...
@@ -72,14 +81,13 @@ profile-decide:
 	$(GO) test -run xxx -bench 'DecideScaling/N=16384/phased' -benchtime 1000x -cpuprofile decide.prof .
 
 # chaos runs the full fault-injection suite under the race detector:
-# the deterministic kill/restart script, the wall-clock run over real TCP
-# with injected connection drops and device crash-restarts (with the
-# watchdog attached as a second oracle), the high-availability pair —
-# kill/restore-from-snapshot against an uninterrupted bitwise twin, and
-# warm-standby takeover over a fault-injected replication link — and the
-# faultinject package's own determinism tests. The deterministic half
-# also runs inside `make ci` (race is -short); the wall-clock half only
-# runs here.
+# FuzzServer's kill/restart, kill/restore and standby-takeover seeds (each
+# held round by round to an uninterrupted engine model and to what the
+# scripted devices enforce), the wall-clock run over real TCP with
+# injected connection drops and device crash-restarts (with the watchdog
+# attached as a second oracle), and the faultinject package's own
+# determinism tests. The deterministic half also runs inside `make ci`
+# (race is -short); the wall-clock half only runs here.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Conn|Device' ./internal/daemon/ ./internal/faultinject/
 
@@ -106,8 +114,11 @@ alloc-check:
 # across runs), the signal detectors, the round engine's differential
 # harness (every lane — skipping, nil-mask, restored, input-replayed —
 # against the reference under scripted readings, report bands, health
-# flaps, budget moves, short rounds and cuts), and the restore gate (a
-# refused image touches nothing, an accepted one is restored whole).
+# flaps, budget moves, short rounds and cuts), the daemon's scripted rig
+# (a real dpsd, its agents on scripted devices, restarts and standby
+# takeovers, against the engine model and what the devices enforce), and
+# the restore gate (a refused image touches nothing, an accepted one is
+# restored whole).
 # `go test` accepts one -fuzz pattern per invocation, hence one command
 # per target (anchored: -fuzz must match exactly one target). The
 # section framing is fuzzed once, in its own package; the snapshot,
@@ -123,12 +134,17 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzCountProminentPeaks$$' -fuzztime=5s -run xxx ./internal/signal/
 	$(GO) test -fuzz='FuzzWindowedDerivative$$' -fuzztime=5s -run xxx ./internal/signal/
 	$(GO) test -fuzz='FuzzRoundEngine$$' -fuzztime=5s -run xxx ./internal/engine/
+	$(GO) test -fuzz='FuzzServer$$' -fuzztime=5s -run xxx ./internal/daemon/
 	$(GO) test -fuzz='FuzzRestoreImage$$' -fuzztime=5s -run xxx ./internal/daemon/
 
-# mutation-smoke proves FuzzRoundEngine's seed corpus is not vacuous: in
-# a copy of the tree, each of a few known bugs (the round's movers never
-# recorded, MarkChanged marking nothing, a restore that drops the PRNG
-# register, a round input that ships no pushed unit) must make it fail.
+# mutation-smoke proves the differential fuzzers' seed corpora are not
+# vacuous: in a copy of the tree, each of a few known bugs must make its
+# target fail. FuzzRoundEngine: the round's movers never recorded,
+# MarkChanged marking nothing, a restore that drops the PRNG register, a
+# round input that ships no pushed unit. FuzzServer: a refused reading
+# that refreshes the health clock, a heartbeat that does not, a failed
+# push committed as enforced, a restore that drops markChangedLocked, a
+# closed connection that leaves its units fresh.
 mutation-smoke:
 	./scripts/mutation_smoke.sh
 
@@ -160,12 +176,12 @@ failover-smoke:
 blackbox-smoke:
 	$(GO) test -run 'TestBlackboxSmoke$$' -count=1 -v ./cmd/dpsctl/
 
-# ci is the tier-1 gate: static checks, a full build, the complete test
-# suite, the race detector over the concurrency-bearing packages, a
-# protocol fuzz shake, the mutation smoke, and a smoke run of the scaling
-# benchmark.
+# ci is the tier-1 gate: static checks (vet, staticcheck, and no fused
+# multiply-add on the decision path), a full build, the complete test
+# suite, the race detector over the concurrency-bearing packages, a fuzz
+# shake, the mutation smoke, and a smoke run of the scaling benchmark.
 # alloc-check, trace-smoke, watch-smoke, failover-smoke and
 # blackbox-smoke are not prerequisites: each is a `-run` subset of what
 # `test` has just run (none of their tests is skipped outside -short), so
 # they stay as developer shortcuts and `ci` runs tier-1 once.
-ci: vet staticcheck build test race fuzz-smoke mutation-smoke bench-smoke
+ci: vet staticcheck fma-check build test race fuzz-smoke mutation-smoke bench-smoke

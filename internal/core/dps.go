@@ -653,7 +653,7 @@ func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
 	}
 	for u := range d.caps {
 		if free(u) {
-			d.caps[u] -= (d.caps[u] - b.UnitMin) * frac
+			d.caps[u] -= power.Watts(float64((d.caps[u] - b.UnitMin) * frac))
 		}
 	}
 	moved = true

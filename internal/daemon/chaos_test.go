@@ -12,111 +12,6 @@ import (
 	"dps/internal/rapl"
 )
 
-// TestChaosDeterministicKillRestart is the degraded-mode contract as a
-// deterministic script: a stubbed clock, raw protocol sessions, and one
-// agent killed mid-run. Every round must respect Σcaps ≤ budget, the dead
-// units' reserved caps must never be redistributed, and the units must
-// regain full participation within one round of re-handshake. It is fast
-// and deterministic, so it runs under -short in CI.
-func TestChaosDeterministicKillRestart(t *testing.T) {
-	const units = 6
-	srv, now := newHealthServer(t, units, 1*time.Second, 4*time.Second)
-	budget := testBudget(units)
-	const eps = 1e-6
-
-	type session struct {
-		conn  net.Conn
-		done  chan error
-		first int
-		n     int
-	}
-	open := func(first, n int) *session {
-		conn, done := handshakeRaw(t, srv, power.UnitID(first), n)
-		return &session{conn: conn, done: done, first: first, n: n}
-	}
-	sessions := []*session{open(0, 2), open(2, 2), open(4, 2)}
-	alive := []bool{true, true, true}
-
-	var killCaps power.Vector // caps delivered to agent 1 in its last live round
-	reading := func(round, u int) power.Watts {
-		return power.Watts(40 + (round*13+u*7)%100)
-	}
-
-	for round := 1; round <= 18; round++ {
-		*now = now.Add(time.Second)
-
-		// Kill agent 1 at the start of round 7: its last delivery was round
-		// 6, and the agent (in a real cluster) keeps enforcing those caps.
-		if round == 7 {
-			sessions[1].conn.Close()
-			<-sessions[1].done
-			alive[1] = false
-		}
-		// Restart it at round 15: a fresh handshake claims the same units.
-		if round == 15 {
-			sessions[1] = open(2, 2)
-			alive[1] = true
-		}
-
-		vals := make(power.Vector, 2)
-		for si, s := range sessions {
-			if !alive[si] {
-				continue
-			}
-			for i := 0; i < s.n; i++ {
-				vals[i] = reading(round, s.first+i)
-			}
-			report(t, srv, s.conn, s.first, vals, true)
-		}
-
-		caps, err := srv.DecideOnce(1)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if caps.Sum() > budget.Total+eps {
-			t.Fatalf("round %d: Σcaps %v exceeds budget %v", round, caps.Sum(), budget.Total)
-		}
-
-		switch {
-		case round == 6:
-			killCaps = power.Vector{caps[2], caps[3]}
-		case round >= 7 && round < 15:
-			// Stale from round 7 (age 1 s), dead from round 10 (age 4 s):
-			// either way the reserved caps never move off what the killed
-			// agent is still enforcing.
-			if caps[2] != killCaps[0] || caps[3] != killCaps[1] {
-				t.Fatalf("round %d: reserved caps redistributed: [%v %v], want %v",
-					round, caps[2], caps[3], killCaps)
-			}
-			st := srv.Snapshot()
-			if wantDead := round >= 10; wantDead {
-				if st.DeadUnits != 2 {
-					t.Fatalf("round %d: dead units = %d, want 2", round, st.DeadUnits)
-				}
-			} else if st.StaleUnits != 2 {
-				t.Fatalf("round %d: stale units = %d, want 2", round, st.StaleUnits)
-			}
-		case round >= 15:
-			// Full participation within one round of the re-handshake.
-			st := srv.Snapshot()
-			if st.StaleUnits != 0 || st.DeadUnits != 0 {
-				t.Fatalf("round %d: still degraded after rejoin: stale=%d dead=%d",
-					round, st.StaleUnits, st.DeadUnits)
-			}
-		}
-	}
-
-	// The rejoined units' caps moved again after recovery (they reported
-	// far from the pinned level for several rounds).
-	final := srv.Snapshot().Caps
-	if final[2] == float64(killCaps[0]) && final[3] == float64(killCaps[1]) {
-		t.Fatal("rejoined units never regained cap participation")
-	}
-	for _, s := range sessions {
-		s.conn.Close()
-	}
-}
-
 // TestChaosWallClock runs the full deployed stack — Serve loop, real TCP,
 // reconnecting agents — under injected faults: connections that randomly
 // drop and devices with transient read errors and crash-restarts. The

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"dps/internal/core"
@@ -80,6 +81,9 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 		}
 		if err != nil {
 			s.metrics.pushErrors.Inc()
+			s.mu.Lock()
+			s.orphanLocked(sc)
+			s.mu.Unlock()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("daemon: pushing caps to units [%d,%d): %w", first, first+n, err)
 			}
@@ -91,7 +95,12 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	}
 
 	// The caps are out; describe the round while the engine still holds
-	// what agents enforced going in, then commit and publish.
+	// what agents enforced going in, then commit and publish. Without
+	// clocks, an all-fresh round records no health column, as nil health.
+	d.Pushed = s.pushedW
+	if s.lastReport == nil && rec.StaleUnits == 0 {
+		d.Snap.Health = nil
+	}
 	rec.Fill(d)
 	s.mu.Lock()
 	s.rounds.Store(round)
@@ -105,25 +114,29 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	return caps, firstErr
 }
 
-// classifyHealthLocked advances the per-unit health classification from
-// the staleness clocks into the decision loop's private health buffer
-// and returns it (nil while health tracking is disabled). Caller holds
-// s.imu; the buffer is valid until the next decision round.
+// classifyHealthLocked classifies every unit into the decision loop's
+// private health buffer and returns it: dead or stale by its staleness
+// clock (when on), and at least stale while gone. Caller holds s.imu; the
+// buffer is valid until the next decision round.
 func (s *Server) classifyHealthLocked() []core.UnitHealth {
-	if s.healthBuf == nil {
-		return nil
-	}
-	now := s.now()
-	for u := range s.healthBuf {
-		age := now.Sub(s.lastReport[u])
-		h := core.HealthFresh
-		switch {
-		case s.cfg.DeadAfter > 0 && age >= s.cfg.DeadAfter:
-			h = core.HealthDead
-		case s.cfg.StaleAfter > 0 && age >= s.cfg.StaleAfter:
-			h = core.HealthStale
+	clear(s.healthBuf)
+	if s.lastReport != nil {
+		now := s.now()
+		for u, t := range s.lastReport {
+			switch age := now.Sub(t); {
+			case s.cfg.DeadAfter > 0 && age >= s.cfg.DeadAfter:
+				s.healthBuf[u] = core.HealthDead
+			case s.cfg.StaleAfter > 0 && age >= s.cfg.StaleAfter:
+				s.healthBuf[u] = core.HealthStale
+			}
 		}
-		s.healthBuf[u] = h
+	}
+	for wi, w := range s.gone {
+		for ; w != 0; w &= w - 1 {
+			if u := wi<<6 | bits.TrailingZeros64(w); u < len(s.healthBuf) && s.healthBuf[u] == core.HealthFresh {
+				s.healthBuf[u] = core.HealthStale
+			}
+		}
 	}
 	return s.healthBuf
 }
@@ -133,16 +146,15 @@ func (s *Server) classifyHealthLocked() []core.UnitHealth {
 // dead gauges and logs, and returns the stale and dead unit counts.
 // Caller holds s.mu.
 func (s *Server) recordHealthLocked(health []core.UnitHealth) (stale, dead int) {
-	if health == nil {
-		return 0, 0
-	}
 	for u, h := range health {
 		if prev := s.health[u]; h != prev {
 			if c := s.metrics.transitions[int(prev)*3+int(h)]; c != nil {
 				c.Inc()
 			}
 			s.health[u] = h
-			s.logf("daemon: unit %d health %s -> %s", u, prev, h)
+			if s.cfg.Logf != nil { // a restore moves every unit; without a sink, skip the boxing
+				s.logf("daemon: unit %d health %s -> %s", u, prev, h)
+			}
 		}
 		switch h {
 		case core.HealthStale:

@@ -7,237 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"dps/internal/core"
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/rapl"
 )
-
-// newHealthServer builds a server with health tracking enabled and a
-// stubbed, manually advanced clock.
-func newHealthServer(t *testing.T, units int, stale, dead time.Duration) (*Server, *time.Time) {
-	t.Helper()
-	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		Manager:    mgr,
-		Units:      units,
-		Interval:   time.Second,
-		StaleAfter: stale,
-		DeadAfter:  dead,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_700_000_000, 0)
-	srv.now = func() time.Time { return now }
-	srv.ResetHealthClocks()
-	return srv, &now
-}
-
-// handshakeRaw performs the protocol handshake over a pipe, returning the
-// client side and a drain goroutine for cap pushes (net.Pipe writes are
-// synchronous, so DecideOnce needs a live reader).
-func handshakeRaw(t *testing.T, srv *Server, first power.UnitID, units int) (net.Conn, chan error) {
-	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- srv.Handle(server) }()
-	if err := proto.WriteHello(client, proto.Hello{FirstUnit: first, Units: units}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rawReadAck(client); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		buf := make([]power.Watts, units)
-		for {
-			if err := rawReadCaps(client, buf); err != nil {
-				return
-			}
-		}
-	}()
-	return client, done
-}
-
-// report sends one reading batch and waits until it lands in the server's
-// reading table (the conn goroutine is asynchronous).
-func report(t *testing.T, srv *Server, conn net.Conn, first int, vals power.Vector, wantAccepted bool) {
-	t.Helper()
-	before := srv.metrics.badReadings.Value()
-	if err := rawWriteReport(conn, vals); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if wantAccepted {
-			r := srv.Readings()
-			ok := true
-			for i, v := range vals {
-				if math.Abs(float64(r[first+i]-v)) > 0.06 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return
-			}
-		} else if srv.metrics.badReadings.Value() > before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("report %v never registered (accepted=%v)", vals, wantAccepted)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestHealthLifecycle walks one unit range through the whole state
-// machine: fresh → stale → dead → fresh again on re-handshake, checking
-// delivered caps, status JSON, and the exported gauges at each stage.
-func TestHealthLifecycle(t *testing.T) {
-	const units = 4
-	srv, now := newHealthServer(t, units, 3*time.Second, 10*time.Second)
-	conn, done := handshakeRaw(t, srv, 0, units)
-
-	readings := power.Vector{120, 30, 90, 140}
-	report(t, srv, conn, 0, readings, true)
-	caps, err := srv.DecideOnce(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Snapshot(); st.StaleUnits != 0 || st.DeadUnits != 0 {
-		t.Fatalf("healthy round reports stale=%d dead=%d", st.StaleUnits, st.DeadUnits)
-	}
-	pinned := caps.Clone()
-
-	// Silence past StaleAfter: everything the agent owns goes stale and
-	// caps freeze at the last delivered values.
-	*now = now.Add(5 * time.Second)
-	capsStale, err := srv.DecideOnce(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range capsStale {
-		if capsStale[u] != pinned[u] {
-			t.Fatalf("stale unit %d cap moved %v -> %v", u, pinned[u], capsStale[u])
-		}
-	}
-	st := srv.Snapshot()
-	if st.StaleUnits != units || st.DeadUnits != 0 {
-		t.Fatalf("stale round reports stale=%d dead=%d", st.StaleUnits, st.DeadUnits)
-	}
-	if st.Health[0] != "stale" {
-		t.Fatalf("status health[0] = %q, want stale", st.Health[0])
-	}
-	if got := srv.metrics.staleUnits.Value(); got != units {
-		t.Fatalf("dps_stale_units = %v, want %d", got, units)
-	}
-
-	// Silence past DeadAfter: dead, still pinned, budget still reserved.
-	*now = now.Add(10 * time.Second)
-	capsDead, err := srv.DecideOnce(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range capsDead {
-		if capsDead[u] != pinned[u] {
-			t.Fatalf("dead unit %d cap moved %v -> %v", u, pinned[u], capsDead[u])
-		}
-	}
-	if st := srv.Snapshot(); st.DeadUnits != units {
-		t.Fatalf("dead round reports dead=%d", st.DeadUnits)
-	}
-	if got := srv.metrics.deadUnits.Value(); got != units {
-		t.Fatalf("dps_dead_units = %v, want %d", got, units)
-	}
-	freshToStale := srv.metrics.transitions[int(core.HealthFresh)*3+int(core.HealthStale)].Value()
-	staleToDead := srv.metrics.transitions[int(core.HealthStale)*3+int(core.HealthDead)].Value()
-	if freshToStale != units || staleToDead != units {
-		t.Fatalf("transition counters fresh->stale=%d stale->dead=%d, want %d each", freshToStale, staleToDead, units)
-	}
-
-	// The flight recorder saw the degraded rounds.
-	recs := srv.FlightRecorder().Last(1, -1)
-	if len(recs) != 1 || recs[0].DeadUnits != units {
-		t.Fatalf("flight record dead units = %+v", recs)
-	}
-	if recs[0].Units[0].Health != "dead" {
-		t.Fatalf("flight record unit health = %q", recs[0].Units[0].Health)
-	}
-
-	// Recovery: drop the dead session, re-handshake, report. The register
-	// alone restamps the clock, so the unit is fresh by the next round.
-	conn.Close()
-	<-done
-	conn2, _ := handshakeRaw(t, srv, 0, units)
-	defer conn2.Close()
-	report(t, srv, conn2, 0, power.Vector{15, 15, 15, 15}, true)
-	capsBack, err := srv.DecideOnce(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Snapshot(); st.StaleUnits != 0 || st.DeadUnits != 0 {
-		t.Fatalf("recovered round reports stale=%d dead=%d", st.StaleUnits, st.DeadUnits)
-	}
-	moved := false
-	for u := range capsBack {
-		if capsBack[u] != pinned[u] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("caps still pinned one round after recovery")
-	}
-	deadToFresh := srv.metrics.transitions[int(core.HealthDead)*3+int(core.HealthFresh)].Value()
-	if deadToFresh != units {
-		t.Fatalf("dead->fresh transitions = %d, want %d", deadToFresh, units)
-	}
-}
-
-// TestSanitizerRejectsGarbageReadings verifies the server boundary: a
-// reading above the ceiling never reaches the reading table, is counted,
-// and does not refresh the staleness clock — so a garbage-reporting agent
-// quarantines itself into the stale state while a well-behaved one stays
-// fresh.
-func TestSanitizerRejectsGarbageReadings(t *testing.T) {
-	const units = 2
-	srv, now := newHealthServer(t, units, 3*time.Second, 10*time.Second)
-	conn, _ := handshakeRaw(t, srv, 0, units)
-	defer conn.Close()
-
-	report(t, srv, conn, 0, power.Vector{100, 100}, true)
-	if _, err := srv.DecideOnce(1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unit 1 starts reporting garbage (over the 2×UnitMax=330 W ceiling);
-	// unit 0 keeps reporting sanely. The wire can't carry NaN/Inf, so the
-	// ceiling is the reachable rejection path end-to-end.
-	for i := 0; i < 3; i++ {
-		*now = now.Add(2 * time.Second)
-		report(t, srv, conn, 0, power.Vector{100, 5000}, false)
-		if _, err := srv.DecideOnce(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := srv.Readings()
-	if r[1] > 330 {
-		t.Fatalf("garbage reading %v entered the reading table", r[1])
-	}
-	if got := srv.metrics.badReadings.Value(); got < 3 {
-		t.Fatalf("dps_server_bad_readings_total = %d, want >= 3", got)
-	}
-	st := srv.Snapshot()
-	if st.Health[0] != "fresh" {
-		t.Fatalf("well-behaved unit went %q", st.Health[0])
-	}
-	if st.Health[1] == "fresh" {
-		t.Fatal("garbage-reporting unit stayed fresh; quarantine failed")
-	}
-}
 
 // TestBadReadingDetection covers the sanitizer classes the wire format
 // cannot deliver but the boundary must still reject.
@@ -266,21 +39,7 @@ func TestBadReadingDetection(t *testing.T) {
 // newIdleReapServer builds a server that reaps a connection silent for
 // 50 ms.
 func newIdleReapServer(t *testing.T, units int) *Server {
-	t.Helper()
-	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		Manager:         mgr,
-		Units:           units,
-		Interval:        time.Second,
-		ReadIdleTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return newRigServer(t, units, newTestClock(), func(sc *ServerConfig) { sc.ReadIdleTimeout = 50 * time.Millisecond })
 }
 
 // TestReadDeadlineReapsSilentConnection verifies the server-side idle

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dps/internal/core"
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/trace"
@@ -275,9 +276,15 @@ func (s *Server) register(sc *serverConn) error {
 	for u := first; u < first+n; u++ {
 		s.owner[u] = sc
 	}
-	// A (re-)handshake restarts the staleness clock so the unit is fresh
-	// again by the next decision round, before its first report even
-	// lands. (Lock order: mu held, imu nested inside.)
+	// A (re-)handshake ends the units' orphanhood and restarts their
+	// staleness clock, so they are fresh again by the next decision round,
+	// before the first report even lands. (Lock order: mu held, imu nested
+	// inside.)
+	s.imu.Lock()
+	for wi := first >> 6; wi<<6 < first+n; wi++ {
+		s.gone[wi] &^= core.WordMaskForRange(first, first+n, wi<<6)
+	}
+	s.imu.Unlock()
 	s.touchUnits(sc.hello)
 	i, _ := s.connIndex(sc)
 	s.conns = slices.Insert(slices.Clone(s.conns), i, sc)
@@ -298,6 +305,7 @@ func (s *Server) connIndex(sc *serverConn) (int, bool) {
 func (s *Server) unregister(sc *serverConn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.orphanLocked(sc)
 	first, n := int(sc.hello.FirstUnit), sc.hello.Units
 	for u := first; u < first+n; u++ {
 		if s.owner[u] == sc {
@@ -309,4 +317,19 @@ func (s *Server) unregister(sc *serverConn) {
 		s.metrics.disconnects.Inc()
 		s.metrics.agents.Set(float64(len(s.conns)))
 	}
+}
+
+// orphanLocked marks gone the units sc still owns: its connection closed,
+// was reaped, or failed a cap push, so nothing answers for their devices,
+// which keep the cap last pushed. Units an agent has registered for since
+// stay as they are. Caller holds s.mu.
+func (s *Server) orphanLocked(sc *serverConn) {
+	first, n := int(sc.hello.FirstUnit), sc.hello.Units
+	s.imu.Lock()
+	for u := first; u < first+n; u++ {
+		if s.owner[u] == sc {
+			s.gone[u>>6] |= 1 << (u & 63)
+		}
+	}
+	s.imu.Unlock()
 }

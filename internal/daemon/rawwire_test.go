@@ -45,17 +45,6 @@ func rawBatchFrame(recs []proto.Record) []byte {
 	return buf
 }
 
-// rawWriteReport writes a full report: one batch frame in which local
-// unit i carries vals[i].
-func rawWriteReport(w io.Writer, vals []power.Watts) error {
-	recs := make([]proto.Record, len(vals))
-	for i, v := range vals {
-		recs[i] = proto.Record{LocalUnit: uint8(i), Value: proto.ToDeciwatts(v)}
-	}
-	_, err := w.Write(rawBatchFrame(recs))
-	return err
-}
-
 // rawReadCaps reads one downstream cap batch of len(dst) records into
 // dst by local unit.
 func rawReadCaps(r io.Reader, dst []power.Watts) error {

@@ -99,7 +99,8 @@ func newScriptedServer(t *testing.T, cfg ServerConfig, start time.Time) *scripte
 }
 
 // round advances the clock two seconds, lands readings, refreshes the
-// staleness clock of the reporting units and decides.
+// staleness clock of the reporting units — which an agent registered for,
+// so none of them is gone — and decides.
 func (s *scriptedServer) round(t *testing.T, readings power.Vector, reporting ...int) {
 	t.Helper()
 	s.now = s.now.Add(2 * time.Second)
@@ -107,6 +108,7 @@ func (s *scriptedServer) round(t *testing.T, readings power.Vector, reporting ..
 	s.imu.Lock()
 	for _, u := range reporting {
 		s.lastReport[u] = s.now
+		s.gone[u>>6] &^= 1 << (u & 63)
 	}
 	s.imu.Unlock()
 	if _, err := s.DecideOnce(2); err != nil {

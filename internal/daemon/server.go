@@ -50,9 +50,8 @@ type ServerConfig struct {
 
 	// StaleAfter marks a unit stale once no accepted reading has arrived
 	// for this long: its cap freezes at the last delivered value until the
-	// agent reports again. Zero (with DeadAfter zero) disables health
-	// tracking entirely — every unit is fresh forever, the pre-health
-	// behaviour.
+	// agent reports again. Zero (with DeadAfter zero) turns the clocks off;
+	// a unit no live agent answers for (see gone) is stale regardless.
 	StaleAfter time.Duration
 	// DeadAfter marks a unit dead after this long without an accepted
 	// reading. A dead unit's budget stays reserved at its last delivered
@@ -212,8 +211,13 @@ type Server struct {
 	// lastReport is the per-unit staleness clock: the time of the last
 	// accepted (sanitized) reading or covering heartbeat, refreshed on
 	// (re-)registration so a re-handshaken agent rejoins fresh within one
-	// round.
+	// round. Nil while the clocks are off.
 	lastReport []time.Time
+	// gone marks (bit u&63 of word u>>6) the units no live agent answers
+	// for — their connection closed, was reaped or failed a push, or the
+	// server was restored — which classify at least stale until an agent
+	// registers for them: their devices still hold the cap last pushed.
+	gone []uint64
 
 	// snapBuf, dirtyBuf and healthBuf are the decision loop's private back
 	// buffers (double buffering): DecideOnce is never concurrent with
@@ -233,7 +237,7 @@ type Server struct {
 	// it reads from the flight recorder's newest record.)
 	mu sync.Mutex
 	// health is the per-unit state machine output of the previous round,
-	// kept to detect transitions. Nil while health tracking is disabled.
+	// kept to detect transitions.
 	health []core.UnitHealth
 	owner  []*serverConn // per-unit owning connection, nil if unclaimed
 	// conns is the live agent connections ordered by FirstUnit, copy on
@@ -347,17 +351,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		snapBuf:  make(power.Vector, cfg.Units),
 		dirtyBuf: core.NewDirtyMask(cfg.Units),
 		pushedW:  make([]uint64, (cfg.Units+63)/64),
+		gone:     make([]uint64, (cfg.Units+63)/64),
 		eng:      engine.New(cfg.Manager),
 		owner:    make([]*serverConn, cfg.Units),
 		replicas: make(map[*replicaConn]struct{}),
 	}
 	s.eng.Clock = func() time.Time { return s.now() }
+	s.health, s.healthBuf = make([]core.UnitHealth, cfg.Units), make([]core.UnitHealth, cfg.Units)
 	b := cfg.Manager.Budget()
 	s.configuredBudget, s.unitMax = b.Total, b.UnitMax
 	s.noteBudget()
-	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // health tracking on
-		s.health = make([]core.UnitHealth, cfg.Units)
-		s.healthBuf = make([]core.UnitHealth, cfg.Units)
+	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // staleness clocks on
 		s.lastReport = make([]time.Time, cfg.Units)
 		// Units start with a full staleness clock: a unit that never
 		// registers an agent drifts to stale/dead on its own, reserved at

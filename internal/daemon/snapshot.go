@@ -82,12 +82,8 @@ func (s *Server) encodeImage(round uint64) []byte {
 	n := s.cfg.Units
 	st.Health = snapshot.Resize(st.Health, n)
 	s.mu.Lock()
-	if s.health != nil {
-		for u, h := range s.health {
-			st.Health[u] = uint8(h)
-		}
-	} else {
-		clear(st.Health)
+	for u, h := range s.health {
+		st.Health[u] = uint8(h)
 	}
 	s.mu.Unlock()
 
@@ -122,18 +118,20 @@ func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps pow
 	in.Dirty, in.Readings = s.dirtyBuf.Words(), s.snapBuf
 	in.Pushed = snapshot.Resize(in.Pushed, len(in.Dirty))
 	clear(in.Pushed[copy(in.Pushed, pushed):])
-	if in.HasHealth = s.healthBuf != nil; in.HasHealth {
-		in.Health = snapshot.Resize(in.Health, len(s.healthBuf))
-		for u, h := range s.healthBuf {
-			in.Health[u] = uint8(h)
-		}
-		in.ReportAgeMS = snapshot.Resize(in.ReportAgeMS, len(s.lastReport))
-		s.imu.Lock()
-		for u, t := range s.lastReport {
-			in.ReportAgeMS[u] = uint32(min(max(now.Sub(t).Milliseconds(), 0), math.MaxUint32))
-		}
-		s.imu.Unlock()
+	in.HasHealth = true
+	in.Health = snapshot.Resize(in.Health, len(s.healthBuf))
+	for u, h := range s.healthBuf {
+		in.Health[u] = uint8(h)
 	}
+	in.ReportAgeMS = snapshot.Resize(in.ReportAgeMS, len(s.healthBuf))
+	s.imu.Lock()
+	if s.lastReport == nil {
+		clear(in.ReportAgeMS)
+	}
+	for u, t := range s.lastReport {
+		in.ReportAgeMS[u] = uint32(min(max(now.Sub(t).Milliseconds(), 0), math.MaxUint32))
+	}
+	s.imu.Unlock()
 	s.inputBuf = append(s.inputBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	proto.PutDeltaRound(s.inputBuf, round)
 	s.inputBuf = snapshot.AppendRoundInput(s.inputBuf, in)
@@ -293,10 +291,10 @@ func (s *Server) fits(fp snapshot.Fingerprint) error {
 // install makes data, an image Verify accepted and fits approved, the
 // server's state: the decode's second pass writes it straight into the
 // live columns (bindState), the controller imports the rest, and the
-// daemon adopts its section. It returns the State the image went
-// through. anchor is the time, on whatever clock the staleness clocks
-// are to run on, at which the image's report ages held. Caller holds
-// roundMu and snapMu.
+// daemon adopts its section, every unit gone until its agent registers.
+// It returns the State the image went through. anchor is the time, on
+// whatever clock the staleness clocks are to run on, at which the image's
+// report ages held. Caller holds roundMu and snapMu.
 func (s *Server) install(data []byte, anchor time.Time) *snapshot.State {
 	st := s.bindState()
 	s.mu.Lock()
@@ -310,6 +308,11 @@ func (s *Server) install(data []byte, anchor time.Time) *snapshot.State {
 		}
 	}
 	s.adoptDaemonLocked(st, anchor)
+	// The image's agents answered to another process: until one registers
+	// here, what its devices hold is all this server knows of them.
+	for i := range s.gone {
+		s.gone[i] = math.MaxUint64
+	}
 	s.markChangedLocked()
 	return st
 }
@@ -327,7 +330,7 @@ func (s *Server) adoptDaemonLocked(st *snapshot.State, anchor time.Time) {
 	}
 	s.inheritedRounds.Store(st.Rounds)
 	s.rounds.Store(st.Rounds)
-	if s.health != nil && len(st.Health) == len(s.health) {
+	if len(st.Health) == len(s.health) {
 		for u, h := range st.Health {
 			if h > uint8(core.HealthDead) {
 				h = uint8(core.HealthDead)

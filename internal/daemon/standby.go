@@ -200,10 +200,9 @@ func (s *Server) followRound(payload []byte, in *snapshot.RoundInput) error {
 	if round != last+1 {
 		return fmt.Errorf("round %d follows round %d", round, last)
 	}
-	if in.HasHealth != (s.healthBuf != nil) {
-		return fmt.Errorf("round %d: primary and standby disagree on health tracking", round)
+	if !in.HasHealth {
+		return fmt.Errorf("round %d: the input carries no health", round)
 	}
-
 	saved := time.UnixMilli(in.SavedUnixMS)
 	s.imu.Lock()
 	for wi, w := range in.Dirty {
@@ -251,8 +250,10 @@ func (s *Server) dialStandby() (net.Conn, error) {
 // takeOver is "stop following, start deciding": the state is already
 // live, so all that is left is to move the staleness clocks from the
 // primary's time base onto this host's — report ages stay what they were
-// when the primary last spoke — mark the readings the replayed rounds
-// left changed against what the controller consumed, and serve agents.
+// when the primary last spoke — mark the readings the replayed rounds left
+// changed against what the controller consumed, and serve agents. Every
+// unit stays gone, as the synced image left it, until its agent
+// registers here.
 func (s *Server) takeOver(listen func() (net.Listener, error)) error {
 	s.roundMu.Lock()
 	shift := s.now().Sub(s.followStamp)

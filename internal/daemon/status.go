@@ -35,8 +35,7 @@ type Status struct {
 	Caps           []float64 `json:"caps_w"`
 	Priority       []bool    `json:"high_priority,omitempty"`
 	Restored       bool      `json:"restored,omitempty"`
-	// Health is the per-unit degraded-mode state ("fresh"/"stale"/"dead");
-	// omitted while health tracking is disabled.
+	// Health is the per-unit degraded-mode state ("fresh"/"stale"/"dead").
 	Health     []string `json:"health,omitempty"`
 	StaleUnits int      `json:"stale_units,omitempty"`
 	DeadUnits  int      `json:"dead_units,omitempty"`
@@ -73,18 +72,15 @@ func (s *Server) Snapshot() Status {
 	s.mu.Lock()
 	agents := len(s.conns)
 	caps := s.eng.Prev.Clone()
-	var health []string
+	health := make([]string, len(s.health))
 	var stale, dead int
-	if s.health != nil {
-		health = make([]string, len(s.health))
-		for u, h := range s.health {
-			health[u] = h.String()
-			switch h {
-			case core.HealthStale:
-				stale++
-			case core.HealthDead:
-				dead++
-			}
+	for u, h := range s.health {
+		health[u] = h.String()
+		switch h {
+		case core.HealthStale:
+			stale++
+		case core.HealthDead:
+			dead++
 		}
 	}
 	s.mu.Unlock()

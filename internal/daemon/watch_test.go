@@ -106,22 +106,10 @@ func TestWatchBudgetFaultFiresWithinOneRound(t *testing.T) {
 }
 
 // TestWatchCleanRoundsStayQuiet pins the no-false-positive side: a healthy
-// DPS daemon run never moves any builtin audit off inactive.
+// DPS daemon run of its FuzzServer seed never moves any builtin audit off
+// inactive.
 func TestWatchCleanRoundsStayQuiet(t *testing.T) {
-	const units = 4
-	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, now := newWatchServer(t, mgr, units)
-	for round := 0; round < 20; round++ {
-		setReadings(srv, power.Vector{30, 160, 90, 140})
-		if _, err := srv.DecideOnce(1); err != nil {
-			t.Fatal(err)
-		}
-		*now = now.Add(time.Second)
-	}
-	for _, a := range srv.Watcher().Alerts() {
+	for _, a := range runServerSeed(t, "clean").primary.Watcher().Alerts() {
 		if a.State != watch.StateInactive {
 			t.Errorf("rule %s = %s after clean rounds (value %g, %s)", a.Rule, a.State, a.Value, a.Message)
 		}

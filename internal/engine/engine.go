@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"dps/internal/core"
@@ -29,12 +30,15 @@ type Engine struct {
 
 	mgr core.Manager
 	dps *core.DPS // mgr, when it is one: stats, priorities, provenance
+	// held is Decision.Held's storage.
+	held []uint64
 }
 
 // New returns an engine for mgr, timed by time.Now.
 func New(mgr core.Manager) *Engine {
 	e := &Engine{mgr: mgr, Prev: mgr.Caps().Clone(), Enforced: mgr.Caps().Clone(), Clock: time.Now}
 	e.dps, _ = mgr.(*core.DPS)
+	e.held = make([]uint64, (len(e.Prev)+63)/64)
 	return e
 }
 
@@ -44,6 +48,17 @@ func New(mgr core.Manager) *Engine {
 func (e *Engine) Decide(snap core.Snapshot) (telemetry.Decision, core.RoundStats) {
 	d := telemetry.Decision{Snap: snap, Prev: e.Prev, Enforced: e.Enforced}
 	var stats core.RoundStats
+	if e.dps != nil && !slices.Equal(e.dps.Caps(), e.Prev) {
+		// Delivery held these units off the controller's vector: a cap
+		// the controller leaves alone may still move, as delivery lets go.
+		clear(e.held)
+		for u, c := range e.dps.Caps() {
+			if c != e.Prev[u] {
+				e.held[u>>6] |= 1 << (u & 63)
+			}
+		}
+		d.Held = e.held
+	}
 	e.Start = e.Clock()
 	if e.dps != nil {
 		d.Decided, stats = e.dps.DecideStats(snap)
@@ -109,7 +124,7 @@ func (e *Engine) deliver(caps power.Vector, health []core.UnitHealth) power.Vect
 			frac := min(excess/headroom, 1)
 			for u, h := range health {
 				if h == core.HealthFresh && out[u] > budget.UnitMin {
-					out[u] -= frac * (out[u] - budget.UnitMin)
+					out[u] -= power.Watts(float64(frac * (out[u] - budget.UnitMin)))
 				}
 			}
 		}

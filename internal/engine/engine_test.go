@@ -29,7 +29,8 @@ import (
 //	(op>>1)&3    agent arg&15 turns fresh (1), stale (2) or dead (3)
 //	op&0x08      the budget moves to value's share of [10, 210] W a unit,
 //	             in a round where every unit is fresh
-//	op&0x10      agent arg>>4's push fails, if that agent is not fresh
+//	op&0x10      agent arg>>4's push fails; a fresh agent turns stale from
+//	             the next round on, as dpsd marks an agent it cannot reach
 //	op&0x20      cut: the restored lane's controller is replaced by one
 //	             restored from its image
 //	op&0x40      the round lasts half an interval
@@ -48,9 +49,12 @@ import (
 // Two rules keep the script inside the contract every round is checked
 // against. Budget moves land only in all-fresh rounds: a pinned cap was
 // delivered under the budget of its round, and a later cut can leave
-// nothing to rescale. A fresh agent always takes its push: two agents
-// enforcing caps delivered in different rounds can sum past any budget,
-// and no delivery undoes what a node enforces.
+// nothing to rescale. And what nodes enforce is held to the budget in
+// every round but one where a fresh agent's push failed: its nodes keep
+// the caps of the round before while the others take the new ones, a mix
+// that can sum past any budget until the next round pins that agent —
+// and past it for good when the units then pinned, with the fresh ones at
+// UnitMin, exceed it (an infeasible round, unchecked).
 const (
 	agentUnits = 8
 	maxSteps   = 64
@@ -265,6 +269,17 @@ func seeds() []seed {
 				step{opDense | opMixed | opCut, 0, 16, 0, 49}),
 			flips: true, cuts: true, mixedRings: true,
 		},
+		// A fresh agent's push fails in a dense round: its units pin at
+		// what its nodes still enforce from the next round until it rejoins.
+		seed{
+			name: "push-fail",
+			data: script(16, 0,
+				step{opDense, 0, 150, 0, 9},
+				step{opDense | opNoPush, 0, 60, 1 << 4, 0},
+				step{opDense, 0, 200, 0, 9},
+				step{opDense | opFresh, 0, 200, 1, 9}),
+			degraded: true,
+		},
 	)
 }
 
@@ -289,10 +304,12 @@ func seeds() []seed {
 // its round stats but for timings and skipped units (decision outcomes
 // and dirty counts), a HighPriority that recounts Priorities(), and the
 // same Prev and Enforced after Commit; the reference skips no unit;
-// every lane's delivered sum is within its budget up to core.SumDrift and
-// every cap within [UnitMin, UnitMax]; the filled record counts no pin
-// and no provenance violation; and what agents enforce is what was
-// delivered. Lanes that share a refresh period and a dirty-set sequence
+// every lane's delivered sum, and but in a mixed round the sum its nodes
+// enforce, is within its budget up to core.SumDrift in every feasible
+// round, and every cap within [UnitMin, UnitMax]; the filled record counts
+// no pin and no provenance violation; and the engine's Enforced is what
+// the nodes hold: the delivered cap where the push landed, the cap before
+// elsewhere. Lanes that share a refresh period and a dirty-set sequence
 // must also export byte-equal images: the replayed and nil-mask lanes
 // every round, the restored lane after every cut and at the end.
 func FuzzRoundEngine(f *testing.F) {
@@ -358,8 +375,10 @@ type lane struct {
 	d     telemetry.Decision
 	stats core.RoundStats
 	rec   telemetry.Round
-	state snapshot.State
-	img   []byte
+	// before is what its nodes enforced going into the round.
+	before power.Vector
+	state  snapshot.State
+	img    []byte
 }
 
 func newLane(t *testing.T, name string, cfg core.Config, refresh int) *lane {
@@ -479,6 +498,9 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 		t.Fatal(err)
 	}
 	lanes := append(slices.Clip(dpsLanes), &lane{name: "SLURM", eng: engine.New(slurm)})
+	for _, l := range lanes {
+		l.before = make(power.Vector, units)
+	}
 
 	readings := make(power.Vector, units)
 	dirty, cutMask := core.NewDirtyMask(units), core.NewDirtyMask(units)
@@ -530,10 +552,12 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 					}
 				}
 			}
+			failLo, failHi := agentRange(int(arg>>4) % agents)
+			mixed := op&opNoPush != 0 && health[failLo] == core.HealthFresh
 			for i := range pushed {
 				pushed[i] = core.WordMaskForRange(0, units, i<<6)
-				if lo, hi := agentRange(int(arg>>4) % agents); op&opNoPush != 0 && health[lo] != core.HealthFresh {
-					pushed[i] &^= core.WordMaskForRange(lo, hi, i<<6)
+				if op&opNoPush != 0 {
+					pushed[i] &^= core.WordMaskForRange(failLo, failHi, i<<6)
 				}
 			}
 			// The cut falls after the round's readings land and before it
@@ -556,6 +580,17 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 
 			snap := core.Snapshot{Power: readings, Interval: interval, Health: health, Dirty: dirty}
 			for _, l := range lanes {
+				// Once a mix has been enforced, the units pinned at it and
+				// the rest cut to UnitMin may not fit: an infeasible round.
+				var floor power.Watts
+				for u, h := range health {
+					if h == core.HealthFresh {
+						floor += fuzzBudget.UnitMin
+					} else {
+						floor += l.eng.Enforced[u]
+					}
+				}
+				feasible := floor <= budget.Total+core.SumDrift(units, budget.Total)
 				s := snap
 				switch {
 				case l.noMask:
@@ -568,12 +603,20 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 				} else {
 					l.d, l.stats = l.eng.Decide(s)
 				}
+				l.d.Pushed = pushed
+				if l.replayed {
+					l.d.Pushed = l.in.Pushed
+				}
 				l.rec.Reset()
 				l.rec.Fill(l.d)
 				b := fuzzBudget
 				b.Total = l.d.Budget
-				if sum, drift := l.d.Delivered.Sum(), core.SumDrift(units, b.Total); sum > b.Total+drift {
+				drift := core.SumDrift(units, b.Total)
+				if sum := l.d.Delivered.Sum(); feasible && sum > b.Total+drift {
 					t.Fatalf("round %d %s: delivered %v W over a %v W budget", round, l.name, sum, b.Total)
+				}
+				if sum := power.Watts(l.rec.EnforcedW); feasible && !mixed && sum > b.Total+drift {
+					t.Fatalf("round %d %s: nodes enforce %v W over a %v W budget", round, l.name, sum, b.Total)
 				}
 				if lo, hi := slices.Min(l.d.Delivered), slices.Max(l.d.Delivered); lo < b.UnitMin || hi > b.UnitMax {
 					t.Fatalf("round %d %s: caps span [%v, %v], outside [%v, %v]", round, l.name, lo, hi, b.UnitMin, b.UnitMax)
@@ -608,13 +651,16 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 				}
 			}
 			for _, l := range lanes {
-				p := pushed
-				if l.replayed {
-					p = l.in.Pushed
-				}
-				l.eng.Commit(l.d.Delivered, p)
-				if !slices.Equal(l.eng.Enforced, l.eng.Prev) {
-					t.Fatalf("round %d %s: agents enforce %v, delivered %v", round, l.name, l.eng.Enforced, l.eng.Prev)
+				copy(l.before, l.eng.Enforced)
+				l.eng.Commit(l.d.Delivered, l.d.Pushed)
+				for u, c := range l.eng.Enforced {
+					want := l.before[u]
+					if u < failLo || u >= failHi || op&opNoPush == 0 {
+						want = l.d.Delivered[u]
+					}
+					if c != want {
+						t.Fatalf("round %d %s unit %d: the engine holds %v enforced, its node %v", round, l.name, u, c, want)
+					}
 				}
 				if l.dps != nil && !slices.Equal(l.eng.Prev, ref.eng.Prev) {
 					t.Fatalf("round %d: %s lane's Prev and Enforced differ from refresh 1's", round, l.name)
@@ -634,6 +680,11 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 			}
 			if ref.stats.StaleUnits+ref.stats.DeadUnits > 0 {
 				tl.degraded++
+			}
+			if mixed { // dpsd no longer answers for that agent's nodes
+				for u := failLo; u < failHi; u++ {
+					health[u] = core.HealthStale
+				}
 			}
 			dirty.Reset()
 		}

@@ -117,7 +117,7 @@ func (r *Ring) Push(p power.Watts, dt power.Seconds) {
 	if r.n == len(r.powers) {
 		old := float64(r.powers[r.head])
 		r.sum -= old
-		r.sumSq -= old * old
+		r.sumSq -= float64(old * old)
 		r.durSum -= float64(r.durations[r.head])
 		r.head++
 		if r.head == len(r.powers) {
@@ -129,7 +129,7 @@ func (r *Ring) Push(p power.Watts, dt power.Seconds) {
 	r.powers[slot] = p
 	r.durations[slot] = dt
 	r.sum += float64(p)
-	r.sumSq += float64(p) * float64(p)
+	r.sumSq += float64(float64(p) * float64(p))
 	r.durSum += float64(dt)
 	r.tailDur += float64(dt)
 	r.pushes++
@@ -145,7 +145,7 @@ func (r *Ring) recompute() {
 	for i := 0; i < r.n; i++ {
 		p := float64(r.powers[r.idx(i)])
 		r.sum += p
-		r.sumSq += p * p
+		r.sumSq += float64(p * p)
 		r.durSum += float64(r.durations[r.idx(i)])
 	}
 	r.tailDur = r.directTail(r.tailK)
@@ -196,7 +196,7 @@ func (r *Ring) SettledFor(p power.Watts, dt power.Seconds) bool {
 	// Push round-trip identities, in Push's exact operation order:
 	// evict-subtract then insert-add must land back on the same bits.
 	fp, fdt := float64(p), float64(dt)
-	if (r.sum-fp)+fp != r.sum || (r.sumSq-fp*fp)+fp*fp != r.sumSq {
+	if (r.sum-fp)+fp != r.sum || (r.sumSq-float64(fp*fp))+float64(fp*fp) != r.sumSq {
 		return false
 	}
 	if (r.durSum-fdt)+fdt != r.durSum || (r.tailDur-fdt)+fdt != r.tailDur {
@@ -208,7 +208,7 @@ func (r *Ring) SettledFor(p power.Watts, dt power.Seconds) bool {
 	var sum, sumSq, durSum float64
 	for i := 0; i < r.n; i++ {
 		sum += fp
-		sumSq += fp * fp
+		sumSq += float64(fp * fp)
 		durSum += fdt
 	}
 	if sum != r.sum || sumSq != r.sumSq || durSum != r.durSum {
@@ -297,7 +297,7 @@ func (r *Ring) StdDev() power.Watts {
 		return 0
 	}
 	m := r.sum / float64(r.n)
-	v := r.sumSq/float64(r.n) - m*m
+	v := r.sumSq/float64(r.n) - float64(m*m)
 	if v < 0 {
 		v = 0
 	}

@@ -176,7 +176,7 @@ func (m *Module) grantLeftover(caps power.Vector, prio []bool, budget power.Budg
 		if d < minDivisor {
 			d = minDivisor
 		}
-		share := avail * power.Watts((1/d)/totalWeight)
+		share := power.Watts(float64(avail * power.Watts((1/d)/totalWeight)))
 		next := caps[u] + share
 		if next > budget.UnitMax {
 			next = budget.UnitMax
@@ -215,7 +215,7 @@ func (m *Module) equalize(caps power.Vector, prio []bool, budget power.Budget, c
 			frac := take / surplus
 			for u := range caps {
 				if !prio[u] && caps[u] > constantCap {
-					delta := (caps[u] - constantCap) * frac
+					delta := power.Watts(float64((caps[u] - constantCap) * frac))
 					caps[u] -= delta
 				}
 			}

@@ -34,7 +34,7 @@ func StdDev(xs []power.Watts) power.Watts {
 	var acc float64
 	for _, x := range xs {
 		d := float64(x - m)
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return power.Watts(math.Sqrt(acc / float64(n)))
 }

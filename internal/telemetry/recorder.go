@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -39,6 +40,9 @@ type Round struct {
 	Inherited uint64
 	BudgetW   float64
 	CapSumW   float64 // sum of the delivered caps
+	// EnforcedW is the sum of what agents enforce once the round's push
+	// lands: the delivered cap where it landed, the cap before elsewhere.
+	EnforcedW float64
 
 	StaleUnits, DeadUnits int
 	// Audit counts: PinAudited non-fresh units, PinViolations of them
@@ -48,7 +52,7 @@ type Round struct {
 
 	// Columns, indexed by unit. Cap is the delivered cap and PrevCap the
 	// previous round's; Reason has degraded_deliver already resolved.
-	// Health is empty while health tracking is off.
+	// Health is empty for a round decided without health.
 	Reading, Cap, PrevCap power.Vector
 	Prio                  []bool
 	Health                []core.UnitHealth
@@ -81,6 +85,11 @@ type Decision struct {
 	// each unit's agent was enforcing going in, which non-fresh units are
 	// audited against (it may be nil when Snap.Health is).
 	Prev, Enforced power.Vector
+	// Pushed masks (bit u&63 of word u>>6) the units whose agent took the
+	// round's push; nil means every unit did. Held masks the units whose
+	// Prev differs from the manager's own cap going into the round, which
+	// delivery held off it; nil when there are none.
+	Pushed, Held []uint64
 	// Prio and Reasons are a core.DPS's Priorities() and Reasons(), nil
 	// for any other policy: only a round with reasons is audited for caps
 	// that moved without one.
@@ -89,8 +98,9 @@ type Decision struct {
 	Budget  power.Watts
 }
 
-// Fill writes the round's interval, budget, cap sum, per-unit columns
-// (Prio and Health stay empty for a nil input), HasStats and audit counts
+// Fill writes the round's interval, budget, cap and enforced sums,
+// per-unit columns (Prio and Health stay empty for a nil input), HasStats
+// and audit counts
 // into a record Reset for the round, in one pass over the units. The
 // caller sets the rest: Round, Time, Elapsed, Stats, Inherited and the
 // health tallies.
@@ -104,15 +114,27 @@ func (r *Round) Fill(d Decision) {
 	r.Prio = append(r.Prio, d.Prio...)
 	r.Health = append(r.Health, d.Snap.Health...)
 	r.Reason = slices.Grow(r.Reason, len(d.Delivered))[:len(d.Delivered)]
+	enforced := r.CapSumW
+	for wi, w := range d.Pushed {
+		for m := ^w; m != 0; m &= m - 1 { // the units the push missed
+			u := wi<<6 | bits.TrailingZeros64(m)
+			if u >= len(d.Delivered) {
+				break
+			}
+			enforced += float64(d.Enforced[u] - d.Delivered[u])
+		}
+	}
+	r.EnforcedW = enforced
 	for u, c := range d.Delivered {
+		moved := c != d.Prev[u]
 		reason := trace.ReasonNone
 		if d.Reasons != nil {
 			reason = d.Reasons[u]
 		}
-		if c != d.Decided[u] {
-			// Delivery-side pin or rescale overrode the manager: the last
-			// mover for this unit was delivery, whatever the manager
-			// thought it was doing.
+		if c != d.Decided[u] || moved && reason == trace.ReasonNone && d.Held != nil && d.Held[u>>6]&(1<<(u&63)) != 0 {
+			// Delivery-side pin or rescale overrode the manager, or let go
+			// of a unit it held: the last mover for this unit was delivery,
+			// whatever the manager thought it was doing.
 			reason = trace.ReasonDegradedDeliver
 		}
 		r.Reason[u] = reason
@@ -122,7 +144,7 @@ func (r *Round) Fill(d Decision) {
 				r.PinViolations++
 			}
 		}
-		if d.Reasons != nil && reason == trace.ReasonNone && c != d.Prev[u] {
+		if d.Reasons != nil && reason == trace.ReasonNone && moved {
 			r.ProvViolations++
 		}
 	}

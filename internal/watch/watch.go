@@ -330,10 +330,12 @@ func (w *Watcher) ObserveRound(rec *telemetry.Round) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if rs, ok := w.index[RuleBudgetConservation]; ok {
-		over := rec.CapSumW - rec.BudgetW
+		// Both what was decided and what the nodes enforce once the push
+		// lands must fit: a unit whose push failed keeps its old cap.
+		over := max(rec.CapSumW, rec.EnforcedW) - rec.BudgetW
 		rs.value = over
-		rs.message = fmt.Sprintf("round %d: cap sum %.3f W vs budget %.3f W (tolerance %g W)",
-			rec.Round, rec.CapSumW, rec.BudgetW, w.tolW)
+		rs.message = fmt.Sprintf("round %d: cap sum %.3f W (enforced %.3f W) vs budget %.3f W (tolerance %g W)",
+			rec.Round, rec.CapSumW, rec.EnforcedW, rec.BudgetW, w.tolW)
 		w.step(rs, over > w.tolW, rec.Time)
 	}
 	if rs, ok := w.index[RuleHealthPinIntegrity]; ok {

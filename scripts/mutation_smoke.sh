@@ -1,12 +1,14 @@
 #!/bin/sh
-# mutation_smoke.sh — prove FuzzRoundEngine's seed corpus catches the bugs
-# its lanes exist for. The tree is copied to a temporary directory; there
-# the unmutated seed corpus must pass, and then, one at a time, each
-# mutation below is applied by an exact-match text edit and
-# `go test -run '^FuzzRoundEngine$' ./internal/engine/` (seeds only, no
-# fuzzing) must fail in FuzzRoundEngine itself — a build failure does not
-# count. A mutation whose text no longer occurs fails the script: keep
-# the list in step with the code. The working tree is never written.
+# mutation_smoke.sh — prove the differential fuzzers' seed corpora catch
+# the bugs their checks exist for: FuzzRoundEngine (internal/engine) for
+# the round paths, FuzzServer (internal/daemon) for dpsd around them. The
+# tree is copied to a temporary directory; there each target's unmutated
+# seed corpus must pass, and then, one at a time, each mutation below is
+# applied by an exact-match text edit and `go test -run '^TARGET$' PKG`
+# (seeds only, no fuzzing) must fail in the target itself — a build
+# failure does not count. A mutation whose text no longer occurs fails the
+# script: keep the list in step with the code. The working tree is never
+# written.
 set -eu
 root="$(cd "$(dirname "$0")/.." && pwd)"
 TMP="$(mktemp -d)"
@@ -15,17 +17,22 @@ tar -C "$root" --exclude=./.git -cf - . | tar -C "$TMP" -xf -
 cd "$TMP"
 
 seeds() {
-	go test -count=1 -run '^FuzzRoundEngine$' ./internal/engine/ >"$TMP/log" 2>&1
+	go test -count=1 -vet=off -run "^$fuzz\$" "$pkg" >"$TMP/log" 2>&1
 }
 
-if ! seeds; then
-	cat "$TMP/log"
-	echo "mutation-smoke: FuzzRoundEngine fails on the unmutated tree" >&2
-	exit 1
-fi
+# target FUZZ PKG: the seed corpus the mutants that follow must break. It
+# must pass on the unmutated tree.
+target() {
+	fuzz=$1 pkg=$2
+	if ! seeds; then
+		cat "$TMP/log"
+		echo "mutation-smoke: $fuzz fails on the unmutated tree" >&2
+		exit 1
+	fi
+}
 
 # mutant NAME FILE OLD NEW: replace every occurrence of the exact text OLD
-# in FILE by NEW and demand that FuzzRoundEngine's seeds fail.
+# in FILE by NEW and demand that the target's seeds fail.
 mutant() {
 	if ! OLD="$3" NEW="$4" awk '
 		{ s = s $0 "\n" }
@@ -46,15 +53,16 @@ mutant() {
 		echo "mutation-smoke: $1: survived" >&2
 		exit 1
 	fi
-	if ! grep -q -- '--- FAIL: FuzzRoundEngine' "$TMP/log"; then
+	if ! grep -q -- "--- FAIL: $fuzz" "$TMP/log"; then
 		cat "$TMP/log"
-		echo "mutation-smoke: $1: did not fail in FuzzRoundEngine" >&2
+		echo "mutation-smoke: $1: did not fail in $fuzz" >&2
 		exit 1
 	fi
 	cp "$root/$2" "$2"
-	echo "mutation-smoke: $1: caught"
+	echo "mutation-smoke: $1: caught by $fuzz"
 }
 
+target FuzzRoundEngine ./internal/engine/
 mutant "the round's movers never recorded" internal/core/dps.go \
 	'd.roundMovedW[u>>6] |= uint64(1) << uint(u&63)' ''
 mutant "MarkChanged marks nothing" internal/core/dirty.go \
@@ -64,3 +72,17 @@ mutant "restore drops the PRNG register" internal/core/state.go \
 mutant "round input ships no pushed unit" internal/snapshot/input.go \
 	"$(printf 'for _, w := range in.Pushed {\n\t\tb = section.AppendU64(b, w)')" \
 	"$(printf 'for range in.Pushed {\n\t\tb = section.AppendU64(b, 0)')"
+
+target FuzzServer ./internal/daemon/
+mutant "a rejected record refreshes the health clock" internal/daemon/ingest.go \
+	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tcontinue')" \
+	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tif s.lastReport != nil {\n\t\t\t\ts.lastReport[first+lu] = now\n\t\t\t}\n\t\t\tcontinue')"
+mutant "a heartbeat skips touchUnits" internal/daemon/ingest.go \
+	"$(printf 's.touchUnits(sc.hello)\n\t\ts.metrics.ingestHeartbeats.Inc()')" \
+	's.metrics.ingestHeartbeats.Inc()'
+mutant "a failed push commits as enforced" internal/daemon/decide.go \
+	's.eng.Commit(caps, s.pushedW)' 's.eng.Commit(caps, nil)'
+mutant "restore drops markChangedLocked" internal/daemon/snapshot.go \
+	"$(printf 's.markChangedLocked()\n\treturn st')" 'return st'
+mutant "a closed connection leaves its units fresh" internal/daemon/ingest.go \
+	"$(printf 'defer s.mu.Unlock()\n\ts.orphanLocked(sc)')" 'defer s.mu.Unlock()'
