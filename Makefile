@@ -141,10 +141,12 @@ fuzz-smoke:
 # vacuous: in a copy of the tree, each of a few known bugs must make its
 # target fail. FuzzRoundEngine: the round's movers never recorded,
 # MarkChanged marking nothing, a restore that drops the PRNG register, a
-# round input that ships no pushed unit. FuzzServer: a refused reading
-# that refreshes the health clock, a heartbeat that does not, a failed
-# push committed as enforced, a restore that drops markChangedLocked, a
-# closed connection that leaves its units fresh.
+# round input that ships no pushed unit, a ring that settles this round
+# skipping classification. FuzzServer: a refused reading that refreshes
+# the health clock, an omission that refreshes a refused unit's clock, a
+# heartbeat that does not refresh, a failed push committed as enforced, a
+# restore that drops markChangedLocked, a closed connection that leaves
+# its units fresh.
 mutation-smoke:
 	./scripts/mutation_smoke.sh
 

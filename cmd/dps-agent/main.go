@@ -46,11 +46,9 @@ func main() {
 		minCap      = flag.Float64("min-cap", 10, "lowest cap to accept, watts")
 		httpAddr    = flag.String("http", "", "serve agent /metrics, /healthz and /debug/pprof on this address (e.g. :7893)")
 		meterTol    = flag.Int("meter-tolerance", 0, "consecutive RAPL read errors to ride through on the last good sample (0 = default, negative = strict)")
-		applyEcho   = flag.Bool("apply-echo", false, "acknowledge each cap batch with its apply duration (controller builds an end-to-end latency histogram)")
 		batch       = flag.Bool("batch", false, "delta suppression: only readings that moved past the delta epsilon go on the wire, quiet intervals heartbeat (off: every report carries every unit)")
 		deltaEps    = flag.Float64("delta-epsilon", 0, "batch mode: local delta-suppression band in watts (0 = adopt the controller's advertised epsilon)")
 		refreshEvry = flag.Int("refresh-every", 0, "batch mode: force an unsuppressed full report every N reports (0 = default, negative = never)")
-		traceCtx    = flag.Bool("trace-ctx", false, "receive the controller round with each cap batch so local spans carry the round that caused them")
 		traceOn     = flag.Bool("trace", false, "record meter/report/apply spans into the local ring served at /debug/trace")
 		traceSpans  = flag.Int("trace-spans", 0, "span ring capacity (0 = default)")
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -150,11 +148,9 @@ func main() {
 		Interval:            *interval,
 		Logf:                log.Printf,
 		MeterErrorTolerance: *meterTol,
-		ApplyEcho:           *applyEcho,
 		Batch:               *batch,
 		DeltaEpsilon:        power.Watts(*deltaEps),
 		RefreshEvery:        *refreshEvry,
-		TraceCtx:            *traceCtx,
 		Trace:               *traceOn,
 		TraceSpans:          *traceSpans,
 	})

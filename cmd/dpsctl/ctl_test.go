@@ -30,8 +30,8 @@ func traceServer(t *testing.T, r *trace.Recorder) (addr string, done func()) {
 
 // fleetRecorders builds a deterministic primary+agent span pair: three
 // rounds of decide/push/apply on the controller clock and the agent's
-// cap_apply spans skewed 2 s ahead, exactly the shape a live TraceCtx
-// fleet records.
+// cap_apply spans skewed 2 s ahead, exactly the shape a live fleet
+// records.
 func fleetRecorders() (server, agent *trace.Recorder) {
 	base := time.Unix(1_700_000_000, 0)
 	skew := 2 * time.Second

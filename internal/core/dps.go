@@ -136,6 +136,7 @@ type DPS struct {
 	nWords       int
 	tailMask     uint64   // valid bits of the last mask word
 	settledW     []uint64 // units whose per-unit state is bitwise fixed
+	settledNowW  []uint64 // scratch: units whose settle certificate was issued this round
 	dirtyW       []uint64 // this round's changed-reading set
 	capMovedW    []uint64 // units whose caps moved during the previous round
 	roundMovedW  []uint64 // units whose caps moved so far this round
@@ -254,6 +255,7 @@ func NewDPS(cfg Config) (*DPS, error) {
 		nWords:       nWords,
 		tailMask:     ^uint64(0),
 		settledW:     make([]uint64, nWords),
+		settledNowW:  make([]uint64, nWords),
 		dirtyW:       make([]uint64, nWords),
 		capMovedW:    make([]uint64, nWords),
 		roundMovedW:  make([]uint64, nWords),

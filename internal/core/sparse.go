@@ -61,6 +61,7 @@ func (d *DPS) beginSparseRound(snap Snapshot, dt power.Seconds, health []UnitHea
 		stats.DirtyUnits = dirty
 	}
 	clear(d.roundMovedW)
+	clear(d.settledNowW)
 	// The refresh block: round r forces block (r−1) mod E through full
 	// processing, so every unit is re-verified against its live ring at
 	// least once per E rounds.
@@ -155,6 +156,7 @@ func (d *DPS) sparseKalmanWords(snapP power.Vector, health []UnitHealth, dt powe
 			if p == d.lastVal[u] && fixed && ring.SettledFor(est, dt) {
 				if !wasSettled {
 					d.settledW[wi] |= bit
+					d.settledNowW[wi] |= bit
 					d.frozen[u] = d.priorityM.Freeze(ring)
 				}
 				// Already settled: the ring is unchanged, so the frozen
@@ -170,17 +172,18 @@ func (d *DPS) sparseKalmanWords(snapP power.Vector, health []UnitHealth, dt powe
 
 // sparseClassifyWords runs the classification stage over the unit masks.
 // A unit is reclassified when any input can have changed: dirty reading,
-// unsettled ring, cap moved last round (by any stage) or this round (by
-// the MIMD pass), or refresh-due. Settled off-refresh units classify from
-// their FrozenStats without touching the ring; refresh-due units classify
-// off the live ring as a self-audit. It returns the number of priority
+// ring unsettled or settled by this round's push, cap moved last round
+// (by any stage) or this round (by the MIMD pass), or refresh-due.
+// Settled off-refresh units classify from their FrozenStats without
+// touching the ring; refresh-due units classify off the live ring as a
+// self-audit. It returns the number of priority
 // flips and the net change in the high-priority count.
 func (d *DPS) sparseClassifyWords(snapP power.Vector, health []UnitHealth, rlo, rhi int) (flips, highDelta int) {
 	prio := d.priorityM.Priorities()
 	for wi := 0; wi < d.nWords; wi++ {
 		base := wi << 6
 		refresh := WordMaskForRange(rlo, rhi, base)
-		work := (d.dirtyW[wi] | ^d.settledW[wi] | d.capMovedW[wi] | d.roundMovedW[wi] | refresh) & d.validWord(wi)
+		work := (d.dirtyW[wi] | ^d.settledW[wi] | d.settledNowW[wi] | d.capMovedW[wi] | d.roundMovedW[wi] | refresh) & d.validWord(wi)
 		for w := work; w != 0; w &= w - 1 {
 			u := base + bits.TrailingZeros64(w)
 			if health != nil && health[u] != HealthFresh {

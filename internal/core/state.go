@@ -21,9 +21,9 @@ import (
 // The export is taken *between* rounds, which is the controller's
 // quiescent point: stageCaps == caps (every cap-moving stage re-syncs
 // the diff baseline), the per-round scratch masks (dirtyW, visitW,
-// roundMovedW) are dead values the next round overwrites, and capMovedW
-// already holds the next round's revisit set (DecideStats swaps it with
-// roundMovedW on the way out). So the snapshot stores caps, the swapped
+// roundMovedW, settledNowW) are dead values the next round overwrites,
+// and capMovedW already holds the next round's revisit set (DecideStats
+// swaps it with roundMovedW on the way out). So the snapshot stores caps, the swapped
 // capMovedW, and the provenance residue (reasons, provDirty) — and
 // nothing that is recomputed from scratch each round.
 

@@ -39,10 +39,9 @@ type AgentConfig struct {
 	// reconnect backoff jitter with a deterministic one (tests). It must
 	// return values in [0, 1).
 	ReconnectJitter func() float64
-	// ApplyEcho advertises the cap-apply acknowledgement capability in the
-	// handshake: after programming each cap batch the agent reports how
-	// long the apply took, letting the server build a true reading→
-	// enforced-cap latency histogram on its own clock.
+	// ApplyEcho is accepted and ignored: every agent acknowledges each cap
+	// batch it programs with an apply echo (DESIGN.md §10). The field stays
+	// so code written for older builds keeps compiling.
 	ApplyEcho bool
 	// Batch turns on delta suppression: a report carries only the units
 	// whose reading moved by more than the delta epsilon since last sent,
@@ -62,11 +61,10 @@ type AgentConfig struct {
 	// disables periodic refresh (pure delta — heartbeats alone keep the
 	// session fresh). Ignored unless Batch is on.
 	RefreshEvery int
-	// TraceCtx advertises the trace-context capability: the controller
-	// prefixes each cap batch with its round counter, so the agent's own
-	// trace spans carry the round that caused them and a fleet-wide merge
-	// (dpsctl trace --merge) can nest them under the right controller
-	// round.
+	// TraceCtx is accepted and ignored: every cap batch carries the
+	// controller round, so the agent's spans always name the round that
+	// caused them (DESIGN.md §12). The field stays so code written for
+	// older builds keeps compiling.
 	TraceCtx bool
 	// Trace enables the agent's span recorder: meter read, report
 	// decision, and cap apply each become a span in a local ring served
@@ -132,9 +130,9 @@ type Agent struct {
 	meters []*rapl.Meter
 	conn   net.Conn
 	sess   *proto.Session
-	// writeMu serializes the two upstream writers that exist once the
-	// apply-echo capability is on: report batches from the ticker goroutine
-	// and echo frames from the cap-receiving goroutine.
+	// writeMu serializes the two upstream writers: report batches from
+	// the ticker goroutine and echo frames from the cap-receiving
+	// goroutine.
 	writeMu sync.Mutex
 
 	reportBuf []power.Watts
@@ -151,8 +149,8 @@ type Agent struct {
 	reports   atomic.Uint64
 	applied   atomic.Uint64
 	// lastRound is the newest controller round seen in a cap batch prefix
-	// (trace-context sessions; stays 0 otherwise). Read by the report
-	// goroutine to tag read/report spans, written by the cap goroutine.
+	// (0 before the first). Read by the report goroutine to tag
+	// read/report spans, written by the cap goroutine.
 	lastRound atomic.Uint64
 
 	tel    *telemetry.Registry
@@ -254,13 +252,7 @@ func (a *Agent) logf(format string, args ...any) {
 // Batch on the delta epsilon resolves here: the local configured value
 // when positive, else whatever the server's ack advertised.
 func (a *Agent) Handshake(conn net.Conn) error {
-	h := proto.Hello{
-		FirstUnit: a.cfg.FirstUnit,
-		Units:     len(a.cfg.Devices),
-		ApplyEcho: a.cfg.ApplyEcho,
-		TraceCtx:  a.cfg.TraceCtx,
-	}
-	sess, err := proto.Connect(conn, h)
+	sess, err := proto.Connect(conn, proto.Hello{FirstUnit: a.cfg.FirstUnit, Units: len(a.cfg.Devices)})
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("daemon: agent handshake: %w", err)
@@ -301,7 +293,7 @@ func (a *Agent) Handshake(conn net.Conn) error {
 // sends one power report batch. With tracing on, the meter read and the
 // report decision each record a span tagged with the round the report
 // will feed: the last round seen on the wire plus one (0+1 until the
-// first trace-context cap batch arrives).
+// first cap batch arrives).
 func (a *Agent) ReportOnce(elapsed power.Seconds) error {
 	if a.sess == nil {
 		return errors.New("daemon: agent not connected")
@@ -388,8 +380,8 @@ func absDelta(a, b int32) int32 {
 	return a - b
 }
 
-// ReceiveCaps blocks for one cap batch from the controller and programs
-// every local device. On a trace-context session the batch's round
+// ReceiveCaps blocks for one cap batch from the controller, programs
+// every local device and answers with an apply echo. The batch's round
 // prefix updates the agent's round clock and tags the cap_apply span —
 // the agent-clock twin of the server's RTT-inferred apply span, which is
 // what lets a fleet trace merge estimate the clock offset.
@@ -401,9 +393,7 @@ func (a *Agent) ReceiveCaps() error {
 	if err != nil {
 		return fmt.Errorf("daemon: receiving caps: %w", err)
 	}
-	if round > 0 {
-		a.lastRound.Store(round)
-	}
+	a.lastRound.Store(round)
 	applyStart := time.Now()
 	for i, c := range a.capBuf {
 		if err := a.cfg.Devices[i].SetCap(c); err != nil {
@@ -418,13 +408,11 @@ func (a *Agent) ReceiveCaps() error {
 	}
 	a.applied.Add(1)
 	a.am.applied.Inc()
-	if a.cfg.ApplyEcho {
-		a.writeMu.Lock()
-		err := a.sess.WriteApplyEcho(applyDur)
-		a.writeMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("daemon: sending apply echo: %w", err)
-		}
+	a.writeMu.Lock()
+	err = a.sess.WriteApplyEcho(applyDur)
+	a.writeMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("daemon: sending apply echo: %w", err)
 	}
 	return nil
 }

@@ -167,7 +167,7 @@ func TestAgentRoundSteadyStateZeroAlloc(t *testing.T) {
 	devs := newTestAgentDevices(t, units)
 	a, err := NewAgent(AgentConfig{
 		Devices: devs, Interval: time.Second,
-		Batch: true, ApplyEcho: true, TraceCtx: true, DeltaEpsilon: 1, RefreshEvery: 3,
+		Batch: true, DeltaEpsilon: 1, RefreshEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,14 +116,13 @@ func TestServerBlackboxPersistsRounds(t *testing.T) {
 	}
 }
 
-// TestEndToEndTraceCtx proves the wire correlation path: a TraceCtx
+// TestEndToEndTraceCtx proves the wire correlation path: every
 // agent's cap batches carry the controller round, the agent's cap_apply
 // span is tagged with it, and the agent's round cache follows the wire —
 // the anchor the fleet-wide trace merge aligns clocks with.
 func TestEndToEndTraceCtx(t *testing.T) {
 	srv := newTestServer(t, 2)
 	agent, sims := newTestAgent(t, 0, 2)
-	agent.cfg.TraceCtx = true
 	agent.Trace().SetEnabled(true)
 
 	client, server := net.Pipe()

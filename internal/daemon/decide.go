@@ -62,12 +62,10 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	clear(s.pushedW)
 	for _, sc := range targets {
 		first, n := int(sc.hello.FirstUnit), sc.hello.Units
-		if sc.hello.ApplyEcho {
-			// Stamp before the push so an echo racing the store can never
-			// pair with a snapshot newer than the caps it acknowledges.
-			sc.lastSnapNano.Store(snapTime.UnixNano())
-			sc.lastPushRound.Store(round)
-		}
+		// Stamp before the push so an echo racing the store can never
+		// pair with a snapshot newer than the caps it acknowledges.
+		sc.lastSnapNano.Store(snapTime.UnixNano())
+		sc.lastPushRound.Store(round)
 		var pushStart time.Time
 		if traceOn {
 			pushStart = time.Now()

@@ -10,10 +10,13 @@ import (
 	"dps/internal/proto"
 )
 
-// TestLegacyDialectsRefused pins the one upstream dialect against a live
-// server: a version-1 hello, a hello carrying the retired batch bit, and
-// a 'R' report frame or raw records on an established session are each
-// refused, with the connection closed and no unit left claimed.
+// TestLegacyDialectsRefused pins the one wire dialect against a live
+// server: a version-1 hello, a version-2 hello with any flags (refused on
+// its first 8 bytes, before any ack, so no round-prefixed cap batch ever
+// reaches an agent that did not ask for one), a hello carrying the
+// retired batch bit, and a 'R' report frame or raw records on an
+// established session are each refused, with the connection closed and no
+// unit left claimed.
 func TestLegacyDialectsRefused(t *testing.T) {
 	srv := newTestServer(t, 2)
 	hello := func(version, flags byte) []byte {
@@ -25,6 +28,8 @@ func TestLegacyDialectsRefused(t *testing.T) {
 		hello, after []byte // after is sent once the hello is acknowledged
 	}{
 		{"version-1 hello", hello(1, 0)[:8], nil},
+		{"version-2 hello", hello(2, 0)[:8], nil},
+		{"version-2 echo+ctx hello", hello(2, 0x09)[:8], nil},
 		{"retired batch bit", hello(proto.Version, 1<<1), nil},
 		{"'R' report frame", hello(proto.Version, 0), append([]byte{'R'}, records...)},
 		{"raw records", hello(proto.Version, 0), records},

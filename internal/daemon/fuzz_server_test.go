@@ -68,7 +68,8 @@ import (
 // device draws min(demand, its cap), and every live agent reports but:
 //
 //	opQuiet      the agent sends nothing
-//	opGarbage    its first unit reads 400+round%7 W, over the ceiling
+//	opGarbage    its first unit reads 400+round%7 W, over the ceiling;
+//	             with opMixed a constant 400 W, a wedged meter
 //	opCut        (first round) once the reports land the server closes,
 //	             writing its final snapshot; a fresh one restored from the
 //	             file decides the round, and live agents rejoin it
@@ -178,6 +179,11 @@ func serverSeeds() []serverSeed {
 		{"takeover-sparse/takeover", serverScript(4, 8, 0,
 			s{opStandby, allAgents, 80, 0}, s{opMixed, 0, 64, 79}, s{opStandby | opQuiet, allAgents, 0, 0}, s{0, 0, 0, 20}),
 			"takeovers followed skipped successorSkips"},
+		// A meter wedged on one garbage value: the delta agent sends it once
+		// and then withholds it, and those omissions must not keep the unit
+		// fresh at its last good reading; a sane reading brings it back.
+		{"constant-garbage", serverScript(1, 2, clocks3s,
+			s{0, allAgents, 133, 1}, s{opGarbage | opMixed, 0, 0, 5}, s{0, 0, 0, 1}), "degraded garbage recoveries"},
 	}
 }
 
@@ -399,6 +405,7 @@ type serverRun struct {
 	prev        []core.UnitHealth
 	transitions [9]uint64
 	touched     []time.Time // the staleness clocks
+	refused     []bool      // the unit's latest record was refused: omissions leave its clock
 	gone        []bool
 	pushed      []uint64
 
@@ -436,7 +443,7 @@ func newServerRun(t testing.TB, fleet, config byte) *serverRun {
 		band: [4]power.Watts{0, 0.5, 2.5, 25}[config&3], refresh: [4]int{-1, 2, 7, 0}[config>>4&3], snapPath: filepath.Join(t.TempDir(), "state.dps"),
 		model: engine.New(d), dps: d, readings: make(power.Vector, units), dirty: core.NewDirtyMask(units),
 		health: make([]core.UnitHealth, units), prev: make([]core.UnitHealth, units),
-		touched: make([]time.Time, units), gone: make([]bool, units), pushed: make([]uint64, (units+63)/64),
+		touched: make([]time.Time, units), refused: make([]bool, units), gone: make([]bool, units), pushed: make([]uint64, (units+63)/64),
 		lane: "served", tl: map[string]int{},
 	}
 	r.primary = r.server(nil)
@@ -479,7 +486,8 @@ func (r *serverRun) server(extra func(*ServerConfig)) *Server {
 }
 
 // rejoin handshakes an agent with the primary on a fresh session: its
-// units are answered for and fresh.
+// units are answered for, and fresh but for those whose latest record was
+// refused.
 func (r *serverRun) rejoin(a *rigAgent) {
 	r.t.Helper()
 	devices := make([]rapl.Device, len(a.devs))
@@ -507,7 +515,10 @@ func (r *serverRun) rejoin(a *rigAgent) {
 	for i, d := range a.devs {
 		u := a.first + i
 		a.lastSent[i], d.pending = -1, 0 // the handshake primed the meters
-		r.gone[u], r.touched[u] = false, r.clk.Now()
+		r.gone[u] = false
+		if !r.refused[u] {
+			r.touched[u] = r.clk.Now()
+		}
 	}
 }
 
@@ -548,7 +559,7 @@ func (r *serverRun) succeed(lane string, next func() *Server) {
 	r.frames, r.records, r.heartbeats = 0, 0, 0
 	r.inherited, r.transitions = r.primary.Rounds(), [9]uint64{}
 	for u := range r.gone {
-		r.gone[u] = true
+		r.gone[u], r.refused[u] = true, false
 	}
 	for _, a := range live {
 		r.rejoin(a)
@@ -707,7 +718,8 @@ func mixedDemand(u, n int, wobble float64) float64 {
 // report sends one report from a live agent and lands what the server
 // will accept of it in the model: but in a forced full report, a unit
 // within the band of what it last sent is omitted, which refreshes its
-// clock; a refused reading does not.
+// clock; a refused reading does not, nor do omissions after it until a
+// reading is accepted.
 func (r *serverRun) report(a *rigAgent, now time.Time) {
 	r.t.Helper()
 	ceiling, epsDW := 2*testBudget(r.units).UnitMax, int(proto.ToDeciwatts(r.band))
@@ -721,13 +733,16 @@ func (r *serverRun) report(a *rigAgent, now time.Time) {
 		a.read[i] = d.reading()
 		dw := int(proto.ToDeciwatts(a.read[i]))
 		if !full && a.lastSent[i] >= 0 && max(dw-a.lastSent[i], a.lastSent[i]-dw) <= epsDW {
-			r.touched[u] = now
+			if !r.refused[u] {
+				r.touched[u] = now
+			}
 			r.tl["suppressed"]++
 			continue
 		}
 		a.lastSent[i] = dw
 		sent++
-		if v := proto.FromDeciwatts(uint16(dw)); !badReading(v, ceiling) {
+		v := proto.FromDeciwatts(uint16(dw))
+		if r.refused[u] = badReading(v, ceiling); !r.refused[u] {
 			r.readings[u], r.touched[u] = v, now
 			r.dirty.Mark(u)
 		} else {
@@ -767,6 +782,9 @@ func (r *serverRun) roundOnce(op, who byte, first bool) {
 			}
 			if w = min(w, c); op&opGarbage != 0 && hit && i == 0 {
 				w = power.Watts(400 + r.round%7)
+				if op&opMixed != 0 {
+					w = 400
+				}
 			}
 			d.draw(w)
 		}
@@ -969,18 +987,24 @@ func TestOrphanedAgentKeepsBudget(t *testing.T) {
 	}
 }
 
-func TestEndToEndOverPipe(t *testing.T)                { runServerSeed(t, "end-to-end") }
-func TestUnitRangeFreedAfterDisconnect(t *testing.T)   { runServerSeed(t, "range-freed") }
-func TestBatchDeltaEndToEnd(t *testing.T)              { runServerSeed(t, "delta-end-to-end") }
-func TestBatchRefreshEvery(t *testing.T)               { runServerSeed(t, "refresh-every") }
-func TestHealthLifecycle(t *testing.T)                 { runServerSeed(t, "health-lifecycle") }
-func TestBatchHealthClock(t *testing.T)                { runServerSeed(t, "batch-health-clock") }
-func TestSanitizerRejectsGarbageReadings(t *testing.T) { runServerSeed(t, "garbage") }
-func TestChaosDeterministicKillRestart(t *testing.T)   { runServerSeed(t, "kill-restart") }
-func TestFailedPushPinsAgent(t *testing.T)             { runServerSeed(t, "push-fail") }
-func TestChaosKillRestore(t *testing.T)                { runServerSeed(t, "kill-restore") }
-func TestChaosStandbyTakeover(t *testing.T)            { runServerSeed(t, "standby-takeover") }
-func TestBatchDeltaEquivalence(t *testing.T)           { runServerSeed(t, "batch-delta") }
+func TestEndToEndOverPipe(t *testing.T)              { runServerSeed(t, "end-to-end") }
+func TestUnitRangeFreedAfterDisconnect(t *testing.T) { runServerSeed(t, "range-freed") }
+func TestBatchDeltaEndToEnd(t *testing.T)            { runServerSeed(t, "delta-end-to-end") }
+func TestBatchRefreshEvery(t *testing.T)             { runServerSeed(t, "refresh-every") }
+func TestHealthLifecycle(t *testing.T)               { runServerSeed(t, "health-lifecycle") }
+func TestBatchHealthClock(t *testing.T)              { runServerSeed(t, "batch-health-clock") }
+func TestChaosDeterministicKillRestart(t *testing.T) { runServerSeed(t, "kill-restart") }
+func TestFailedPushPinsAgent(t *testing.T)           { runServerSeed(t, "push-fail") }
+func TestChaosKillRestore(t *testing.T)              { runServerSeed(t, "kill-restore") }
+func TestChaosStandbyTakeover(t *testing.T)          { runServerSeed(t, "standby-takeover") }
+func TestBatchDeltaEquivalence(t *testing.T)         { runServerSeed(t, "batch-delta") }
+
+// TestSanitizerRejectsGarbageReadings: a unit reporting garbage goes
+// stale whether the garbage varies or stays one value.
+func TestSanitizerRejectsGarbageReadings(t *testing.T) {
+	runServerSeed(t, "garbage")
+	runServerSeed(t, "constant-garbage")
+}
 
 func TestStandbyReplayMatchesPrimary(t *testing.T) {
 	t.Run("register", func(t *testing.T) { runServerSeed(t, "standby-replay") })

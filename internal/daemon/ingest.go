@@ -23,11 +23,11 @@ type serverConn struct {
 	hello   proto.Hello
 	writeMu sync.Mutex
 
-	// Apply-echo bookkeeping (capability connections only): the reading
-	// snapshot time and round of the last successful cap push, so an
-	// inbound echo can be turned into a reading→enforced-cap latency on
-	// the server's own clock. Atomics: stored by the decision loop, read
-	// by the connection's Handle goroutine.
+	// Apply echo bookkeeping: the reading snapshot time and round of the
+	// last cap push, so an inbound echo can be turned into a
+	// reading→enforced-cap latency on the server's own clock. Atomics:
+	// stored by the decision loop, read by the connection's Handle
+	// goroutine.
 	lastSnapNano  atomic.Int64
 	lastPushRound atomic.Uint64
 }
@@ -136,8 +136,10 @@ func (s *Server) serveFrame(sc *serverConn) error {
 // carries an *accepted* record for, and of every unit it omits: omission
 // is the agent asserting "unchanged within epsilon", which is live
 // information. A unit whose record is rejected by the sanitizer gets no
-// refresh from its own garbage: a garbage-reporting agent quarantines
-// itself into the stale state.
+// refresh from its own garbage, nor from omissions until a record is
+// accepted again (s.refused): the epsilon an omission asserts is around
+// the refused value, so a garbage-reporting agent quarantines itself into
+// the stale state whether its garbage varies or not.
 func (s *Server) ingest(sc *serverConn, frame proto.Frame) {
 	traceOn := s.tracer.On()
 	var ingestStart time.Time
@@ -159,26 +161,27 @@ func (s *Server) ingest(sc *serverConn, frame proto.Frame) {
 	for _, rec := range frame.Records {
 		lu := int(rec.LocalUnit)
 		if s.lastReport != nil {
-			for ; next < lu; next++ {
-				s.lastReport[first+next] = now
-			}
+			s.touchRangeLocked(first+next, first+lu, now)
 		}
 		next = lu + 1
+		u := first + lu
 		v := proto.FromDeciwatts(rec.Value)
 		if badReading(v, ceiling) {
 			s.metrics.badReadings.Inc()
+			if s.refused != nil {
+				s.refused[u>>6] |= 1 << (u & 63)
+			}
 			continue
 		}
-		s.readings[first+lu] = v
-		s.dirty.Mark(first + lu)
+		s.readings[u] = v
+		s.dirty.Mark(u)
 		if s.lastReport != nil {
-			s.lastReport[first+lu] = now
+			s.lastReport[u] = now
+			s.refused[u>>6] &^= 1 << (u & 63)
 		}
 	}
 	if s.lastReport != nil {
-		for ; next < hello.Units; next++ {
-			s.lastReport[first+next] = now
-		}
+		s.touchRangeLocked(first+next, first+hello.Units, now)
 	}
 	s.imu.Unlock()
 	s.metrics.ingestBatches.Inc()
@@ -200,10 +203,18 @@ func (s *Server) touchUnits(hello proto.Hello) {
 	now := s.now()
 	first := int(hello.FirstUnit)
 	s.imu.Lock()
-	for u := first; u < first+hello.Units; u++ {
-		s.lastReport[u] = now
-	}
+	s.touchRangeLocked(first, first+hello.Units, now)
 	s.imu.Unlock()
+}
+
+// touchRangeLocked refreshes the staleness clocks of units [lo, hi) but
+// those whose latest record was refused. Clocks are on; caller holds imu.
+func (s *Server) touchRangeLocked(lo, hi int, now time.Time) {
+	for u := lo; u < hi; u++ {
+		if s.refused[u>>6]&(1<<(u&63)) == 0 {
+			s.lastReport[u] = now
+		}
+	}
 }
 
 // connReadErr classifies a failed read on an established agent
@@ -278,7 +289,8 @@ func (s *Server) register(sc *serverConn) error {
 	}
 	// A (re-)handshake ends the units' orphanhood and restarts their
 	// staleness clock, so they are fresh again by the next decision round,
-	// before the first report even lands. (Lock order: mu held, imu nested
+	// before the first report even lands — but for a unit whose latest
+	// record was refused, which waits for an accepted one. (Lock order: mu held, imu nested
 	// inside.)
 	s.imu.Lock()
 	for wi := first >> 6; wi<<6 < first+n; wi++ {

@@ -41,7 +41,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // loopbackFleet is bench's nodes1k shape in miniature: agents of two
-// units each (batch, apply-echo, trace-context) on real loopback TCP, both
+// units each (batch mode) on real loopback TCP, both
 // ends of every connection counted, driven one lock-step round at a time.
 type loopbackFleet struct {
 	srv           *Server
@@ -94,7 +94,7 @@ func newLoopbackFleet(tb testing.TB, agents int) *loopbackFleet {
 		devs := newTestAgentDevices(tb, loopbackUnits)
 		a, err := NewAgent(AgentConfig{
 			FirstUnit: power.UnitID(i * loopbackUnits), Devices: devs, Interval: time.Second,
-			Batch: true, ApplyEcho: true, TraceCtx: true,
+			Batch: true,
 		})
 		if err != nil {
 			tb.Fatal(err)

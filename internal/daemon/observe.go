@@ -65,7 +65,7 @@ const (
 	stageReadjust  = "readjust"
 )
 
-// e2eLatencyBuckets brackets the reading-snapshot→enforced-cap apply-echo
+// e2eLatencyBuckets brackets the reading-snapshot→enforced-cap apply echo
 // path: two network hops plus an agent-side cap program, so unlike the
 // in-process DefSecondsBuckets it starts at 100 µs (same-host loopback)
 // and runs to 2.5 s (a WAN'd or heavily loaded agent several decision
@@ -93,7 +93,7 @@ func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cf
 		budget:      reg.Gauge("dps_budget_watts", "Cluster-wide power budget."),
 		capSum:      reg.Gauge("dps_cap_sum_watts", "Sum of assigned caps."),
 		decide:      reg.Histogram("dps_decide_seconds", "Wall time of one full decision round.", nil),
-		e2eLatency:  reg.Histogram("dps_e2e_latency_seconds", "Reading snapshot to enforced-cap echo, measured on the server clock (needs agents with apply-echo enabled).", e2eLatencyBuckets),
+		e2eLatency:  reg.Histogram("dps_e2e_latency_seconds", "Reading snapshot to enforced-cap echo, measured on the server clock.", e2eLatencyBuckets),
 		restores:    reg.Counter("dps_restore_total", "Algorithm 3 restorations (all units quiet, caps reset)."),
 		prioFlips:   reg.Counter("dps_priority_flips_total", "Per-unit priority changes across rounds."),
 		exhausted:   reg.Counter("dps_readjust_exhausted_total", "Readjust rounds that equalized because no budget was left."),

@@ -250,7 +250,7 @@ func TestCapBatchNeverPrecedesAck(t *testing.T) {
 	if got := srv.metrics.pushErrors.Value(); got != 0 {
 		t.Errorf("dps_push_errors_total = %d, want 0", got)
 	}
-	if wire.Len() != units*proto.RecordSize {
+	if wire.Len() != 8+units*proto.RecordSize {
 		t.Errorf("%d bytes follow the ack, want one %d-unit cap batch", wire.Len(), units)
 	}
 }

@@ -45,16 +45,16 @@ func rawBatchFrame(recs []proto.Record) []byte {
 	return buf
 }
 
-// rawReadCaps reads one downstream cap batch of len(dst) records into
-// dst by local unit.
+// rawReadCaps reads one downstream cap batch — the 8-byte round, then
+// len(dst) records — into dst by local unit.
 func rawReadCaps(r io.Reader, dst []power.Watts) error {
 	n := len(dst)
-	buf := make([]byte, n*proto.RecordSize)
+	buf := make([]byte, 8+n*proto.RecordSize)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		rec := proto.GetRecord(buf[i*proto.RecordSize:])
+		rec := proto.GetRecord(buf[8+i*proto.RecordSize:])
 		if int(rec.LocalUnit) >= n {
 			return fmt.Errorf("record for local unit %d in a %d-unit batch", rec.LocalUnit, n)
 		}

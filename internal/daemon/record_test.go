@@ -439,7 +439,7 @@ func allocBytesPerRound(t *testing.T, units, conns int) float64 {
 	}
 	defer srv.Close()
 	for i, n := 0, units/max(conns, 1); i < conns; i++ {
-		sc, _ := scriptedServerConn(t, proto.Hello{FirstUnit: power.UnitID(i * n), Units: n, TraceCtx: true})
+		sc, _ := scriptedServerConn(t, proto.Hello{FirstUnit: power.UnitID(i * n), Units: n})
 		defer sc.sess.Release()
 		if err := srv.register(sc); err != nil {
 			t.Fatal(err)

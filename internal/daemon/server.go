@@ -213,6 +213,13 @@ type Server struct {
 	// (re-)registration so a re-handshaken agent rejoins fresh within one
 	// round. Nil while the clocks are off.
 	lastReport []time.Time
+	// refused marks (bit u&63 of word u>>6) the units whose latest record
+	// the sanitizer refused, until one is accepted: omissions and
+	// heartbeats leave their clocks alone, so a meter wedged on one
+	// garbage value, which a delta agent sends once and then withholds,
+	// goes stale instead of staying fresh at its last good reading. Nil
+	// while the clocks are off.
+	refused []uint64
 	// gone marks (bit u&63 of word u>>6) the units no live agent answers
 	// for — their connection closed, was reaped or failed a push, or the
 	// server was restored — which classify at least stale until an agent
@@ -363,6 +370,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.noteBudget()
 	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // staleness clocks on
 		s.lastReport = make([]time.Time, cfg.Units)
+		s.refused = make([]uint64, (cfg.Units+63)/64)
 		// Units start with a full staleness clock: a unit that never
 		// registers an agent drifts to stale/dead on its own, reserved at
 		// its initial cap.

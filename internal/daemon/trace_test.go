@@ -47,13 +47,12 @@ func setReadings(srv *Server, readings power.Vector) {
 	srv.imu.Unlock()
 }
 
-// TestApplyEchoEndToEnd drives the full capability path over a pipe: a
-// v2 handshake, a framed report, a cap push, and the agent's apply echo
+// TestApplyEchoEndToEnd drives the full downstream path over a pipe: a
+// handshake, a framed report, a cap push, and the agent's apply echo
 // landing in the server's end-to-end latency histogram and span recorder.
 func TestApplyEchoEndToEnd(t *testing.T) {
 	srv := newTracingServer(t, 2)
 	agent, sims := newTestAgent(t, 0, 2)
-	agent.cfg.ApplyEcho = true
 
 	client, server := net.Pipe()
 	go srv.Handle(server)

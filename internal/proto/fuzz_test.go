@@ -13,14 +13,13 @@ import (
 
 // FuzzReadHello feeds arbitrary bytes to the handshake parser: it must
 // never panic and must only accept frames it could itself have produced.
-// A version-1 hello and a hello carrying the retired batch bit are seeds
-// it must refuse.
+// Version-1 and version-2 hellos and hellos carrying a retired flag bit
+// (0, the old apply echo; 1, the old batch dialect; 3, the old round
+// prefix) are seeds it must refuse.
 func FuzzReadHello(f *testing.F) {
 	for _, h := range []Hello{
 		{FirstUnit: 18, Units: 2},
-		{FirstUnit: 18, Units: 2, ApplyEcho: true},
-		{FirstUnit: 18, Units: 2, ApplyEcho: true, TraceCtx: true},
-		{FirstUnit: 18, Units: 2, TraceCtx: true},
+		{FirstUnit: 0, Units: 1, Replicate: true},
 	} {
 		var seed bytes.Buffer
 		if err := WriteHello(&seed, h); err != nil {
@@ -30,8 +29,11 @@ func FuzzReadHello(f *testing.F) {
 	}
 	f.Add([]byte("DPS1garbage"))
 	for _, raw := range [][]byte{
-		{'D', 'P', 'S', '1', 1, 0, 18, 2},         // version 1
-		{'D', 'P', 'S', '1', 2, 0, 18, 2, 1 << 1}, // the retired batch bit
+		{'D', 'P', 'S', '1', 1, 0, 18, 2},               // version 1
+		{'D', 'P', 'S', '1', 2, 0, 18, 2, 0},            // version 2
+		{'D', 'P', 'S', '1', Version, 0, 18, 2, 1 << 0}, // the retired apply echo bit
+		{'D', 'P', 'S', '1', Version, 0, 18, 2, 1 << 1}, // the retired batch bit
+		{'D', 'P', 'S', '1', Version, 0, 18, 2, 1 << 3}, // the retired round prefix bit
 	} {
 		if h, err := ReadHello(bytes.NewReader(raw)); err == nil {
 			f.Fatalf("ReadHello accepted %v as %+v", raw, h)
@@ -123,7 +125,7 @@ func refReadFrame(r io.Reader, h Hello) (Frame, error) {
 		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
 	}
 	switch {
-	case hdr[0] == FrameApply && h.ApplyEcho:
+	case hdr[0] == FrameApply:
 		var body [applyEchoBodySize]byte
 		if _, err := io.ReadFull(r, body[:]); err != nil {
 			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
@@ -154,7 +156,7 @@ func refReadFrame(r io.Reader, h Hello) (Frame, error) {
 	case hdr[0] == FrameHeartbeat:
 		return Frame{Kind: KindHeartbeat}, nil
 	}
-	return Frame{}, errors.New("proto: frame type not admitted by the session")
+	return Frame{}, errors.New("proto: unknown frame type")
 }
 
 // errClass reduces a read error to what a caller can act on: a clean end,
@@ -206,9 +208,9 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 func FuzzSessionReadFrame(f *testing.F) {
 	hellos := []Hello{
 		{Units: 2},
-		{Units: 2, ApplyEcho: true},
+		{Units: 3},
 		{Units: 8},
-		{Units: MaxNodeUnits, ApplyEcho: true},
+		{Units: MaxNodeUnits},
 	}
 	for mode, h := range hellos {
 		var stream bytes.Buffer
@@ -220,9 +222,7 @@ func FuzzSessionReadFrame(f *testing.F) {
 		w.WriteDelta(full)
 		w.WriteDelta([]Record{{LocalUnit: 1, Value: 425}})
 		w.WriteHeartbeat()
-		if h.ApplyEcho {
-			w.WriteApplyEcho(3 * time.Millisecond)
-		}
+		w.WriteApplyEcho(3 * time.Millisecond)
 		w.WriteDelta(full)
 		w.Release()
 		f.Add(stream.Bytes(), []byte{}, uint8(mode))

@@ -15,15 +15,17 @@
 //
 // Handshake (agent → server, once per connection):
 //
-//	[ magic "DPS1" : 4 bytes ][ protocol version 2 : uint8 ]
+//	[ magic "DPS1" : 4 bytes ][ protocol version 3 : uint8 ]
 //	[ first global unit id : uint16 ][ unit count : uint8 ][ flags : uint8 ]
 //
-// Flags 0 is a plain agent; the capability bits are described below. Any
-// other version, and any unknown flag bit, is refused. The server
-// validates that the advertised unit range is in bounds and not claimed
-// by another live agent, then acknowledges with 4 bytes — [ 'O' 'K' ] and
-// its advertised delta epsilon in big-endian deciwatts — or closes the
-// connection.
+// Flags 0 is an agent; FlagReplicate, described below, is the only other
+// value. Any other version, and any other flag bit, is refused. The
+// version is checked on the first 8 bytes, so an agent of an older
+// version is refused before any ack and is never sent a cap batch in a
+// format it did not ask for. The server validates that the advertised
+// unit range is in bounds and not claimed by another live agent, then
+// acknowledges with 4 bytes — [ 'O' 'K' ] and its advertised delta
+// epsilon in big-endian deciwatts — or closes the connection.
 //
 // Upstream (agent → server), every message is a one-byte frame type and
 // its body. An agent reports in one dialect, the batch frame —
@@ -38,26 +40,31 @@
 // more than the epsilon since their last sent value, and a quiet interval
 // is a 1-byte heartbeat [ 'H' ]: it refreshes the server's health clock
 // for the session's units without touching readings, so a suppressed
-// agent never looks dead. The Session type owns the negotiation and the
+// agent never looks dead. The Session type owns the handshake and the
 // per-connection frame buffers. Its read methods take whatever the
 // connection has in one Read, so a session may hold bytes past the frame
 // it last returned: once Accept or Connect has returned, an agent
 // connection is read through its Session only.
 //
-// Downstream (server → agent), a cap batch is one record per local unit,
-// record i for local unit i, with no frame type.
+// Downstream (server → agent), a cap batch is the controller's
+// decision-round counter followed by one record per local unit, record i
+// for local unit i, with no frame type:
 //
-// FlagApplyEcho: the agent sends a 3-byte apply-echo frame
-// [ 'A' ][ apply duration : uint16 big-endian, µs ] after programming
-// each received cap batch. The duration saturates at ~65.5 ms; an echo's
-// arrival time is what gives the server its true reading→enforced-cap
+//	[ round : uint64 big-endian ][ n × 3-byte records ]
+//
+// The round lets the agent tag its own trace spans (meter read, report
+// decision, cap apply) with the round that caused them, so a fleet-wide
+// trace merge can correlate spans across processes.
+//
+// The agent answers every cap batch it programs with a 3-byte apply
+// echo, an upstream frame
+//
+//	[ 'A' ][ apply duration : uint16 big-endian, µs ]
+//
+// The duration saturates at ~65.5 ms. The echo carries no round: TCP
+// order pairs it with the oldest unanswered push on its connection, and
+// its arrival time is what gives the server its true reading→enforced-cap
 // latency.
-//
-// FlagTraceCtx: each downstream cap batch is prefixed with the
-// controller's decision-round counter as 8 big-endian bytes, so the
-// agent can tag its own trace spans (meter read, report decision, cap
-// apply) with the round that caused them and a fleet-wide trace merge
-// can correlate spans across processes.
 //
 // FlagReplicate: the connection is not an agent at all but a warm
 // standby controller subscribing to the primary's state stream. After
@@ -71,8 +78,7 @@
 // (internal/snapshot); a delta frame carries the primary's round counter
 // followed by the raw framings of just the sections whose bytes changed
 // that round. The unit range in a replicate hello is ignored (by
-// convention the standby sends FirstUnit 0, Units 1), and the flag is
-// exclusive — a hello combining it with agent capabilities is rejected.
+// convention the standby sends FirstUnit 0, Units 1).
 package proto
 
 import (
@@ -84,27 +90,16 @@ import (
 	"dps/internal/power"
 )
 
-// Version is the protocol version carried in the handshake. Version 1 —
-// raw report records and no flags byte — is refused.
-const Version = 2
+// Version is the protocol version carried in the handshake. Older
+// versions are refused: version 1 sent raw report records and no flags
+// byte, and version 2 negotiated the apply echo and the cap batch's round
+// prefix per connection.
+const Version = 3
 
-// Capability flags carried by the hello. Bit 1 is retired and refused
-// like any other unknown bit.
-const (
-	// FlagApplyEcho: the agent sends a FrameApply echo after applying each
-	// cap batch.
-	FlagApplyEcho = 1 << 0
-	// FlagReplicate: the connection is a warm-standby controller; after
-	// the ack the server streams snapshot/delta state frames downstream.
-	// Exclusive with the agent capabilities.
-	FlagReplicate = 1 << 2
-	// FlagTraceCtx: downstream cap batches carry an 8-byte big-endian
-	// round-counter prefix so agent-side trace spans can be correlated
-	// with the controller round that produced them.
-	FlagTraceCtx = 1 << 3
-
-	knownFlags = FlagApplyEcho | FlagReplicate | FlagTraceCtx
-)
+// FlagReplicate, the one hello flag: the connection is a warm-standby
+// controller; after the ack the server streams snapshot/delta state
+// frames downstream. Every other bit is refused.
+const FlagReplicate = 1 << 2
 
 // Upstream frame types (agent → server).
 const (
@@ -112,7 +107,7 @@ const (
 	FrameBatch byte = 'B'
 	// FrameHeartbeat is a complete 1-byte liveness frame.
 	FrameHeartbeat byte = 'H'
-	// FrameApply precedes one 2-byte apply-echo body (apply-echo sessions).
+	// FrameApply precedes one 2-byte apply echo body.
 	FrameApply byte = 'A'
 )
 
@@ -159,30 +154,10 @@ type Hello struct {
 	FirstUnit power.UnitID
 	// Units is the number of power-capping units on the node.
 	Units int
-	// ApplyEcho advertises the apply-echo capability.
-	ApplyEcho bool
 	// Replicate marks the connection as a warm-standby state subscriber
-	// instead of an agent. Exclusive with the agent capabilities; the
-	// unit range is ignored (send FirstUnit 0, Units 1).
+	// instead of an agent; the unit range is ignored (send FirstUnit 0,
+	// Units 1).
 	Replicate bool
-	// TraceCtx advertises the trace-context capability: downstream cap
-	// batches are prefixed with the controller's round counter.
-	TraceCtx bool
-}
-
-// flags returns the hello's capability byte.
-func (h Hello) flags() byte {
-	var f byte
-	if h.ApplyEcho {
-		f |= FlagApplyEcho
-	}
-	if h.Replicate {
-		f |= FlagReplicate
-	}
-	if h.TraceCtx {
-		f |= FlagTraceCtx
-	}
-	return f
 }
 
 // MaxNodeUnits is the most units one node (one hello, one connection) can
@@ -200,8 +175,6 @@ func (h Hello) Validate() error {
 		return fmt.Errorf("proto: unit count %d outside [1,%d]", h.Units, MaxNodeUnits)
 	case int(h.FirstUnit)+h.Units > 0x10000:
 		return fmt.Errorf("proto: unit range [%d,%d) exceeds addressable space", h.FirstUnit, int(h.FirstUnit)+h.Units)
-	case h.Replicate && (h.ApplyEcho || h.TraceCtx):
-		return fmt.Errorf("proto: replicate hello cannot also advertise agent capabilities")
 	}
 	return nil
 }
@@ -216,16 +189,18 @@ func WriteHello(w io.Writer, h Hello) error {
 	buf[4] = Version
 	binary.BigEndian.PutUint16(buf[5:7], uint16(h.FirstUnit))
 	buf[7] = byte(h.Units)
-	buf[8] = h.flags()
+	if h.Replicate {
+		buf[8] = FlagReplicate
+	}
 	_, err := w.Write(buf[:])
 	return err
 }
 
 // ReadHello reads and validates a handshake. The version is checked
 // before the flags byte is read, so a version-1 agent, whose hello is a
-// byte shorter, is refused at once instead of waiting for an ack. Unknown
-// capability bits are refused too, so the parser only accepts frames
-// WriteHello produces.
+// byte shorter, is refused at once instead of waiting for an ack. Any
+// flag bit but FlagReplicate is refused too, so the parser only accepts
+// frames WriteHello produces.
 func ReadHello(r io.Reader) (Hello, error) {
 	var buf [HelloSize]byte
 	if _, err := io.ReadFull(r, buf[:HelloSize-1]); err != nil {
@@ -241,15 +216,13 @@ func ReadHello(r io.Reader) (Hello, error) {
 		return Hello{}, fmt.Errorf("proto: reading handshake flags: %w", err)
 	}
 	flags := buf[HelloSize-1]
-	if flags&^knownFlags != 0 {
-		return Hello{}, fmt.Errorf("proto: unknown capability flags %#02x", flags&^knownFlags)
+	if flags&^FlagReplicate != 0 {
+		return Hello{}, fmt.Errorf("proto: unknown hello flags %#02x", flags&^FlagReplicate)
 	}
 	h := Hello{
 		FirstUnit: power.UnitID(binary.BigEndian.Uint16(buf[5:7])),
 		Units:     int(buf[7]),
-		ApplyEcho: flags&FlagApplyEcho != 0,
 		Replicate: flags&FlagReplicate != 0,
-		TraceCtx:  flags&FlagTraceCtx != 0,
 	}
 	if err := h.Validate(); err != nil {
 		return Hello{}, err
@@ -296,7 +269,7 @@ func GetRecord(src []byte) Record {
 	return Record{LocalUnit: src[0], Value: binary.BigEndian.Uint16(src[1:3])}
 }
 
-// applyEchoBodySize is the apply-echo payload after the frame byte.
+// applyEchoBodySize is the apply echo payload after the frame byte.
 const applyEchoBodySize = 2
 
 // MaxApplyEcho is the largest apply duration the 2-byte echo represents;

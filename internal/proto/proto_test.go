@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,58 +117,49 @@ func TestReadHelloRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHelloV2RoundTrip: the capability handshake roundtrips, and a hello
-// advertising nothing is the same 9-byte frame with a zero flags byte.
+// TestHelloV2RoundTrip pins the two hellos byte for byte: an agent's is
+// version 3 with a zero flags byte, a standby's sets FlagReplicate, and
+// both read back as written.
 func TestHelloV2RoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	h := Hello{FirstUnit: 18, Units: 2, ApplyEcho: true}
-	if err := WriteHello(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	if want := []byte{'D', 'P', 'S', '1', 2, 0, 18, 2, FlagApplyEcho}; !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("apply-echo hello = %v, want %v", buf.Bytes(), want)
-	}
-	got, err := ReadHello(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("roundtrip = %+v, want %+v", got, h)
-	}
-
-	buf.Reset()
-	if err := WriteHello(&buf, Hello{FirstUnit: 18, Units: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []byte{'D', 'P', 'S', '1', 2, 0, 18, 2, 0}; !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("plain hello = %v, want %v", buf.Bytes(), want)
+	for _, c := range []struct {
+		h    Hello
+		want []byte
+	}{
+		{Hello{FirstUnit: 18, Units: 2}, []byte{'D', 'P', 'S', '1', 3, 0, 18, 2, 0}},
+		{Hello{FirstUnit: 0, Units: 1, Replicate: true}, []byte{'D', 'P', 'S', '1', 3, 0, 0, 1, FlagReplicate}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteHello(&buf, c.h); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), c.want) {
+			t.Errorf("%+v: hello = %v, want %v", c.h, buf.Bytes(), c.want)
+		}
+		got, err := ReadHello(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.h {
+			t.Errorf("roundtrip = %+v, want %+v", got, c.h)
+		}
 	}
 }
 
-// TestHelloTraceCtxRoundTrip: the trace-context capability negotiates
-// like any other agent capability and is exclusive with replicate.
+// TestHelloTraceCtxRoundTrip: the version-2 dialects are refused — the
+// old capability bits on a version-3 hello like any unknown bit, and a
+// version-2 hello on its version byte, before its flags byte is read.
 func TestHelloTraceCtxRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	h := Hello{FirstUnit: 18, Units: 2, ApplyEcho: true, TraceCtx: true}
-	if err := WriteHello(&buf, h); err != nil {
-		t.Fatal(err)
+	for _, flags := range []byte{1 << 0, 1 << 3, 1<<0 | 1<<3, FlagReplicate | 1<<3} {
+		raw := []byte{'D', 'P', 'S', '1', Version, 0, 18, 2, flags}
+		if h, err := ReadHello(bytes.NewReader(raw)); err == nil {
+			t.Errorf("flags %#02x: ReadHello accepted %+v", flags, h)
+		}
 	}
-	if buf.Len() != HelloSize {
-		t.Errorf("trace-ctx handshake is %d bytes, want %d", buf.Len(), HelloSize)
-	}
-	if flags := buf.Bytes()[8]; flags != FlagApplyEcho|FlagTraceCtx {
-		t.Errorf("capability byte = %#02x, want %#02x", flags, FlagApplyEcho|FlagTraceCtx)
-	}
-	got, err := ReadHello(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("roundtrip = %+v, want %+v", got, h)
-	}
-	bad := Hello{FirstUnit: 0, Units: 1, Replicate: true, TraceCtx: true}
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted replicate+tracectx")
+	// Eight bytes only: a refusal that waited for the flags byte would
+	// report a short read instead of the version.
+	_, err := ReadHello(bytes.NewReader([]byte{'D', 'P', 'S', '1', 2, 0, 18, 2}))
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 hello: err = %v, want an unsupported-version refusal", err)
 	}
 }
 
@@ -175,7 +167,7 @@ func TestHelloTraceCtxRoundTrip(t *testing.T) {
 // the duration in µs, clamped at 0 and saturating — and reads back as
 // KindApply.
 func TestApplyEchoRoundTrip(t *testing.T) {
-	h := Hello{FirstUnit: 0, Units: 1, ApplyEcho: true}
+	h := Hello{FirstUnit: 0, Units: 1}
 	cases := []struct {
 		in   time.Duration
 		want time.Duration

@@ -19,10 +19,13 @@ const MaxBatchRecords = MaxNodeUnits
 // server's advertised delta epsilon in big-endian deciwatts.
 const ackSize = 4
 
+// capsRoundSize is a cap batch's round prefix.
+const capsRoundSize = 8
+
 // maxFrameSize bounds every frame either side of a session ever reads or
-// writes: a trace-context cap batch's 8-byte round prefix, then a batch
-// frame's header byte + count byte + 255 records.
-const maxFrameSize = 8 + 2 + MaxBatchRecords*RecordSize
+// writes: a cap batch's 8-byte round prefix, then a batch frame's header
+// byte + count byte + 255 records.
+const maxFrameSize = capsRoundSize + 2 + MaxBatchRecords*RecordSize
 
 // FrameKind classifies one upstream frame delivered by Session.ReadFrame.
 type FrameKind uint8
@@ -63,10 +66,10 @@ type sessionBufs struct {
 
 var bufPool = sync.Pool{New: func() any { return new(sessionBufs) }}
 
-// Session owns one negotiated connection: the handshake outcome
-// (capability flags + the server's advertised delta epsilon) and the
-// per-connection frame buffers, so capability checks and buffer reuse
-// live in one place instead of being re-decided at every call site.
+// Session owns one negotiated connection: the handshake outcome (the
+// hello + the server's advertised delta epsilon) and the per-connection
+// frame buffers, so framing checks and buffer reuse live in one place
+// instead of being re-decided at every call site.
 //
 // A session supports one concurrent reader and one concurrent writer:
 // the read methods (ReadFrame, ReadCapsRound) must come from a single
@@ -173,7 +176,7 @@ func (s *Session) next(n int) ([]byte, error) {
 }
 
 // ReadFrame reads one upstream frame (server side): a FrameBatch, a
-// FrameHeartbeat, or — on apply-echo sessions — a FrameApply. The
+// FrameHeartbeat or a FrameApply. The
 // returned Frame's Records alias the session buffer and are valid until
 // the next ReadFrame.
 func (s *Session) ReadFrame() (Frame, error) {
@@ -188,9 +191,6 @@ func (s *Session) ReadFrame() (Frame, error) {
 	case FrameHeartbeat:
 		return Frame{Kind: KindHeartbeat}, nil
 	case FrameApply:
-		if !s.hello.ApplyEcho {
-			return Frame{}, fmt.Errorf("proto: apply echo without the apply-echo capability")
-		}
 		body, err := s.next(applyEchoBodySize)
 		if err != nil {
 			return Frame{}, fmt.Errorf("proto: reading apply echo: %w", err)
@@ -274,13 +274,10 @@ func (s *Session) WriteHeartbeat() error {
 	return err
 }
 
-// WriteApplyEcho sends a cap-apply echo (agent side, apply-echo sessions
-// only): the FrameApply byte and the apply duration in big-endian
-// microseconds, saturating at MaxApplyEcho. Negative durations clamp to 0.
+// WriteApplyEcho sends a cap-apply echo (agent side): the FrameApply
+// byte and the apply duration in big-endian microseconds, saturating at
+// MaxApplyEcho. Negative durations clamp to 0.
 func (s *Session) WriteApplyEcho(applyDur time.Duration) error {
-	if !s.hello.ApplyEcho {
-		return fmt.Errorf("proto: apply echo without the apply-echo capability")
-	}
 	buf := s.bufs.write[:1+applyEchoBodySize]
 	buf[0] = FrameApply
 	binary.BigEndian.PutUint16(buf[1:], uint16(min(max(applyDur.Microseconds(), 0), 0xFFFF)))
@@ -288,11 +285,10 @@ func (s *Session) WriteApplyEcho(applyDur time.Duration) error {
 	return err
 }
 
-// WriteCapsRound sends one cap assignment per local unit (server side),
-// record i for local unit i. A trace-context session prefixes the batch
-// with the controller's round counter as 8 big-endian bytes so the agent
-// can tag its apply spans. The session reuses its write buffer, so a warm
-// push allocates nothing.
+// WriteCapsRound sends one cap batch (server side): the controller's
+// round counter as 8 big-endian bytes, then one cap assignment per local
+// unit, record i for local unit i. The session reuses its write buffer,
+// so a warm push allocates nothing.
 func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
 	if s.bufs == nil {
 		return errors.New("proto: cap push on a released session")
@@ -300,14 +296,10 @@ func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
 	if len(values) != s.hello.Units {
 		return fmt.Errorf("proto: cap batch of %d values on a %d-unit session", len(values), s.hello.Units)
 	}
-	off := 0
-	if s.hello.TraceCtx {
-		binary.BigEndian.PutUint64(s.bufs.write[:8], round)
-		off = 8
-	}
-	buf := s.bufs.write[:off+len(values)*RecordSize]
+	buf := s.bufs.write[:capsRoundSize+len(values)*RecordSize]
+	binary.BigEndian.PutUint64(buf, round)
 	for i, v := range values {
-		PutRecord(buf[off+i*RecordSize:], Record{LocalUnit: uint8(i), Value: ToDeciwatts(v)})
+		PutRecord(buf[capsRoundSize+i*RecordSize:], Record{LocalUnit: uint8(i), Value: ToDeciwatts(v)})
 	}
 	_, err := s.rw.Write(buf)
 	return err
@@ -315,8 +307,7 @@ func (s *Session) WriteCapsRound(round uint64, values []power.Watts) error {
 
 // ReadCapsRound reads one cap batch into dst, which must have the
 // session's unit count (agent side), and returns the controller round
-// that produced it (zero on sessions without the trace-context
-// capability). Record i must address local unit i, the one order
+// that produced it. Record i must address local unit i, the one order
 // WriteCapsRound writes: a batch that names a unit twice and skips
 // another is refused with dst untouched, so the agent never programs a
 // cap the controller did not send this round.
@@ -325,18 +316,12 @@ func (s *Session) ReadCapsRound(dst []power.Watts) (round uint64, err error) {
 		return 0, fmt.Errorf("proto: cap buffer of %d values on a %d-unit session", len(dst), s.hello.Units)
 	}
 	n := len(dst)
-	off := 0
-	if s.hello.TraceCtx {
-		off = 8
-	}
-	buf, err := s.next(off + n*RecordSize)
+	buf, err := s.next(capsRoundSize + n*RecordSize)
 	if err != nil {
 		return 0, fmt.Errorf("proto: reading batch of %d: %w", n, err)
 	}
-	if s.hello.TraceCtx {
-		round = binary.BigEndian.Uint64(buf[:8])
-	}
-	recs := buf[off:]
+	round = binary.BigEndian.Uint64(buf)
+	recs := buf[capsRoundSize:]
 	for i := 0; i < n; i++ {
 		if u := recs[i*RecordSize]; int(u) != i {
 			return round, fmt.Errorf("proto: cap record %d addresses local unit %d", i, u)

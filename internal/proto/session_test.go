@@ -40,14 +40,11 @@ func pipePair(t *testing.T, h Hello, epsilon power.Watts) (agent, server *Sessio
 }
 
 // TestSessionNegotiation: the handshake roundtrips through
-// Connect/Accept for every capability combination, and every session
-// sees the advertised epsilon.
+// Connect/Accept for an agent and a standby, and every session sees the
+// advertised epsilon.
 func TestSessionNegotiation(t *testing.T) {
 	cases := []Hello{
 		{FirstUnit: 4, Units: 2},
-		{FirstUnit: 4, Units: 2, ApplyEcho: true},
-		{FirstUnit: 4, Units: 2, TraceCtx: true},
-		{FirstUnit: 4, Units: 2, ApplyEcho: true, TraceCtx: true},
 		{FirstUnit: 0, Units: 1, Replicate: true},
 	}
 	for _, h := range cases {
@@ -68,29 +65,25 @@ func TestSessionNegotiation(t *testing.T) {
 
 // TestSessionReportRoundTrip: a full report is one batch frame carrying
 // every unit — 2 + 3·n bytes — and arrives as KindBatch with one record
-// per local unit, with and without apply-echo.
+// per local unit.
 func TestSessionReportRoundTrip(t *testing.T) {
 	in := []Record{{LocalUnit: 0, Value: 1105}, {LocalUnit: 1, Value: 0}, {LocalUnit: 2, Value: 873}}
-	for _, h := range []Hello{
-		{FirstUnit: 0, Units: 3},
-		{FirstUnit: 0, Units: 3, ApplyEcho: true},
-	} {
-		var wire bytes.Buffer
-		s := newSession(&wire, h)
-		if err := s.WriteDelta(in); err != nil {
-			t.Fatal(err)
-		}
-		if wire.Len() != 2+RecordSize*h.Units {
-			t.Errorf("%+v: full report is %d bytes, want %d", h, wire.Len(), 2+RecordSize*h.Units)
-		}
-		frame, err := s.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if frame.Kind != KindBatch || !slices.Equal(frame.Records, in) {
-			t.Errorf("%+v: full report reads back as %+v, want a batch of %+v", h, frame, in)
-		}
-		s.Release()
+	h := Hello{FirstUnit: 0, Units: 3}
+	var wire bytes.Buffer
+	s := newSession(&wire, h)
+	defer s.Release()
+	if err := s.WriteDelta(in); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Len() != 2+RecordSize*h.Units {
+		t.Errorf("full report is %d bytes, want %d", wire.Len(), 2+RecordSize*h.Units)
+	}
+	frame, err := s.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Kind != KindBatch || !slices.Equal(frame.Records, in) {
+		t.Errorf("full report reads back as %+v, want a batch of %+v", frame, in)
 	}
 }
 
@@ -142,7 +135,7 @@ func TestSessionHeartbeat(t *testing.T) {
 // TestSessionApplyEcho: the echo rides the shared socket beside batch
 // frames and carries the duration.
 func TestSessionApplyEcho(t *testing.T) {
-	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2, ApplyEcho: true}, 0)
+	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 2}, 0)
 	go func() { agent.WriteApplyEcho(3 * time.Millisecond) }()
 	frame, err := server.ReadFrame()
 	if err != nil {
@@ -153,8 +146,8 @@ func TestSessionApplyEcho(t *testing.T) {
 	}
 }
 
-// TestSessionCapsRoundTrip: the downstream cap push is a raw record
-// batch, record i for local unit i.
+// TestSessionCapsRoundTrip: the downstream cap push is the round and a
+// record batch, record i for local unit i.
 func TestSessionCapsRoundTrip(t *testing.T) {
 	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3}, 0)
 	in := []power.Watts{110, 42.5, 165}
@@ -170,14 +163,13 @@ func TestSessionCapsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionCapsRoundTripTraceCtx: on a trace-context session the cap
-// push carries the controller round, recovered by ReadCapsRound; without
-// the capability the round prefix is absent and reads back as zero.
+// TestSessionCapsRoundTripTraceCtx: every cap push carries the
+// controller round, recovered by ReadCapsRound.
 func TestSessionCapsRoundTripTraceCtx(t *testing.T) {
-	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3, TraceCtx: true}, 0)
+	agent, server := pipePair(t, Hello{FirstUnit: 0, Units: 3}, 0)
 	in := []power.Watts{110, 42.5, 165}
 	out := make([]power.Watts, 3)
-	for _, want := range []uint64{7, 8} {
+	for _, want := range []uint64{7, 8, 0} {
 		go func() { server.WriteCapsRound(want, in) }()
 		round, err := agent.ReadCapsRound(out)
 		if err != nil {
@@ -192,17 +184,6 @@ func TestSessionCapsRoundTripTraceCtx(t *testing.T) {
 			}
 		}
 	}
-
-	// A plain session ignores the round argument entirely.
-	agent2, server2 := pipePair(t, Hello{FirstUnit: 0, Units: 3}, 0)
-	go func() { server2.WriteCapsRound(99, in) }()
-	round, err := agent2.ReadCapsRound(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round != 0 {
-		t.Fatalf("plain session round = %d, want 0", round)
-	}
 }
 
 // TestReadCapsRoundRefusesMisaddressedBatch: record i of a cap batch must
@@ -210,33 +191,28 @@ func TestSessionCapsRoundTripTraceCtx(t *testing.T) {
 // is refused and leaves every cap as it was, instead of programming unit
 // 0 twice and leaving unit 1 on last round's cap.
 func TestReadCapsRoundRefusesMisaddressedBatch(t *testing.T) {
-	for _, h := range []Hello{{Units: 3}, {Units: 3, TraceCtx: true}} {
-		var wire []byte
-		if h.TraceCtx {
-			wire = make([]byte, 8)
-		}
-		for _, rec := range []Record{{LocalUnit: 0, Value: 1000}, {LocalUnit: 0, Value: 2000}, {LocalUnit: 2, Value: 3000}} {
-			var b [RecordSize]byte
-			PutRecord(b[:], rec)
-			wire = append(wire, b[:]...)
-		}
-		s := newSession(bytes.NewBuffer(wire), h)
-		dst := []power.Watts{1, 2, 3}
-		if _, err := s.ReadCapsRound(dst); err == nil {
-			t.Errorf("%+v: ReadCapsRound accepted a batch naming unit 0 twice", h)
-		}
-		if !slices.Equal(dst, []power.Watts{1, 2, 3}) {
-			t.Errorf("%+v: the refused batch changed the caps to %v", h, dst)
-		}
-		s.Release()
+	wire := make([]byte, 8) // the round
+	for _, rec := range []Record{{LocalUnit: 0, Value: 1000}, {LocalUnit: 0, Value: 2000}, {LocalUnit: 2, Value: 3000}} {
+		var b [RecordSize]byte
+		PutRecord(b[:], rec)
+		wire = append(wire, b[:]...)
+	}
+	s := newSession(bytes.NewBuffer(wire), Hello{Units: 3})
+	defer s.Release()
+	dst := []power.Watts{1, 2, 3}
+	if _, err := s.ReadCapsRound(dst); err == nil {
+		t.Error("ReadCapsRound accepted a batch naming unit 0 twice")
+	}
+	if !slices.Equal(dst, []power.Watts{1, 2, 3}) {
+		t.Errorf("the refused batch changed the caps to %v", dst)
 	}
 }
 
-// TestTraceCtxCapsWireFormat pins the trace-context cap batch bytes: an
-// 8-byte big-endian round, then the raw records.
+// TestTraceCtxCapsWireFormat pins the cap batch bytes: an 8-byte
+// big-endian round, then the raw records.
 func TestTraceCtxCapsWireFormat(t *testing.T) {
 	var out bytes.Buffer
-	s := newSession(&out, Hello{FirstUnit: 0, Units: 2, TraceCtx: true})
+	s := newSession(&out, Hello{FirstUnit: 0, Units: 2})
 	if err := s.WriteCapsRound(0x0102030405060708, []power.Watts{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,31 +222,24 @@ func TestTraceCtxCapsWireFormat(t *testing.T) {
 		1, 0, 20, // unit 1: 2 W = 20 dW
 	}
 	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("trace-ctx cap batch = %v, want %v", out.Bytes(), want)
+		t.Errorf("cap batch = %v, want %v", out.Bytes(), want)
 	}
 }
 
-// TestSessionCapabilityEnforcement: an apply echo is refused on both
-// sides of a session that did not negotiate it, and the retired report
-// dialects — a 'R' frame and raw records — are unknown frame types on
-// every session.
+// TestSessionCapabilityEnforcement: the retired report dialects — a 'R'
+// frame and raw records — are unknown frame types, and a truncated echo
+// is refused.
 func TestSessionCapabilityEnforcement(t *testing.T) {
-	plain := Hello{FirstUnit: 0, Units: 2}
-	echo := Hello{FirstUnit: 0, Units: 2, ApplyEcho: true}
-	if err := newSession(&bytes.Buffer{}, plain).WriteApplyEcho(time.Millisecond); err == nil {
-		t.Error("WriteApplyEcho accepted on a session without apply-echo")
-	}
+	h := Hello{FirstUnit: 0, Units: 2}
 	for _, c := range []struct {
 		name string
-		h    Hello
 		raw  []byte
 	}{
-		{"apply echo without the capability", plain, []byte{FrameApply, 0, 1}},
-		{"'R' report frame", plain, []byte{'R', 0, 0, 1, 1, 0, 1}},
-		{"'R' report frame on an echo session", echo, []byte{'R', 0, 0, 1, 1, 0, 1}},
-		{"raw records", plain, []byte{0, 0, 1, 1, 0, 1}},
+		{"truncated apply echo", []byte{FrameApply, 0}},
+		{"'R' report frame", []byte{'R', 0, 0, 1, 1, 0, 1}},
+		{"raw records", []byte{0, 0, 1, 1, 0, 1}},
 	} {
-		s := newSession(bytes.NewBuffer(c.raw), c.h)
+		s := newSession(bytes.NewBuffer(c.raw), h)
 		if _, err := s.ReadFrame(); err == nil {
 			t.Errorf("%s: ReadFrame accepted %v", c.name, c.raw)
 		}
@@ -325,7 +294,6 @@ func TestReadBatchFrameRejectsGarbage(t *testing.T) {
 func TestBatchAckWireFormat(t *testing.T) {
 	for _, h := range []Hello{
 		{FirstUnit: 0, Units: 2},
-		{FirstUnit: 0, Units: 2, ApplyEcho: true},
 		{FirstUnit: 0, Units: 1, Replicate: true},
 	} {
 		var out bytes.Buffer
@@ -420,8 +388,8 @@ func TestReadFrameOneReadPerFrame(t *testing.T) {
 	}
 	echo := func(s *Session) { s.WriteApplyEcho(time.Millisecond) }
 	heartbeat := func(s *Session) { s.WriteHeartbeat() }
-	node := Hello{Units: MaxNodeUnits, ApplyEcho: true}
-	dual := Hello{Units: 2, ApplyEcho: true}
+	node := Hello{Units: MaxNodeUnits}
+	dual := Hello{Units: 2}
 	concat := func(bs ...[]byte) []byte { return bytes.Join(bs, nil) }
 	b2 := encode(node, batch(2))
 

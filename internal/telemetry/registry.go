@@ -24,7 +24,7 @@
 // (3) the bucket count stays small (≤ ~20) because every series carries
 // its full bucket vector in each exposition. DefSecondsBuckets applies
 // the rule to in-process stage timings (1 µs–1 s); paths with different
-// physics — e.g. the network-crossing apply-echo round trip — register
+// physics — e.g. the network-crossing apply echo round trip — register
 // their own bounds instead of reusing it.
 package telemetry
 

@@ -17,8 +17,9 @@ import (
 // an "apply" span for each cap-apply echo, back-dated by the echoed
 // apply duration — its start is the server-clock estimate of the moment
 // the agent began applying. The agent's own "cap_apply" span records the
-// same moment on the agent's clock, and FlagTraceCtx makes both carry
-// the controller round plus the agent's first unit. Matching the pairs
+// same moment on the agent's clock, and the round every cap batch
+// carries makes both name the controller round plus the agent's first
+// unit. Matching the pairs
 // by (trace_id, unit) and taking the median of (server start − agent
 // start) estimates the offset with the push latency as error — small,
 // and median-robust against stragglers.
@@ -88,7 +89,8 @@ func argNum(args map[string]any, key string) (int64, bool) {
 }
 
 // anchors collects name-matching spans keyed by (trace_id, unit). Spans
-// with round 0 carry no trace context and cannot anchor anything.
+// with round 0 (an agent's spans before its first cap batch) name no
+// controller round and cannot anchor anything.
 func anchors(events []Event, name string) map[anchorKey]float64 {
 	out := make(map[anchorKey]float64)
 	for _, ev := range events {
@@ -113,7 +115,7 @@ func anchors(events []Event, name string) map[anchorKey]float64 {
 // timeline. It matches ref's RTT-inferred "apply" spans against proc's
 // locally-clocked "cap_apply" spans by (controller round, first unit)
 // and returns the median difference. ok is false when no pair matches —
-// the processes share no trace-context rounds — in which case spans can
+// the processes share no rounds — in which case spans can
 // only be merged unaligned.
 func EstimateOffsetUS(ref, proc []Event) (offsetUS float64, ok bool) {
 	serverSide := anchors(ref, SpanApply)

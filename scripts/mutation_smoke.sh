@@ -72,11 +72,15 @@ mutant "restore drops the PRNG register" internal/core/state.go \
 mutant "round input ships no pushed unit" internal/snapshot/input.go \
 	"$(printf 'for _, w := range in.Pushed {\n\t\tb = section.AppendU64(b, w)')" \
 	"$(printf 'for range in.Pushed {\n\t\tb = section.AppendU64(b, 0)')"
+mutant "a ring that settles this round skips classification" internal/core/sparse.go \
+	'| d.settledNowW[wi] |' '|'
 
 target FuzzServer ./internal/daemon/
 mutant "a rejected record refreshes the health clock" internal/daemon/ingest.go \
-	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tcontinue')" \
-	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tif s.lastReport != nil {\n\t\t\t\ts.lastReport[first+lu] = now\n\t\t\t}\n\t\t\tcontinue')"
+	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tif s.refused != nil {')" \
+	"$(printf 's.metrics.badReadings.Inc()\n\t\t\tif s.lastReport != nil {\n\t\t\t\ts.lastReport[u] = now\n\t\t\t}\n\t\t\tif s.refused != nil {')"
+mutant "omission refreshes a refused unit's clock" internal/daemon/ingest.go \
+	'if s.refused[u>>6]&(1<<(u&63)) == 0 {' 'if true {'
 mutant "a heartbeat skips touchUnits" internal/daemon/ingest.go \
 	"$(printf 's.touchUnits(sc.hello)\n\t\ts.metrics.ingestHeartbeats.Inc()')" \
 	's.metrics.ingestHeartbeats.Inc()'
