@@ -54,19 +54,22 @@ bench:
 # and phased rows all complete a cluster-scale round with -benchmem
 # reporting, and that the BENCH_decide.json emitter parses the output;
 # it also runs the replication-round, sampler-scrape and /metrics
-# exposition benchmarks once at bench's ops16k sizes, one agentless
-# steady 16k DecideOnce (the daemon's per-round bookkeeping), and a 256-agent
-# lock-step round over loopback TCP that reports its reads per
-# connection-round (3: one per frame), so they cannot rot. It is a
-# compile-and-run check, not a timing run. The smoke JSON goes to an
-# untracked path so it never clobbers the committed timing record.
+# exposition benchmarks (all-distinct caps and caps from 256 values) once
+# at bench's ops16k sizes, the /status and /debug/rounds?n=1 views at
+# 16 384 units, one agentless steady 16k DecideOnce (the daemon's
+# per-round bookkeeping), and a 256-agent lock-step round over loopback
+# TCP that reports its reads per connection-round (3: one per frame), so
+# they cannot rot. It is a compile-and-run check, not a timing run. The
+# smoke JSON goes to an untracked path so it never clobbers the committed
+# timing record.
 bench-smoke:
 	BENCHTIME=1x OUT=BENCH_decide.smoke.json ./scripts/bench_decide.sh
 	$(GO) test -run xxx -bench 'BenchmarkReplicateRound/N=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkLoopbackRound/agents=256$$' -benchtime 20x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkDecideOnce/units=16384$$' -benchtime 1x -benchmem ./internal/daemon/
 	$(GO) test -run xxx -bench 'BenchmarkSampleOnce/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/series/
-	$(GO) test -run xxx -bench 'BenchmarkWritePrometheus/series=65743$$' -benchtime 1x -benchmem ./internal/telemetry/
+	$(GO) test -run xxx -bench 'BenchmarkWritePrometheus/series=65743' -benchtime 1x -benchmem ./internal/telemetry/
+	$(GO) test -run xxx -bench 'BenchmarkRoundViews$$' -benchtime 1x -benchmem ./internal/daemon/
 
 # bench-json refreshes the committed BENCH_decide.json with real timings.
 bench-json:
@@ -116,9 +119,10 @@ alloc-check:
 # against the reference under scripted readings, report bands, health
 # flaps, budget moves, short rounds and cuts), the daemon's scripted rig
 # (a real dpsd, its agents on scripted devices, restarts and standby
-# takeovers, against the engine model and what the devices enforce), and
-# the restore gate (a refused image touches nothing, an accepted one is
-# restored whole).
+# takeovers, against the engine model and what the devices enforce), the
+# restore gate (a refused image touches nothing, an accepted one is
+# restored whole), and the number appender the views format with (both
+# forms against strconv and encoding/json).
 # `go test` accepts one -fuzz pattern per invocation, hence one command
 # per target (anchored: -fuzz must match exactly one target). The
 # section framing is fuzzed once, in its own package; the snapshot,
@@ -136,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzRoundEngine$$' -fuzztime=5s -run xxx ./internal/engine/
 	$(GO) test -fuzz='FuzzServer$$' -fuzztime=5s -run xxx ./internal/daemon/
 	$(GO) test -fuzz='FuzzRestoreImage$$' -fuzztime=5s -run xxx ./internal/daemon/
+	$(GO) test -fuzz='FuzzAppendNumber$$' -fuzztime=5s -run xxx ./internal/telemetry/
 
 # mutation-smoke proves the differential fuzzers' seed corpora are not
 # vacuous: in a copy of the tree, each of a few known bugs must make its

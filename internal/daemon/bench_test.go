@@ -3,6 +3,8 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,6 +157,65 @@ func BenchmarkDecideOnce(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRoundViews times the two JSON views an operator polls, /status
+// and /debug/rounds?n=1, on a 16 384-unit DPS server after dense rounds of
+// deciwatt readings, into a writer that keeps nothing: the traffic
+// bench's telemetry.status_ms and telemetry.rounds_ms measure.
+func BenchmarkRoundViews(b *testing.B) {
+	const units = 16384
+	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second, FlightRecorderSize: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	readings := make(power.Vector, units)
+	for i := 0; i < 8; i++ {
+		for u := range readings {
+			readings[u] = power.Watts(400+(u*37+i*911)%1300) / 10
+		}
+		setReadings(srv, readings)
+		if _, err := srv.DecideOnce(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mux := srv.StatusHandler()
+	for _, view := range []struct{ name, url string }{{"status", "/status"}, {"rounds", "/debug/rounds?n=1"}} {
+		b.Run(fmt.Sprintf("%s/units=%d", view.name, units), func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, view.url, nil)
+			w := &discardResponse{header: http.Header{}}
+			mux.ServeHTTP(w, req)
+			if w.code != 0 && w.code != http.StatusOK {
+				b.Fatalf("GET %s: %d", view.url, w.code)
+			}
+			b.SetBytes(int64(w.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mux.ServeHTTP(w, req)
+			}
+		})
+	}
+}
+
+// discardResponse is a ResponseWriter that counts the body and keeps
+// nothing.
+type discardResponse struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header  { return d.header }
+func (d *discardResponse) WriteHeader(code int) { d.code = code }
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
 }
 
 // BenchmarkProtoBatchPerNode isolates one node's wire encoding per round.

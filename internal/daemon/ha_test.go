@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -185,6 +187,89 @@ func TestRestoreKeepsConfiguredBudget(t *testing.T) {
 	}
 	if got := srv.metrics.budget.Value(); got != configured {
 		t.Errorf("dps_budget_watts = %v, want %v", got, configured)
+	}
+}
+
+// TestStandbyLogsPrimaryBudget: a 704 W standby of an 880 W primary
+// follows the primary's budget, and says so when it syncs and again when
+// it takes over.
+func TestStandbyLogsPrimaryBudget(t *testing.T) {
+	const units = 8 // 880 W at testBudget's 110 W a unit
+	clk := newTestClock()
+	primary := newRigServer(t, units, clk, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := primary.DecideOnce(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	logged := func(prefix string) (string, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		i := slices.IndexFunc(logs, func(l string) bool { return strings.HasPrefix(l, prefix) })
+		if i < 0 {
+			return "", false
+		}
+		return logs[i], true
+	}
+	standby := newRigServer(t, units, clk, func(sc *ServerConfig) {
+		b := testBudget(units)
+		b.Total = 704
+		mgr, err := core.NewDPS(core.DefaultConfig(units, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Manager, sc.StandbyOf, sc.Interval = mgr, "primary-in-process", time.Hour
+		sc.Logf = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}
+	})
+	standby.dial = func(string, string) (net.Conn, error) {
+		client, server := net.Pipe()
+		go primary.Handle(server)
+		return client, nil
+	}
+	l := &pipeListener{done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- standby.RunStandby(ctx, func() (net.Listener, error) { return l, nil }) }()
+	defer func() {
+		cancel()
+		standby.Close()
+		l.Close()
+		if err := <-done; err != nil {
+			t.Errorf("RunStandby: %v", err)
+		}
+	}()
+
+	// The primary sends its image with the round after the standby attaches.
+	waitUntil(t, "standby attached", func() bool {
+		primary.snapMu.Lock()
+		defer primary.snapMu.Unlock()
+		return len(primary.replicas) == 1
+	})
+	if _, err := primary.DecideOnce(1); err != nil {
+		t.Fatal(err)
+	}
+	both := func(line string) bool { return strings.Contains(line, "880 W") && strings.Contains(line, "704 W") }
+	waitUntil(t, "standby synced", func() bool { _, ok := logged("daemon: standby: synced"); return ok })
+	if line, _ := logged("daemon: standby: synced"); !both(line) {
+		t.Errorf("the sync line does not name the primary's 880 W and the configured 704 W: %q", line)
+	}
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "standby takeover", func() bool { _, ok := logged("daemon: standby: primary gone"); return ok })
+	if line, _ := logged("daemon: standby: primary gone"); !both(line) {
+		t.Errorf("the takeover line does not name the primary's 880 W and the configured 704 W: %q", line)
+	}
+	if got := standby.Snapshot().BudgetW; got != 880 {
+		t.Errorf("/status budget_w after the takeover = %v, want the primary's 880", got)
 	}
 }
 

@@ -315,13 +315,14 @@ func TestV1ImageRefused(t *testing.T) {
 	}
 }
 
-// TestRoundViewsConsistentWhileRingWraps reads /debug/rounds?n=K and
-// /debug/why while the decision loop laps a small ring many times. Ring
-// slots are re-filled in place, so a reader that saw a slot mid-fill
-// would return a round whose unit rows belong to two different rounds;
-// every round returned must instead be internally consistent — its unit
-// caps sum (in unit order, so bit for bit) to its own cap_sum_w — and a
-// response's rounds must be consecutive, newest first. Run under -race.
+// TestRoundViewsConsistentWhileRingWraps reads /debug/rounds?n=K,
+// /debug/why and /status while the decision loop laps a small ring many
+// times. Ring slots are re-filled in place, so a reader that saw a slot
+// mid-fill would return a round whose unit rows belong to two different
+// rounds; every round returned must instead be internally consistent —
+// its unit caps sum (in unit order, so bit for bit) to its own cap_sum_w
+// — and a response's rounds must be consecutive, newest first. /status
+// must likewise sum its own caps_w. Run under -race.
 func TestRoundViewsConsistentWhileRingWraps(t *testing.T) {
 	const (
 		units  = 32
@@ -388,6 +389,23 @@ func TestRoundViewsConsistentWhileRingWraps(t *testing.T) {
 					t.Errorf("rounds not consecutive newest-first: %d after %d", r.Round, recs[i-1].Round)
 					return false
 				}
+			}
+			return true
+		})
+	}
+	for i := 0; i < 2; i++ { // two, so the spare status copy is contended
+		reader(func() bool {
+			var st Status
+			if !get("/status", &st) {
+				return false
+			}
+			var sum power.Watts
+			for _, c := range st.Caps {
+				sum += power.Watts(c)
+			}
+			if len(st.Caps) != units || float64(sum) != st.CapSumW {
+				t.Errorf("/status: %d caps summing to %v, cap_sum_w %v", len(st.Caps), sum, st.CapSumW)
+				return false
 			}
 			return true
 		})

@@ -263,6 +263,9 @@ type Server struct {
 	// which connection handlers sanitize readings against.
 	configuredBudget, unitMax power.Watts
 
+	// statusSpare is a /status copy whose columns the next request reuses.
+	statusSpare atomic.Pointer[statusView]
+
 	// inheritedRounds is how many of the round counter's rounds were run
 	// by a previous process (restored from a snapshot or inherited at
 	// standby takeover): uptime_rounds = rounds - inheritedRounds, while

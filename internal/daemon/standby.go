@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"time"
 
 	"dps/internal/core"
+	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/section"
 	"dps/internal/snapshot"
@@ -103,8 +105,8 @@ func (s *Server) RunStandby(ctx context.Context, listen func() (net.Listener, er
 				}
 				synced = true
 				s.metrics.standbyLag.Set(0)
-				s.logf("daemon: standby: synced full state (round %d, %d units, %d bytes)",
-					s.rounds.Load(), s.cfg.Units, len(payload))
+				s.logf("daemon: standby: synced full state (round %d, %d units, %d bytes)%s",
+					s.rounds.Load(), s.cfg.Units, len(payload), s.primaryBudgetNote())
 			case proto.FrameDelta:
 				if !synced {
 					continue // inputs for a state we never saw are noise
@@ -265,12 +267,23 @@ func (s *Server) takeOver(listen func() (net.Listener, error)) error {
 	s.imu.Unlock()
 	s.roundMu.Unlock()
 	s.metrics.failovers.Inc()
-	s.logf("daemon: standby: primary gone, taking over at round %d (%d units)", s.rounds.Load(), s.cfg.Units)
+	s.logf("daemon: standby: primary gone, taking over at round %d (%d units)%s", s.rounds.Load(), s.cfg.Units, s.primaryBudgetNote())
 	l, err := listen()
 	if err != nil {
 		return fmt.Errorf("daemon: standby takeover: listener: %w", err)
 	}
 	return s.Serve(l)
+}
+
+// primaryBudgetNote names the budget a standby holds when it is not its
+// own configured one: it follows the primary's (DESIGN.md §9), and
+// keeps it past a takeover. Empty when the two agree.
+func (s *Server) primaryBudgetNote() string {
+	held := power.Watts(math.Float64frombits(s.budgetW.Load()))
+	if held == s.configuredBudget {
+		return ""
+	}
+	return fmt.Sprintf("; holding the primary's %v W budget, not the configured %v W", held, s.configuredBudget)
 }
 
 // sleepCtx sleeps for d or until ctx is done; it reports false when the

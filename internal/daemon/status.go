@@ -55,27 +55,56 @@ type Status struct {
 // round caches, the budget it republishes, and the newest round record,
 // never the controller: a /status scrape may overlap a decision round or
 // a standby's followed budget move, and the controller's accessors are
-// not synchronized.
+// not synchronized. GET /status answers what encoding/json writes for
+// it, byte for byte, without building it.
 func (s *Server) Snapshot() Status {
+	var v statusView
+	s.status(&v)
+	st := v.Status
+	st.Readings, st.Caps = toFloats(v.readings), toFloats(v.caps)
+	if len(v.prio) != 0 {
+		st.Priority = v.prio
+	}
+	st.Health = make([]string, len(v.health))
+	for u, h := range v.health {
+		st.Health[u] = h.String()
+	}
+	return st
+}
+
+// statusView is what /status shows, as copied from the server: Status's
+// scalars, and the per-unit columns in their own types, rendered to
+// Status's fields only when written.
+type statusView struct {
+	Status         // its slices stay nil
+	readings, caps power.Vector
+	prio           []bool
+	health         []core.UnitHealth
+}
+
+// status copies the server's observable state into v, reusing v's
+// columns: each source under its own lock, held for a copy only.
+func (s *Server) status(v *statusView) {
 	s.imu.Lock()
-	readings := s.readings.Clone()
+	v.readings = append(v.readings[:0], s.readings...)
 	s.imu.Unlock()
 	rounds := s.rounds.Load()
 
-	var prio []bool
 	var last core.RoundStats
+	v.prio = v.prio[:0]
 	s.recorder.Each(1, func(rec *telemetry.Round) {
-		prio = append(prio, rec.Prio...)
+		v.prio = append(v.prio, rec.Prio...)
 		last = rec.Stats
 	})
 
 	s.mu.Lock()
 	agents := len(s.conns)
-	caps := s.eng.Prev.Clone()
-	health := make([]string, len(s.health))
+	v.caps = append(v.caps[:0], s.eng.Prev...)
+	v.health = append(v.health[:0], s.health...)
+	s.mu.Unlock()
+
 	var stale, dead int
-	for u, h := range s.health {
-		health[u] = h.String()
+	for _, h := range v.health {
 		switch h {
 		case core.HealthStale:
 			stale++
@@ -83,9 +112,7 @@ func (s *Server) Snapshot() Status {
 			dead++
 		}
 	}
-	s.mu.Unlock()
-
-	return Status{
+	v.Status = Status{
 		Policy:         s.cfg.Manager.Name(),
 		Units:          s.cfg.Units,
 		Agents:         agents,
@@ -93,12 +120,8 @@ func (s *Server) Snapshot() Status {
 		UptimeRounds:   rounds - s.inheritedRounds.Load(),
 		StateAgeRounds: rounds,
 		BudgetW:        math.Float64frombits(s.budgetW.Load()),
-		Readings:       toFloats(readings),
-		Caps:           toFloats(caps),
-		CapSumW:        float64(caps.Sum()),
-		Priority:       prio,
+		CapSumW:        float64(v.caps.Sum()),
 		Restored:       last.Restored,
-		Health:         health,
 		StaleUnits:     stale,
 		DeadUnits:      dead,
 		DirtyUnits:     last.DirtyUnits,
@@ -106,6 +129,59 @@ func (s *Server) Snapshot() Status {
 		DirtyFrac:      last.DirtyFrac,
 		AlertsFiring:   s.watcher.FiringCount(),
 	}
+}
+
+// write appends v as Snapshot()'s Status encodes, byte for byte.
+func (v *statusView) write(j *telemetry.JSONBody) {
+	j.Raw(`{"policy":`)
+	j.String(v.Policy)
+	j.Raw(`,"units":`)
+	j.Int(v.Units)
+	j.Raw(`,"agents":`)
+	j.Int(v.Agents)
+	j.Raw(`,"rounds":`)
+	j.Uint(v.Rounds)
+	j.Raw(`,"uptime_rounds":`)
+	j.Uint(v.UptimeRounds)
+	j.Raw(`,"state_age_rounds":`)
+	j.Uint(v.StateAgeRounds)
+	j.Raw(`,"budget_w":`)
+	j.Float(v.BudgetW)
+	j.Raw(`,"cap_sum_w":`)
+	j.Float(v.CapSumW)
+	j.Raw(`,"readings_w":`)
+	telemetry.FloatArray(j, v.readings)
+	j.Raw(`,"caps_w":`)
+	telemetry.FloatArray(j, v.caps)
+	if len(v.prio) != 0 {
+		j.Raw(`,"high_priority":`)
+		j.BoolArray(v.prio)
+	}
+	if v.Restored {
+		j.Raw(`,"restored":true`)
+	}
+	if len(v.health) != 0 {
+		j.Raw(`,"health":`)
+		telemetry.StringArray(j, v.health, core.UnitHealth.String)
+	}
+	for _, f := range []struct {
+		key string
+		n   int
+	}{{`,"stale_units":`, v.StaleUnits}, {`,"dead_units":`, v.DeadUnits}, {`,"dirty_units":`, v.DirtyUnits}, {`,"skipped_units":`, v.SkippedUnits}} {
+		if f.n != 0 {
+			j.Raw(f.key)
+			j.Int(f.n)
+		}
+	}
+	if v.DirtyFrac != 0 {
+		j.Raw(`,"dirty_frac":`)
+		j.Float(v.DirtyFrac)
+	}
+	if v.AlertsFiring != 0 {
+		j.Raw(`,"alerts_firing":`)
+		j.Int(v.AlertsFiring)
+	}
+	j.Raw("}\n")
 }
 
 func toFloats(v power.Vector) []float64 {
@@ -172,10 +248,15 @@ func (s *Server) Why(u, n int) []WhyRecord {
 func (s *Server) StatusHandler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		v := s.statusSpare.Swap(nil)
+		if v == nil {
+			v = new(statusView)
 		}
+		defer s.statusSpare.Store(v)
+		s.status(v)
+		j := telemetry.NewJSONBody()
+		v.write(j)
+		j.Serve(w)
 	})
 	mux.Handle("GET /metrics", s.tel.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -191,46 +191,60 @@ func TestEqualizeConservesSum(t *testing.T) {
 func TestFloorAlwaysSatisfiableAtFullBudgetProperty(t *testing.T) {
 	m := mustNew(t, DefaultConfig())
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10) + 3
-		b := power.Budget{Total: power.Watts(n) * 110, UnitMax: 165, UnitMin: 10}
-		caps := make(power.Vector, n)
-		prio := make([]bool, n)
-		prio[0] = true // at least one high-priority unit
-		for u := range caps {
-			caps[u] = 10 + power.Watts(rng.Float64()*155)
-			if u > 0 {
-				prio[u] = rng.Intn(2) == 0
-			}
-		}
-		// Scale toward the budget. Hardware clamping can leave the sum
-		// slightly under it, in which case Readjust takes the
-		// leftover-granting branch instead; the floor lemma is asserted
-		// only when the exhausted-budget (equalize) branch actually runs.
-		scale := b.Total / caps.Sum()
-		for u := range caps {
-			caps[u] *= scale
-			if caps[u] > b.UnitMax {
-				caps[u] = b.UnitMax
-			}
-			if caps[u] < b.UnitMin {
-				caps[u] = b.UnitMin
-			}
+		caps, prio, b := floorInput(seed)
+		if caps.Sum() > b.Total+1e-9 {
+			t.Fatalf("seed %d: the generator left Σ %v over the %v budget", seed, caps.Sum(), b.Total)
 		}
 		exhausted := caps.Sum() >= b.Total
-		m.Readjust(caps, prio, b, b.ConstantCap(n))
+		m.Readjust(caps, prio, b, b.ConstantCap(len(caps)))
 		if exhausted {
 			for u := range caps {
-				if prio[u] && caps[u] < b.ConstantCap(n)-1e-6 {
+				if prio[u] && caps[u] < b.ConstantCap(len(caps))-1e-6 {
 					return false
 				}
 			}
 		}
 		return caps.Sum() <= b.Total+1e-6
 	}
+	// Once drew an input over budget: clamping unit 5 up to UnitMin left
+	// Σ 990.23 W on a 990 W budget.
+	if !f(4732561128631694440) {
+		t.Error("seed 4732561128631694440 fails")
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// floorInput draws the lemma's input from seed: 3–12 units, unit 0 and a
+// random half of the rest high priority, caps scaled toward the budget
+// and clamped to the unit bounds. Clamping up to UnitMin can push Σ over
+// the budget, which the lemma excludes, so the excess comes back off the
+// units above UnitMin. Hardware clamping can also leave Σ under the
+// budget, in which case Readjust takes the leftover-granting branch; the
+// floor is asserted only when the exhausted-budget (equalize) branch
+// runs.
+func floorInput(seed int64) (power.Vector, []bool, power.Budget) {
+	rng := rand.New(rand.NewSource(seed))
+	n := rng.Intn(10) + 3
+	b := power.Budget{Total: power.Watts(n) * 110, UnitMax: 165, UnitMin: 10}
+	caps := make(power.Vector, n)
+	prio := make([]bool, n)
+	prio[0] = true // at least one high-priority unit
+	for u := range caps {
+		caps[u] = 10 + power.Watts(rng.Float64()*155)
+		if u > 0 {
+			prio[u] = rng.Intn(2) == 0
+		}
+	}
+	scale := b.Total / caps.Sum()
+	for u := range caps {
+		caps[u] = min(max(caps[u]*scale, b.UnitMin), b.UnitMax)
+	}
+	for u := 0; u < n && caps.Sum() > b.Total; u++ {
+		caps[u] -= min(caps.Sum()-b.Total, caps[u]-b.UnitMin)
+	}
+	return caps, prio, b
 }
 
 func TestEqualizeFloorDisabled(t *testing.T) {

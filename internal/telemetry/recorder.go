@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
+	"errors"
 	"math/bits"
 	"net/http"
 	"slices"
@@ -347,7 +347,9 @@ func (r *FlightRecorder) Each(n int, fn func(*Round)) {
 }
 
 // Last renders up to n rounds, newest first (n <= 0 means all held),
-// each with every unit's row (unit < 0) or that one unit's.
+// each with every unit's row (unit < 0) or that one unit's. Handler
+// answers what encoding/json writes for these records, byte for byte,
+// without building them.
 func (r *FlightRecorder) Last(n, unit int) []RoundRecord {
 	var out []RoundRecord
 	r.Each(n, func(rd *Round) { out = append(out, rd.Record(unit)) })
@@ -359,8 +361,10 @@ func (r *FlightRecorder) Last(n, unit int) []RoundRecord {
 // limits the response to the newest n records (default 16); the optional
 // unit parameter narrows each record's Units to that one unit, so a
 // single unit's history can be pulled without rendering every other
-// unit's rows. Rounds are rendered under the recorder lock and encoded
-// outside it: the decision loop never waits on JSON.
+// unit's rows. The held rounds' scalars and requested rows are copied
+// under the recorder lock and formatted outside it, as RoundRecord's JSON
+// with no RoundRecord built: the decision loop waits for a copy, never
+// for formatting or I/O.
 func (r *FlightRecorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		n, ok := trace.CountParam(w, req, 16)
@@ -376,13 +380,157 @@ func (r *FlightRecorder) Handler() http.Handler {
 			}
 			unit = v
 		}
-		recs := r.Last(n, unit)
-		if recs == nil {
-			recs = []RoundRecord{}
+		views := r.views(n, unit)
+		j := NewJSONBody()
+		j.Raw("[")
+		for i := range views {
+			if i > 0 {
+				j.Raw(",")
+			}
+			views[i].write(j)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		j.Raw("]\n")
+		j.Serve(w)
+		release(views)
 	})
+}
+
+// roundView is one held round as /debug/rounds shows it: the record's
+// scalars and the requested rows of its columns, copied under the
+// recorder lock and formatted outside it.
+type roundView struct {
+	Round
+	first int  // unit number of the first copied row
+	null  bool // unit= names no unit of the round: "units":null
+}
+
+// spareViews holds views whose columns a request left, for the next
+// request's newest round to reuse.
+var spareViews sync.Pool
+
+// views copies up to n held rounds, newest first, each with every
+// unit's row (unit < 0) or that one unit's. The first copy reuses a spare
+// view's columns; release hands one back.
+func (r *FlightRecorder) views(n, unit int) []roundView {
+	views := make([]roundView, 1)
+	if sp, ok := spareViews.Get().(*roundView); ok {
+		views[0] = *sp
+	}
+	held := 0
+	r.Each(n, func(rd *Round) {
+		if held == len(views) {
+			views = append(views, roundView{})
+		}
+		views[held].copyFrom(rd, unit)
+		held++
+	})
+	return views[:held]
+}
+
+// release keeps the first view's columns for the next request; the rest
+// are garbage, so a deep request does not pin n rounds' columns.
+func release(views []roundView) {
+	sp := views[:1][0]
+	spareViews.Put(&sp)
+}
+
+// copyFrom makes v the view of rd for unit, reusing v's column memory.
+func (v *roundView) copyFrom(rd *Round, unit int) {
+	lo, hi := 0, len(rd.Cap)
+	if unit >= 0 {
+		lo, hi = min(unit, hi), min(unit+1, hi)
+	}
+	cols := v.Round
+	v.Round = *rd
+	v.Reading = append(cols.Reading[:0], rd.Reading[lo:hi]...)
+	v.Cap = append(cols.Cap[:0], rd.Cap[lo:hi]...)
+	v.PrevCap = append(cols.PrevCap[:0], rd.PrevCap[lo:hi]...)
+	v.Prio = rows(cols.Prio, rd.Prio, lo, hi)
+	v.Health = rows(cols.Health, rd.Health, lo, hi)
+	v.Reason = append(cols.Reason[:0], rd.Reason[lo:hi]...)
+	v.first, v.null = lo, unit >= len(rd.Cap)
+}
+
+// rows copies src[lo:hi] into dst's memory; an empty column stays empty.
+func rows[T any](dst, src []T, lo, hi int) []T {
+	if len(src) == 0 {
+		return dst[:0]
+	}
+	return append(dst[:0], src[lo:hi]...)
+}
+
+// write appends the view as Round.Record(unit)'s JSON, field for field,
+// failing j where encoding/json would refuse the record.
+func (v *roundView) write(j *JSONBody) {
+	t := v.Stats.Timings
+	b := strconv.AppendUint(append(j.buf, `{"round":`...), v.Round.Round, 10)
+	tm, err := v.Time.MarshalJSON()
+	if err != nil {
+		j.fail(errors.New("json: error calling MarshalJSON for type time.Time: " + err.Error()))
+	}
+	b = append(append(append(b, `,"time":`...), tm...), `,"interval_s":`...)
+	b = j.float(b, float64(v.Interval))
+	b = j.float(append(b, `,"stage_seconds":{"kalman_s":`...), t.Kalman.Seconds())
+	b = j.float(append(b, `,"stateless_s":`...), t.Stateless.Seconds())
+	b = j.float(append(b, `,"priority_s":`...), t.Priority.Seconds())
+	b = j.float(append(b, `,"readjust_s":`...), t.Readjust.Seconds())
+	b = j.float(append(b, `,"total_s":`...), v.Elapsed.Seconds())
+	b = append(b, '}')
+	if v.Stats.Restored {
+		b = append(b, `,"restored":true`...)
+	}
+	b = appendNonZero(b, `,"priority_flips":`, v.Stats.PriorityFlips)
+	if v.Stats.BudgetExhausted {
+		b = append(b, `,"budget_exhausted":true`...)
+	}
+	if v.Stats.BudgetClamped {
+		b = append(b, `,"budget_clamped":true`...)
+	}
+	b = appendNonZero(b, `,"stale_units":`, v.StaleUnits)
+	b = appendNonZero(b, `,"dead_units":`, v.DeadUnits)
+	b = appendNonZero(b, `,"dirty_units":`, v.Stats.DirtyUnits)
+	b = appendNonZero(b, `,"skipped_units":`, v.Stats.SkippedUnits)
+	if v.Inherited != 0 {
+		if up := v.Round.Round - v.Inherited; up != 0 {
+			b = strconv.AppendUint(append(b, `,"uptime_rounds":`...), up, 10)
+		}
+		if v.Round.Round != 0 {
+			b = strconv.AppendUint(append(b, `,"state_age_rounds":`...), v.Round.Round, 10)
+		}
+	}
+	b = j.float(append(b, `,"budget_w":`...), v.BudgetW)
+	b = j.float(append(b, `,"cap_sum_w":`...), v.CapSumW)
+	if v.null {
+		j.buf = append(b, `,"units":null}`...)
+		return
+	}
+	b = append(b, `,"units":[`...)
+	for i := range v.Cap {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"unit":`...), int64(v.first+i), 10)
+		b = j.float(append(b, `,"reading_w":`...), float64(v.Reading[i]))
+		b = j.float(append(b, `,"cap_w":`...), float64(v.Cap[i]))
+		b = j.float(append(b, `,"cap_delta_w":`...), float64(v.Cap[i]-v.PrevCap[i]))
+		if len(v.Prio) != 0 && v.Prio[i] {
+			b = append(b, `,"high_priority":true`...)
+		}
+		if len(v.Health) != 0 && v.Health[i] != core.HealthFresh {
+			b = appendJSONString(append(b, `,"health":`...), v.Health[i].String())
+		}
+		if v.Reason[i] != trace.ReasonNone {
+			b = appendJSONString(append(b, `,"reason":`...), v.Reason[i].String())
+		}
+		b = append(b, '}')
+	}
+	j.buf = append(b, "]}"...)
+}
+
+// appendNonZero appends key and v unless v is 0 (omitempty).
+func appendNonZero(b []byte, key string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
 }

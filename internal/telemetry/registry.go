@@ -357,11 +357,13 @@ func (r *Registry) Families() []Family {
 // slack grows it and is still delivered whole.
 const expoChunk, expoSlack = 64 << 10, 1 << 10
 
-// expo is one scrape in progress; err is the failed Write that ended it.
+// expo is one scrape in progress; err is the failed Write that ended it
+// and num formats its floats.
 type expo struct {
 	w   io.Writer
 	buf []byte
 	err error
+	num numbers
 }
 
 func (e *expo) flush() {
@@ -391,7 +393,7 @@ func (e *expo) uintLine(v uint64) bool {
 }
 
 func (e *expo) floatLine(v float64) bool {
-	e.buf = strconv.AppendFloat(e.buf, v, 'g', -1, 64)
+	e.buf = e.num.append(e.buf, v)
 	return e.endLine()
 }
 
@@ -409,7 +411,7 @@ func (e *expo) histogram(name, sig string, h *Histogram) bool {
 		}
 		e.buf = append(e.buf, `le="`...)
 		if i < len(h.bounds) {
-			e.buf = strconv.AppendFloat(e.buf, h.bounds[i], 'g', -1, 64)
+			e.buf = e.num.append(e.buf, h.bounds[i])
 		} else {
 			e.buf = append(e.buf, "+Inf"...)
 		}
@@ -445,11 +447,13 @@ func (e *expo) column(name string, sigs []string, c *Column) {
 // lock-free, so a slow or huge scrape cannot stall hot-path
 // first-registrations; a scrape allocates that snapshot and one chunk,
 // whatever the series count. A gauge column is read once, into a buffer
-// the next scrape reuses, and formatted from that copy. The first failed
-// Write ends it: its error is returned and w is not written to again, but
-// the chunks before it have been delivered.
+// the next scrape reuses, and formatted from that copy. Values go through
+// the number appender, with a memo that lives for this scrape alone. The
+// first failed Write ends it: its error is returned and w is not written
+// to again, but the chunks before it have been delivered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	e := expo{w: w, buf: make([]byte, 0, expoChunk)}
+	e := expo{w: w, buf: make([]byte, 0, expoChunk), num: newNumbers(false)}
+	defer e.num.release()
 	for _, f := range r.Families() {
 		if len(f.Labels) == 0 {
 			continue
