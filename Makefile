@@ -151,7 +151,8 @@ fuzz-smoke:
 # the health clock, an omission that refreshes a refused unit's clock, a
 # heartbeat that does not refresh, a failed push committed as enforced, a
 # restore that drops markChangedLocked, a closed connection that leaves
-# its units fresh.
+# its units fresh. TestFitExhaustive: a budget fit that drops the pin,
+# drops the clamp, or rounds to the nearest deciwatt instead of down.
 mutation-smoke:
 	./scripts/mutation_smoke.sh
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"dps/internal/history"
@@ -184,13 +183,12 @@ type RoundStats struct {
 	// BudgetExhausted reports Algorithm 4 took the equalize branch
 	// (no leftover budget to grant).
 	BudgetExhausted bool
-	// BudgetClamped reports the final safety clamp found the cap sum
-	// meaningfully above the budget. The pipeline maintains the budget
-	// invariant, so this should never be true; a true value is a bug
-	// signal worth a counter. In degraded rounds (non-fresh units pinned)
-	// a pre-clamp excess is expected and absorbed by rescaling the fresh
-	// units, so BudgetClamped fires only if the excess could not be
-	// absorbed — which the reservation argument proves cannot happen.
+	// BudgetClamped reports that the round's Fit returned a shortfall:
+	// the pinned units and the fresh ones at UnitMin sum to more than the
+	// budget, so no cap vector could fit it. The pipeline never produces
+	// that on its own; in a degraded round the fresh units absorb any
+	// excess the pins leave, which the reservation argument shows they
+	// can. A true value is a bug signal worth a counter.
 	BudgetClamped bool
 	// StaleUnits and DeadUnits count units frozen at their current caps
 	// this round because their telemetry went stale or their agent is
@@ -241,7 +239,7 @@ func NewDPS(cfg Config) (*DPS, error) {
 	nWords := (cfg.Units + 63) / 64
 	d := &DPS{
 		cfg:         cfg,
-		constantCap: cfg.Budget.ConstantCap(cfg.Units),
+		constantCap: gridConstantCap(cfg.Budget, cfg.Units),
 		statelessM:  sm,
 		filters:     filters,
 		hist:        history.NewSet(cfg.Units, cfg.HistoryLen),
@@ -505,7 +503,7 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 	// global stage (stateless, restore, readjust) so no path — not even a
 	// restoration that resets all caps to the constant cap — can move a
 	// cap its agent is still enforcing. The fresh units then absorb any
-	// resulting excess in the masked budget clamp below.
+	// resulting excess in the budget fit below.
 	if health != nil {
 		traceOn := d.tracer.On()
 		var pinStart time.Time
@@ -523,16 +521,16 @@ func (d *DPS) DecideStats(snap Snapshot) (power.Vector, RoundStats) {
 		}
 	}
 
-	// Final budget clamp, elided when no module moved any cap this round:
-	// the caps are then bit-for-bit the vector the previous round's clamp
-	// blessed — bounds still hold and the cached sum is exactly what
-	// caps.Sum() would return.
+	// The budget fit, elided when no module moved any cap this round: the
+	// caps are then bit-for-bit the vector the previous round's fit left,
+	// which a second fit would leave alone, and the cached sum is exactly
+	// what caps.Sum() would return. A unit the fit alone moved is tagged
+	// clamp; one a stage moved keeps that stage's reason, the fit having
+	// only carried its decision onto the grid or under the budget.
 	if d.anyMove || health != nil || !d.sumValid || d.cachedSum > d.cfg.Budget.Total {
-		var clampMoved bool
-		stats.BudgetClamped, clampMoved = d.enforceBudget(health)
-		if clampMoved {
-			d.noteCapChanges(trace.ReasonClamp)
-		}
+		stats.BudgetClamped = Fit(d.caps, d.held, health, d.cfg.Budget) > 0
+		d.noteMoves(trace.ReasonClamp, false)
+		d.cachedSum, d.sumValid = d.caps.Sum(), true
 	}
 	// This round's movers become the next round's revisit set.
 	d.capMovedW, d.roundMovedW = d.roundMovedW, d.capMovedW
@@ -571,11 +569,17 @@ func (d *DPS) noteStatelessChanges() {
 // stage baseline with reason, advances the baseline, and records the
 // movers in the round's moved mask, which drives the next round's revisit
 // set.
-func (d *DPS) noteCapChanges(reason trace.Reason) {
+func (d *DPS) noteCapChanges(reason trace.Reason) { d.noteMoves(reason, true) }
+
+// noteMoves is noteCapChanges, but with retag false a unit that already
+// carries this round's reason keeps it.
+func (d *DPS) noteMoves(reason trace.Reason, retag bool) {
 	any := false
 	for u, c := range d.caps {
 		if c != d.stageCaps[u] {
-			d.reasons[u] = reason
+			if retag || d.reasons[u] == trace.ReasonNone {
+				d.reasons[u] = reason
+			}
 			d.stageCaps[u] = c
 			d.roundMovedW[u>>6] |= uint64(1) << uint(u&63)
 			any = true
@@ -587,96 +591,13 @@ func (d *DPS) noteCapChanges(reason trace.Reason) {
 	}
 }
 
-// SumDrift bounds the rounding in a sum of `units` caps near the budget
-// `total`: units × ulp(total), at least 1e-6 W. A larger excess is real.
-func SumDrift(units int, total power.Watts) power.Watts {
-	t := float64(total)
-	return power.Watts(max(1e-6, float64(units)*(math.Nextafter(t, math.Inf(1))-t)))
-}
-
-// enforceBudget is the final safety clamp: caps inside hardware limits and
-// their sum inside the cluster budget. The pipeline maintains these
-// invariants already; this pass absorbs floating-point drift so the
-// budget-respected property (which the paper reports held in every
-// experiment) is unconditional. It reports whether the sum exceeded the
-// budget by more than drift — a should-never-happen signal exported as a
-// violation counter.
-//
-// In a degraded round (health non-nil with non-fresh entries) the clamp
-// is masked: pinned units are neither re-clamped nor rescaled — their
-// caps are previously delivered values, already inside hardware limits,
-// and their agents are still enforcing them. Only fresh units give up
-// headroom. This always suffices: every pinned cap and every previous
-// fresh cap is ≥ UnitMin, and last round's delivered sum respected the
-// budget, so Σ(pinned) + Σ(fresh at UnitMin) ≤ Σ(previous caps) ≤ budget.
-// A pre-clamp excess is therefore expected in degraded rounds (the
-// stateless stage may have re-dealt a frozen unit's headroom), and only a
-// residual excess after the masked rescale counts as a violation.
-// It also reports whether it moved any cap, and caches the cap sum it
-// computed (valid whenever the clamp left the caps untouched afterward),
-// which later rounds reuse to skip redundant O(N) summations.
-func (d *DPS) enforceBudget(health []UnitHealth) (violated, moved bool) {
-	b := d.cfg.Budget
-	free := func(u int) bool { return health == nil || health[u] == HealthFresh }
-	for u, c := range d.caps {
-		if !free(u) {
-			continue
-		}
-		if c < b.UnitMin {
-			d.caps[u] = b.UnitMin
-			moved = true
-		} else if c > b.UnitMax {
-			d.caps[u] = b.UnitMax
-			moved = true
-		}
-	}
-	total := d.caps.Sum()
-	if total <= b.Total {
-		d.cachedSum, d.sumValid = total, true
-		return false, moved
-	}
-	drift := SumDrift(len(d.caps), b.Total)
-	violated = total > b.Total+drift
-	// Scale down the free units' headroom above UnitMin proportionally.
-	excess := total - b.Total
-	var above power.Watts
-	for u, c := range d.caps {
-		if free(u) {
-			above += c - b.UnitMin
-		}
-	}
-	if above <= 0 {
-		d.cachedSum, d.sumValid = total, true
-		return violated, moved
-	}
-	frac := excess / above
-	if frac > 1 {
-		frac = 1
-	}
-	for u := range d.caps {
-		if free(u) {
-			d.caps[u] -= power.Watts(float64((d.caps[u] - b.UnitMin) * frac))
-		}
-	}
-	moved = true
-	d.sumValid = false
-	if health != nil {
-		// Degraded rounds report a violation only if the masked rescale
-		// could not restore the invariant.
-		final := d.caps.Sum()
-		d.cachedSum, d.sumValid = final, true
-		return final > b.Total+drift, moved
-	}
-	return violated, moved
-}
-
 // SetTotalBudget changes the cluster-wide power limit at runtime, keeping
 // the per-unit hardware bounds. The constant cap (initial condition,
 // restore target, and lower-bound floor) is re-derived. A hierarchical
 // deployment uses this: a top-level coordinator reassigns group budgets
 // and each group's local DPS adopts its new total between decisions.
 // Existing caps above the new budget are pulled back proportionally on
-// the next Decide by the final budget clamp. Setting the current total
+// the next Decide by the budget fit. Setting the current total
 // is a no-op: it changes no state, so a controller told its own budget
 // and one never told stay bitwise identical.
 func (d *DPS) SetTotalBudget(total power.Watts) error {
@@ -689,7 +610,7 @@ func (d *DPS) SetTotalBudget(total power.Watts) error {
 		return err
 	}
 	d.cfg.Budget = b
-	d.constantCap = b.ConstantCap(d.cfg.Units)
+	d.constantCap = gridConstantCap(b, d.cfg.Units)
 	// A new budget changes classification inputs (the idle-revert floor
 	// tracks the constant cap) and the MIMD headroom, so every unit must be
 	// revisited; the settle certificates themselves stay valid — they

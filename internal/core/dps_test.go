@@ -65,8 +65,9 @@ func TestDecidePanicsOnSizeMismatch(t *testing.T) {
 
 // The headline safety property: whatever readings arrive (noise, garbage,
 // adversarial sequences), the caps DPS emits always respect the budget and
-// the hardware limits. The paper reports the budget held in every
-// experiment; here it must hold by construction.
+// the hardware limits, and lie on the 0.1 W grid summing to at most the
+// budget in whole deciwatts, as devices hold them. The paper reports the
+// budget held in every experiment; here it must hold by construction.
 func TestBudgetAlwaysRespectedProperty(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		cfg := DefaultConfig(6, power.Budget{Total: 660, UnitMax: 165, UnitMin: 10})
@@ -84,8 +85,13 @@ func TestBudgetAlwaysRespectedProperty(t *testing.T) {
 				readings[u] = power.Watts(rng.Float64()*400 - 50)
 			}
 			caps := d.Decide(Snapshot{Power: readings, Interval: 1})
-			if !cfg.Budget.Respected(caps, 1e-6) {
+			if !cfg.Budget.Respected(caps, 1e-6) || caps.SumDeciwatts() > power.FloorDeciwatts(cfg.Budget.Total) {
 				return false
+			}
+			for _, c := range caps {
+				if power.FromDeciwatts(power.Deciwatts(c)) != c {
+					return false
+				}
 			}
 		}
 		return true

@@ -65,7 +65,7 @@ type Snapshot struct {
 	// means all units are fresh. Health-aware managers (core.DPS) freeze
 	// non-fresh units at their current caps and redistribute only among
 	// fresh units; managers that ignore it still stay budget-safe because
-	// the daemon re-pins delivered caps (see daemon.Server).
+	// delivery re-pins and fits their caps (see engine.Engine's deliver).
 	Health []UnitHealth
 	// Dirty optionally marks which units' Power values changed since the
 	// previous snapshot (see DirtyMask for the exact contract). Nil means

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dps/internal/history"
 	"dps/internal/power"
@@ -176,7 +177,7 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	}
 
 	d.cfg.Budget.Total = st.BudgetTotal
-	d.constantCap = d.cfg.Budget.ConstantCap(d.cfg.Units)
+	d.constantCap = gridConstantCap(d.cfg.Budget, d.cfg.Units)
 	d.steps = st.Steps
 	d.lastRestored = st.LastRestored
 	d.provDirty = st.ProvDirty
@@ -210,6 +211,11 @@ func (d *DPS) RestoreState(st *snapshot.State) error {
 	d.highCount = st.HighCount
 	d.cachedSum = st.CachedSum
 	d.sumValid = st.SumValid
+	// An image written before caps lived on the grid holds caps off it,
+	// which the first round must fit even if no stage moves a cap.
+	if slices.ContainsFunc(d.caps, func(c power.Watts) bool { return power.FromDeciwatts(power.Deciwatts(c)) != c }) {
+		d.sumValid = false
+	}
 	d.settledW = snapshot.Assign(d.settledW, st.SettledW)
 	d.capMovedW = snapshot.Assign(d.capMovedW, st.CapMovedW)
 	d.lastVal = snapshot.Assign(d.lastVal, st.LastVal)

@@ -48,7 +48,6 @@ import (
 //	     "series": "dps_cap_sum_watts", "op": ">", "value": 2100,
 //	     "for_ms": 5000}
 //	  ],
-//	  "budget_tolerance_w": 0.001,
 //	  "snapshot_path": "/var/lib/dps/state.dps",
 //	  "snapshot_every": 10,
 //	  "restore_from": "/var/lib/dps/state.dps",
@@ -109,12 +108,10 @@ type FileConfig struct {
 	// Self-monitoring. Series enables the embedded metric-history store
 	// and sampler (GET /debug/series); Watch enables the watchdog's
 	// built-in invariant audits plus WatchRules (GET /alerts). Any
-	// configured rule implies the series store. BudgetToleranceW is the
-	// slack on the budget_conservation audit (0 = the watch default).
-	Series           bool         `json:"series,omitempty"`
-	Watch            bool         `json:"watch,omitempty"`
-	WatchRules       []watch.Rule `json:"watch_rules,omitempty"`
-	BudgetToleranceW float64      `json:"budget_tolerance_w,omitempty"`
+	// configured rule implies the series store.
+	Series     bool         `json:"series,omitempty"`
+	Watch      bool         `json:"watch,omitempty"`
+	WatchRules []watch.Rule `json:"watch_rules,omitempty"`
 
 	// High availability (DESIGN.md §14). SnapshotPath enables the periodic
 	// state snapshot file (written every SnapshotEvery rounds, 0 = the
@@ -212,8 +209,6 @@ func (fc FileConfig) validate() error {
 		return fmt.Errorf("negative snapshot_every %d", fc.SnapshotEvery)
 	case fc.BlackboxRounds < 0:
 		return fmt.Errorf("negative blackbox_rounds %d", fc.BlackboxRounds)
-	case fc.BudgetToleranceW < 0:
-		return fmt.Errorf("negative budget_tolerance_w %v", fc.BudgetToleranceW)
 	case fc.StaleAfterMS > 0 && fc.DeadAfterMS > 0 && fc.DeadAfterMS < fc.StaleAfterMS:
 		return fmt.Errorf("dead_after_ms %d below stale_after_ms %d", fc.DeadAfterMS, fc.StaleAfterMS)
 	case fc.StandbyOf != "" && fc.RestoreFrom != "":
@@ -277,7 +272,6 @@ func (fc FileConfig) ApplyKnobs(sc *ServerConfig) {
 	sc.SeriesEnabled = fc.Series
 	sc.WatchEnabled = fc.Watch
 	sc.WatchRules = fc.WatchRules
-	sc.BudgetToleranceW = fc.BudgetToleranceW
 	sc.SnapshotPath = fc.SnapshotPath
 	sc.SnapshotEvery = fc.SnapshotEvery
 	sc.StandbyOf = fc.StandbyOf

@@ -86,7 +86,7 @@ func TestLoadFileConfigRejections(t *testing.T) {
 	cases := map[string]string{
 		"missing file":    "", // handled below
 		"bad json":        `{units: 20}`,
-		"unknown field":   `{"units": 20, "wattage": 1}`,
+		"unknown field":   `{"units": 20, "budget_tolerance_w": 0.001}`,
 		"zero units":      `{"units": 0}`,
 		"unknown policy":  `{"units": 4, "policy": "ml"}`,
 		"invalid budget":  `{"units": 4, "budget_w": 1, "unit_min_w": 10}`,

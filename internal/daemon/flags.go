@@ -32,7 +32,6 @@ func RegisterFlags(fs *flag.FlagSet, fc *FileConfig) (resolve func() error) {
 	fs.IntVar(&fc.TraceSpans, "trace-spans", 0, "span ring capacity (0 = default)")
 	fs.BoolVar(&fc.Series, "series", false, "sample the registry into the embedded metric history (/debug/series)")
 	fs.BoolVar(&fc.Watch, "watch", false, "run the watchdog: invariant audits plus -watch-rule rules (/alerts)")
-	fs.Float64Var(&fc.BudgetToleranceW, "budget-tolerance", 0, "slack in watts on the budget_conservation audit (0 = default)")
 	fs.StringVar(&fc.SnapshotPath, "snapshot-path", "", "write the controller state snapshot to this file on a round cadence and at shutdown (empty disables)")
 	fs.IntVar(&fc.SnapshotEvery, "snapshot-every", 0, "rounds between snapshot file writes (0 = default)")
 	fs.StringVar(&fc.RestoreFrom, "restore-from", "", "restore controller state from this snapshot file at boot (empty = cold start)")

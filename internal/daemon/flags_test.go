@@ -56,7 +56,6 @@ var parityCases = []struct {
 	{"series", []string{"-series"}, `"series": true`},
 	{"watch", []string{"-watch"}, `"watch": true`},
 	{"watch-rule", []string{"-watch", "-watch-rule=" + ruleJSON}, `"watch": true, "watch_rules": [` + ruleJSON + `]`},
-	{"budget-tolerance", []string{"-budget-tolerance=0.01"}, `"budget_tolerance_w": 0.01`},
 	{"snapshot-path", []string{"-snapshot-path=/var/lib/dps/state.dps"}, `"snapshot_path": "/var/lib/dps/state.dps"`},
 	{"snapshot-every", []string{"-snapshot-every=25"}, `"snapshot_every": 25`},
 	{"restore-from", []string{"-restore-from=/var/lib/dps/state.dps"}, `"restore_from": "/var/lib/dps/state.dps"`},
@@ -155,7 +154,6 @@ func TestBadSettingsRefusedOnBothSurfaces(t *testing.T) {
 			`"watch": true, "watch_rules": [` + ruleJSON + `,` + ruleJSON + `]`},
 		{"invalid watch rule", []string{"-watch", `-watch-rule={"name":"x","kind":"nope"}`}, `"watch": true, "watch_rules": [{"name":"x","kind":"nope"}]`},
 		{"negative trace-spans", []string{"-trace-spans=-1"}, `"trace_spans": -1`},
-		{"negative budget-tolerance", []string{"-budget-tolerance=-1"}, `"budget_tolerance_w": -1`},
 		{"negative snapshot-every", []string{"-snapshot-every=-1"}, `"snapshot_every": -1`},
 		{"standby-of with restore-from", []string{"-standby-of=p:7891", "-restore-from=/s"}, `"standby_of": "p:7891", "restore_from": "/s"`},
 		{"unknown policy", []string{"-policy=ml"}, `"policy": "ml"`},
@@ -195,7 +193,6 @@ func TestKnobValidation(t *testing.T) {
 		func(fc *FileConfig) { fc.DeltaEpsilonW = -0.5 },
 		func(fc *FileConfig) { fc.SparseRefreshEvery = -1 },
 		func(fc *FileConfig) { fc.TraceSpans = -1 },
-		func(fc *FileConfig) { fc.BudgetToleranceW = -1 },
 		func(fc *FileConfig) { fc.SnapshotEvery = -1 },
 		func(fc *FileConfig) { fc.BlackboxRounds = -1 },
 	}

@@ -851,16 +851,16 @@ func (r *serverRun) roundOnce(op, who byte, first bool) {
 	// at what their devices hold, and the rest cut to UnitMin fit in it.
 	// After a push failure mixed two rounds' caps they may not: that round
 	// is infeasible, which ROADMAP item 3(c) is to flag.
-	var floor power.Watts
+	var floor int64
 	b := r.dps.Budget()
 	for u, h := range r.health {
 		if h == core.HealthFresh {
-			floor += b.UnitMin
+			floor += power.Deciwatts(b.UnitMin)
 		} else {
-			floor += r.model.Enforced[u]
+			floor += power.Deciwatts(r.model.Enforced[u])
 		}
 	}
-	feasible := floor <= b.Total+core.SumDrift(r.units, b.Total)
+	feasible := floor <= power.FloorDeciwatts(b.Total)
 	d, stats := r.model.Decide(core.Snapshot{Power: r.readings, Interval: 1, Health: r.health, Dirty: r.dirty})
 
 	failing := 0
@@ -905,10 +905,11 @@ func (r *serverRun) check(d telemetry.Decision, stats core.RoundStats, stale, de
 	if rec == nil || rec.Round != srv.Rounds() || rec.Inherited != r.inherited {
 		fail("no record of it, or one of round %d inheriting %d", srv.Rounds(), r.inherited)
 	}
-	budget := power.Watts(rec.BudgetW)
+	limit := power.FloorDeciwatts(power.Watts(rec.BudgetW))
 	holds := feasible && !mixed
-	// Device truth: what the hardware holds.
-	var sum power.Watts
+	// Device truth: what the hardware holds, in the deciwatts it was
+	// programmed with.
+	var sum int64
 	for _, a := range r.agents {
 		for i, dev := range a.devs {
 			u := a.first + i
@@ -916,21 +917,20 @@ func (r *serverRun) check(d telemetry.Decision, stats core.RoundStats, stale, de
 			if want := proto.FromDeciwatts(proto.ToDeciwatts(srv.eng.Enforced[u])); c != want {
 				fail("unit %d's device holds %v W, the server believes its agent enforces %v W", u, c, want)
 			}
-			sum += c
+			sum += power.Deciwatts(c)
 			if r.band == 0 && a.reported && !badReading(a.read[i], 2*testBudget(r.units).UnitMax) &&
 				r.readings[u] != proto.FromDeciwatts(proto.ToDeciwatts(a.read[i])) {
 				fail("unit %d reads %v W at a zero band, its device drew %v W", u, r.readings[u], a.read[i])
 			}
 		}
 	}
-	if holds && sum > budget+power.Watts(r.units)*0.05+1e-9 {
-		fail("the devices hold Σ %v W of caps over the %v W budget", sum, budget)
+	if holds && sum > limit {
+		fail("the devices hold Σ %d dW of caps over the %d dW budget", sum, limit)
 	}
 
 	same := func(a, b power.Vector) bool {
 		return slices.EqualFunc(a, b, func(x, y power.Watts) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) })
 	}
-	drift := core.SumDrift(r.units, budget)
 	switch {
 	case !same(rec.Reading, r.readings):
 		fail("readings %v, accepted %v", rec.Reading, r.readings)
@@ -947,8 +947,8 @@ func (r *serverRun) check(d telemetry.Decision, stats core.RoundStats, stale, de
 			rec.StaleUnits, rec.DeadUnits, srv.metrics.staleUnits.Value(), srv.metrics.deadUnits.Value(), stale, dead)
 	case rec.PinViolations != 0 || rec.ProvViolations != 0:
 		fail("%d pin and %d provenance violations", rec.PinViolations, rec.ProvViolations)
-	case feasible && rec.CapSumW > float64(budget+drift) || holds && srv.eng.Enforced.Sum() > budget+drift:
-		fail("Σ delivered %v W, Σ enforced %v W over the %v W budget", rec.CapSumW, srv.eng.Enforced.Sum(), budget)
+	case feasible && rec.CapSumDW > limit || holds && srv.eng.Enforced.SumDeciwatts() > limit:
+		fail("Σ delivered %d dW, Σ enforced %d dW over the %d dW budget", rec.CapSumDW, srv.eng.Enforced.SumDeciwatts(), limit)
 	case holds && srv.Watcher().FiringCount() != 0:
 		fail("%d watchdog alerts firing", srv.Watcher().FiringCount())
 	}

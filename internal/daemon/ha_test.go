@@ -163,9 +163,46 @@ func TestRestoreKeepsConfiguredBudget(t *testing.T) {
 	if got := srv.Snapshot().BudgetW; got != configured {
 		t.Errorf("/status budget_w after the restore = %v, want %v", got, configured)
 	}
-	agent, _ := newTestAgent(t, 0, units)
+	caps := joinAndDecide(t, srv, readings)
+	if srv.Rounds() != 4 {
+		t.Fatalf("first round after the restore is round %d, want 4: the image was not restored", srv.Rounds())
+	}
+	if sum := caps.Sum(); sum > configured {
+		t.Errorf("first round after the restore delivers Σcaps = %v W over the configured %v W", sum, configured)
+	}
+	if got := srv.metrics.budget.Value(); got != configured {
+		t.Errorf("dps_budget_watts = %v, want %v", got, configured)
+	}
+
+	// parent_state.snap was written before caps lived on the 0.1 W grid
+	// and holds caps off it; the first round after restoring it delivers
+	// them on the grid and within the budget in deciwatts.
+	parent := newRigServer(t, 4, clk, nil)
+	defer parent.Close()
+	if err := parent.RestoreFromSnapshot(filepath.Join("testdata", "parent_state.snap")); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(parent.dps.Caps(), func(c power.Watts) bool { return power.FromDeciwatts(power.Deciwatts(c)) != c }) {
+		t.Fatal("parent_state.snap restored no cap off the grid")
+	}
+	caps = joinAndDecide(t, parent, power.Vector{150, 40, 60, 5})
+	for u, c := range caps {
+		if power.FromDeciwatts(power.Deciwatts(c)) != c {
+			t.Errorf("unit %d: first round after the parent image's restore delivers %v W, off the grid", u, c)
+		}
+	}
+	if sum, limit := caps.SumDeciwatts(), power.FloorDeciwatts(testBudget(4).Total); sum > limit {
+		t.Errorf("first round after the parent image's restore delivers %d dW over the %d dW budget", sum, limit)
+	}
+}
+
+// joinAndDecide registers one agent for every unit of srv, lands readings
+// and decides a round, returning its delivered caps.
+func joinAndDecide(t *testing.T, srv *Server, readings power.Vector) power.Vector {
+	t.Helper()
+	agent, _ := newTestAgent(t, 0, len(readings))
 	client, server := net.Pipe()
-	defer client.Close()
+	t.Cleanup(func() { client.Close() })
 	go srv.Handle(server)
 	if err := agent.Handshake(client); err != nil {
 		t.Fatal(err)
@@ -179,15 +216,7 @@ func TestRestoreKeepsConfiguredBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Rounds() != 4 {
-		t.Fatalf("first round after the restore is round %d, want 4: the image was not restored", srv.Rounds())
-	}
-	if sum := caps.Sum(); sum > configured {
-		t.Errorf("first round after the restore delivers Σcaps = %v W over the configured %v W", sum, configured)
-	}
-	if got := srv.metrics.budget.Value(); got != configured {
-		t.Errorf("dps_budget_watts = %v, want %v", got, configured)
-	}
+	return caps
 }
 
 // TestStandbyLogsPrimaryBudget: a 704 W standby of an 880 W primary

@@ -97,7 +97,7 @@ func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cf
 		restores:    reg.Counter("dps_restore_total", "Algorithm 3 restorations (all units quiet, caps reset)."),
 		prioFlips:   reg.Counter("dps_priority_flips_total", "Per-unit priority changes across rounds."),
 		exhausted:   reg.Counter("dps_readjust_exhausted_total", "Readjust rounds that equalized because no budget was left."),
-		violations:  reg.Counter("dps_budget_violations_total", "Rounds whose cap sum exceeded the budget before the final clamp (should stay 0)."),
+		violations:  reg.Counter("dps_budget_violations_total", "Rounds whose budget fit found the pinned caps and the rest at their minimum over the budget (should stay 0)."),
 		pushErrors:  reg.Counter("dps_push_errors_total", "Failed cap pushes to agents."),
 		connects:    reg.Counter("dps_agent_connects_total", "Agent connections accepted."),
 		disconnects: reg.Counter("dps_agent_disconnects_total", "Agent connections lost."),

@@ -29,14 +29,17 @@ import (
 // every surface that is a view of the round record — /debug/rounds (with
 // and without unit=), /debug/why, /status, the black box as `dpsctl
 // blackbox dump --json` prints it, and the snapshot file — and the bytes
-// are compared with testdata captured from the commit before the record
-// existed (a88cf7a, where each surface kept its own copy of the round).
+// are compared with testdata captured from an earlier commit. They were
+// first captured at the commit before the record existed (a88cf7a, where
+// each surface kept its own copy of the round), and re-captured once
+// caps were delivered on the 0.1 W grid, which moved every cap the script
+// decides; the image the script writes is record_state.snap.
 // The script hits a restore round, stale and dead units, a flight-recorder
 // ring that wraps, a health-blind policy corrected by degraded_deliver,
 // and a process generation restored from the parent's snapshot image.
-// That image, parent_state.snap, was re-captured at c8328f5, the last
-// commit to read v1 images; a88cf7a's v1 image is v1_state.snap, and a
-// restore from either shows the views record_views.golden holds.
+// That image, parent_state.snap, was captured at c8328f5, the last commit
+// to read v1 images, and holds caps off the grid; a88cf7a's v1 image is
+// v1_state.snap.
 //
 // Stage wall times are the only nondeterministic values; they are masked
 // to 0 in the JSON and zeroed in the black-box records.
@@ -222,7 +225,8 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenViews := filepath.Join("testdata", "record_views.golden")
-	goldenImage := filepath.Join("testdata", "parent_state.snap")
+	goldenImage := filepath.Join("testdata", "record_state.snap")
+	parentImage := filepath.Join("testdata", "parent_state.snap")
 	if os.Getenv("CAPTURE_PARENT") != "" {
 		// Run at the parent commit only: this is how the testdata was made.
 		// The black-box segment carries raw stage wall times, so a capture
@@ -230,7 +234,7 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 		if err := os.WriteFile(goldenImage, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, restoredViews(t, goldenImage)...)
+		got = append(got, restoredViews(t, parentImage)...)
 		if err := os.WriteFile(goldenViews, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +257,8 @@ func TestRoundRecordViewsMatchParent(t *testing.T) {
 	if !bytes.Equal(image, wantImage) {
 		t.Errorf("snapshot image differs from the parent's %s (%d vs %d bytes)", goldenImage, len(image), len(wantImage))
 	}
-	// The restored generation boots from the parent-written image.
-	got = append(got, restoredViews(t, goldenImage)...)
+	// The restored generation boots from the image c8328f5 wrote.
+	got = append(got, restoredViews(t, parentImage)...)
 	want, err := os.ReadFile(goldenViews)
 	if err != nil {
 		t.Fatal(err)

@@ -100,10 +100,6 @@ type ServerConfig struct {
 	// series store, so setting any implies a store and sampler even when
 	// SeriesEnabled is false.
 	WatchRules []watch.Rule
-	// BudgetToleranceW is the slack on the budget_conservation audit
-	// (absorbs float drift from the proportional rescale). Zero selects
-	// the watch package default (1e-3 W).
-	BudgetToleranceW float64
 
 	// High-availability state continuity (DESIGN.md §14). SnapshotPath,
 	// when set, makes the daemon write its full versioned state image to
@@ -391,11 +387,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.WatchEnabled {
 		s.watcher = watch.New(watch.Config{
-			Rules:            cfg.WatchRules,
-			Store:            s.store,
-			Registry:         reg,
-			Logf:             cfg.Logf,
-			BudgetToleranceW: cfg.BudgetToleranceW,
+			Rules:    cfg.WatchRules,
+			Store:    s.store,
+			Registry: reg,
+			Logf:     cfg.Logf,
 		})
 	}
 	if cfg.BlackboxPath != "" {

@@ -217,7 +217,7 @@ func writeFileAtomic(path string, data []byte) error {
 // daemon's round caches, health clocks, and reading buffer. The budget
 // total stays the configured one: an image saved under another is
 // restored, then moved back to it (logged), and caps over it are pulled
-// back by the first round's budget clamp. It must be called after
+// back by the first round's budget fit. It must be called after
 // NewServer and before any decision round — dpsd calls it at boot when
 // -restore-from is set. Stale (older than
 // DefaultSnapshotMaxAge by its own save stamp), corrupt, or mismatched

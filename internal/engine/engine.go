@@ -30,8 +30,11 @@ type Engine struct {
 
 	mgr core.Manager
 	dps *core.DPS // mgr, when it is one: stats, priorities, provenance
-	// held is Decision.Held's storage.
+	// held is Decision.Held's storage, out a delivered vector's when
+	// delivery fits one (allocated by the first such round: a healthy
+	// core.DPS fleet never needs it).
 	held []uint64
+	out  power.Vector
 }
 
 // New returns an engine for mgr, timed by time.Now.
@@ -90,46 +93,33 @@ func (e *Engine) Follow(snap core.Snapshot, budget power.Watts, digest uint64) (
 	return d, stats, err
 }
 
-// deliver pins every non-fresh unit at what its agent enforces and, if
-// that pushed the sum over the budget, rescales the fresh units toward
-// UnitMin by the excess. A round that needed no pin — every healthy one,
-// every one of core.DPS — delivers the manager's own vector; a correction
-// works on a clone, because the manager owns it.
+// deliver fits the manager's caps with core.Fit, pinning every non-fresh
+// unit at what its agent enforces. core.DPS fits its own vector, pinned
+// at its own previous caps, so its vector is fitted again only where a
+// non-fresh unit's cap is not what its agent enforces; otherwise it goes
+// out as it is, the manager's own. Any other policy's vector is fitted
+// every round. A fit works on a copy, because the manager owns its vector.
 func (e *Engine) deliver(caps power.Vector, health []core.UnitHealth) power.Vector {
-	if health == nil {
+	if e.dps != nil && !e.pinMoves(caps, health) {
 		return caps
 	}
-	var out power.Vector
+	if e.out == nil {
+		e.out = make(power.Vector, len(caps))
+	}
+	copy(e.out, caps)
+	core.Fit(e.out, e.Enforced, health, e.mgr.Budget())
+	return e.out
+}
+
+// pinMoves reports whether some non-fresh unit's cap in caps is not what
+// its agent enforces.
+func (e *Engine) pinMoves(caps power.Vector, health []core.UnitHealth) bool {
 	for u, h := range health {
 		if h != core.HealthFresh && caps[u] != e.Enforced[u] {
-			if out == nil {
-				out = caps.Clone()
-			}
-			out[u] = e.Enforced[u]
+			return true
 		}
 	}
-	if out == nil {
-		return caps
-	}
-	const eps = 1e-9
-	budget := e.mgr.Budget()
-	if excess := out.Sum() - budget.Total; excess > eps {
-		var headroom power.Watts
-		for u, h := range health {
-			if h == core.HealthFresh && out[u] > budget.UnitMin {
-				headroom += out[u] - budget.UnitMin
-			}
-		}
-		if headroom > 0 {
-			frac := min(excess/headroom, 1)
-			for u, h := range health {
-				if h == core.HealthFresh && out[u] > budget.UnitMin {
-					out[u] -= power.Watts(float64(frac * (out[u] - budget.UnitMin)))
-				}
-			}
-		}
-	}
-	return out
+	return false
 }
 
 // Commit records a delivered round: Prev becomes delivered, and so does

@@ -305,7 +305,7 @@ func seeds() []seed {
 // and dirty counts), a HighPriority that recounts Priorities(), and the
 // same Prev and Enforced after Commit; the reference skips no unit;
 // every lane's delivered sum, and but in a mixed round the sum its nodes
-// enforce, is within its budget up to core.SumDrift in every feasible
+// enforce, is within its budget in whole deciwatts in every feasible
 // round, and every cap within [UnitMin, UnitMax]; the filled record counts
 // no pin and no provenance violation; and the engine's Enforced is what
 // the nodes hold: the delivered cap where the push landed, the cap before
@@ -582,15 +582,15 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 			for _, l := range lanes {
 				// Once a mix has been enforced, the units pinned at it and
 				// the rest cut to UnitMin may not fit: an infeasible round.
-				var floor power.Watts
+				var floor int64
 				for u, h := range health {
 					if h == core.HealthFresh {
-						floor += fuzzBudget.UnitMin
+						floor += power.Deciwatts(fuzzBudget.UnitMin)
 					} else {
-						floor += l.eng.Enforced[u]
+						floor += power.Deciwatts(l.eng.Enforced[u])
 					}
 				}
-				feasible := floor <= budget.Total+core.SumDrift(units, budget.Total)
+				feasible := floor <= power.FloorDeciwatts(budget.Total)
 				s := snap
 				switch {
 				case l.noMask:
@@ -611,12 +611,12 @@ func runScript(t *testing.T, data []byte, pinned int) tally {
 				l.rec.Fill(l.d)
 				b := fuzzBudget
 				b.Total = l.d.Budget
-				drift := core.SumDrift(units, b.Total)
-				if sum := l.d.Delivered.Sum(); feasible && sum > b.Total+drift {
-					t.Fatalf("round %d %s: delivered %v W over a %v W budget", round, l.name, sum, b.Total)
+				limit := power.FloorDeciwatts(b.Total)
+				if sum := l.d.Delivered.SumDeciwatts(); feasible && sum > limit {
+					t.Fatalf("round %d %s: delivered %d dW over a %d dW budget", round, l.name, sum, limit)
 				}
-				if sum := power.Watts(l.rec.EnforcedW); feasible && !mixed && sum > b.Total+drift {
-					t.Fatalf("round %d %s: nodes enforce %v W over a %v W budget", round, l.name, sum, b.Total)
+				if sum := l.rec.EnforcedDW; feasible && !mixed && sum > limit {
+					t.Fatalf("round %d %s: nodes enforce %d dW over a %d dW budget", round, l.name, sum, limit)
 				}
 				if lo, hi := slices.Min(l.d.Delivered), slices.Max(l.d.Delivered); lo < b.UnitMin || hi > b.UnitMax {
 					t.Fatalf("round %d %s: caps span [%v, %v], outside [%v, %v]", round, l.name, lo, hi, b.UnitMin, b.UnitMax)

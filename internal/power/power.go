@@ -106,6 +106,45 @@ func (v Vector) Clamp(lo, hi Watts) {
 	}
 }
 
+// Caps reach devices in whole deciwatts (0.1 W): the wire carries a cap
+// as the nearest deciwatt, and a controller delivers caps on that grid, so
+// every budget check sums deciwatts. Grid point k is FromDeciwatts(k).
+
+// FromDeciwatts returns k deciwatts in watts: the grid point k.
+func FromDeciwatts(k int64) Watts { return Watts(float64(k) / 10) }
+
+// Deciwatts returns w rounded to the nearest deciwatt, the value a device
+// is programmed with; 0 for w ≤ 0.
+func Deciwatts(w Watts) int64 {
+	if w <= 0 {
+		return 0
+	}
+	return int64(float64(float64(w)*10) + 0.5)
+}
+
+// FloorDeciwatts returns the largest k with FromDeciwatts(k) ≤ w, for a
+// finite w: w floored onto the grid.
+func FloorDeciwatts(w Watts) int64 {
+	k := int64(float64(w) * 10)
+	for FromDeciwatts(k) > w {
+		k--
+	}
+	for FromDeciwatts(k+1) <= w {
+		k++
+	}
+	return k
+}
+
+// SumDeciwatts returns the sum of v's entries as devices hold them, in
+// deciwatts.
+func (v Vector) SumDeciwatts() int64 {
+	var s int64
+	for _, w := range v {
+		s += Deciwatts(w)
+	}
+	return s
+}
+
 // Budget describes the cluster-wide power envelope the manager must respect.
 type Budget struct {
 	// Total is the cluster-wide power limit (sum of caps must not exceed it).
@@ -148,6 +187,8 @@ func (b Budget) Validate(n int) error {
 		return fmt.Errorf("power: negative unit min %v", b.UnitMin)
 	case b.UnitMin > b.UnitMax:
 		return fmt.Errorf("power: unit min %v above unit max %v", b.UnitMin, b.UnitMax)
+	case FromDeciwatts(FloorDeciwatts(b.UnitMax)) < b.UnitMin:
+		return fmt.Errorf("power: no 0.1 W step between unit min %v and unit max %v", b.UnitMin, b.UnitMax)
 	case Watts(n)*b.UnitMin > b.Total:
 		return fmt.Errorf("power: %d units at min %v exceed total budget %v", n, b.UnitMin, b.Total)
 	}

@@ -92,6 +92,7 @@ func TestBudgetValidate(t *testing.T) {
 		{"negative unit min", Budget{Total: 100, UnitMax: 165, UnitMin: -1}, 2},
 		{"min above max", Budget{Total: 100, UnitMax: 50, UnitMin: 60}, 2},
 		{"mins exceed total", Budget{Total: 100, UnitMax: 165, UnitMin: 60}, 2},
+		{"no 0.1 W step in bounds", Budget{Total: 100, UnitMax: 10.08, UnitMin: 10.01}, 2},
 	}
 	for _, c := range cases {
 		if err := c.b.Validate(c.n); err == nil {

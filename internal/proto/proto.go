@@ -233,19 +233,12 @@ func ReadHello(r io.Reader) (Hello, error) {
 // ToDeciwatts quantizes a power value for the wire, clamping to the
 // representable range.
 func ToDeciwatts(w power.Watts) uint16 {
-	if w <= 0 {
-		return 0
-	}
-	dw := int64(float64(w)*10 + 0.5)
-	if dw > MaxDeciwatts {
-		dw = MaxDeciwatts
-	}
-	return uint16(dw)
+	return uint16(min(power.Deciwatts(w), MaxDeciwatts))
 }
 
 // FromDeciwatts converts a wire value back to watts.
 func FromDeciwatts(dw uint16) power.Watts {
-	return power.Watts(float64(dw) / 10)
+	return power.FromDeciwatts(int64(dw))
 }
 
 // Record is one 3-byte power report or cap assignment.

@@ -336,7 +336,7 @@ func (l *loop) step(readings power.Vector) error {
 		l.res.Stages.Add(stats)
 	}
 	rec.Fill(d)
-	if rec.CapSumW > rec.BudgetW+1e-6 {
+	if rec.OverBudgetDW() > 0 {
 		l.res.BudgetViolations++
 	}
 	if err := l.mach.ApplyCaps(d.Delivered); err != nil {

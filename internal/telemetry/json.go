@@ -11,12 +11,12 @@ import (
 // JSONBody is one hand-assembled JSON response: the views that use it
 // (/status, /debug/rounds) copy what they show first, under whatever lock
 // guards it, and append the copy here field by field, with no
-// intermediate struct and no reflection. Numbers take the number
-// appender's fast path and per-render memo and come out byte for byte as
-// encoding/json writes them. A value encoding/json refuses (a non-finite
-// number, a time outside RFC 3339) is remembered, the first one in
-// document order, and Serve answers it with encoding/json's 500 and
-// message before a byte of the body is written. Like encoding/json's
+// intermediate struct and no reflection. Numbers go through the number
+// appender and come out byte for byte as encoding/json writes them. A
+// value encoding/json refuses (a non-finite number, a time outside RFC
+// 3339) is remembered, the first one in document order, and Serve answers
+// it with encoding/json's 500 and message before a byte of the body is
+// written. Like encoding/json's
 // Encoder, Serve hands the writer the whole body in one Write: a
 // buffering writer (an httptest.ResponseRecorder, a proxy) then grows its
 // buffer once instead of doubling through every chunk. The body's buffer
@@ -32,7 +32,7 @@ var bodies sync.Pool
 
 // NewJSONBody starts an empty body.
 func NewJSONBody() *JSONBody {
-	j := &JSONBody{num: newNumbers(true)}
+	j := &JSONBody{num: numbers{json: true}}
 	if b, ok := bodies.Get().(*[]byte); ok {
 		j.buf = (*b)[:0]
 	}
@@ -117,7 +117,6 @@ func (j *JSONBody) Serve(w http.ResponseWriter) {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(j.buf) // a failed Write on w itself: nobody left to tell
 	}
-	j.num.release()
 	bodies.Put(&j.buf)
 }
 

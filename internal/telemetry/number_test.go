@@ -7,17 +7,14 @@ import (
 	"testing"
 )
 
-// checkNumber appends v twice through one render's numbers in each form —
-// the second time from the memo, unless the fast path took it — and
-// demands strconv's 'g' text and encoding/json's, non-finite values only
-// in the Prometheus form (encoding/json refuses them).
-func checkNumber(t testing.TB, prom, js *numbers, v float64) {
+// checkNumber appends v in each form and demands strconv's 'g' text and
+// encoding/json's, non-finite values only in the Prometheus form
+// (encoding/json refuses them).
+func checkNumber(t testing.TB, prom, js numbers, v float64) {
 	t.Helper()
 	want := strconv.FormatFloat(v, 'g', -1, 64)
-	for i := 0; i < 2; i++ {
-		if got := string(prom.append(nil, v)); got != want {
-			t.Fatalf("%v (bits %#x): Prometheus form %q, strconv %q", v, math.Float64bits(v), got, want)
-		}
+	if got := string(prom.append(nil, v)); got != want {
+		t.Fatalf("%v (bits %#x): Prometheus form %q, strconv %q", v, math.Float64bits(v), got, want)
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
@@ -26,10 +23,8 @@ func checkNumber(t testing.TB, prom, js *numbers, v float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if got := string(js.append(nil, v)); got != string(b) {
-			t.Fatalf("%v (bits %#x): JSON form %q, encoding/json %q", v, math.Float64bits(v), got, b)
-		}
+	if got := string(js.append(nil, v)); got != string(b) {
+		t.Fatalf("%v (bits %#x): JSON form %q, encoding/json %q", v, math.Float64bits(v), got, b)
 	}
 }
 
@@ -49,15 +44,11 @@ var numberSeeds = []float64{
 
 // TestAppendNumberMatchesStrconv walks the deciwatt grid — float64(k)/10
 // and float64(k)*0.1 for every 13th k < 10⁶ (every 211th under -short),
-// so every last digit, and each one's float neighbours — and the seeds,
-// all through one memo per form, so colliding slots are overwritten
-// throughout.
+// so every last digit, and each one's float neighbours — and the seeds.
 func TestAppendNumberMatchesStrconv(t *testing.T) {
-	prom, js := newNumbers(false), newNumbers(true)
-	defer prom.release()
-	defer js.release()
+	prom, js := numbers{}, numbers{json: true}
 	for _, v := range numberSeeds {
-		checkNumber(t, &prom, &js, v)
+		checkNumber(t, prom, js, v)
 	}
 	step := 13
 	if testing.Short() {
@@ -65,9 +56,9 @@ func TestAppendNumberMatchesStrconv(t *testing.T) {
 	}
 	for k := 0; k < 1e6; k += step {
 		for _, v := range []float64{float64(k) / 10, float64(k) * 0.1} {
-			checkNumber(t, &prom, &js, v)
-			checkNumber(t, &prom, &js, math.Nextafter(v, math.Inf(1)))
-			checkNumber(t, &prom, &js, math.Nextafter(v, math.Inf(-1)))
+			checkNumber(t, prom, js, v)
+			checkNumber(t, prom, js, math.Nextafter(v, math.Inf(1)))
+			checkNumber(t, prom, js, math.Nextafter(v, math.Inf(-1)))
 		}
 	}
 }
@@ -80,16 +71,14 @@ func FuzzAppendNumber(f *testing.F) {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
-		prom, js := newNumbers(false), newNumbers(true)
-		defer prom.release()
-		defer js.release()
+		prom, js := numbers{}, numbers{json: true}
 		v := math.Float64frombits(bits)
-		checkNumber(t, &prom, &js, v)
+		checkNumber(t, prom, js, v)
 		k := float64(bits % 2e6)
 		for _, g := range []float64{k / 10, k * 0.1} {
-			checkNumber(t, &prom, &js, g)
-			checkNumber(t, &prom, &js, math.Nextafter(g, math.Inf(1)))
-			checkNumber(t, &prom, &js, math.Nextafter(g, math.Inf(-1)))
+			checkNumber(t, prom, js, g)
+			checkNumber(t, prom, js, math.Nextafter(g, math.Inf(1)))
+			checkNumber(t, prom, js, math.Nextafter(g, math.Inf(-1)))
 		}
 	})
 }

@@ -40,9 +40,13 @@ type Round struct {
 	Inherited uint64
 	BudgetW   float64
 	CapSumW   float64 // sum of the delivered caps
-	// EnforcedW is the sum of what agents enforce once the round's push
-	// lands: the delivered cap where it landed, the cap before elsewhere.
-	EnforcedW float64
+	// The budget audit's sums, in deciwatts as devices hold caps:
+	// CapSumDW of the delivered caps; EnforcedDW of what agents enforce
+	// once the round's push lands, the delivered cap where it landed, the
+	// cap before elsewhere; DecidedDW of the manager's own caps floored
+	// onto the grid, which delivery fitted (CapSumDW when delivery handed
+	// out the manager's vector itself).
+	CapSumDW, EnforcedDW, DecidedDW int64
 
 	StaleUnits, DeadUnits int
 	// Audit counts: PinAudited non-fresh units, PinViolations of them
@@ -98,7 +102,7 @@ type Decision struct {
 	Budget  power.Watts
 }
 
-// Fill writes the round's interval, budget, cap and enforced sums,
+// Fill writes the round's interval, budget, the audit's cap sums,
 // per-unit columns (Prio and Health stay empty for a nil input), HasStats
 // and audit counts
 // into a record Reset for the round, in one pass over the units. The
@@ -114,27 +118,33 @@ func (r *Round) Fill(d Decision) {
 	r.Prio = append(r.Prio, d.Prio...)
 	r.Health = append(r.Health, d.Snap.Health...)
 	r.Reason = slices.Grow(r.Reason, len(d.Delivered))[:len(d.Delivered)]
-	enforced := r.CapSumW
+	var missed int64
 	for wi, w := range d.Pushed {
 		for m := ^w; m != 0; m &= m - 1 { // the units the push missed
 			u := wi<<6 | bits.TrailingZeros64(m)
 			if u >= len(d.Delivered) {
 				break
 			}
-			enforced += float64(d.Enforced[u] - d.Delivered[u])
+			missed += power.Deciwatts(d.Enforced[u]) - power.Deciwatts(d.Delivered[u])
 		}
 	}
-	r.EnforcedW = enforced
+	own := len(d.Decided) == 0 || &d.Decided[0] == &d.Delivered[0]
 	for u, c := range d.Delivered {
+		r.CapSumDW += power.Deciwatts(c)
+		if !own {
+			r.DecidedDW += power.FloorDeciwatts(d.Decided[u])
+		}
 		moved := c != d.Prev[u]
 		reason := trace.ReasonNone
 		if d.Reasons != nil {
 			reason = d.Reasons[u]
 		}
-		if c != d.Decided[u] || moved && reason == trace.ReasonNone && d.Held != nil && d.Held[u>>6]&(1<<(u&63)) != 0 {
-			// Delivery-side pin or rescale overrode the manager, or let go
-			// of a unit it held: the last mover for this unit was delivery,
-			// whatever the manager thought it was doing.
+		if c != d.Decided[u] && c != power.FromDeciwatts(power.FloorDeciwatts(d.Decided[u])) ||
+			moved && reason == trace.ReasonNone && d.Held != nil && d.Held[u>>6]&(1<<(u&63)) != 0 {
+			// Delivery-side pin or rescale overrode the manager (a cap it
+			// only floored onto the grid is still the manager's), or let
+			// go of a unit it held: the last mover for this unit was
+			// delivery, whatever the manager thought it was doing.
 			reason = trace.ReasonDegradedDeliver
 		}
 		r.Reason[u] = reason
@@ -148,6 +158,17 @@ func (r *Round) Fill(d Decision) {
 			r.ProvViolations++
 		}
 	}
+	if own {
+		r.DecidedDW = r.CapSumDW
+	}
+	r.EnforcedDW = r.CapSumDW + missed
+}
+
+// OverBudgetDW is how far the round's largest audited sum, delivered,
+// enforced or decided, lies above the budget's ⌊10·BudgetW⌋, in
+// deciwatts: positive only for a round that broke Σcaps ≤ budget.
+func (r *Round) OverBudgetDW() int64 {
+	return max(r.CapSumDW, r.EnforcedDW, r.DecidedDW) - power.FloorDeciwatts(power.Watts(r.BudgetW))
 }
 
 // StageSeconds is the wall time one decision round spent in each pipeline

@@ -448,12 +448,11 @@ func (e *expo) column(name string, sigs []string, c *Column) {
 // first-registrations; a scrape allocates that snapshot and one chunk,
 // whatever the series count. A gauge column is read once, into a buffer
 // the next scrape reuses, and formatted from that copy. Values go through
-// the number appender, with a memo that lives for this scrape alone. The
-// first failed Write ends it: its error is returned and w is not written
-// to again, but the chunks before it have been delivered.
+// the number appender. The first failed Write ends it: its error is
+// returned and w is not written to again, but the chunks before it have
+// been delivered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	e := expo{w: w, buf: make([]byte, 0, expoChunk), num: newNumbers(false)}
-	defer e.num.release()
+	e := expo{w: w, buf: make([]byte, 0, expoChunk)}
 	for _, f := range r.Families() {
 		if len(f.Labels) == 0 {
 			continue

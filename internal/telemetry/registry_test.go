@@ -673,18 +673,13 @@ func checkHistograms(t *testing.T, text string) {
 }
 
 // opsRegistry builds bench's ops16k registry shape at the given unit
-// count: four per-unit families (power on the 0.1 W grid, caps with
-// full mantissas, two 0/1 flags), nine daemon counters and one histogram
+// count: four per-unit families (power and caps on the 0.1 W grid, as a
+// controller delivers caps, and two 0/1 flags), nine daemon counters and one histogram
 // family of nine labelled stages — 4·units + 207 sample lines, 65 743 at
 // 16 384 units (bench: telemetry.series_count). The per-unit families are
 // gauge columns, as dpsd registers them, or with gauges set one
 // registered gauge per unit holding the same values.
-func opsRegistry(units int, gauges bool) *Registry { return opsRegistryCaps(units, gauges, 0) }
-
-// opsRegistryCaps is opsRegistry with the unit caps drawn from the first
-// distinct of them, as a controller's readjust step leaves them, or all
-// different when distinct is 0.
-func opsRegistryCaps(units int, gauges bool, distinct int) *Registry {
+func opsRegistry(units int, gauges bool) *Registry {
 	r := NewRegistry()
 	rng := rand.New(rand.NewSource(1))
 	perUnit := []struct {
@@ -697,12 +692,9 @@ func opsRegistryCaps(units int, gauges bool, distinct int) *Registry {
 		{"dps_unit_stale", "1 when the unit's reading is stale.", nil},
 	}
 	for u := 0; u < units; u++ {
-		for k, v := range []float64{float64(400+rng.Intn(1400)) / 10, 55 + 110*rng.Float64(), float64(rng.Intn(2)), float64(rng.Intn(2))} {
+		for k, v := range []float64{float64(400+rng.Intn(1400)) / 10, float64(550+rng.Intn(1101)) / 10, float64(rng.Intn(2)), float64(rng.Intn(2))} {
 			perUnit[k].vals = append(perUnit[k].vals, v)
 		}
-	}
-	for u := distinct; distinct > 0 && u < units; u++ {
-		perUnit[1].vals[u] = perUnit[1].vals[rng.Intn(distinct)]
 	}
 	for _, f := range perUnit {
 		if !gauges {
@@ -789,36 +781,27 @@ func TestGaugeColumnIsItsGauges(t *testing.T) {
 
 // BenchmarkWritePrometheus is a warm /metrics scrape of the ops16k
 // registry shape, per-unit families as gauge columns, into a retained
-// buffer, as bench's scrape_ms times it. Readings are deciwatts and
-// priority and staleness 0 or 1, as a controller's are; caps are all
-// different (series=N, the worst case for the number memo) or drawn from
-// 256 values (series=N,caps=256, the shape the readjust step leaves).
+// buffer, as bench's scrape_ms times it.
 func BenchmarkWritePrometheus(b *testing.B) {
 	const units, series = 16384, 4*16384 + 207
-	for _, distinct := range []int{0, 256} {
-		name := fmt.Sprintf("series=%d", series)
-		if distinct > 0 {
-			name += fmt.Sprintf(",caps=%d", distinct)
+	b.Run(fmt.Sprintf("series=%d", series), func(b *testing.B) {
+		r := opsRegistry(units, false)
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			r := opsRegistryCaps(units, false, distinct)
-			var buf bytes.Buffer
+		if got := bytes.Count(buf.Bytes(), []byte("\n")) - bytes.Count(buf.Bytes(), []byte("\n# ")) - 1; got != series {
+			b.Fatalf("registry renders %d sample lines, want %d", got, series)
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(buf.Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
 			if err := r.WritePrometheus(&buf); err != nil {
 				b.Fatal(err)
 			}
-			if got := bytes.Count(buf.Bytes(), []byte("\n")) - bytes.Count(buf.Bytes(), []byte("\n# ")) - 1; got != series {
-				b.Fatalf("registry renders %d sample lines, want %d", got, series)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(buf.Len()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := r.WritePrometheus(&buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/series, "ns/series")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/series, "ns/series")
+	})
 }

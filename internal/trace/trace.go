@@ -60,10 +60,10 @@ const (
 	// ReasonDegradedDeliver: the daemon's delivery-side safety net pinned
 	// the cap of a non-fresh unit on behalf of a health-blind manager.
 	ReasonDegradedDeliver
-	// ReasonClamp: the final safety clamp moved the cap (hardware-limit
-	// clamping or the proportional budget rescale). The pipeline maintains
-	// the budget invariant, so this should account for floating-point
-	// drift only.
+	// ReasonClamp: the round's budget fit (core.Fit) alone moved the cap:
+	// the hardware-limit clamp, the step onto the 0.1 W grid, or the
+	// proportional cut to the budget. A cap a stage moved keeps that
+	// stage's reason.
 	ReasonClamp
 
 	reasonCount

@@ -165,10 +165,6 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Logf receives one structured line per state transition. Optional.
 	Logf func(format string, args ...any)
-	// BudgetToleranceW is the slack allowed on Σcaps ≤ budget before
-	// budget_conservation trips; it absorbs float drift from the
-	// proportional rescale. Default 1e-3 W.
-	BudgetToleranceW float64
 	// DisableBuiltin drops the built-in invariant audits, leaving only
 	// the configured series rules.
 	DisableBuiltin bool
@@ -197,7 +193,6 @@ type ruleState struct {
 // are safe for concurrent use and nil-safe.
 type Watcher struct {
 	cfg   Config
-	tolW  float64
 	logf  func(string, ...any)
 	store *series.Store
 
@@ -212,13 +207,9 @@ type Watcher struct {
 func New(cfg Config) *Watcher {
 	w := &Watcher{
 		cfg:   cfg,
-		tolW:  cfg.BudgetToleranceW,
 		logf:  cfg.Logf,
 		store: cfg.Store,
 		index: make(map[string]*ruleState),
-	}
-	if w.tolW <= 0 {
-		w.tolW = 1e-3
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}
@@ -330,13 +321,14 @@ func (w *Watcher) ObserveRound(rec *telemetry.Round) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if rs, ok := w.index[RuleBudgetConservation]; ok {
-		// Both what was decided and what the nodes enforce once the push
-		// lands must fit: a unit whose push failed keeps its old cap.
-		over := max(rec.CapSumW, rec.EnforcedW) - rec.BudgetW
-		rs.value = over
-		rs.message = fmt.Sprintf("round %d: cap sum %.3f W (enforced %.3f W) vs budget %.3f W (tolerance %g W)",
-			rec.Round, rec.CapSumW, rec.EnforcedW, rec.BudgetW, w.tolW)
-		w.step(rs, over > w.tolW, rec.Time)
+		// What the manager decided, what went out and what the nodes
+		// enforce once the push lands must each fit, in whole deciwatts
+		// with no slack: a unit whose push failed keeps its old cap.
+		over := rec.OverBudgetDW()
+		rs.value = float64(over) / 10
+		rs.message = fmt.Sprintf("round %d: cap sum %.1f W (decided %.1f W, enforced %.1f W) vs budget %.3f W",
+			rec.Round, float64(rec.CapSumDW)/10, float64(rec.DecidedDW)/10, float64(rec.EnforcedDW)/10, rec.BudgetW)
+		w.step(rs, over > 0, rec.Time)
 	}
 	if rs, ok := w.index[RuleHealthPinIntegrity]; ok {
 		rs.value = float64(rec.PinViolations)

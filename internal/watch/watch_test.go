@@ -157,13 +157,13 @@ func TestBuiltinAudits(t *testing.T) {
 	var logs []string
 	reg := telemetry.NewRegistry()
 	w := New(Config{
-		Registry:         reg,
-		BudgetToleranceW: 0.5,
-		Logf:             func(f string, a ...any) { logs = append(logs, f) },
+		Registry: reg,
+		Logf:     func(f string, a ...any) { logs = append(logs, f) },
 	})
 
-	// A clean round keeps everything inactive.
-	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100.2, HasStats: true})
+	// A clean round keeps everything inactive; a cap sum of exactly the
+	// budget, in deciwatts, is clean.
+	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumDW: 1000, EnforcedDW: 1000, DecidedDW: 1000, HasStats: true})
 	for _, name := range []string{RuleBudgetConservation, RuleHealthPinIntegrity, RuleProvenanceCoverage} {
 		if got := alertState(t, w, name); got.State != StateInactive {
 			t.Fatalf("clean round: %s = %q", name, got.State)
@@ -173,7 +173,7 @@ func TestBuiltinAudits(t *testing.T) {
 	// Violate all three invariants in round 2: each fires within the round
 	// (builtins carry no `for` grace).
 	w.ObserveRound(&telemetry.Round{
-		Round: 2, Time: at(1), BudgetW: 100, CapSumW: 103,
+		Round: 2, Time: at(1), BudgetW: 100, CapSumDW: 1001,
 		PinAudited: 2, PinViolations: 1,
 		HasStats: true, ProvViolations: 3,
 	})
@@ -187,7 +187,7 @@ func TestBuiltinAudits(t *testing.T) {
 	}
 
 	// Recovery resolves within one round.
-	w.ObserveRound(&telemetry.Round{Round: 3, Time: at(2), BudgetW: 100, CapSumW: 99, HasStats: true})
+	w.ObserveRound(&telemetry.Round{Round: 3, Time: at(2), BudgetW: 100, CapSumDW: 990, HasStats: true})
 	for _, name := range []string{RuleBudgetConservation, RuleHealthPinIntegrity, RuleProvenanceCoverage} {
 		if got := alertState(t, w, name); got.State != StateResolved {
 			t.Fatalf("recovered round: %s = %q, want resolved", name, got.State)
@@ -196,7 +196,7 @@ func TestBuiltinAudits(t *testing.T) {
 
 	// A provenance-blind round (no evidence) never fires the coverage
 	// audit, whatever the cap deltas were.
-	w.ObserveRound(&telemetry.Round{Round: 4, Time: at(3), BudgetW: 100, CapSumW: 99, ProvViolations: 5})
+	w.ObserveRound(&telemetry.Round{Round: 4, Time: at(3), BudgetW: 100, CapSumDW: 990, ProvViolations: 5})
 	if got := alertState(t, w, RuleProvenanceCoverage); got.State != StateResolved {
 		t.Fatalf("unaudited round moved provenance_coverage to %q", got.State)
 	}
@@ -217,14 +217,6 @@ func TestBuiltinAudits(t *testing.T) {
 	}
 	if len(logs) == 0 {
 		t.Error("no transition log lines emitted")
-	}
-}
-
-func TestBudgetToleranceAbsorbsDrift(t *testing.T) {
-	w := New(Config{}) // default tolerance 1e-3 W
-	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 100 + 1e-9})
-	if got := alertState(t, w, RuleBudgetConservation); got.State != StateInactive {
-		t.Fatalf("float drift fired budget_conservation (%q)", got.State)
 	}
 }
 
@@ -266,7 +258,7 @@ func TestNilWatcherIsSafe(t *testing.T) {
 
 func TestHandlerJSON(t *testing.T) {
 	w := New(Config{})
-	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumW: 150})
+	w.ObserveRound(&telemetry.Round{Round: 1, Time: at(0), BudgetW: 100, CapSumDW: 1500})
 	rec := httptest.NewRecorder()
 	w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/alerts", nil))
 	if rec.Code != 200 {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # mutation_smoke.sh — prove the differential fuzzers' seed corpora catch
 # the bugs their checks exist for: FuzzRoundEngine (internal/engine) for
-# the round paths, FuzzServer (internal/daemon) for dpsd around them. The
+# the round paths, FuzzServer (internal/daemon) for dpsd around them; and
+# that TestFitExhaustive (internal/core) catches a broken budget fit. The
 # tree is copied to a temporary directory; there each target's unmutated
 # seed corpus must pass, and then, one at a time, each mutation below is
 # applied by an exact-match text edit and `go test -run '^TARGET$' PKG`
@@ -74,6 +75,15 @@ mutant "round input ships no pushed unit" internal/snapshot/input.go \
 	"$(printf 'for range in.Pushed {\n\t\tb = section.AppendU64(b, 0)')"
 mutant "a ring that settles this round skips classification" internal/core/sparse.go \
 	'| d.settledNowW[wi] |' '|'
+
+target TestFitExhaustive ./internal/core/
+mutant "Fit drops the pin" internal/core/fit.go \
+	"$(printf 'caps[u] = pinned[u]\n')" ''
+mutant "Fit drops the clamp" internal/core/fit.go \
+	"$(printf 'k := lo\n\t\tswitch {\n\t\tcase c >= hiW:\n\t\t\tk = hi')" \
+	"$(printf 'k := power.FloorDeciwatts(c)\n\t\tswitch {\n\t\tcase c >= hiW:\n\t\t\tk = power.FloorDeciwatts(c)')"
+mutant "Fit rounds to nearest" internal/core/fit.go \
+	'k = power.FloorDeciwatts(c)' 'k = power.Deciwatts(c)'
 
 target FuzzServer ./internal/daemon/
 mutant "a rejected record refreshes the health clock" internal/daemon/ingest.go \
