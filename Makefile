@@ -83,16 +83,24 @@ bench-json:
 profile-decide:
 	$(GO) test -run xxx -bench 'DecideScaling/N=16384/phased' -benchtime 1000x -cpuprofile decide.prof .
 
-# chaos runs the full fault-injection suite under the race detector:
-# FuzzServer's kill/restart, kill/restore and standby-takeover seeds (each
-# held round by round to an uninterrupted engine model and to what the
-# scripted devices enforce), the wall-clock run over real TCP with
-# injected connection drops and device crash-restarts (with the watchdog
-# attached as a second oracle), and the faultinject package's own
-# determinism tests. The deterministic half also runs inside `make ci`
-# (race is -short); the wall-clock half only runs here.
+# chaos runs the fault scenarios under the race detector: FuzzServer's
+# seeds and committed corpus (agents that drop, rejoin and fail pushes,
+# report frames cut mid-write, meter read errors, energy counters
+# restarted at 0, kills with restores and standby takeovers, each round
+# held to an uninterrupted engine model and to what the scripted devices
+# enforce), the TestChaos* seed runs, and TestFailoverSmoke, the one
+# wall-clock failover over real TCP. `go test -run` passes when its
+# pattern matches nothing, so the target also fails unless every test it
+# names passed. FuzzServer's seeds also run inside `make ci` (race is
+# -short, which skips the failover).
+CHAOS_TESTS = FuzzServer TestChaosWallClock TestChaosDeterministicKillRestart TestChaosKillRestore TestChaosStandbyTakeover TestFailoverSmoke
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Conn|Device' ./internal/daemon/ ./internal/faultinject/
+	@out=$$($(GO) test -race -count=1 -v -run "^($$(echo $(CHAOS_TESTS) | tr ' ' '|'))$$" ./internal/daemon/ 2>&1); \
+	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL|panic)'; \
+	[ $$status -eq 0 ] || exit $$status; \
+	for t in $(CHAOS_TESTS); do \
+		echo "$$out" | grep -q "^--- PASS: $$t " || { echo "chaos: $$t did not run" >&2; exit 1; }; \
+	done
 
 # alloc-check is the allocation-regression gate: a warm DecideStats
 # round must not allocate — bare (masked and maskless), with a disabled
@@ -151,7 +159,10 @@ fuzz-smoke:
 # the health clock, an omission that refreshes a refused unit's clock, a
 # heartbeat that does not refresh, a failed push committed as enforced, a
 # restore that drops markChangedLocked, a closed connection that leaves
-# its units fresh. TestFitExhaustive: a budget fit that drops the pin,
+# its units fresh, a meter recovery read averaged over one interval
+# instead of the gap, a counter gone backwards read as restarted from 0,
+# a batch reader that keeps the whole records of a cut frame.
+# TestFitExhaustive: a budget fit that drops the pin,
 # drops the clamp, or rounds to the nearest deciwatt instead of down.
 mutation-smoke:
 	./scripts/mutation_smoke.sh
@@ -170,8 +181,8 @@ watch-smoke:
 
 # failover-smoke is the high-availability end-to-end gate: an in-process
 # primary serving real reconnecting agents over TCP, a warm standby
-# following its replication stream, a deterministic faultinject crash of
-# the link, and convergence of every agent onto the standby — with the
+# following its replication stream, the replication link closed under it
+# once the cluster is steady, and convergence of every agent onto the standby — with the
 # standby's watchdog silent across the handover.
 failover-smoke:
 	$(GO) test -run TestFailoverSmoke -count=1 ./internal/daemon/

@@ -8,16 +8,15 @@ import (
 	"time"
 
 	"dps/internal/core"
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/rapl"
 )
 
 // TestFailoverSmoke is the wall-clock high-availability end-to-end
 // (`make failover-smoke`): a primary serving real reconnecting agents
-// over TCP, a warm standby following its replication stream through a
-// fault-injected connection, and a deterministic injected crash of the
-// replication link standing in for the primary's death. The standby must
+// over TCP, a warm standby following its replication stream, and the
+// replication link closed under it once the cluster is steady, standing
+// in for the primary's death. The standby must
 // take over, the agents must rotate onto it through their ordinary
 // failover address list, and the cluster must converge back to all-fresh
 // — with the standby's watchdog, which audited every post-takeover
@@ -74,19 +73,21 @@ func TestFailoverSmoke(t *testing.T) {
 	tmpL.Close()
 
 	standby := newServer(func(sc *ServerConfig) { sc.StandbyOf = primaryAddr })
-	// The injected crash: the standby's replication connection is
-	// fault-wrapped to die deterministically after a fixed number of
-	// operations — from the standby's point of view, the primary failed
-	// mid-stream.
+	// The test keeps the replication connection the standby dials, to
+	// close it under the standby: from its point of view, the primary
+	// failed mid-stream.
+	var lmu sync.Mutex
+	var replication net.Conn
+	var takeoverL net.Listener
 	standby.dial = func(network, addr string) (net.Conn, error) {
 		conn, err := net.Dial(network, addr)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			lmu.Lock()
+			replication = conn
+			lmu.Unlock()
 		}
-		return faultinject.WrapConn(conn, faultinject.ConnConfig{Seed: 11, DropAfterOps: 120}, nil), nil
+		return conn, err
 	}
-	var lmu sync.Mutex
-	var takeoverL net.Listener
 	standbyDone := make(chan error, 1)
 	go func() {
 		standbyDone <- standby.RunStandby(context.Background(), func() (net.Listener, error) {
@@ -153,12 +154,16 @@ func TestFailoverSmoke(t *testing.T) {
 		primary.snapMu.Lock()
 		replicas := len(primary.replicas)
 		primary.snapMu.Unlock()
-		return st.Agents == 2 && st.StaleUnits == 0 && st.DeadUnits == 0 && st.Rounds > 3 && replicas == 1
+		return st.Agents == 2 && st.StaleUnits == 0 && st.DeadUnits == 0 && st.Rounds > 3 && replicas == 1 &&
+			standby.Rounds() > 0
 	})
 
-	// Phase 2: the injected fault severs the replication link; the standby
+	// Phase 2: the replication link is severed; the synced standby
 	// declares the primary dead and takes over. The primary process is
 	// then gone for real, so its agents drop and rotate.
+	lmu.Lock()
+	replication.Close()
+	lmu.Unlock()
 	waitState("standby takeover", 20*time.Second, func() bool {
 		return standby.metrics.failovers.Value() == 1
 	})

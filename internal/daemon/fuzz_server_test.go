@@ -38,11 +38,11 @@ import (
 // counters, the inherited round count, no pin or provenance violation and
 // no watchdog alert where the budget must hold. Device truth: every device
 // holds the cap the server believes its agent enforces, and the devices'
-// caps sum within the budget up to the wire's half-deciwatt a unit (ROADMAP
-// item 2), but in the round a push fails (item 5(c)'s mix) and in a round
-// that mix left infeasible (item 3(c)). At band 0 every reporting unit
-// reads its device's draw on the wire grid, and a following standby's
-// state image equals the primary's.
+// caps sum within the budget with nothing allowed over, but in the round a
+// push fails (ROADMAP item 5(c)'s mix) and in a round that mix left
+// infeasible (item 3(c)). At band 0 every reporting unit reads what its
+// meter made of its device's counter on the wire grid, and a following
+// standby's state image equals the primary's.
 //
 // Script layout: byte 0 sizes the fleet, byte 1 configures it, then every
 // 4 bytes are one step: op, who, value, rep.
@@ -63,6 +63,14 @@ import (
 //	opFail       writes to the agent's connection fail until it rejoins
 //	value ≠ 0    its demand becomes the mixed trace with value/32 W of
 //	             wobble (opMixed), or value·0.75 W plus u%3 W
+//	opFault      opDrop|opFail without opJoin (a dropped agent has no push
+//	             to fail): a fault, whose value is no demand. With
+//	             value&0x80 the agent's next report frame goes out cut
+//	             after value%len bytes and its connection closes, as with
+//	             opDrop; else value&4 restarts its devices' energy counters
+//	             at 0, and their next value&3 reads fail, at most
+//	             DefaultMeterErrorTolerance in a row (a rejoin primes its
+//	             meters on a good read)
 //
 // In each of the step's rep+1 rounds the clock advances a second, every
 // device draws min(demand, its cap), and every live agent reports but:
@@ -89,6 +97,7 @@ const (
 	opGarbage = 0x20
 	opCut     = 0x40
 	opMixed   = 0x80
+	opFault   = opDrop | opFail
 	allAgents = 0x80
 
 	clocks1s = 1 << 2 // stale after 1 s, dead after 4 s
@@ -184,6 +193,14 @@ func serverSeeds() []serverSeed {
 		// fresh at its last good reading; a sane reading brings it back.
 		{"constant-garbage", serverScript(1, 2, clocks3s,
 			s{0, allAgents, 133, 1}, s{opGarbage | opMixed, 0, 0, 5}, s{0, 0, 0, 1}), "degraded garbage recoveries"},
+		// Faults at the meters and on the wire: read errors a tolerant meter
+		// rides through on its last sample and then averages over, a counter
+		// restarted at 0 whose reading is refused, a kill and a rejoin, and
+		// a report frame cut after its first record.
+		{"chaos", serverScript(3, 2, clocks1s,
+			s{opMixed, allAgents, 64, 3}, s{opFault, 0, 3, 4}, s{opFault, 1, 4, 3}, s{opDrop, 2, 0, 4},
+			s{opJoin, 2, 0, 2}, s{opFault, 0, 0x85, 2}, s{opJoin, 0, 0, 3}),
+			"held rebases garbage dead recoveries truncated"},
 	}
 }
 
@@ -241,13 +258,22 @@ func newRigServer(t testing.TB, units int, clk *testClock, mutate func(*ServerCo
 // scriptDevice is a Device whose energy counter the script advances and
 // whose cap is what its agent last programmed.
 type scriptDevice struct {
-	uj, pending uint64        // the counter; µJ drawn since its meter last read it
+	uj, pending uint64        // the counter; µJ it moved since its meter last read it
+	failing     int           // reads that fail before the next good one
+	gap         int           // reads that failed since its meter last read it
+	held        power.Watts   // what its meter last read, which a failed read repeats
 	cap         atomic.Uint64 // float bits: set by the agent's cap goroutine, read by the rig
 }
 
-func (d *scriptDevice) EnergyMicroJoules() (uint64, error) { return d.uj % rapl.CounterWrap, nil }
-func (d *scriptDevice) MaxPower() power.Watts              { return 165 }
-func (d *scriptDevice) MinPower() power.Watts              { return 10 }
+func (d *scriptDevice) EnergyMicroJoules() (uint64, error) {
+	if d.failing > 0 {
+		d.failing--
+		return 0, errors.New("scripted read error")
+	}
+	return d.uj % rapl.CounterWrap, nil
+}
+func (d *scriptDevice) MaxPower() power.Watts { return 165 }
+func (d *scriptDevice) MinPower() power.Watts { return 10 }
 func (d *scriptDevice) SetCap(w power.Watts) error {
 	d.cap.Store(math.Float64bits(float64(w)))
 	return nil
@@ -263,12 +289,24 @@ func (d *scriptDevice) draw(w power.Watts) {
 	d.pending += delta
 }
 
-// reading is what its meter reads in a one-second report: all drawn since
-// it last read the counter, modulo the counter's wrap.
+// rebase restarts its energy counter at 0, as a node's reboot does: to a
+// meter, a move of CounterWrap less the old count.
+func (d *scriptDevice) rebase() {
+	d.pending += (rapl.CounterWrap - d.uj%rapl.CounterWrap) % rapl.CounterWrap
+	d.uj = 0
+}
+
+// reading is what its meter reads in a one-second report: on a failed read
+// the sample it holds, else all the counter moved since it last read it,
+// modulo the counter's wrap, averaged over the seconds since.
 func (d *scriptDevice) reading() power.Watts {
-	w := power.Watts(float64(d.pending%rapl.CounterWrap) / 1e6 / 1)
-	d.pending = 0
-	return w
+	if d.failing > 0 {
+		d.gap++
+		return d.held
+	}
+	d.held = power.Watts(float64(d.pending%rapl.CounterWrap) / 1e6 / float64(1+d.gap))
+	d.pending, d.gap = 0, 0
+	return d.held
 }
 
 // failConn is the server's end of an agent connection whose writes can be
@@ -283,6 +321,26 @@ func (c *failConn) Write(p []byte) (int, error) {
 		return 0, errors.New("scripted write failure")
 	}
 	return c.Conn.Write(p)
+}
+
+// cutConn is an agent's end of its connection. Armed (cut ≥ 0), it sends
+// only the first cut%len bytes of the next report frame and closes, as a
+// connection lost mid-write does; apply echoes, from the agent's cap
+// goroutine, pass and never read cut.
+type cutConn struct {
+	net.Conn
+	cut int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if p[0] == proto.FrameApply || c.cut < 0 {
+		return c.Conn.Write(p)
+	}
+	if n := c.cut % len(p); n > 0 {
+		c.Conn.Write(p[:n])
+	}
+	c.Conn.Close()
+	return 0, errors.New("scripted cut")
 }
 
 // frameTap sits on the primary's end of a replication link and hands
@@ -363,7 +421,7 @@ type rigAgent struct {
 	lastSent  []int         // deciwatts last sent per unit this session, -1 for none
 	sinceFull int           // reports since it last sent every unit
 	agent     *Agent        // nil while disconnected
-	conn      net.Conn
+	conn      *cutConn
 	srvSide   *failConn
 	capsDone  chan struct{} // closes when the session's cap goroutine exits
 	applied   uint64        // cap batches the session must have applied
@@ -493,6 +551,7 @@ func (r *serverRun) rejoin(a *rigAgent) {
 	devices := make([]rapl.Device, len(a.devs))
 	for i, d := range a.devs {
 		devices[i] = d
+		d.failing, d.gap, d.held = 0, 0, 0 // the handshake primes the meters on a good read
 	}
 	agent, err := NewAgent(AgentConfig{FirstUnit: power.UnitID(a.first), Devices: devices,
 		Interval: time.Second, Batch: true, RefreshEvery: r.refresh})
@@ -500,9 +559,9 @@ func (r *serverRun) rejoin(a *rigAgent) {
 		r.t.Fatal(err)
 	}
 	client, server := net.Pipe()
-	a.srvSide = &failConn{Conn: server}
+	a.conn, a.srvSide = &cutConn{Conn: client, cut: -1}, &failConn{Conn: server}
 	go r.primary.Handle(a.srvSide)
-	if err := agent.Handshake(client); err != nil {
+	if err := agent.Handshake(a.conn); err != nil {
 		r.t.Fatal(err)
 	}
 	capsDone := make(chan struct{})
@@ -511,10 +570,10 @@ func (r *serverRun) rejoin(a *rigAgent) {
 		for agent.ReceiveCaps() == nil {
 		}
 	}()
-	a.agent, a.conn, a.capsDone, a.applied, a.sinceFull = agent, client, capsDone, 0, 0
+	a.agent, a.capsDone, a.applied, a.sinceFull = agent, capsDone, 0, 0
 	for i, d := range a.devs {
 		u := a.first + i
-		a.lastSent[i], d.pending = -1, 0 // the handshake primed the meters
+		a.lastSent[i], d.pending = -1, 0
 		r.gone[u] = false
 		if !r.refused[u] {
 			r.touched[u] = r.clk.Now()
@@ -525,8 +584,15 @@ func (r *serverRun) rejoin(a *rigAgent) {
 // drop closes an agent's connection; no one answers for its units now.
 func (r *serverRun) drop(a *rigAgent) {
 	r.t.Helper()
+	r.disconnect(a, func() { a.conn.Close() })
+}
+
+// disconnect loses an agent's connection to closing, and waits until the
+// server has let it go: all the connection will ever ingest is in.
+func (r *serverRun) disconnect(a *rigAgent, closing func()) {
+	r.t.Helper()
 	want := r.primary.Connected() - 1
-	a.conn.Close()
+	closing()
 	<-a.capsDone
 	a.agent = nil
 	waitUntil(r.t, "dropped agent unregistered", func() bool { return r.primary.Connected() == want })
@@ -666,6 +732,10 @@ func (r *serverRun) events(op, who, value byte) {
 		})
 		r.tl["takeovers"]++
 	}
+	if op&(opFault|opJoin) == opFault {
+		r.fault(who, value)
+		return
+	}
 	for _, a := range r.targets(who) {
 		if op&opDrop != 0 && a.agent != nil {
 			r.drop(a)
@@ -678,6 +748,27 @@ func (r *serverRun) events(op, who, value byte) {
 		}
 		if value != 0 {
 			a.mixed, a.level, a.wobble = op&opMixed != 0, power.Watts(value)*0.75, float64(value)/32
+		}
+	}
+}
+
+// fault arms opFault's value on the agents who names.
+func (r *serverRun) fault(who, value byte) {
+	for _, a := range r.targets(who) {
+		if value&0x80 != 0 {
+			if a.agent != nil {
+				a.conn.cut = int(value)
+			}
+			continue
+		}
+		if value&4 != 0 && a.agent != nil {
+			r.tl["rebases"]++
+		}
+		for _, d := range a.devs {
+			if value&4 != 0 {
+				d.rebase()
+			}
+			d.failing = min(d.failing+int(value&3), DefaultMeterErrorTolerance-d.gap)
 		}
 	}
 }
@@ -722,6 +813,16 @@ func mixedDemand(u, n int, wobble float64) float64 {
 // reading is accepted.
 func (r *serverRun) report(a *rigAgent, now time.Time) {
 	r.t.Helper()
+	if a.conn.cut >= 0 { // the server must ingest none of a cut frame
+		r.disconnect(a, func() {
+			if a.agent.ReportOnce(1) == nil {
+				r.t.Fatalf("round %d: a cut report went through", r.round)
+			}
+		})
+		a.reported = false
+		r.tl["truncated"]++
+		return
+	}
 	ceiling, epsDW := 2*testBudget(r.units).UnitMax, int(proto.ToDeciwatts(r.band))
 	full := a.sinceFull+1 >= cmp.Or(r.refresh, DefaultRefreshEvery) && r.refresh >= 0
 	if full && a.lastSent[0] >= 0 {
@@ -730,6 +831,9 @@ func (r *serverRun) report(a *rigAgent, now time.Time) {
 	sent := 0
 	for i, d := range a.devs {
 		u := a.first + i
+		if d.failing > 0 {
+			r.tl["held"]++
+		}
 		a.read[i] = d.reading()
 		dw := int(proto.ToDeciwatts(a.read[i]))
 		if !full && a.lastSent[i] >= 0 && max(dw-a.lastSent[i], a.lastSent[i]-dw) <= epsDW {
@@ -793,12 +897,13 @@ func (r *serverRun) roundOnce(op, who byte, first bool) {
 		}
 	}
 	m := &r.primary.metrics
-	waitUntil(r.t, "reports ingested", func() bool { // a batch is counted before its records
-		return m.ingestBatches.Value()+m.ingestHeartbeats.Value() == r.frames && m.ingestRecords.Value() >= r.records
-	})
-	if m.ingestRecords.Value() != r.records || m.ingestHeartbeats.Value() != r.heartbeats {
-		r.t.Fatalf("round %d: the server ingested %d records and %d heartbeats, the agents sent %d and %d",
-			r.round, m.ingestRecords.Value(), m.ingestHeartbeats.Value(), r.records, r.heartbeats)
+	// A batch is counted before its records. Waiting for at least what the
+	// agents sent lets a frame too many (part of a cut one) fail at once.
+	frames := func() uint64 { return m.ingestBatches.Value() + m.ingestHeartbeats.Value() }
+	waitUntil(r.t, "reports ingested", func() bool { return frames() >= r.frames && m.ingestRecords.Value() >= r.records })
+	if frames() != r.frames || m.ingestRecords.Value() != r.records || m.ingestHeartbeats.Value() != r.heartbeats {
+		r.t.Fatalf("round %d: the server ingested %d frames, %d records and %d heartbeats, the agents sent %d, %d and %d",
+			r.round, frames(), m.ingestRecords.Value(), m.ingestHeartbeats.Value(), r.frames, r.records, r.heartbeats)
 	}
 	if op&opCut != 0 && first && r.primary.Rounds() > r.primary.inheritedRounds.Load() {
 		if r.standby != nil { // its primary is going away for good
@@ -998,6 +1103,7 @@ func TestFailedPushPinsAgent(t *testing.T)           { runServerSeed(t, "push-fa
 func TestChaosKillRestore(t *testing.T)              { runServerSeed(t, "kill-restore") }
 func TestChaosStandbyTakeover(t *testing.T)          { runServerSeed(t, "standby-takeover") }
 func TestBatchDeltaEquivalence(t *testing.T)         { runServerSeed(t, "batch-delta") }
+func TestChaosWallClock(t *testing.T)                { runServerSeed(t, "chaos") }
 
 // TestSanitizerRejectsGarbageReadings: a unit reporting garbage goes
 // stale whether the garbage varies or stays one value.

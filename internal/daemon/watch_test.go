@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dps/internal/core"
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/telemetry"
 	"dps/internal/telemetry/series"
@@ -47,9 +46,31 @@ func watchAlert(t *testing.T, srv *Server, rule string) watch.Alert {
 	return watch.Alert{}
 }
 
+// inflatedManager scales its inner manager's caps by 1.5 in decision
+// rounds [from, until), counted from 1: a cap vector over the budget at a
+// known round. It hides the DPS stats API, so the caps are delivered
+// through the plain Decide path, as a buggy controller's would be.
+type inflatedManager struct {
+	core.Manager
+	from, until, round int
+	out                power.Vector
+}
+
+func (m *inflatedManager) Decide(snap core.Snapshot) power.Vector {
+	caps := m.Manager.Decide(snap)
+	if m.round++; m.round < m.from || m.round >= m.until {
+		return caps
+	}
+	m.out = m.out[:0]
+	for _, c := range caps {
+		m.out = append(m.out, 1.5*c)
+	}
+	return m.out
+}
+
 // TestWatchBudgetFaultFiresWithinOneRound is the acceptance-criteria
-// chaos test at the daemon layer: a fault-injected manager inflates its
-// caps past the budget at a known round; budget_conservation must fire
+// chaos test at the daemon layer: a manager inflates its caps past the
+// budget at a known round; budget_conservation must fire
 // within that exact round and resolve within one round of recovery.
 func TestWatchBudgetFaultFiresWithinOneRound(t *testing.T) {
 	const units = 4
@@ -57,14 +78,8 @@ func TestWatchBudgetFaultFiresWithinOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault window: rounds [3,5). Scale 1.5 pushes the cap sum ~50% over.
-	mgr, err := faultinject.WrapManager(inner, faultinject.ManagerConfig{
-		FromRound: 3, UntilRound: 5, Scale: 1.5,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, now := newWatchServer(t, mgr, units)
+	// Fault window: rounds [3,5), the cap sum ~50% over.
+	srv, now := newWatchServer(t, &inflatedManager{Manager: inner, from: 3, until: 5}, units)
 
 	states := make([]string, 0, 7)
 	for round := 1; round <= 7; round++ {

@@ -7,7 +7,6 @@ import (
 
 	"dps/internal/cluster"
 	"dps/internal/core"
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/sim"
 	"dps/internal/watch"
@@ -170,6 +169,28 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// inflatedManager scales its inner manager's caps by 1.5 in decision
+// rounds [from, until), counted from 1: a cap vector over the budget at a
+// known round. It hides the DPS stats API, so the caps are delivered
+// through the plain Decide path, as a buggy controller's would be.
+type inflatedManager struct {
+	core.Manager
+	from, until, round int
+	out                power.Vector
+}
+
+func (m *inflatedManager) Decide(snap core.Snapshot) power.Vector {
+	caps := m.Manager.Decide(snap)
+	if m.round++; m.round < m.from || m.round >= m.until {
+		return caps
+	}
+	m.out = m.out[:0]
+	for _, c := range caps {
+		m.out = append(m.out, 1.5*c)
+	}
+	return m.out
+}
+
 // TestWatchFiresOnBatchBudgetFault is the pair engine's TestWatchSmoke on
 // the batch engine, which runs the same controller step: a budget fault
 // scheduled for a known round window must fire budget_conservation in the
@@ -190,9 +211,7 @@ func TestWatchFiresOnBatchBudgetFault(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return faultinject.WrapManager(inner, faultinject.ManagerConfig{
-			FromRound: faultFrom, UntilRound: faultUntil, Scale: 1.5,
-		}, nil)
+		return &inflatedManager{Manager: inner, from: faultFrom, until: faultUntil}, nil
 	}
 	cfg := Config{Machine: smallMachine(3), Jobs: lowJobs(t, 6), Seed: 3, Watcher: watcher}
 	res, err := Run(cfg, factory)

@@ -4,12 +4,33 @@ import (
 	"testing"
 
 	"dps/internal/core"
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/telemetry"
 	"dps/internal/watch"
 	"dps/internal/workload"
 )
+
+// inflatedManager scales its inner manager's caps by 1.5 in decision
+// rounds [from, until), counted from 1: a cap vector over the budget at a
+// known round. It hides the DPS stats API, so the caps are delivered
+// through the plain Decide path, as a buggy controller's would be.
+type inflatedManager struct {
+	core.Manager
+	from, until, round int
+	out                power.Vector
+}
+
+func (m *inflatedManager) Decide(snap core.Snapshot) power.Vector {
+	caps := m.Manager.Decide(snap)
+	if m.round++; m.round < m.from || m.round >= m.until {
+		return caps
+	}
+	m.out = m.out[:0]
+	for _, c := range caps {
+		m.out = append(m.out, 1.5*c)
+	}
+	return m.out
+}
 
 // TestWatchSmoke is the self-monitoring end-to-end gate (also run by
 // `make watch-smoke`): a daemon+sim closed loop runs with the watchdog as
@@ -46,9 +67,7 @@ func TestWatchSmoke(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return faultinject.WrapManager(inner, faultinject.ManagerConfig{
-			FromRound: faultFrom, UntilRound: faultUntil, Scale: 1.5,
-		}, nil)
+		return &inflatedManager{Manager: inner, from: faultFrom, until: faultUntil}, nil
 	}
 
 	// The StepHook runs right after the engine audited the step, so the

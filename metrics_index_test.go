@@ -11,7 +11,6 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/daemon"
-	"dps/internal/faultinject"
 	"dps/internal/power"
 	"dps/internal/rapl"
 	"dps/internal/telemetry"
@@ -19,8 +18,8 @@ import (
 
 // registeredMetricNames constructs one of every metric-registering
 // component — a fully-featured controller (health, series, watch,
-// snapshotting, black box), an agent, and the fault-injection counters —
-// and collects every metric family name they register.
+// snapshotting, black box) and an agent — and collects every metric
+// family name they register.
 func registeredMetricNames(t *testing.T) map[string]bool {
 	t.Helper()
 	units := 2
@@ -46,7 +45,6 @@ func registeredMetricNames(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	faultinject.NewCounters(srv.Telemetry())
 
 	dev, err := rapl.NewSimDevice(rapl.DefaultSimConfig())
 	if err != nil {

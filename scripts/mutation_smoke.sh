@@ -100,3 +100,10 @@ mutant "restore drops markChangedLocked" internal/daemon/snapshot.go \
 	"$(printf 's.markChangedLocked()\n\treturn st')" 'return st'
 mutant "a closed connection leaves its units fresh" internal/daemon/ingest.go \
 	"$(printf 'defer s.mu.Unlock()\n\ts.orphanLocked(sc)')" 'defer s.mu.Unlock()'
+mutant "a meter's recovery read averages over one interval" internal/rapl/meter.go \
+	'elapsed += m.pendingElapsed' ''
+mutant "a counter gone backwards reads as restarted from 0" internal/rapl/meter.go \
+	'delta = CounterWrap - m.lastUJ + uj' 'delta = uj'
+mutant "a cut batch frame keeps its whole records" internal/proto/session.go \
+	"$(printf 'body, err := s.next(count * RecordSize)\n')" \
+	"$(printf 'body, err := s.next(count * RecordSize)\n\tfor err != nil && count > 1 {\n\t\tcount--\n\t\tbody, err = s.next(count * RecordSize)\n\t}\n')"
