@@ -164,6 +164,8 @@ fuzz-smoke:
 # a batch reader that keeps the whole records of a cut frame.
 # TestFitExhaustive: a budget fit that drops the pin,
 # drops the clamp, or rounds to the nearest deciwatt instead of down.
+# TestWatchBudgetFaultFiresWithinOneRound: a restore that keeps the
+# image's budget instead of the configured one, so no alert fires.
 mutation-smoke:
 	./scripts/mutation_smoke.sh
 
@@ -175,9 +177,20 @@ trace-smoke:
 # watch-smoke is the self-monitoring end-to-end gate: a simulated pair
 # experiment with a scheduled budget fault must fire budget_conservation
 # within one round of the fault and resolve within one round of recovery,
-# and a clean run must end with every builtin audit inactive.
+# and a clean run must end with every builtin audit inactive; the batch
+# engine's scheduled budget fault must do the same; and dpsd restored under a
+# lower budget than its image's must fire budget_conservation from its
+# first round and resolve in the round its agent joins. The target fails
+# unless every test it names passed (`go test -run` passes on a pattern
+# that matches nothing).
+WATCH_TESTS = TestWatchSmoke TestWatchOracleCleanRun TestWatchFiresOnBatchBudgetFault TestWatchBudgetFaultFiresWithinOneRound
 watch-smoke:
-	$(GO) test -run 'TestWatchSmoke|TestWatchOracleCleanRun' -count=1 ./internal/sim/
+	@out=$$($(GO) test -count=1 -v -run "^($$(echo $(WATCH_TESTS) | tr ' ' '|'))$$" ./internal/sim/ ./internal/sched/ ./internal/daemon/ 2>&1); \
+	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL|panic)'; \
+	[ $$status -eq 0 ] || exit $$status; \
+	for t in $(WATCH_TESTS); do \
+		echo "$$out" | grep -q "^--- PASS: $$t " || { echo "watch-smoke: $$t did not run" >&2; exit 1; }; \
+	done
 
 # failover-smoke is the high-availability end-to-end gate: an in-process
 # primary serving real reconnecting agents over TCP, a warm standby

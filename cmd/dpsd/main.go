@@ -6,8 +6,10 @@
 //
 //	dpsd -listen :7891 -units 20 -budget 2200 -policy dps
 //
-// Agents (cmd/dps-agent) connect, each claiming a contiguous global unit
-// range. Units without a live agent coast on their last report.
+// The controller is DPS; -policy slurm runs its stateless-only preset.
+// The baselines DPS is compared against run in dps-sim. Agents
+// (cmd/dps-agent) connect, each claiming a contiguous global unit range.
+// Units without a live agent coast on their last report.
 package main
 
 import (

@@ -53,7 +53,10 @@ func DiscoverSysfsRAPL(root string) ([]string, error) { return rapl.DiscoverSysf
 // NewMeter wraps a device for interval power measurement.
 func NewMeter(dev RAPLDevice) *Meter { return rapl.NewMeter(dev) }
 
-// NewServer builds a controller daemon around a manager.
+// NewServer builds a controller daemon around a DPS controller:
+// cfg.Manager must be a *DPS (NewDPS), and any other manager, the
+// baselines included, is refused by its type. The baselines run in the
+// simulator (RunPair).
 func NewServer(cfg ServerConfig) (*Server, error) { return daemon.NewServer(cfg) }
 
 // LoadDaemonConfig parses and normalizes a dpsd JSON configuration file;

@@ -184,11 +184,12 @@ type RoundStats struct {
 	// (no leftover budget to grant).
 	BudgetExhausted bool
 	// BudgetClamped reports that the round's Fit returned a shortfall:
-	// the pinned units and the fresh ones at UnitMin sum to more than the
-	// budget, so no cap vector could fit it. The pipeline never produces
-	// that on its own; in a degraded round the fresh units absorb any
-	// excess the pins leave, which the reservation argument shows they
-	// can. A true value is a bug signal worth a counter.
+	// the pinned units' caps plus UnitMin for every fresh unit sum to more
+	// than the budget, so no cap vector could fit it and the round is
+	// infeasible (ROADMAP 3(c)). A restore under a lower budget produces
+	// one: every unit stays pinned at the donor's caps until its agent
+	// registers. The daemon counts these rounds in
+	// dps_budget_violations_total.
 	BudgetClamped bool
 	// StaleUnits and DeadUnits count units frozen at their current caps
 	// this round because their telemetry went stale or their agent is

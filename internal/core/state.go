@@ -60,7 +60,6 @@ func (d *DPS) ExportState(st *snapshot.State) {
 	st.Sparse = true
 	st.SparseRefreshEvery = d.refreshEvery
 
-	st.HasCore = true
 	st.Steps = d.steps
 	st.LastRestored = d.lastRestored
 	st.ProvDirty = d.provDirty
@@ -108,14 +107,11 @@ func (d *DPS) ExportState(st *snapshot.State) {
 }
 
 // CheckFingerprint reports whether an image with fingerprint fp can be
-// restored into this controller: it must carry controller state from a
-// controller of the same identity — unit count, seed, per-unit cap
-// bounds and history length — and a budget valid for it. It reads fp
-// alone, so a restore runs it before a byte of the image is written.
+// restored into this controller: it must come from a controller of the
+// same identity — unit count, seed, per-unit cap bounds and history
+// length — and carry a budget valid for it. It reads fp alone, so a
+// restore runs it before a byte of the image is written.
 func (d *DPS) CheckFingerprint(fp snapshot.Fingerprint) error {
-	if !fp.HasCore {
-		return fmt.Errorf("core: snapshot carries no controller state")
-	}
 	if fp.Units != d.cfg.Units {
 		return fmt.Errorf("core: snapshot for %d units, controller has %d", fp.Units, d.cfg.Units)
 	}

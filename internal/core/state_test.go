@@ -433,7 +433,6 @@ func TestRestoreStateRejects(t *testing.T) {
 		mut  func(*snapshot.State)
 		want string
 	}{
-		{"no core", newC(nil), func(s *snapshot.State) { s.HasCore = false }, "no controller state"},
 		{"unit mismatch", newC(nil), func(s *snapshot.State) { s.Units = units + 1 }, "units"},
 		{"seed mismatch", newC(func(c *Config) { c.Seed = 8 }), nil, "seed"},
 		{"history mismatch", newC(func(c *Config) { c.HistoryLen = 10 }), nil, "history length"},

@@ -6,25 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"dps/internal/core"
 	"dps/internal/power"
 	"dps/internal/proto"
 )
-
-// ingestManager is the cheapest possible core.Manager: the ingest
-// benchmarks never run a decision round, so the manager only has to
-// answer Caps/Budget during server construction. Using a stub instead of
-// a real core.DPS keeps 16k-unit benchmark setup out of the timing and
-// out of the allocation noise.
-type ingestManager struct {
-	caps   power.Vector
-	budget power.Budget
-}
-
-func (m *ingestManager) Name() string                      { return "bench" }
-func (m *ingestManager) Decide(core.Snapshot) power.Vector { return m.caps }
-func (m *ingestManager) Caps() power.Vector                { return m.caps }
-func (m *ingestManager) Budget() power.Budget              { return m.budget }
 
 // ingestBenchUnits is the cluster size of the ingest benchmarks: the
 // acceptance bar for the batched data plane is stated at 16k units.
@@ -41,11 +25,9 @@ func benchIngest(b *testing.B, conns, unitsPerConn int, handshake func(c net.Con
 	if units != ingestBenchUnits {
 		b.Fatalf("conns*unitsPerConn = %d, want %d", units, ingestBenchUnits)
 	}
-	mgr := &ingestManager{
-		caps:   make(power.Vector, units),
-		budget: power.Budget{Total: power.Watts(units) * 110, UnitMax: 165, UnitMin: 10},
-	}
-	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Hour})
+	// The benchmarks never run a decision round; the controller is built
+	// here, before the timer starts, and only sizes the server.
+	srv, err := NewServer(ServerConfig{Manager: mustDPS(b, units), Units: units, Interval: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,10 +7,8 @@ import (
 	"os"
 	"time"
 
-	"dps/internal/baseline"
 	"dps/internal/core"
 	"dps/internal/power"
-	"dps/internal/stateless"
 	"dps/internal/watch"
 )
 
@@ -68,7 +66,7 @@ type FileConfig struct {
 	Policy     string  `json:"policy,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
 
-	// DPS-specific tuning (ignored by other policies).
+	// Controller tuning.
 	HistoryLen     int  `json:"history_len,omitempty"`
 	DisableRestore bool `json:"disable_restore,omitempty"`
 	// Shards is accepted and ignored: the decision round is
@@ -91,11 +89,11 @@ type FileConfig struct {
 	// advertised to agents in the handshake ack.
 	DeltaEpsilonW float64 `json:"delta_epsilon_w,omitempty"`
 
-	// Sparse decision rounds (DPS policy only). SparseRefreshEvery forces
-	// every unit through a full decision pass at least once per this many
-	// rounds (0 = the core default, 1 = never skip a unit). SparseRounds
-	// is a pointer so "absent" is distinguishable from an explicit false,
-	// which is an alias for "sparse_refresh_every": 1 and wins over it.
+	// Sparse decision rounds. SparseRefreshEvery forces every unit through
+	// a full decision pass at least once per this many rounds (0 = the
+	// core default, 1 = never skip a unit). SparseRounds is a pointer so
+	// "absent" is distinguishable from an explicit false, which is an
+	// alias for "sparse_refresh_every": 1 and wins over it.
 	SparseRounds       *bool `json:"sparse_rounds,omitempty"`
 	SparseRefreshEvery int   `json:"sparse_refresh_every,omitempty"`
 
@@ -213,8 +211,10 @@ func (fc FileConfig) validate() error {
 		return fmt.Errorf("dead_after_ms %d below stale_after_ms %d", fc.DeadAfterMS, fc.StaleAfterMS)
 	case fc.StandbyOf != "" && fc.RestoreFrom != "":
 		return fmt.Errorf("standby_of and restore_from are mutually exclusive (a standby inherits state from its primary)")
-	case fc.Policy != "dps" && fc.Policy != "slurm" && fc.Policy != "constant":
-		return fmt.Errorf("unknown policy %q (want dps, slurm or constant)", fc.Policy)
+	case fc.Policy == "constant":
+		return fmt.Errorf("policy \"constant\" is a baseline dpsd does not run; compare against it with dps-sim")
+	case fc.Policy != "dps" && fc.Policy != "slurm":
+		return fmt.Errorf("unknown policy %q (want dps or slurm)", fc.Policy)
 	case len(fc.WatchRules) > 0 && !fc.Watch:
 		return fmt.Errorf("watch_rules set but watch is false")
 	}
@@ -279,21 +279,19 @@ func (fc FileConfig) ApplyKnobs(sc *ServerConfig) {
 	sc.BlackboxRounds = fc.BlackboxRounds
 }
 
-// BuildManager constructs the configured policy.
+// BuildManager constructs the configured controller, a *core.DPS for
+// either policy: "slurm" is its stateless-only preset (DisablePriority,
+// Name "DPS(stateless-only)"). The result is typed core.Manager, the type
+// ServerConfig.Manager holds.
 func (fc FileConfig) BuildManager() (core.Manager, error) {
-	budget := fc.Budget()
-	switch fc.Policy {
-	case "dps":
-		cfg := core.DefaultConfig(fc.Units, budget)
-		cfg.Seed = fc.Seed
-		cfg.HistoryLen = fc.HistoryLen
-		cfg.DisableRestore = fc.DisableRestore
-		cfg.SparseRefreshEvery = fc.SparseRefresh()
-		return core.NewDPS(cfg)
-	case "slurm":
-		return baseline.NewSLURM(fc.Units, budget, stateless.DefaultConfig(), fc.Seed)
-	case "constant":
-		return baseline.NewConstant(fc.Units, budget)
+	if fc.Policy != "dps" && fc.Policy != "slurm" {
+		return nil, fmt.Errorf("daemon: unknown policy %q", fc.Policy)
 	}
-	return nil, fmt.Errorf("daemon: unknown policy %q", fc.Policy)
+	cfg := core.DefaultConfig(fc.Units, fc.Budget())
+	cfg.Seed = fc.Seed
+	cfg.HistoryLen = fc.HistoryLen
+	cfg.DisableRestore = fc.DisableRestore
+	cfg.SparseRefreshEvery = fc.SparseRefresh()
+	cfg.DisablePriority = fc.Policy == "slurm"
+	return core.NewDPS(cfg)
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,20 +66,31 @@ func TestLoadFileConfigFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Name() != "SLURM" {
+	if mgr.Name() != "DPS(stateless-only)" {
 		t.Errorf("manager = %q", mgr.Name())
 	}
 }
 
+// TestLoadFileConfigBuildsAllPolicies: both policies build a *core.DPS,
+// slurm as its stateless-only preset, and the constant baseline is
+// refused with a pointer to the simulator that runs it.
 func TestLoadFileConfigBuildsAllPolicies(t *testing.T) {
-	for _, policy := range []string{"dps", "slurm", "constant"} {
+	for policy, name := range map[string]string{"dps": "DPS", "slurm": "DPS(stateless-only)"} {
 		fc, err := LoadFileConfig(writeConfig(t, `{"units": 4, "policy": "`+policy+`"}`))
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
-		if _, err := fc.BuildManager(); err != nil {
-			t.Errorf("%s: BuildManager: %v", policy, err)
+		mgr, err := fc.BuildManager()
+		if err != nil {
+			t.Fatalf("%s: BuildManager: %v", policy, err)
 		}
+		if d, ok := mgr.(*core.DPS); !ok || d.Name() != name {
+			t.Errorf("%s: built %T %q, want *core.DPS %q", policy, mgr, mgr.Name(), name)
+		}
+	}
+	_, err := LoadFileConfig(writeConfig(t, `{"units": 4, "policy": "constant"}`))
+	if err == nil || !strings.Contains(err.Error(), "dps-sim") {
+		t.Errorf("policy constant: %v, want a refusal naming dps-sim", err)
 	}
 }
 

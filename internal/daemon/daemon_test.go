@@ -46,17 +46,21 @@ func newTestAgent(t *testing.T, first power.UnitID, n int) (*Agent, []*rapl.SimD
 	return a, sims
 }
 
+// TestServerConfigValidation: each bad config is refused by name; dpsd
+// runs only the DPS controller, so a baseline manager is refused by its
+// type.
 func TestServerConfigValidation(t *testing.T) {
-	mgr, _ := baseline.NewConstant(2, testBudget(2))
-	bad := []ServerConfig{
-		{Manager: nil, Units: 2, Interval: time.Second},
-		{Manager: mgr, Units: 0, Interval: time.Second},
-		{Manager: mgr, Units: 2, Interval: 0},
-		{Manager: mgr, Units: 1 << 17, Interval: time.Second},
-	}
-	for i, cfg := range bad {
-		if _, err := NewServer(cfg); err == nil {
-			t.Errorf("case %d: NewServer accepted %+v", i, cfg)
+	mgr := mustDPS(t, 2)
+	constant, _ := baseline.NewConstant(2, testBudget(2))
+	for want, cfg := range map[string]ServerConfig{
+		"<nil>":              {Manager: nil, Units: 2, Interval: time.Second},
+		"*baseline.Constant": {Manager: constant, Units: 2, Interval: time.Second},
+		"unit count":         {Manager: mgr, Units: 0, Interval: time.Second},
+		"interval":           {Manager: mgr, Units: 2, Interval: 0},
+		"addressable":        {Manager: mgr, Units: 1 << 17, Interval: time.Second},
+	} {
+		if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewServer(%+v) = %v, want a refusal naming %q", cfg, err, want)
 		}
 	}
 }
@@ -75,7 +79,7 @@ func TestUnitMaxBeyondWireRefused(t *testing.T) {
 		{ceiling + 0.1, false},
 		{7000, false},
 	} {
-		mgr, err := baseline.NewConstant(2, power.Budget{Total: 220, UnitMax: tc.unitMax, UnitMin: 10})
+		mgr, err := core.NewDPS(core.DefaultConfig(2, power.Budget{Total: 220, UnitMax: tc.unitMax, UnitMin: 10}))
 		if err != nil {
 			t.Fatal(err)
 		}

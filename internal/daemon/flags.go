@@ -23,7 +23,7 @@ func RegisterFlags(fs *flag.FlagSet, fc *FileConfig) (resolve func() error) {
 	fs.Float64Var(&fc.BudgetW, "budget", 0, "cluster-wide power budget in watts (0 = 110 W per unit)")
 	fs.Float64Var(&fc.UnitMaxW, "unit-max", 165, "hardware maximum cap per unit (TDP)")
 	fs.Float64Var(&fc.UnitMinW, "unit-min", 10, "hardware minimum cap per unit")
-	fs.StringVar(&fc.Policy, "policy", "dps", "power policy: dps|slurm|constant")
+	fs.StringVar(&fc.Policy, "policy", "dps", "controller: dps, or slurm for DPS's stateless-only preset")
 	fs.Int64Var(&fc.Seed, "seed", 1, "controller seed (random cap-raise order)")
 	fs.Float64Var(&fc.MaxReadingW, "max-reading", 0, "reject inbound power reports above this many watts (0 = twice unit-max)")
 	fs.Float64Var(&fc.DeltaEpsilonW, "delta-epsilon", 0, "advertise this delta-suppression band in watts to batch-capable agents (0 = suppress only unchanged readings)")

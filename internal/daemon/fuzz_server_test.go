@@ -52,6 +52,8 @@ import (
 //	config&3     the server's report band: 0, 0.5, 2.5 or 25 W
 //	config>>2&3  staleness clocks: off, 1 s/4 s, 3 s/10 s, or 2 s/none
 //	config>>4&3  agents' forced full report: never, every 2, 7 or 64
+//	config>>7    the controller: DPS, or dpsd's -policy slurm preset
+//	             (DisablePriority), served and modelled alike
 //
 // An op acts on agent who%agents, or on all when who&0x80 is set. Before
 // the step's rounds:
@@ -102,6 +104,7 @@ const (
 
 	clocks1s = 1 << 2 // stale after 1 s, dead after 4 s
 	clocks3s = 2 << 2 // stale after 3 s, dead after 10 s
+	slurm    = 1 << 7 // the stateless-only preset
 
 	serverMaxSteps  = 32
 	serverMaxRounds = 256
@@ -201,6 +204,10 @@ func serverSeeds() []serverSeed {
 			s{opMixed, allAgents, 64, 3}, s{opFault, 0, 3, 4}, s{opFault, 1, 4, 3}, s{opDrop, 2, 0, 4},
 			s{opJoin, 2, 0, 2}, s{opFault, 0, 0x85, 2}, s{opJoin, 0, 0, 3}),
 			"held rebases garbage dead recoveries truncated"},
+		// The -policy slurm preset through a kill and a rejoin.
+		{"slurm-preset", serverScript(3, 2, slurm|clocks1s,
+			s{opMixed, allAgents, 64, 5}, s{opDrop, 1, 0, 5}, s{opJoin, 1, 0, 3}),
+			"degraded dead recoveries"},
 	}
 }
 
@@ -438,6 +445,7 @@ type serverRun struct {
 	t           testing.TB
 	clk         *testClock
 	units       int
+	ccfg        core.Config // the served controllers'
 	stale, dead time.Duration
 	band        power.Watts
 	refresh     int // the agents' RefreshEvery
@@ -491,13 +499,15 @@ func newServerRun(t testing.TB, fleet, config byte) *serverRun {
 	clocks := [4][2]time.Duration{{}, {time.Second, 4 * time.Second}, {3 * time.Second, 10 * time.Second}, {2 * time.Second, 0}}[config>>2&3]
 	units := agents * per
 	ccfg := core.DefaultConfig(units, testBudget(units))
-	ccfg.SparseRefreshEvery = 1
-	d, err := core.NewDPS(ccfg)
+	ccfg.DisablePriority = config&slurm != 0
+	model := ccfg
+	model.SparseRefreshEvery = 1
+	d, err := core.NewDPS(model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &serverRun{
-		t: t, clk: newTestClock(), units: units, stale: clocks[0], dead: clocks[1],
+		t: t, clk: newTestClock(), units: units, ccfg: ccfg, stale: clocks[0], dead: clocks[1],
 		band: [4]power.Watts{0, 0.5, 2.5, 25}[config&3], refresh: [4]int{-1, 2, 7, 0}[config>>4&3], snapPath: filepath.Join(t.TempDir(), "state.dps"),
 		model: engine.New(d), dps: d, readings: make(power.Vector, units), dirty: core.NewDirtyMask(units),
 		health: make([]core.UnitHealth, units), prev: make([]core.UnitHealth, units),
@@ -531,6 +541,11 @@ func newServerRun(t testing.TB, fleet, config byte) *serverRun {
 // server builds a server of the run's config, plus extra.
 func (r *serverRun) server(extra func(*ServerConfig)) *Server {
 	srv := newRigServer(r.t, r.units, r.clk, func(sc *ServerConfig) {
+		mgr, err := core.NewDPS(r.ccfg)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		sc.Manager = mgr
 		sc.Interval = time.Hour // a taken-over standby's Serve never ticks
 		sc.SnapshotPath, sc.SnapshotEvery = r.snapPath, math.MaxInt32
 		sc.DeltaEpsilon, sc.StaleAfter, sc.DeadAfter = r.band, r.stale, r.dead
@@ -1104,6 +1119,15 @@ func TestChaosKillRestore(t *testing.T)              { runServerSeed(t, "kill-re
 func TestChaosStandbyTakeover(t *testing.T)          { runServerSeed(t, "standby-takeover") }
 func TestBatchDeltaEquivalence(t *testing.T)         { runServerSeed(t, "batch-delta") }
 func TestChaosWallClock(t *testing.T)                { runServerSeed(t, "chaos") }
+
+// TestServerSlurmPreset: dpsd's -policy slurm preset is the DPS
+// controller with the priority stages off, held to the same model.
+func TestServerSlurmPreset(t *testing.T) {
+	r := runServerSeed(t, "slurm-preset")
+	if st := r.primary.Snapshot(); st.Policy != "DPS(stateless-only)" || slices.Contains(st.Priority, true) {
+		t.Fatalf("policy %q with priorities %v, want DPS(stateless-only) with none high", st.Policy, st.Priority)
+	}
+}
 
 // TestSanitizerRejectsGarbageReadings: a unit reporting garbage goes
 // stale whether the garbage varies or stays one value.

@@ -123,40 +123,15 @@ func TestRestoreRejections(t *testing.T) {
 // answers for no unit until its agent does, and pins the rest at what
 // the donor's devices hold.)
 func TestRestoreKeepsConfiguredBudget(t *testing.T) {
-	const units = 8 // 880 W at testBudget's 110 W a unit
-	path := filepath.Join(t.TempDir(), "donor.snap")
-	clk := newTestClock()
-	donor := newRigServer(t, units, clk, func(sc *ServerConfig) { sc.SnapshotPath = path })
-	readings := make(power.Vector, units)
+	const configured = 704
+	readings := make(power.Vector, 8)
 	for u := range readings {
 		readings[u] = power.Watts(150 + u)
 	}
-	for i := 0; i < 3; i++ {
-		setReadings(donor, readings)
-		if _, err := donor.DecideOnce(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := donor.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	const configured = 704
 	var logs []string
-	srv := newRigServer(t, units, clk, func(sc *ServerConfig) {
-		b := testBudget(units)
-		b.Total = configured
-		mgr, err := core.NewDPS(core.DefaultConfig(units, b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Manager = mgr
+	srv, clk := restoreUnderLowerBudget(t, readings, func(sc *ServerConfig) {
 		sc.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 	})
-	defer srv.Close()
-	if err := srv.RestoreFromSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
 	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "880 W") && strings.Contains(l, "704 W") }) {
 		t.Errorf("no log line names the image's 880 W and the configured 704 W:\n%s", strings.Join(logs, "\n"))
 	}
@@ -194,6 +169,43 @@ func TestRestoreKeepsConfiguredBudget(t *testing.T) {
 	if sum, limit := caps.SumDeciwatts(), power.FloorDeciwatts(testBudget(4).Total); sum > limit {
 		t.Errorf("first round after the parent image's restore delivers %d dW over the %d dW budget", sum, limit)
 	}
+}
+
+// restoreUnderLowerBudget runs a donor of 8 units at 880 W (testBudget's
+// 110 W a unit) for three rounds of readings and restores its final image
+// into a server configured at 704 W, after mutate edits that server's
+// config. No agent is registered: every unit is pinned at the caps the
+// donor's devices hold, 880 W in all.
+func restoreUnderLowerBudget(t *testing.T, readings power.Vector, mutate func(*ServerConfig)) (*Server, *testClock) {
+	t.Helper()
+	units := len(readings)
+	path := filepath.Join(t.TempDir(), "donor.snap")
+	clk := newTestClock()
+	donor := newRigServer(t, units, clk, func(sc *ServerConfig) { sc.SnapshotPath = path })
+	for i := 0; i < 3; i++ {
+		setReadings(donor, readings)
+		if _, err := donor.DecideOnce(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := donor.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := newRigServer(t, units, clk, func(sc *ServerConfig) {
+		b := testBudget(units)
+		b.Total = 704
+		mgr, err := core.NewDPS(core.DefaultConfig(units, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Manager = mgr
+		mutate(sc)
+	})
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.RestoreFromSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	return srv, clk
 }
 
 // joinAndDecide registers one agent for every unit of srv, lands readings
@@ -520,45 +532,38 @@ func TestReplicateSteadyStateZeroAlloc(t *testing.T) {
 	srv.Close()
 }
 
-// blockingManager parks the next Decide after arm until released, so a
-// test can hold a decision round open.
-type blockingManager struct {
-	ingestManager
-	arm              atomic.Bool
-	entered, release chan struct{}
-}
-
-func (m *blockingManager) Decide(s core.Snapshot) power.Vector {
-	if m.arm.CompareAndSwap(true, false) {
-		m.entered <- struct{}{}
-		<-m.release
-	}
-	return m.ingestManager.Decide(s)
-}
-
 // TestCloseExportsAfterRoundInFlight: there is no per-round image for
 // Close to fall back on, so it must wait out a round in flight and export
 // then — the final snapshot holds that round, not the one before it.
 func TestCloseExportsAfterRoundInFlight(t *testing.T) {
 	const units = 4
 	path := filepath.Join(t.TempDir(), "state.dps")
-	mgr := &blockingManager{entered: make(chan struct{}), release: make(chan struct{}),
-		ingestManager: ingestManager{caps: power.NewVector(units, 100), budget: testBudget(units)}}
-	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second,
+	srv, err := NewServer(ServerConfig{Manager: mustDPS(t, units), Units: units, Interval: time.Second,
 		SnapshotPath: path, SnapshotEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine reads its clock just before the controller decides: once
+	// armed, that read parks the round until released.
+	var arm atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.eng.Clock = func() time.Time {
+		if arm.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+		return time.Now()
+	}
 	if _, err := srv.DecideOnce(1); err != nil { // round 1 writes the file (first write is always due)
 		t.Fatal(err)
 	}
-	mgr.arm.Store(true)
+	arm.Store(true)
 	decided := make(chan error, 1)
 	go func() {
 		_, err := srv.DecideOnce(1)
 		decided <- err
 	}()
-	<-mgr.entered // round 2 is inside the manager
+	<-entered // round 2 is about to decide
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	select {
@@ -566,7 +571,7 @@ func TestCloseExportsAfterRoundInFlight(t *testing.T) {
 		t.Fatalf("Close returned (%v) while a round was in flight", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(mgr.release)
+	close(release)
 	if err := <-decided; err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,7 @@ type serverMetrics struct {
 	ingestRecords    *telemetry.Counter
 	staleUnits       *telemetry.Gauge
 	deadUnits        *telemetry.Gauge
-	// Work gauges: the most recent round's dirty and skipped unit counts
-	// (both stay 0 for non-DPS managers).
+	// Work gauges: the most recent round's dirty and skipped unit counts.
 	dirtyUnits   *telemetry.Gauge
 	skippedUnits *telemetry.Gauge
 	// High-availability instrumentation: size and assembly time of the
@@ -85,7 +84,7 @@ func registerBuildInfo(reg *telemetry.Registry) {
 		telemetry.Label{Key: "goversion", Value: runtime.Version()}).Set(1)
 }
 
-func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cfg ServerConfig, isDPS bool) serverMetrics {
+func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cfg ServerConfig) serverMetrics {
 	registerBuildInfo(reg)
 	m := serverMetrics{
 		rounds:      reg.Counter("dps_rounds_total", "Decision rounds completed."),
@@ -141,7 +140,7 @@ func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cf
 			telemetry.Label{Key: "stage", Value: stage})
 	}
 	m.budget.Set(float64(cfg.Manager.Budget().Total))
-	registerUnitColumns(reg, rec, cfg.Manager.Caps().Clone(), isDPS, healthEnabled)
+	registerUnitColumns(reg, rec, cfg.Manager.Caps().Clone(), healthEnabled)
 	return m
 }
 
@@ -152,7 +151,7 @@ func newServerMetrics(reg *telemetry.Registry, rec *telemetry.FlightRecorder, cf
 // scrape of a family is one round's cut. Before the first published round
 // they read what the manager started with: initialCaps, and 0 for the
 // rest.
-func registerUnitColumns(reg *telemetry.Registry, rec *telemetry.FlightRecorder, initialCaps power.Vector, isDPS, healthEnabled bool) {
+func registerUnitColumns(reg *telemetry.Registry, rec *telemetry.FlightRecorder, initialCaps power.Vector, healthEnabled bool) {
 	units := len(initialCaps)
 	reg.GaugeColumn("dps_unit_power_watts", "Last reported power per unit.", units, func(dst []float64) {
 		if !newestRound(rec, func(r *telemetry.Round) { floats(dst, r.Reading) }) {
@@ -164,20 +163,18 @@ func registerUnitColumns(reg *telemetry.Registry, rec *telemetry.FlightRecorder,
 			floats(dst, initialCaps)
 		}
 	})
-	if isDPS {
-		reg.GaugeColumn("dps_unit_high_priority", "DPS priority flag per unit.", units, func(dst []float64) {
-			if !newestRound(rec, func(r *telemetry.Round) {
-				for u := range dst {
-					dst[u] = 0
-					if r.Prio[u] {
-						dst[u] = 1
-					}
+	reg.GaugeColumn("dps_unit_high_priority", "DPS priority flag per unit.", units, func(dst []float64) {
+		if !newestRound(rec, func(r *telemetry.Round) {
+			for u := range dst {
+				dst[u] = 0
+				if r.Prio[u] {
+					dst[u] = 1
 				}
-			}) {
-				clear(dst)
 			}
-		})
-	}
+		}) {
+			clear(dst)
+		}
+	})
 	if healthEnabled {
 		reg.GaugeColumn("dps_unit_health", "Unit health state (0 fresh, 1 stale, 2 dead).", units, func(dst []float64) {
 			if !newestRound(rec, func(r *telemetry.Round) { floats(dst, r.Health) }) {

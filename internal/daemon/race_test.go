@@ -202,18 +202,6 @@ func (c *ackGateConn) Write(p []byte) (int, error) {
 	return c.out.Write(p)
 }
 
-// signalManager closes decided when its first Decide returns.
-type signalManager struct {
-	ingestManager
-	once    sync.Once
-	decided chan struct{}
-}
-
-func (m *signalManager) Decide(s core.Snapshot) power.Vector {
-	defer m.once.Do(func() { close(m.decided) })
-	return m.ingestManager.Decide(s)
-}
-
 // TestCapBatchNeverPrecedesAck pins the handshake ordering: a connection
 // becomes a push target the moment it registers, so a decision round
 // landing between registration and the ack used to write its cap batch
@@ -221,14 +209,21 @@ func (m *signalManager) Decide(s core.Snapshot) power.Vector {
 // must wait with its push until the ack is on the wire.
 func TestCapBatchNeverPrecedesAck(t *testing.T) {
 	const units = 2
-	decided := make(chan struct{})
-	mgr := &signalManager{decided: decided, ingestManager: ingestManager{
-		caps: power.Vector{100, 100}, budget: testBudget(units)}}
-	srv, err := NewServer(ServerConfig{Manager: mgr, Units: units, Interval: time.Second})
+	srv, err := NewServer(ServerConfig{Manager: mustDPS(t, units), Units: units, Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// The engine reads its clock just before and just after the controller
+	// decides: the first round's second read closes decided.
+	decided := make(chan struct{})
+	var reads atomic.Int32
+	srv.eng.Clock = func() time.Time {
+		if reads.Add(1) == 2 {
+			close(decided)
+		}
+		return time.Now()
+	}
 
 	var hello bytes.Buffer
 	if err := proto.WriteHello(&hello, proto.Hello{FirstUnit: 0, Units: units}); err != nil {

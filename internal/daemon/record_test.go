@@ -15,13 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"dps/internal/baseline"
 	"dps/internal/blackbox"
 	"dps/internal/core"
 	"dps/internal/power"
 	"dps/internal/proto"
 	"dps/internal/snapshot"
-	"dps/internal/stateless"
 	"dps/internal/telemetry"
 )
 
@@ -33,10 +31,12 @@ import (
 // first captured at the commit before the record existed (a88cf7a, where
 // each surface kept its own copy of the round), and re-captured once
 // caps were delivered on the 0.1 W grid, which moved every cap the script
-// decides; the image the script writes is record_state.snap.
-// The script hits a restore round, stale and dead units, a flight-recorder
-// ring that wraps, a health-blind policy corrected by degraded_deliver,
-// and a process generation restored from the parent's snapshot image.
+// decides; the image the script writes is record_state.snap. Scenario B's
+// block alone was re-captured when -policy slurm became the DPS
+// stateless-only preset. The script hits a restore round, stale and dead
+// units, a flight-recorder ring that wraps, a silent unit held by
+// degraded_deliver, and a process generation restored from the parent's
+// snapshot image.
 // That image, parent_state.snap, was captured at c8328f5, the last commit
 // to read v1 images, and holds caps off the grid; a88cf7a's v1 image is
 // v1_state.snap.
@@ -168,14 +168,10 @@ func recordViews(t *testing.T, dir string) []byte {
 	}
 	v.blackbox("A", filepath.Join(dir, "bb-a"))
 
-	// B: a health-blind policy (SLURM) keeps cutting a silent unit's cap;
-	// delivery pins it back and earns it degraded_deliver.
-	slurm, err := baseline.NewSLURM(3, testBudget(3), stateless.DefaultConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// B: the -policy slurm preset; the silent unit's cap is held at what
+	// its device enforces, and earns degraded_deliver.
 	b := newScriptedServer(t, health(ServerConfig{
-		Manager: slurm, Units: 3,
+		Manager: slurmPreset(t, 3), Units: 3,
 		BlackboxPath: filepath.Join(dir, "bb-b"), BlackboxRounds: 64,
 	}), start)
 	b.round(t, power.Vector{120, 100, 20}, 0, 1, 2)
@@ -190,6 +186,21 @@ func recordViews(t *testing.T, dir string) []byte {
 	}
 	v.blackbox("B", filepath.Join(dir, "bb-b"))
 	return v.buf.Bytes()
+}
+
+// slurmPreset is dpsd's -policy slurm over units, built the way dpsd
+// builds it.
+func slurmPreset(t *testing.T, units int) core.Manager {
+	t.Helper()
+	fc := FileConfig{Units: units, Policy: "slurm"}
+	if err := fc.resolve(); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := fc.BuildManager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mgr
 }
 
 // restoredViews boots a fresh process generation from a snapshot image

@@ -12,7 +12,6 @@
 package daemon
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -34,8 +33,10 @@ import (
 
 // ServerConfig configures the controller daemon.
 type ServerConfig struct {
-	// Manager is the decision policy (normally a core.DPS). The server is
-	// its only caller, from the control loop goroutine.
+	// Manager is the controller, and it must be a *core.DPS: NewServer
+	// refuses any other type. The field is a core.Manager only because
+	// callers that also drive the simulator's baselines build one that
+	// way. The server is its only caller, from the control loop goroutine.
 	Manager core.Manager
 	// Units is the total number of power-capping units across all nodes.
 	Units int
@@ -135,9 +136,10 @@ const DefaultSnapshotEvery = 10
 const DefaultSnapshotMaxAge = 24 * time.Hour
 
 func (c ServerConfig) validate() error {
+	if _, ok := c.Manager.(*core.DPS); !ok {
+		return fmt.Errorf("daemon: ServerConfig.Manager is %T, not a *core.DPS (the baselines run in dps-sim)", c.Manager)
+	}
 	switch {
-	case c.Manager == nil:
-		return errors.New("daemon: ServerConfig.Manager is nil")
 	case c.Manager.Budget().UnitMax > proto.FromDeciwatts(proto.MaxDeciwatts):
 		// A larger cap would be clamped on the wire without notice.
 		return fmt.Errorf("daemon: unit max %v W exceeds the wire's %v W cap ceiling",
@@ -166,9 +168,8 @@ func (c ServerConfig) validate() error {
 // Server is the DPS controller daemon.
 type Server struct {
 	cfg ServerConfig
-	// dps is cfg.Manager when that is the DPS controller (tracing, state
-	// export and budget moves exist only there), nil for any other policy.
-	// Asserted once, in NewServer; the engine asserts its own.
+	// dps is cfg.Manager, asserted once in NewServer; the engine asserts
+	// its own.
 	dps *core.DPS
 
 	tel      *telemetry.Registry
@@ -339,10 +340,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	reg := telemetry.NewRegistry()
 	tracer := trace.NewRecorder(cfg.TraceSpans)
 	tracer.SetEnabled(cfg.TraceEnabled)
-	dps, _ := cfg.Manager.(*core.DPS)
-	if dps != nil {
-		dps.SetTracer(tracer)
-	}
+	dps := cfg.Manager.(*core.DPS)
+	dps.SetTracer(tracer)
 	recorder := telemetry.NewFlightRecorder(cfg.FlightRecorderSize)
 	s := &Server{
 		cfg:      cfg,
@@ -350,7 +349,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		tel:      reg,
 		recorder: recorder,
 		tracer:   tracer,
-		metrics:  newServerMetrics(reg, recorder, cfg, dps != nil),
+		metrics:  newServerMetrics(reg, recorder, cfg),
 		now:      time.Now,
 		readings: make(power.Vector, cfg.Units),
 		dirty:    core.NewDirtyMask(cfg.Units),
@@ -364,7 +363,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.eng.Clock = func() time.Time { return s.now() }
 	s.health, s.healthBuf = make([]core.UnitHealth, cfg.Units), make([]core.UnitHealth, cfg.Units)
-	b := cfg.Manager.Budget()
+	b := dps.Budget()
 	s.configuredBudget, s.unitMax = b.Total, b.UnitMax
 	s.noteBudget()
 	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 { // staleness clocks on
@@ -406,7 +405,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // noteBudget republishes the controller's budget total for /status.
 // Caller holds roundMu, or is NewServer.
 func (s *Server) noteBudget() {
-	s.budgetW.Store(math.Float64bits(float64(s.cfg.Manager.Budget().Total)))
+	s.budgetW.Store(math.Float64bits(float64(s.dps.Budget().Total)))
 }
 
 // ResetHealthClocks restamps every unit's staleness clock with the

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -45,35 +44,23 @@ func (s *Server) snapshotEvery() uint64 {
 // next. Caller holds roundMu and snapMu.
 func (s *Server) bindState() *snapshot.State {
 	st := &s.snapState
-	if s.dps != nil {
-		s.dps.BindState(st)
-	}
+	s.dps.BindState(st)
 	st.LastCaps, st.LastPushed, st.Readings = s.eng.Prev, s.eng.Enforced, s.readings
 	return st
 }
 
 // encodeImage encodes the complete state as of the completed round
 // `round` into the retained image buffer, which it returns: the
-// manager's controller state when it is a core.DPS (HasCore), and the
-// daemon's own round caches either way (HasDaemon) — caps delivered,
-// caps enforced, health, report ages, and the ingest front buffer, so a
-// restored daemon's first round decides on the primary's readings
-// rather than zeros. Encode reads the bound columns in place, so the
+// controller's state, and the daemon's own round caches (HasDaemon) —
+// caps delivered, caps enforced, health, report ages, and the ingest
+// front buffer, so a restored daemon's first round decides on the
+// primary's readings rather than zeros. Encode reads the bound columns in place, so the
 // controller and the engine must be between rounds: caller holds roundMu
 // and snapMu. Ingest waits out the encode, which reads its front buffer.
 func (s *Server) encodeImage(round uint64) []byte {
 	start := s.now()
 	st := s.bindState()
-	if s.dps != nil {
-		s.dps.ExportState(st)
-	} else {
-		b := s.cfg.Manager.Budget()
-		st.Units = s.cfg.Units
-		st.Seed = 0
-		st.BudgetTotal, st.UnitMax, st.UnitMin = b.Total, b.UnitMax, b.UnitMin
-		st.Sparse, st.SparseRefreshEvery = false, 0
-		st.HasCore = false
-	}
+	s.dps.ExportState(st)
 	st.HasDaemon = true
 	now := s.now()
 	st.SavedUnixMS = now.UnixMilli()
@@ -112,7 +99,7 @@ func (s *Server) encodeRoundInput(round uint64, interval power.Seconds, caps pow
 	in := &s.roundIn
 	now := s.now()
 	in.Interval = interval
-	in.BudgetTotal = s.cfg.Manager.Budget().Total
+	in.BudgetTotal = s.dps.Budget().Total
 	in.SavedUnixMS = now.UnixMilli()
 	in.Digest = s.eng.Digest(caps)
 	in.Dirty, in.Readings = s.dirtyBuf.Words(), s.snapBuf
@@ -166,10 +153,7 @@ func (s *Server) replicateRound(round uint64, interval power.Seconds, caps power
 		if rc.synced {
 			err = rc.writeFrame(proto.FrameDelta, s.inputBuf)
 		} else if err = rc.writeFrame(proto.FrameSnapshot, s.snapEnc); err == nil {
-			// Only a core.DPS exports its state. A standby of any other
-			// policy cannot run it forward from a known point, so it is
-			// never "synced": it gets the daemon's image every round.
-			rc.synced = s.dps != nil
+			rc.synced = true
 		}
 		if err != nil {
 			s.logf("daemon: dropping standby %v: %v", rc.conn.RemoteAddr(), err)
@@ -213,8 +197,8 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // RestoreFromSnapshot loads a snapshot file into the server: the
-// controller's state (required when the manager is a core.DPS) and the
-// daemon's round caches, health clocks, and reading buffer. The budget
+// controller's state and the daemon's round caches, health clocks, and
+// reading buffer. The budget
 // total stays the configured one: an image saved under another is
 // restored, then moved back to it (logged), and caps over it are pulled
 // back by the first round's budget fit. It must be called after
@@ -260,7 +244,7 @@ func (s *Server) restoreImage(from string, data []byte) error {
 		time.UnixMilli(st.SavedUnixMS).UTC().Format(time.RFC3339))
 	// The image carries the budget it was saved under; the operator's
 	// configuration, not the donor's, says what this server may spend.
-	if s.dps != nil && st.BudgetTotal != s.configuredBudget {
+	if st.BudgetTotal != s.configuredBudget {
 		if err := s.dps.SetTotalBudget(s.configuredBudget); err != nil {
 			panic(fmt.Sprintf("daemon: re-applying the configured budget: %v", err))
 		}
@@ -272,18 +256,11 @@ func (s *Server) restoreImage(from string, data []byte) error {
 }
 
 // fits reports whether a verified image with fingerprint fp can become
-// this server's state: its unit count, and when the manager is a
-// core.DPS, the controller state it must carry and that controller's
-// identity (core.CheckFingerprint).
+// this server's state: its unit count and the controller's identity
+// (core.CheckFingerprint).
 func (s *Server) fits(fp snapshot.Fingerprint) error {
 	if fp.Units != s.cfg.Units {
 		return fmt.Errorf("image is for %d units, server has %d", fp.Units, s.cfg.Units)
-	}
-	if s.dps == nil {
-		return nil
-	}
-	if !fp.HasCore {
-		return errors.New("image carries no controller state")
 	}
 	return s.dps.CheckFingerprint(fp)
 }
@@ -302,10 +279,8 @@ func (s *Server) install(data []byte, anchor time.Time) *snapshot.State {
 	s.imu.Lock()
 	defer s.imu.Unlock()
 	snapshot.DecodeVerified(st, data)
-	if s.dps != nil {
-		if err := s.dps.RestoreState(st); err != nil {
-			panic(fmt.Sprintf("daemon: restoring an image that passed every check: %v", err))
-		}
+	if err := s.dps.RestoreState(st); err != nil {
+		panic(fmt.Sprintf("daemon: restoring an image that passed every check: %v", err))
 	}
 	s.adoptDaemonLocked(st, anchor)
 	// The image's agents answered to another process: until one registers
@@ -350,13 +325,11 @@ func (s *Server) adoptDaemonLocked(st *snapshot.State, anchor time.Time) {
 // consumed — for readings whose arrival no ingest mark recorded: adopted
 // with an image, or replayed by a following standby. A clear bit then
 // means what it means between rounds of one process (DESIGN.md §13), so
-// the next round is as sparse as the state allows. Managers other than
-// core.DPS ignore the mask. Caller holds roundMu and imu.
+// the next round is as sparse as the state allows. Caller holds roundMu
+// and imu.
 func (s *Server) markChangedLocked() {
 	s.dirty.Reset()
-	if s.dps != nil {
-		s.dps.MarkChanged(s.dirty, s.readings)
-	}
+	s.dps.MarkChanged(s.dirty, s.readings)
 }
 
 // handleReplica serves one warm-standby connection: acknowledge the

@@ -41,8 +41,7 @@ type Status struct {
 	DeadUnits  int      `json:"dead_units,omitempty"`
 	// Work counters from the most recent decision round: units the
 	// snapshot marked changed, units the controller skipped as settled,
-	// and the dirty fraction. Populated every DPS round; omitted when zero
-	// and for other policies.
+	// and the dirty fraction. Populated every round; omitted when zero.
 	DirtyUnits   int     `json:"dirty_units,omitempty"`
 	SkippedUnits int     `json:"skipped_units,omitempty"`
 	DirtyFrac    float64 `json:"dirty_frac,omitempty"`
@@ -113,7 +112,7 @@ func (s *Server) status(v *statusView) {
 		}
 	}
 	v.Status = Status{
-		Policy:         s.cfg.Manager.Name(),
+		Policy:         s.dps.Name(),
 		Units:          s.cfg.Units,
 		Agents:         agents,
 		Rounds:         rounds,

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dps/internal/baseline"
 	"dps/internal/core"
 	"dps/internal/telemetry"
 )
@@ -76,28 +75,6 @@ func TestStatusEndpoint(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
 		t.Errorf("healthz after a round = %d", rec.Code)
-	}
-}
-
-func TestStatusForNonDPSPolicy(t *testing.T) {
-	// A constant-allocation server has no priorities to report.
-	mgr, err := baseline.NewConstant(2, testBudget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{Manager: mgr, Units: 2, Interval: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.DecideOnce(1); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Snapshot()
-	if st.Priority != nil {
-		t.Error("constant policy reported priorities")
-	}
-	if st.Policy != "Constant" {
-		t.Errorf("policy = %q", st.Policy)
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"dps/internal/baseline"
 	"dps/internal/core"
 	"dps/internal/power"
-	"dps/internal/stateless"
 	"dps/internal/telemetry"
 	"dps/internal/telemetry/series"
 )
@@ -39,7 +37,6 @@ type gaugeOracle struct {
 // newGaugeOracle registers the gauges for cfg; call it where NewServer
 // ran, before any restore moves the manager's caps.
 func newGaugeOracle(cfg ServerConfig) *gaugeOracle {
-	_, isDPS := cfg.Manager.(*core.DPS)
 	o := &gaugeOracle{reg: telemetry.NewRegistry()}
 	initialCaps := cfg.Manager.Caps()
 	for u := 0; u < cfg.Units; u++ {
@@ -47,9 +44,7 @@ func newGaugeOracle(cfg ServerConfig) *gaugeOracle {
 		o.power = append(o.power, o.reg.Gauge("dps_unit_power_watts", "Last reported power per unit.", lbl))
 		o.cap = append(o.cap, o.reg.Gauge("dps_unit_cap_watts", "Assigned cap per unit.", lbl))
 		o.cap[u].Set(float64(initialCaps[u]))
-		if isDPS {
-			o.prio = append(o.prio, o.reg.Gauge("dps_unit_high_priority", "DPS priority flag per unit.", lbl))
-		}
+		o.prio = append(o.prio, o.reg.Gauge("dps_unit_high_priority", "DPS priority flag per unit.", lbl))
 		if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 {
 			o.health = append(o.health, o.reg.Gauge("dps_unit_health", "Unit health state (0 fresh, 1 stale, 2 dead).", lbl))
 		}
@@ -191,12 +186,8 @@ func TestUnitFamiliesMatchGaugeOracle(t *testing.T) {
 		round(c, oc, fmt.Sprintf("C%d", i+1), power.Vector{120, 60 + power.Watts(i), 90, 20}, 0, 1, 2, 3)
 	}
 
-	// A health-blind policy: no priority family, caps pinned by delivery.
-	slurm, err := baseline.NewSLURM(3, testBudget(3), stateless.DefaultConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ob := boot(config(slurm, 3), start)
+	// The -policy slurm preset: no unit is ever high priority.
+	b, ob := boot(config(slurmPreset(t, 3), 3), start)
 	round(b, ob, "B1", power.Vector{120, 100, 20}, 0, 1, 2)
 	for i := 0; i < 5; i++ {
 		round(b, ob, fmt.Sprintf("B%d", i+2), power.Vector{120 + power.Watts(i), 100, 20}, 0, 1)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,63 +47,40 @@ func watchAlert(t *testing.T, srv *Server, rule string) watch.Alert {
 	return watch.Alert{}
 }
 
-// inflatedManager scales its inner manager's caps by 1.5 in decision
-// rounds [from, until), counted from 1: a cap vector over the budget at a
-// known round. It hides the DPS stats API, so the caps are delivered
-// through the plain Decide path, as a buggy controller's would be.
-type inflatedManager struct {
-	core.Manager
-	from, until, round int
-	out                power.Vector
-}
-
-func (m *inflatedManager) Decide(snap core.Snapshot) power.Vector {
-	caps := m.Manager.Decide(snap)
-	if m.round++; m.round < m.from || m.round >= m.until {
-		return caps
-	}
-	m.out = m.out[:0]
-	for _, c := range caps {
-		m.out = append(m.out, 1.5*c)
-	}
-	return m.out
-}
-
-// TestWatchBudgetFaultFiresWithinOneRound is the acceptance-criteria
-// chaos test at the daemon layer: a manager inflates its caps past the
-// budget at a known round; budget_conservation must fire
-// within that exact round and resolve within one round of recovery.
+// TestWatchBudgetFaultFiresWithinOneRound is the budget fault at the
+// daemon layer, made the one way dpsd goes over budget: a restore under
+// a lower budget. A donor runs 8 units at 880 W and snapshots; a server
+// configured at 704 W restores the image with no agent registered, so
+// every unit stays pinned at the caps the donor's devices hold.
+// budget_conservation must fire from the first restored round, each of
+// those rounds must count as infeasible in dps_budget_violations_total,
+// and the alert must resolve in the round the agent joins.
 func TestWatchBudgetFaultFiresWithinOneRound(t *testing.T) {
-	const units = 4
-	inner, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fault window: rounds [3,5), the cap sum ~50% over.
-	srv, now := newWatchServer(t, &inflatedManager{Manager: inner, from: 3, until: 5}, units)
-
-	states := make([]string, 0, 7)
-	for round := 1; round <= 7; round++ {
-		setReadings(srv, power.Vector{120, 120, 120, 120})
+	readings := power.NewVector(8, 120)
+	srv, clk := restoreUnderLowerBudget(t, readings, func(sc *ServerConfig) { sc.SeriesEnabled, sc.WatchEnabled = true, true })
+	var states []string
+	for i := 0; i < 2; i++ { // no agent yet: every unit pinned
+		setReadings(srv, readings)
 		if _, err := srv.DecideOnce(1); err != nil {
 			t.Fatal(err)
 		}
 		states = append(states, watchAlert(t, srv, watch.RuleBudgetConservation).State)
-		*now = now.Add(time.Second)
+		clk.Advance(time.Second)
 	}
+	if sum := joinAndDecide(t, srv, readings).Sum(); sum > 704 {
+		t.Errorf("the join round delivers Σcaps = %v W over the configured 704 W", sum)
+	}
+	states = append(states, watchAlert(t, srv, watch.RuleBudgetConservation).State)
 
-	want := []string{
-		watch.StateInactive, watch.StateInactive, // healthy rounds 1-2
-		watch.StateFiring, watch.StateFiring, // faulted rounds 3-4
-		watch.StateResolved, watch.StateResolved, watch.StateResolved, // recovered
-	}
-	for i := range want {
-		if states[i] != want[i] {
-			t.Fatalf("budget_conservation per round = %v, want %v", states, want)
-		}
+	want := []string{watch.StateFiring, watch.StateFiring, watch.StateResolved}
+	if !slices.Equal(states, want) {
+		t.Fatalf("budget_conservation per round = %v, want %v", states, want)
 	}
 	if a := watchAlert(t, srv, watch.RuleBudgetConservation); a.FiredCount != 1 {
 		t.Errorf("fired %d times across one fault window, want 1", a.FiredCount)
+	}
+	if got := srv.metrics.violations.Value(); got != 2 {
+		t.Errorf("dps_budget_violations_total = %d, want the 2 pinned rounds", got)
 	}
 
 	// The lifecycle is visible in /status and the exposition.
@@ -246,7 +224,7 @@ func TestDebugSeriesAbsentWhenDisabled(t *testing.T) {
 	}
 }
 
-func mustDPS(t *testing.T, units int) *core.DPS {
+func mustDPS(t testing.TB, units int) *core.DPS {
 	t.Helper()
 	mgr, err := core.NewDPS(core.DefaultConfig(units, testBudget(units)))
 	if err != nil {

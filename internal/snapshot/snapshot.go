@@ -24,8 +24,8 @@
 // section's size is therefore a range, checked before anything is sized
 // from it.
 //
-// The controller's sections form one family (coreFamily): an image holds
-// all of them or none. Decoders skip sections whose id they do not
+// The controller's sections form one family (coreFamily), and every
+// image holds all of them. Decoders skip sections whose id they do not
 // recognize (forward compatibility: a newer writer can add sections
 // without breaking older readers), but only after the CRC validates —
 // corrupt bytes never parse as "unknown, ignore".
@@ -89,7 +89,7 @@ const (
 
 // coreFamily is the controller's section family, in the order Encode
 // writes it (the register directly after the draw count it belongs to).
-// HasCore stands for the whole family; an image holding part of it is
+// Every image carries the whole family; one missing any of it is
 // corrupt.
 var coreFamily = [...]uint16{SecCore, SecCaps, SecKalman, SecRings, SecPriority, SecRNG, SecRNGReg, SecProv, SecSparse}
 
@@ -123,21 +123,20 @@ type Fingerprint struct {
 	Sparse             bool
 	SparseRefreshEvery int
 
-	// HasCore reports the controller's sections (coreFamily), RingCap their
-	// ring capacity; HasDaemon the daemon section, SavedUnixMS its save
-	// stamp.
-	HasCore     bool
+	// RingCap is the ring capacity of the controller's sections
+	// (coreFamily); HasDaemon reports the daemon section, SavedUnixMS its
+	// save stamp.
 	RingCap     int
 	HasDaemon   bool
 	SavedUnixMS int64
 }
 
 // State is the in-memory form of a snapshot: the union of everything the
-// format can carry. Producers fill the parts they own and set the
-// corresponding Has* flags; Encode serializes only flagged parts, and
-// Decode sets the flags for the sections it found. All slices are reused
-// across Export/Encode cycles when their capacity suffices, so a warm
-// snapshot round allocates nothing.
+// format can carry. Every image holds the config and the controller's
+// sections; the daemon's section is optional, written when HasDaemon is
+// set and reported by it on decode. All slices are reused across
+// Export/Encode cycles when their capacity suffices, so a warm snapshot
+// round allocates nothing.
 //
 // A column may alias its owner's storage (a bound State: BindRings and
 // the owners' BindState). Encode then reads the live column and a decode
@@ -287,10 +286,8 @@ func encodedLen(st *State) int {
 		return section.Overhead + n
 	}
 	n := HeaderSize + framed(SecConfig)
-	if st.HasCore {
-		for _, id := range coreFamily {
-			n += framed(id)
-		}
+	for _, id := range coreFamily {
+		n += framed(id)
 	}
 	if st.HasDaemon {
 		n += framed(SecDaemon)
@@ -324,101 +321,99 @@ func Encode(dst []byte, st *State) []byte {
 	b = section.AppendU32(b, uint32(st.SparseRefreshEvery))
 	b = section.End(b, start)
 
-	if st.HasCore {
-		b, start = section.Begin(b, SecCore)
-		b = section.AppendU64(b, st.Steps)
-		b = appendBool(b, st.LastRestored)
-		b = appendBool(b, st.ProvDirty)
-		b = appendBool(b, st.HeldAllocated)
-		b = section.End(b, start)
+	b, start = section.Begin(b, SecCore)
+	b = section.AppendU64(b, st.Steps)
+	b = appendBool(b, st.LastRestored)
+	b = appendBool(b, st.ProvDirty)
+	b = appendBool(b, st.HeldAllocated)
+	b = section.End(b, start)
 
-		b, start = section.Begin(b, SecCaps)
-		for _, c := range st.Caps {
-			b = section.AppendF64(b, float64(c))
-		}
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecKalman)
-		for i := range st.Kalman {
-			k := &st.Kalman[i]
-			b = section.AppendF64(b, float64(k.Estimate))
-			b = section.AppendF64(b, k.Variance)
-			b = appendBool(b, k.Primed)
-		}
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecRings)
-		b = section.AppendU32(b, uint32(st.RingCap))
-		for i := range st.Rings {
-			r := &st.Rings[i]
-			b = section.AppendU32(b, uint32(r.Head))
-			b = section.AppendU32(b, uint32(r.N))
-			b = section.AppendU32(b, uint32(r.Pushes))
-			b = section.AppendF64(b, r.Sum)
-			b = section.AppendF64(b, r.SumSq)
-			b = section.AppendF64(b, r.DurSum)
-			b = section.AppendF64(b, r.TailDur)
-			for _, p := range r.Powers {
-				b = section.AppendF64(b, float64(p))
-			}
-			if d, ok := uniformDuration(r); ok {
-				b = section.AppendU64(append(b, ringUniform), d)
-				continue
-			}
-			b = append(b, ringExplicit)
-			for _, d := range r.Durations {
-				b = section.AppendF64(b, float64(d))
-			}
-		}
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecPriority)
-		b = appendBits(b, st.Prio)
-		b = appendBits(b, st.HighFreq)
-		for i := range st.Frozen {
-			f := &st.Frozen[i]
-			b = section.AppendU32(b, uint32(f.N))
-			b = section.AppendF64(b, float64(f.Std))
-			b = section.AppendF64(b, float64(f.Deriv))
-			b = appendBool(b, f.HighFreqNow)
-		}
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecRNG)
-		b = section.AppendU64(b, uint64(st.RNGSeed))
-		b = section.AppendU64(b, st.RNGDraws)
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecRNGReg)
-		b = section.AppendU16(b, uint16(st.RNGTap))
-		for _, w := range st.RNGReg {
-			b = section.AppendU64(b, w)
-		}
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecProv)
-		b = append(b, st.Reasons...)
-		b = section.End(b, start)
-
-		b, start = section.Begin(b, SecSparse)
-		b = section.AppendF64(b, float64(st.LastDT))
-		b = section.AppendU64(b, uint64(int64(st.HighCount)))
-		b = section.AppendF64(b, float64(st.CachedSum))
-		b = appendBool(b, st.SumValid)
-		for _, w := range st.SettledW {
-			b = section.AppendU64(b, w)
-		}
-		for _, w := range st.CapMovedW {
-			b = section.AppendU64(b, w)
-		}
-		for _, v := range st.LastVal {
-			b = section.AppendF64(b, float64(v))
-		}
-		for _, s := range st.LastStep {
-			b = section.AppendU64(b, s)
-		}
-		b = section.End(b, start)
+	b, start = section.Begin(b, SecCaps)
+	for _, c := range st.Caps {
+		b = section.AppendF64(b, float64(c))
 	}
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecKalman)
+	for i := range st.Kalman {
+		k := &st.Kalman[i]
+		b = section.AppendF64(b, float64(k.Estimate))
+		b = section.AppendF64(b, k.Variance)
+		b = appendBool(b, k.Primed)
+	}
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecRings)
+	b = section.AppendU32(b, uint32(st.RingCap))
+	for i := range st.Rings {
+		r := &st.Rings[i]
+		b = section.AppendU32(b, uint32(r.Head))
+		b = section.AppendU32(b, uint32(r.N))
+		b = section.AppendU32(b, uint32(r.Pushes))
+		b = section.AppendF64(b, r.Sum)
+		b = section.AppendF64(b, r.SumSq)
+		b = section.AppendF64(b, r.DurSum)
+		b = section.AppendF64(b, r.TailDur)
+		for _, p := range r.Powers {
+			b = section.AppendF64(b, float64(p))
+		}
+		if d, ok := uniformDuration(r); ok {
+			b = section.AppendU64(append(b, ringUniform), d)
+			continue
+		}
+		b = append(b, ringExplicit)
+		for _, d := range r.Durations {
+			b = section.AppendF64(b, float64(d))
+		}
+	}
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecPriority)
+	b = appendBits(b, st.Prio)
+	b = appendBits(b, st.HighFreq)
+	for i := range st.Frozen {
+		f := &st.Frozen[i]
+		b = section.AppendU32(b, uint32(f.N))
+		b = section.AppendF64(b, float64(f.Std))
+		b = section.AppendF64(b, float64(f.Deriv))
+		b = appendBool(b, f.HighFreqNow)
+	}
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecRNG)
+	b = section.AppendU64(b, uint64(st.RNGSeed))
+	b = section.AppendU64(b, st.RNGDraws)
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecRNGReg)
+	b = section.AppendU16(b, uint16(st.RNGTap))
+	for _, w := range st.RNGReg {
+		b = section.AppendU64(b, w)
+	}
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecProv)
+	b = append(b, st.Reasons...)
+	b = section.End(b, start)
+
+	b, start = section.Begin(b, SecSparse)
+	b = section.AppendF64(b, float64(st.LastDT))
+	b = section.AppendU64(b, uint64(int64(st.HighCount)))
+	b = section.AppendF64(b, float64(st.CachedSum))
+	b = appendBool(b, st.SumValid)
+	for _, w := range st.SettledW {
+		b = section.AppendU64(b, w)
+	}
+	for _, w := range st.CapMovedW {
+		b = section.AppendU64(b, w)
+	}
+	for _, v := range st.LastVal {
+		b = section.AppendF64(b, float64(v))
+	}
+	for _, s := range st.LastStep {
+		b = section.AppendU64(b, s)
+	}
+	b = section.End(b, start)
 
 	if st.HasDaemon {
 		b, start = section.Begin(b, SecDaemon)
@@ -586,8 +581,8 @@ func payloadBounds(id uint16, units int, payload []byte) (lo, hi int, known bool
 // then DecodeVerified. It never panics on malformed input: every
 // structural defect returns an error wrapping ErrCorrupt (or ErrVersion),
 // and unknown section ids are skipped after their CRC validates. On error
-// st is untouched; on success the Has* flags report which parts were
-// present.
+// st is untouched; on success HasDaemon reports whether the daemon's
+// section was present.
 func DecodeInto(st *State, data []byte) error {
 	if _, err := Verify(data); err != nil {
 		return err
@@ -599,7 +594,7 @@ func DecodeInto(st *State, data []byte) error {
 // Verify is a decode's first pass: it checks data whole — header, every
 // section's CRC, framing and duplicates, config first, payload sizes and
 // ring capacity, every ring's duration tag and head/count/pushes bounds,
-// the core family's all-or-none, the PRNG seed and tap cross-checks — and
+// the core family's presence, the PRNG seed and tap cross-checks — and
 // returns the image's Fingerprint, having written nothing.
 func Verify(data []byte) (Fingerprint, error) {
 	var st State // scalars only: this pass reads no column
@@ -647,7 +642,7 @@ func decode(st *State, data []byte, write bool) error {
 	if err != nil {
 		return err
 	}
-	st.HasCore, st.HasDaemon = false, false
+	st.HasDaemon = false
 	var seen [SecRNGReg + 1]bool // which known sections the image holds
 
 	w := section.Walk(rest)
@@ -839,20 +834,14 @@ func decode(st *State, data []byte, write bool) error {
 	if !seen[SecConfig] {
 		return corruptf("no config section")
 	}
-	have := 0
 	for _, id := range coreFamily {
-		if seen[id] {
-			have++
+		if !seen[id] {
+			return corruptf("no core section 0x%04x", id)
 		}
 	}
-	if have != 0 && have != len(coreFamily) {
-		return corruptf("core sections incomplete for %d units: %d of the %d present", st.Units, have, len(coreFamily))
-	}
-	if st.HasCore = have != 0; st.HasCore {
-		// The draw count fixes where the register's taps stand.
-		if want := stateless.TapAt(st.RNGDraws); st.RNGTap != want {
-			return corruptf("section 0x%04x: tap position %d, want %d after %d draws", SecRNGReg, st.RNGTap, want, st.RNGDraws)
-		}
+	// The draw count fixes where the register's taps stand.
+	if want := stateless.TapAt(st.RNGDraws); st.RNGTap != want {
+		return corruptf("section 0x%04x: tap position %d, want %d after %d draws", SecRNGReg, st.RNGTap, want, st.RNGDraws)
 	}
 	return nil
 }

@@ -74,7 +74,6 @@ func fillStateRings(units, ringCap int, seed int64, kind func(u int) int) *State
 			UnitMin:            power.Watts(math.Copysign(0, -1)), // -0.0 must round-trip
 			Sparse:             true,
 			SparseRefreshEvery: 64,
-			HasCore:            true,
 			RingCap:            ringCap,
 			HasDaemon:          true,
 			SavedUnixMS:        1_700_000_000_123,
@@ -159,8 +158,8 @@ func assertStateEqual(t *testing.T, want, got *State) {
 		got.Sparse != want.Sparse || got.SparseRefreshEvery != want.SparseRefreshEvery {
 		t.Fatalf("config mismatch: got %+v", got)
 	}
-	if got.HasCore != want.HasCore || got.HasDaemon != want.HasDaemon {
-		t.Fatalf("presence flags: got %v/%v want %v/%v", got.HasCore, got.HasDaemon, want.HasCore, want.HasDaemon)
+	if got.HasDaemon != want.HasDaemon {
+		t.Fatalf("daemon section present: got %v want %v", got.HasDaemon, want.HasDaemon)
 	}
 	if got.Steps != want.Steps || got.LastRestored != want.LastRestored ||
 		got.ProvDirty != want.ProvDirty || got.HeldAllocated != want.HeldAllocated {
@@ -200,23 +199,21 @@ func assertStateEqual(t *testing.T, want, got *State) {
 	if got.RNGSeed != want.RNGSeed || got.RNGDraws != want.RNGDraws {
 		t.Fatalf("rng: got %d/%d want %d/%d", got.RNGSeed, got.RNGDraws, want.RNGSeed, want.RNGDraws)
 	}
-	if want.HasCore {
-		if got.RNGTap != want.RNGTap || got.RNGReg != want.RNGReg {
-			t.Fatalf("rng register: got tap %d, want tap %d", got.RNGTap, want.RNGTap)
+	if got.RNGTap != want.RNGTap || got.RNGReg != want.RNGReg {
+		t.Fatalf("rng register: got tap %d, want tap %d", got.RNGTap, want.RNGTap)
+	}
+	if !eqF64(float64(got.LastDT), float64(want.LastDT)) || got.HighCount != want.HighCount ||
+		!eqF64(float64(got.CachedSum), float64(want.CachedSum)) || got.SumValid != want.SumValid {
+		t.Fatalf("sparse scalars mismatch")
+	}
+	for i := range want.SettledW {
+		if got.SettledW[i] != want.SettledW[i] || got.CapMovedW[i] != want.CapMovedW[i] {
+			t.Fatalf("sparse mask word %d mismatch", i)
 		}
-		if !eqF64(float64(got.LastDT), float64(want.LastDT)) || got.HighCount != want.HighCount ||
-			!eqF64(float64(got.CachedSum), float64(want.CachedSum)) || got.SumValid != want.SumValid {
-			t.Fatalf("sparse scalars mismatch")
-		}
-		for i := range want.SettledW {
-			if got.SettledW[i] != want.SettledW[i] || got.CapMovedW[i] != want.CapMovedW[i] {
-				t.Fatalf("sparse mask word %d mismatch", i)
-			}
-		}
-		for u := range want.LastVal {
-			if !eqF64(float64(got.LastVal[u]), float64(want.LastVal[u])) || got.LastStep[u] != want.LastStep[u] {
-				t.Fatalf("sparse lastVal/lastStep[%d] mismatch", u)
-			}
+	}
+	for u := range want.LastVal {
+		if !eqF64(float64(got.LastVal[u]), float64(want.LastVal[u])) || got.LastStep[u] != want.LastStep[u] {
+			t.Fatalf("sparse lastVal/lastStep[%d] mismatch", u)
 		}
 	}
 	if want.HasDaemon {
@@ -382,30 +379,24 @@ func TestEncodeReuseNoAlloc(t *testing.T) {
 
 func TestPartialStates(t *testing.T) {
 	full := fillState(40, 8, 9)
+	img := Encode(nil, full)
 
-	configOnly := &State{}
-	*configOnly = *full
-	configOnly.HasCore, configOnly.HasDaemon = false, false
-	got, err := Decode(Encode(nil, configOnly))
-	if err != nil {
-		t.Fatalf("config-only: %v", err)
-	}
-	if got.HasCore || got.HasDaemon {
-		t.Fatalf("config-only decode reported sections: %+v", got)
-	}
-	if got.Units != full.Units || got.Seed != full.Seed {
-		t.Fatalf("config-only fingerprint lost")
+	// The core family is mandatory: an image of the config alone is
+	// corrupt.
+	configOnly := editSections(t, img, func(id uint16, p []byte) ([]byte, bool) { return p, id == SecConfig })
+	if _, err := Decode(configOnly); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("config-only image: %v, want ErrCorrupt", err)
 	}
 
 	noDaemon := &State{}
 	*noDaemon = *full
 	noDaemon.HasDaemon = false
-	got, err = Decode(Encode(nil, noDaemon))
+	got, err := Decode(Encode(nil, noDaemon))
 	if err != nil {
 		t.Fatalf("core only: %v", err)
 	}
-	if !got.HasCore || got.HasDaemon {
-		t.Fatalf("core-only flags wrong: %+v", got)
+	if got.HasDaemon {
+		t.Fatalf("core-only image decoded with a daemon section: %+v", got)
 	}
 }
 
@@ -640,11 +631,8 @@ func TestDecodeIntoWarmStateForgetsSections(t *testing.T) {
 		}
 	}
 	noCore := editSections(t, full, func(id uint16, p []byte) ([]byte, bool) { return p, id == SecConfig || id == SecDaemon })
-	if err := DecodeInto(&st, noCore); err != nil {
-		t.Fatal(err)
-	}
-	if st.HasCore || !st.HasDaemon {
-		t.Fatalf("image without the core family decoded to core=%v daemon=%v", st.HasCore, st.HasDaemon)
+	if err := DecodeInto(&st, noCore); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("image without the core family decoded into a warm state: %v", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 #!/bin/sh
 # mutation_smoke.sh — prove the differential fuzzers' seed corpora catch
 # the bugs their checks exist for: FuzzRoundEngine (internal/engine) for
-# the round paths, FuzzServer (internal/daemon) for dpsd around them; and
-# that TestFitExhaustive (internal/core) catches a broken budget fit. The
+# the round paths, FuzzServer (internal/daemon) for dpsd around them; that
+# TestFitExhaustive (internal/core) catches a broken budget fit; and that
+# TestWatchBudgetFaultFiresWithinOneRound (internal/daemon) catches a
+# restore that keeps the image's budget over the configured one. The
 # tree is copied to a temporary directory; there each target's unmutated
 # seed corpus must pass, and then, one at a time, each mutation below is
 # applied by an exact-match text edit and `go test -run '^TARGET$' PKG`
@@ -107,3 +109,8 @@ mutant "a counter gone backwards reads as restarted from 0" internal/rapl/meter.
 mutant "a cut batch frame keeps its whole records" internal/proto/session.go \
 	"$(printf 'body, err := s.next(count * RecordSize)\n')" \
 	"$(printf 'body, err := s.next(count * RecordSize)\n\tfor err != nil && count > 1 {\n\t\tcount--\n\t\tbody, err = s.next(count * RecordSize)\n\t}\n')"
+
+target TestWatchBudgetFaultFiresWithinOneRound ./internal/daemon/
+mutant "a restore keeps the donor's budget" internal/daemon/snapshot.go \
+	'if err := s.dps.SetTotalBudget(s.configuredBudget); err != nil {' \
+	'if err := error(nil); err != nil {'
